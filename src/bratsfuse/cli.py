@@ -141,7 +141,7 @@ def rank_cmd(summary_csv, out_dir):
                    "(WT 16x14x15 voxels at 48^3).")
 @click.option("--raters", default=3, show_default=True,
               help="Number of corrupted rater label maps.")
-@click.option("--rate", default=0.1, show_default=True,
+@click.option("--rate", type=click.FloatRange(0.0, 1.0), default=0.1, show_default=True,
               help="Per-voxel corruption probability for the raters.")
 @click.option("--probmaps/--no-probmaps", default=True, show_default=True,
               help="Also emit a soft model (two fold probability manifests).")

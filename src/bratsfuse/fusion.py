@@ -11,11 +11,18 @@ specificity q, and alternates:
   ``q_j = sum_i (1-W_i)(1-D_ij) / sum_i (1-W_i)``, with p and q clamped into
   [1e-7, 1 - 1e-7] to avoid absorbing states.
 
+A voxel enters both steps only through its column of J rater decisions, so
+EM runs over the K <= min(2^J, N) decision patterns that occur, each weighted
+by its voxel count in the M-step sums, and the posterior is scattered back to
+the voxels at the end. Memory is O(N) small integers (each voxel's pattern
+index) instead of a J x N float matrix, and an iteration costs O(J K).
+
 Iteration stops when the posterior changes by less than ``tol`` in max-norm
-or after ``max_iters`` update cycles. The returned parameters are the
-(clamped) M-step of the returned posterior, so they satisfy the fixed-point
-identities exactly. Multi-label fusion runs binary STAPLE per nested region
-and recomposes the label map.
+(over the present patterns, which is the max over voxels) or after
+``max_iters`` update cycles. The returned parameters are the (clamped)
+M-step of the returned posterior, so they satisfy the fixed-point identities
+exactly. Multi-label fusion runs binary STAPLE per nested region and
+recomposes the label map.
 """
 
 from __future__ import annotations
@@ -44,6 +51,9 @@ PARAM_CLAMP = 1e-7
 DEFAULT_INIT_PQ = 0.99999
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITERS = 100
+# Up to this many raters a voxel's decisions fit a uint16 code and np.bincount
+# counts all 2^J codes; beyond it the patterns are found by sorting.
+BINCOUNT_MAX_RATERS = 16
 
 
 def average_probs(maps: list[ProbMap]) -> ProbMap:
@@ -136,18 +146,51 @@ def default_staple_params(
     return StapleParams(pq, pq, float(_clamp(np.asarray(prior))), max_iters, tol)
 
 
-def _e_step(d: np.ndarray, p: np.ndarray, q: np.ndarray, prior: float) -> np.ndarray:
-    # log a - log b, evaluated through a sigmoid: stable for any rater count.
-    log_a = np.log(prior) + d.T @ np.log(p) + (1.0 - d.T) @ np.log1p(-p)
-    log_b = np.log1p(-prior) + d.T @ np.log1p(-q) + (1.0 - d.T) @ np.log(q)
-    return 1.0 / (1.0 + np.exp(log_b - log_a))
+def _decision_patterns(masks: list[RegionMask]):
+    """The distinct rater-decision columns of ``masks`` and each voxel's column.
+
+    Returns ``(pats, counts, inverse)``: the K patterns that occur as a (J, K)
+    0/1 float matrix, the number of voxels with each pattern, and every
+    voxel's pattern index, so that ``pats[:, inverse]`` is the (J, N)
+    decision matrix.
+    """
+    j = len(masks)
+    bits = [m.data.reshape(-1).view(np.uint8) for m in masks]
+    if j <= BINCOUNT_MAX_RATERS:
+        # Rater r is bit r of a voxel's code; count all 2^J codes at once.
+        codes = np.zeros(bits[0].size, dtype=np.uint16)
+        for r, b in enumerate(bits):
+            codes |= b.astype(np.uint16) << r
+        counts = np.bincount(codes, minlength=1 << j)
+        present = np.flatnonzero(counts)
+        remap = np.zeros(1 << j, dtype=np.uint16)
+        remap[present] = np.arange(present.size)
+        pats = (present >> np.arange(j)[:, None]) & 1
+        return pats.astype(np.float64), counts[present], remap[codes]
+    # Too many codes to count directly: sort the voxels' packed decision rows.
+    packed = np.zeros((bits[0].size, (j + 7) // 8), dtype=np.uint8)
+    for r, b in enumerate(bits):
+        packed[:, r // 8] |= b << (7 - r % 8)
+    rows = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
+    uniq, inverse, counts = np.unique(rows, return_inverse=True, return_counts=True)
+    pats = np.unpackbits(uniq.view(np.uint8).reshape(uniq.size, -1), axis=1, count=j)
+    return pats.T.astype(np.float64), counts, inverse
 
 
-def _m_step(d: np.ndarray, w: np.ndarray, p_prev: np.ndarray, q_prev: np.ndarray):
-    w_sum = w.sum()
-    not_w_sum = (1.0 - w).sum()
-    p = (d @ w) / w_sum if w_sum > 0 else p_prev
-    q = ((1.0 - d) @ (1.0 - w)) / not_w_sum if not_w_sum > 0 else q_prev
+def _e_step(pats: np.ndarray, p: np.ndarray, q: np.ndarray, prior: float) -> np.ndarray:
+    log_a = np.log(prior) + pats.T @ np.log(p) + (1.0 - pats.T) @ np.log1p(-p)
+    log_b = np.log1p(-prior) + pats.T @ np.log1p(-q) + (1.0 - pats.T) @ np.log(q)
+    # a / (a + b) without exp(log_b - log_a), which overflows for many raters.
+    return np.exp(log_a - np.logaddexp(log_a, log_b))
+
+
+def _m_step(pats, counts, w, p_prev, q_prev):
+    cw = counts * w
+    cnw = counts * (1.0 - w)
+    w_sum = cw.sum()
+    not_w_sum = cnw.sum()
+    p = (pats @ cw) / w_sum if w_sum > 0 else p_prev
+    q = ((1.0 - pats) @ cnw) / not_w_sum if not_w_sum > 0 else q_prev
     return _clamp(p), _clamp(q)
 
 
@@ -173,10 +216,13 @@ def staple_binary(
         if m.region is not region:
             raise GeometryMismatch("rater masks disagree on the region tag")
     shape = masks[0].shape
-    d = np.stack([m.data.reshape(-1) for m in masks]).astype(np.float64)  # (J, N)
+    pats, counts, inverse = _decision_patterns(masks)
     if init is None:
+        # An integer count over J * N: exactly the mean of the 0/1 decisions.
+        foreground = sum(int(np.count_nonzero(m.data)) for m in masks)
         init = default_staple_params(
-            len(masks), prior=float(d.mean()), max_iters=max_iters, tol=tol
+            len(masks), prior=foreground / (len(masks) * inverse.size),
+            max_iters=max_iters, tol=tol,
         )
     elif len(init.p) != len(masks):
         raise ValueError(f"init has {len(init.p)} raters, got {len(masks)} masks")
@@ -184,12 +230,12 @@ def staple_binary(
     q = np.asarray(init.q, dtype=np.float64)
     prior = float(init.prior)
 
-    w = _e_step(d, p, q, prior)
+    w = _e_step(pats, p, q, prior)
     iterations = 0
     converged = False
     while iterations < init.max_iters:
-        p, q = _m_step(d, w, p, q)
-        w_new = _e_step(d, p, q, prior)
+        p, q = _m_step(pats, counts, w, p, q)
+        w_new = _e_step(pats, p, q, prior)
         iterations += 1
         delta = np.abs(w_new - w).max()
         w = w_new
@@ -198,9 +244,9 @@ def staple_binary(
             break
     # Re-estimate from the final posterior so the returned parameters are the
     # exact M-step fixed point of the returned W.
-    p, q = _m_step(d, w, p, q)
+    p, q = _m_step(pats, counts, w, p, q)
 
-    posterior = w.reshape(shape)
+    posterior = w[inverse].reshape(shape)
     mask = RegionMask(region, posterior >= 0.5, masks[0].spacing, masks[0].origin)
     final = StapleParams(
         tuple(float(x) for x in p),

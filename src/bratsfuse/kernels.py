@@ -12,8 +12,9 @@ Three loop-dominated kernels live here:
 The ``*_numba`` flavours are ``@njit``-compiled loops; the ``*_numpy``
 flavours are vectorized numpy. Public names are bound at import time to the
 numba flavour unless ``BRATSFUSE_DISABLE_NUMBA`` selects the fallback (see
-``bratsfuse._accel``). Both flavours of each kernel produce identical arrays;
-``benchmarks/bench_kernels.py`` compares their speed.
+``bratsfuse._accel``). Both flavours of each kernel produce identical arrays.
+``python3 benchmarks/run.py --workload eval-batch --trace 1`` reports the time
+spent in the distance transform (``metrics.edt.*``).
 """
 
 from __future__ import annotations

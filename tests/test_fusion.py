@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from bratsfuse.errors import EmptyList, GeometryMismatch
 from bratsfuse.fusion import (
+    BINCOUNT_MAX_RATERS,
     StapleParams,
     argmax_labels,
     average_probs,
@@ -123,7 +126,10 @@ class TestStapleBinary:
         d = np.array([[1, 1, 1, 0], [1, 0, 1, 0], [0, 0, 1, 0]], dtype=np.float64)
         masks = rater_masks(d.astype(bool).reshape(3, 4))
         res = staple_binary(masks)
-        init = default_staple_params(3, prior=float(d.mean()))
+        self.assert_matches_reference(res, d, default_staple_params(3, prior=float(d.mean())))
+
+    @staticmethod
+    def assert_matches_reference(res, d, init):
         w_ref, p_ref, q_ref, iters_ref, conv_ref = staple_em_reference(
             d, init.p, init.q, init.prior, init.tol, init.max_iters
         )
@@ -132,6 +138,27 @@ class TestStapleBinary:
         assert np.abs(np.array(res.final_params.q) - q_ref).max() < 1e-6
         assert res.iterations == iters_ref
         assert res.converged == conv_ref
+
+    # 5 raters are counted by np.bincount, 20 by sorting packed decision rows.
+    @pytest.mark.parametrize("n_raters", [5, 20])
+    def test_against_reference_on_disagreeing_raters(self, rng, n_raters):
+        assert 5 <= BINCOUNT_MAX_RATERS < 20
+        truth = rng.random((6, 5, 4)) < 0.4
+        masks = [
+            RegionMask(Region.WT, truth ^ (rng.random(truth.shape) < 0.15))
+            for _ in range(n_raters)
+        ]
+        d = np.stack([m.data.reshape(-1) for m in masks]).astype(np.float64)
+        assert np.unique(d, axis=1).shape[1] > 8  # many patterns, not a handful
+        res = staple_binary(masks)
+        assert res.final_params.prior == float(np.stack([m.data for m in masks]).mean())
+        self.assert_matches_reference(res, d, default_staple_params(n_raters, float(d.mean())))
+
+        init = StapleParams((0.8,) * n_raters, (0.9,) * n_raters, prior=0.3,
+                            max_iters=7, tol=1e-12)
+        res = staple_binary(masks, init)
+        assert res.final_params.prior == 0.3
+        self.assert_matches_reference(res, d, init)
 
     def test_mask_matches_thresholded_posterior(self, rng):
         masks = [random_mask(rng, (4, 4, 4), density=0.4) for _ in range(3)]
@@ -171,7 +198,9 @@ class TestStapleBinary:
 
     def test_no_underflow_with_64_raters(self, rng):
         mask = random_mask(rng, (3, 3, 3), density=0.5)
-        res = staple_binary([mask] * 64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = staple_binary([mask] * 64)
         assert np.isfinite(res.posterior).all()
 
     def test_param_validation(self):

@@ -64,3 +64,12 @@ class TestSynthCommand:
         assert "Traceback" not in result.output
         assert result.output.startswith("Error: ")
         assert not (tmp_path / "out").exists()
+
+    def test_rate_outside_unit_interval_is_a_one_line_error(self, tmp_path):
+        result = CliRunner().invoke(main, ["synth", "--out", str(tmp_path / "out"), "--rate", "2"])
+        assert result.exit_code != 0
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        errors = [line for line in result.output.splitlines() if line.startswith("Error: ")]
+        assert len(errors) == 1 and "--rate" in errors[0]
+        assert not (tmp_path / "out").exists()
