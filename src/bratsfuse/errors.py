@@ -74,6 +74,11 @@ class TruncatedFile(NiftiError):
     """The byte stream ends before the header or voxel data does."""
 
 
+class BadData(NiftiError, ValueError):
+    """The file parses but its voxels or geometry are not a valid volume
+    (e.g. NaN/Inf voxels or a non-finite origin)."""
+
+
 # -- tiling --------------------------------------------------------------------
 
 class IndexOutOfRange(BratsFuseError):

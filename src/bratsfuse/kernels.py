@@ -13,8 +13,11 @@ The ``*_numba`` flavours are ``@njit``-compiled loops; the ``*_numpy``
 flavours are vectorized numpy. Public names are bound at import time to the
 numba flavour unless ``BRATSFUSE_DISABLE_NUMBA`` selects the fallback (see
 ``bratsfuse._accel``). Both flavours of each kernel produce identical arrays.
+``edt_sq`` sees box-sized arrays: ``metrics.hd95`` crops both masks to the
+bounding box of their union first, so on BraTS-like cases the all-pairs
+numpy pass runs on the tumour's box rather than the whole head.
 ``python3 benchmarks/run.py --workload eval-batch --trace 1`` reports the time
-spent in the distance transform (``metrics.edt.*``).
+and voxels spent in the distance transform (``metrics.edt.*``).
 """
 
 from __future__ import annotations

@@ -8,19 +8,30 @@ symmetric value is the max of the two directed percentiles.
 
 Empty-mask conventions: both masks empty scores perfectly (DSC 1, HD95 0);
 exactly one empty scores DSC 0 and the fixed HD95 penalty 373.1287 mm.
+
+``hd95`` crops both masks to the bounding box of their union before it takes
+boundaries and distance transforms, so the EDT covers the tumour, not the
+head. The result is the same as on the full grid: every voxel outside the box
+is background in both masks, so the boundary voxels are unchanged (a box-face
+voxel's outside neighbour is background either way, and ``boundary`` counts
+out-of-volume as background), and every EDT source and query lies inside the
+box, where a Euclidean distance does not depend on the grid around it. Only
+the rounding can move: coordinates are measured from the box corner, so at
+spacings that are not dyadic (e.g. 1.2 mm) a distance may differ in its last
+digits from the full-grid value.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import kernels
 from .errors import EmptyMask
 from .regions import Region, RegionMask, region_mask
-from .volume import LabelMap, require_same_geometry
+from .volume import LabelMap, crop, nonzero_bbox, require_same_geometry
 
 __all__ = [
     "EMPTY_PENALTY_MM",
@@ -124,6 +135,8 @@ def hd95(a: RegionMask, b: RegionMask, penalty: float = EMPTY_PENALTY_MM) -> flo
         return 0.0
     if a_empty or b_empty:
         return float(penalty)
+    box = nonzero_bbox(replace(a, data=a.data | b.data))
+    a, b = crop(a, box), crop(b, box)
     ba = boundary(a)
     bb = boundary(b)
     dist_to_b = edt(bb).data

@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    BadData,
     BadHeader,
     BadMagic,
     TruncatedFile,
@@ -104,7 +105,10 @@ def read_nifti(raw: bytes) -> Volume:
     if len(raw) < need:
         raise TruncatedFile(f"need {need} bytes of data, got {len(raw)}")
     data = np.frombuffer(raw, dtype=dtype, count=count, offset=offset)
-    return Volume(data.reshape(shape, order="F"), spacing, origin)
+    try:
+        return Volume(data.reshape(shape, order="F"), spacing, origin)
+    except ValueError as e:
+        raise BadData(str(e)) from e
 
 
 def read_labelmap(raw: bytes) -> LabelMap:

@@ -87,7 +87,6 @@ class PipelineConfig:
     et_threshold: int = DEFAULT_ET_THRESHOLD
     staple_tol: float = DEFAULT_TOL
     staple_max_iters: int = DEFAULT_MAX_ITERS
-    seed: int = 0
 
     @classmethod
     def from_json(cls, path) -> "PipelineConfig":
@@ -127,7 +126,6 @@ class PipelineConfig:
             et_threshold=int(raw.get("et_threshold", DEFAULT_ET_THRESHOLD)),
             staple_tol=float(staple.get("tol", DEFAULT_TOL)),
             staple_max_iters=int(staple.get("max_iters", DEFAULT_MAX_ITERS)),
-            seed=int(raw.get("seed", 0)),
         )
         cfg.validate()
         return cfg

@@ -9,7 +9,7 @@ returns a new object, and nothing in this module mutates shared state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -195,7 +195,8 @@ def require_same_geometry(*objs) -> None:
 
 
 def nonzero_bbox(v) -> BBox:
-    """Tightest box containing all nonzero voxels of a Volume or LabelMap."""
+    """Tightest box containing all nonzero voxels of a Volume, LabelMap or
+    RegionMask."""
     nz = np.nonzero(v.data)
     if nz[0].size == 0:
         raise EmptyVolume("volume has no nonzero voxels")
@@ -214,15 +215,15 @@ def _shift_origin(origin, spacing, lo, sign=1):
 
 
 def crop(v, b: BBox):
-    """Copy the voxels inside ``b``; the origin shifts by ``lo * spacing``."""
+    """Copy the voxels inside ``b``; the origin shifts by ``lo * spacing``.
+
+    Keeps the type of ``v`` (Volume, LabelMap, ProbMap or RegionMask)."""
     _check_inside(b, v.shape)
-    origin = _shift_origin(v.origin, v.spacing, b.lo)
     sl = b.slices()
     if isinstance(v, ProbMap):
-        return ProbMap(v.data[(slice(None),) + sl].copy(), v.spacing, origin)
-    if isinstance(v, LabelMap):
-        return LabelMap(v.data[sl].copy(), v.spacing, origin)
-    return Volume(v.data[sl].copy(), v.spacing, origin)
+        sl = (slice(None),) + sl
+    return replace(v, data=v.data[sl].copy(),
+                   origin=_shift_origin(v.origin, v.spacing, b.lo))
 
 
 def crop_or_pad(v, b: BBox):

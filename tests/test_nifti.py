@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bratsfuse.errors import (
+    BadData,
     BadHeader,
     BadMagic,
     InvalidLabel,
+    NiftiError,
     TruncatedFile,
     UnsupportedDtype,
     UnsupportedEncoding,
@@ -108,6 +110,29 @@ class TestRead:
         struct.pack_into("<8h", raw, 40, 4, 1, 1, 1, 1, 1, 1, 1)
         with pytest.raises(BadHeader):
             read_nifti(bytes(raw))
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_voxel_is_bad_data(self, bad):
+        payload = np.array([0.0, bad], dtype="<f4").tobytes()
+        raw = build_fixture((2, 1, 1), (1.0, 1.0, 1.0), 16, payload)
+        with pytest.raises(BadData, match="NaN or Inf") as info:
+            read_labelmap(raw)
+        # Still a ValueError for callers that catch the old type.
+        assert isinstance(info.value, ValueError)
+
+    def test_non_finite_origin_is_bad_data(self):
+        raw = bytearray(build_fixture((1, 1, 1), (1.0, 1.0, 1.0), 2, b"\x00"))
+        struct.pack_into("<3f", raw, 268, 0.0, float("nan"), 0.0)
+        with pytest.raises(BadData, match="origin"):
+            read_nifti(bytes(raw))
+
+    @pytest.mark.parametrize("spacing", [(0.0, 1.0, 1.0), (1.0, float("nan"), 1.0),
+                                         (1.0, 1.0, float("inf"))])
+    def test_bad_spacing_is_a_nifti_error(self, spacing):
+        raw = build_fixture((1, 1, 1), spacing, 2, b"\x00")
+        with pytest.raises(NiftiError):
+            read_nifti(raw)
 
 
 class TestWrite:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bratsfuse.errors import EmptyVolume, InvalidLabel, OutOfBounds, ShapeMismatch
+from bratsfuse.regions import Region, RegionMask
 from bratsfuse.volume import (
     BBox,
     LabelMap,
@@ -128,6 +129,25 @@ class TestCropEmbed:
         v = Volume(np.ones((4, 4, 4)), spacing=(1.0, 2.0, 0.5), origin=(10.0, 0.0, 0.0))
         out = crop(v, BBox((1, 2, 3), (2, 3, 3)))
         assert out.origin == (11.0, 4.0, 1.5)
+
+    def test_crop_keeps_the_type(self, rng):
+        box = BBox((1, 0, 2), (2, 3, 3))
+        spacing, origin = (1.0, 2.0, 0.5), (10.0, 0.0, 0.0)
+        labels = np.array([0, 1, 2, 4], dtype=np.uint8)[rng.integers(0, 4, (4, 4, 4))]
+        probs = rng.random((4, 4, 4, 4))
+        probs /= probs.sum(axis=0, keepdims=True)
+        for v in (
+            Volume(rng.random((4, 4, 4)), spacing, origin),
+            LabelMap(labels, spacing, origin),
+            ProbMap(probs, spacing, origin),
+            RegionMask(Region.TC, labels == 1, spacing, origin),
+        ):
+            out = crop(v, box)
+            assert type(out) is type(v)
+            assert out.shape == (2, 4, 2)
+            assert out.origin == (11.0, 0.0, 1.0)
+            assert np.array_equal(out.data, v.data[..., 1:3, 0:4, 2:4])
+        assert out.region is Region.TC
 
     def test_embed_inverts_crop(self, rng):
         data = rng.random((6, 7, 8))
