@@ -20,7 +20,7 @@ if not _disabled_by_env():
     try:
         from numba import njit  # noqa: F401
         NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
+    except ImportError:  # numba is the optional ``accel`` extra
         NUMBA_ENABLED = False
 
 if not NUMBA_ENABLED:

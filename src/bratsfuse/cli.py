@@ -62,13 +62,14 @@ def fuse_cmd(config_path, jobs, et_threshold, staple_tol, staple_max_iters, out_
             overrides["output_dir"] = Path(out_dir)
         if overrides:
             cfg = replace(cfg, **overrides)
-        diags = run_fuse(cfg, jobs=jobs)
+        diags, errors = run_fuse(cfg, jobs=jobs)
     except ConfigError as e:
         raise click.ClickException(str(e)) from e
-    except BratsFuseError as e:
-        click.echo(f"fusion failed: {e}", err=True)
+    click.echo(f"fused {len(diags)} case(s), {len(errors)} error(s) into {cfg.output_dir}")
+    for e in errors:
+        click.echo(f"  {e['case_id']}: {e['error']} ({e['detail']})", err=True)
+    if errors:
         sys.exit(2)
-    click.echo(f"fused {len(diags)} case(s) into {cfg.output_dir}")
 
 
 @main.command("eval")

@@ -61,11 +61,12 @@ def average_probs(maps: list[ProbMap]) -> ProbMap:
     if not maps:
         raise EmptyList("average_probs needs at least one probability map")
     require_same_geometry(*maps)
-    acc = np.zeros(maps[0].data.shape, dtype=np.float64)
+    acc = np.zeros_like(maps[0].data, dtype=np.float64)  # same memory layout
     for m in maps:  # fixed input order: deterministic, reproducible sums
         acc += m.data
     acc /= len(maps)
-    return ProbMap(np.clip(acc, 0.0, 1.0), maps[0].spacing, maps[0].origin)
+    np.clip(acc, 0.0, 1.0, out=acc)
+    return ProbMap(acc, maps[0].spacing, maps[0].origin)
 
 
 def argmax_labels(p: ProbMap) -> LabelMap:

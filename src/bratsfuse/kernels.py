@@ -11,8 +11,9 @@ Three loop-dominated kernels live here:
 
 The ``*_numba`` flavours are ``@njit``-compiled loops; the ``*_numpy``
 flavours are vectorized numpy. Public names are bound at import time to the
-numba flavour unless ``BRATSFUSE_DISABLE_NUMBA`` selects the fallback (see
-``bratsfuse._accel``). Both flavours of each kernel produce identical arrays.
+numba flavour when numba (the optional ``accel`` extra) imports, unless
+``BRATSFUSE_DISABLE_NUMBA`` selects the fallback (see ``bratsfuse._accel``).
+Both flavours of each kernel produce identical arrays.
 ``edt_sq`` sees box-sized arrays: ``metrics.hd95`` crops both masks to the
 bounding box of their union first, so on BraTS-like cases the all-pairs
 numpy pass runs on the tumour's box rather than the whole head.

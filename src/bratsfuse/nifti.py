@@ -13,13 +13,22 @@ bit-exactly for the supported dtypes.
 
 Probability maps do not fit in a 3-D file; they serialize as one NIfTI per
 channel plus a JSON manifest ``{"channels": [0, 1, 2, 4], "files": [...]}``.
+:func:`load_probmap` can read a range of whole z-planes: in x-fastest order
+those are one contiguous byte range of each channel file, so only the
+requested planes are read and held in memory (as float64, four channels).
+:func:`load_probmap_header` checks a map's channel files without reading
+voxels, so a caller can check the full grids once and then read the map
+slab by slab.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
+from contextlib import ExitStack
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,7 +40,7 @@ from .errors import (
     UnsupportedDtype,
     UnsupportedEncoding,
 )
-from .volume import LabelMap, ProbMap, Volume, require_same_geometry
+from .volume import LabelMap, ProbMap, Volume, _shift_origin, require_same_geometry
 
 __all__ = [
     "read_nifti",
@@ -42,6 +51,8 @@ __all__ = [
     "save_nifti",
     "save_probmap",
     "load_probmap",
+    "load_probmap_header",
+    "Header",
 ]
 
 HEADER_SIZE = 348
@@ -53,7 +64,22 @@ _BITPIX = {2: 8, 4: 16, 16: 32}
 _GZIP_MAGIC = b"\x1f\x8b"
 
 
-def _parse_header(raw: bytes):
+class Header(NamedTuple):
+    """The fields of a NIfTI-1 header this module uses; ``offset`` is the
+    byte offset of the voxel data (``vox_offset``)."""
+
+    shape: tuple[int, int, int]
+    spacing: tuple[float, float, float]
+    origin: tuple[float, float, float]
+    dtype: np.dtype
+    offset: int
+
+    @property
+    def data_end(self) -> int:
+        return self.offset + int(np.prod(self.shape)) * self.dtype.itemsize
+
+
+def _parse_header(raw: bytes) -> Header:
     if raw[:2] == _GZIP_MAGIC:
         raise UnsupportedEncoding(
             "gzip-compressed input; decompress to a plain .nii first"
@@ -93,22 +119,35 @@ def _parse_header(raw: bytes):
     offset = int(vox_offset)
     if vox_offset != offset or offset < VOX_OFFSET:
         raise BadHeader(f"vox_offset must be an integer >= {VOX_OFFSET}, got {vox_offset}")
+    # NIfTI-1 reads scl_slope 0 as "unscaled"; any other scaling would change
+    # the stored values (labels, probabilities), so it is refused, not applied.
+    scl_slope, scl_inter = struct.unpack_from("<2f", raw, 112)
+    if scl_slope not in (0.0, 1.0) or (scl_slope != 0.0 and scl_inter != 0.0):
+        raise UnsupportedEncoding(
+            f"intensity scaling scl_slope={scl_slope} scl_inter={scl_inter} "
+            "is not supported (only unscaled data)"
+        )
     origin = tuple(float(q) for q in struct.unpack_from("<3f", raw, 268))
-    return shape, spacing, origin, _DTYPES[datatype], offset
+    return Header(shape, spacing, origin, _DTYPES[datatype], offset)
 
 
-def read_nifti(raw: bytes) -> Volume:
-    """Parse an uncompressed single-file NIfTI-1 byte stream into a Volume."""
-    shape, spacing, origin, dtype, offset = _parse_header(raw)
-    count = int(np.prod(shape))
-    need = offset + count * dtype.itemsize
-    if len(raw) < need:
-        raise TruncatedFile(f"need {need} bytes of data, got {len(raw)}")
-    data = np.frombuffer(raw, dtype=dtype, count=count, offset=offset)
+def _volume(data: np.ndarray, shape, spacing, origin) -> Volume:
+    """x-fastest voxels as a Volume; what the constructor refuses is BadData."""
     try:
         return Volume(data.reshape(shape, order="F"), spacing, origin)
     except ValueError as e:
         raise BadData(str(e)) from e
+
+
+def read_nifti(raw: bytes) -> Volume:
+    """Parse an uncompressed single-file NIfTI-1 byte stream into a Volume."""
+    hdr = _parse_header(raw)
+    if len(raw) < hdr.data_end:
+        raise TruncatedFile(f"need {hdr.data_end} bytes of data, got {len(raw)}")
+    data = np.frombuffer(
+        raw, dtype=hdr.dtype, count=int(np.prod(hdr.shape)), offset=hdr.offset
+    )
+    return _volume(data, hdr.shape, hdr.spacing, hdr.origin)
 
 
 def read_labelmap(raw: bytes) -> LabelMap:
@@ -180,9 +219,7 @@ def save_probmap(pm: ProbMap, directory, stem: str) -> Path:
     return manifest
 
 
-def load_probmap(manifest_path) -> ProbMap:
-    """Read a per-channel manifest written by :func:`save_probmap`."""
-    manifest_path = Path(manifest_path)
+def _channel_files(manifest_path: Path) -> list[Path]:
     meta = json.loads(manifest_path.read_text())
     channels = meta.get("channels")
     if tuple(channels or ()) != ProbMap.channels:
@@ -192,9 +229,69 @@ def load_probmap(manifest_path) -> ProbMap:
     files = meta.get("files", [])
     if len(files) != len(ProbMap.channels):
         raise BadHeader(f"manifest must list 4 files, got {len(files)}")
-    vols = [load_volume(manifest_path.parent / f) for f in files]
-    require_same_geometry(*vols)
-    data = np.stack([v.data for v in vols]).astype(np.float64)
+    return [manifest_path.parent / f for f in files]
+
+
+def _read_header(fh) -> Header:
+    """Header of an open NIfTI file, checked to be followed by all its voxels."""
+    hdr = _parse_header(fh.read(HEADER_SIZE))
+    size = os.fstat(fh.fileno()).st_size
+    if size < hdr.data_end:
+        raise TruncatedFile(f"{fh.name}: need {hdr.data_end} bytes of data, got {size}")
+    return hdr
+
+
+def load_probmap_header(manifest_path) -> Header:
+    """Header of a probability map's channel files, read without their voxels.
+
+    Raises as :func:`load_probmap` would for a manifest, header, short file
+    or channel files that disagree in geometry; ``dtype`` and ``offset`` are
+    those of the first channel file.
+    """
+    headers = []
+    for path in _channel_files(Path(manifest_path)):
+        with open(path, "rb") as fh:
+            headers.append(_read_header(fh))
+    require_same_geometry(*headers)
+    return headers[0]
+
+
+def load_probmap(manifest_path, planes: slice = slice(None)) -> ProbMap:
+    """Read a per-channel manifest written by :func:`save_probmap`.
+
+    ``planes`` (step 1, not empty) selects a range of z-planes; only those
+    planes of each channel file are read, and the result's origin is shifted
+    by ``z0 * spacing[2]`` as :func:`~bratsfuse.volume.crop` would shift it.
+    The default reads the whole map. The full grid of every channel file is
+    checked either way. The channels are renormalised to sum to 1 in
+    float64; a voxel whose channels sum to 0, or a map the
+    :class:`~bratsfuse.volume.ProbMap` constructor refuses, is ``BadData``.
+    """
+    manifest_path = Path(manifest_path)
+    with ExitStack() as stack:
+        files = [stack.enter_context(open(p, "rb")) for p in _channel_files(manifest_path)]
+        headers = [_read_header(fh) for fh in files]
+        require_same_geometry(*headers)
+        nx, ny, nz = headers[0].shape
+        spacing = headers[0].spacing
+        z0, z1, step = planes.indices(nz)
+        if step != 1 or z1 <= z0:
+            raise ValueError(f"planes must be a non-empty range with step 1, got {planes}")
+        origin = _shift_origin(headers[0].origin, spacing, (0, 0, z0))
+        vols = []
+        for fh, hdr in zip(files, headers):
+            plane_bytes = nx * ny * hdr.dtype.itemsize
+            fh.seek(hdr.offset + plane_bytes * z0)
+            data = np.frombuffer(fh.read(plane_bytes * (z1 - z0)), dtype=hdr.dtype)
+            vols.append(_volume(data, (nx, ny, z1 - z0), spacing, origin))
+    data = np.stack([v.data for v in vols], dtype=np.float64)
     # float32 storage can nudge channel sums off 1 by a few ulp; renormalize.
-    data /= data.sum(axis=0, keepdims=True)
-    return ProbMap(np.clip(data, 0.0, 1.0), vols[0].spacing, vols[0].origin)
+    sums = data.sum(axis=0, keepdims=True)
+    if not sums.all():
+        raise BadData(f"{manifest_path}: a voxel's four channels sum to 0")
+    data /= sums
+    np.clip(data, 0.0, 1.0, out=data)
+    try:
+        return ProbMap(data, spacing, origin)
+    except ValueError as e:
+        raise BadData(f"{manifest_path}: {e}") from e

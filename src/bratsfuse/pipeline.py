@@ -6,6 +6,15 @@ through), apply the ET size threshold, and write the fused NIfTI plus a JSON
 diagnostics sidecar. ``run_eval`` pairs prediction and ground-truth files by
 filename stem and emits per-case metrics (CSV + JSON) and summary tables.
 
+A model given as fold probability maps is decoded in slabs of whole
+z-planes (about ``SLAB_VOXELS`` voxels, at least one plane): every fold's
+full grid is checked first, then each slab is read from every fold,
+averaged and decoded into one uint8 label map, so one slab of each fold is
+in memory at a time instead of every fold's whole float64 map.
+
+A case that raises a :class:`~bratsfuse.errors.BratsFuseError` is recorded
+in ``errors.json`` and skipped; the other cases still run.
+
 Everything is deterministic: cases are processed independently (optionally
 in parallel), per-case outputs depend only on that case's inputs, and all
 aggregate files are written in sorted case order, so reruns and different
@@ -18,6 +27,8 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from .errors import BratsFuseError, ConfigError
 from .fusion import (
@@ -34,7 +45,7 @@ from .metrics import (
     metrics_csv_header,
     metrics_csv_row,
 )
-from .nifti import load_labelmap, load_probmap, save_nifti
+from .nifti import load_labelmap, load_probmap, load_probmap_header, save_nifti
 from .postprocess import DEFAULT_ET_THRESHOLD, et_threshold_relabel
 from .report import (
     ModelSummary,
@@ -44,6 +55,7 @@ from .report import (
     rank_models,
     summarize,
 )
+from .volume import LabelMap, require_same_geometry
 
 __all__ = [
     "ModelInput",
@@ -140,11 +152,23 @@ class PipelineConfig:
                 m.validate()
 
 
-def _model_labelmap(m: ModelInput):
+# Voxels per slab when fold maps are decoded; a slab is whole z-planes.
+SLAB_VOXELS = 1 << 17
+
+
+def _model_labelmap(m: ModelInput) -> LabelMap:
     if m.labelmap is not None:
         return load_labelmap(m.labelmap)
-    probs = [load_probmap(p) for p in m.prob_manifests]
-    return argmax_labels(average_probs(probs))
+    grids = [load_probmap_header(p) for p in m.prob_manifests]
+    require_same_geometry(*grids)
+    nx, ny, nz = grids[0].shape
+    step = max(1, SLAB_VOXELS // (nx * ny))
+    labels = np.empty((nx, ny, nz), dtype=np.uint8, order="F")
+    for z0 in range(0, nz, step):
+        planes = slice(z0, min(z0 + step, nz))
+        probs = [load_probmap(p, planes) for p in m.prob_manifests]
+        labels[:, :, planes] = argmax_labels(average_probs(probs)).data
+    return LabelMap(labels, grids[0].spacing, grids[0].origin)
 
 
 def _fuse_one_case(case: CaseInput, cfg: PipelineConfig) -> dict:
@@ -184,24 +208,48 @@ def _run_cases(worker, items, jobs: int):
         return list(pool.map(worker, items))
 
 
+def _case_error(case_id: str, e: BratsFuseError) -> dict:
+    return {"case_id": case_id, "error": type(e).__name__, "detail": str(e)}
+
+
+def _write_errors(output_dir: Path, errors: list[dict]) -> None:
+    """Write ``errors.json``, or remove one an earlier run left behind."""
+    path = output_dir / "errors.json"
+    if errors:
+        path.write_text(json.dumps(errors, sort_keys=True, indent=2) + "\n")
+    else:
+        path.unlink(missing_ok=True)
+
+
 @dataclass
 class _FuseTask:
     cfg: PipelineConfig
 
-    def __call__(self, case: CaseInput) -> dict:
-        return _fuse_one_case(case, self.cfg)
+    def __call__(self, case: CaseInput):
+        try:
+            return _fuse_one_case(case, self.cfg), None
+        except BratsFuseError as e:
+            return None, _case_error(case.case_id, e)
 
 
-def run_fuse(cfg: PipelineConfig, jobs: int = 1) -> list[dict]:
-    """Fuse every configured case; returns per-case diagnostics (sorted)."""
+def run_fuse(cfg: PipelineConfig, jobs: int = 1) -> tuple[list[dict], list[dict]]:
+    """Fuse every configured case; returns (diagnostics, errors), both sorted
+    by case id.
+
+    A case that fails is recorded in ``errors.json`` and left out of
+    ``fuse_manifest.json``; the caller decides the exit status from the
+    returned error list.
+    """
     cfg.validate()
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     cases = sorted(cfg.cases, key=lambda c: c.case_id)
-    diags = _run_cases(_FuseTask(cfg), cases, jobs)
-    diags.sort(key=lambda d: d["case_id"])
+    results = _run_cases(_FuseTask(cfg), cases, jobs)
+    diags = [d for d, _ in results if d is not None]
+    errors = [e for _, e in results if e is not None]
     manifest = cfg.output_dir / "fuse_manifest.json"
     manifest.write_text(json.dumps(diags, sort_keys=True, indent=2) + "\n")
-    return diags
+    _write_errors(cfg.output_dir, errors)
+    return diags, errors
 
 
 @dataclass
@@ -216,7 +264,7 @@ class _EvalTask:
             gt = load_labelmap(self.gt_dir / f"{case_id}.nii")
             return evaluate_case(pred, gt, case_id, self.penalty), None
         except BratsFuseError as e:
-            return None, {"case_id": case_id, "error": type(e).__name__, "detail": str(e)}
+            return None, _case_error(case_id, e)
 
 
 def run_eval(
@@ -258,10 +306,7 @@ def run_eval(
     )
     if cases:
         write_summary_outputs(cases, output_dir)
-    if errors:
-        (output_dir / "errors.json").write_text(
-            json.dumps(errors, sort_keys=True, indent=2) + "\n"
-        )
+    _write_errors(output_dir, errors)
     return cases, errors
 
 

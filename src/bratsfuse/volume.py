@@ -101,7 +101,11 @@ class LabelMap:
     def __post_init__(self):
         data = np.asarray(self.data)
         spacing, origin = _check_spatial(data, self.spacing, self.origin)
-        valid = np.isin(data, BRATS_LABELS)
+        # One compare per label: np.isin's sort/table path would allocate
+        # several int64 copies of the volume.
+        valid = data == BRATS_LABELS[0]
+        for label in BRATS_LABELS[1:]:
+            valid |= data == label
         if not valid.all():
             bad = np.unique(data[~valid])
             raise InvalidLabel(f"label values outside {{0,1,2,4}}: {bad.tolist()}")
@@ -135,12 +139,13 @@ class ProbMap:
                 f"probability data must have shape (4, nx, ny, nz), got {data.shape}"
             )
         spacing, origin = _check_spatial(data[0], self.spacing, self.origin)
-        if not np.isfinite(data).all():
-            raise ValueError("probability data contains NaN or Inf")
-        if data.min() < 0.0 or data.max() > 1.0:
+        # min and max propagate NaN, so this one test also rejects NaN/Inf.
+        if not (data.min() >= 0.0 and data.max() <= 1.0):
+            if not np.isfinite(data).all():
+                raise ValueError("probability data contains NaN or Inf")
             raise ValueError("probabilities must lie in [0, 1]")
         sums = data.sum(axis=0, dtype=np.float64)
-        err = np.abs(sums - 1.0).max()
+        err = max(sums.max() - 1.0, 1.0 - sums.min())  # == max |sums - 1|
         if err > _CHANNEL_SUM_TOL:
             raise ValueError(f"channel sums deviate from 1 by {err:.3g} (> 1e-6)")
         object.__setattr__(self, "data", _freeze(data))
@@ -175,12 +180,18 @@ class BBox:
         return tuple(slice(l, h + 1) for l, h in zip(self.lo, self.hi))
 
 
+def _close(a, b, tol: float) -> bool:
+    # np.allclose(a, b, rtol=tol, atol=tol) on finite 3-tuples, without the
+    # array round trip that dominates it at this size.
+    return all(abs(x - y) <= tol + tol * abs(y) for x, y in zip(a, b))
+
+
 def same_geometry(a, b, *, tol: float = 1e-9) -> bool:
     """True when two spatial objects share shape, spacing, and origin."""
     return (
         a.shape == b.shape
-        and np.allclose(a.spacing, b.spacing, rtol=tol, atol=tol)
-        and np.allclose(a.origin, b.origin, rtol=tol, atol=tol)
+        and _close(a.spacing, b.spacing, tol)
+        and _close(a.origin, b.origin, tol)
     )
 
 

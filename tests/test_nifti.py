@@ -10,6 +10,7 @@ from bratsfuse.errors import (
     BadData,
     BadHeader,
     BadMagic,
+    GeometryMismatch,
     InvalidLabel,
     NiftiError,
     TruncatedFile,
@@ -18,12 +19,13 @@ from bratsfuse.errors import (
 )
 from bratsfuse.nifti import (
     load_probmap,
+    load_probmap_header,
     read_labelmap,
     read_nifti,
     save_probmap,
     write_nifti,
 )
-from bratsfuse.volume import LabelMap, ProbMap, Volume
+from bratsfuse.volume import BBox, LabelMap, ProbMap, Volume, crop
 
 
 def build_fixture(shape, spacing, datatype, payload, vox_offset=352.0, magic=b"n+1\x00"):
@@ -135,6 +137,27 @@ class TestRead:
             read_nifti(raw)
 
 
+    @pytest.mark.parametrize("slope, inter", [(0.0, 0.0), (0.0, 7.5), (1.0, 0.0)])
+    def test_identity_scaling_reads(self, slope, inter):
+        raw = bytearray(build_fixture((1, 1, 1), (1.0, 1.0, 1.0), 2, b"\x02"))
+        struct.pack_into("<2f", raw, 112, slope, inter)
+        assert read_labelmap(bytes(raw)).data[0, 0, 0] == 2
+
+    @pytest.mark.parametrize("slope, inter", [(2.0, 0.0), (-1.0, 0.0), (1.0, 1.0),
+                                              (0.5, 3.0), (float("nan"), 0.0)])
+    def test_non_identity_scaling_rejected(self, slope, inter):
+        raw = bytearray(build_fixture((1, 1, 1), (1.0, 1.0, 1.0), 16,
+                                      np.zeros(1, "<f4").tobytes()))
+        struct.pack_into("<2f", raw, 112, slope, inter)
+        with pytest.raises(UnsupportedEncoding, match="scl_slope"):
+            read_nifti(bytes(raw))
+
+    def test_written_files_are_unscaled(self):
+        raw = write_nifti(Volume(np.full((2, 1, 1), 3.5, np.float32)))
+        assert struct.unpack_from("<2f", raw, 112) == (1.0, 0.0)
+        assert read_nifti(raw).data.max() == 3.5
+
+
 class TestWrite:
     def test_labelmap_byte_layout(self):
         raw = write_nifti(LabelMap(np.zeros((2, 2, 2), dtype=np.uint8)))
@@ -209,3 +232,94 @@ def test_probmap_manifest_roundtrip(tmp_path, rng):
     # float32 storage: values agree to float32 resolution
     assert np.abs(back.data - pm.data).max() < 1e-6
     assert np.abs(back.data.sum(axis=0) - 1.0).max() <= 1e-6
+
+
+def _channel_path(manifest, label):
+    return manifest.parent / f"{manifest.stem}_ch{label}.nii"
+
+
+def _patch_voxel(path, index, value):
+    """Overwrite float32 voxel ``index`` (x-fastest) of a written file."""
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<f", raw, 352 + 4 * index, value)
+    path.write_bytes(bytes(raw))
+
+
+class TestProbmapPlanes:
+    SHAPE = (5, 4, 7)
+    SPACING = (1.0, 1.5, 2.5)
+    ORIGIN = (-3.0, 2.0, 10.25)
+
+    @pytest.fixture
+    def manifest(self, tmp_path, rng):
+        raw = rng.random((4,) + self.SHAPE)
+        raw /= raw.sum(axis=0, keepdims=True)
+        return save_probmap(ProbMap(raw, self.SPACING, self.ORIGIN), tmp_path, "case")
+
+    @pytest.mark.parametrize("planes", [slice(0, 1), slice(2, 5), slice(4, None),
+                                        slice(None, 3), slice(6, 7), slice(0, 99)])
+    def test_planes_equal_that_crop_of_the_whole_map(self, manifest, planes):
+        whole = load_probmap(manifest)
+        z0, z1, _ = planes.indices(self.SHAPE[2])
+        want = crop(whole, BBox((0, 0, z0), (self.SHAPE[0] - 1, self.SHAPE[1] - 1, z1 - 1)))
+        got = load_probmap(manifest, planes)
+        assert got.shape == (5, 4, z1 - z0)
+        assert np.array_equal(got.data, want.data)
+        assert got.spacing == self.SPACING
+        assert got.origin == want.origin
+        assert got.origin == (-3.0, 2.0, 10.25 + z0 * 2.5)
+
+    def test_default_is_the_whole_map(self, manifest):
+        assert np.array_equal(load_probmap(manifest).data,
+                              load_probmap(manifest, slice(0, self.SHAPE[2])).data)
+
+    @pytest.mark.parametrize("planes", [slice(3, 3), slice(7, 9), slice(0, 7, 2)])
+    def test_empty_or_strided_planes_rejected(self, manifest, planes):
+        with pytest.raises(ValueError, match="planes"):
+            load_probmap(manifest, planes)
+
+    def test_header_without_voxels(self, manifest):
+        hdr = load_probmap_header(manifest)
+        assert (hdr.shape, hdr.spacing, hdr.origin) == (self.SHAPE, self.SPACING, self.ORIGIN)
+
+    def test_channel_truncated_in_its_last_plane(self, manifest):
+        path = _channel_path(manifest, 2)
+        path.write_bytes(path.read_bytes()[:-4])
+        for load in (load_probmap_header, load_probmap,
+                     lambda m: load_probmap(m, slice(0, 1))):
+            with pytest.raises(TruncatedFile, match=path.name):
+                load(manifest)
+
+    def test_channel_with_an_extra_plane(self, manifest):
+        path = _channel_path(manifest, 1)
+        v = read_nifti(path.read_bytes())
+        path.write_bytes(write_nifti(Volume(np.concatenate([v.data, v.data[:, :, :1]], axis=2),
+                                            v.spacing, v.origin)))
+        for load in (load_probmap_header, load_probmap,
+                     lambda m: load_probmap(m, slice(0, 1))):
+            with pytest.raises(GeometryMismatch):
+                load(manifest)
+
+    @pytest.mark.parametrize("planes", [slice(None), slice(3, 5)])
+    def test_zero_sum_voxel_is_bad_data(self, manifest, planes):
+        # Voxel (1, 2, 3): every channel 0, so renormalising would divide by 0.
+        for label in ProbMap.channels:
+            _patch_voxel(_channel_path(manifest, label), 1 + 5 * (2 + 4 * 3), 0.0)
+        with pytest.raises(BadData, match="case.json") as info:
+            load_probmap(manifest, planes)
+        assert "sum to 0" in str(info.value)
+        assert load_probmap(manifest, slice(0, 3)).shape == (5, 4, 3)
+
+    def test_probmap_refusal_is_bad_data(self, manifest):
+        # Channels (0.5, -0.5, 0.5, 0.5) sum to 1, so renormalising keeps them;
+        # clipping the -0.5 leaves a sum of 1.5, which ProbMap refuses.
+        for label, value in zip(ProbMap.channels, (0.5, -0.5, 0.5, 0.5)):
+            _patch_voxel(_channel_path(manifest, label), 0, value)
+        with pytest.raises(BadData, match="channel sums") as info:
+            load_probmap(manifest)
+        assert isinstance(info.value, ValueError)
+
+    def test_non_finite_channel_is_bad_data(self, manifest):
+        _patch_voxel(_channel_path(manifest, 4), 3, float("nan"))
+        with pytest.raises(BadData, match="NaN or Inf"):
+            load_probmap(manifest, slice(0, 1))

@@ -14,6 +14,7 @@ from bratsfuse.volume import (
     crop_or_pad,
     embed,
     nonzero_bbox,
+    same_geometry,
 )
 
 
@@ -52,6 +53,21 @@ class TestTypes:
         bad[0, 0, 0, 0] = 0.3
         with pytest.raises(ValueError):
             ProbMap(bad)
+
+    @pytest.mark.parametrize("delta", [0.05, -0.05, 2e-6, -2e-6])
+    def test_probmap_reports_the_channel_sum_deviation(self, delta):
+        bad = np.full((4, 2, 2, 2), 0.25)
+        bad[0, 0, 0, 0] += delta
+        err = np.abs(bad.sum(axis=0) - 1.0).max()
+        with pytest.raises(ValueError, match=f"deviate from 1 by {err:.3g} "):
+            ProbMap(bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_probmap_rejects_non_finite(self, bad):
+        data = np.full((4, 2, 1, 1), 0.25)
+        data[2, 1, 0, 0] = bad
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            ProbMap(data)
 
     def test_probmap_rejects_out_of_range(self):
         data = np.zeros((4, 1, 1, 1))
@@ -197,3 +213,16 @@ def test_crop_embed_roundtrip_property(shape, data):
     outside = np.ones(shape, dtype=bool)
     outside[box.slices()] = False
     assert (back.data[outside] == 0).all()
+
+
+@pytest.mark.parametrize("offset", [0.0, 5e-10, -5e-10, 1.5e-9, -1.5e-9, 1e-3, -1e-3])
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_same_geometry_matches_allclose(offset, axis):
+    base = Volume(np.zeros((2, 2, 2)), spacing=(1.0, 1.2, 2.5), origin=(-90.0, 0.0, 72.5))
+    for field in ("spacing", "origin"):
+        moved = list(getattr(base, field))
+        moved[axis] += offset
+        other = Volume(base.data, **{"spacing": base.spacing, "origin": base.origin,
+                                     field: tuple(moved)})
+        want = np.allclose(moved, getattr(base, field), rtol=1e-9, atol=1e-9)
+        assert same_geometry(other, base) == want
