@@ -31,6 +31,7 @@ from .preprocess import (
 from .tiling import TilingPlan, extract, plan_tiling, stitch
 from .fusion import (
     StapleParams,
+    StapleFit,
     StapleResult,
     argmax_labels,
     average_probs,

@@ -13,7 +13,9 @@ averaged and decoded into one uint8 label map, so one slab of each fold is
 in memory at a time instead of every fold's whole float64 map.
 
 A case that raises a :class:`~bratsfuse.errors.BratsFuseError` is recorded
-in ``errors.json`` and skipped; the other cases still run.
+in ``errors.json`` and skipped, and any ``<case>.nii`` or
+``<case>_staple.json`` an earlier run left in the output directory is
+removed; the other cases still run.
 
 Everything is deterministic: cases are processed independently (optionally
 in parallel), per-case outputs depend only on that case's inputs, and all
@@ -229,6 +231,10 @@ class _FuseTask:
         try:
             return _fuse_one_case(case, self.cfg), None
         except BratsFuseError as e:
+            # An earlier run's outputs for this case would otherwise be
+            # scored as if this run had written them.
+            for name in (f"{case.case_id}.nii", f"{case.case_id}_staple.json"):
+                (self.cfg.output_dir / name).unlink(missing_ok=True)
             return None, _case_error(case.case_id, e)
 
 

@@ -3,9 +3,11 @@ import warnings
 import numpy as np
 import pytest
 
+from bratsfuse import fusion
 from bratsfuse.errors import EmptyList, GeometryMismatch
 from bratsfuse.fusion import (
     BINCOUNT_MAX_RATERS,
+    JOINT_BINCOUNT_MAX_RATERS,
     StapleParams,
     argmax_labels,
     average_probs,
@@ -231,7 +233,7 @@ class TestStapleMultilabel:
         for r in (Region.ET, Region.TC, Region.WT):
             res = staple_binary([region_mask(m, r) for m in raters])
             per_region[r] = res.mask
-            assert np.array_equal(res.mask.data, details[r.value].mask.data)
+            assert details[r.value].to_json_dict() == res.to_json_dict()
         recomposed = recompose_labels(
             per_region[Region.ET], per_region[Region.TC], per_region[Region.WT]
         )
@@ -240,3 +242,89 @@ class TestStapleMultilabel:
         # decomposes back to exactly the per-region STAPLE outputs.
         for r in (Region.ET, Region.TC, Region.WT):
             assert np.array_equal(region_mask(fused, r).data, per_region[r].data)
+
+
+REGIONS = (Region.ET, Region.TC, Region.WT)
+
+
+def boundary_raters(gt, n_raters, seed):
+    """Raters that shift each region of ``gt`` by its own offset of up to 3
+    voxels, so their errors sit at the region boundaries."""
+    rng = np.random.default_rng(seed)
+    raters = []
+    for _ in range(n_raters):
+        shifted = [
+            RegionMask(r, np.roll(region_mask(gt, r).data, tuple(rng.integers(-3, 4, 3)),
+                                  axis=(0, 1, 2)))
+            for r in REGIONS
+        ]
+        raters.append(recompose_labels(*shifted))
+    return raters
+
+
+class TestJointLabelStaple:
+    """staple_multilabel_detailed against per-region staple_binary and
+    recompose_labels, the path it replaces."""
+
+    @staticmethod
+    def assert_equals_per_region(raters, init):
+        """Checks labels and fits; returns the per-region STAPLE masks."""
+        fused, details = staple_multilabel_detailed(raters, init)
+        per_region = {r: staple_binary([region_mask(m, r) for m in raters], init)
+                      for r in REGIONS}
+        want = recompose_labels(*(per_region[r].mask for r in REGIONS))
+        assert np.array_equal(fused.data, want.data)
+        assert (fused.spacing, fused.origin) == (raters[0].spacing, raters[0].origin)
+        first = raters[0].data
+        assert fused.data.flags.f_contiguous == (
+            first.flags.f_contiguous and not first.flags.c_contiguous)
+        # Same pattern counts in the same order: the EM arithmetic is identical.
+        assert set(details) == {r.value for r in REGIONS}
+        for r in REGIONS:
+            assert details[r.value].to_json_dict() == per_region[r].to_json_dict()
+        return {r: res.mask.data for r, res in per_region.items()}
+
+    @pytest.mark.parametrize("n_raters, seed, init", [
+        (2, 1, StapleParams((0.95, 0.7), (0.8, 0.99), prior=0.1)),
+        (3, 10, None),
+        (3, 10, StapleParams((0.9, 0.8, 0.95), (0.97, 0.9, 0.99), prior=0.2,
+                             max_iters=5, tol=1e-9)),
+        (8, 4, None),   # the most raters whose joint codes fit a uint16
+        (9, 4, None),   # joint rows found by sorting
+    ])
+    @pytest.mark.parametrize("first_order", ["C", "F"])
+    def test_equals_the_per_region_path(self, monkeypatch, n_raters, seed, init,
+                                        first_order):
+        assert JOINT_BINCOUNT_MAX_RATERS == 8  # the 8- and 9-rater cases straddle it
+        # 8000 voxels: eight full chunks and a short one.
+        monkeypatch.setattr(fusion, "CHUNK_VOXELS", 999)
+        gt, _ = make_phantom(PhantomSpec(shape=(20, 20, 20), seed=7))
+        raters = boundary_raters(gt, n_raters, seed)
+        # Memory orders alternate, starting with ``first_order``.
+        orders = ["C", "F"] if first_order == "C" else ["F", "C"]
+        raters = [LabelMap(np.asarray(m.data, order=orders[k % 2]), m.spacing, m.origin)
+                  for k, m in enumerate(raters)]
+        masks = self.assert_equals_per_region(raters, init)
+        # The per-region masks are not nested, so the recomposition's union
+        # rules decide some voxels: with the default init both of them.
+        et_outside_tc = (masks[Region.ET] & ~masks[Region.TC]).any()
+        tc_outside_wt = (masks[Region.TC] & ~masks[Region.WT]).any()
+        assert (et_outside_tc and tc_outside_wt) if init is None else tc_outside_wt
+
+    def test_region_patterns_found_by_sorting(self):
+        # 17 raters: both the joint rows and each region's patterns are sorted.
+        assert 17 > BINCOUNT_MAX_RATERS
+        gt, _ = make_phantom(PhantomSpec(shape=(20, 20, 20), seed=7))
+        self.assert_equals_per_region(boundary_raters(gt, 17, 4), None)
+
+    def test_init_needs_one_entry_per_rater(self, rng):
+        maps = [random_labelmap(rng, (4, 4, 4)) for _ in range(3)]
+        with pytest.raises(ValueError, match="init has 2 raters, got 3"):
+            staple_multilabel_detailed(maps, StapleParams((0.9, 0.9), (0.9, 0.9), 0.5))
+
+    def test_rejects_no_maps_and_mismatched_grids(self, rng):
+        with pytest.raises(EmptyList):
+            staple_multilabel_detailed([])
+        with pytest.raises(GeometryMismatch):
+            staple_multilabel_detailed([random_labelmap(rng, (4, 4, 4)),
+                                        random_labelmap(rng, (4, 4, 5))])

@@ -13,7 +13,8 @@ from bratsfuse.errors import GeometryMismatch, TruncatedFile
 from bratsfuse.fusion import argmax_labels, average_probs
 from bratsfuse.nifti import load_labelmap, load_probmap, save_nifti, save_probmap, write_nifti
 from bratsfuse.postprocess import DEFAULT_ET_THRESHOLD, et_threshold_relabel
-from bratsfuse.pipeline import ModelInput, PipelineConfig, run_eval, run_fuse
+from bratsfuse.pipeline import CaseInput, ModelInput, PipelineConfig, run_eval, run_fuse
+from bratsfuse.synth import PhantomSpec, corrupt_labels, make_phantom
 from bratsfuse.volume import LabelMap, ProbMap, Volume
 
 
@@ -253,3 +254,49 @@ def test_a_clean_rerun_removes_errors_json(tmp_path, rng):
     (gt / "bad.nii").unlink()
     assert run_eval(pred, gt, tmp_path / "out")[1] == []
     assert not (tmp_path / "out" / "errors.json").exists()
+
+
+def test_a_failed_rerun_removes_the_earlier_outputs(tmp_path, rng):
+    manifests = _folds(tmp_path, rng, (6, 5, 4), 2, stem="c0")
+    cfg = PipelineConfig(
+        cases=(CaseInput("c0", (ModelInput("soft", prob_manifests=tuple(manifests)),)),),
+        output_dir=tmp_path / "fused",
+    )
+    assert run_fuse(cfg)[1] == []
+    out = tmp_path / "fused"
+    gt = tmp_path / "gt"
+    gt.mkdir()
+    (out / "c0.nii").replace(gt / "c0.nii")  # a ground truth the prediction matches
+    assert run_fuse(cfg)[1] == []
+    assert run_eval(out, gt, tmp_path / "eval")[1] == []
+
+    _zero_sum_fold(manifests[1])
+    assert [e["error"] for e in run_fuse(cfg)[1]] == ["BadData"]
+    assert not (out / "c0.nii").exists()
+    assert not (out / "c0_staple.json").exists()
+    cases, errors = run_eval(out, gt, tmp_path / "eval")
+    assert cases == []
+    assert [(e["case_id"], e["error"]) for e in errors] == [("c0", "UnpairedCase")]
+
+
+def test_fused_outputs_are_byte_identical_across_jobs(tmp_path):
+    cases = []
+    for c in range(2):
+        gt, _ = make_phantom(PhantomSpec(shape=(16, 14, 12), seed=30 + c))
+        models = []
+        for k in range(3):
+            path = tmp_path / f"case{c}_rater{k}.nii"
+            save_nifti(path, corrupt_labels(gt, 0.1, seed=300 + 10 * c + k))
+            models.append(ModelInput(f"rater{k}", labelmap=path))
+        cases.append(CaseInput(f"case{c}", tuple(models)))
+    cfg = PipelineConfig(cases=tuple(cases), output_dir=tmp_path / "jobs1")
+    run_fuse(cfg, jobs=1)
+    run_fuse(replace(cfg, output_dir=tmp_path / "jobs2"), jobs=2)
+
+    names = sorted(p.name for p in (tmp_path / "jobs1").iterdir())
+    assert names == ["case0.nii", "case0_staple.json", "case1.nii", "case1_staple.json",
+                     "fuse_manifest.json"]
+    assert sorted(p.name for p in (tmp_path / "jobs2").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "jobs1" / name).read_bytes() == \
+            (tmp_path / "jobs2" / name).read_bytes(), name
