@@ -1,11 +1,12 @@
 """Ensemble fusion and evaluation toolkit for BraTS-style segmentations.
 
 Core pieces: volumetric types with NIfTI-1 I/O, the nested ET/TC/WT region
-semantics, seeded preprocessing/augmentation transforms, sliding-window
-tiling, ensemble fusion (softmax averaging, majority vote, STAPLE EM),
-ET-size post-processing, Dice/HD95 metrics with an exact anisotropic
-distance transform, summary/ranking reports, and synthetic phantoms for
-testing without scanner data.
+semantics, intensity normalization, sliding-window tiling plans, ensemble
+fusion (softmax averaging, majority vote, STAPLE EM), ET-size
+post-processing, Dice/HD95 metrics with an exact anisotropic distance
+transform, summary/ranking reports, and synthetic phantoms for testing
+without scanner data. The models' own inference runs outside this package;
+it starts from their label maps and fold probability maps.
 """
 
 from .volume import (
@@ -18,17 +19,8 @@ from .volume import (
     nonzero_bbox,
 )
 from .regions import Region, RegionMask, recompose_labels, region_mask
-from .preprocess import (
-    AugmentDraw,
-    AugmentSpec,
-    flip3d,
-    gamma_transform,
-    rotate3d,
-    rotate3d_nearest,
-    sample_augmentation,
-    znorm,
-)
-from .tiling import TilingPlan, extract, plan_tiling, stitch
+from .preprocess import znorm
+from .tiling import TilingPlan, plan_tiling
 from .fusion import (
     StapleParams,
     StapleFit,
@@ -39,7 +31,7 @@ from .fusion import (
     staple_binary,
     staple_multilabel,
 )
-from .postprocess import ComponentLabeling, connected_components, et_threshold_relabel
+from .postprocess import et_threshold_relabel
 from .metrics import (
     EMPTY_PENALTY_MM,
     CaseMetrics,

@@ -1,10 +1,15 @@
 """Command-line interface.
 
-Subcommands cover the full pipeline: ``synth`` (phantom fixtures),
-``preprocess``, ``tiling-plan`` (dry run), ``fuse``, ``postprocess``,
-``eval``, ``report``, and ``rank``. Volumes are NIfTI-1 files; machine
-outputs are JSON or CSV. Exit codes: 0 success, 1 configuration error,
-2 partial failure (some cases errored).
+Subcommands cover the path from model outputs to scores: ``synth`` (phantom
+fixtures), ``fuse``, ``postprocess``, ``eval``, ``report`` and ``rank``,
+plus two helpers around the models' own inference: ``preprocess``
+(z-normalization and nonzero crop) and ``tiling-plan`` (the sliding-window
+layout as JSON). Volumes are NIfTI-1 files; machine outputs are JSON or CSV.
+Exit codes: 0 success, 1 configuration error, 2 partial failure (some cases
+errored).
+
+Nothing imported here loads scipy, which would about double the start-up
+time of every command.
 """
 
 from __future__ import annotations
@@ -19,7 +24,14 @@ import click
 from .errors import BratsFuseError, ConfigError
 from .metrics import EMPTY_PENALTY_MM
 from .nifti import load_labelmap, load_volume, save_nifti, save_probmap
-from .pipeline import PipelineConfig, run_eval, run_fuse, run_rank, write_summary_outputs
+from .pipeline import (
+    PipelineConfig,
+    read_cases_csv,
+    run_eval,
+    run_fuse,
+    run_rank,
+    write_summary_outputs,
+)
 from .postprocess import DEFAULT_ET_THRESHOLD, et_threshold_relabel
 from .preprocess import znorm
 from .report import summarize
@@ -97,23 +109,10 @@ def eval_cmd(pred_dir, gt_dir, out_dir, jobs, hd95_penalty):
               show_default=True)
 def report_cmd(cases_csv, out_dir):
     """Summarize a per-case metrics CSV into the statistics table."""
-    import csv
-
-    from .metrics import CaseMetrics
-
-    cases = []
-    with open(cases_csv, newline="") as fh:
-        for row in csv.DictReader(fh):
-            try:
-                cases.append(CaseMetrics(
-                    row["case_id"],
-                    {r: float(row[f"DSC_{r}"]) for r in ("ET", "TC", "WT")},
-                    {r: float(row[f"HD95_{r}"]) for r in ("ET", "TC", "WT")},
-                ))
-            except (KeyError, TypeError, ValueError) as e:
-                raise click.ClickException(f"bad metrics row {row}: {e}") from e
-    if not cases:
-        raise click.ClickException(f"no case rows in {cases_csv}")
+    try:
+        cases = read_cases_csv(cases_csv)
+    except ConfigError as e:
+        raise click.ClickException(str(e)) from e
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_summary_outputs(cases, out)
@@ -176,7 +175,6 @@ def synth_cmd(out_dir, seed, shape, raters, rate, probmaps):
         "output_dir": "fused",
         "et_threshold": DEFAULT_ET_THRESHOLD,
         "staple": {"tol": 1e-6, "max_iters": 100},
-        "seed": seed,
     }
     (out / "fuse_config.json").write_text(json.dumps(config, indent=2, sort_keys=True) + "\n")
     click.echo(f"phantom fixture written to {out} (config: fuse_config.json)")

@@ -36,10 +36,6 @@ class EmptyList(BratsFuseError):
     """An operation requires a nonempty input collection."""
 
 
-class ConstantVolume(BratsFuseError):
-    """An intensity transform requires max > min."""
-
-
 class InvalidLabel(BratsFuseError):
     """A voxel value is outside the supported label set {0, 1, 2, 4}."""
 
@@ -77,16 +73,6 @@ class TruncatedFile(NiftiError):
 class BadData(NiftiError, ValueError):
     """The file parses but its voxels or geometry are not a valid volume
     (e.g. NaN/Inf voxels or a non-finite origin)."""
-
-
-# -- tiling --------------------------------------------------------------------
-
-class IndexOutOfRange(BratsFuseError):
-    """A window index exceeds the tiling plan's window count."""
-
-
-class PlanMismatch(BratsFuseError):
-    """Patches or volumes do not match the tiling plan they are used with."""
 
 
 # -- pipeline ------------------------------------------------------------------

@@ -19,6 +19,13 @@ box, where a Euclidean distance does not depend on the grid around it. Only
 the rounding can move: coordinates are measured from the box corner, so at
 spacings that are not dyadic (e.g. 1.2 mm) a distance may differ in its last
 digits from the full-grid value.
+
+The distance transform is plain numpy: a separable squared EDT whose 1-D
+passes take an all-pairs minimum along each line, O(n^2) per line, which the
+box crop keeps small. scipy is not imported here because ``scipy.ndimage``
+about doubles the start-up time of every CLI command.
+``python3 benchmarks/run.py --workload eval-batch --trace 1`` reports the time
+and voxels spent in the distance transform (``metrics.edt.*``).
 """
 
 from __future__ import annotations
@@ -28,7 +35,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import kernels
 from .errors import EmptyMask
 from .regions import Region, RegionMask, region_mask
 from .volume import LabelMap, crop, nonzero_bbox, require_same_geometry
@@ -113,11 +119,36 @@ def boundary(m: RegionMask) -> RegionMask:
     return RegionMask(m.region, fg & ~interior, m.spacing, m.origin)
 
 
+def _edt_sq(source: np.ndarray, spacing) -> np.ndarray:
+    """Squared EDT of a boolean source mask. Units: mm^2.
+
+    Separable decomposition: each 1-D min-convolution is an explicit
+    all-pairs minimum (O(n^2) per line), evaluated in memory-bounded chunks.
+    """
+    g = np.where(source, 0.0, np.inf)
+    for axis in range(3):
+        n = g.shape[axis]
+        if n == 1:
+            continue
+        x = float(spacing[axis]) * np.arange(n, dtype=np.float64)
+        cost = (x[:, None] - x[None, :]) ** 2
+        moved = np.moveaxis(g, axis, 0)
+        moved_shape = moved.shape
+        flat = moved.reshape(n, -1)
+        out = np.empty_like(flat)
+        chunk = max(1, (1 << 22) // (n * n))
+        for lo in range(0, flat.shape[1], chunk):
+            hi = min(lo + chunk, flat.shape[1])
+            out[:, lo:hi] = (flat[None, :, lo:hi] + cost[:, :, None]).min(axis=1)
+        g = np.moveaxis(out.reshape(moved_shape), 0, axis)
+    return np.ascontiguousarray(g)
+
+
 def edt(m: RegionMask) -> DistanceField:
     """Exact Euclidean distance (mm) to the nearest foreground voxel."""
     if not m.data.any():
         raise EmptyMask("distance transform needs a nonempty source mask")
-    sq = kernels.edt_sq(m.data, m.spacing)
+    sq = _edt_sq(m.data, m.spacing)
     return DistanceField(np.sqrt(sq), m.spacing, m.origin)
 
 

@@ -116,6 +116,8 @@ def _parse_header(raw: bytes) -> Header:
     if any(not np.isfinite(s) or s <= 0 for s in spacing):
         raise BadHeader(f"non-positive pixdim {spacing}")
     (vox_offset,) = struct.unpack_from("<f", raw, 108)
+    if not np.isfinite(vox_offset):
+        raise BadHeader(f"vox_offset must be finite, got {vox_offset}")
     offset = int(vox_offset)
     if vox_offset != offset or offset < VOX_OFFSET:
         raise BadHeader(f"vox_offset must be an integer >= {VOX_OFFSET}, got {vox_offset}")

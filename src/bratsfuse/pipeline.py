@@ -25,6 +25,7 @@ aggregate files are written in sorted case order, so reruns and different
 
 from __future__ import annotations
 
+import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -42,6 +43,7 @@ from .fusion import (
 )
 from .metrics import (
     EMPTY_PENALTY_MM,
+    REGION_ORDER,
     CaseMetrics,
     evaluate_case,
     metrics_csv_header,
@@ -66,6 +68,7 @@ __all__ = [
     "run_fuse",
     "run_eval",
     "run_rank",
+    "read_cases_csv",
     "write_summary_outputs",
 ]
 
@@ -326,20 +329,40 @@ def write_summary_outputs(cases: list[CaseMetrics], output_dir) -> None:
     (output_dir / "summary.txt").write_text(format_summary_table(stats))
 
 
+def _region_values(row: dict) -> tuple[dict[str, float], dict[str, float]]:
+    """The DSC_<region> and HD95_<region> columns of one CSV row, as floats."""
+    return ({r: float(row[f"DSC_{r}"]) for r in REGION_ORDER},
+            {r: float(row[f"HD95_{r}"]) for r in REGION_ORDER})
+
+
+def read_cases_csv(path) -> list[CaseMetrics]:
+    """Parse a per-case metrics CSV as ``run_eval`` writes it (``cases.csv``).
+
+    Columns: case_id,DSC_ET,DSC_TC,DSC_WT,HD95_ET,HD95_TC,HD95_WT.
+    """
+    cases = []
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            try:
+                cases.append(CaseMetrics(row["case_id"], *_region_values(row)))
+            except (KeyError, TypeError, ValueError) as e:
+                raise ConfigError(f"bad metrics row {row}: {e}") from e
+    if not cases:
+        raise ConfigError(f"no case rows in {path}")
+    return cases
+
+
 def read_model_summaries_csv(path) -> list[ModelSummary]:
     """Parse a CSV of per-model region means.
 
     Columns: model,DSC_ET,DSC_TC,DSC_WT,HD95_ET,HD95_TC,HD95_WT.
     """
-    import csv
-
     summaries = []
     with open(path, newline="") as fh:
         for row in csv.DictReader(fh):
             try:
                 name = row["model"]
-                dsc = {r: float(row[f"DSC_{r}"]) for r in ("ET", "TC", "WT")}
-                hd = {r: float(row[f"HD95_{r}"]) for r in ("ET", "TC", "WT")}
+                dsc, hd = _region_values(row)
             except (KeyError, TypeError, ValueError) as e:
                 raise ConfigError(f"bad model summary row {row}: {e}") from e
             summaries.append(model_summary(name, dsc, hd))

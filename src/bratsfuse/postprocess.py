@@ -1,4 +1,4 @@
-"""Post-processing: the enhancing-tumor size threshold and component analysis.
+"""Post-processing: the enhancing-tumor size threshold.
 
 Small predicted ET regions are usually spurious vessel fragments; when the
 total ET voxel count falls below a threshold (default 200, strict), every ET
@@ -8,40 +8,11 @@ WT region masks, since label 4 and label 1 belong to both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
-from . import kernels
-from .regions import RegionMask
 from .volume import LabelMap
 
-__all__ = ["ComponentLabeling", "connected_components", "et_threshold_relabel",
-           "DEFAULT_ET_THRESHOLD"]
+__all__ = ["et_threshold_relabel", "DEFAULT_ET_THRESHOLD"]
 
 DEFAULT_ET_THRESHOLD = 200
-
-
-@dataclass(frozen=True)
-class ComponentLabeling:
-    """Connected-component ids (0 = background) with per-component sizes."""
-
-    labels: np.ndarray
-    component_sizes: dict[int, int]
-    connectivity: int
-
-    @property
-    def count(self) -> int:
-        return len(self.component_sizes)
-
-
-def connected_components(m: RegionMask, connectivity: int = 26) -> ComponentLabeling:
-    """Label foreground components; ids are dense 1..K in raster-scan order
-    of each component's first voxel (x fastest)."""
-    labels, count = kernels.label_components(m.data, connectivity)
-    sizes = np.bincount(labels.reshape(-1), minlength=count + 1)
-    component_sizes = {i: int(sizes[i]) for i in range(1, count + 1)}
-    return ComponentLabeling(labels, component_sizes, connectivity)
 
 
 def et_threshold_relabel(m: LabelMap, threshold: int = DEFAULT_ET_THRESHOLD) -> LabelMap:

@@ -1,37 +1,17 @@
-"""Intensity normalization and seeded spatial/intensity augmentations.
+"""Intensity normalization of skull-stripped volumes.
 
-All transforms are pure functions. Augmentation sampling is deterministic:
-the same (seed, draw index) pair always yields the same transform, via a
-PCG64 generator seeded with ``SeedSequence([seed, draw_index])`` (numpy's
-``default_rng``), so draws for different indices are independent and may be
-sampled concurrently in any order.
+``znorm`` backs the ``preprocess`` command. It is a pure function: it
+returns a new volume and leaves its input unchanged.
 """
 
 from __future__ import annotations
 
-import json
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from . import kernels
-from .errors import ConstantVolume, EmptyVolume
-from .volume import LabelMap, Volume
+from .errors import EmptyVolume
+from .volume import Volume
 
-__all__ = [
-    "znorm",
-    "flip3d",
-    "gamma_transform",
-    "rotate3d",
-    "rotate3d_nearest",
-    "rotation_matrix",
-    "AugmentSpec",
-    "AugmentDraw",
-    "sample_augmentation",
-    "apply_augmentation",
-    "apply_augmentation_labels",
-]
+__all__ = ["znorm"]
 
 
 def znorm(v: Volume) -> Volume:
@@ -52,150 +32,3 @@ def znorm(v: Volume) -> Volume:
     if std > 0.0:
         out[support] = (vals - mean) / std
     return Volume(out, v.spacing, v.origin)
-
-
-def flip3d(v: Volume | LabelMap, axes: tuple[bool, bool, bool]):
-    """Mirror the grid along each axis flagged true."""
-    flip_axes = tuple(i for i, f in enumerate(axes) if f)
-    data = np.flip(v.data, axis=flip_axes).copy() if flip_axes else v.data
-    kind = LabelMap if isinstance(v, LabelMap) else Volume
-    return kind(data, v.spacing, v.origin)
-
-
-def gamma_transform(v: Volume, gamma: float) -> Volume:
-    """Power-law intensity transform preserving the [min, max] range."""
-    if gamma <= 0 or not math.isfinite(gamma):
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
-    data = np.asarray(v.data, dtype=np.float64)
-    lo = data.min()
-    hi = data.max()
-    if hi == lo:
-        raise ConstantVolume("gamma transform needs max > min")
-    out = lo + (hi - lo) * ((data - lo) / (hi - lo)) ** gamma
-    return Volume(out, v.spacing, v.origin)
-
-
-def _cos_sin_deg(angle_deg: float) -> tuple[float, float]:
-    """cos/sin of an angle in degrees, exact at multiples of 90."""
-    m = angle_deg % 360.0
-    exact = {0.0: (1.0, 0.0), 90.0: (0.0, 1.0), 180.0: (-1.0, 0.0), 270.0: (0.0, -1.0)}
-    if m in exact:
-        return exact[m]
-    rad = math.radians(angle_deg)
-    return math.cos(rad), math.sin(rad)
-
-
-def rotation_matrix(angles_deg: tuple[float, float, float]) -> np.ndarray:
-    """Combined rotation, applied in axis order x then y then z."""
-    cx, sx = _cos_sin_deg(angles_deg[0])
-    cy, sy = _cos_sin_deg(angles_deg[1])
-    cz, sz = _cos_sin_deg(angles_deg[2])
-    rx = np.array([[1, 0, 0], [0, cx, -sx], [0, sx, cx]], dtype=np.float64)
-    ry = np.array([[cy, 0, sy], [0, 1, 0], [-sy, 0, cy]], dtype=np.float64)
-    rz = np.array([[cz, -sz, 0], [sz, cz, 0], [0, 0, 1]], dtype=np.float64)
-    return rz @ ry @ rx
-
-
-def _grid_center(shape) -> tuple[float, float, float]:
-    return tuple((n - 1) / 2.0 for n in shape)
-
-
-def rotate3d(v: Volume, angles_deg: tuple[float, float, float]) -> Volume:
-    """Rotate about the volume center with trilinear interpolation, zero fill.
-
-    The output grid equals the input grid; each output voxel samples the
-    input at the inversely rotated position. Angles that are multiples of 90
-    degrees use exact rotation matrix entries, so they reduce to index
-    permutations (no interpolation blur).
-    """
-    rot = rotation_matrix(angles_deg)
-    out = kernels.resample_trilinear(v.data, rot.T, _grid_center(v.shape))
-    return Volume(out, v.spacing, v.origin)
-
-
-def rotate3d_nearest(m: LabelMap, angles_deg: tuple[float, float, float]) -> LabelMap:
-    """Label-map rotation via nearest-neighbor sampling (never interpolates)."""
-    rot = rotation_matrix(angles_deg)
-    out = kernels.resample_nearest(m.data, rot.T, _grid_center(m.shape))
-    return LabelMap(out, m.spacing, m.origin)
-
-
-@dataclass(frozen=True)
-class AugmentSpec:
-    """Sampling ranges for the on-the-fly augmentations."""
-
-    seed: int
-    rotation_max_deg: float = 30.0
-    flip_axes_enabled: tuple[bool, bool, bool] = (True, True, True)
-    gamma_range: tuple[float, float] = (0.7, 1.5)
-
-    def __post_init__(self):
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must be an unsigned 64-bit integer")
-        if not 0.0 <= self.rotation_max_deg <= 180.0:
-            raise ValueError("rotation_max_deg must lie in [0, 180]")
-        lo, hi = self.gamma_range
-        if not (0 < lo <= hi and math.isfinite(hi)):
-            raise ValueError(f"invalid gamma range {self.gamma_range}")
-        if len(self.flip_axes_enabled) != 3:
-            raise ValueError("flip_axes_enabled needs one flag per axis")
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "seed": self.seed,
-                "rotation_max_deg": self.rotation_max_deg,
-                "flip_axes_enabled": list(self.flip_axes_enabled),
-                "gamma_range": list(self.gamma_range),
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "AugmentSpec":
-        d = json.loads(text)
-        return cls(
-            seed=d["seed"],
-            rotation_max_deg=d.get("rotation_max_deg", 30.0),
-            flip_axes_enabled=tuple(d.get("flip_axes_enabled", (True, True, True))),
-            gamma_range=tuple(d.get("gamma_range", (0.7, 1.5))),
-        )
-
-
-@dataclass(frozen=True)
-class AugmentDraw:
-    """One concrete sampled transform."""
-
-    angles_deg: tuple[float, float, float]
-    flips: tuple[bool, bool, bool]
-    gamma: float
-
-
-def sample_augmentation(spec: AugmentSpec, draw_index: int) -> AugmentDraw:
-    """Deterministically sample a transform for (spec.seed, draw_index).
-
-    Per-axis rotation angles are uniform in [0, rotation_max_deg], flips are
-    fair coins on the enabled axes, gamma is uniform in gamma_range.
-    """
-    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, int(draw_index)]))
-    angles = tuple(rng.uniform(0.0, spec.rotation_max_deg, size=3).tolist())
-    coins = rng.random(3) < 0.5
-    flips = tuple(bool(c and e) for c, e in zip(coins, spec.flip_axes_enabled))
-    lo, hi = spec.gamma_range
-    gamma = float(rng.uniform(lo, hi)) if hi > lo else float(lo)
-    return AugmentDraw(angles, flips, gamma)
-
-
-def apply_augmentation(v: Volume, draw: AugmentDraw) -> Volume:
-    """Rotate, then flip, then gamma-transform an intensity volume."""
-    out = rotate3d(v, draw.angles_deg)
-    out = flip3d(out, draw.flips)
-    if out.data.max() > out.data.min():
-        out = gamma_transform(out, draw.gamma)
-    return out
-
-
-def apply_augmentation_labels(m: LabelMap, draw: AugmentDraw) -> LabelMap:
-    """Spatial part of the same transform for label maps (nearest-neighbor)."""
-    out = rotate3d_nearest(m, draw.angles_deg)
-    return flip3d(out, draw.flips)

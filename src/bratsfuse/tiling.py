@@ -1,9 +1,9 @@
-"""Sliding-window patch decomposition and weighted stitching.
+"""Sliding-window layout for a volume shape (the ``tiling-plan`` command).
 
 Window starts along each dimension are 0, s, 2s, ... with the final start
-clamped to ``dim - patch`` so the last window abuts the far face. Volumes
-smaller than the patch are zero-padded (at the high side) up to the patch
-shape; the plan records the padding and :func:`stitch` crops it away again.
+clamped to ``dim - patch`` so the last window abuts the far face. A volume
+smaller than the patch is treated as zero-padded (at the high side) up to
+the patch shape, and the plan records that padding.
 """
 
 from __future__ import annotations
@@ -11,12 +11,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-import numpy as np
+from .volume import BBox
 
-from .errors import IndexOutOfRange, PlanMismatch
-from .volume import BBox, LabelMap, ProbMap, Volume
-
-__all__ = ["TilingPlan", "plan_tiling", "extract", "stitch", "patch_weights"]
+__all__ = ["TilingPlan", "plan_tiling"]
 
 
 @dataclass(frozen=True)
@@ -87,92 +84,3 @@ def plan_tiling(volume_shape, patch_shape, stride) -> TilingPlan:
         for z in per_axis[2]
     )
     return TilingPlan(volume_shape, patch_shape, stride, padding, windows)
-
-
-def _check_plan(v, plan: TilingPlan) -> None:
-    if v.shape != plan.volume_shape:
-        raise PlanMismatch(f"volume shape {v.shape} != plan shape {plan.volume_shape}")
-
-
-def extract(v: Volume | ProbMap, plan: TilingPlan, window_index: int):
-    """Copy one window's voxels; reads inside the padded region are background."""
-    _check_plan(v, plan)
-    if not 0 <= window_index < len(plan.windows):
-        raise IndexOutOfRange(
-            f"window {window_index} out of range ({len(plan.windows)} windows)"
-        )
-    w = plan.windows[window_index]
-    origin = tuple(o + l * s for o, s, l in zip(v.origin, v.spacing, w.lo))
-    # Clip the window to the unpadded volume; the remainder reads background.
-    hi_in = tuple(min(h, n - 1) for h, n in zip(w.hi, v.shape))
-    sl = tuple(slice(l, h + 1) for l, h in zip(w.lo, hi_in))
-    fill = tuple(slice(0, h - l + 1) for l, h in zip(w.lo, hi_in))
-    if isinstance(v, ProbMap):
-        data = np.zeros((len(v.channels),) + plan.patch_shape, dtype=v.data.dtype)
-        data[0] = 1.0
-        data[(slice(None),) + fill] = v.data[(slice(None),) + sl]
-        return ProbMap(data, v.spacing, origin)
-    kind = LabelMap if isinstance(v, LabelMap) else Volume
-    data = np.zeros(plan.patch_shape, dtype=v.data.dtype)
-    data[fill] = v.data[sl]
-    return kind(data, v.spacing, origin)
-
-
-def patch_weights(patch_shape, weighting: str, sigma_frac: float = 0.125) -> np.ndarray:
-    """Per-voxel stitching weights: all-ones or a centered Gaussian bump.
-
-    Gaussian sigma is ``sigma_frac`` of the patch size per axis; weights are
-    strictly positive, so overlap denominators never vanish.
-    """
-    if weighting == "uniform":
-        return np.ones(patch_shape, dtype=np.float64)
-    if weighting != "gaussian":
-        raise ValueError(f"weighting must be 'uniform' or 'gaussian', got {weighting!r}")
-    axes = []
-    for n in patch_shape:
-        c = (n - 1) / 2.0
-        sigma = max(sigma_frac * n, 1e-3)
-        x = np.arange(n, dtype=np.float64)
-        axes.append(np.exp(-0.5 * ((x - c) / sigma) ** 2))
-    return axes[0][:, None, None] * axes[1][None, :, None] * axes[2][None, None, :]
-
-
-def stitch(
-    patches,
-    plan: TilingPlan,
-    weighting: str = "gaussian",
-    sigma_frac: float = 0.125,
-) -> ProbMap:
-    """Weighted-average overlapping probability patches back into one map.
-
-    Accumulation runs in the plan's window order with float64 sums, so the
-    result is bit-reproducible. Padding introduced by the plan is cropped
-    away and each voxel is renormalized to channel sum 1.
-    """
-    patches = list(patches)
-    if len(patches) != len(plan.windows):
-        raise PlanMismatch(
-            f"got {len(patches)} patches for {len(plan.windows)} windows"
-        )
-    nch = len(ProbMap.channels)
-    for p in patches:
-        if not isinstance(p, ProbMap) or p.shape != plan.patch_shape:
-            raise PlanMismatch("every patch must be a ProbMap of the plan's patch shape")
-        if p.spacing != patches[0].spacing:
-            raise PlanMismatch("patches disagree on voxel spacing")
-    weights = patch_weights(plan.patch_shape, weighting, sigma_frac)
-    padded = plan.padded_shape
-    num = np.zeros((nch,) + padded, dtype=np.float64)
-    den = np.zeros(padded, dtype=np.float64)
-    for patch, w in zip(patches, plan.windows):
-        sl = w.slices()
-        num[(slice(None),) + sl] += weights * patch.data
-        den[sl] += weights
-    out = num / den
-    crop_sl = tuple(slice(0, n) for n in plan.volume_shape)
-    out = out[(slice(None),) + crop_sl]
-    out /= out.sum(axis=0, keepdims=True)
-    base = patches[0]
-    lo0 = plan.windows[0].lo
-    origin = tuple(o - l * s for o, s, l in zip(base.origin, base.spacing, lo0))
-    return ProbMap(np.clip(out, 0.0, 1.0), base.spacing, origin)

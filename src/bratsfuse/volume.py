@@ -30,7 +30,6 @@ __all__ = [
     "BBox",
     "nonzero_bbox",
     "crop",
-    "crop_or_pad",
     "embed",
     "same_geometry",
     "require_same_geometry",
@@ -237,55 +236,21 @@ def crop(v, b: BBox):
                    origin=_shift_origin(v.origin, v.spacing, b.lo))
 
 
-def crop_or_pad(v, b: BBox):
-    """Crop to a fixed template box that may extend beyond the volume.
-
-    Voxels of the box outside the volume read background (0, label 0, or the
-    background channel). This is the fixed-box counterpart of tight-bbox
-    cropping; use :func:`crop` when the box is known to fit.
-    """
-    origin = _shift_origin(v.origin, v.spacing, b.lo)
-    hi_in = tuple(min(h, n - 1) for h, n in zip(b.hi, v.shape))
-    if any(l > h for l, h in zip(b.lo, hi_in)):
-        raise OutOfBounds(f"bbox {b.lo}..{b.hi} starts outside volume shape {v.shape}")
-    src = tuple(slice(l, h + 1) for l, h in zip(b.lo, hi_in))
-    dst = tuple(slice(0, h - l + 1) for l, h in zip(b.lo, hi_in))
-    if isinstance(v, ProbMap):
-        data = np.zeros((len(PROB_CHANNELS),) + b.shape, dtype=v.data.dtype)
-        data[0] = 1.0
-        data[(slice(None),) + dst] = v.data[(slice(None),) + src]
-        return ProbMap(data, v.spacing, origin)
-    if isinstance(v, LabelMap):
-        data = np.zeros(b.shape, dtype=np.uint8)
-        data[dst] = v.data[src]
-        return LabelMap(data, v.spacing, origin)
-    data = np.zeros(b.shape, dtype=v.data.dtype)
-    data[dst] = v.data[src]
-    return Volume(data, v.spacing, origin)
-
-
 def embed(v, b: BBox, full_shape):
     """Place ``v`` into a volume of ``full_shape`` at ``b``, inverse of crop.
 
-    Outside the box the result is 0 for Volume, label 0 for LabelMap, and the
-    background channel (probability 1 for label 0) for ProbMap.
+    Keeps the type of ``v`` (Volume, LabelMap, ProbMap or RegionMask).
+    Outside the box the result is 0 (label 0, an empty mask) and, for a
+    ProbMap, the background channel (probability 1 for label 0).
     """
     full_shape = _check_triple(full_shape, "full_shape", int)
     if b.shape != v.shape:
         raise ShapeMismatch(f"bbox shape {b.shape} != data shape {v.shape}")
     if any(h >= n for h, n in zip(b.hi, full_shape)):
         raise ShapeMismatch(f"bbox {b.lo}..{b.hi} does not fit in {full_shape}")
-    origin = _shift_origin(v.origin, v.spacing, b.lo, sign=-1)
-    sl = b.slices()
+    data = np.zeros(v.data.shape[:-3] + full_shape, dtype=v.data.dtype)
     if isinstance(v, ProbMap):
-        data = np.zeros((len(PROB_CHANNELS),) + full_shape, dtype=v.data.dtype)
         data[0] = 1.0
-        data[(slice(None),) + sl] = v.data
-        return ProbMap(data, v.spacing, origin)
-    if isinstance(v, LabelMap):
-        data = np.zeros(full_shape, dtype=np.uint8)
-        data[sl] = v.data
-        return LabelMap(data, v.spacing, origin)
-    data = np.zeros(full_shape, dtype=v.data.dtype)
-    data[sl] = v.data
-    return Volume(data, v.spacing, origin)
+    data[(...,) + b.slices()] = v.data
+    return replace(v, data=data,
+                   origin=_shift_origin(v.origin, v.spacing, b.lo, sign=-1))

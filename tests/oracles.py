@@ -125,22 +125,6 @@ def hd95_all_pairs(mask_a, mask_b, spacing, penalty):
     return max(d_ab, d_ba)
 
 
-def rotation_permutation_oracle(data, quarter_turns_z):
-    """Exact 90-degree index permutation about the z axis.
-
-    Valid for grids whose x and y dimensions are equal (the rotation is then
-    an index permutation); voxels mapping outside the grid become 0.
-    """
-    arr = np.asarray(data)
-    nx, ny = arr.shape[0], arr.shape[1]
-    assert nx == ny, "oracle requires square in-plane shape"
-    out = arr.copy()
-    for _ in range(quarter_turns_z % 4):
-        # (x, y) -> (cx - (y - cy), cy + (x - cx)) with cx = cy for square.
-        out = np.flip(out.swapaxes(0, 1), axis=0).copy()
-    return out
-
-
 def dice_counts(mask_a, mask_b):
     """Voxel-count Dice with python integers."""
     a = int(np.count_nonzero(mask_a))

@@ -3,7 +3,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bratsfuse.errors import (
@@ -129,6 +129,13 @@ class TestRead:
         with pytest.raises(BadData, match="origin"):
             read_nifti(bytes(raw))
 
+    @pytest.mark.parametrize("offset", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_vox_offset_is_bad_header(self, offset):
+        raw = bytearray(build_fixture((1, 1, 1), (1.0, 1.0, 1.0), 2, b"\x00"))
+        struct.pack_into("<f", raw, 108, offset)
+        with pytest.raises(BadHeader, match="vox_offset"):
+            read_nifti(bytes(raw))
+
     @pytest.mark.parametrize("spacing", [(0.0, 1.0, 1.0), (1.0, float("nan"), 1.0),
                                          (1.0, 1.0, float("inf"))])
     def test_bad_spacing_is_a_nifti_error(self, spacing):
@@ -209,6 +216,38 @@ def test_roundtrip_bit_exact(shape, dtype, seed, spacing):
     assert back.shape == v.shape
     assert back.spacing == v.spacing
     assert np.array_equal(back.data, v.data)
+
+
+_FUZZ_FILES = (
+    write_nifti(LabelMap(np.array([0, 1, 2, 4, 4, 2], np.uint8).reshape(3, 2, 1),
+                         (1.0, 1.25, 2.0), (-4.0, 0.5, 3.0))),
+    write_nifti(Volume(np.linspace(-1.0, 1.0, 6, dtype=np.float32).reshape(1, 2, 3))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    raw=st.sampled_from(_FUZZ_FILES),
+    edit=st.sampled_from(["truncate", "overwrite", "flip"]),
+    pos=st.integers(0, max(len(f) for f in _FUZZ_FILES) - 1),
+    value=st.integers(0, 255),
+)
+@example(raw=_FUZZ_FILES[0], edit="overwrite", pos=111, value=0x7F)  # NaN vox_offset
+@example(raw=_FUZZ_FILES[1], edit="overwrite", pos=111, value=0xFF)
+def test_corrupted_file_raises_only_nifti_errors(raw, edit, pos, value):
+    """One truncation, or one header byte (0-351) overwritten or bit-flipped:
+    whatever ``read_nifti`` refuses, it refuses as a NiftiError."""
+    if edit == "truncate":
+        raw = raw[:pos]
+    else:
+        assume(pos < 352)
+        out = bytearray(raw)
+        out[pos] = value if edit == "overwrite" else out[pos] ^ (1 << value % 8)
+        raw = bytes(out)
+    try:
+        read_nifti(raw)
+    except NiftiError:
+        pass
 
 
 def test_labelmap_roundtrip_bit_exact(rng):

@@ -1,12 +1,17 @@
 import json
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import bratsfuse
 from bratsfuse import pipeline
 from bratsfuse.cli import main
 from bratsfuse.errors import GeometryMismatch, TruncatedFile
@@ -33,14 +38,21 @@ def _nan_prediction(path, shape=(6, 6, 4)):
     path.write_bytes(bytes(raw))
 
 
-def _eval_dirs(tmp_path):
+def _nan_vox_offset_prediction(path):
+    """A label prediction whose header says its voxels start at offset NaN."""
+    raw = bytearray(write_nifti(_labels()))
+    struct.pack_into("<f", raw, 108, float("nan"))
+    path.write_bytes(bytes(raw))
+
+
+def _eval_dirs(tmp_path, write_bad=_nan_prediction):
     pred, gt = tmp_path / "pred", tmp_path / "gt"
     pred.mkdir()
     gt.mkdir()
     for case in ("bad", "good"):
         save_nifti(gt / f"{case}.nii", _labels())
     save_nifti(pred / "good.nii", _labels())
-    _nan_prediction(pred / "bad.nii")
+    write_bad(pred / "bad.nii")
     return pred, gt
 
 
@@ -56,6 +68,14 @@ def test_nan_prediction_is_a_per_case_error(tmp_path):
     assert [r.split(",")[0] for r in csv_rows[1:]] == ["good"]
 
 
+def test_nan_vox_offset_is_a_per_case_bad_header(tmp_path):
+    pred, gt = _eval_dirs(tmp_path, _nan_vox_offset_prediction)
+    cases, errors = run_eval(pred, gt, tmp_path / "out")
+    assert [c.case_id for c in cases] == ["good"]
+    assert [(e["case_id"], e["error"]) for e in errors] == [("bad", "BadHeader")]
+    assert json.loads((tmp_path / "out" / "errors.json").read_text()) == errors
+
+
 def test_eval_cli_exits_2_on_a_nan_prediction(tmp_path):
     pred, gt = _eval_dirs(tmp_path)
     out = tmp_path / "out"
@@ -63,6 +83,38 @@ def test_eval_cli_exits_2_on_a_nan_prediction(tmp_path):
     assert result.exit_code == 2, result.output
     assert "evaluated 1 case(s), 1 error(s)" in result.output
     assert [e["case_id"] for e in json.loads((out / "errors.json").read_text())] == ["bad"]
+
+
+def test_cases_csv_reads_back_what_eval_wrote(tmp_path):
+    pred, gt = _eval_dirs(tmp_path)
+    cases, _ = run_eval(pred, gt, tmp_path / "out")
+    assert pipeline.read_cases_csv(tmp_path / "out" / "cases.csv") == cases
+
+
+@pytest.mark.parametrize("text, message", [
+    ("case_id,DSC_ET\nc0,0.5\n", "bad metrics row {'case_id': 'c0', 'DSC_ET': '0.5'}"),
+    ("case_id,DSC_ET,DSC_TC,DSC_WT,HD95_ET,HD95_TC,HD95_WT\nc0,1,1,1,nan,0,0\n",
+     "bad metrics row"),
+    ("case_id,DSC_ET,DSC_TC,DSC_WT,HD95_ET,HD95_TC,HD95_WT\n", "no case rows in"),
+], ids=["missing-column", "non-finite", "no-rows"])
+def test_report_cli_refuses_a_bad_cases_csv(tmp_path, text, message):
+    path = tmp_path / "cases.csv"
+    path.write_text(text)
+    result = CliRunner().invoke(main, ["report", str(path), "--out", str(tmp_path / "r")])
+    assert result.exit_code == 1, result.output
+    assert f"Error: {message}" in result.output
+    assert not (tmp_path / "r").exists()
+
+
+def test_cli_import_loads_neither_scipy_nor_numba():
+    # scipy.ndimage would about double the start-up time of every command.
+    code = ("import sys, bratsfuse.cli; "
+            "print([m for m in ('scipy', 'numba') if m in sys.modules])")
+    src = str(Path(bratsfuse.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
 
 
 def test_config_with_seed_key_still_loads(tmp_path):

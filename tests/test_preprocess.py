@@ -1,24 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
-from bratsfuse.errors import ConstantVolume, EmptyVolume
-from bratsfuse.preprocess import (
-    AugmentSpec,
-    apply_augmentation,
-    apply_augmentation_labels,
-    flip3d,
-    gamma_transform,
-    rotate3d,
-    rotate3d_nearest,
-    sample_augmentation,
-    znorm,
-)
-from bratsfuse.volume import LabelMap, Volume
-
-from .conftest import random_labelmap
-from .oracles import rotation_permutation_oracle
+from bratsfuse.errors import EmptyVolume
+from bratsfuse.preprocess import znorm
+from bratsfuse.volume import Volume
 
 
 class TestZnorm:
@@ -56,158 +41,3 @@ class TestZnorm:
         if assume_ok:  # exact-mean voxels would change the support
             twice = znorm(once)
             assert np.abs(twice.data - once.data).max() < 1e-6
-
-
-class TestFlip:
-    def test_identity(self, rng):
-        v = Volume(rng.random((3, 4, 5)))
-        out = flip3d(v, (False, False, False))
-        assert np.array_equal(out.data, v.data)
-
-    def test_pair_order(self):
-        v = Volume(np.array([1.0, 2.0]).reshape(2, 1, 1))
-        out = flip3d(v, (True, False, False))
-        assert out.data.reshape(-1).tolist() == [2.0, 1.0]
-
-    def test_involution_and_commutation(self, rng):
-        v = Volume(rng.random((4, 3, 2)))
-        for axes in [(True, False, False), (False, True, True), (True, True, True)]:
-            assert np.array_equal(flip3d(flip3d(v, axes), axes).data, v.data)
-        ab = flip3d(flip3d(v, (True, False, False)), (False, False, True))
-        ba = flip3d(flip3d(v, (False, False, True)), (True, False, False))
-        assert np.array_equal(ab.data, ba.data)
-
-    def test_labelmap_kind_preserved(self, rng):
-        m = random_labelmap(rng, (3, 3, 3))
-        out = flip3d(m, (False, True, False))
-        assert isinstance(out, LabelMap)
-
-
-class TestGamma:
-    def test_identity_at_one(self, rng):
-        v = Volume(rng.random((4, 4, 4)))
-        out = gamma_transform(v, 1.0)
-        assert np.abs(out.data - v.data).max() < 1e-12
-
-    def test_hand_values(self):
-        v = Volume(np.array([0.0, 0.25, 1.0]).reshape(3, 1, 1))
-        out = gamma_transform(v, 2.0)
-        assert out.data.reshape(-1).tolist() == pytest.approx([0.0, 0.0625, 1.0])
-
-    def test_endpoints_fixed(self, rng):
-        data = rng.random((5, 5, 5)) * 7 - 2
-        v = Volume(data)
-        for gamma in (0.3, 1.7, 4.0):
-            out = gamma_transform(v, gamma)
-            assert out.data.min() == pytest.approx(data.min())
-            assert out.data.max() == pytest.approx(data.max())
-
-    def test_monotone(self, rng):
-        vals = np.sort(rng.random(60)).reshape(60, 1, 1)
-        for gamma in (0.25, 0.9, 2.5):
-            out = gamma_transform(Volume(vals), gamma).data.reshape(-1)
-            assert (np.diff(out) >= -1e-12).all()
-
-    def test_constant_raises(self):
-        with pytest.raises(ConstantVolume):
-            gamma_transform(Volume(np.full((2, 2, 2), 3.0)), 2.0)
-
-
-class TestRotate:
-    def test_zero_angles_identity(self, rng):
-        v = Volume(rng.random((4, 5, 6)))
-        out = rotate3d(v, (0.0, 0.0, 0.0))
-        assert np.abs(out.data - v.data).max() == 0.0
-
-    def test_90deg_one_hot(self):
-        data = np.zeros((3, 3, 1))
-        data[2, 1, 0] = 1.0
-        out = rotate3d(Volume(data), (0.0, 0.0, 90.0))
-        expected = rotation_permutation_oracle(data, 1)
-        assert np.array_equal(out.data, expected)
-        assert out.data[1, 2, 0] == 1.0
-
-    @pytest.mark.parametrize("turns", [1, 2, 3])
-    def test_90deg_multiples_match_permutation_oracle(self, rng, turns):
-        data = rng.random((5, 5, 4))
-        out = rotate3d(Volume(data), (0.0, 0.0, 90.0 * turns))
-        assert np.array_equal(out.data, rotation_permutation_oracle(data, turns))
-
-    def test_rotate_unrotate_on_linear_ramp(self):
-        nx = ny = nz = 17
-        x = np.arange(nx, dtype=np.float64)[:, None, None]
-        ramp = np.broadcast_to(x / (nx - 1), (nx, ny, nz)).copy()
-        v = Volume(ramp)
-        back = rotate3d(rotate3d(v, (0.0, 0.0, 30.0)), (0.0, 0.0, -30.0))
-        # Compare on the centered cylinder that stays in bounds through both
-        # rotations; outside it, zero fill leaks in by construction.
-        c = (nx - 1) / 2.0
-        ii, jj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-        inside = (ii - c) ** 2 + (jj - c) ** 2 <= (c - 2.0) ** 2
-        err = np.abs(back.data - v.data)[inside]
-        assert err.max() <= 0.15
-
-    def test_nearest_outputs_only_input_labels(self, rng):
-        m = random_labelmap(rng, (7, 7, 7))
-        out = rotate3d_nearest(m, (14.0, -22.0, 37.0))
-        assert isinstance(out, LabelMap)
-        assert set(np.unique(out.data)) <= set(np.unique(m.data)) | {0}
-
-
-class TestSampling:
-    def test_deterministic(self):
-        spec = AugmentSpec(seed=42)
-        assert sample_augmentation(spec, 7) == sample_augmentation(spec, 7)
-
-    def test_different_indices_differ(self):
-        spec = AugmentSpec(seed=42)
-        assert sample_augmentation(spec, 0) != sample_augmentation(spec, 1)
-
-    def test_degenerate_spec_is_identity(self):
-        spec = AugmentSpec(
-            seed=1, rotation_max_deg=0.0,
-            flip_axes_enabled=(False, False, False), gamma_range=(1.0, 1.0),
-        )
-        draw = sample_augmentation(spec, 123)
-        assert draw.angles_deg == (0.0, 0.0, 0.0)
-        assert draw.flips == (False, False, False)
-        assert draw.gamma == 1.0
-
-    def test_angle_distribution(self):
-        spec = AugmentSpec(seed=42, rotation_max_deg=30.0)
-        angles = [sample_augmentation(spec, i).angles_deg[0] for i in range(10_000)]
-        assert 13.5 <= float(np.mean(angles)) <= 16.5
-        assert 0.0 <= min(angles) and max(angles) <= 30.0
-
-    def test_json_roundtrip(self):
-        spec = AugmentSpec(seed=9, rotation_max_deg=15.0, gamma_range=(0.9, 1.1))
-        assert AugmentSpec.from_json(spec.to_json()) == spec
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            AugmentSpec(seed=0, rotation_max_deg=200.0)
-        with pytest.raises(ValueError):
-            AugmentSpec(seed=0, gamma_range=(0.0, 1.0))
-        with pytest.raises(ValueError):
-            AugmentSpec(seed=-1)
-
-    def test_apply_augmentation_runs(self, rng):
-        spec = AugmentSpec(seed=3)
-        draw = sample_augmentation(spec, 0)
-        v = Volume(rng.random((6, 6, 6)))
-        out = apply_augmentation(v, draw)
-        assert out.shape == v.shape
-        m = random_labelmap(rng, (6, 6, 6))
-        out_m = apply_augmentation_labels(m, draw)
-        assert isinstance(out_m, LabelMap)
-
-
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), gamma=st.floats(0.1, 5.0))
-def test_gamma_monotone_property(seed, gamma):
-    rng = np.random.default_rng(seed)
-    vals = rng.random(40)
-    assume(vals.max() > vals.min())
-    order = np.argsort(vals)
-    out = gamma_transform(Volume(vals.reshape(40, 1, 1)), gamma).data.reshape(-1)
-    assert (np.diff(out[order]) >= -1e-12).all()

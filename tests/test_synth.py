@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -54,7 +56,8 @@ class TestSynthCommand:
     def test_small_grid_succeeds(self, tmp_path):
         result = CliRunner().invoke(main, ["synth", "--out", str(tmp_path), "--shape", "20", "20", "20"])
         assert result.exit_code == 0, result.output
-        assert (tmp_path / "fuse_config.json").is_file()
+        config = json.loads((tmp_path / "fuse_config.json").read_text())
+        assert sorted(config) == ["cases", "et_threshold", "output_dir", "staple"]
 
     @pytest.mark.parametrize("shape", [("3", "3", "3"), ("0", "0", "0")])
     def test_grid_too_small_is_a_one_line_error(self, tmp_path, shape):

@@ -3,11 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bratsfuse.errors import IndexOutOfRange, PlanMismatch
-from bratsfuse.tiling import TilingPlan, extract, patch_weights, plan_tiling, stitch
-from bratsfuse.volume import ProbMap, Volume
-
-from .conftest import random_probmap
+from bratsfuse.tiling import TilingPlan, plan_tiling
 
 
 class TestPlan:
@@ -42,81 +38,6 @@ class TestPlan:
     def test_json_roundtrip(self):
         plan = plan_tiling((30, 20, 10), (8, 8, 8), (4, 6, 8))
         assert TilingPlan.from_json(plan.to_json()) == plan
-
-
-class TestExtract:
-    def test_single_window_is_padded_input(self, rng):
-        pm = random_probmap(rng, (5, 6, 7))
-        plan = plan_tiling(pm.shape, (8, 8, 8), (8, 8, 8))
-        patch = extract(pm, plan, 0)
-        assert patch.shape == (8, 8, 8)
-        assert np.array_equal(patch.data[:, :5, :6, :7], pm.data)
-        assert patch.data[0, 7, 7, 7] == 1.0  # padded corner is background
-        assert patch.data[1:, 7, 7, 7].sum() == 0.0
-
-    def test_overlap_shares_values(self, rng):
-        v = Volume(rng.random((12, 8, 8)))
-        plan = plan_tiling(v.shape, (8, 8, 8), (4, 8, 8))
-        p0 = extract(v, plan, 0)
-        p1 = extract(v, plan, 1)
-        assert np.array_equal(p0.data[4:, :, :], p1.data[:4, :, :])
-
-    def test_index_out_of_range(self, rng):
-        v = Volume(rng.random((8, 8, 8)))
-        plan = plan_tiling(v.shape, (8, 8, 8), (8, 8, 8))
-        with pytest.raises(IndexOutOfRange):
-            extract(v, plan, 1)
-
-    def test_plan_mismatch(self, rng):
-        v = Volume(rng.random((8, 8, 8)))
-        plan = plan_tiling((9, 9, 9), (8, 8, 8), (8, 8, 8))
-        with pytest.raises(PlanMismatch):
-            extract(v, plan, 0)
-
-
-class TestStitch:
-    def test_single_window_identity(self, rng):
-        pm = random_probmap(rng, (6, 6, 6))
-        plan = plan_tiling(pm.shape, (6, 6, 6), (6, 6, 6))
-        for weighting in ("uniform", "gaussian"):
-            out = stitch([extract(pm, plan, 0)], plan, weighting)
-            assert np.abs(out.data - pm.data).max() < 1e-12
-
-    def test_half_overlap_average(self):
-        # Two windows over x: [0..7] and [4..11]; constant channel profiles p
-        # and q average to (p+q)/2 on the overlap under uniform weights.
-        shape = (12, 4, 4)
-        plan = plan_tiling(shape, (8, 4, 4), (4, 4, 4))
-        assert len(plan.windows) == 2
-        p = np.array([0.7, 0.1, 0.1, 0.1])
-        q = np.array([0.3, 0.3, 0.2, 0.2])
-        mk = lambda vec: ProbMap(
-            np.tile(vec.reshape(4, 1, 1, 1), (1, 8, 4, 4)), (1, 1, 1),
-        )
-        out = stitch([mk(p), mk(q)], plan, "uniform")
-        overlap = out.data[:, 4:8, :, :]
-        expected = (p + q) / 2
-        assert np.abs(overlap - expected.reshape(4, 1, 1, 1)).max() < 1e-12
-        assert np.abs(out.data[:, :4] - p.reshape(4, 1, 1, 1)).max() < 1e-12
-
-    def test_extract_stitch_roundtrip(self, rng):
-        pm = random_probmap(rng, (10, 9, 7))
-        plan = plan_tiling(pm.shape, (6, 6, 6), (3, 4, 5))
-        patches = [extract(pm, plan, i) for i in range(len(plan.windows))]
-        for weighting in ("uniform", "gaussian"):
-            out = stitch(patches, plan, weighting)
-            assert np.abs(out.data - pm.data).max() < 1e-6
-            assert np.abs(out.data.sum(axis=0) - 1.0).max() < 1e-6
-
-    def test_wrong_patch_count(self, rng):
-        pm = random_probmap(rng, (8, 8, 8))
-        plan = plan_tiling(pm.shape, (6, 6, 6), (3, 3, 3))
-        with pytest.raises(PlanMismatch):
-            stitch([extract(pm, plan, 0)], plan)
-
-    def test_gaussian_weights_strictly_positive(self):
-        w = patch_weights((16, 16, 16), "gaussian")
-        assert w.min() > 0.0
 
 
 @settings(max_examples=40, deadline=None)

@@ -11,7 +11,6 @@ from bratsfuse.volume import (
     ProbMap,
     Volume,
     crop,
-    crop_or_pad,
     embed,
     nonzero_bbox,
     same_geometry,
@@ -122,15 +121,6 @@ class TestCropEmbed:
         out = crop(v, BBox((24, 8, 0), (24 + 191, 8 + 223, 154)))
         assert out.shape == (192, 224, 155)
 
-    def test_template_box_crop_shape(self):
-        # The BraTS-sized template box is deeper than the native volume in z,
-        # so the fixed-box crop pads the overhang with zeros.
-        v = Volume(np.ones((240, 240, 155)))
-        out = crop_or_pad(v, BBox((24, 8, 0), (24 + 191, 8 + 223, 159)))
-        assert out.shape == (192, 224, 160)
-        assert (out.data[:, :, :155] == 1.0).all()
-        assert (out.data[:, :, 155:] == 0.0).all()
-
     def test_single_voxel_crop(self):
         data = np.arange(27, dtype=np.float64).reshape(3, 3, 3)
         out = crop(Volume(data), BBox((1, 2, 0), (1, 2, 0)))
@@ -163,7 +153,20 @@ class TestCropEmbed:
             assert out.shape == (2, 4, 2)
             assert out.origin == (11.0, 0.0, 1.0)
             assert np.array_equal(out.data, v.data[..., 1:3, 0:4, 2:4])
+            back = embed(out, box, v.shape)
+            assert type(back) is type(v)
+            assert back.data.dtype == v.data.dtype
+            assert back.origin == v.origin
+            assert np.array_equal(back.data[..., 1:3, 0:4, 2:4], out.data)
+            outside = np.ones(v.shape, dtype=bool)
+            outside[box.slices()] = False
+            fill = back.data[..., outside]
+            if isinstance(v, ProbMap):
+                assert (fill[0] == 1.0).all()  # background channel
+                fill = fill[1:]
+            assert not fill.any()
         assert out.region is Region.TC
+        assert back.region is Region.TC
 
     def test_embed_inverts_crop(self, rng):
         data = rng.random((6, 7, 8))
