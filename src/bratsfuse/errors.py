@@ -36,6 +36,10 @@ class EmptyList(BratsFuseError):
     """An operation requires a nonempty input collection."""
 
 
+class ConstantVolume(BratsFuseError):
+    """An intensity transform requires max > min."""
+
+
 class InvalidLabel(BratsFuseError):
     """A voxel value is outside the supported label set {0, 1, 2, 4}."""
 
