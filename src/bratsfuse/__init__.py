@@ -19,7 +19,7 @@ from .volume import (
     nonzero_bbox,
 )
 from .regions import Region, RegionMask, recompose_labels, region_mask
-from .preprocess import flip3d, gamma_transform, znorm
+from .preprocess import znorm
 from .tiling import TilingPlan, plan_tiling
 from .fusion import (
     StapleParams,

@@ -94,7 +94,10 @@ def fuse_cmd(config_path, jobs, et_threshold, staple_tol, staple_max_iters, out_
               help="HD95 for an empty-vs-nonempty region pair (mm).")
 def eval_cmd(pred_dir, gt_dir, out_dir, jobs, hd95_penalty):
     """Evaluate predictions against ground truth paired by filename stem."""
-    cases, errors = run_eval(pred_dir, gt_dir, out_dir, jobs=jobs, penalty=hd95_penalty)
+    try:
+        cases, errors = run_eval(pred_dir, gt_dir, out_dir, jobs=jobs, penalty=hd95_penalty)
+    except ConfigError as e:
+        raise click.ClickException(str(e)) from e
     click.echo(f"evaluated {len(cases)} case(s), {len(errors)} error(s); "
                f"outputs in {out_dir}")
     for e in errors:
@@ -207,7 +210,8 @@ def preprocess_cmd(input_nii, output_nii, do_znorm, crop_nonzero):
 @main.command("postprocess")
 @click.argument("input_nii", type=click.Path(exists=True, dir_okay=False))
 @click.argument("output_nii", type=click.Path())
-@click.option("--et-threshold", default=DEFAULT_ET_THRESHOLD, show_default=True)
+@click.option("--et-threshold", type=click.IntRange(min=0), default=DEFAULT_ET_THRESHOLD,
+              show_default=True)
 def postprocess_cmd(input_nii, output_nii, et_threshold):
     """Apply the ET size-threshold relabeling to a label map."""
     try:

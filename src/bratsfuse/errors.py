@@ -36,10 +36,6 @@ class EmptyList(BratsFuseError):
     """An operation requires a nonempty input collection."""
 
 
-class ConstantVolume(BratsFuseError):
-    """An intensity transform requires max > min."""
-
-
 class InvalidLabel(BratsFuseError):
     """A voxel value is outside the supported label set {0, 1, 2, 4}."""
 

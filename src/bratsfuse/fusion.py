@@ -13,9 +13,9 @@ specificity q, and alternates:
 
 A voxel enters both steps only through its column of J rater decisions, so
 EM runs over the K <= min(2^J, N) decision patterns that occur, each weighted
-by its voxel count in the M-step sums, and the posterior is scattered back to
-the voxels at the end. Memory is O(N) small integers (each voxel's pattern
-index) instead of a J x N float matrix, and an iteration costs O(J K).
+by its voxel count in the M-step sums, and the posterior is read back at the
+voxels at the end. Memory is O(N) small integers (each voxel's pattern code)
+instead of a J x N float matrix, and an iteration costs O(J K).
 
 Iteration stops when the posterior changes by less than ``tol`` in max-norm
 (over the present patterns, which is the max over voxels) or after
@@ -25,16 +25,22 @@ exactly.
 
 Multi-label fusion runs binary STAPLE per nested region (ET, TC, WT) and
 recomposes the label map, with the nesting rules of ``recompose_labels``.
-A voxel enters every region's EM only through its J rater labels, so one
-pass packs each rater's label index (2 bits) into a joint code per voxel
-and counts the codes once. Each joint code implies one decision pattern per
-region, so a region's pattern counts are sums of joint counts, and EM runs
-on them exactly as above. Thresholding each region's posterior and
-recomposing once per joint code gives a label lookup table, and the fused
-map is the table read at every voxel's code. The result equals per-region
-``staple_binary`` plus ``recompose_labels`` without a per-voxel mask,
-posterior or recomposition. Up to 8 raters the 4^J codes are counted
-directly; beyond that the joint rows that occur are found by sorting.
+A voxel enters every region's EM only through its J rater labels, so the
+voxels' joint rater-label rows are counted once. Each joint row implies one
+decision pattern per region, so a region's pattern counts are sums of joint
+counts, and EM runs on them exactly as above. Thresholding each region's
+posterior and recomposing once per joint row gives a label lookup table,
+and the fused map is the table read at every voxel. The result equals
+per-region ``staple_binary`` plus ``recompose_labels`` without a per-voxel
+mask, posterior or recomposition.
+
+All of this counting is one operation, ``_patterns``: each of the J raters
+gives a row a digit of ``width`` bits (1 for a decision, 2 for a label's
+position in BRATS_LABELS), packed into 16-bit codes. When a row fits one
+``CODE_BITS``-bit code, ``np.bincount`` counts every code and the patterns
+come out in ascending code order; beyond that, the rows of packed codes are
+sorted. The passes over all voxels (mapping labels, encoding, counting and
+the final gather) run ``CHUNK_VOXELS`` voxels at a time.
 """
 
 from __future__ import annotations
@@ -64,10 +70,13 @@ PARAM_CLAMP = 1e-7
 DEFAULT_INIT_PQ = 0.99999
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITERS = 100
-# Up to this many raters a voxel's decisions fit a uint16 code and np.bincount
-# counts all 2^J codes; beyond it the patterns are found by sorting.
-BINCOUNT_MAX_RATERS = 16
-
+# A row of J digits of ``width`` bits fits one uint16 code while width * J is
+# at most this, and np.bincount counts all 2^(width J) codes; beyond it the
+# rows are sorted.
+CODE_BITS = 16
+# Voxels mapped, encoded, counted and gathered per step: np.bincount and
+# fancy indexing copy their uint16 codes to intp, which bounds that copy.
+CHUNK_VOXELS = 1 << 20
 
 def average_probs(maps: list[ProbMap]) -> ProbMap:
     """Voxelwise, channelwise arithmetic mean of probability maps."""
@@ -109,13 +118,11 @@ def majority_vote(maps: list[LabelMap]) -> LabelMap:
 
 @dataclass(frozen=True)
 class StapleParams:
-    """Per-rater sensitivity/specificity plus the EM control knobs."""
+    """Per-rater sensitivity p and specificity q, and the foreground prior."""
 
     p: tuple[float, ...]
     q: tuple[float, ...]
     prior: float
-    max_iters: int = DEFAULT_MAX_ITERS
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         if len(self.p) != len(self.q):
@@ -123,8 +130,6 @@ class StapleParams:
         for val in (*self.p, *self.q, self.prior):
             if not 0.0 < val < 1.0:
                 raise ValueError(f"probabilities must lie strictly in (0,1), got {val}")
-        if self.max_iters < 1 or self.tol <= 0:
-            raise ValueError("max_iters must be >= 1 and tol > 0")
 
 
 @dataclass(frozen=True)
@@ -162,51 +167,71 @@ def _clamp(x: np.ndarray) -> np.ndarray:
     return np.clip(x, PARAM_CLAMP, 1.0 - PARAM_CLAMP)
 
 
-def default_staple_params(
-    n_raters: int,
-    prior: float,
-    max_iters: int = DEFAULT_MAX_ITERS,
-    tol: float = DEFAULT_TOL,
-) -> StapleParams:
+def default_staple_params(n_raters: int, prior: float) -> StapleParams:
     """Near-perfect rater prior: p = q = 0.99999 for every rater."""
     pq = (DEFAULT_INIT_PQ,) * n_raters
-    return StapleParams(pq, pq, float(_clamp(np.asarray(prior))), max_iters, tol)
+    return StapleParams(pq, pq, float(_clamp(np.asarray(prior))))
 
 
-def _decision_patterns(bits: list[np.ndarray], weights: np.ndarray | None = None):
-    """The distinct rater-decision columns of ``bits`` and each column's index.
+def _label_index(labels: np.ndarray) -> np.ndarray:
+    """Each label's position in BRATS_LABELS = (0, 1, 2, 4): l - l // 4."""
+    return labels - (labels >> 2)
 
-    ``bits`` holds one 0/1 uint8 array of M columns per rater. Returns
-    ``(pats, counts, inverse)``: the K patterns that occur as a (J, K) 0/1
-    float matrix, the number of columns with each pattern (the sum of their
-    ``weights`` if given, leaving out patterns of weight 0), and every
-    column's pattern index, so that ``pats[:, inverse]`` is the (J, M)
-    decision matrix wherever the weight is positive.
+
+def _patterns(cols: list[np.ndarray], width: int, weights: np.ndarray | None = None):
+    """The distinct rows of the J columns ``cols`` and how often each occurs.
+
+    ``cols`` holds one 1-D array of M digits per rater: 0/1 decisions for
+    ``width`` 1, BraTS labels (counted as their position in BRATS_LABELS)
+    for ``width`` 2. Returns ``(pats, counts, index, codes)``: the K rows
+    that occur as a (J, K) matrix of digits, the number of rows equal to
+    each (the sum of their ``weights`` if given, which must be positive),
+    and every row's code with the table ``index`` from codes to patterns,
+    so that ``pats[:, index[codes]]`` is the (J, M) matrix of ``cols``.
     """
-    j = len(bits)
-    if j <= BINCOUNT_MAX_RATERS:
-        # Rater r is bit r of a column's code; count all 2^J codes at once.
-        codes = np.zeros(bits[0].size, dtype=np.uint16)
-        for r, b in enumerate(bits):
-            codes |= b.astype(np.uint16) << r
-        counts = np.bincount(codes, weights, minlength=1 << j)
+    j, m = len(cols), cols[0].size
+    per_word = CODE_BITS // width
+    words = np.zeros((m, -(-j // per_word)), dtype=np.uint16)
+    counted = words.shape[1] == 1
+    if counted:
+        counts = np.zeros(1 << (width * j), np.int64 if weights is None else np.float64)
+    for start in range(0, m, CHUNK_VOXELS):
+        chunk = slice(start, start + CHUNK_VOXELS)
+        for r, col in enumerate(cols):
+            digits = _label_index(col[chunk]) if width == 2 else col[chunk]
+            shift = width * (r % per_word)
+            words[chunk, r // per_word] |= digits.astype(np.uint16) << shift
+        if counted:
+            w = None if weights is None else weights[chunk]
+            counts += np.bincount(words[chunk, 0], w, minlength=counts.size)
+    if counted:
+        codes = words[:, 0]
         present = np.flatnonzero(counts)
-        remap = np.zeros(1 << j, dtype=np.uint16)
-        remap[present] = np.arange(present.size)
-        pats = (present >> np.arange(j)[:, None]) & 1
-        return pats.astype(np.float64), counts[present], remap[codes]
-    # Too many codes to count directly: sort the columns' packed decision rows.
-    packed = np.zeros((bits[0].size, (j + 7) // 8), dtype=np.uint8)
-    for r, b in enumerate(bits):
-        packed[:, r // 8] |= b << (7 - r % 8)
-    rows = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
-    uniq, inverse, counts = np.unique(rows, return_inverse=True, return_counts=True)
-    if weights is not None:
-        # Every column passed with weights has a positive weight: see
-        # _joint_rows, whose rows all occur once J is this large.
-        counts = np.bincount(inverse, weights, minlength=uniq.size)
-    pats = np.unpackbits(uniq.view(np.uint8).reshape(uniq.size, -1), axis=1, count=j)
-    return pats.T.astype(np.float64), counts, inverse
+        index = np.zeros(counts.size, dtype=np.uint16)
+        index[present] = np.arange(present.size)
+        keys, counts = present[:, None], counts[present]
+    else:
+        # Too many codes to count directly: sort the rows of packed codes.
+        rows = words.view(np.dtype((np.void, words.itemsize * words.shape[1])))
+        uniq, codes, counts = np.unique(
+            rows.reshape(-1), return_inverse=True, return_counts=True
+        )
+        if weights is not None:
+            counts = np.bincount(codes, weights, minlength=uniq.size)
+        index = np.arange(uniq.size)
+        keys = uniq.view(np.uint16).reshape(uniq.size, -1)
+    r = np.arange(j)
+    pats = (keys.T[r // per_word] >> (width * (r % per_word))[:, None]) & ((1 << width) - 1)
+    return pats, counts, index, codes
+
+
+def _gather(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """``table[codes]``, read ``CHUNK_VOXELS`` codes at a time."""
+    out = np.empty(codes.size, dtype=table.dtype)
+    for start in range(0, codes.size, CHUNK_VOXELS):
+        chunk = slice(start, start + CHUNK_VOXELS)
+        out[chunk] = table[codes[chunk]]
+    return out
 
 
 def _e_step(pats: np.ndarray, p: np.ndarray, q: np.ndarray, prior: float) -> np.ndarray:
@@ -237,16 +262,17 @@ def _staple_em(
     """EM over the (J, K) decision patterns ``pats`` seen ``counts`` times.
 
     Returns the posterior of every pattern and the fit. ``init`` None means
-    the default parameters with ``tol`` and ``max_iters``, and the prior set
-    to the foreground rate over all J raters and ``n_voxels`` voxels.
+    the default parameters, with the prior set to the foreground rate over
+    all J raters and ``n_voxels`` voxels.
     """
+    if not (tol > 0 and max_iters >= 1):
+        raise ValueError(f"STAPLE needs tol > 0 and max_iters >= 1, got {tol}, {max_iters}")
+    pats = pats.astype(np.float64)
     j = pats.shape[0]
     if init is None:
         # An integer count over J * N: exactly the mean of the 0/1 decisions.
         foreground = int((pats @ counts).sum())
-        init = default_staple_params(
-            j, prior=foreground / (j * n_voxels), max_iters=max_iters, tol=tol
-        )
+        init = default_staple_params(j, prior=foreground / (j * n_voxels))
     elif len(init.p) != j:
         raise ValueError(f"init has {len(init.p)} raters, got {j}")
     p = np.asarray(init.p, dtype=np.float64)
@@ -256,25 +282,19 @@ def _staple_em(
     w = _e_step(pats, p, q, prior)
     iterations = 0
     converged = False
-    while iterations < init.max_iters:
+    while iterations < max_iters:
         p, q = _m_step(pats, counts, w, p, q)
         w_new = _e_step(pats, p, q, prior)
         iterations += 1
         delta = np.abs(w_new - w).max()
         w = w_new
-        if delta < init.tol:
+        if delta < tol:
             converged = True
             break
     # Re-estimate from the final posterior so the returned parameters are the
     # exact M-step fixed point of the returned W.
     p, q = _m_step(pats, counts, w, p, q)
-    final = StapleParams(
-        tuple(float(x) for x in p),
-        tuple(float(x) for x in q),
-        prior,
-        init.max_iters,
-        init.tol,
-    )
+    final = StapleParams(tuple(float(x) for x in p), tuple(float(x) for x in q), prior)
     return w, StapleFit(final, iterations, converged)
 
 
@@ -286,11 +306,10 @@ def staple_binary(
 ) -> StapleResult:
     """Fuse binary rater masks by expectation-maximization.
 
-    When ``init`` is None the default parameters are used (``tol`` and
-    ``max_iters`` then apply), with the foreground prior set to the global
-    mean foreground rate over all raters and voxels (clamped into (0,1)).
-    The output mask thresholds the posterior at W >= 0.5 (ties go to
-    foreground).
+    When ``init`` is None the default parameters are used, with the
+    foreground prior set to the global mean foreground rate over all raters
+    and voxels (clamped into (0,1)). The output mask thresholds the
+    posterior at W >= 0.5 (ties go to foreground).
     """
     if not masks:
         raise EmptyList("staple_binary needs at least one rater mask")
@@ -300,20 +319,12 @@ def staple_binary(
         if m.region is not region:
             raise GeometryMismatch("rater masks disagree on the region tag")
     bits = [m.data.reshape(-1).view(np.uint8) for m in masks]
-    pats, counts, inverse = _decision_patterns(bits)
-    w, fit = _staple_em(pats, counts, inverse.size, init, tol, max_iters)
-    posterior = w[inverse].reshape(masks[0].shape)
+    pats, counts, index, codes = _patterns(bits, 1)
+    w, fit = _staple_em(pats, counts, codes.size, init, tol, max_iters)
+    posterior = _gather(w[index], codes).reshape(masks[0].shape)
     mask = RegionMask(region, posterior >= 0.5, masks[0].spacing, masks[0].origin)
     return StapleResult(fit.final_params, fit.iterations, fit.converged, mask, posterior)
 
-
-# A voxel's joint code packs each rater's 2-bit label index into a uint16 up
-# to this many raters, and np.bincount counts all 4^J codes; beyond it the
-# joint rows are found by sorting.
-JOINT_BINCOUNT_MAX_RATERS = 8
-# Voxels encoded, counted and decoded per step: np.bincount and fancy
-# indexing copy their uint16 codes to intp, which bounds that copy.
-CHUNK_VOXELS = 1 << 20
 
 # Region membership of each label index (the position in BRATS_LABELS), read
 # off region_mask so the region semantics live only in ``regions``.
@@ -323,43 +334,6 @@ _MEMBERSHIP = {
     ).data.reshape(-1).view(np.uint8)
     for r in (Region.ET, Region.TC, Region.WT)
 }
-
-
-def _label_index(labels: np.ndarray) -> np.ndarray:
-    """Each label's position in BRATS_LABELS = (0, 1, 2, 4): l - l // 4."""
-    return labels - (labels >> 2)
-
-
-def _joint_rows(flat: list[np.ndarray]):
-    """The joint rater-label rows of the voxels and how often each occurs.
-
-    ``flat`` holds every rater's labels as one 1-D uint8 array. Returns
-    ``(rows, counts, inverse)``: the M rows as a (J, M) matrix of label
-    indices, each row's voxel count, and every voxel's row index. Up to
-    JOINT_BINCOUNT_MAX_RATERS raters the rows are all 4^J joint codes (most
-    may have count 0) and ``inverse`` is the voxels' codes; beyond it they
-    are the rows that occur.
-    """
-    j = len(flat)
-    if j <= JOINT_BINCOUNT_MAX_RATERS:
-        codes = np.zeros(flat[0].size, dtype=np.uint16)
-        counts = np.zeros(1 << (2 * j), dtype=np.int64)
-        for start in range(0, codes.size, CHUNK_VOXELS):
-            chunk = slice(start, start + CHUNK_VOXELS)
-            for r, labels in enumerate(flat):
-                codes[chunk] |= _label_index(labels[chunk]).astype(np.uint16) << (2 * r)
-            counts += np.bincount(codes[chunk], minlength=counts.size)
-        rows = (np.arange(counts.size) >> (2 * np.arange(j)[:, None])) & 3
-        return rows, counts, codes
-    # Four raters' label indices per byte; sort the voxels' packed rows.
-    packed = np.zeros((flat[0].size, (j + 3) // 4), dtype=np.uint8)
-    for r, labels in enumerate(flat):
-        packed[:, r // 4] |= _label_index(labels) << (2 * (r % 4))
-    keys = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
-    uniq, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    uniq = uniq.view(np.uint8).reshape(uniq.size, -1)
-    rows = np.stack([(uniq[:, r // 4] >> (2 * (r % 4))) & 3 for r in range(j)])
-    return rows, counts, inverse
 
 
 def staple_multilabel_detailed(
@@ -380,22 +354,17 @@ def staple_multilabel_detailed(
     require_same_geometry(*maps)
     first = maps[0].data
     order = "F" if first.flags.f_contiguous and not first.flags.c_contiguous else "C"
-    rows, counts, inverse = _joint_rows([m.data.ravel(order) for m in maps])
+    rows, counts, index, codes = _patterns([m.data.ravel(order) for m in maps], 2)
     results = {}
     fused = {}
     for r in (Region.ET, Region.TC, Region.WT):
         bits = [_MEMBERSHIP[r][rater_rows] for rater_rows in rows]
-        pats, pat_counts, pat_of_row = _decision_patterns(bits, counts)
-        w, results[r.value] = _staple_em(pats, pat_counts, inverse.size, init, tol, max_iters)
-        row_mask = (w >= 0.5)[pat_of_row].reshape(-1, 1, 1)
+        pats, pat_counts, pat_index, pat_of_row = _patterns(bits, 1, counts)
+        w, results[r.value] = _staple_em(pats, pat_counts, codes.size, init, tol, max_iters)
+        row_mask = (w >= 0.5)[pat_index[pat_of_row]].reshape(-1, 1, 1)
         fused[r] = RegionMask(r, row_mask, maps[0].spacing, maps[0].origin)
     lut = recompose_labels(fused[Region.ET], fused[Region.TC], fused[Region.WT])
-    lut = lut.data.reshape(-1)
-    labels = np.empty(inverse.size, dtype=np.uint8)
-    for start in range(0, labels.size, CHUNK_VOXELS):
-        chunk = slice(start, start + CHUNK_VOXELS)
-        labels[chunk] = lut[inverse[chunk]]
-    labels = labels.reshape(first.shape, order=order)
+    labels = _gather(lut.data.reshape(-1)[index], codes).reshape(first.shape, order=order)
     return LabelMap(labels, maps[0].spacing, maps[0].origin), results
 
 

@@ -27,13 +27,14 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import BratsFuseError, ConfigError
+from .errors import BratsFuseError, ConfigError, UnpairedCase
 from .fusion import (
     DEFAULT_MAX_ITERS,
     DEFAULT_TOL,
@@ -150,7 +151,7 @@ class PipelineConfig:
     def validate(self) -> None:
         if self.et_threshold < 0:
             raise ConfigError("et_threshold must be nonnegative")
-        if self.staple_tol <= 0 or self.staple_max_iters < 1:
+        if not self.staple_tol > 0 or self.staple_max_iters < 1:
             raise ConfigError("staple tol must be > 0 and max_iters >= 1")
         for case in self.cases:
             for m in case.models:
@@ -287,20 +288,21 @@ def run_eval(
 
     Unpaired files and per-case failures are recorded (not fatal) and the
     affected cases skipped; the caller decides the exit status from the
-    returned error list.
+    returned error list. A ``penalty`` that is negative or not finite is a
+    ConfigError, raised before any case runs.
     """
+    if not 0.0 <= penalty < math.inf:
+        raise ConfigError(f"hd95 penalty must be finite and nonnegative, got {penalty}")
     pred_dir, gt_dir, output_dir = Path(pred_dir), Path(gt_dir), Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
     pred_stems = {p.stem for p in pred_dir.glob("*.nii")}
     gt_stems = {p.stem for p in gt_dir.glob("*.nii")}
     paired = sorted(pred_stems & gt_stems)
     errors = [
-        {"case_id": s, "error": "UnpairedCase",
-         "detail": f"no ground truth for prediction {s}.nii"}
+        _case_error(s, UnpairedCase(f"no ground truth for prediction {s}.nii"))
         for s in sorted(pred_stems - gt_stems)
     ] + [
-        {"case_id": s, "error": "UnpairedCase",
-         "detail": f"no prediction for ground truth {s}.nii"}
+        _case_error(s, UnpairedCase(f"no prediction for ground truth {s}.nii"))
         for s in sorted(gt_stems - pred_stems)
     ]
     results = _run_cases(_EvalTask(pred_dir, gt_dir, penalty), paired, jobs)

@@ -1,20 +1,17 @@
-"""Intensity normalization and two elementary volume transforms.
+"""Intensity normalization for the ``preprocess`` command.
 
-``znorm`` backs the ``preprocess`` command. ``flip3d`` and
-``gamma_transform`` are not called by any command. All three are pure
-functions: they return a new volume and leave their input unchanged.
+``znorm`` is a pure function: it returns a new volume and leaves its input
+unchanged.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import ConstantVolume, EmptyVolume
-from .volume import LabelMap, Volume
+from .errors import EmptyVolume
+from .volume import Volume
 
-__all__ = ["znorm", "flip3d", "gamma_transform"]
+__all__ = ["znorm"]
 
 
 def znorm(v: Volume) -> Volume:
@@ -36,23 +33,3 @@ def znorm(v: Volume) -> Volume:
         out[support] = (vals - mean) / std
     return Volume(out, v.spacing, v.origin)
 
-
-def flip3d(v: Volume | LabelMap, axes: tuple[bool, bool, bool]):
-    """Mirror the grid along each axis flagged true."""
-    flip_axes = tuple(i for i, f in enumerate(axes) if f)
-    data = np.flip(v.data, axis=flip_axes).copy() if flip_axes else v.data
-    kind = LabelMap if isinstance(v, LabelMap) else Volume
-    return kind(data, v.spacing, v.origin)
-
-
-def gamma_transform(v: Volume, gamma: float) -> Volume:
-    """Power-law intensity transform preserving the [min, max] range."""
-    if gamma <= 0 or not math.isfinite(gamma):
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
-    data = np.asarray(v.data, dtype=np.float64)
-    lo = data.min()
-    hi = data.max()
-    if hi == lo:
-        raise ConstantVolume("gamma transform needs max > min")
-    out = lo + (hi - lo) * ((data - lo) / (hi - lo)) ** gamma
-    return Volume(out, v.spacing, v.origin)

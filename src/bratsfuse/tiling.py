@@ -3,17 +3,22 @@
 Window starts along each dimension are 0, s, 2s, ... with the final start
 clamped to ``dim - patch`` so the last window abuts the far face. A volume
 smaller than the patch is treated as zero-padded (at the high side) up to
-the patch shape, and the plan records that padding.
+the patch shape, and the plan records that padding. The window count is
+worked out before any window is built, and a plan of more than
+``MAX_WINDOWS`` windows is refused.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .volume import BBox
 
 __all__ = ["TilingPlan", "plan_tiling"]
+
+MAX_WINDOWS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -54,12 +59,10 @@ class TilingPlan:
         )
 
 
-def _axis_starts(dim: int, patch: int, stride: int) -> list[int]:
-    last = dim - patch
-    starts = list(range(0, last + 1, stride))
-    if starts[-1] != last:
-        starts.append(last)
-    return starts
+def _axis_count(dim: int, patch: int, stride: int) -> int:
+    """Windows along one axis: starts 0, s, 2s, ... below dim - patch, then
+    dim - patch itself."""
+    return -(-(dim - patch) // stride) + 1
 
 
 def plan_tiling(volume_shape, patch_shape, stride) -> TilingPlan:
@@ -74,8 +77,16 @@ def plan_tiling(volume_shape, patch_shape, stride) -> TilingPlan:
         raise ValueError("shapes must be positive")
     padding = tuple(max(0, p - n) for n, p in zip(volume_shape, patch_shape))
     padded = tuple(n + e for n, e in zip(volume_shape, padding))
+    counts = [_axis_count(d, p, s) for d, p, s in zip(padded, patch_shape, stride)]
+    n_windows = math.prod(counts)
+    if n_windows > MAX_WINDOWS:
+        raise ValueError(
+            f"plan has {n_windows} windows, more than {MAX_WINDOWS}: "
+            "use a larger stride or patch"
+        )
     per_axis = [
-        _axis_starts(d, p, s) for d, p, s in zip(padded, patch_shape, stride)
+        [min(k * s, d - p) for k in range(n)]
+        for d, p, s, n in zip(padded, patch_shape, stride, counts)
     ]
     windows = tuple(
         BBox((x, y, z), (x + patch_shape[0] - 1, y + patch_shape[1] - 1, z + patch_shape[2] - 1))

@@ -6,8 +6,9 @@ import pytest
 from bratsfuse import fusion
 from bratsfuse.errors import EmptyList, GeometryMismatch
 from bratsfuse.fusion import (
-    BINCOUNT_MAX_RATERS,
-    JOINT_BINCOUNT_MAX_RATERS,
+    CODE_BITS,
+    DEFAULT_MAX_ITERS,
+    DEFAULT_TOL,
     StapleParams,
     argmax_labels,
     average_probs,
@@ -19,7 +20,7 @@ from bratsfuse.fusion import (
 )
 from bratsfuse.regions import Region, RegionMask, recompose_labels, region_mask
 from bratsfuse.synth import PhantomSpec, corrupt_labels, make_phantom
-from bratsfuse.volume import LabelMap, ProbMap
+from bratsfuse.volume import BRATS_LABELS, LabelMap, ProbMap
 
 from .conftest import random_labelmap, random_mask, random_probmap
 from .oracles import staple_em_reference
@@ -131,9 +132,9 @@ class TestStapleBinary:
         self.assert_matches_reference(res, d, default_staple_params(3, prior=float(d.mean())))
 
     @staticmethod
-    def assert_matches_reference(res, d, init):
+    def assert_matches_reference(res, d, init, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS):
         w_ref, p_ref, q_ref, iters_ref, conv_ref = staple_em_reference(
-            d, init.p, init.q, init.prior, init.tol, init.max_iters
+            d, init.p, init.q, init.prior, tol, max_iters
         )
         assert np.abs(res.posterior.reshape(-1) - w_ref).max() < 1e-6
         assert np.abs(np.array(res.final_params.p) - p_ref).max() < 1e-6
@@ -144,7 +145,7 @@ class TestStapleBinary:
     # 5 raters are counted by np.bincount, 20 by sorting packed decision rows.
     @pytest.mark.parametrize("n_raters", [5, 20])
     def test_against_reference_on_disagreeing_raters(self, rng, n_raters):
-        assert 5 <= BINCOUNT_MAX_RATERS < 20
+        assert 5 <= CODE_BITS < 20
         truth = rng.random((6, 5, 4)) < 0.4
         masks = [
             RegionMask(Region.WT, truth ^ (rng.random(truth.shape) < 0.15))
@@ -156,11 +157,10 @@ class TestStapleBinary:
         assert res.final_params.prior == float(np.stack([m.data for m in masks]).mean())
         self.assert_matches_reference(res, d, default_staple_params(n_raters, float(d.mean())))
 
-        init = StapleParams((0.8,) * n_raters, (0.9,) * n_raters, prior=0.3,
-                            max_iters=7, tol=1e-12)
-        res = staple_binary(masks, init)
+        init = StapleParams((0.8,) * n_raters, (0.9,) * n_raters, prior=0.3)
+        res = staple_binary(masks, init, tol=1e-12, max_iters=7)
         assert res.final_params.prior == 0.3
-        self.assert_matches_reference(res, d, init)
+        self.assert_matches_reference(res, d, init, tol=1e-12, max_iters=7)
 
     def test_mask_matches_thresholded_posterior(self, rng):
         masks = [random_mask(rng, (4, 4, 4), density=0.4) for _ in range(3)]
@@ -205,13 +205,51 @@ class TestStapleBinary:
             res = staple_binary([mask] * 64)
         assert np.isfinite(res.posterior).all()
 
-    def test_param_validation(self):
+    def test_param_validation(self, rng):
         with pytest.raises(ValueError):
             StapleParams((0.5,), (0.5,), prior=1.0)
         with pytest.raises(ValueError):
             StapleParams((0.5,), (0.5, 0.5), prior=0.5)
-        with pytest.raises(ValueError):
-            StapleParams((0.5,), (0.5,), prior=0.5, max_iters=0)
+        masks = [random_mask(rng, (3, 3, 3))]
+        maps = [random_labelmap(rng, (3, 3, 3))]
+        for em in ({"max_iters": 0}, {"tol": 0.0}, {"tol": float("nan")}):
+            with pytest.raises(ValueError, match="tol > 0 and max_iters >= 1"):
+                staple_binary(masks, **em)
+            with pytest.raises(ValueError, match="tol > 0 and max_iters >= 1"):
+                staple_multilabel_detailed(maps, **em)
+
+    def test_em_controls_apply_with_an_init(self, rng):
+        masks = [random_mask(rng, (6, 5, 4), density=0.4) for _ in range(3)]
+        init = StapleParams((0.9,) * 3, (0.9,) * 3, 0.3)
+        assert staple_binary(masks, init).iterations > 1
+        res = staple_binary(masks, init, max_iters=1)
+        assert (res.iterations, res.converged) == (1, False)
+        res = staple_binary(masks, init, tol=1.0)
+        assert (res.iterations, res.converged) == (1, True)
+
+
+class TestPatterns:
+    """The row counter behind every STAPLE path, by np.bincount and by sorting."""
+
+    @pytest.mark.parametrize("code_bits", [CODE_BITS, 4])
+    @pytest.mark.parametrize("width, n_cols", [(1, 5), (2, 3)])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_rows_and_counts(self, rng, monkeypatch, code_bits, width, n_cols, weighted):
+        monkeypatch.setattr(fusion, "CODE_BITS", code_bits)
+        monkeypatch.setattr(fusion, "CHUNK_VOXELS", 97)
+        labels = np.array(BRATS_LABELS, dtype=np.uint8)
+        digits = rng.integers(0, 1 << width, (n_cols, 500)).astype(np.uint8)
+        cols = list(digits if width == 1 else labels[digits])
+        weights = rng.integers(1, 5, 500) if weighted else None
+        pats, counts, index, codes = fusion._patterns(cols, width, weights)
+        assert np.array_equal(pats[:, index[codes]], digits)
+        want = {}
+        for k, row in enumerate(map(tuple, digits.T)):
+            want[row] = want.get(row, 0) + (1 if weights is None else weights[k])
+        assert dict(zip(map(tuple, pats.T), counts.tolist())) == want
+        if width * n_cols <= code_bits:  # counted: ascending code order
+            row_codes = (pats << (width * np.arange(n_cols))[:, None]).sum(axis=0)
+            assert (np.diff(row_codes) > 0).all()
 
 
 class TestStapleMultilabel:
@@ -267,10 +305,10 @@ class TestJointLabelStaple:
     recompose_labels, the path it replaces."""
 
     @staticmethod
-    def assert_equals_per_region(raters, init):
+    def assert_equals_per_region(raters, init, **em):
         """Checks labels and fits; returns the per-region STAPLE masks."""
-        fused, details = staple_multilabel_detailed(raters, init)
-        per_region = {r: staple_binary([region_mask(m, r) for m in raters], init)
+        fused, details = staple_multilabel_detailed(raters, init, **em)
+        per_region = {r: staple_binary([region_mask(m, r) for m in raters], init, **em)
                       for r in REGIONS}
         want = recompose_labels(*(per_region[r].mask for r in REGIONS))
         assert np.array_equal(fused.data, want.data)
@@ -287,15 +325,17 @@ class TestJointLabelStaple:
     @pytest.mark.parametrize("n_raters, seed, init", [
         (2, 1, StapleParams((0.95, 0.7), (0.8, 0.99), prior=0.1)),
         (3, 10, None),
-        (3, 10, StapleParams((0.9, 0.8, 0.95), (0.97, 0.9, 0.99), prior=0.2,
-                             max_iters=5, tol=1e-9)),
+        # An init with its own EM controls: (init, {"max_iters": .., "tol": ..}).
+        (3, 10, (StapleParams((0.9, 0.8, 0.95), (0.97, 0.9, 0.99), prior=0.2),
+                 {"max_iters": 5, "tol": 1e-9})),
         (8, 4, None),   # the most raters whose joint codes fit a uint16
         (9, 4, None),   # joint rows found by sorting
     ])
     @pytest.mark.parametrize("first_order", ["C", "F"])
     def test_equals_the_per_region_path(self, monkeypatch, n_raters, seed, init,
                                         first_order):
-        assert JOINT_BINCOUNT_MAX_RATERS == 8  # the 8- and 9-rater cases straddle it
+        init, em = init if isinstance(init, tuple) else (init, {})
+        assert CODE_BITS // 2 == 8  # the 8- and 9-rater cases straddle it
         # 8000 voxels: eight full chunks and a short one.
         monkeypatch.setattr(fusion, "CHUNK_VOXELS", 999)
         gt, _ = make_phantom(PhantomSpec(shape=(20, 20, 20), seed=7))
@@ -304,7 +344,7 @@ class TestJointLabelStaple:
         orders = ["C", "F"] if first_order == "C" else ["F", "C"]
         raters = [LabelMap(np.asarray(m.data, order=orders[k % 2]), m.spacing, m.origin)
                   for k, m in enumerate(raters)]
-        masks = self.assert_equals_per_region(raters, init)
+        masks = self.assert_equals_per_region(raters, init, **em)
         # The per-region masks are not nested, so the recomposition's union
         # rules decide some voxels: with the default init both of them.
         et_outside_tc = (masks[Region.ET] & ~masks[Region.TC]).any()
@@ -313,7 +353,7 @@ class TestJointLabelStaple:
 
     def test_region_patterns_found_by_sorting(self):
         # 17 raters: both the joint rows and each region's patterns are sorted.
-        assert 17 > BINCOUNT_MAX_RATERS
+        assert 17 > CODE_BITS
         gt, _ = make_phantom(PhantomSpec(shape=(20, 20, 20), seed=7))
         self.assert_equals_per_region(boundary_raters(gt, 17, 4), None)
 

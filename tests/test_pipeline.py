@@ -14,7 +14,7 @@ from click.testing import CliRunner
 import bratsfuse
 from bratsfuse import pipeline
 from bratsfuse.cli import main
-from bratsfuse.errors import GeometryMismatch, TruncatedFile
+from bratsfuse.errors import ConfigError, GeometryMismatch, TruncatedFile
 from bratsfuse.fusion import argmax_labels, average_probs
 from bratsfuse.nifti import load_labelmap, load_probmap, save_nifti, save_probmap, write_nifti
 from bratsfuse.postprocess import DEFAULT_ET_THRESHOLD, et_threshold_relabel
@@ -83,6 +83,46 @@ def test_eval_cli_exits_2_on_a_nan_prediction(tmp_path):
     assert result.exit_code == 2, result.output
     assert "evaluated 1 case(s), 1 error(s)" in result.output
     assert [e["case_id"] for e in json.loads((out / "errors.json").read_text())] == ["bad"]
+
+
+@pytest.mark.parametrize("penalty", ["nan", "inf", "-5"])
+def test_eval_refuses_a_bad_hd95_penalty_before_any_case(tmp_path, penalty):
+    pred, gt = _eval_dirs(tmp_path)
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match="hd95 penalty must be finite and nonnegative"):
+        run_eval(pred, gt, out, penalty=float(penalty))
+    result = CliRunner().invoke(main, ["eval", str(pred), str(gt), "--out", str(out),
+                                       "--hd95-penalty", penalty])
+    assert result.exit_code == 1, result.output
+    assert result.output.startswith("Error: hd95 penalty must be finite")
+    assert result.output.count("\n") == 1
+    assert not out.exists()
+
+
+def test_unpaired_cases_are_error_records(tmp_path):
+    pred, gt = _eval_dirs(tmp_path)
+    save_nifti(pred / "extra.nii", _labels())
+    (gt / "bad.nii").rename(gt / "lone.nii")
+    _, errors = run_eval(pred, gt, tmp_path / "out")
+    assert errors == [
+        {"case_id": "bad", "error": "UnpairedCase",
+         "detail": "no ground truth for prediction bad.nii"},
+        {"case_id": "extra", "error": "UnpairedCase",
+         "detail": "no ground truth for prediction extra.nii"},
+        {"case_id": "lone", "error": "UnpairedCase",
+         "detail": "no prediction for ground truth lone.nii"},
+    ]
+
+
+def test_postprocess_cli_refuses_a_negative_et_threshold(tmp_path):
+    save_nifti(tmp_path / "in.nii", _labels())
+    out = tmp_path / "out.nii"
+    result = CliRunner().invoke(main, ["postprocess", str(tmp_path / "in.nii"), str(out),
+                                       "--et-threshold", "-1"])
+    assert result.exit_code == 2, result.output
+    assert "Invalid value for '--et-threshold'" in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert not out.exists()
 
 
 def test_cases_csv_reads_back_what_eval_wrote(tmp_path):
@@ -289,6 +329,15 @@ def test_fuse_cli_exits_2_and_writes_the_good_case(tmp_path, rng):
     assert "  a_zero: BadData (" in result.output
     assert "  c_planes: GeometryMismatch (" in result.output
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("option", [["--staple-tol", "nan"], ["--staple-max-iters", "0"]])
+def test_fuse_cli_refuses_bad_staple_controls(tmp_path, rng, option):
+    cfg_path, _ = _fuse_config(tmp_path, rng)
+    result = CliRunner().invoke(main, ["fuse", "--config", str(cfg_path), *option])
+    assert result.exit_code == 1, result.output
+    assert result.output == "Error: staple tol must be > 0 and max_iters >= 1\n"
+    assert not (tmp_path / "fused").exists()
 
 
 def test_a_clean_rerun_removes_errors_json(tmp_path, rng):

@@ -1,9 +1,14 @@
+import time
+
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bratsfuse.tiling import TilingPlan, plan_tiling
+from bratsfuse import tiling
+from bratsfuse.cli import main
+from bratsfuse.tiling import MAX_WINDOWS, TilingPlan, plan_tiling
 
 
 class TestPlan:
@@ -34,6 +39,28 @@ class TestPlan:
             plan_tiling((10, 10, 10), (4, 4, 4), (5, 4, 4))
         with pytest.raises(ValueError):
             plan_tiling((10, 10, 10), (4, 4, 4), (0, 4, 4))
+
+    def test_window_count_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(tiling, "MAX_WINDOWS", 11)
+        with pytest.raises(ValueError, match="plan has 12 windows, more than 11"):
+            plan_tiling((192, 224, 160), (128, 128, 128), (64, 64, 64))
+        assert len(plan_tiling((192, 224, 96), (128, 128, 128), (64, 64, 64)).windows) == 6
+
+    @pytest.mark.parametrize("shape", [(1001, 1000, 1), (10**9,) * 3])
+    def test_plans_over_the_limit_are_refused_at_once(self, shape):
+        assert 1001 * 1000 > MAX_WINDOWS >= 1000 * 1000
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="windows, more than"):
+            plan_tiling(shape, (1, 1, 1), (1, 1, 1))
+        assert time.perf_counter() - start < 0.5
+
+    def test_cli_reports_an_oversized_plan_as_one_line(self):
+        result = CliRunner().invoke(main, ["tiling-plan", "--shape", "100000", "100000",
+                                           "100000", "--patch", "1", "1", "1",
+                                           "--stride", "1", "1", "1"])
+        assert result.exit_code == 1
+        assert result.output.startswith("Error: plan has 10")
+        assert result.output.count("\n") == 1
 
     def test_json_roundtrip(self):
         plan = plan_tiling((30, 20, 10), (8, 8, 8), (4, 6, 8))
