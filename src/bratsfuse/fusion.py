@@ -45,20 +45,29 @@ the final gather) run ``CHUNK_VOXELS`` voxels at a time.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyList, GeometryMismatch
 from .regions import Region, RegionMask, recompose_labels, region_mask
-from .volume import BRATS_LABELS, LabelMap, ProbMap, require_same_geometry
+from .volume import (
+    BRATS_LABELS,
+    PROB_CHANNELS,
+    LabelMap,
+    ProbMap,
+    require_same_geometry,
+)
 
 __all__ = [
     "StapleParams",
     "StapleFit",
     "StapleResult",
     "average_probs",
+    "average_probs_into",
     "argmax_labels",
+    "argmax_labels_into",
     "majority_vote",
     "staple_binary",
     "staple_multilabel",
@@ -78,17 +87,49 @@ CODE_BITS = 16
 # fancy indexing copy their uint16 codes to intp, which bounds that copy.
 CHUNK_VOXELS = 1 << 20
 
+
+def average_probs_into(maps: Iterable[np.ndarray], out: np.ndarray) -> np.ndarray:
+    """Channelwise mean of one or more ``maps`` into ``out``, clipped to
+    [0, 1]; returns ``out``.
+
+    ``out`` is zeroed and each map added in the given order, so the sums are
+    deterministic. ``maps`` may be a generator that refills one buffer per
+    map. The mean is not checked to be a probability map.
+    """
+    out[...] = 0.0
+    count = 0
+    for m in maps:  # fixed input order: deterministic, reproducible sums
+        out += m
+        count += 1
+    out /= count
+    np.clip(out, 0.0, 1.0, out=out)
+    return out
+
+
 def average_probs(maps: list[ProbMap]) -> ProbMap:
     """Voxelwise, channelwise arithmetic mean of probability maps."""
     if not maps:
         raise EmptyList("average_probs needs at least one probability map")
     require_same_geometry(*maps)
-    acc = np.zeros_like(maps[0].data, dtype=np.float64)  # same memory layout
-    for m in maps:  # fixed input order: deterministic, reproducible sums
-        acc += m.data
-    acc /= len(maps)
-    np.clip(acc, 0.0, 1.0, out=acc)
+    acc = np.empty_like(maps[0].data, dtype=np.float64)  # same memory layout
+    average_probs_into((m.data for m in maps), acc)
     return ProbMap(acc, maps[0].spacing, maps[0].origin)
+
+
+def argmax_labels_into(p: np.ndarray, out: np.ndarray, best: np.ndarray) -> np.ndarray:
+    """Label of each voxel's most probable channel of ``p`` (channels on axis
+    0, in ``PROB_CHANNELS`` order) into the uint8 ``out``, which is returned.
+
+    A tie goes to the later channel: each channel in turn takes the voxels
+    where it is ``>=`` the best so far. ``best`` (float64, shaped like
+    ``out``) is scratch.
+    """
+    np.copyto(best, p[0])
+    out[...] = PROB_CHANNELS[0]
+    for c in range(1, len(PROB_CHANNELS)):
+        np.copyto(out, PROB_CHANNELS[c], where=p[c] >= best)
+        np.maximum(best, p[c], out=best)
+    return out
 
 
 def argmax_labels(p: ProbMap) -> LabelMap:
@@ -96,9 +137,7 @@ def argmax_labels(p: ProbMap) -> LabelMap:
 
     Channel order is (0, 1, 2, 4), so a tie prefers tumor over background.
     """
-    rev = p.data[::-1]
-    idx = len(p.channels) - 1 - np.argmax(rev, axis=0)
-    labels = np.array(p.channels, dtype=np.uint8)[idx]
+    labels = argmax_labels_into(p.data, np.empty(p.shape, np.uint8), np.empty(p.shape))
     return LabelMap(labels, p.spacing, p.origin)
 
 

@@ -13,12 +13,13 @@ bit-exactly for the supported dtypes.
 
 Probability maps do not fit in a 3-D file; they serialize as one NIfTI per
 channel plus a JSON manifest ``{"channels": [0, 1, 2, 4], "files": [...]}``.
-:func:`load_probmap` can read a range of whole z-planes: in x-fastest order
-those are one contiguous byte range of each channel file, so only the
-requested planes are read and held in memory (as float64, four channels).
-:func:`load_probmap_header` checks a map's channel files without reading
-voxels, so a caller can check the full grids once and then read the map
-slab by slab.
+:class:`ProbmapFiles` opens a map's four channel files and parses and
+checks their headers once; its ``decode`` then reads a range of whole
+z-planes (in x-fastest order one contiguous byte range of each file) into
+buffers the caller owns and reuses, renormalises them into a float64
+buffer and checks the result, so a map can be read slab by slab without a
+header parse or a fresh array per slab. :func:`load_probmap` and
+:func:`load_probmap_header` are that same path for one call.
 """
 
 from __future__ import annotations
@@ -36,11 +37,19 @@ from .errors import (
     BadData,
     BadHeader,
     BadMagic,
+    ConfigError,
     TruncatedFile,
     UnsupportedDtype,
     UnsupportedEncoding,
 )
-from .volume import LabelMap, ProbMap, Volume, _shift_origin, require_same_geometry
+from .volume import (
+    LabelMap,
+    ProbMap,
+    Volume,
+    _check_probs,
+    _shift_origin,
+    require_same_geometry,
+)
 
 __all__ = [
     "read_nifti",
@@ -52,6 +61,7 @@ __all__ = [
     "save_probmap",
     "load_probmap",
     "load_probmap_header",
+    "ProbmapFiles",
     "Header",
 ]
 
@@ -133,14 +143,6 @@ def _parse_header(raw: bytes) -> Header:
     return Header(shape, spacing, origin, _DTYPES[datatype], offset)
 
 
-def _volume(data: np.ndarray, shape, spacing, origin) -> Volume:
-    """x-fastest voxels as a Volume; what the constructor refuses is BadData."""
-    try:
-        return Volume(data.reshape(shape, order="F"), spacing, origin)
-    except ValueError as e:
-        raise BadData(str(e)) from e
-
-
 def read_nifti(raw: bytes) -> Volume:
     """Parse an uncompressed single-file NIfTI-1 byte stream into a Volume."""
     hdr = _parse_header(raw)
@@ -149,7 +151,10 @@ def read_nifti(raw: bytes) -> Volume:
     data = np.frombuffer(
         raw, dtype=hdr.dtype, count=int(np.prod(hdr.shape)), offset=hdr.offset
     )
-    return _volume(data, hdr.shape, hdr.spacing, hdr.origin)
+    try:
+        return Volume(data.reshape(hdr.shape, order="F"), hdr.spacing, hdr.origin)
+    except ValueError as e:
+        raise BadData(str(e)) from e
 
 
 def read_labelmap(raw: bytes) -> LabelMap:
@@ -222,15 +227,25 @@ def save_probmap(pm: ProbMap, directory, stem: str) -> Path:
 
 
 def _channel_files(manifest_path: Path) -> list[Path]:
-    meta = json.loads(manifest_path.read_text())
+    try:
+        meta = json.loads(manifest_path.read_text())
+    except OSError as e:
+        raise ConfigError(f"cannot read manifest {manifest_path}: {e.strerror}") from e
+    except ValueError as e:  # not JSON, or not UTF-8 text
+        raise BadHeader(f"{manifest_path}: not a JSON manifest ({e})") from e
+    if not isinstance(meta, dict):
+        raise BadHeader(f"{manifest_path}: manifest must be a JSON object")
     channels = meta.get("channels")
-    if tuple(channels or ()) != ProbMap.channels:
+    if not isinstance(channels, list) or tuple(channels) != ProbMap.channels:
         raise BadHeader(
-            f"manifest channels must be {list(ProbMap.channels)}, got {channels}"
+            f"{manifest_path}: manifest channels must be {list(ProbMap.channels)}, "
+            f"got {channels}"
         )
     files = meta.get("files", [])
-    if len(files) != len(ProbMap.channels):
-        raise BadHeader(f"manifest must list 4 files, got {len(files)}")
+    if not isinstance(files, list) or len(files) != len(ProbMap.channels):
+        raise BadHeader(f"{manifest_path}: manifest must list 4 files, got {files!r}")
+    if not all(isinstance(f, str) for f in files):
+        raise BadHeader(f"{manifest_path}: manifest files must be names, got {files!r}")
     return [manifest_path.parent / f for f in files]
 
 
@@ -243,6 +258,86 @@ def _read_header(fh) -> Header:
     return hdr
 
 
+class ProbmapFiles:
+    """The open channel files of a probability map, checked once.
+
+    Opening reads the manifest and the four channel headers, checks that each
+    file holds all its voxels and that the four grids agree; :meth:`decode`
+    then reads any range of z-planes without parsing or checking the headers
+    again. Use it as a context manager (or call :meth:`close`).
+    """
+
+    def __init__(self, manifest_path):
+        self.manifest = Path(manifest_path)
+        paths = _channel_files(self.manifest)
+        with ExitStack() as stack:
+            self._files = []
+            for path in paths:
+                try:
+                    self._files.append(stack.enter_context(open(path, "rb")))
+                except OSError as e:
+                    raise ConfigError(
+                        f"{self.manifest}: cannot open channel file {path}: {e.strerror}"
+                    ) from e
+            self._headers = [_read_header(fh) for fh in self._files]
+            require_same_geometry(*self._headers)
+            self._stack = stack.pop_all()
+        self.header = self._headers[0]
+
+    def close(self) -> None:
+        self._stack.close()
+
+    def __enter__(self) -> "ProbmapFiles":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def decode(self, z0: int, z1: int, raw: np.ndarray, out: np.ndarray,
+               sums: np.ndarray) -> np.ndarray:
+        """Planes ``z0:z1`` renormalised into ``out``, which is returned.
+
+        ``out`` is float64 ``(4, n)`` for the ``n`` voxels of those planes,
+        each channel in x-fastest order. ``raw`` (float32, at least
+        ``(4, n)``) receives the stored values and ``sums`` (float64,
+        ``(n,)``) the channel sums; both are scratch. The sums are taken in
+        float64 in channel order, each channel is divided by them and
+        clipped to [0, 1]. A non-finite channel, a voxel whose channels sum
+        to 0, and renormalised channels outside [0, 1] or whose sum is off 1
+        by more than 1e-6 are ``BadData`` naming the manifest.
+        """
+        nx, ny, _ = self.header.shape
+        n = nx * ny * (z1 - z0)
+        channels = []
+        for fh, hdr, row in zip(self._files, self._headers, raw):
+            # Every supported dtype is at most 4 bytes wide, so a float32 row
+            # holds n voxels of any of them.
+            data = row.view(np.uint8)[: n * hdr.dtype.itemsize].view(hdr.dtype)
+            fh.seek(hdr.offset + nx * ny * hdr.dtype.itemsize * z0)
+            if fh.readinto(data) != data.nbytes:
+                raise TruncatedFile(f"{fh.name}: ends inside planes {z0}:{z1}")
+            channels.append(data)
+        np.add(channels[0], channels[1], out=sums, dtype=np.float64)
+        for data in channels[2:]:
+            sums += data
+        # Four finite float32 or integer values cannot sum to +-inf in
+        # float64, and min and max propagate NaN: this finds every voxel
+        # with a NaN or infinite channel.
+        if not (np.isfinite(sums.min()) and np.isfinite(sums.max())):
+            raise BadData(f"{self.manifest}: probability data contains NaN or Inf")
+        if not sums.all():
+            raise BadData(f"{self.manifest}: a voxel's four channels sum to 0")
+        for data, probs in zip(channels, out):
+            np.divide(data, sums, out=probs)
+        # float32 storage can nudge channel sums off 1 by a few ulp.
+        np.clip(out, 0.0, 1.0, out=out)
+        try:
+            _check_probs(out, sums)
+        except ValueError as e:
+            raise BadData(f"{self.manifest}: {e}") from e
+        return out
+
+
 def load_probmap_header(manifest_path) -> Header:
     """Header of a probability map's channel files, read without their voxels.
 
@@ -250,12 +345,8 @@ def load_probmap_header(manifest_path) -> Header:
     or channel files that disagree in geometry; ``dtype`` and ``offset`` are
     those of the first channel file.
     """
-    headers = []
-    for path in _channel_files(Path(manifest_path)):
-        with open(path, "rb") as fh:
-            headers.append(_read_header(fh))
-    require_same_geometry(*headers)
-    return headers[0]
+    with ProbmapFiles(manifest_path) as files:
+        return files.header
 
 
 def load_probmap(manifest_path, planes: slice = slice(None)) -> ProbMap:
@@ -265,35 +356,18 @@ def load_probmap(manifest_path, planes: slice = slice(None)) -> ProbMap:
     planes of each channel file are read, and the result's origin is shifted
     by ``z0 * spacing[2]`` as :func:`~bratsfuse.volume.crop` would shift it.
     The default reads the whole map. The full grid of every channel file is
-    checked either way. The channels are renormalised to sum to 1 in
-    float64; a voxel whose channels sum to 0, or a map the
-    :class:`~bratsfuse.volume.ProbMap` constructor refuses, is ``BadData``.
+    checked either way, and the planes are decoded by
+    :meth:`ProbmapFiles.decode`, whose ``BadData`` checks apply.
     """
-    manifest_path = Path(manifest_path)
-    with ExitStack() as stack:
-        files = [stack.enter_context(open(p, "rb")) for p in _channel_files(manifest_path)]
-        headers = [_read_header(fh) for fh in files]
-        require_same_geometry(*headers)
-        nx, ny, nz = headers[0].shape
-        spacing = headers[0].spacing
+    with ProbmapFiles(manifest_path) as files:
+        nx, ny, nz = files.header.shape
         z0, z1, step = planes.indices(nz)
         if step != 1 or z1 <= z0:
             raise ValueError(f"planes must be a non-empty range with step 1, got {planes}")
-        origin = _shift_origin(headers[0].origin, spacing, (0, 0, z0))
-        vols = []
-        for fh, hdr in zip(files, headers):
-            plane_bytes = nx * ny * hdr.dtype.itemsize
-            fh.seek(hdr.offset + plane_bytes * z0)
-            data = np.frombuffer(fh.read(plane_bytes * (z1 - z0)), dtype=hdr.dtype)
-            vols.append(_volume(data, (nx, ny, z1 - z0), spacing, origin))
-    data = np.stack([v.data for v in vols], dtype=np.float64)
-    # float32 storage can nudge channel sums off 1 by a few ulp; renormalize.
-    sums = data.sum(axis=0, keepdims=True)
-    if not sums.all():
-        raise BadData(f"{manifest_path}: a voxel's four channels sum to 0")
-    data /= sums
-    np.clip(data, 0.0, 1.0, out=data)
-    try:
-        return ProbMap(data, spacing, origin)
-    except ValueError as e:
-        raise BadData(f"{manifest_path}: {e}") from e
+        n = nx * ny * (z1 - z0)
+        data = files.decode(z0, z1, np.empty((4, n), np.float32), np.empty((4, n)),
+                            np.empty(n))
+    spacing = files.header.spacing
+    origin = _shift_origin(files.header.origin, spacing, (0, 0, z0))
+    # Each channel row is x-fastest: view it as (nx, ny, nz) without a copy.
+    return ProbMap(data.reshape(4, z1 - z0, ny, nx).transpose(0, 3, 2, 1), spacing, origin)

@@ -7,10 +7,14 @@ diagnostics sidecar. ``run_eval`` pairs prediction and ground-truth files by
 filename stem and emits per-case metrics (CSV + JSON) and summary tables.
 
 A model given as fold probability maps is decoded in slabs of whole
-z-planes (about ``SLAB_VOXELS`` voxels, at least one plane): every fold's
-full grid is checked first, then each slab is read from every fold,
-averaged and decoded into one uint8 label map, so one slab of each fold is
-in memory at a time instead of every fold's whole float64 map.
+z-planes (about ``SLAB_VOXELS`` voxels, at least one plane). Every fold's
+channel files are opened and their headers parsed and checked once, before
+the first slab. The model's buffers (one float32 slab of stored channels,
+float64 slabs for one fold's renormalised channels and for the running
+mean, and the channel sums) are allocated once and reused: each slab is
+read from every fold in config order, renormalised and checked, added to
+the mean, and the mean is checked and decoded into the uint8 label map.
+No fold's whole map, and no fresh float64 stack per slab, is held.
 
 A case that raises a :class:`~bratsfuse.errors.BratsFuseError` is recorded
 in ``errors.json`` and skipped, and any ``<case>.nii`` or
@@ -29,17 +33,18 @@ import csv
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import BratsFuseError, ConfigError, UnpairedCase
+from .errors import BadData, BratsFuseError, ConfigError, UnpairedCase
 from .fusion import (
     DEFAULT_MAX_ITERS,
     DEFAULT_TOL,
-    argmax_labels,
-    average_probs,
+    argmax_labels_into,
+    average_probs_into,
     staple_multilabel_detailed,
 )
 from .metrics import (
@@ -50,7 +55,7 @@ from .metrics import (
     metrics_csv_header,
     metrics_csv_row,
 )
-from .nifti import load_labelmap, load_probmap, load_probmap_header, save_nifti
+from .nifti import ProbmapFiles, load_labelmap, save_nifti
 from .postprocess import DEFAULT_ET_THRESHOLD, et_threshold_relabel
 from .report import (
     ModelSummary,
@@ -60,7 +65,12 @@ from .report import (
     rank_models,
     summarize,
 )
-from .volume import LabelMap, require_same_geometry
+from .volume import LabelMap, _check_probs, require_same_geometry
+
+# Not called here (fold maps go through the array cores above), but
+# benchmarks/tracing.py wraps these names on this module.
+from .fusion import argmax_labels, average_probs  # noqa: F401
+from .nifti import load_probmap  # noqa: F401
 
 __all__ = [
     "ModelInput",
@@ -98,6 +108,26 @@ class CaseInput:
     models: tuple[ModelInput, ...]
 
 
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _json_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{what} must be a JSON list, got {type(value).__name__}")
+    return value
+
+
+def _convert(kind, value, what: str):
+    """``kind(value)``, or a ConfigError naming ``what``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ConfigError(f"{what} must be {kind.__name__}, got {value!r}") from e
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     cases: tuple[CaseInput, ...]
@@ -108,42 +138,56 @@ class PipelineConfig:
 
     @classmethod
     def from_json(cls, path) -> "PipelineConfig":
+        """Read a config file; anything malformed in it is a ConfigError."""
         path = Path(path)
         try:
             raw = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as e:
+        except (OSError, ValueError) as e:  # ValueError: not JSON, or not UTF-8
             raise ConfigError(f"cannot read config {path}: {e}") from e
         base = path.parent
 
         def resolve(p):
+            if not isinstance(p, str):
+                raise ConfigError(f"paths must be strings, got {p!r}")
             p = Path(p)
             return p if p.is_absolute() else base / p
 
+        raw = _json_object(raw, f"config {path}")
         cases = []
-        for c in raw.get("cases", []):
+        for c in _json_list(raw.get("cases", []), "cases"):
+            c = _json_object(c, "a case")
+            if "id" not in c:
+                raise ConfigError("a case has no 'id'")
+            case_id = str(c["id"])
             models = []
-            for m in c.get("models", []):
+            for m in _json_list(c.get("models", []), f"case {case_id!r} models"):
+                m = _json_object(m, f"a model of case {case_id!r}")
+                if "name" not in m:
+                    raise ConfigError(f"a model of case {case_id!r} has no 'name'")
                 models.append(
                     ModelInput(
                         name=m["name"],
                         labelmap=resolve(m["labelmap"]) if "labelmap" in m else None,
                         prob_manifests=tuple(
-                            resolve(p) for p in m.get("prob_manifests", [])
+                            resolve(p) for p in _json_list(
+                                m.get("prob_manifests", []), f"model {m['name']!r} prob_manifests")
                         ),
                     )
                 )
             if not models:
-                raise ConfigError(f"case {c.get('id')!r} lists no models")
-            cases.append(CaseInput(case_id=str(c["id"]), models=tuple(models)))
+                raise ConfigError(f"case {case_id!r} lists no models")
+            cases.append(CaseInput(case_id=case_id, models=tuple(models)))
         if not cases:
             raise ConfigError("config lists no cases")
-        staple = raw.get("staple", {})
+        staple = _json_object(raw.get("staple", {}), "staple")
         cfg = cls(
             cases=tuple(cases),
             output_dir=resolve(raw.get("output_dir", "fused")),
-            et_threshold=int(raw.get("et_threshold", DEFAULT_ET_THRESHOLD)),
-            staple_tol=float(staple.get("tol", DEFAULT_TOL)),
-            staple_max_iters=int(staple.get("max_iters", DEFAULT_MAX_ITERS)),
+            et_threshold=_convert(int, raw.get("et_threshold", DEFAULT_ET_THRESHOLD),
+                                  "et_threshold"),
+            staple_tol=_convert(float, staple.get("tol", DEFAULT_TOL), "staple tol"),
+            staple_max_iters=_convert(int, staple.get("max_iters", DEFAULT_MAX_ITERS),
+                                      "staple max_iters"),
         )
         cfg.validate()
         return cfg
@@ -165,16 +209,31 @@ SLAB_VOXELS = 1 << 17
 def _model_labelmap(m: ModelInput) -> LabelMap:
     if m.labelmap is not None:
         return load_labelmap(m.labelmap)
-    grids = [load_probmap_header(p) for p in m.prob_manifests]
-    require_same_geometry(*grids)
-    nx, ny, nz = grids[0].shape
-    step = max(1, SLAB_VOXELS // (nx * ny))
-    labels = np.empty((nx, ny, nz), dtype=np.uint8, order="F")
-    for z0 in range(0, nz, step):
-        planes = slice(z0, min(z0 + step, nz))
-        probs = [load_probmap(p, planes) for p in m.prob_manifests]
-        labels[:, :, planes] = argmax_labels(average_probs(probs)).data
-    return LabelMap(labels, grids[0].spacing, grids[0].origin)
+    with ExitStack() as stack:
+        folds = [stack.enter_context(ProbmapFiles(p)) for p in m.prob_manifests]
+        require_same_geometry(*(f.header for f in folds))
+        grid = folds[0].header
+        nx, ny, nz = grid.shape
+        plane = nx * ny
+        step = max(1, SLAB_VOXELS // plane)
+        size = plane * min(step, nz)
+        # One set of buffers for every slab of every fold.
+        raw = np.empty((4, size), np.float32)
+        probs, mean = np.empty((2, 4, size))
+        sums, best = np.empty((2, size))
+        labels = np.empty(plane * nz, np.uint8)  # x-fastest, as in the files
+        for z0 in range(0, nz, step):
+            z1 = min(z0 + step, nz)
+            n = plane * (z1 - z0)
+            decoded = (f.decode(z0, z1, raw, probs[:, :n], sums[:n]) for f in folds)
+            average_probs_into(decoded, mean[:, :n])
+            try:
+                _check_probs(mean[:, :n], sums[:n])
+            except ValueError as e:
+                names = ", ".join(str(p) for p in m.prob_manifests)
+                raise BadData(f"average of {names}: {e}") from e
+            argmax_labels_into(mean[:, :n], labels[plane * z0 : plane * z1], best[:n])
+    return LabelMap(labels.reshape(grid.shape, order="F"), grid.spacing, grid.origin)
 
 
 def _fuse_one_case(case: CaseInput, cfg: PipelineConfig) -> dict:

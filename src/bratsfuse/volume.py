@@ -117,6 +117,24 @@ class LabelMap:
         return tuple(int(n) for n in self.data.shape)
 
 
+def _check_probs(data: np.ndarray, sums: np.ndarray | None = None) -> None:
+    """Raise ValueError unless every value of ``data`` lies in [0, 1] and the
+    channels (axis 0) of every voxel sum to 1 within 1e-6.
+
+    The channel sums are accumulated in float64 into ``sums`` when it is given
+    (shaped like ``data[0]``), so a caller can reuse one buffer.
+    """
+    # min and max propagate NaN, so this one test also rejects NaN/Inf.
+    if not (data.min() >= 0.0 and data.max() <= 1.0):
+        if not np.isfinite(data).all():
+            raise ValueError("probability data contains NaN or Inf")
+        raise ValueError("probabilities must lie in [0, 1]")
+    sums = np.sum(data, axis=0, dtype=np.float64, out=sums)
+    err = max(sums.max() - 1.0, 1.0 - sums.min())  # == max |sums - 1|
+    if err > _CHANNEL_SUM_TOL:
+        raise ValueError(f"channel sums deviate from 1 by {err:.3g} (> 1e-6)")
+
+
 @dataclass(frozen=True)
 class ProbMap:
     """Per-class probability volume, channels ordered as labels (0, 1, 2, 4).
@@ -138,15 +156,7 @@ class ProbMap:
                 f"probability data must have shape (4, nx, ny, nz), got {data.shape}"
             )
         spacing, origin = _check_spatial(data[0], self.spacing, self.origin)
-        # min and max propagate NaN, so this one test also rejects NaN/Inf.
-        if not (data.min() >= 0.0 and data.max() <= 1.0):
-            if not np.isfinite(data).all():
-                raise ValueError("probability data contains NaN or Inf")
-            raise ValueError("probabilities must lie in [0, 1]")
-        sums = data.sum(axis=0, dtype=np.float64)
-        err = max(sums.max() - 1.0, 1.0 - sums.min())  # == max |sums - 1|
-        if err > _CHANNEL_SUM_TOL:
-            raise ValueError(f"channel sums deviate from 1 by {err:.3g} (> 1e-6)")
+        _check_probs(data)
         object.__setattr__(self, "data", _freeze(data))
         object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "origin", origin)

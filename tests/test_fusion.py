@@ -62,7 +62,39 @@ class TestAverageProbs:
             average_probs([random_probmap(rng, (2, 2, 2)), random_probmap(rng, (3, 2, 2))])
 
 
+    @pytest.mark.parametrize("n_maps", [1, 2, 5])
+    def test_bit_identical_to_zero_then_add(self, rng, n_maps):
+        maps = [random_probmap(rng, (5, 4, 3)) for _ in range(n_maps)]
+        # Mixed memory layouts: the sum is taken voxel by voxel either way.
+        maps[0] = ProbMap(np.asfortranarray(maps[0].data))
+        acc = np.zeros_like(maps[0].data, dtype=np.float64)
+        for m in maps:
+            acc += m.data
+        acc /= len(maps)
+        np.clip(acc, 0.0, 1.0, out=acc)
+        assert average_probs(maps).data.tobytes() == acc.tobytes()
+
+
+def _quarter_maps(rng, shape):
+    """Probability maps of quarters (0, 0.25, ..., 1): most voxels tie."""
+    counts = rng.multinomial(4, [0.25] * 4, size=shape)
+    return ProbMap(np.moveaxis(counts, -1, 0) / 4.0)
+
+
 class TestArgmax:
+    @pytest.mark.parametrize("make", [
+        lambda rng: random_probmap(rng, (7, 6, 5)),
+        lambda rng: _quarter_maps(rng, (7, 6, 5)),
+        lambda rng: ProbMap(np.asfortranarray(_quarter_maps(rng, (3, 4, 5)).data)),
+    ])
+    def test_equals_reversed_argmax(self, rng, make):
+        p = make(rng)
+        want = np.array([0, 1, 2, 4], np.uint8)[3 - np.argmax(p.data[::-1], axis=0)]
+        got = argmax_labels(p)
+        assert got.data.dtype == np.uint8
+        assert np.array_equal(got.data, want)
+        assert (got.spacing, got.origin) == (p.spacing, p.origin)
+
     def test_one_hot(self):
         out = argmax_labels(probmap_from_rows([[0, 0, 0, 1]]))
         assert out.data.reshape(-1).tolist() == [4]

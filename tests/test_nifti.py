@@ -1,4 +1,5 @@
 import gzip
+import json
 import struct
 
 import numpy as np
@@ -10,6 +11,7 @@ from bratsfuse.errors import (
     BadData,
     BadHeader,
     BadMagic,
+    ConfigError,
     GeometryMismatch,
     InvalidLabel,
     NiftiError,
@@ -362,3 +364,79 @@ class TestProbmapPlanes:
         _patch_voxel(_channel_path(manifest, 4), 3, float("nan"))
         with pytest.raises(BadData, match="NaN or Inf"):
             load_probmap(manifest, slice(0, 1))
+
+
+def _write_channels(directory, stem, channels):
+    """A manifest over channel files holding ``channels`` as given (not
+    renormalised): float arrays are written as float32, LabelMaps as uint8."""
+    files = []
+    for label, channel in zip(ProbMap.channels, channels):
+        name = f"{stem}_ch{label}.nii"
+        if not isinstance(channel, LabelMap):
+            channel = Volume(channel, (1.0, 1.5, 2.5), (-3.0, 2.0, 10.25))
+        (directory / name).write_bytes(write_nifti(channel))
+        files.append(name)
+    manifest = directory / f"{stem}.json"
+    manifest.write_text(json.dumps({"channels": list(ProbMap.channels), "files": files}))
+    return manifest
+
+
+def _one_hot_channels(rng, shape):
+    """Channels 0 and 1 as uint8 label files, 2 and 4 as float32, one-hot."""
+    hot = rng.integers(0, 4, size=shape)
+    return [LabelMap((hot == c).astype(np.uint8), (1.0, 1.5, 2.5), (-3.0, 2.0, 10.25))
+            if c < 2 else (hot == c).astype(np.float32) for c in range(4)]
+
+
+class TestProbmapOracle:
+    SHAPE = (5, 4, 7)
+
+    def raw(self, rng):
+        raw = 3 * rng.random((4,) + self.SHAPE)  # channel sums far from 1
+        raw[1, 2, 3, :] = -1e-8  # clipped to 0, within the sum tolerance
+        return raw
+
+    @pytest.mark.parametrize("make", ["raw", "one_hot"])
+    @pytest.mark.parametrize("planes", [slice(None), slice(2, 5), slice(6, 7)])
+    def test_bit_identical_to_stack_renormalise_clip(self, tmp_path, rng, make, planes):
+        channels = self.raw(rng) if make == "raw" else _one_hot_channels(rng, self.SHAPE)
+        manifest = _write_channels(tmp_path, "case", channels)
+        files = json.loads(manifest.read_text())["files"]
+        stored = [read_nifti((tmp_path / f).read_bytes()).data[:, :, planes] for f in files]
+        want = np.stack(stored, dtype=np.float64)
+        want /= want.sum(axis=0, keepdims=True)
+        np.clip(want, 0.0, 1.0, out=want)
+        got = load_probmap(manifest, planes)
+        assert got.data.shape == want.shape
+        assert got.data.tobytes() == want.tobytes()
+
+
+class TestBadManifest:
+    @pytest.fixture
+    def manifest(self, tmp_path, rng):
+        raw = rng.random((4, 3, 4, 5))
+        raw /= raw.sum(axis=0, keepdims=True)
+        return save_probmap(ProbMap(raw), tmp_path, "case")
+
+    @pytest.mark.parametrize("text, match", [
+        ("{not json", "not a JSON manifest"),
+        (b"\xff\xfe{}", "not a JSON manifest"),
+        ("[0, 1, 2, 4]", "must be a JSON object"),
+        ('{"channels": 4, "files": []}', "manifest channels"),
+        ('{"channels": [0, 1, 2, 4], "files": "abcd"}', "must list 4 files"),
+        ('{"channels": [0, 1, 2, 4], "files": [1, 2, 3, 4]}', "must be names"),
+    ])
+    def test_malformed_manifest_is_bad_header(self, manifest, text, match):
+        if isinstance(text, bytes):
+            manifest.write_bytes(text)
+        else:
+            manifest.write_text(text)
+        for load in (load_probmap_header, load_probmap):
+            with pytest.raises(BadHeader, match=match):
+                load(manifest)
+
+    def test_missing_channel_file_is_a_config_error(self, manifest):
+        _channel_path(manifest, 2).unlink()
+        for load in (load_probmap_header, load_probmap):
+            with pytest.raises(ConfigError, match="case_ch2.nii"):
+                load(manifest)

@@ -14,9 +14,16 @@ from click.testing import CliRunner
 import bratsfuse
 from bratsfuse import pipeline
 from bratsfuse.cli import main
-from bratsfuse.errors import ConfigError, GeometryMismatch, TruncatedFile
+from bratsfuse.errors import BadData, ConfigError, GeometryMismatch, TruncatedFile
 from bratsfuse.fusion import argmax_labels, average_probs
-from bratsfuse.nifti import load_labelmap, load_probmap, save_nifti, save_probmap, write_nifti
+from bratsfuse.nifti import (
+    ProbmapFiles,
+    load_labelmap,
+    load_probmap,
+    save_nifti,
+    save_probmap,
+    write_nifti,
+)
 from bratsfuse.postprocess import DEFAULT_ET_THRESHOLD, et_threshold_relabel
 from bratsfuse.pipeline import CaseInput, ModelInput, PipelineConfig, run_eval, run_fuse
 from bratsfuse.synth import PhantomSpec, corrupt_labels, make_phantom
@@ -210,13 +217,20 @@ def test_streamed_labels_equal_whole_volume_labels(tmp_path, rng, monkeypatch,
     monkeypatch.setattr(pipeline, "SLAB_VOXELS", slab_voxels)
     manifests = _folds(tmp_path, rng, (8, 6, 11), 3)
     calls = []
-    real = pipeline.load_probmap
-    monkeypatch.setattr(pipeline, "load_probmap",
-                        lambda m, planes: calls.append(planes) or real(m, planes))
-    _assert_streamed_equals_whole(manifests)
-    starts = sorted({p.start for p in calls})
-    assert starts == list(range(0, 11, planes_per_slab))
-    assert len(calls) == 3 * len(starts)
+    real = ProbmapFiles.decode
+
+    def decode(files, z0, z1, *buffers):
+        calls.append((files.manifest, z0, z1))
+        return real(files, z0, z1, *buffers)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ProbmapFiles, "decode", decode)
+        got = pipeline._model_labelmap(ModelInput("m", prob_manifests=tuple(manifests)))
+    assert got.data.tobytes(order="F") == _whole_volume_labels(manifests).data.tobytes(order="F")
+    # Every slab of planes_per_slab planes (the last one shorter) is read
+    # from every fold, in config order.
+    assert calls == [(m, z0, min(z0 + planes_per_slab, 11))
+                     for z0 in range(0, 11, planes_per_slab) for m in manifests]
 
 
 def test_streamed_labels_at_the_default_slab_size(tmp_path, rng):
@@ -277,13 +291,134 @@ def test_fold_decoding_holds_one_slab_of_each_fold(tmp_path, rng, monkeypatch):
     assert peak < fold_bytes, f"peak {peak / 2**20:.1f} MB"
 
 
-def _zero_sum_fold(manifest):
-    """Set voxel 0 of every channel of a written map to 0."""
-    for label in ProbMap.channels:
+# Three folds of 6 x 5 x 8 voxels, two planes per slab: the voxel patched
+# into the second fold sits in the third of four slabs.
+CHECK_SHAPE = (6, 5, 8)
+CHECK_VOXEL = 4 + 6 * (3 + 5 * 5)  # (4, 3, 5), x-fastest
+
+
+def _patch_channels(manifest, values, voxel=CHECK_VOXEL):
+    """Store ``values`` (one per channel) at ``voxel`` of a written map."""
+    for label, value in zip(ProbMap.channels, values):
         path = manifest.parent / f"{manifest.stem}_ch{label}.nii"
         raw = bytearray(path.read_bytes())
-        struct.pack_into("<f", raw, 352, 0.0)
+        struct.pack_into("<f", raw, 352 + 4 * voxel, value)
         path.write_bytes(bytes(raw))
+
+
+BAD_VOXELS = {
+    "nan": ((0.25, float("nan"), 0.25, 0.5), "NaN or Inf"),
+    "inf": ((0.25, 0.25, float("inf"), 0.5), "NaN or Inf"),
+    "minus_inf": ((float("-inf"), 0.25, 0.25, 0.5), "NaN or Inf"),
+    "zero": ((0.0, 0.0, 0.0, 0.0), "sum to 0"),
+    # Sums to 1, so renormalising keeps it; clipping the -0.5 leaves 1.5.
+    "clipped": ((0.5, -0.5, 0.5, 0.5), "channel sums deviate from 1 by 0.5"),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_VOXELS))
+def test_every_voxel_of_every_fold_is_checked(tmp_path, rng, monkeypatch, bad):
+    monkeypatch.setattr(pipeline, "SLAB_VOXELS", 6 * 5 * 2)
+    values, match = BAD_VOXELS[bad]
+    bad_case = _folds(tmp_path, rng, CHECK_SHAPE, 3, stem="a_bad")
+    _patch_channels(bad_case[1], values)
+    with pytest.raises(BadData, match=match) as info:
+        pipeline._model_labelmap(ModelInput("m", prob_manifests=tuple(bad_case)))
+    assert str(info.value).startswith(f"{bad_case[1]}: ")
+
+    good_case = _folds(tmp_path, rng, CHECK_SHAPE, 3, stem="b_good")
+    cfg = PipelineConfig(
+        cases=tuple(CaseInput(cid, (ModelInput("soft", prob_manifests=tuple(ms)),))
+                    for cid, ms in (("a_bad", bad_case), ("b_good", good_case))),
+        output_dir=tmp_path / "fused",
+    )
+    diags, errors = run_fuse(cfg)
+    assert [d["case_id"] for d in diags] == ["b_good"]
+    assert errors == [{"case_id": "a_bad", "error": "BadData", "detail": str(info.value)}]
+    assert json.loads((tmp_path / "fused" / "errors.json").read_text()) == errors
+
+
+def test_the_average_of_the_folds_is_checked(tmp_path, rng, monkeypatch):
+    # Each fold's renormalised, clipped channels sum to 1 + 0.99999999992e-6
+    # (accepted); their average rounds to a sum of 1 + 1.00000000014e-6.
+    monkeypatch.setattr(pipeline, "SLAB_VOXELS", 6 * 5 * 2)
+    folds = _folds(tmp_path, rng, CHECK_SHAPE, 2)
+    _patch_channels(folds[0], (0.5900927186012268, -9.999999974752427e-07,
+                               0.0006509264931082726, 0.40925735235214233))
+    _patch_channels(folds[1], (0.48466530442237854, -9.999999974752427e-07,
+                               0.0004276773252058774, 0.5149080157279968))
+    for f in folds:
+        load_probmap(f)  # each fold alone passes every check
+    with pytest.raises(BadData, match="channel sums deviate from 1 by 1e-06") as info:
+        pipeline._model_labelmap(ModelInput("m", prob_manifests=tuple(folds)))
+    assert str(info.value).startswith(f"average of {folds[0]}, {folds[1]}: ")
+
+
+def _break_manifest(manifest, how):
+    if how == "not_json":
+        manifest.write_text('{"channels": [0, 1, 2, 4], "files": [')
+    elif how == "not_an_object":
+        manifest.write_text('["case_ch0.nii"]')
+    else:
+        (manifest.parent / f"{manifest.stem}_ch2.nii").unlink()
+
+
+@pytest.mark.parametrize("how, error", [("not_json", "BadHeader"),
+                                        ("not_an_object", "BadHeader"),
+                                        ("missing_channel", "ConfigError")])
+def test_a_bad_fold_manifest_is_a_per_case_error(tmp_path, rng, how, error):
+    cases = {cid: _folds(tmp_path, rng, (6, 5, 4), 2, stem=cid) for cid in ("a_bad", "b_good")}
+    _break_manifest(cases["a_bad"][1], how)
+    cfg = {"output_dir": "fused", "cases": [
+        {"id": cid, "models": [{"name": "soft", "prob_manifests":
+                                [str(m.relative_to(tmp_path)) for m in ms]}]}
+        for cid, ms in cases.items()]}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    diags, errors = run_fuse(PipelineConfig.from_json(cfg_path))
+    assert [d["case_id"] for d in diags] == ["b_good"]
+    assert [(e["case_id"], e["error"]) for e in errors] == [("a_bad", error)]
+    assert "a_bad_f1" in errors[0]["detail"]
+    assert (tmp_path / "fused" / "b_good.nii").is_file()
+
+    result = CliRunner().invoke(main, ["fuse", "--config", str(cfg_path)])
+    assert result.exit_code == 2, result.output
+    assert f"  a_bad: {error} (" in result.output
+    assert "Traceback" not in result.output
+
+
+_GOOD_CASE = {"id": "c0", "models": [{"name": "m", "labelmap": "m.nii"}]}
+
+
+@pytest.mark.parametrize("cfg, message", [
+    ([_GOOD_CASE], "must be a JSON object, got list"),
+    ({"cases": {"c0": _GOOD_CASE}}, "cases must be a JSON list"),
+    ({"cases": ["c0"]}, "a case must be a JSON object"),
+    ({"cases": [{"models": _GOOD_CASE["models"]}]}, "a case has no 'id'"),
+    ({"cases": [{"id": "c0", "models": [{"labelmap": "m.nii"}]}]},
+     "a model of case 'c0' has no 'name'"),
+    ({"cases": [{"id": "c0", "models": [{"name": "m", "labelmap": 7}]}]},
+     "paths must be strings, got 7"),
+    ({"cases": [_GOOD_CASE], "et_threshold": "many"}, "et_threshold must be int"),
+    ({"cases": [_GOOD_CASE], "et_threshold": float("inf")}, "et_threshold must be int"),
+    ({"cases": [_GOOD_CASE], "staple": {"max_iters": "lots"}}, "max_iters must be int"),
+    ({"cases": [_GOOD_CASE], "staple": {"tol": [1e-6]}}, "staple tol must be float"),
+    ({"cases": [_GOOD_CASE], "staple": 5}, "staple must be a JSON object"),
+])
+def test_malformed_config_is_a_config_error(tmp_path, cfg, message):
+    save_nifti(tmp_path / "m.nii", _labels())
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    with pytest.raises(ConfigError, match=message):
+        PipelineConfig.from_json(cfg_path)
+    result = CliRunner().invoke(main, ["fuse", "--config", str(cfg_path)])
+    assert result.exit_code == 1, result.output
+    assert result.output.startswith("Error: ") and result.output.count("\n") == 1
+
+
+def _zero_sum_fold(manifest):
+    """Set voxel 0 of every channel of a written map to 0."""
+    _patch_channels(manifest, (0.0, 0.0, 0.0, 0.0), voxel=0)
 
 
 def _fuse_config(tmp_path, rng):
