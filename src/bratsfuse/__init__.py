@@ -2,7 +2,7 @@
 
 Core pieces: volumetric types with NIfTI-1 I/O, the nested ET/TC/WT region
 semantics, intensity normalization, sliding-window tiling plans, ensemble
-fusion (softmax averaging, majority vote, STAPLE EM), ET-size
+fusion (softmax averaging of fold maps, STAPLE EM across models), ET-size
 post-processing, Dice/HD95 metrics with an exact anisotropic distance
 transform, summary/ranking reports, and synthetic phantoms for testing
 without scanner data. The models' own inference runs outside this package;
@@ -15,7 +15,6 @@ from .volume import (
     ProbMap,
     Volume,
     crop,
-    embed,
     nonzero_bbox,
 )
 from .regions import Region, RegionMask, recompose_labels, region_mask
@@ -27,7 +26,6 @@ from .fusion import (
     StapleResult,
     argmax_labels,
     average_probs,
-    majority_vote,
     staple_binary,
     staple_multilabel,
 )
@@ -35,7 +33,6 @@ from .postprocess import et_threshold_relabel
 from .metrics import (
     EMPTY_PENALTY_MM,
     CaseMetrics,
-    DistanceField,
     boundary,
     dice,
     edt,

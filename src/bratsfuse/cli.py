@@ -221,7 +221,7 @@ def postprocess_cmd(input_nii, output_nii, et_threshold):
     except BratsFuseError as e:
         raise click.ClickException(str(e)) from e
     before = int((m.data == 4).sum())
-    after = int((out.data == 4).sum())
+    after = before if out is m else 0  # a relabel moves every ET voxel
     click.echo(f"wrote {output_nii} (ET voxels {before} -> {after})")
 
 

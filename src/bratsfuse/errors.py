@@ -16,10 +16,6 @@ class GeometryMismatch(BratsFuseError):
     """Inputs that must share shape/spacing/origin do not."""
 
 
-class ShapeMismatch(BratsFuseError):
-    """A bounding box and the data it should hold disagree in shape."""
-
-
 class OutOfBounds(BratsFuseError):
     """A bounding box extends outside the owning volume."""
 

@@ -1,4 +1,4 @@
-"""Ensemble combination: softmax averaging, majority vote, and STAPLE.
+"""Ensemble combination: softmax averaging and STAPLE.
 
 STAPLE treats each input mask as a rater with unknown sensitivity p and
 specificity q, and alternates:
@@ -52,13 +52,7 @@ import numpy as np
 
 from .errors import EmptyList, GeometryMismatch
 from .regions import Region, RegionMask, recompose_labels, region_mask
-from .volume import (
-    BRATS_LABELS,
-    PROB_CHANNELS,
-    LabelMap,
-    ProbMap,
-    require_same_geometry,
-)
+from .volume import BRATS_LABELS, LabelMap, ProbMap, require_same_geometry
 
 __all__ = [
     "StapleParams",
@@ -68,7 +62,6 @@ __all__ = [
     "average_probs_into",
     "argmax_labels",
     "argmax_labels_into",
-    "majority_vote",
     "staple_binary",
     "staple_multilabel",
     "staple_multilabel_detailed",
@@ -118,16 +111,16 @@ def average_probs(maps: list[ProbMap]) -> ProbMap:
 
 def argmax_labels_into(p: np.ndarray, out: np.ndarray, best: np.ndarray) -> np.ndarray:
     """Label of each voxel's most probable channel of ``p`` (channels on axis
-    0, in ``PROB_CHANNELS`` order) into the uint8 ``out``, which is returned.
+    0, in ``BRATS_LABELS`` order) into the uint8 ``out``, which is returned.
 
     A tie goes to the later channel: each channel in turn takes the voxels
     where it is ``>=`` the best so far. ``best`` (float64, shaped like
     ``out``) is scratch.
     """
     np.copyto(best, p[0])
-    out[...] = PROB_CHANNELS[0]
-    for c in range(1, len(PROB_CHANNELS)):
-        np.copyto(out, PROB_CHANNELS[c], where=p[c] >= best)
+    out[...] = BRATS_LABELS[0]
+    for c in range(1, len(BRATS_LABELS)):
+        np.copyto(out, BRATS_LABELS[c], where=p[c] >= best)
         np.maximum(best, p[c], out=best)
     return out
 
@@ -139,20 +132,6 @@ def argmax_labels(p: ProbMap) -> LabelMap:
     """
     labels = argmax_labels_into(p.data, np.empty(p.shape, np.uint8), np.empty(p.shape))
     return LabelMap(labels, p.spacing, p.origin)
-
-
-def majority_vote(maps: list[LabelMap]) -> LabelMap:
-    """Most frequent label per voxel; ties break by priority 4 > 1 > 2 > 0."""
-    if not maps:
-        raise EmptyList("majority_vote needs at least one label map")
-    require_same_geometry(*maps)
-    priority = (4, 1, 2, 0)
-    counts = np.stack(
-        [sum((m.data == lbl).astype(np.int32) for m in maps) for lbl in priority]
-    )
-    winner = np.argmax(counts, axis=0)  # first max in priority order
-    labels = np.array(priority, dtype=np.uint8)[winner]
-    return LabelMap(labels, maps[0].spacing, maps[0].origin)
 
 
 @dataclass(frozen=True)

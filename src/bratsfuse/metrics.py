@@ -22,7 +22,8 @@ digits from the full-grid value.
 
 The distance transform is plain numpy: a separable squared EDT whose 1-D
 passes take an all-pairs minimum along each line, O(n^2) per line, which the
-box crop keeps small. scipy is not imported here because ``scipy.ndimage``
+box crop keeps small. ``edt`` returns the distances as a ``Volume`` on the
+mask's grid. scipy is not imported here because ``scipy.ndimage``
 about doubles the start-up time of every CLI command.
 ``python3 benchmarks/run.py --workload eval-batch --trace 1`` reports the time
 and voxels spent in the distance transform (``metrics.edt.*``).
@@ -30,19 +31,17 @@ and voxels spent in the distance transform (``metrics.edt.*``).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import EmptyMask
 from .regions import Region, RegionMask, region_mask
-from .volume import LabelMap, crop, nonzero_bbox, require_same_geometry
+from .volume import LabelMap, Volume, crop, nonzero_bbox, require_same_geometry
 
 __all__ = [
     "EMPTY_PENALTY_MM",
     "CaseMetrics",
-    "DistanceField",
     "dice",
     "boundary",
     "edt",
@@ -70,29 +69,6 @@ class CaseMetrics:
                 raise ValueError(f"metrics must cover regions {REGION_ORDER}")
             if not all(np.isfinite(v) for v in table.values()):
                 raise ValueError("metrics must be finite")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "case_id": self.case_id,
-            "dsc": {r: self.dsc[r] for r in REGION_ORDER},
-            "hd95": {r: self.hd95[r] for r in REGION_ORDER},
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-
-@dataclass(frozen=True)
-class DistanceField:
-    """Per-voxel Euclidean distance (mm) to the nearest source voxel."""
-
-    data: np.ndarray
-    spacing: tuple[float, float, float]
-    origin: tuple[float, float, float]
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return tuple(int(n) for n in self.data.shape)
 
 
 def dice(a: RegionMask, b: RegionMask) -> float:
@@ -144,12 +120,13 @@ def _edt_sq(source: np.ndarray, spacing) -> np.ndarray:
     return np.ascontiguousarray(g)
 
 
-def edt(m: RegionMask) -> DistanceField:
-    """Exact Euclidean distance (mm) to the nearest foreground voxel."""
+def edt(m: RegionMask) -> Volume:
+    """Exact Euclidean distance (mm) to the nearest foreground voxel, on the
+    grid of ``m``."""
     if not m.data.any():
         raise EmptyMask("distance transform needs a nonempty source mask")
     sq = _edt_sq(m.data, m.spacing)
-    return DistanceField(np.sqrt(sq), m.spacing, m.origin)
+    return Volume(np.sqrt(sq), m.spacing, m.origin)
 
 
 def _percentile95(values: np.ndarray) -> float:

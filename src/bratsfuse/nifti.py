@@ -18,8 +18,8 @@ checks their headers once; its ``decode`` then reads a range of whole
 z-planes (in x-fastest order one contiguous byte range of each file) into
 buffers the caller owns and reuses, renormalises them into a float64
 buffer and checks the result, so a map can be read slab by slab without a
-header parse or a fresh array per slab. :func:`load_probmap` and
-:func:`load_probmap_header` are that same path for one call.
+header parse or a fresh array per slab. :func:`load_probmap` decodes a
+whole map in one call; a map's header alone is ``ProbmapFiles(m).header``.
 """
 
 from __future__ import annotations
@@ -42,14 +42,7 @@ from .errors import (
     UnsupportedDtype,
     UnsupportedEncoding,
 )
-from .volume import (
-    LabelMap,
-    ProbMap,
-    Volume,
-    _check_probs,
-    _shift_origin,
-    require_same_geometry,
-)
+from .volume import LabelMap, ProbMap, Volume, _check_probs, require_same_geometry
 
 __all__ = [
     "read_nifti",
@@ -60,7 +53,6 @@ __all__ = [
     "save_nifti",
     "save_probmap",
     "load_probmap",
-    "load_probmap_header",
     "ProbmapFiles",
     "Header",
 ]
@@ -338,36 +330,17 @@ class ProbmapFiles:
         return out
 
 
-def load_probmap_header(manifest_path) -> Header:
-    """Header of a probability map's channel files, read without their voxels.
-
-    Raises as :func:`load_probmap` would for a manifest, header, short file
-    or channel files that disagree in geometry; ``dtype`` and ``offset`` are
-    those of the first channel file.
-    """
-    with ProbmapFiles(manifest_path) as files:
-        return files.header
-
-
-def load_probmap(manifest_path, planes: slice = slice(None)) -> ProbMap:
+def load_probmap(manifest_path) -> ProbMap:
     """Read a per-channel manifest written by :func:`save_probmap`.
 
-    ``planes`` (step 1, not empty) selects a range of z-planes; only those
-    planes of each channel file are read, and the result's origin is shifted
-    by ``z0 * spacing[2]`` as :func:`~bratsfuse.volume.crop` would shift it.
-    The default reads the whole map. The full grid of every channel file is
-    checked either way, and the planes are decoded by
-    :meth:`ProbmapFiles.decode`, whose ``BadData`` checks apply.
+    The whole map is decoded by :meth:`ProbmapFiles.decode`, whose
+    ``BadData`` checks apply.
     """
     with ProbmapFiles(manifest_path) as files:
         nx, ny, nz = files.header.shape
-        z0, z1, step = planes.indices(nz)
-        if step != 1 or z1 <= z0:
-            raise ValueError(f"planes must be a non-empty range with step 1, got {planes}")
-        n = nx * ny * (z1 - z0)
-        data = files.decode(z0, z1, np.empty((4, n), np.float32), np.empty((4, n)),
+        n = nx * ny * nz
+        data = files.decode(0, nz, np.empty((4, n), np.float32), np.empty((4, n)),
                             np.empty(n))
-    spacing = files.header.spacing
-    origin = _shift_origin(files.header.origin, spacing, (0, 0, z0))
     # Each channel row is x-fastest: view it as (nx, ny, nz) without a copy.
-    return ProbMap(data.reshape(4, z1 - z0, ny, nx).transpose(0, 3, 2, 1), spacing, origin)
+    return ProbMap(data.reshape(4, nz, ny, nx).transpose(0, 3, 2, 1),
+                   files.header.spacing, files.header.origin)

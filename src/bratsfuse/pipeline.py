@@ -34,7 +34,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -121,11 +121,32 @@ def _json_list(value, what: str) -> list:
 
 
 def _convert(kind, value, what: str):
-    """``kind(value)``, or a ConfigError naming ``what``."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as e:
-        raise ConfigError(f"{what} must be {kind.__name__}, got {value!r}") from e
+    """The JSON number ``value`` as ``kind`` (int or float), or a ConfigError
+    naming ``what``.
+
+    Anything but a number is refused, a boolean too. Where an int is wanted,
+    a float must be integral: a fractional part, infinity or NaN is refused
+    rather than truncated.
+    """
+    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if ok and kind is int:
+        ok = isinstance(value, int) or value.is_integer()
+    if not ok:
+        raise ConfigError(f"{what} must be {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
+def _check_case_ids(cases) -> None:
+    """Refuse a case id that is not a plain file name (it names
+    ``<id>.nii``) or that two cases share."""
+    seen = set()
+    for case in cases:
+        cid = case.case_id
+        if cid in ("", ".", "..") or any(c in cid for c in "/\\\0"):
+            raise ConfigError(f"case id {cid!r} is not a file name")
+        if cid in seen:
+            raise ConfigError(f"case id {cid!r} is used by two cases")
+        seen.add(cid)
 
 
 @dataclass(frozen=True)
@@ -197,6 +218,7 @@ class PipelineConfig:
             raise ConfigError("et_threshold must be nonnegative")
         if not self.staple_tol > 0 or self.staple_max_iters < 1:
             raise ConfigError("staple tol must be > 0 and max_iters >= 1")
+        _check_case_ids(self.cases)
         for case in self.cases:
             for m in case.models:
                 m.validate()
@@ -246,9 +268,10 @@ def _fuse_one_case(case: CaseInput, cfg: PipelineConfig) -> dict:
             maps, tol=cfg.staple_tol, max_iters=cfg.staple_max_iters
         )
         staple_diag = {region: res.to_json_dict() for region, res in details.items()}
-    et_before = int((fused.data == 4).sum())
+    et_before = int(np.count_nonzero(fused.data == 4))
     relabeled = et_threshold_relabel(fused, cfg.et_threshold)
-    et_after = int((relabeled.data == 4).sum())
+    # The relabel returns its input unless it relabels every ET voxel.
+    et_after = et_before if relabeled is fused else 0
     out_nii = cfg.output_dir / f"{case.case_id}.nii"
     save_nifti(out_nii, relabeled)
     diag = {
@@ -372,7 +395,7 @@ def run_eval(
     lines = [metrics_csv_header()] + [metrics_csv_row(c) for c in cases]
     (output_dir / "cases.csv").write_text("\n".join(lines) + "\n")
     (output_dir / "cases.json").write_text(
-        json.dumps([c.to_json_dict() for c in cases], sort_keys=True, indent=2) + "\n"
+        json.dumps([asdict(c) for c in cases], sort_keys=True, indent=2) + "\n"
     )
     if cases:
         write_summary_outputs(cases, output_dir)
@@ -385,7 +408,7 @@ def write_summary_outputs(cases: list[CaseMetrics], output_dir) -> None:
     output_dir = Path(output_dir)
     stats = summarize(cases)
     (output_dir / "summary.json").write_text(
-        json.dumps(stats.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        json.dumps(asdict(stats), sort_keys=True, indent=2) + "\n"
     )
     (output_dir / "summary.txt").write_text(format_summary_table(stats))
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryMismatch
-from .volume import LabelMap, _check_spatial, _freeze, require_same_geometry
+from .volume import LabelMap, _Grid, require_same_geometry
 
 __all__ = ["Region", "RegionMask", "region_mask", "recompose_labels"]
 
@@ -35,7 +35,7 @@ _MEMBERS = {
 
 
 @dataclass(frozen=True)
-class RegionMask:
+class RegionMask(_Grid):
     """Binary mask for one evaluation region, with Volume geometry."""
 
     region: Region
@@ -44,15 +44,7 @@ class RegionMask:
     origin: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=bool)
-        spacing, origin = _check_spatial(data, self.spacing, self.origin)
-        object.__setattr__(self, "data", _freeze(data))
-        object.__setattr__(self, "spacing", spacing)
-        object.__setattr__(self, "origin", origin)
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return tuple(int(n) for n in self.data.shape)
+        self._init_grid(np.asarray(self.data, dtype=bool))
 
 
 def region_mask(m: LabelMap, r: Region) -> RegionMask:

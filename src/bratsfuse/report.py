@@ -40,9 +40,6 @@ class StatRow:
     q25: float
     q75: float
 
-    def as_dict(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in _STAT_NAMES}
-
 
 @dataclass(frozen=True)
 class SummaryStats:
@@ -50,18 +47,6 @@ class SummaryStats:
 
     stats: dict[str, dict[str, StatRow]]
     n_cases: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n_cases": self.n_cases,
-            "stats": {
-                metric: {region: row.as_dict() for region, row in regions.items()}
-                for metric, regions in self.stats.items()
-            },
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def _stat_row(values: np.ndarray) -> StatRow:
@@ -95,15 +80,6 @@ class ModelSummary:
     avg_dsc: float
     avg_hd95: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "dsc": {r: self.dsc[r] for r in REGION_ORDER},
-            "hd95": {r: self.hd95[r] for r in REGION_ORDER},
-            "avg_dsc": self.avg_dsc,
-            "avg_hd95": self.avg_hd95,
-        }
-
 
 def model_summary(name: str, dsc: dict[str, float], hd95: dict[str, float]) -> ModelSummary:
     """Build a summary with region averages as plain arithmetic means."""
@@ -119,12 +95,6 @@ class ModelRanking:
     """Model names with ranks 1..n, listed best first."""
 
     ranking: tuple[tuple[str, int], ...]
-
-    def rank_of(self, name: str) -> int:
-        for n, r in self.ranking:
-            if n == name:
-                return r
-        raise KeyError(name)
 
     def to_json(self) -> str:
         return json.dumps(

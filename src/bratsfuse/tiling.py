@@ -47,17 +47,6 @@ class TilingPlan:
             sort_keys=True,
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "TilingPlan":
-        d = json.loads(text)
-        return cls(
-            volume_shape=tuple(d["volume_shape"]),
-            patch_shape=tuple(d["patch_shape"]),
-            stride=tuple(d["stride"]),
-            padding=tuple(d["padding"]),
-            windows=tuple(BBox(tuple(lo), tuple(hi)) for lo, hi in d["windows"]),
-        )
-
 
 def _axis_count(dim: int, patch: int, stride: int) -> int:
     """Windows along one axis: starts 0, s, 2s, ... below dim - patch, then

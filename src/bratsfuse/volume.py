@@ -5,6 +5,11 @@ order of the data is x-fastest (the NIfTI on-disk order), i.e. voxel
 ``(x, y, z)`` sits at linear index ``x + nx*(y + ny*z)``. Types are immutable
 after construction: the held arrays are marked read-only, every operation
 returns a new object, and nothing in this module mutates shared state.
+
+The four grid types (``Volume``, ``LabelMap``, ``ProbMap`` and
+``regions.RegionMask``) check their own voxels and then share one
+constructor tail, ``_Grid._init_grid``, which checks and stores the grid's
+data, spacing and origin. ``crop`` keeps the type of any of them.
 """
 
 from __future__ import annotations
@@ -13,30 +18,22 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    EmptyVolume,
-    GeometryMismatch,
-    InvalidLabel,
-    OutOfBounds,
-    ShapeMismatch,
-)
+from .errors import EmptyVolume, GeometryMismatch, InvalidLabel, OutOfBounds
 
 __all__ = [
     "BRATS_LABELS",
-    "PROB_CHANNELS",
     "Volume",
     "LabelMap",
     "ProbMap",
     "BBox",
     "nonzero_bbox",
     "crop",
-    "embed",
     "same_geometry",
     "require_same_geometry",
 ]
 
+# The label codes, and the order of a ProbMap's channels.
 BRATS_LABELS = (0, 1, 2, 4)
-PROB_CHANNELS = (0, 1, 2, 4)
 _CHANNEL_SUM_TOL = 1e-6
 
 
@@ -67,8 +64,30 @@ def _check_spatial(data: np.ndarray, spacing, origin):
     return spacing, origin
 
 
+class _Grid:
+    """What the grid types share: the end of their constructors and ``shape``.
+
+    It declares no dataclass fields, so each type keeps its own field order
+    (``RegionMask(region, data, ...)``). The grid is the last three axes of
+    ``data``.
+    """
+
+    def _init_grid(self, data: np.ndarray, grid: np.ndarray | None = None) -> None:
+        """Check ``grid`` (default ``data``) as a 3-D grid and this object's
+        spacing and origin, then store them and ``data``, made read-only."""
+        spacing, origin = _check_spatial(data if grid is None else grid,
+                                         self.spacing, self.origin)
+        object.__setattr__(self, "data", _freeze(data))
+        object.__setattr__(self, "spacing", spacing)
+        object.__setattr__(self, "origin", origin)
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        return tuple(int(n) for n in self.data.shape[-3:])
+
+
 @dataclass(frozen=True)
-class Volume:
+class Volume(_Grid):
     """A 3-D scalar grid with voxel spacing (mm) and a world offset (mm)."""
 
     data: np.ndarray
@@ -77,20 +96,13 @@ class Volume:
 
     def __post_init__(self):
         data = np.asarray(self.data)
-        spacing, origin = _check_spatial(data, self.spacing, self.origin)
         if np.issubdtype(data.dtype, np.floating) and not np.isfinite(data).all():
             raise ValueError("volume data contains NaN or Inf")
-        object.__setattr__(self, "data", _freeze(data))
-        object.__setattr__(self, "spacing", spacing)
-        object.__setattr__(self, "origin", origin)
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return tuple(int(n) for n in self.data.shape)
+        self._init_grid(data)
 
 
 @dataclass(frozen=True)
-class LabelMap:
+class LabelMap(_Grid):
     """A 3-D grid of BraTS label codes {0, 1, 2, 4}, stored as uint8."""
 
     data: np.ndarray
@@ -99,7 +111,6 @@ class LabelMap:
 
     def __post_init__(self):
         data = np.asarray(self.data)
-        spacing, origin = _check_spatial(data, self.spacing, self.origin)
         # One compare per label: np.isin's sort/table path would allocate
         # several int64 copies of the volume.
         valid = data == BRATS_LABELS[0]
@@ -108,13 +119,7 @@ class LabelMap:
         if not valid.all():
             bad = np.unique(data[~valid])
             raise InvalidLabel(f"label values outside {{0,1,2,4}}: {bad.tolist()}")
-        object.__setattr__(self, "data", _freeze(data.astype(np.uint8, copy=False)))
-        object.__setattr__(self, "spacing", spacing)
-        object.__setattr__(self, "origin", origin)
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return tuple(int(n) for n in self.data.shape)
+        self._init_grid(data.astype(np.uint8, copy=False))
 
 
 def _check_probs(data: np.ndarray, sums: np.ndarray | None = None) -> None:
@@ -136,7 +141,7 @@ def _check_probs(data: np.ndarray, sums: np.ndarray | None = None) -> None:
 
 
 @dataclass(frozen=True)
-class ProbMap:
+class ProbMap(_Grid):
     """Per-class probability volume, channels ordered as labels (0, 1, 2, 4).
 
     ``data`` has shape ``(4, nx, ny, nz)``; every value lies in [0, 1] and the
@@ -147,23 +152,17 @@ class ProbMap:
     spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
     origin: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
-    channels = PROB_CHANNELS
+    channels = BRATS_LABELS
 
     def __post_init__(self):
         data = np.asarray(self.data)
-        if data.ndim != 4 or data.shape[0] != len(PROB_CHANNELS):
+        if data.ndim != 4 or data.shape[0] != len(BRATS_LABELS):
             raise ValueError(
                 f"probability data must have shape (4, nx, ny, nz), got {data.shape}"
             )
-        spacing, origin = _check_spatial(data[0], self.spacing, self.origin)
-        _check_probs(data)
-        object.__setattr__(self, "data", _freeze(data))
-        object.__setattr__(self, "spacing", spacing)
-        object.__setattr__(self, "origin", origin)
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return tuple(int(n) for n in self.data.shape[1:])
+        if data.size:  # an empty grid has no values; _init_grid refuses it
+            _check_probs(data)
+        self._init_grid(data, data[0])
 
 
 @dataclass(frozen=True)
@@ -230,37 +229,10 @@ def _check_inside(b: BBox, shape) -> None:
         raise OutOfBounds(f"bbox {b.lo}..{b.hi} exceeds volume shape {tuple(shape)}")
 
 
-def _shift_origin(origin, spacing, lo, sign=1):
-    return tuple(o + sign * l * s for o, s, l in zip(origin, spacing, lo))
-
-
 def crop(v, b: BBox):
     """Copy the voxels inside ``b``; the origin shifts by ``lo * spacing``.
 
     Keeps the type of ``v`` (Volume, LabelMap, ProbMap or RegionMask)."""
     _check_inside(b, v.shape)
-    sl = b.slices()
-    if isinstance(v, ProbMap):
-        sl = (slice(None),) + sl
-    return replace(v, data=v.data[sl].copy(),
-                   origin=_shift_origin(v.origin, v.spacing, b.lo))
-
-
-def embed(v, b: BBox, full_shape):
-    """Place ``v`` into a volume of ``full_shape`` at ``b``, inverse of crop.
-
-    Keeps the type of ``v`` (Volume, LabelMap, ProbMap or RegionMask).
-    Outside the box the result is 0 (label 0, an empty mask) and, for a
-    ProbMap, the background channel (probability 1 for label 0).
-    """
-    full_shape = _check_triple(full_shape, "full_shape", int)
-    if b.shape != v.shape:
-        raise ShapeMismatch(f"bbox shape {b.shape} != data shape {v.shape}")
-    if any(h >= n for h, n in zip(b.hi, full_shape)):
-        raise ShapeMismatch(f"bbox {b.lo}..{b.hi} does not fit in {full_shape}")
-    data = np.zeros(v.data.shape[:-3] + full_shape, dtype=v.data.dtype)
-    if isinstance(v, ProbMap):
-        data[0] = 1.0
-    data[(...,) + b.slices()] = v.data
-    return replace(v, data=data,
-                   origin=_shift_origin(v.origin, v.spacing, b.lo, sign=-1))
+    origin = tuple(o + l * s for o, s, l in zip(v.origin, v.spacing, b.lo))
+    return replace(v, data=v.data[(..., *b.slices())].copy(), origin=origin)

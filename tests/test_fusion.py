@@ -13,7 +13,6 @@ from bratsfuse.fusion import (
     argmax_labels,
     average_probs,
     default_staple_params,
-    majority_vote,
     staple_binary,
     staple_multilabel,
     staple_multilabel_detailed,
@@ -106,34 +105,6 @@ class TestArgmax:
     def test_background_wins(self):
         out = argmax_labels(probmap_from_rows([[0.4, 0.3, 0.2, 0.1]]))
         assert out.data.reshape(-1).tolist() == [0]
-
-
-class TestMajorityVote:
-    def maps(self, *columns):
-        return [
-            LabelMap(np.array(col, dtype=np.uint8).reshape(len(col), 1, 1))
-            for col in columns
-        ]
-
-    def test_majority(self):
-        out = majority_vote(self.maps([2], [2], [0]))
-        assert out.data.reshape(-1).tolist() == [2]
-
-    def test_tie_priority(self):
-        out = majority_vote(self.maps([4], [1]))
-        assert out.data.reshape(-1).tolist() == [4]
-        out = majority_vote(self.maps([2], [0]))
-        assert out.data.reshape(-1).tolist() == [2]
-        out = majority_vote(self.maps([1], [2]))
-        assert out.data.reshape(-1).tolist() == [1]
-
-    def test_single_rater(self, rng):
-        m = random_labelmap(rng, (3, 3, 3))
-        assert np.array_equal(majority_vote([m]).data, m.data)
-
-    def test_empty_raises(self):
-        with pytest.raises(EmptyList):
-            majority_vote([])
 
 
 def rater_masks(columns):

@@ -20,8 +20,8 @@ from bratsfuse.errors import (
     UnsupportedEncoding,
 )
 from bratsfuse.nifti import (
+    ProbmapFiles,
     load_probmap,
-    load_probmap_header,
     read_labelmap,
     read_nifti,
     save_probmap,
@@ -286,6 +286,17 @@ def _patch_voxel(path, index, value):
     path.write_bytes(bytes(raw))
 
 
+def _decode(manifest, z0, z1):
+    """Planes ``z0:z1`` of a map through ``ProbmapFiles.decode``, shaped
+    ``(4, nx, ny, z1 - z0)``."""
+    with ProbmapFiles(manifest) as files:
+        nx, ny, _ = files.header.shape
+        n = nx * ny * (z1 - z0)
+        out = files.decode(z0, z1, np.empty((4, n), np.float32), np.empty((4, n)),
+                           np.empty(n))
+    return out.reshape(4, z1 - z0, ny, nx).transpose(0, 3, 2, 1)
+
+
 class TestProbmapPlanes:
     SHAPE = (5, 4, 7)
     SPACING = (1.0, 1.5, 2.5)
@@ -303,31 +314,24 @@ class TestProbmapPlanes:
         whole = load_probmap(manifest)
         z0, z1, _ = planes.indices(self.SHAPE[2])
         want = crop(whole, BBox((0, 0, z0), (self.SHAPE[0] - 1, self.SHAPE[1] - 1, z1 - 1)))
-        got = load_probmap(manifest, planes)
-        assert got.shape == (5, 4, z1 - z0)
-        assert np.array_equal(got.data, want.data)
-        assert got.spacing == self.SPACING
-        assert got.origin == want.origin
-        assert got.origin == (-3.0, 2.0, 10.25 + z0 * 2.5)
+        got = _decode(manifest, z0, z1)
+        assert got.shape == (4, 5, 4, z1 - z0)
+        assert np.array_equal(got, want.data)
 
     def test_default_is_the_whole_map(self, manifest):
-        assert np.array_equal(load_probmap(manifest).data,
-                              load_probmap(manifest, slice(0, self.SHAPE[2])).data)
-
-    @pytest.mark.parametrize("planes", [slice(3, 3), slice(7, 9), slice(0, 7, 2)])
-    def test_empty_or_strided_planes_rejected(self, manifest, planes):
-        with pytest.raises(ValueError, match="planes"):
-            load_probmap(manifest, planes)
+        whole = load_probmap(manifest)
+        assert np.array_equal(whole.data, _decode(manifest, 0, self.SHAPE[2]))
+        assert (whole.spacing, whole.origin) == (self.SPACING, self.ORIGIN)
 
     def test_header_without_voxels(self, manifest):
-        hdr = load_probmap_header(manifest)
+        with ProbmapFiles(manifest) as files:
+            hdr = files.header
         assert (hdr.shape, hdr.spacing, hdr.origin) == (self.SHAPE, self.SPACING, self.ORIGIN)
 
     def test_channel_truncated_in_its_last_plane(self, manifest):
         path = _channel_path(manifest, 2)
         path.write_bytes(path.read_bytes()[:-4])
-        for load in (load_probmap_header, load_probmap,
-                     lambda m: load_probmap(m, slice(0, 1))):
+        for load in (ProbmapFiles, load_probmap, lambda m: _decode(m, 0, 1)):
             with pytest.raises(TruncatedFile, match=path.name):
                 load(manifest)
 
@@ -336,8 +340,7 @@ class TestProbmapPlanes:
         v = read_nifti(path.read_bytes())
         path.write_bytes(write_nifti(Volume(np.concatenate([v.data, v.data[:, :, :1]], axis=2),
                                             v.spacing, v.origin)))
-        for load in (load_probmap_header, load_probmap,
-                     lambda m: load_probmap(m, slice(0, 1))):
+        for load in (ProbmapFiles, load_probmap, lambda m: _decode(m, 0, 1)):
             with pytest.raises(GeometryMismatch):
                 load(manifest)
 
@@ -346,10 +349,15 @@ class TestProbmapPlanes:
         # Voxel (1, 2, 3): every channel 0, so renormalising would divide by 0.
         for label in ProbMap.channels:
             _patch_voxel(_channel_path(manifest, label), 1 + 5 * (2 + 4 * 3), 0.0)
-        with pytest.raises(BadData, match="case.json") as info:
-            load_probmap(manifest, planes)
-        assert "sum to 0" in str(info.value)
-        assert load_probmap(manifest, slice(0, 3)).shape == (5, 4, 3)
+        z0, z1, _ = planes.indices(self.SHAPE[2])
+        loads = [lambda m: _decode(m, z0, z1)]
+        if z1 - z0 == self.SHAPE[2]:
+            loads.append(load_probmap)
+        for load in loads:
+            with pytest.raises(BadData, match="case.json") as info:
+                load(manifest)
+            assert "sum to 0" in str(info.value)
+        assert _decode(manifest, 0, 3).shape == (4, 5, 4, 3)
 
     def test_probmap_refusal_is_bad_data(self, manifest):
         # Channels (0.5, -0.5, 0.5, 0.5) sum to 1, so renormalising keeps them;
@@ -363,7 +371,7 @@ class TestProbmapPlanes:
     def test_non_finite_channel_is_bad_data(self, manifest):
         _patch_voxel(_channel_path(manifest, 4), 3, float("nan"))
         with pytest.raises(BadData, match="NaN or Inf"):
-            load_probmap(manifest, slice(0, 1))
+            _decode(manifest, 0, 1)
 
 
 def _write_channels(directory, stem, channels):
@@ -406,9 +414,12 @@ class TestProbmapOracle:
         want = np.stack(stored, dtype=np.float64)
         want /= want.sum(axis=0, keepdims=True)
         np.clip(want, 0.0, 1.0, out=want)
-        got = load_probmap(manifest, planes)
-        assert got.data.shape == want.shape
-        assert got.data.tobytes() == want.tobytes()
+        z0, z1, _ = planes.indices(self.SHAPE[2])
+        got = _decode(manifest, z0, z1)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        if z1 - z0 == self.SHAPE[2]:
+            assert load_probmap(manifest).data.tobytes() == want.tobytes()
 
 
 class TestBadManifest:
@@ -431,12 +442,12 @@ class TestBadManifest:
             manifest.write_bytes(text)
         else:
             manifest.write_text(text)
-        for load in (load_probmap_header, load_probmap):
+        for load in (ProbmapFiles, load_probmap):
             with pytest.raises(BadHeader, match=match):
                 load(manifest)
 
     def test_missing_channel_file_is_a_config_error(self, manifest):
         _channel_path(manifest, 2).unlink()
-        for load in (load_probmap_header, load_probmap):
+        for load in (ProbmapFiles, load_probmap):
             with pytest.raises(ConfigError, match="case_ch2.nii"):
                 load(manifest)

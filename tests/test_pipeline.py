@@ -121,6 +121,31 @@ def test_unpaired_cases_are_error_records(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("et, threshold, before, after", [
+    (True, 200, 1, 0),   # one ET voxel, below the threshold: relabeled
+    (True, 1, 1, 1),     # at the threshold: kept
+    (False, 200, 0, 0),  # no ET at all: nothing to relabel
+])
+def test_et_counts_before_and_after_the_threshold(tmp_path, et, threshold, before, after):
+    labels = _labels()
+    if not et:
+        labels = LabelMap(np.where(labels.data == 4, 1, labels.data), labels.spacing)
+    save_nifti(tmp_path / "m.nii", labels)
+    case = CaseInput("c0", (ModelInput("m", labelmap=tmp_path / "m.nii"),))
+    cfg = PipelineConfig(cases=(case,), output_dir=tmp_path / "fused", et_threshold=threshold)
+    [diag], _ = run_fuse(cfg)
+    assert (diag["et_voxels_before"], diag["et_voxels_after"]) == (before, after)
+    assert diag["et_relabeled"] == (before > after)
+    fused = load_labelmap(tmp_path / "fused" / "c0.nii").data
+    assert int((fused == 4).sum()) == after
+
+    out = tmp_path / "post.nii"
+    result = CliRunner().invoke(main, ["postprocess", str(tmp_path / "m.nii"), str(out),
+                                       "--et-threshold", str(threshold)])
+    assert result.exit_code == 0, result.output
+    assert result.output == f"wrote {out} (ET voxels {before} -> {after})\n"
+
+
 def test_postprocess_cli_refuses_a_negative_et_threshold(tmp_path):
     save_nifti(tmp_path / "in.nii", _labels())
     out = tmp_path / "out.nii"
@@ -404,6 +429,16 @@ _GOOD_CASE = {"id": "c0", "models": [{"name": "m", "labelmap": "m.nii"}]}
     ({"cases": [_GOOD_CASE], "staple": {"max_iters": "lots"}}, "max_iters must be int"),
     ({"cases": [_GOOD_CASE], "staple": {"tol": [1e-6]}}, "staple tol must be float"),
     ({"cases": [_GOOD_CASE], "staple": 5}, "staple must be a JSON object"),
+    ({"cases": [_GOOD_CASE], "et_threshold": 2.7}, "et_threshold must be int, got 2.7"),
+    ({"cases": [_GOOD_CASE], "et_threshold": True}, "et_threshold must be int, got True"),
+    ({"cases": [_GOOD_CASE], "et_threshold": "300"}, "et_threshold must be int, got '300'"),
+    ({"cases": [_GOOD_CASE], "staple": {"max_iters": 1.9}}, "max_iters must be int, got 1.9"),
+    ({"cases": [_GOOD_CASE], "staple": {"max_iters": True}}, "max_iters must be int, got True"),
+    ({"cases": [_GOOD_CASE], "staple": {"tol": "1e-3"}}, "staple tol must be float, got '1e-3'"),
+    ({"cases": [_GOOD_CASE], "staple": {"tol": False}}, "staple tol must be float, got False"),
+    ({"cases": [{**_GOOD_CASE, "id": "sub/case"}]}, "case id 'sub/case' is not a file name"),
+    *(({"cases": [{**_GOOD_CASE, "id": bad}]}, "is not a file name")
+      for bad in ("", ".", "..", "/abs", "a\\b", "a\0b")),
 ])
 def test_malformed_config_is_a_config_error(tmp_path, cfg, message):
     save_nifti(tmp_path / "m.nii", _labels())
@@ -414,6 +449,33 @@ def test_malformed_config_is_a_config_error(tmp_path, cfg, message):
     result = CliRunner().invoke(main, ["fuse", "--config", str(cfg_path)])
     assert result.exit_code == 1, result.output
     assert result.output.startswith("Error: ") and result.output.count("\n") == 1
+
+
+def test_integral_config_numbers_load(tmp_path):
+    save_nifti(tmp_path / "m.nii", _labels())
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"cases": [_GOOD_CASE], "et_threshold": 300.0,
+                                    "staple": {"max_iters": 5.0, "tol": 1}}))
+    cfg = PipelineConfig.from_json(cfg_path)
+    assert (cfg.et_threshold, cfg.staple_max_iters, cfg.staple_tol) == (300, 5, 1.0)
+    assert type(cfg.et_threshold) is type(cfg.staple_max_iters) is int
+    assert type(cfg.staple_tol) is float
+
+
+def test_duplicate_case_ids_are_refused_before_any_output(tmp_path):
+    # Two cases named case_000 would both write case_000.nii, the last one
+    # to finish winning, so --jobs 1 and --jobs 2 could leave different bytes.
+    for k in range(2):
+        save_nifti(tmp_path / f"m{k}.nii", _labels())
+    cases = [{"id": "case_000", "models": [{"name": "m", "labelmap": f"m{k}.nii"}]}
+             for k in range(2)]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"cases": cases}))
+    for jobs in ("1", "2"):
+        result = CliRunner().invoke(main, ["fuse", "--config", str(cfg_path), "--jobs", jobs])
+        assert result.exit_code == 1, result.output
+        assert result.output == "Error: case id 'case_000' is used by two cases\n"
+    assert not (tmp_path / "fused").exists()
 
 
 def _zero_sum_fold(manifest):

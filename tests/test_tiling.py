@@ -1,3 +1,4 @@
+import json
 import time
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from bratsfuse import tiling
 from bratsfuse.cli import main
-from bratsfuse.tiling import MAX_WINDOWS, TilingPlan, plan_tiling
+from bratsfuse.tiling import MAX_WINDOWS, plan_tiling
 
 
 class TestPlan:
@@ -62,9 +63,16 @@ class TestPlan:
         assert result.output.startswith("Error: plan has 10")
         assert result.output.count("\n") == 1
 
-    def test_json_roundtrip(self):
+    def test_cli_prints_the_plan_as_json(self):
+        result = CliRunner().invoke(main, ["tiling-plan", "--shape", "30", "20", "10",
+                                           "--patch", "8", "8", "8", "--stride", "4", "6", "8"])
+        assert result.exit_code == 0, result.output
         plan = plan_tiling((30, 20, 10), (8, 8, 8), (4, 6, 8))
-        assert TilingPlan.from_json(plan.to_json()) == plan
+        assert json.loads(result.output) == {
+            "volume_shape": [30, 20, 10], "patch_shape": [8, 8, 8], "stride": [4, 6, 8],
+            "padding": [0, 0, 0],
+            "windows": [[list(w.lo), list(w.hi)] for w in plan.windows],
+        }
 
 
 @settings(max_examples=40, deadline=None)

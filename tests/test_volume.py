@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from bratsfuse.errors import EmptyVolume, InvalidLabel, OutOfBounds, ShapeMismatch
+from bratsfuse.errors import EmptyVolume, InvalidLabel, OutOfBounds
 from bratsfuse.regions import Region, RegionMask
 from bratsfuse.volume import (
     BBox,
@@ -11,7 +9,6 @@ from bratsfuse.volume import (
     ProbMap,
     Volume,
     crop,
-    embed,
     nonzero_bbox,
     same_geometry,
 )
@@ -153,69 +150,8 @@ class TestCropEmbed:
             assert out.shape == (2, 4, 2)
             assert out.origin == (11.0, 0.0, 1.0)
             assert np.array_equal(out.data, v.data[..., 1:3, 0:4, 2:4])
-            back = embed(out, box, v.shape)
-            assert type(back) is type(v)
-            assert back.data.dtype == v.data.dtype
-            assert back.origin == v.origin
-            assert np.array_equal(back.data[..., 1:3, 0:4, 2:4], out.data)
-            outside = np.ones(v.shape, dtype=bool)
-            outside[box.slices()] = False
-            fill = back.data[..., outside]
-            if isinstance(v, ProbMap):
-                assert (fill[0] == 1.0).all()  # background channel
-                fill = fill[1:]
-            assert not fill.any()
+            assert out.data.dtype == v.data.dtype
         assert out.region is Region.TC
-        assert back.region is Region.TC
-
-    def test_embed_inverts_crop(self, rng):
-        data = rng.random((6, 7, 8))
-        data[0, 0, 0] = 0.0  # keep the bbox strictly inside
-        v = Volume(data)
-        box = nonzero_bbox(v)
-        back = embed(crop(v, box), box, v.shape)
-        sl = box.slices()
-        assert np.array_equal(back.data[sl], v.data[sl])
-        assert back.origin == v.origin
-
-    def test_embed_fills_background(self):
-        v = Volume(np.full((1, 1, 1), 7.0))
-        out = embed(v, BBox((1, 1, 1), (1, 1, 1)), (3, 3, 3))
-        assert out.data[1, 1, 1] == 7.0
-        assert out.data.sum() == 7.0  # 26 zeros around it
-
-    def test_embed_probmap_background_channel(self):
-        pm = ProbMap(np.stack([np.zeros((1, 1, 1)), np.zeros((1, 1, 1)),
-                               np.zeros((1, 1, 1)), np.ones((1, 1, 1))]))
-        out = embed(pm, BBox((0, 0, 0), (0, 0, 0)), (2, 1, 1))
-        assert out.data[3, 0, 0, 0] == 1.0
-        assert out.data[0, 1, 0, 0] == 1.0  # padding is background
-
-    def test_embed_shape_mismatch(self):
-        v = Volume(np.ones((2, 2, 2)))
-        with pytest.raises(ShapeMismatch):
-            embed(v, BBox((0, 0, 0), (0, 0, 0)), (4, 4, 4))
-        with pytest.raises(ShapeMismatch):
-            embed(v, BBox((3, 0, 0), (4, 1, 1)), (4, 4, 4))
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    shape=st.tuples(*(st.integers(1, 6),) * 3),
-    data=st.data(),
-)
-def test_crop_embed_roundtrip_property(shape, data):
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    vals = rng.random(shape)
-    lo = tuple(data.draw(st.integers(0, n - 1)) for n in shape)
-    hi = tuple(data.draw(st.integers(l, n - 1)) for l, n in zip(lo, shape))
-    box = BBox(lo, hi)
-    v = Volume(vals)
-    back = embed(crop(v, box), box, shape)
-    assert np.array_equal(back.data[box.slices()], v.data[box.slices()])
-    outside = np.ones(shape, dtype=bool)
-    outside[box.slices()] = False
-    assert (back.data[outside] == 0).all()
 
 
 @pytest.mark.parametrize("offset", [0.0, 5e-10, -5e-10, 1.5e-9, -1.5e-9, 1e-3, -1e-3])
