@@ -25,22 +25,28 @@ exactly.
 
 Multi-label fusion runs binary STAPLE per nested region (ET, TC, WT) and
 recomposes the label map, with the nesting rules of ``recompose_labels``.
-A voxel enters every region's EM only through its J rater labels, so the
-voxels' joint rater-label rows are counted once. Each joint row implies one
-decision pattern per region, so a region's pattern counts are sums of joint
-counts, and EM runs on them exactly as above. Thresholding each region's
-posterior and recomposing once per joint row gives a label lookup table,
-and the fused map is the table read at every voxel. The result equals
-per-region ``staple_binary`` plus ``recompose_labels`` without a per-voxel
-mask, posterior or recomposition.
+A voxel enters every region's EM only through its J rater labels, so it
+is reduced to one joint code: each rater's label, as its position in
+BRATS_LABELS (``l - (l >> 2)``), in two bits. The codes are counted once
+(``joint_histogram``). Each joint row implies one decision pattern per
+region, so a region's pattern counts are sums of joint counts, and EM runs
+on them exactly as above. Thresholding each region's posterior and
+recomposing once per joint row gives a label lookup table (``staple_lut``),
+and the fused map is the table read at every voxel's code. The result
+equals per-region ``staple_binary`` plus ``recompose_labels`` without a
+per-voxel mask, posterior or recomposition. ``staple_multilabel_detailed``
+does this for label maps in memory; a caller that reads its raters slab by
+slab fills the codes itself (``joint_codes``, ``pack_labels``) and needs
+no other whole-volume array.
 
-All of this counting is one operation, ``_patterns``: each of the J raters
-gives a row a digit of ``width`` bits (1 for a decision, 2 for a label's
-position in BRATS_LABELS), packed into 16-bit codes. When a row fits one
-``CODE_BITS``-bit code, ``np.bincount`` counts every code and the patterns
-come out in ascending code order; beyond that, the rows of packed codes are
-sorted. The passes over all voxels (mapping labels, encoding, counting and
-the final gather) run ``CHUNK_VOXELS`` voxels at a time.
+All of this counting is one operation: each of the J raters gives a row a
+digit of ``width`` bits (1 for a decision, 2 for a label), packed into the
+smallest unsigned integer type that holds ``width * J`` bits (uint8 for
+three raters' labels; beyond 64 bits, several uint64 words). While a row
+has at most ``CODE_BITS`` bits, ``np.bincount`` counts every code and the
+patterns come out in ascending code order; beyond that, the rows are
+sorted. The passes over all voxels (packing, counting and the final
+gather) run ``CHUNK_VOXELS`` voxels at a time.
 """
 
 from __future__ import annotations
@@ -65,6 +71,10 @@ __all__ = [
     "staple_binary",
     "staple_multilabel",
     "staple_multilabel_detailed",
+    "staple_lut",
+    "joint_codes",
+    "pack_labels",
+    "joint_histogram",
     "default_staple_params",
 ]
 
@@ -72,13 +82,13 @@ PARAM_CLAMP = 1e-7
 DEFAULT_INIT_PQ = 0.99999
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITERS = 100
-# A row of J digits of ``width`` bits fits one uint16 code while width * J is
-# at most this, and np.bincount counts all 2^(width J) codes; beyond it the
-# rows are sorted.
+# np.bincount counts all 2^(width J) codes of rows of J digits of ``width``
+# bits while width * J is at most this; beyond it the rows are sorted.
 CODE_BITS = 16
-# Voxels mapped, encoded, counted and gathered per step: np.bincount and
-# fancy indexing copy their uint16 codes to intp, which bounds that copy.
-CHUNK_VOXELS = 1 << 20
+# Voxels packed, counted and gathered per step: np.bincount and fancy
+# indexing copy their codes to intp, which bounds that copy (1 MB).
+CHUNK_VOXELS = 1 << 17
+_WORD_TYPES = tuple(np.dtype(t) for t in (np.uint8, np.uint16, np.uint32, np.uint64))
 
 
 def average_probs_into(maps: Iterable[np.ndarray], out: np.ndarray) -> np.ndarray:
@@ -196,6 +206,54 @@ def _label_index(labels: np.ndarray) -> np.ndarray:
     return labels - (labels >> 2)
 
 
+def _words(n_cols: int, width: int, n: int) -> np.ndarray:
+    """Zeroed rows of ``n_cols`` digits of ``width`` bits for ``n`` voxels:
+    ``(n, W)`` of the smallest unsigned type holding ``width * n_cols``
+    bits, W = 1 up to 64 bits and whole uint64 words beyond."""
+    bits = width * n_cols
+    dtype = next((t for t in _WORD_TYPES if bits <= 8 * t.itemsize), _WORD_TYPES[-1])
+    return np.zeros((n, -(-bits // (8 * dtype.itemsize))), dtype)
+
+
+def _pack(words: np.ndarray, col: int, digits: np.ndarray, width: int) -> None:
+    """OR the digits of column ``col`` into its bits of the rows ``words``."""
+    per_word = 8 * words.itemsize // width
+    words[:, col // per_word] |= \
+        digits.astype(words.dtype, copy=False) << (width * (col % per_word))
+
+
+def _count(words: np.ndarray, width: int, n_cols: int, weights: np.ndarray | None = None):
+    """The distinct rows of ``words`` (packed by ``_pack``) and how often
+    each occurs; returns what ``_patterns`` does."""
+    bits = width * n_cols
+    if bits <= CODE_BITS:
+        codes = words[:, 0]
+        counts = np.zeros(1 << bits, np.int64 if weights is None else np.float64)
+        for start in range(0, codes.size, CHUNK_VOXELS):
+            chunk = slice(start, start + CHUNK_VOXELS)
+            w = None if weights is None else weights[chunk]
+            counts += np.bincount(codes[chunk], w, minlength=counts.size)
+        present = np.flatnonzero(counts)
+        index = np.zeros(counts.size, dtype=np.uint16)
+        index[present] = np.arange(present.size)
+        keys, counts = present[:, None], counts[present]
+    else:
+        # Too many codes to count directly: sort the rows of packed words.
+        rows = words.view(np.dtype((np.void, words.itemsize * words.shape[1])))
+        uniq, codes, counts = np.unique(
+            rows.reshape(-1), return_inverse=True, return_counts=True
+        )
+        if weights is not None:
+            counts = np.bincount(codes, weights, minlength=uniq.size)
+        index = np.arange(uniq.size)
+        keys = uniq.view(words.dtype).reshape(uniq.size, -1)
+    per_word = 8 * words.itemsize // width
+    r = np.arange(n_cols)
+    shifts = (width * (r % per_word)).astype(keys.dtype)
+    pats = (keys.T[r // per_word] >> shifts[:, None]) & ((1 << width) - 1)
+    return pats, counts, index, codes
+
+
 def _patterns(cols: list[np.ndarray], width: int, weights: np.ndarray | None = None):
     """The distinct rows of the J columns ``cols`` and how often each occurs.
 
@@ -207,40 +265,40 @@ def _patterns(cols: list[np.ndarray], width: int, weights: np.ndarray | None = N
     and every row's code with the table ``index`` from codes to patterns,
     so that ``pats[:, index[codes]]`` is the (J, M) matrix of ``cols``.
     """
-    j, m = len(cols), cols[0].size
-    per_word = CODE_BITS // width
-    words = np.zeros((m, -(-j // per_word)), dtype=np.uint16)
-    counted = words.shape[1] == 1
-    if counted:
-        counts = np.zeros(1 << (width * j), np.int64 if weights is None else np.float64)
+    m = cols[0].size
+    words = _words(len(cols), width, m)
     for start in range(0, m, CHUNK_VOXELS):
         chunk = slice(start, start + CHUNK_VOXELS)
         for r, col in enumerate(cols):
             digits = _label_index(col[chunk]) if width == 2 else col[chunk]
-            shift = width * (r % per_word)
-            words[chunk, r // per_word] |= digits.astype(np.uint16) << shift
-        if counted:
-            w = None if weights is None else weights[chunk]
-            counts += np.bincount(words[chunk, 0], w, minlength=counts.size)
-    if counted:
-        codes = words[:, 0]
-        present = np.flatnonzero(counts)
-        index = np.zeros(counts.size, dtype=np.uint16)
-        index[present] = np.arange(present.size)
-        keys, counts = present[:, None], counts[present]
-    else:
-        # Too many codes to count directly: sort the rows of packed codes.
-        rows = words.view(np.dtype((np.void, words.itemsize * words.shape[1])))
-        uniq, codes, counts = np.unique(
-            rows.reshape(-1), return_inverse=True, return_counts=True
-        )
-        if weights is not None:
-            counts = np.bincount(codes, weights, minlength=uniq.size)
-        index = np.arange(uniq.size)
-        keys = uniq.view(np.uint16).reshape(uniq.size, -1)
-    r = np.arange(j)
-    pats = (keys.T[r // per_word] >> (width * (r % per_word))[:, None]) & ((1 << width) - 1)
-    return pats, counts, index, codes
+            _pack(words[chunk], r, digits, width)
+    return _count(words, width, len(cols), weights)
+
+
+def joint_codes(n_raters: int, n_voxels: int) -> np.ndarray:
+    """Zeroed joint label codes of ``n_voxels`` voxels and ``n_raters``
+    raters, to be filled by :func:`pack_labels` and counted by
+    :func:`joint_histogram`: one uint8 per voxel for up to four raters."""
+    return _words(n_raters, 2, n_voxels)
+
+
+def pack_labels(codes: np.ndarray, rater: int, labels: np.ndarray) -> None:
+    """Store rater ``rater``'s BraTS ``labels`` in its two bits of ``codes``
+    (the rows of :func:`joint_codes` for the same voxels)."""
+    _pack(codes, rater, _label_index(labels), 2)
+
+
+def joint_histogram(codes: np.ndarray, n_raters: int):
+    """The joint rater-label rows of filled :func:`joint_codes`.
+
+    Returns ``(rows, counts, index, voxel_codes)``: the K rows that occur as
+    a (J, K) matrix of label positions in BRATS_LABELS, the number of
+    voxels holding each, and the row of each voxel ``v`` as
+    ``index[voxel_codes[v]]``. Up to eight raters ``voxel_codes`` is a view
+    of ``codes`` and ``index`` a table over all ``4^J`` codes; beyond that
+    the rows are sorted and ``voxel_codes`` is every voxel's row.
+    """
+    return _count(codes, 2, n_raters)
 
 
 def _gather(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -354,6 +412,33 @@ _MEMBERSHIP = {
 }
 
 
+def staple_lut(
+    rows: np.ndarray,
+    counts: np.ndarray,
+    n_voxels: int,
+    init: StapleParams | None = None,
+    tol: float = DEFAULT_TOL,
+    max_iters: int = DEFAULT_MAX_ITERS,
+) -> tuple[np.ndarray, dict[str, StapleFit]]:
+    """The fused label of every joint rater-label row, and each region's fit.
+
+    ``rows`` and ``counts`` are what :func:`joint_histogram` returns for
+    ``n_voxels`` voxels. Binary STAPLE runs per region (ET, TC, WT) on the
+    region patterns the rows imply, weighted by ``counts``, and each row's
+    region decisions are recomposed into a label. Returns the K labels
+    (uint8, read-only) and the fits keyed by region name.
+    """
+    fits = {}
+    fused = []
+    for r in (Region.ET, Region.TC, Region.WT):
+        bits = [_MEMBERSHIP[r][rater_rows] for rater_rows in rows]
+        pats, pat_counts, pat_index, pat_of_row = _patterns(bits, 1, counts)
+        w, fits[r.value] = _staple_em(pats, pat_counts, n_voxels, init, tol, max_iters)
+        row_mask = (w >= 0.5)[pat_index[pat_of_row]].reshape(-1, 1, 1)
+        fused.append(RegionMask(r, row_mask))
+    return recompose_labels(*fused).data.reshape(-1), fits
+
+
 def staple_multilabel_detailed(
     maps: list[LabelMap],
     init: StapleParams | None = None,
@@ -373,17 +458,9 @@ def staple_multilabel_detailed(
     first = maps[0].data
     order = "F" if first.flags.f_contiguous and not first.flags.c_contiguous else "C"
     rows, counts, index, codes = _patterns([m.data.ravel(order) for m in maps], 2)
-    results = {}
-    fused = {}
-    for r in (Region.ET, Region.TC, Region.WT):
-        bits = [_MEMBERSHIP[r][rater_rows] for rater_rows in rows]
-        pats, pat_counts, pat_index, pat_of_row = _patterns(bits, 1, counts)
-        w, results[r.value] = _staple_em(pats, pat_counts, codes.size, init, tol, max_iters)
-        row_mask = (w >= 0.5)[pat_index[pat_of_row]].reshape(-1, 1, 1)
-        fused[r] = RegionMask(r, row_mask, maps[0].spacing, maps[0].origin)
-    lut = recompose_labels(fused[Region.ET], fused[Region.TC], fused[Region.WT])
-    labels = _gather(lut.data.reshape(-1)[index], codes).reshape(first.shape, order=order)
-    return LabelMap(labels, maps[0].spacing, maps[0].origin), results
+    lut, fits = staple_lut(rows, counts, codes.size, init, tol, max_iters)
+    labels = _gather(lut[index], codes).reshape(first.shape, order=order)
+    return LabelMap(labels, maps[0].spacing, maps[0].origin), fits
 
 
 def staple_multilabel(

@@ -9,17 +9,25 @@ qform/sform is ignored (the data this toolkit targets is co-registered).
 Writing uses float32 for :class:`~bratsfuse.volume.Volume` and uint8 for
 :class:`~bratsfuse.volume.LabelMap`, with ``vox_offset`` 352 and data in
 x-fastest order, so ``read(write(v))`` reproduces shape, spacing, and data
-bit-exactly for the supported dtypes.
+bit-exactly for the supported dtypes. :func:`header_bytes` builds the 352
+bytes before the voxels, so a writer can stream a label body after it
+slab by slab and get the bytes :func:`write_nifti` would.
+
+In x-fastest order a range of whole z-planes is one contiguous byte range
+of a file. :class:`PlaneReader` opens one file, parses and checks its
+header and its size once, and then reads any planes ``z0:z1`` with
+``readinto`` into a buffer the caller owns and reuses;
+:func:`read_label_planes` checks such a slab with the rules
+:func:`read_labelmap` applies to a whole file.
 
 Probability maps do not fit in a 3-D file; they serialize as one NIfTI per
 channel plus a JSON manifest ``{"channels": [0, 1, 2, 4], "files": [...]}``.
-:class:`ProbmapFiles` opens a map's four channel files and parses and
-checks their headers once; its ``decode`` then reads a range of whole
-z-planes (in x-fastest order one contiguous byte range of each file) into
-buffers the caller owns and reuses, renormalises them into a float64
-buffer and checks the result, so a map can be read slab by slab without a
-header parse or a fresh array per slab. :func:`load_probmap` decodes a
-whole map in one call; a map's header alone is ``ProbmapFiles(m).header``.
+:class:`ProbmapFiles` is a map's four channel readers, whose grids it
+checks to agree; its ``decode`` reads planes ``z0:z1`` of every channel,
+renormalises them into a float64 buffer and checks the result, so a map
+can be read slab by slab without a header parse or a fresh array per slab.
+:func:`load_probmap` decodes a whole map in one call; a map's header alone
+is ``ProbmapFiles(m).header``.
 """
 
 from __future__ import annotations
@@ -42,7 +50,15 @@ from .errors import (
     UnsupportedDtype,
     UnsupportedEncoding,
 )
-from .volume import LabelMap, ProbMap, Volume, _check_probs, require_same_geometry
+from .volume import (
+    LabelMap,
+    ProbMap,
+    Volume,
+    _check_finite,
+    _check_labels,
+    _check_probs,
+    require_same_geometry,
+)
 
 __all__ = [
     "read_nifti",
@@ -54,6 +70,9 @@ __all__ = [
     "save_probmap",
     "load_probmap",
     "ProbmapFiles",
+    "PlaneReader",
+    "read_label_planes",
+    "header_bytes",
     "Header",
 ]
 
@@ -132,6 +151,8 @@ def _parse_header(raw: bytes) -> Header:
             "is not supported (only unscaled data)"
         )
     origin = tuple(float(q) for q in struct.unpack_from("<3f", raw, 268))
+    if not all(np.isfinite(origin)):
+        raise BadData(f"origin must be finite, got {origin}")
     return Header(shape, spacing, origin, _DTYPES[datatype], offset)
 
 
@@ -155,18 +176,15 @@ def read_labelmap(raw: bytes) -> LabelMap:
     return LabelMap(v.data, v.spacing, v.origin)
 
 
-def write_nifti(v: Volume | LabelMap) -> bytes:
-    """Serialize to NIfTI-1: float32 for Volume, uint8 for LabelMap."""
-    if isinstance(v, LabelMap):
-        datatype = 2
-        payload = v.data.astype("<u1", copy=False)
-    else:
-        datatype = 16
-        payload = v.data.astype("<f4", copy=False)
-    nx, ny, nz = v.shape
-    sx, sy, sz = v.spacing
-    ox, oy, oz = v.origin
-    hdr = bytearray(HEADER_SIZE)
+def header_bytes(shape, spacing, origin, dtype) -> bytes:
+    """The 352 bytes before the voxels of a NIfTI-1 file of ``shape``,
+    ``spacing`` and ``origin`` holding ``dtype`` (uint8 or float32) voxels:
+    the header and four zero bytes (no extensions)."""
+    datatype = {np.dtype("<u1"): 2, np.dtype("<f4"): 16}[np.dtype(dtype)]
+    nx, ny, nz = shape
+    sx, sy, sz = spacing
+    ox, oy, oz = origin
+    hdr = bytearray(VOX_OFFSET)
     struct.pack_into("<i", hdr, 0, HEADER_SIZE)
     struct.pack_into("<c", hdr, 38, b"r")
     struct.pack_into("<8h", hdr, 40, 3, nx, ny, nz, 1, 1, 1, 1)
@@ -184,8 +202,19 @@ def write_nifti(v: Volume | LabelMap) -> bytes:
     struct.pack_into("<4f", hdr, 296, 0.0, sy, 0.0, oy)
     struct.pack_into("<4f", hdr, 312, 0.0, 0.0, sz, oz)
     hdr[344:348] = MAGIC
-    # Four zero bytes: no header extensions; data starts at vox_offset 352.
-    return bytes(hdr) + b"\x00\x00\x00\x00" + payload.tobytes(order="F")
+    return bytes(hdr)
+
+
+def _payload(v: Volume | LabelMap) -> np.ndarray:
+    """The voxels as written: uint8 for a LabelMap, float32 otherwise."""
+    return v.data.astype("<u1" if isinstance(v, LabelMap) else "<f4", copy=False)
+
+
+def write_nifti(v: Volume | LabelMap) -> bytes:
+    """Serialize to NIfTI-1: float32 for Volume, uint8 for LabelMap."""
+    payload = _payload(v)
+    return header_bytes(v.shape, v.spacing, v.origin, payload.dtype) + \
+        payload.tobytes(order="F")
 
 
 def load_volume(path) -> Volume:
@@ -197,8 +226,13 @@ def load_labelmap(path) -> LabelMap:
 
 
 def save_nifti(path, v: Volume | LabelMap) -> Path:
+    """Write ``v`` as :func:`write_nifti` encodes it, without building the
+    whole file in memory."""
     path = Path(path)
-    path.write_bytes(write_nifti(v))
+    payload = _payload(v)
+    with open(path, "wb") as fh:
+        fh.write(header_bytes(v.shape, v.spacing, v.origin, payload.dtype))
+        fh.write(payload.ravel(order="F"))
     return path
 
 
@@ -241,22 +275,78 @@ def _channel_files(manifest_path: Path) -> list[Path]:
     return [manifest_path.parent / f for f in files]
 
 
-def _read_header(fh) -> Header:
-    """Header of an open NIfTI file, checked to be followed by all its voxels."""
-    hdr = _parse_header(fh.read(HEADER_SIZE))
-    size = os.fstat(fh.fileno()).st_size
-    if size < hdr.data_end:
-        raise TruncatedFile(f"{fh.name}: need {hdr.data_end} bytes of data, got {size}")
-    return hdr
+class PlaneReader:
+    """One open NIfTI file whose header and size are checked once.
+
+    Opening parses the header and checks that the file holds all the
+    voxels it declares; :meth:`read` then reads any range of z-planes
+    without parsing or checking the header again. Use it as a context
+    manager (or call :meth:`close`). Opening can raise ``OSError``.
+    """
+
+    def __init__(self, path):
+        self.path = Path(path)
+        self._fh = open(self.path, "rb")
+        try:
+            self.header = _parse_header(self._fh.read(HEADER_SIZE))
+            size = os.fstat(self._fh.fileno()).st_size
+            if size < self.header.data_end:
+                raise TruncatedFile(
+                    f"{self.path}: need {self.header.data_end} bytes of data, got {size}")
+        except BaseException:
+            self._fh.close()
+            raise
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def __enter__(self) -> "PlaneReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def read(self, z0: int, z1: int, buf: np.ndarray) -> np.ndarray:
+        """The stored voxels of planes ``z0:z1``, x-fastest, as a 1-D array
+        of the file's dtype over the first bytes of ``buf``.
+
+        ``buf`` is any C-contiguous array of at least that many bytes; the
+        result is a view of it. A file that has shrunk since it was opened
+        is ``TruncatedFile``.
+        """
+        nx, ny, _ = self.header.shape
+        dtype = self.header.dtype
+        n = nx * ny * (z1 - z0)
+        data = buf.reshape(-1).view(np.uint8)[: n * dtype.itemsize].view(dtype)
+        self._fh.seek(self.header.offset + nx * ny * dtype.itemsize * z0)
+        if self._fh.readinto(data) != data.nbytes:
+            raise TruncatedFile(f"{self.path}: ends inside planes {z0}:{z1}")
+        return data
+
+
+def read_label_planes(f: PlaneReader, z0: int, z1: int, buf: np.ndarray) -> np.ndarray:
+    """Planes ``z0:z1`` of a label file read into ``buf`` (see
+    :meth:`PlaneReader.read`), checked as :func:`read_labelmap` checks a
+    whole file: a NaN or infinite voxel is ``BadData``, any other value
+    outside {0, 1, 2, 4} ``InvalidLabel``, which lists the offending values
+    of these planes."""
+    data = f.read(z0, z1, buf)
+    try:
+        _check_finite(data)
+    except ValueError as e:
+        raise BadData(str(e)) from e
+    _check_labels(data)
+    return data
 
 
 class ProbmapFiles:
-    """The open channel files of a probability map, checked once.
+    """The channel files of a probability map, each a :class:`PlaneReader`.
 
-    Opening reads the manifest and the four channel headers, checks that each
-    file holds all its voxels and that the four grids agree; :meth:`decode`
-    then reads any range of z-planes without parsing or checking the headers
-    again. Use it as a context manager (or call :meth:`close`).
+    Opening reads the manifest and opens the four channel readers, which
+    check their headers and sizes, and checks that the four grids agree;
+    :meth:`decode` then reads any range of z-planes without parsing or
+    checking the headers again. Use it as a context manager (or call
+    :meth:`close`).
     """
 
     def __init__(self, manifest_path):
@@ -266,15 +356,14 @@ class ProbmapFiles:
             self._files = []
             for path in paths:
                 try:
-                    self._files.append(stack.enter_context(open(path, "rb")))
+                    self._files.append(stack.enter_context(PlaneReader(path)))
                 except OSError as e:
                     raise ConfigError(
                         f"{self.manifest}: cannot open channel file {path}: {e.strerror}"
                     ) from e
-            self._headers = [_read_header(fh) for fh in self._files]
-            require_same_geometry(*self._headers)
+            require_same_geometry(*(f.header for f in self._files))
             self._stack = stack.pop_all()
-        self.header = self._headers[0]
+        self.header = self._files[0].header
 
     def close(self) -> None:
         self._stack.close()
@@ -298,17 +387,9 @@ class ProbmapFiles:
         to 0, and renormalised channels outside [0, 1] or whose sum is off 1
         by more than 1e-6 are ``BadData`` naming the manifest.
         """
-        nx, ny, _ = self.header.shape
-        n = nx * ny * (z1 - z0)
-        channels = []
-        for fh, hdr, row in zip(self._files, self._headers, raw):
-            # Every supported dtype is at most 4 bytes wide, so a float32 row
-            # holds n voxels of any of them.
-            data = row.view(np.uint8)[: n * hdr.dtype.itemsize].view(hdr.dtype)
-            fh.seek(hdr.offset + nx * ny * hdr.dtype.itemsize * z0)
-            if fh.readinto(data) != data.nbytes:
-                raise TruncatedFile(f"{fh.name}: ends inside planes {z0}:{z1}")
-            channels.append(data)
+        # Every supported dtype is at most 4 bytes wide, so a float32 row
+        # holds the planes' voxels in any of them.
+        channels = [f.read(z0, z1, row) for f, row in zip(self._files, raw)]
         np.add(channels[0], channels[1], out=sums, dtype=np.float64)
         for data in channels[2:]:
             sums += data

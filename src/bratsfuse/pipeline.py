@@ -1,22 +1,37 @@
 """Case-level pipeline orchestration behind the CLI.
 
-``run_fuse`` executes, per case: average each model's fold probability maps
-and decode to labels, fuse the models with STAPLE (a single model passes
-through), apply the ET size threshold, and write the fused NIfTI plus a JSON
-diagnostics sidecar. ``run_eval`` pairs prediction and ground-truth files by
-filename stem and emits per-case metrics (CSV + JSON) and summary tables.
+``run_fuse`` fuses each case's models into one label map: a model is a
+label map or fold probability maps, several models are fused with STAPLE
+(a single model passes through), the ET size threshold is applied, and the
+fused NIfTI is written with a JSON diagnostics sidecar. ``run_eval`` pairs
+prediction and ground-truth files by filename stem and emits per-case
+metrics (CSV + JSON) and summary tables.
 
-A model given as fold probability maps is decoded in slabs of whole
-z-planes (about ``SLAB_VOXELS`` voxels, at least one plane). Every fold's
-channel files are opened and their headers parsed and checked once, before
-the first slab. The model's buffers (one float32 slab of stored channels,
-float64 slabs for one fold's renormalised channels and for the running
-mean, and the channel sums) are allocated once and reused: each slab is
-read from every fold in config order, renormalised and checked, added to
-the mean, and the mean is checked and decoded into the uint8 label map.
-No fold's whole map, and no fresh float64 stack per slab, is held.
+A case is read in one loop over slabs of whole z-planes (about
+``SLAB_VOXELS`` voxels, at least one plane). Every input file is opened and
+its header parsed and checked once, and the models' grids are checked to
+agree, before the first slab. Per slab, each model gives its labels: a
+label map's planes are read and checked as ``load_labelmap`` checks a whole
+file; fold maps are read from every fold in config order, renormalised
+and checked, averaged, checked again and argmaxed, in buffers allocated
+once per model. Each model's labels go into its two bits of the case's
+joint code array (``fusion.joint_codes``), which is the only whole-volume
+array: one code per voxel, in the smallest unsigned type holding two bits
+per model (uint8 for up to four models).
 
-A case that raises a :class:`~bratsfuse.errors.BratsFuseError` is recorded
+The codes' histogram (``fusion.joint_histogram``) gives each joint label
+row and its voxel count, and a lookup table gives each row's fused label:
+STAPLE's (``fusion.staple_lut``), or the model's own label for a single
+model. ET voxels are counted from the histogram, so the ET threshold is
+decided before any output voxel is written: a relabel is the table edit
+ET -> 1. The output body is then the table read at the codes, written
+slab by slab after the header ``nifti.header_bytes`` builds.
+
+Every output file (``<case>.nii``, ``<case>_staple.json``,
+``fuse_manifest.json``, ``errors.json``) is written to a temporary file in
+the same directory and moved onto its name with ``os.replace``, so an
+interrupted or failed write never leaves a partial file under that name. A
+case that raises a :class:`~bratsfuse.errors.BratsFuseError` is recorded
 in ``errors.json`` and skipped, and any ``<case>.nii`` or
 ``<case>_staple.json`` an earlier run left in the output directory is
 removed; the other cases still run.
@@ -32,8 +47,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -45,7 +61,10 @@ from .fusion import (
     DEFAULT_TOL,
     argmax_labels_into,
     average_probs_into,
-    staple_multilabel_detailed,
+    joint_codes,
+    joint_histogram,
+    pack_labels,
+    staple_lut,
 )
 from .metrics import (
     EMPTY_PENALTY_MM,
@@ -55,8 +74,8 @@ from .metrics import (
     metrics_csv_header,
     metrics_csv_row,
 )
-from .nifti import ProbmapFiles, load_labelmap, save_nifti
-from .postprocess import DEFAULT_ET_THRESHOLD, et_threshold_relabel
+from .nifti import PlaneReader, ProbmapFiles, header_bytes, load_labelmap, read_label_planes
+from .postprocess import DEFAULT_ET_THRESHOLD, relabels_et
 from .report import (
     ModelSummary,
     format_ranking_table,
@@ -65,12 +84,13 @@ from .report import (
     rank_models,
     summarize,
 )
-from .volume import LabelMap, _check_probs, require_same_geometry
+from .volume import BRATS_LABELS, _check_probs, require_same_geometry
 
-# Not called here (fold maps go through the array cores above), but
+# Not called here (cases are fused slab by slab through the cores above), but
 # benchmarks/tracing.py wraps these names on this module.
-from .fusion import argmax_labels, average_probs  # noqa: F401
-from .nifti import load_probmap  # noqa: F401
+from .fusion import argmax_labels, average_probs, staple_multilabel_detailed  # noqa: F401
+from .nifti import load_probmap, save_nifti  # noqa: F401
+from .postprocess import et_threshold_relabel  # noqa: F401
 
 __all__ = [
     "ModelInput",
@@ -224,68 +244,138 @@ class PipelineConfig:
                 m.validate()
 
 
-# Voxels per slab when fold maps are decoded; a slab is whole z-planes.
+# Voxels per slab when a case is read; a slab is whole z-planes.
 SLAB_VOXELS = 1 << 17
+_LABELS = np.array(BRATS_LABELS, dtype=np.uint8)
 
 
-def _model_labelmap(m: ModelInput) -> LabelMap:
-    if m.labelmap is not None:
-        return load_labelmap(m.labelmap)
-    with ExitStack() as stack:
-        folds = [stack.enter_context(ProbmapFiles(p)) for p in m.prob_manifests]
-        require_same_geometry(*(f.header for f in folds))
-        grid = folds[0].header
-        nx, ny, nz = grid.shape
-        plane = nx * ny
-        step = max(1, SLAB_VOXELS // plane)
-        size = plane * min(step, nz)
+def _slab_voxels(shape) -> tuple[int, int]:
+    """Planes per slab of a grid, and the voxels of its largest slab."""
+    nx, ny, nz = shape
+    step = max(1, SLAB_VOXELS // (nx * ny))
+    return step, nx * ny * min(step, nz)
+
+
+class _LabelModel:
+    """A model given as a label map, read slab by slab."""
+
+    def __init__(self, path: Path, stack: ExitStack):
+        try:
+            self._file = stack.enter_context(PlaneReader(path))
+        except OSError as e:
+            raise ConfigError(f"cannot open label map {path}: {e.strerror}") from e
+        self.header = self._file.header
+        _, size = _slab_voxels(self.header.shape)
+        self._buf = np.empty(size * self.header.dtype.itemsize, np.uint8)
+
+    def labels(self, z0: int, z1: int) -> np.ndarray:
+        """The labels of planes ``z0:z1``, checked, x-fastest."""
+        data = read_label_planes(self._file, z0, z1, self._buf)
+        return data.astype(np.uint8, copy=False)
+
+
+class _FoldModel:
+    """A model given as fold probability maps, decoded slab by slab."""
+
+    def __init__(self, manifests: tuple[Path, ...], stack: ExitStack):
+        self._manifests = manifests
+        self._folds = [stack.enter_context(ProbmapFiles(p)) for p in manifests]
+        require_same_geometry(*(f.header for f in self._folds))
+        self.header = self._folds[0].header
+        _, size = _slab_voxels(self.header.shape)
         # One set of buffers for every slab of every fold.
-        raw = np.empty((4, size), np.float32)
-        probs, mean = np.empty((2, 4, size))
-        sums, best = np.empty((2, size))
-        labels = np.empty(plane * nz, np.uint8)  # x-fastest, as in the files
-        for z0 in range(0, nz, step):
-            z1 = min(z0 + step, nz)
-            n = plane * (z1 - z0)
-            decoded = (f.decode(z0, z1, raw, probs[:, :n], sums[:n]) for f in folds)
-            average_probs_into(decoded, mean[:, :n])
-            try:
-                _check_probs(mean[:, :n], sums[:n])
-            except ValueError as e:
-                names = ", ".join(str(p) for p in m.prob_manifests)
-                raise BadData(f"average of {names}: {e}") from e
-            argmax_labels_into(mean[:, :n], labels[plane * z0 : plane * z1], best[:n])
-    return LabelMap(labels.reshape(grid.shape, order="F"), grid.spacing, grid.origin)
+        self._raw = np.empty((4, size), np.float32)
+        self._probs, self._mean = np.empty((2, 4, size))
+        self._sums, self._best = np.empty((2, size))
+        self._labels = np.empty(size, np.uint8)
+
+    def labels(self, z0: int, z1: int) -> np.ndarray:
+        """The labels of planes ``z0:z1``, x-fastest: every fold's slab in
+        config order, renormalised and checked, then their mean, checked
+        and argmaxed."""
+        nx, ny, _ = self.header.shape
+        n = nx * ny * (z1 - z0)
+        mean, sums = self._mean[:, :n], self._sums[:n]
+        decoded = (f.decode(z0, z1, self._raw, self._probs[:, :n], sums)
+                   for f in self._folds)
+        average_probs_into(decoded, mean)
+        try:
+            _check_probs(mean, sums)
+        except ValueError as e:
+            names = ", ".join(str(p) for p in self._manifests)
+            raise BadData(f"average of {names}: {e}") from e
+        return argmax_labels_into(mean, self._labels[:n], self._best[:n])
+
+
+def _open_model(m: ModelInput, stack: ExitStack) -> _LabelModel | _FoldModel:
+    if m.labelmap is not None:
+        return _LabelModel(m.labelmap, stack)
+    return _FoldModel(m.prob_manifests, stack)
+
+
+@contextmanager
+def _write_atomic(path: Path):
+    """A binary file that becomes ``path`` when the block ends.
+
+    It is written as a temporary file in the same directory and moved onto
+    ``path`` with ``os.replace``; if the block raises, it is removed and
+    ``path`` is left as it was.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _write_json(path: Path, value) -> None:
+    with _write_atomic(path) as fh:
+        fh.write((json.dumps(value, sort_keys=True, indent=2) + "\n").encode())
 
 
 def _fuse_one_case(case: CaseInput, cfg: PipelineConfig) -> dict:
-    maps = [_model_labelmap(m) for m in case.models]
-    if len(maps) == 1:
-        fused = maps[0]
-        staple_diag = None
+    with ExitStack() as stack:
+        models = [_open_model(m, stack) for m in case.models]
+        require_same_geometry(*(m.header for m in models))
+        grid = models[0].header
+        nx, ny, nz = grid.shape
+        step, slab = _slab_voxels(grid.shape)
+        codes = joint_codes(len(models), nx * ny * nz)
+        for z0 in range(0, nz, step):
+            z1 = min(z0 + step, nz)
+            voxels = codes[nx * ny * z0 : nx * ny * z1]
+            for r, model in enumerate(models):
+                pack_labels(voxels, r, model.labels(z0, z1))
+    rows, counts, index, codes = joint_histogram(codes, len(models))
+    if len(models) == 1:
+        lut, staple_diag = _LABELS[rows[0]], None
     else:
-        fused, details = staple_multilabel_detailed(
-            maps, tol=cfg.staple_tol, max_iters=cfg.staple_max_iters
-        )
-        staple_diag = {region: res.to_json_dict() for region, res in details.items()}
-    et_before = int(np.count_nonzero(fused.data == 4))
-    relabeled = et_threshold_relabel(fused, cfg.et_threshold)
-    # The relabel returns its input unless it relabels every ET voxel.
-    et_after = et_before if relabeled is fused else 0
+        lut, fits = staple_lut(rows, counts, codes.size, tol=cfg.staple_tol,
+                               max_iters=cfg.staple_max_iters)
+        staple_diag = {region: fit.to_json_dict() for region, fit in fits.items()}
+    et_before = int(counts[lut == 4].sum())
+    relabel = relabels_et(et_before, cfg.et_threshold)
+    table = lut[index]  # the fused label of every code
+    if relabel:
+        table[table == 4] = 1
     out_nii = cfg.output_dir / f"{case.case_id}.nii"
-    save_nifti(out_nii, relabeled)
+    with _write_atomic(out_nii) as fh:
+        fh.write(header_bytes(grid.shape, grid.spacing, grid.origin, np.uint8))
+        for start in range(0, codes.size, slab):
+            fh.write(table[codes[start : start + slab]])
     diag = {
         "case_id": case.case_id,
         "models": [m.name for m in case.models],
         "staple": staple_diag,
         "et_threshold": cfg.et_threshold,
         "et_voxels_before": et_before,
-        "et_voxels_after": et_after,
-        "et_relabeled": et_after == 0 and et_before > 0,
+        "et_voxels_after": 0 if relabel else et_before,
+        "et_relabeled": relabel,
         "output": out_nii.name,
     }
-    diag_path = cfg.output_dir / f"{case.case_id}_staple.json"
-    diag_path.write_text(json.dumps(diag, sort_keys=True, indent=2) + "\n")
+    _write_json(cfg.output_dir / f"{case.case_id}_staple.json", diag)
     return diag
 
 
@@ -304,7 +394,7 @@ def _write_errors(output_dir: Path, errors: list[dict]) -> None:
     """Write ``errors.json``, or remove one an earlier run left behind."""
     path = output_dir / "errors.json"
     if errors:
-        path.write_text(json.dumps(errors, sort_keys=True, indent=2) + "\n")
+        _write_json(path, errors)
     else:
         path.unlink(missing_ok=True)
 
@@ -338,8 +428,7 @@ def run_fuse(cfg: PipelineConfig, jobs: int = 1) -> tuple[list[dict], list[dict]
     results = _run_cases(_FuseTask(cfg), cases, jobs)
     diags = [d for d, _ in results if d is not None]
     errors = [e for _, e in results if e is not None]
-    manifest = cfg.output_dir / "fuse_manifest.json"
-    manifest.write_text(json.dumps(diags, sort_keys=True, indent=2) + "\n")
+    _write_json(cfg.output_dir / "fuse_manifest.json", diags)
     _write_errors(cfg.output_dir, errors)
     return diags, errors
 

@@ -96,8 +96,7 @@ class Volume(_Grid):
 
     def __post_init__(self):
         data = np.asarray(self.data)
-        if np.issubdtype(data.dtype, np.floating) and not np.isfinite(data).all():
-            raise ValueError("volume data contains NaN or Inf")
+        _check_finite(data)
         self._init_grid(data)
 
 
@@ -111,15 +110,27 @@ class LabelMap(_Grid):
 
     def __post_init__(self):
         data = np.asarray(self.data)
-        # One compare per label: np.isin's sort/table path would allocate
-        # several int64 copies of the volume.
-        valid = data == BRATS_LABELS[0]
-        for label in BRATS_LABELS[1:]:
-            valid |= data == label
-        if not valid.all():
-            bad = np.unique(data[~valid])
-            raise InvalidLabel(f"label values outside {{0,1,2,4}}: {bad.tolist()}")
+        _check_labels(data)
         self._init_grid(data.astype(np.uint8, copy=False))
+
+
+def _check_finite(data: np.ndarray) -> None:
+    """Raise ValueError if floating-point ``data`` holds NaN or Inf."""
+    if np.issubdtype(data.dtype, np.floating) and not np.isfinite(data).all():
+        raise ValueError("volume data contains NaN or Inf")
+
+
+def _check_labels(data: np.ndarray) -> None:
+    """Raise InvalidLabel, listing the offending values, unless every value
+    of ``data`` is a BraTS label."""
+    # One compare per label: np.isin's sort/table path would allocate
+    # several int64 copies of the data.
+    valid = data == BRATS_LABELS[0]
+    for label in BRATS_LABELS[1:]:
+        valid |= data == label
+    if not valid.all():
+        bad = np.unique(data[~valid])
+        raise InvalidLabel(f"label values outside {{0,1,2,4}}: {bad.tolist()}")
 
 
 def _check_probs(data: np.ndarray, sums: np.ndarray | None = None) -> None:

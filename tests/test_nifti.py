@@ -20,10 +20,14 @@ from bratsfuse.errors import (
     UnsupportedEncoding,
 )
 from bratsfuse.nifti import (
+    PlaneReader,
     ProbmapFiles,
+    load_labelmap,
     load_probmap,
+    read_label_planes,
     read_labelmap,
     read_nifti,
+    save_nifti,
     save_probmap,
     write_nifti,
 )
@@ -451,3 +455,83 @@ class TestBadManifest:
         for load in (ProbmapFiles, load_probmap):
             with pytest.raises(ConfigError, match="case_ch2.nii"):
                 load(manifest)
+
+
+# -- one file read by planes, and files written without a whole-file copy -----------
+
+PLANE_SHAPE = (5, 4, 7)
+
+
+def _plane_file(tmp_path, datatype, data):
+    """A hand-assembled file of ``PLANE_SHAPE`` holding ``data`` (x-fastest)."""
+    dtype = {2: "<u1", 4: "<i2", 16: "<f4"}[datatype]
+    path = tmp_path / "planes.nii"
+    path.write_bytes(build_fixture(PLANE_SHAPE, (1.0, 1.5, 2.5), datatype,
+                                   np.asarray(data, dtype).tobytes()))
+    return path
+
+
+@pytest.mark.parametrize("datatype", [2, 4, 16])
+def test_planes_are_the_whole_file_s_planes(tmp_path, rng, datatype):
+    labels = np.array([0, 1, 2, 4])[rng.integers(0, 4, int(np.prod(PLANE_SHAPE)))]
+    path = _plane_file(tmp_path, datatype, labels)
+    whole = load_labelmap(path).data.reshape(-1, order="F")
+    plane = PLANE_SHAPE[0] * PLANE_SHAPE[1]
+    buf = np.empty(3 * plane, np.float32)  # room for three planes of any dtype
+    with PlaneReader(path) as f:
+        assert f.header.shape == PLANE_SHAPE
+        for z0, z1 in ((0, 3), (3, 6), (6, 7), (2, 3)):
+            got = read_label_planes(f, z0, z1, buf)
+            assert np.shares_memory(got, buf)
+            assert got.dtype == f.header.dtype
+            assert np.array_equal(got, whole[plane * z0 : plane * z1])
+
+
+@pytest.mark.parametrize("datatype, value, error, match", [
+    (2, 3, InvalidLabel, r"label values outside \{0,1,2,4\}: \[3\]"),
+    (16, float("nan"), BadData, "NaN or Inf"),
+    (16, 0.5, InvalidLabel, r"\[0.5\]"),
+])
+def test_planes_are_checked_as_the_whole_file_is(tmp_path, datatype, value, error, match):
+    data = np.zeros(int(np.prod(PLANE_SHAPE)))
+    data[-3] = value  # in the last plane
+    path = _plane_file(tmp_path, datatype, data)
+    with pytest.raises(error, match=match) as want:
+        load_labelmap(path)
+    buf = np.empty(int(np.prod(PLANE_SHAPE)), np.float32)
+    with PlaneReader(path) as f:
+        read_label_planes(f, 0, 6, buf)
+        with pytest.raises(error) as got:
+            read_label_planes(f, 6, 7, buf)
+    assert str(got.value) == str(want.value)
+
+
+def test_a_file_short_of_its_voxels_is_refused_when_opened(tmp_path):
+    path = _plane_file(tmp_path, 2, np.zeros(int(np.prod(PLANE_SHAPE))))
+    path.write_bytes(path.read_bytes()[:-1])
+    with pytest.raises(TruncatedFile, match=f"{path}: need"):
+        PlaneReader(path)
+
+
+def test_a_file_that_shrinks_after_opening_is_truncated(tmp_path):
+    path = _plane_file(tmp_path, 2, np.zeros(int(np.prod(PLANE_SHAPE))))
+    buf = np.empty(int(np.prod(PLANE_SHAPE)), np.uint8)
+    with PlaneReader(path) as f:
+        f.read(5, 7, buf)
+        with open(path, "r+b") as fh:
+            fh.truncate(352 + 20 * 6 + 1)
+        f.read(0, 6, buf)
+        with pytest.raises(TruncatedFile, match="ends inside planes 6:7"):
+            f.read(6, 7, buf)
+
+
+@pytest.mark.parametrize("make", [
+    lambda d: LabelMap(np.array([0, 1, 2, 4], np.uint8)[d % 4]),
+    lambda d: LabelMap(np.asfortranarray(np.array([0, 1, 2, 4], np.uint8)[d % 4]),
+                       (0.5, 1.0, 2.0), (1.0, -2.0, 3.5)),
+    lambda d: Volume(d.astype(np.float64) / 7.0, (1.0, 1.25, 2.0)),
+    lambda d: Volume(np.asfortranarray(d.astype(np.int16))),
+], ids=["labels", "labels_f_order", "volume", "volume_f_order"])
+def test_save_nifti_writes_the_write_nifti_bytes(tmp_path, make):
+    v = make(np.arange(5 * 4 * 3).reshape(5, 4, 3))
+    assert save_nifti(tmp_path / "v.nii", v).read_bytes() == write_nifti(v)

@@ -4,6 +4,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,8 +15,20 @@ from click.testing import CliRunner
 import bratsfuse
 from bratsfuse import pipeline
 from bratsfuse.cli import main
-from bratsfuse.errors import BadData, ConfigError, GeometryMismatch, TruncatedFile
-from bratsfuse.fusion import argmax_labels, average_probs
+from bratsfuse.errors import (
+    BadData,
+    ConfigError,
+    GeometryMismatch,
+    InvalidLabel,
+    TruncatedFile,
+)
+from bratsfuse.fusion import (
+    CODE_BITS,
+    argmax_labels,
+    average_probs,
+    joint_codes,
+    staple_multilabel_detailed,
+)
 from bratsfuse.nifti import (
     ProbmapFiles,
     load_labelmap,
@@ -26,8 +39,10 @@ from bratsfuse.nifti import (
 )
 from bratsfuse.postprocess import DEFAULT_ET_THRESHOLD, et_threshold_relabel
 from bratsfuse.pipeline import CaseInput, ModelInput, PipelineConfig, run_eval, run_fuse
-from bratsfuse.synth import PhantomSpec, corrupt_labels, make_phantom
+from bratsfuse.synth import PhantomSpec, corrupt_labels, make_phantom, noisy_probmap
 from bratsfuse.volume import LabelMap, ProbMap, Volume
+
+from .test_fusion import boundary_raters
 
 
 def _labels(shape=(6, 6, 4)):
@@ -224,8 +239,19 @@ def _whole_volume_labels(manifests):
     return argmax_labels(average_probs([load_probmap(m) for m in manifests]))
 
 
+def _fused_labels(manifests):
+    """The labels of a one-model case of fold ``manifests``, fused with no ET
+    threshold by ``_fuse_one_case`` (which raises the case's error), read
+    back from the written file."""
+    out = manifests[0].parent / "fused"
+    out.mkdir(exist_ok=True)
+    case = CaseInput("c", (ModelInput("m", prob_manifests=tuple(manifests)),))
+    pipeline._fuse_one_case(case, PipelineConfig((case,), out, et_threshold=0))
+    return load_labelmap(out / "c.nii")
+
+
 def _assert_streamed_equals_whole(manifests):
-    got = pipeline._model_labelmap(ModelInput("m", prob_manifests=tuple(manifests)))
+    got = _fused_labels(manifests)
     want = _whole_volume_labels(manifests)
     assert got.data.tobytes(order="F") == want.data.tobytes(order="F")
     assert (got.spacing, got.origin) == (want.spacing, want.origin)
@@ -250,7 +276,7 @@ def test_streamed_labels_equal_whole_volume_labels(tmp_path, rng, monkeypatch,
 
     with monkeypatch.context() as patch:
         patch.setattr(ProbmapFiles, "decode", decode)
-        got = pipeline._model_labelmap(ModelInput("m", prob_manifests=tuple(manifests)))
+        got = _fused_labels(manifests)
     assert got.data.tobytes(order="F") == _whole_volume_labels(manifests).data.tobytes(order="F")
     # Every slab of planes_per_slab planes (the last one shorter) is read
     # from every fold, in config order.
@@ -288,7 +314,7 @@ def test_fold_with_extra_planes_is_a_geometry_mismatch(tmp_path, rng):
     short = _folds(tmp_path, rng, (6, 5, 4), 2, stem="short")
     long_ = _folds(tmp_path, rng, (6, 5, 5), 1, stem="long")
     with pytest.raises(GeometryMismatch):
-        pipeline._model_labelmap(ModelInput("m", prob_manifests=tuple(short + long_)))
+        _fused_labels(short + long_)
 
 
 def test_channel_truncated_in_its_last_plane(tmp_path, rng):
@@ -296,7 +322,7 @@ def test_channel_truncated_in_its_last_plane(tmp_path, rng):
     path = manifests[2].parent / f"{manifests[2].stem}_ch1.nii"
     path.write_bytes(path.read_bytes()[:-7])
     with pytest.raises(TruncatedFile):
-        pipeline._model_labelmap(ModelInput("m", prob_manifests=tuple(manifests)))
+        _fused_labels(manifests)
 
 
 def test_fold_decoding_holds_one_slab_of_each_fold(tmp_path, rng, monkeypatch):
@@ -305,10 +331,9 @@ def test_fold_decoding_holds_one_slab_of_each_fold(tmp_path, rng, monkeypatch):
     fold_bytes = 4 * int(np.prod(shape)) * 8  # one fold's float64 map
     # Four planes per slab, so the whole grid takes 24 slabs.
     monkeypatch.setattr(pipeline, "SLAB_VOXELS", 4 * 64 * 64, raising=False)
-    model = ModelInput("m", prob_manifests=tuple(manifests))
     tracemalloc.start()
     try:
-        labels = pipeline._model_labelmap(model)
+        labels = _fused_labels(manifests)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -348,7 +373,7 @@ def test_every_voxel_of_every_fold_is_checked(tmp_path, rng, monkeypatch, bad):
     bad_case = _folds(tmp_path, rng, CHECK_SHAPE, 3, stem="a_bad")
     _patch_channels(bad_case[1], values)
     with pytest.raises(BadData, match=match) as info:
-        pipeline._model_labelmap(ModelInput("m", prob_manifests=tuple(bad_case)))
+        _fused_labels(bad_case)
     assert str(info.value).startswith(f"{bad_case[1]}: ")
 
     good_case = _folds(tmp_path, rng, CHECK_SHAPE, 3, stem="b_good")
@@ -375,7 +400,7 @@ def test_the_average_of_the_folds_is_checked(tmp_path, rng, monkeypatch):
     for f in folds:
         load_probmap(f)  # each fold alone passes every check
     with pytest.raises(BadData, match="channel sums deviate from 1 by 1e-06") as info:
-        pipeline._model_labelmap(ModelInput("m", prob_manifests=tuple(folds)))
+        _fused_labels(folds)
     assert str(info.value).startswith(f"average of {folds[0]}, {folds[1]}: ")
 
 
@@ -587,14 +612,214 @@ def test_fused_outputs_are_byte_identical_across_jobs(tmp_path):
             save_nifti(path, corrupt_labels(gt, 0.1, seed=300 + 10 * c + k))
             models.append(ModelInput(f"rater{k}", labelmap=path))
         cases.append(CaseInput(f"case{c}", tuple(models)))
+    # A mixed case: fold probability maps and two label maps.
+    cases.append(_mixed_case(tmp_path, "case2"))
     cfg = PipelineConfig(cases=tuple(cases), output_dir=tmp_path / "jobs1")
     run_fuse(cfg, jobs=1)
     run_fuse(replace(cfg, output_dir=tmp_path / "jobs2"), jobs=2)
 
     names = sorted(p.name for p in (tmp_path / "jobs1").iterdir())
     assert names == ["case0.nii", "case0_staple.json", "case1.nii", "case1_staple.json",
-                     "fuse_manifest.json"]
+                     "case2.nii", "case2_staple.json", "fuse_manifest.json"]
     assert sorted(p.name for p in (tmp_path / "jobs2").iterdir()) == names
     for name in names:
         assert (tmp_path / "jobs1" / name).read_bytes() == \
             (tmp_path / "jobs2" / name).read_bytes(), name
+
+
+# -- the slab-by-slab fuse path against the in-memory reference -------------------
+
+STREAM_SHAPE = (16, 14, 11)
+# Two planes per slab: slabs 0:2, ..., 8:10 and a last one of one plane.
+STREAM_SLAB = 2 * 16 * 14
+
+
+def _label_models(tmp_path, raters, stem):
+    models = []
+    for k, m in enumerate(raters):
+        path = tmp_path / f"{stem}_rater{k}.nii"
+        save_nifti(path, m)
+        models.append(ModelInput(f"rater{k}", labelmap=path))
+    return models
+
+
+def _mixed_case(tmp_path, case_id, shape=(16, 14, 12)):
+    """Fold probability maps (two noisy folds of the phantom) and two label
+    maps that err at the region boundaries."""
+    gt, _ = make_phantom(PhantomSpec(shape=shape, seed=41))
+    folds = [save_probmap(noisy_probmap(gt, 2.0, seed=f), tmp_path, f"{case_id}_f{f}")
+             for f in range(2)]
+    soft = ModelInput("soft", prob_manifests=tuple(folds))
+    return CaseInput(case_id, (soft, *_label_models(tmp_path, boundary_raters(gt, 2, 5),
+                                                    case_id)))
+
+
+def _reference(case, cfg, tmp_path):
+    """The ``.nii`` bytes and ``_staple.json`` text of ``case`` from whole
+    volumes: ``load_labelmap`` (fold maps averaged and argmaxed whole),
+    ``staple_multilabel_detailed``, ``et_threshold_relabel``, ``save_nifti``."""
+    maps = [load_labelmap(m.labelmap) if m.labelmap is not None
+            else _whole_volume_labels(m.prob_manifests) for m in case.models]
+    if len(maps) == 1:
+        fused, staple = maps[0], None
+    else:
+        fused, fits = staple_multilabel_detailed(maps, tol=cfg.staple_tol,
+                                                 max_iters=cfg.staple_max_iters)
+        staple = {region: fit.to_json_dict() for region, fit in fits.items()}
+    out = et_threshold_relabel(fused, cfg.et_threshold)
+    before, after = (int(np.count_nonzero(m.data == 4)) for m in (fused, out))
+    diag = {"case_id": case.case_id, "models": [m.name for m in case.models],
+            "staple": staple, "et_threshold": cfg.et_threshold,
+            "et_voxels_before": before, "et_voxels_after": after,
+            "et_relabeled": after == 0 and before > 0, "output": f"{case.case_id}.nii"}
+    path = save_nifti(tmp_path / f"reference_{case.case_id}.nii", out)
+    return path.read_bytes(), json.dumps(diag, sort_keys=True, indent=2) + "\n"
+
+
+def _assert_fuses_as_the_reference(tmp_path, case, **options):
+    cfg = PipelineConfig(cases=(case,), output_dir=tmp_path / "fused", **options)
+    diags, errors = run_fuse(cfg)
+    assert errors == []
+    nii, staple = _reference(case, cfg, tmp_path)
+    out = cfg.output_dir
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [f"{case.case_id}.nii", f"{case.case_id}_staple.json", "fuse_manifest.json"])
+    assert (out / f"{case.case_id}.nii").read_bytes() == nii
+    assert (out / f"{case.case_id}_staple.json").read_text() == staple
+    assert diags == [json.loads(staple)]
+    return diags[0]
+
+
+def test_a_soft_and_two_label_models_fuse_as_the_reference(tmp_path, monkeypatch):
+    monkeypatch.setattr(pipeline, "SLAB_VOXELS", STREAM_SLAB)
+    diag = _assert_fuses_as_the_reference(tmp_path, _mixed_case(tmp_path, "c0", STREAM_SHAPE))
+    assert set(diag["staple"]) == {"ET", "TC", "WT"}
+
+
+def test_one_label_model_below_the_et_threshold_is_relabeled(tmp_path, monkeypatch):
+    monkeypatch.setattr(pipeline, "SLAB_VOXELS", STREAM_SLAB)
+    data = np.zeros(STREAM_SHAPE, np.uint8)
+    data[3:12, 3:11, 2:10] = 2
+    data[5:10, 5:9, 4:8] = 1
+    data[6:8, 6, 9] = 4  # two ET voxels, in the slab of planes 8:10
+    path = save_nifti(tmp_path / "m.nii", LabelMap(data, SPACING, ORIGIN))
+    case = CaseInput("c0", (ModelInput("m", labelmap=path),))
+    diag = _assert_fuses_as_the_reference(tmp_path, case, et_threshold=3)
+    assert (diag["staple"], diag["et_voxels_before"], diag["et_voxels_after"],
+            diag["et_relabeled"]) == (None, 2, 0, True)
+    fused = load_labelmap(tmp_path / "fused" / "c0.nii")
+    assert np.array_equal(fused.data, np.where(data == 4, 1, data))
+    assert (fused.spacing, fused.origin) == (SPACING, ORIGIN)
+
+
+@pytest.mark.parametrize("n_raters, code_type", [(5, np.uint16), (9, np.uint32)])
+def test_many_label_models_fuse_as_the_reference(tmp_path, monkeypatch, n_raters,
+                                                 code_type):
+    # Five raters' codes need a uint16; nine need 18 bits, more than
+    # np.bincount counts, so their joint rows are sorted.
+    assert joint_codes(n_raters, 1).dtype == code_type
+    assert (2 * n_raters > CODE_BITS) == (n_raters == 9)
+    monkeypatch.setattr(pipeline, "SLAB_VOXELS", STREAM_SLAB)
+    gt, _ = make_phantom(PhantomSpec(shape=STREAM_SHAPE, seed=7))
+    models = _label_models(tmp_path, boundary_raters(gt, n_raters, 4), "c0")
+    _assert_fuses_as_the_reference(tmp_path, CaseInput("c0", tuple(models)))
+
+
+def _spoil_last_plane(path, how):
+    """Put label 3 in the last plane of a written label map, or cut the
+    file's last 7 bytes."""
+    raw = bytearray(path.read_bytes())
+    if how == "invalid_label":
+        raw[-5] = 3
+    else:
+        del raw[-7:]
+    path.write_bytes(bytes(raw))
+
+
+@pytest.mark.parametrize("how, error", [("invalid_label", InvalidLabel),
+                                        ("truncated", TruncatedFile)])
+def test_a_bad_last_slab_is_a_per_case_error_with_no_outputs(tmp_path, monkeypatch,
+                                                             how, error):
+    monkeypatch.setattr(pipeline, "SLAB_VOXELS", STREAM_SLAB)
+    gt, _ = make_phantom(PhantomSpec(shape=STREAM_SHAPE, seed=7))
+    raters = boundary_raters(gt, 3, 4)
+    cases = [CaseInput(cid, tuple(_label_models(tmp_path, raters, cid)))
+             for cid in ("a_bad", "b_good")]
+    bad = cases[0].models[2].labelmap
+    _spoil_last_plane(bad, how)
+    with pytest.raises(error) as want:
+        load_labelmap(bad)
+    out = tmp_path / "fused"
+    diags, errors = run_fuse(PipelineConfig(cases=tuple(cases), output_dir=out))
+    assert [d["case_id"] for d in diags] == ["b_good"]
+    assert [(e["case_id"], e["error"]) for e in errors] == [("a_bad", error.__name__)]
+    if how == "invalid_label":  # the message of the whole-file check
+        assert errors[0]["detail"] == str(want.value)
+    assert sorted(p.name for p in out.iterdir()) == [
+        "b_good.nii", "b_good_staple.json", "errors.json", "fuse_manifest.json"]
+
+
+class _FailingFile:
+    """A file being written to ``path`` whose ``write`` raises once it has
+    been called ``writes`` times. Before raising, it checks that the data
+    went to a temporary file and that ``path`` still holds ``earlier``."""
+
+    def __init__(self, fh, path, writes, earlier):
+        self._fh, self._path, self._left, self._earlier = fh, path, writes, earlier
+
+    def write(self, data):
+        if not self._left:
+            assert [p.name for p in self._path.parent.glob(f".{self._path.name}.*.tmp")] \
+                == [Path(self._fh.name).name]
+            assert self._path.read_bytes() == self._earlier
+            raise BadData("injected after the first slab")
+        self._left -= 1
+        return self._fh.write(data)
+
+
+def test_a_failed_write_leaves_no_output_and_no_temporary_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(pipeline, "SLAB_VOXELS", STREAM_SLAB)
+    case = _mixed_case(tmp_path, "c0", STREAM_SHAPE)
+    cfg = PipelineConfig(cases=(case,), output_dir=tmp_path / "fused")
+    assert run_fuse(cfg)[1] == []  # an earlier run's outputs, to be removed
+    earlier = (cfg.output_dir / "c0.nii").read_bytes()
+    real = pipeline._write_atomic
+
+    @contextmanager
+    def failing(path):
+        with real(path) as fh:
+            # The header and the first slab are written, then the write fails.
+            yield _FailingFile(fh, path, 2, earlier) if path.suffix == ".nii" else fh
+
+    monkeypatch.setattr(pipeline, "_write_atomic", failing)
+    diags, errors = run_fuse(cfg)
+    assert diags == []
+    assert errors == [{"case_id": "c0", "error": "BadData",
+                       "detail": "injected after the first slab"}]
+    out = cfg.output_dir
+    assert sorted(p.name for p in out.iterdir()) == ["errors.json", "fuse_manifest.json"]
+    assert json.loads((out / "errors.json").read_text()) == errors
+
+
+def test_fusing_holds_one_code_per_voxel(tmp_path):
+    shape = (160, 160, 128)
+    gt = np.zeros(shape, np.uint8)
+    gt[30:130, 30:130, 20:110] = 2
+    gt[50:110, 50:110, 40:90] = 1
+    gt[65:95, 65:95, 55:75] = 4
+    models = []
+    for k, shift in enumerate(((0, 0, 0), (2, -1, 1), (-2, 1, -1))):
+        path = save_nifti(tmp_path / f"r{k}.nii",
+                          LabelMap(np.roll(gt, shift, axis=(0, 1, 2))))
+        models.append(ModelInput(f"r{k}", labelmap=path))
+    cfg = PipelineConfig(cases=(CaseInput("c0", tuple(models)),),
+                         output_dir=tmp_path / "fused")
+    volume_bytes = gt.nbytes  # one uint8 volume
+    tracemalloc.start()
+    try:
+        diags, errors = run_fuse(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert errors == [] and diags[0]["et_voxels_before"] > 0
+    assert peak < 2 * volume_bytes, f"peak {peak / 2**20:.1f} MB"
