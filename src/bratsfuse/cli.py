@@ -50,7 +50,8 @@ def main():
 @main.command("fuse")
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True),
               help="Pipeline config JSON.")
-@click.option("--jobs", default=1, show_default=True, help="Parallel case workers.")
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
+              help="Parallel case workers.")
 @click.option("--et-threshold", type=int, default=None,
               help="Override the config's ET relabeling threshold.")
 @click.option("--staple-tol", type=float, default=None,
@@ -89,7 +90,8 @@ def fuse_cmd(config_path, jobs, et_threshold, staple_tol, staple_max_iters, out_
 @click.argument("gt_dir", type=click.Path(exists=True, file_okay=False))
 @click.option("--out", "out_dir", type=click.Path(), default="eval_out",
               show_default=True)
-@click.option("--jobs", default=1, show_default=True)
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
+              help="Parallel case workers.")
 @click.option("--hd95-penalty", default=EMPTY_PENALTY_MM, show_default=True,
               help="HD95 for an empty-vs-nonempty region pair (mm).")
 def eval_cmd(pred_dir, gt_dir, out_dir, jobs, hd95_penalty):

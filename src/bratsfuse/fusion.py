@@ -44,9 +44,10 @@ digit of ``width`` bits (1 for a decision, 2 for a label), packed into the
 smallest unsigned integer type that holds ``width * J`` bits (uint8 for
 three raters' labels; beyond 64 bits, several uint64 words). While a row
 has at most ``CODE_BITS`` bits, ``np.bincount`` counts every code and the
-patterns come out in ascending code order; beyond that, the rows are
-sorted. The passes over all voxels (packing, counting and the final
-gather) run ``CHUNK_VOXELS`` voxels at a time.
+patterns come out in ascending code order; beyond that, the distinct rows
+are sorted out and a row's pattern is found by binary search, so no
+per-voxel index is stored. The passes over all voxels (packing, counting
+and the final gather) run ``CHUNK_VOXELS`` voxels at a time.
 """
 
 from __future__ import annotations
@@ -222,6 +223,27 @@ def _pack(words: np.ndarray, col: int, digits: np.ndarray, width: int) -> None:
         digits.astype(words.dtype, copy=False) << (width * (col % per_word))
 
 
+class _Index:
+    """The pattern of each row code, as ``_count`` finds the patterns.
+
+    ``index[codes]`` gives the entry of ``table`` of each of ``codes``.
+    While codes are counted, ``keys`` is None and ``table`` has an entry for
+    every possible code; when they are sorted, ``keys`` holds the distinct
+    codes in order, ``table`` an entry for each, and a code's entry is
+    found by binary search, so no per-voxel index is ever stored.
+    """
+
+    def __init__(self, table: np.ndarray, keys: np.ndarray | None = None):
+        self.table, self.keys = table, keys
+
+    def __getitem__(self, codes: np.ndarray) -> np.ndarray:
+        return self.table[codes if self.keys is None else np.searchsorted(self.keys, codes)]
+
+    def of(self, values: np.ndarray) -> "_Index":
+        """The same lookup giving ``values[pattern]`` for each code."""
+        return _Index(values[self.table], self.keys)
+
+
 def _count(words: np.ndarray, width: int, n_cols: int, weights: np.ndarray | None = None):
     """The distinct rows of ``words`` (packed by ``_pack``) and how often
     each occurs; returns what ``_patterns`` does."""
@@ -234,18 +256,21 @@ def _count(words: np.ndarray, width: int, n_cols: int, weights: np.ndarray | Non
             w = None if weights is None else weights[chunk]
             counts += np.bincount(codes[chunk], w, minlength=counts.size)
         present = np.flatnonzero(counts)
-        index = np.zeros(counts.size, dtype=np.uint16)
-        index[present] = np.arange(present.size)
+        table = np.zeros(counts.size, dtype=np.uint16)
+        table[present] = np.arange(present.size)
+        index = _Index(table)
         keys, counts = present[:, None], counts[present]
     else:
         # Too many codes to count directly: sort the rows of packed words.
-        rows = words.view(np.dtype((np.void, words.itemsize * words.shape[1])))
-        uniq, codes, counts = np.unique(
-            rows.reshape(-1), return_inverse=True, return_counts=True
-        )
+        codes = words.view(np.dtype((np.void, words.itemsize * words.shape[1]))).reshape(-1)
+        uniq, counts = np.unique(codes, return_counts=True)
+        index = _Index(np.arange(uniq.size), uniq)
         if weights is not None:
-            counts = np.bincount(codes, weights, minlength=uniq.size)
-        index = np.arange(uniq.size)
+            counts = np.zeros(uniq.size)
+            for start in range(0, codes.size, CHUNK_VOXELS):
+                chunk = slice(start, start + CHUNK_VOXELS)
+                counts += np.bincount(index[codes[chunk]], weights[chunk],
+                                      minlength=uniq.size)
         keys = uniq.view(words.dtype).reshape(uniq.size, -1)
     per_word = 8 * words.itemsize // width
     r = np.arange(n_cols)
@@ -262,8 +287,8 @@ def _patterns(cols: list[np.ndarray], width: int, weights: np.ndarray | None = N
     for ``width`` 2. Returns ``(pats, counts, index, codes)``: the K rows
     that occur as a (J, K) matrix of digits, the number of rows equal to
     each (the sum of their ``weights`` if given, which must be positive),
-    and every row's code with the table ``index`` from codes to patterns,
-    so that ``pats[:, index[codes]]`` is the (J, M) matrix of ``cols``.
+    and every row's code with the ``_Index`` from codes to patterns, so
+    that ``pats[:, index[codes]]`` is the (J, M) matrix of ``cols``.
     """
     m = cols[0].size
     words = _words(len(cols), width, m)
@@ -294,16 +319,17 @@ def joint_histogram(codes: np.ndarray, n_raters: int):
     Returns ``(rows, counts, index, voxel_codes)``: the K rows that occur as
     a (J, K) matrix of label positions in BRATS_LABELS, the number of
     voxels holding each, and the row of each voxel ``v`` as
-    ``index[voxel_codes[v]]``. Up to eight raters ``voxel_codes`` is a view
-    of ``codes`` and ``index`` a table over all ``4^J`` codes; beyond that
-    the rows are sorted and ``voxel_codes`` is every voxel's row.
+    ``index[voxel_codes[v]]``, where ``voxel_codes`` is a view of
+    ``codes``. Up to eight raters ``index`` is a table over all ``4^J``
+    codes; beyond that the rows are sorted and ``index`` searches them.
+    ``index.of(values)`` looks up ``values[row]`` the same way.
     """
     return _count(codes, 2, n_raters)
 
 
-def _gather(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
+def _gather(table: _Index, codes: np.ndarray) -> np.ndarray:
     """``table[codes]``, read ``CHUNK_VOXELS`` codes at a time."""
-    out = np.empty(codes.size, dtype=table.dtype)
+    out = np.empty(codes.size, dtype=table.table.dtype)
     for start in range(0, codes.size, CHUNK_VOXELS):
         chunk = slice(start, start + CHUNK_VOXELS)
         out[chunk] = table[codes[chunk]]
@@ -397,7 +423,7 @@ def staple_binary(
     bits = [m.data.reshape(-1).view(np.uint8) for m in masks]
     pats, counts, index, codes = _patterns(bits, 1)
     w, fit = _staple_em(pats, counts, codes.size, init, tol, max_iters)
-    posterior = _gather(w[index], codes).reshape(masks[0].shape)
+    posterior = _gather(index.of(w), codes).reshape(masks[0].shape)
     mask = RegionMask(region, posterior >= 0.5, masks[0].spacing, masks[0].origin)
     return StapleResult(fit.final_params, fit.iterations, fit.converged, mask, posterior)
 
@@ -434,7 +460,7 @@ def staple_lut(
         bits = [_MEMBERSHIP[r][rater_rows] for rater_rows in rows]
         pats, pat_counts, pat_index, pat_of_row = _patterns(bits, 1, counts)
         w, fits[r.value] = _staple_em(pats, pat_counts, n_voxels, init, tol, max_iters)
-        row_mask = (w >= 0.5)[pat_index[pat_of_row]].reshape(-1, 1, 1)
+        row_mask = pat_index.of(w >= 0.5)[pat_of_row].reshape(-1, 1, 1)
         fused.append(RegionMask(r, row_mask))
     return recompose_labels(*fused).data.reshape(-1), fits
 
@@ -459,7 +485,7 @@ def staple_multilabel_detailed(
     order = "F" if first.flags.f_contiguous and not first.flags.c_contiguous else "C"
     rows, counts, index, codes = _patterns([m.data.ravel(order) for m in maps], 2)
     lut, fits = staple_lut(rows, counts, codes.size, init, tol, max_iters)
-    labels = _gather(lut[index], codes).reshape(first.shape, order=order)
+    labels = _gather(index.of(lut), codes).reshape(first.shape, order=order)
     return LabelMap(labels, maps[0].spacing, maps[0].origin), fits
 
 

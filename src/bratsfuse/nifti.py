@@ -13,21 +13,22 @@ bit-exactly for the supported dtypes. :func:`header_bytes` builds the 352
 bytes before the voxels, so a writer can stream a label body after it
 slab by slab and get the bytes :func:`write_nifti` would.
 
-In x-fastest order a range of whole z-planes is one contiguous byte range
-of a file. :class:`PlaneReader` opens one file, parses and checks its
-header and its size once, and then reads any planes ``z0:z1`` with
-``readinto`` into a buffer the caller owns and reuses;
-:func:`read_label_planes` checks such a slab with the rules
+The body of a file is x-fastest, so any range of voxels ``start:stop`` in
+that order is one contiguous byte range, and the voxels of planes
+``z0:z1`` are the range ``nx*ny*z0 : nx*ny*z1``. :class:`PlaneReader`
+opens one file, parses and checks its header and its size once, and then
+reads any voxel range with ``readinto`` into a buffer the caller owns and
+reuses; :func:`read_label_planes` checks such a range with the rules
 :func:`read_labelmap` applies to a whole file.
 
 Probability maps do not fit in a 3-D file; they serialize as one NIfTI per
 channel plus a JSON manifest ``{"channels": [0, 1, 2, 4], "files": [...]}``.
 :class:`ProbmapFiles` is a map's four channel readers, whose grids it
-checks to agree; its ``decode`` reads planes ``z0:z1`` of every channel,
-renormalises them into a float64 buffer and checks the result, so a map
-can be read slab by slab without a header parse or a fresh array per slab.
-:func:`load_probmap` decodes a whole map in one call; a map's header alone
-is ``ProbmapFiles(m).header``.
+checks to agree; its ``decode`` reads a voxel range of every channel into
+its float64 row of an output buffer, renormalises the rows and checks the
+result, so a map can be read a chunk at a time without a header parse or a
+fresh array per chunk. :func:`load_probmap` decodes a whole map in one
+call; a map's header alone is ``ProbmapFiles(m).header``.
 """
 
 from __future__ import annotations
@@ -279,7 +280,7 @@ class PlaneReader:
     """One open NIfTI file whose header and size are checked once.
 
     Opening parses the header and checks that the file holds all the
-    voxels it declares; :meth:`read` then reads any range of z-planes
+    voxels it declares; :meth:`read` then reads any range of voxels
     without parsing or checking the header again. Use it as a context
     manager (or call :meth:`close`). Opening can raise ``OSError``.
     """
@@ -306,31 +307,30 @@ class PlaneReader:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def read(self, z0: int, z1: int, buf: np.ndarray) -> np.ndarray:
-        """The stored voxels of planes ``z0:z1``, x-fastest, as a 1-D array
-        of the file's dtype over the first bytes of ``buf``.
+    def read(self, start: int, stop: int, buf: np.ndarray) -> np.ndarray:
+        """The stored voxels ``start:stop`` of the x-fastest body, as a 1-D
+        array of the file's dtype over the first bytes of ``buf``.
 
         ``buf`` is any C-contiguous array of at least that many bytes; the
         result is a view of it. A file that has shrunk since it was opened
         is ``TruncatedFile``.
         """
-        nx, ny, _ = self.header.shape
         dtype = self.header.dtype
-        n = nx * ny * (z1 - z0)
-        data = buf.reshape(-1).view(np.uint8)[: n * dtype.itemsize].view(dtype)
-        self._fh.seek(self.header.offset + nx * ny * dtype.itemsize * z0)
+        data = buf.reshape(-1).view(np.uint8)[: (stop - start) * dtype.itemsize].view(dtype)
+        self._fh.seek(self.header.offset + start * dtype.itemsize)
         if self._fh.readinto(data) != data.nbytes:
-            raise TruncatedFile(f"{self.path}: ends inside planes {z0}:{z1}")
+            raise TruncatedFile(f"{self.path}: ends inside voxels {start}:{stop}")
         return data
 
 
-def read_label_planes(f: PlaneReader, z0: int, z1: int, buf: np.ndarray) -> np.ndarray:
-    """Planes ``z0:z1`` of a label file read into ``buf`` (see
+def read_label_planes(f: PlaneReader, start: int, stop: int,
+                      buf: np.ndarray) -> np.ndarray:
+    """Voxels ``start:stop`` of a label file read into ``buf`` (see
     :meth:`PlaneReader.read`), checked as :func:`read_labelmap` checks a
     whole file: a NaN or infinite voxel is ``BadData``, any other value
     outside {0, 1, 2, 4} ``InvalidLabel``, which lists the offending values
-    of these planes."""
-    data = f.read(z0, z1, buf)
+    of these voxels."""
+    data = f.read(start, stop, buf)
     try:
         _check_finite(data)
     except ValueError as e:
@@ -344,7 +344,7 @@ class ProbmapFiles:
 
     Opening reads the manifest and opens the four channel readers, which
     check their headers and sizes, and checks that the four grids agree;
-    :meth:`decode` then reads any range of z-planes without parsing or
+    :meth:`decode` then reads any range of voxels without parsing or
     checking the headers again. Use it as a context manager (or call
     :meth:`close`).
     """
@@ -374,25 +374,28 @@ class ProbmapFiles:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def decode(self, z0: int, z1: int, raw: np.ndarray, out: np.ndarray,
+    def decode(self, start: int, stop: int, raw: np.ndarray, out: np.ndarray,
                sums: np.ndarray) -> np.ndarray:
-        """Planes ``z0:z1`` renormalised into ``out``, which is returned.
+        """Voxels ``start:stop`` (x-fastest) renormalised into ``out``, which
+        is returned.
 
-        ``out`` is float64 ``(4, n)`` for the ``n`` voxels of those planes,
-        each channel in x-fastest order. ``raw`` (float32, at least
-        ``(4, n)``) receives the stored values and ``sums`` (float64,
-        ``(n,)``) the channel sums; both are scratch. The sums are taken in
-        float64 in channel order, each channel is divided by them and
-        clipped to [0, 1]. A non-finite channel, a voxel whose channels sum
-        to 0, and renormalised channels outside [0, 1] or whose sum is off 1
-        by more than 1e-6 are ``BadData`` naming the manifest.
+        ``out`` is float64 ``(4, n)`` for those ``n`` voxels, one row per
+        channel. ``raw`` (at least ``n`` float32) receives each channel's
+        stored values in turn and ``sums`` (float64, ``(n,)``) the channel
+        sums; both are scratch. Each channel is cast into its row of
+        ``out`` (exact: every supported dtype is a subset of float64), the
+        rows are summed in channel order, divided by the sums and clipped
+        to [0, 1]. A non-finite channel, a voxel whose channels sum to 0,
+        and renormalised channels outside [0, 1] or whose sum is off 1 by
+        more than 1e-6 are ``BadData`` naming the manifest.
         """
-        # Every supported dtype is at most 4 bytes wide, so a float32 row
-        # holds the planes' voxels in any of them.
-        channels = [f.read(z0, z1, row) for f, row in zip(self._files, raw)]
-        np.add(channels[0], channels[1], out=sums, dtype=np.float64)
-        for data in channels[2:]:
-            sums += data
+        # Every supported dtype is at most 4 bytes wide, so ``raw`` holds the
+        # voxels in any of them.
+        for f, row in zip(self._files, out):
+            np.copyto(row, f.read(start, stop, raw))
+        np.add(out[0], out[1], out=sums)
+        sums += out[2]
+        sums += out[3]
         # Four finite float32 or integer values cannot sum to +-inf in
         # float64, and min and max propagate NaN: this finds every voxel
         # with a NaN or infinite channel.
@@ -400,8 +403,7 @@ class ProbmapFiles:
             raise BadData(f"{self.manifest}: probability data contains NaN or Inf")
         if not sums.all():
             raise BadData(f"{self.manifest}: a voxel's four channels sum to 0")
-        for data, probs in zip(channels, out):
-            np.divide(data, sums, out=probs)
+        out /= sums
         # float32 storage can nudge channel sums off 1 by a few ulp.
         np.clip(out, 0.0, 1.0, out=out)
         try:
@@ -420,8 +422,7 @@ def load_probmap(manifest_path) -> ProbMap:
     with ProbmapFiles(manifest_path) as files:
         nx, ny, nz = files.header.shape
         n = nx * ny * nz
-        data = files.decode(0, nz, np.empty((4, n), np.float32), np.empty((4, n)),
-                            np.empty(n))
+        data = files.decode(0, n, np.empty(n, np.float32), np.empty((4, n)), np.empty(n))
     # Each channel row is x-fastest: view it as (nx, ny, nz) without a copy.
     return ProbMap(data.reshape(4, nz, ny, nx).transpose(0, 3, 2, 1),
                    files.header.spacing, files.header.origin)

@@ -8,16 +8,20 @@ prediction and ground-truth files by filename stem and emits per-case
 metrics (CSV + JSON) and summary tables.
 
 A case is read in one loop over slabs of whole z-planes (about
-``SLAB_VOXELS`` voxels, at least one plane). Every input file is opened and
-its header parsed and checked once, and the models' grids are checked to
-agree, before the first slab. Per slab, each model gives its labels: a
-label map's planes are read and checked as ``load_labelmap`` checks a whole
-file; fold maps are read from every fold in config order, renormalised
-and checked, averaged, checked again and argmaxed, in buffers allocated
-once per model. Each model's labels go into its two bits of the case's
-joint code array (``fusion.joint_codes``), which is the only whole-volume
-array: one code per voxel, in the smallest unsigned type holding two bits
-per model (uint8 for up to four models).
+``SLAB_VOXELS`` voxels, at least one plane); a slab is the x-fastest voxel
+range of its planes, read from each file as one contiguous byte range.
+Every input file is opened and its header parsed and checked once, and the
+models' grids are checked to agree, before the first slab. Per slab, each
+model gives its labels: a label map's voxels are read and checked as
+``load_labelmap`` checks a whole file. Fold maps are decoded in chunks of
+``DECODE_VOXELS`` voxels, small enough that a chunk's float64 buffers stay
+in cache through every pass over them: per chunk, every fold in config
+order is read, renormalised and checked, the folds are averaged, and the
+mean is checked again and argmaxed, in buffers allocated once per model.
+Each model's labels go into its two bits of the case's joint code array
+(``fusion.joint_codes``), which is the only whole-volume array: one code
+per voxel, in the smallest unsigned type holding two bits per model
+(uint8 for up to four models).
 
 The codes' histogram (``fusion.joint_histogram``) gives each joint label
 row and its voxel count, and a lookup table gives each row's fused label:
@@ -27,12 +31,15 @@ decided before any output voxel is written: a relabel is the table edit
 ET -> 1. The output body is then the table read at the codes, written
 slab by slab after the header ``nifti.header_bytes`` builds.
 
-Every output file (``<case>.nii``, ``<case>_staple.json``,
-``fuse_manifest.json``, ``errors.json``) is written to a temporary file in
-the same directory and moved onto its name with ``os.replace``, so an
-interrupted or failed write never leaves a partial file under that name. A
-case that raises a :class:`~bratsfuse.errors.BratsFuseError` is recorded
-in ``errors.json`` and skipped, and any ``<case>.nii`` or
+Every output file (``fuse``'s ``<case>.nii``, ``<case>_staple.json``,
+``fuse_manifest.json`` and ``errors.json``; ``eval``'s ``cases.csv``,
+``cases.json`` and ``errors.json``; the ``summary.json`` and
+``summary.txt`` of ``eval`` and ``report``; ``rank``'s ``ranking.json``,
+``ranking.csv`` and ``ranking.txt``) is written to a temporary file in the
+same directory and moved onto its name with ``os.replace``, so an
+interrupted or failed write never leaves a partial file under that name.
+A case that raises a :class:`~bratsfuse.errors.BratsFuseError` is
+recorded in ``errors.json`` and skipped, and any ``<case>.nii`` or
 ``<case>_staple.json`` an earlier run left in the output directory is
 removed; the other cases still run.
 
@@ -48,7 +55,6 @@ import csv
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -246,6 +252,9 @@ class PipelineConfig:
 
 # Voxels per slab when a case is read; a slab is whole z-planes.
 SLAB_VOXELS = 1 << 17
+# Voxels per chunk when fold maps are decoded: a chunk's float64 buffers
+# (about 3 MB in all) stay in a core's cache through every pass over them.
+DECODE_VOXELS = 1 << 15
 _LABELS = np.array(BRATS_LABELS, dtype=np.uint8)
 
 
@@ -254,6 +263,12 @@ def _slab_voxels(shape) -> tuple[int, int]:
     nx, ny, nz = shape
     step = max(1, SLAB_VOXELS // (nx * ny))
     return step, nx * ny * min(step, nz)
+
+
+def _voxels(shape, z0: int, z1: int) -> tuple[int, int]:
+    """The x-fastest voxel range of planes ``z0:z1`` of a grid."""
+    nx, ny, _ = shape
+    return nx * ny * z0, nx * ny * z1
 
 
 class _LabelModel:
@@ -270,12 +285,14 @@ class _LabelModel:
 
     def labels(self, z0: int, z1: int) -> np.ndarray:
         """The labels of planes ``z0:z1``, checked, x-fastest."""
-        data = read_label_planes(self._file, z0, z1, self._buf)
+        start, stop = _voxels(self.header.shape, z0, z1)
+        data = read_label_planes(self._file, start, stop, self._buf)
         return data.astype(np.uint8, copy=False)
 
 
 class _FoldModel:
-    """A model given as fold probability maps, decoded slab by slab."""
+    """A model given as fold probability maps, decoded ``DECODE_VOXELS``
+    voxels at a time."""
 
     def __init__(self, manifests: tuple[Path, ...], stack: ExitStack):
         self._manifests = manifests
@@ -283,28 +300,33 @@ class _FoldModel:
         require_same_geometry(*(f.header for f in self._folds))
         self.header = self._folds[0].header
         _, size = _slab_voxels(self.header.shape)
-        # One set of buffers for every slab of every fold.
-        self._raw = np.empty((4, size), np.float32)
-        self._probs, self._mean = np.empty((2, 4, size))
-        self._sums, self._best = np.empty((2, size))
+        self._chunk = chunk = min(DECODE_VOXELS, size)
+        # One set of buffers for every chunk of every fold.
+        self._raw = np.empty(chunk, np.float32)
+        self._probs, self._mean = np.empty((2, 4, chunk))
+        self._sums, self._best = np.empty((2, chunk))
         self._labels = np.empty(size, np.uint8)
 
     def labels(self, z0: int, z1: int) -> np.ndarray:
-        """The labels of planes ``z0:z1``, x-fastest: every fold's slab in
-        config order, renormalised and checked, then their mean, checked
-        and argmaxed."""
-        nx, ny, _ = self.header.shape
-        n = nx * ny * (z1 - z0)
-        mean, sums = self._mean[:, :n], self._sums[:n]
-        decoded = (f.decode(z0, z1, self._raw, self._probs[:, :n], sums)
-                   for f in self._folds)
-        average_probs_into(decoded, mean)
-        try:
-            _check_probs(mean, sums)
-        except ValueError as e:
-            names = ", ".join(str(p) for p in self._manifests)
-            raise BadData(f"average of {names}: {e}") from e
-        return argmax_labels_into(mean, self._labels[:n], self._best[:n])
+        """The labels of planes ``z0:z1``, x-fastest. Chunk by chunk, every
+        fold's voxels are decoded in config order, renormalised and
+        checked, then their mean is checked and argmaxed."""
+        start, stop = _voxels(self.header.shape, z0, z1)
+        labels = self._labels[: stop - start]
+        for lo in range(start, stop, self._chunk):
+            hi = min(lo + self._chunk, stop)
+            n = hi - lo
+            mean, sums = self._mean[:, :n], self._sums[:n]
+            decoded = (f.decode(lo, hi, self._raw, self._probs[:, :n], sums)
+                       for f in self._folds)
+            average_probs_into(decoded, mean)
+            try:
+                _check_probs(mean, sums)
+            except ValueError as e:
+                names = ", ".join(str(p) for p in self._manifests)
+                raise BadData(f"average of {names}: {e}") from e
+            argmax_labels_into(mean, labels[lo - start : hi - start], self._best[:n])
+        return labels
 
 
 def _open_model(m: ModelInput, stack: ExitStack) -> _LabelModel | _FoldModel:
@@ -330,9 +352,13 @@ def _write_atomic(path: Path):
         tmp.unlink(missing_ok=True)
 
 
-def _write_json(path: Path, value) -> None:
+def _write_text(path: Path, text: str) -> None:
     with _write_atomic(path) as fh:
-        fh.write((json.dumps(value, sort_keys=True, indent=2) + "\n").encode())
+        fh.write(text.encode())
+
+
+def _write_json(path: Path, value) -> None:
+    _write_text(path, json.dumps(value, sort_keys=True, indent=2) + "\n")
 
 
 def _fuse_one_case(case: CaseInput, cfg: PipelineConfig) -> dict:
@@ -345,7 +371,8 @@ def _fuse_one_case(case: CaseInput, cfg: PipelineConfig) -> dict:
         codes = joint_codes(len(models), nx * ny * nz)
         for z0 in range(0, nz, step):
             z1 = min(z0 + step, nz)
-            voxels = codes[nx * ny * z0 : nx * ny * z1]
+            start, stop = _voxels(grid.shape, z0, z1)
+            voxels = codes[start:stop]
             for r, model in enumerate(models):
                 pack_labels(voxels, r, model.labels(z0, z1))
     rows, counts, index, codes = joint_histogram(codes, len(models))
@@ -357,9 +384,9 @@ def _fuse_one_case(case: CaseInput, cfg: PipelineConfig) -> dict:
         staple_diag = {region: fit.to_json_dict() for region, fit in fits.items()}
     et_before = int(counts[lut == 4].sum())
     relabel = relabels_et(et_before, cfg.et_threshold)
-    table = lut[index]  # the fused label of every code
     if relabel:
-        table[table == 4] = 1
+        lut = np.where(lut == 4, np.uint8(1), lut)
+    table = index.of(lut)  # the fused label of every code
     out_nii = cfg.output_dir / f"{case.case_id}.nii"
     with _write_atomic(out_nii) as fh:
         fh.write(header_bytes(grid.shape, grid.spacing, grid.origin, np.uint8))
@@ -382,6 +409,9 @@ def _fuse_one_case(case: CaseInput, cfg: PipelineConfig) -> dict:
 def _run_cases(worker, items, jobs: int):
     if jobs <= 1:
         return [worker(i) for i in items]
+    # Imported here: loading the process pool costs every command about 20 ms.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(worker, items))
 
@@ -482,10 +512,8 @@ def run_eval(
     errors.sort(key=lambda e: e["case_id"])
 
     lines = [metrics_csv_header()] + [metrics_csv_row(c) for c in cases]
-    (output_dir / "cases.csv").write_text("\n".join(lines) + "\n")
-    (output_dir / "cases.json").write_text(
-        json.dumps([asdict(c) for c in cases], sort_keys=True, indent=2) + "\n"
-    )
+    _write_text(output_dir / "cases.csv", "\n".join(lines) + "\n")
+    _write_json(output_dir / "cases.json", [asdict(c) for c in cases])
     if cases:
         write_summary_outputs(cases, output_dir)
     _write_errors(output_dir, errors)
@@ -496,10 +524,8 @@ def write_summary_outputs(cases: list[CaseMetrics], output_dir) -> None:
     """Emit summary.json and the text table for a set of case metrics."""
     output_dir = Path(output_dir)
     stats = summarize(cases)
-    (output_dir / "summary.json").write_text(
-        json.dumps(asdict(stats), sort_keys=True, indent=2) + "\n"
-    )
-    (output_dir / "summary.txt").write_text(format_summary_table(stats))
+    _write_json(output_dir / "summary.json", asdict(stats))
+    _write_text(output_dir / "summary.txt", format_summary_table(stats))
 
 
 def _region_values(row: dict) -> tuple[dict[str, float], dict[str, float]]:
@@ -550,9 +576,9 @@ def run_rank(summary_csv, output_dir) -> str:
     output_dir.mkdir(parents=True, exist_ok=True)
     summaries = read_model_summaries_csv(summary_csv)
     ranking = rank_models(summaries)
-    (output_dir / "ranking.json").write_text(ranking.to_json() + "\n")
+    _write_text(output_dir / "ranking.json", ranking.to_json() + "\n")
     rows = ["model,rank"] + [f"{n},{r}" for n, r in ranking.ranking]
-    (output_dir / "ranking.csv").write_text("\n".join(rows) + "\n")
+    _write_text(output_dir / "ranking.csv", "\n".join(rows) + "\n")
     table = format_ranking_table(summaries, ranking)
-    (output_dir / "ranking.txt").write_text(table)
+    _write_text(output_dir / "ranking.txt", table)
     return table

@@ -290,19 +290,23 @@ def _patch_voxel(path, index, value):
     path.write_bytes(bytes(raw))
 
 
-def _decode(manifest, z0, z1):
-    """Planes ``z0:z1`` of a map through ``ProbmapFiles.decode``, shaped
-    ``(4, nx, ny, z1 - z0)``."""
+def _decode(manifest, start, stop):
+    """Voxels ``start:stop`` (x-fastest) of a map through
+    ``ProbmapFiles.decode``, one row per channel."""
     with ProbmapFiles(manifest) as files:
-        nx, ny, _ = files.header.shape
-        n = nx * ny * (z1 - z0)
-        out = files.decode(z0, z1, np.empty((4, n), np.float32), np.empty((4, n)),
-                           np.empty(n))
-    return out.reshape(4, z1 - z0, ny, nx).transpose(0, 3, 2, 1)
+        n = stop - start
+        return files.decode(start, stop, np.empty(n, np.float32), np.empty((4, n)),
+                            np.empty(n))
+
+
+def _rows(data):
+    """The channels of a ``(4, nx, ny, nz)`` array as rows, each x-fastest."""
+    return data.transpose(0, 3, 2, 1).reshape(4, -1)
 
 
 class TestProbmapPlanes:
     SHAPE = (5, 4, 7)
+    PLANE = 5 * 4
     SPACING = (1.0, 1.5, 2.5)
     ORIGIN = (-3.0, 2.0, 10.25)
 
@@ -318,13 +322,21 @@ class TestProbmapPlanes:
         whole = load_probmap(manifest)
         z0, z1, _ = planes.indices(self.SHAPE[2])
         want = crop(whole, BBox((0, 0, z0), (self.SHAPE[0] - 1, self.SHAPE[1] - 1, z1 - 1)))
-        got = _decode(manifest, z0, z1)
-        assert got.shape == (4, 5, 4, z1 - z0)
-        assert np.array_equal(got, want.data)
+        got = _decode(manifest, self.PLANE * z0, self.PLANE * z1)
+        assert got.shape == (4, self.PLANE * (z1 - z0))
+        assert np.array_equal(got, _rows(want.data))
+
+    @pytest.mark.parametrize("voxels", [slice(0, 1), slice(3, 4), slice(17, 63),
+                                        slice(19, 21), slice(101, None), slice(139, 140)])
+    def test_voxels_equal_those_of_the_whole_map(self, manifest, voxels):
+        start, stop, _ = voxels.indices(int(np.prod(self.SHAPE)))
+        got = _decode(manifest, start, stop)
+        assert got.shape == (4, stop - start)
+        assert np.array_equal(got, _rows(load_probmap(manifest).data)[:, start:stop])
 
     def test_default_is_the_whole_map(self, manifest):
         whole = load_probmap(manifest)
-        assert np.array_equal(whole.data, _decode(manifest, 0, self.SHAPE[2]))
+        assert np.array_equal(_rows(whole.data), _decode(manifest, 0, whole.data[0].size))
         assert (whole.spacing, whole.origin) == (self.SPACING, self.ORIGIN)
 
     def test_header_without_voxels(self, manifest):
@@ -335,7 +347,7 @@ class TestProbmapPlanes:
     def test_channel_truncated_in_its_last_plane(self, manifest):
         path = _channel_path(manifest, 2)
         path.write_bytes(path.read_bytes()[:-4])
-        for load in (ProbmapFiles, load_probmap, lambda m: _decode(m, 0, 1)):
+        for load in (ProbmapFiles, load_probmap, lambda m: _decode(m, 0, self.PLANE)):
             with pytest.raises(TruncatedFile, match=path.name):
                 load(manifest)
 
@@ -344,24 +356,28 @@ class TestProbmapPlanes:
         v = read_nifti(path.read_bytes())
         path.write_bytes(write_nifti(Volume(np.concatenate([v.data, v.data[:, :, :1]], axis=2),
                                             v.spacing, v.origin)))
-        for load in (ProbmapFiles, load_probmap, lambda m: _decode(m, 0, 1)):
+        for load in (ProbmapFiles, load_probmap, lambda m: _decode(m, 0, self.PLANE)):
             with pytest.raises(GeometryMismatch):
                 load(manifest)
 
     @pytest.mark.parametrize("planes", [slice(None), slice(3, 5)])
     def test_zero_sum_voxel_is_bad_data(self, manifest, planes):
         # Voxel (1, 2, 3): every channel 0, so renormalising would divide by 0.
+        bad = 1 + 5 * (2 + 4 * 3)
         for label in ProbMap.channels:
-            _patch_voxel(_channel_path(manifest, label), 1 + 5 * (2 + 4 * 3), 0.0)
+            _patch_voxel(_channel_path(manifest, label), bad, 0.0)
         z0, z1, _ = planes.indices(self.SHAPE[2])
-        loads = [lambda m: _decode(m, z0, z1)]
+        loads = [lambda m: _decode(m, self.PLANE * z0, self.PLANE * z1),
+                 lambda m: _decode(m, bad, bad + 1)]
         if z1 - z0 == self.SHAPE[2]:
             loads.append(load_probmap)
         for load in loads:
             with pytest.raises(BadData, match="case.json") as info:
                 load(manifest)
             assert "sum to 0" in str(info.value)
-        assert _decode(manifest, 0, 3).shape == (4, 5, 4, 3)
+        # The voxels on either side of it decode.
+        assert _decode(manifest, 0, bad).shape == (4, bad)
+        assert _decode(manifest, bad + 1, 140).shape == (4, 140 - bad - 1)
 
     def test_probmap_refusal_is_bad_data(self, manifest):
         # Channels (0.5, -0.5, 0.5, 0.5) sum to 1, so renormalising keeps them;
@@ -374,8 +390,11 @@ class TestProbmapPlanes:
 
     def test_non_finite_channel_is_bad_data(self, manifest):
         _patch_voxel(_channel_path(manifest, 4), 3, float("nan"))
-        with pytest.raises(BadData, match="NaN or Inf"):
-            _decode(manifest, 0, 1)
+        for start, stop in ((0, self.PLANE), (3, 4)):
+            with pytest.raises(BadData, match="NaN or Inf"):
+                _decode(manifest, start, stop)
+        _decode(manifest, 0, 3)
+        _decode(manifest, 4, self.PLANE)
 
 
 def _write_channels(directory, stem, channels):
@@ -402,28 +421,41 @@ def _one_hot_channels(rng, shape):
 
 class TestProbmapOracle:
     SHAPE = (5, 4, 7)
+    PLANE = 5 * 4
 
     def raw(self, rng):
         raw = 3 * rng.random((4,) + self.SHAPE)  # channel sums far from 1
         raw[1, 2, 3, :] = -1e-8  # clipped to 0, within the sum tolerance
         return raw
 
-    @pytest.mark.parametrize("make", ["raw", "one_hot"])
-    @pytest.mark.parametrize("planes", [slice(None), slice(2, 5), slice(6, 7)])
-    def test_bit_identical_to_stack_renormalise_clip(self, tmp_path, rng, make, planes):
+    def assert_oracle(self, tmp_path, rng, make, start, stop):
+        """Voxels ``start:stop`` decode to the stored channels stacked in
+        float64, divided by their sum and clipped, bit for bit."""
         channels = self.raw(rng) if make == "raw" else _one_hot_channels(rng, self.SHAPE)
         manifest = _write_channels(tmp_path, "case", channels)
         files = json.loads(manifest.read_text())["files"]
-        stored = [read_nifti((tmp_path / f).read_bytes()).data[:, :, planes] for f in files]
+        stored = [read_nifti((tmp_path / f).read_bytes()).data.reshape(-1, order="F")
+                  [start:stop] for f in files]
         want = np.stack(stored, dtype=np.float64)
         want /= want.sum(axis=0, keepdims=True)
         np.clip(want, 0.0, 1.0, out=want)
-        z0, z1, _ = planes.indices(self.SHAPE[2])
-        got = _decode(manifest, z0, z1)
+        got = _decode(manifest, start, stop)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
-        if z1 - z0 == self.SHAPE[2]:
-            assert load_probmap(manifest).data.tobytes() == want.tobytes()
+        if stop - start == self.PLANE * self.SHAPE[2]:
+            assert _rows(load_probmap(manifest).data).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("make", ["raw", "one_hot"])
+    @pytest.mark.parametrize("planes", [slice(None), slice(2, 5), slice(6, 7)])
+    def test_bit_identical_to_stack_renormalise_clip(self, tmp_path, rng, make, planes):
+        z0, z1, _ = planes.indices(self.SHAPE[2])
+        self.assert_oracle(tmp_path, rng, make, self.PLANE * z0, self.PLANE * z1)
+
+    @pytest.mark.parametrize("make", ["raw", "one_hot"])
+    @pytest.mark.parametrize("start, stop", [(27, 92), (3, 4), (139, 140)])
+    def test_voxel_ranges_inside_planes_are_bit_identical(self, tmp_path, rng, make,
+                                                           start, stop):
+        self.assert_oracle(tmp_path, rng, make, start, stop)
 
 
 class TestBadManifest:
@@ -457,7 +489,7 @@ class TestBadManifest:
                 load(manifest)
 
 
-# -- one file read by planes, and files written without a whole-file copy -----------
+# -- one file read by voxel ranges, and files written without a whole-file copy ----
 
 PLANE_SHAPE = (5, 4, 7)
 
@@ -480,11 +512,13 @@ def test_planes_are_the_whole_file_s_planes(tmp_path, rng, datatype):
     buf = np.empty(3 * plane, np.float32)  # room for three planes of any dtype
     with PlaneReader(path) as f:
         assert f.header.shape == PLANE_SHAPE
-        for z0, z1 in ((0, 3), (3, 6), (6, 7), (2, 3)):
-            got = read_label_planes(f, z0, z1, buf)
+        # Whole planes 0:3, 3:6, 6:7 and 2:3, then ranges that cut planes.
+        for start, stop in ((0, 60), (60, 120), (120, 140), (40, 60),
+                            (7, 33), (19, 79), (139, 140)):
+            got = read_label_planes(f, start, stop, buf)
             assert np.shares_memory(got, buf)
             assert got.dtype == f.header.dtype
-            assert np.array_equal(got, whole[plane * z0 : plane * z1])
+            assert np.array_equal(got, whole[start:stop])
 
 
 @pytest.mark.parametrize("datatype, value, error, match", [
@@ -500,10 +534,13 @@ def test_planes_are_checked_as_the_whole_file_is(tmp_path, datatype, value, erro
         load_labelmap(path)
     buf = np.empty(int(np.prod(PLANE_SHAPE)), np.float32)
     with PlaneReader(path) as f:
-        read_label_planes(f, 0, 6, buf)
-        with pytest.raises(error) as got:
-            read_label_planes(f, 6, 7, buf)
-    assert str(got.value) == str(want.value)
+        read_label_planes(f, 0, 120, buf)  # planes 0:6
+        read_label_planes(f, 0, 137, buf)
+        read_label_planes(f, 138, 140, buf)
+        for start, stop in ((120, 140), (137, 138)):  # plane 6, the voxel alone
+            with pytest.raises(error) as got:
+                read_label_planes(f, start, stop, buf)
+            assert str(got.value) == str(want.value)
 
 
 def test_a_file_short_of_its_voxels_is_refused_when_opened(tmp_path):
@@ -517,12 +554,14 @@ def test_a_file_that_shrinks_after_opening_is_truncated(tmp_path):
     path = _plane_file(tmp_path, 2, np.zeros(int(np.prod(PLANE_SHAPE))))
     buf = np.empty(int(np.prod(PLANE_SHAPE)), np.uint8)
     with PlaneReader(path) as f:
-        f.read(5, 7, buf)
+        f.read(100, 140, buf)
         with open(path, "r+b") as fh:
             fh.truncate(352 + 20 * 6 + 1)
-        f.read(0, 6, buf)
-        with pytest.raises(TruncatedFile, match="ends inside planes 6:7"):
-            f.read(6, 7, buf)
+        f.read(0, 121, buf)  # six planes and one voxel are left
+        with pytest.raises(TruncatedFile, match="ends inside voxels 120:140"):
+            f.read(120, 140, buf)
+        with pytest.raises(TruncatedFile, match="ends inside voxels 121:122"):
+            f.read(121, 122, buf)
 
 
 @pytest.mark.parametrize("make", [

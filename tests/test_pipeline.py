@@ -38,7 +38,14 @@ from bratsfuse.nifti import (
     write_nifti,
 )
 from bratsfuse.postprocess import DEFAULT_ET_THRESHOLD, et_threshold_relabel
-from bratsfuse.pipeline import CaseInput, ModelInput, PipelineConfig, run_eval, run_fuse
+from bratsfuse.pipeline import (
+    CaseInput,
+    ModelInput,
+    PipelineConfig,
+    run_eval,
+    run_fuse,
+    run_rank,
+)
 from bratsfuse.synth import PhantomSpec, corrupt_labels, make_phantom, noisy_probmap
 from bratsfuse.volume import LabelMap, ProbMap, Volume
 
@@ -172,6 +179,49 @@ def test_postprocess_cli_refuses_a_negative_et_threshold(tmp_path):
     assert not out.exists()
 
 
+EVAL_OUTPUTS = ("cases.csv", "cases.json", "summary.json", "summary.txt")
+RANK_OUTPUTS = ("ranking.json", "ranking.csv", "ranking.txt")
+
+
+@pytest.mark.parametrize("name", EVAL_OUTPUTS + RANK_OUTPUTS)
+def test_a_failed_write_keeps_the_earlier_file(tmp_path, monkeypatch, name):
+    out = tmp_path / "out"
+    if name in EVAL_OUTPUTS:
+        pred, gt = _eval_dirs(tmp_path)
+
+        def run():
+            run_eval(pred, gt, out)
+    else:
+        summary = tmp_path / "models.csv"
+        summary.write_text("model,DSC_ET,DSC_TC,DSC_WT,HD95_ET,HD95_TC,HD95_WT\n"
+                           "a,0.8,0.85,0.9,3.0,4.0,5.0\nb,0.7,0.8,0.88,4.0,5.0,6.0\n")
+
+        def run():
+            run_rank(summary, out)
+    run()
+    written = {p.name: p.read_bytes() for p in out.iterdir()}
+    earlier = b"an earlier run's file\n"
+    (out / name).write_bytes(earlier)
+    real = pipeline._write_atomic
+
+    @contextmanager
+    def failing(path):
+        with real(path) as fh:
+            if path.name == name:
+                fh.write(b"half a fi")
+                raise OSError("No space left on device")
+            yield fh
+
+    monkeypatch.setattr(pipeline, "_write_atomic", failing)
+    with pytest.raises(OSError, match="No space left"):
+        run()
+    assert (out / name).read_bytes() == earlier
+    assert sorted(p.name for p in out.iterdir()) == sorted(written)  # no temporary file
+    monkeypatch.setattr(pipeline, "_write_atomic", real)
+    run()
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == written
+
+
 def test_cases_csv_reads_back_what_eval_wrote(tmp_path):
     pred, gt = _eval_dirs(tmp_path)
     cases, _ = run_eval(pred, gt, tmp_path / "out")
@@ -204,6 +254,37 @@ def test_cli_import_loads_neither_scipy_nor_numba():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_process_pool():
+    # concurrent.futures.process (and multiprocessing) cost about 20 ms to
+    # import; only --jobs above 1 needs them.
+    code = ("import sys, bratsfuse.cli; "
+            "print([m for m in ('concurrent.futures.process', 'multiprocessing') "
+            "if m in sys.modules])")
+    src = str(Path(bratsfuse.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", ["fuse", "eval"])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_a_usage_error(tmp_path, command, jobs):
+    if command == "fuse":
+        save_nifti(tmp_path / "m.nii", _labels())
+        (tmp_path / "cfg.json").write_text(json.dumps(
+            {"cases": [{"id": "c0", "models": [{"name": "m", "labelmap": "m.nii"}]}]}))
+        args = ["fuse", "--config", str(tmp_path / "cfg.json")]
+    else:
+        pred, gt = _eval_dirs(tmp_path)
+        args = ["eval", str(pred), str(gt), "--out", str(tmp_path / "out")]
+    result = CliRunner().invoke(main, [*args, "--jobs", jobs])
+    assert result.exit_code == 2, result.output
+    assert f"Invalid value for '--jobs': {jobs} is not in the range x>=1." \
+        in result.output
+    assert not (tmp_path / "fused").exists() and not (tmp_path / "out").exists()
+
+
 def test_config_with_seed_key_still_loads(tmp_path):
     save_nifti(tmp_path / "m.nii", _labels())
     cfg_path = tmp_path / "cfg.json"
@@ -218,10 +299,15 @@ def test_config_with_seed_key_still_loads(tmp_path):
     assert not hasattr(cfg, "seed")
 
 
-# -- fold probability maps, decoded slab by slab ---------------------------------
+# -- fold probability maps, decoded chunk by chunk -------------------------------
 
 SPACING = (1.0, 1.25, 2.0)
 ORIGIN = (4.0, -2.0, 7.5)
+
+# Three folds of 6 x 5 x 8 voxels, two planes per slab: the voxel patched
+# into the second fold sits in the third of four slabs.
+CHECK_SHAPE = (6, 5, 8)
+CHECK_VOXEL = 4 + 6 * (3 + 5 * 5)  # (4, 3, 5), x-fastest
 
 
 def _folds(tmp_path, rng, shape, n_folds, stem="case"):
@@ -266,22 +352,26 @@ def _assert_streamed_equals_whole(manifests):
 def test_streamed_labels_equal_whole_volume_labels(tmp_path, rng, monkeypatch,
                                                    slab_voxels, planes_per_slab):
     monkeypatch.setattr(pipeline, "SLAB_VOXELS", slab_voxels)
+    monkeypatch.setattr(pipeline, "DECODE_VOXELS", 40)  # less than a plane of 48
     manifests = _folds(tmp_path, rng, (8, 6, 11), 3)
     calls = []
     real = ProbmapFiles.decode
 
-    def decode(files, z0, z1, *buffers):
-        calls.append((files.manifest, z0, z1))
-        return real(files, z0, z1, *buffers)
+    def decode(files, start, stop, *buffers):
+        calls.append((files.manifest, start, stop))
+        return real(files, start, stop, *buffers)
 
     with monkeypatch.context() as patch:
         patch.setattr(ProbmapFiles, "decode", decode)
         got = _fused_labels(manifests)
     assert got.data.tobytes(order="F") == _whole_volume_labels(manifests).data.tobytes(order="F")
-    # Every slab of planes_per_slab planes (the last one shorter) is read
-    # from every fold, in config order.
-    assert calls == [(m, z0, min(z0 + planes_per_slab, 11))
-                     for z0 in range(0, 11, planes_per_slab) for m in manifests]
+    # Each slab of planes_per_slab planes (the last one shorter) is the
+    # voxel range of its planes; it is read in chunks of 40 voxels (the
+    # last one shorter), and each chunk from every fold, in config order.
+    slabs = [(48 * z0, 48 * min(z0 + planes_per_slab, 11))
+             for z0 in range(0, 11, planes_per_slab)]
+    assert calls == [(m, lo, min(lo + 40, stop)) for start, stop in slabs
+                     for lo in range(start, stop, 40) for m in manifests]
 
 
 def test_streamed_labels_at_the_default_slab_size(tmp_path, rng):
@@ -308,6 +398,16 @@ def test_streamed_labels_break_exact_ties_toward_the_later_channel(tmp_path, mon
     got = _assert_streamed_equals_whole(manifests)
     assert got.data.reshape(-1, order="F")[[7 * i for i in range(len(ties))]].tolist() \
         == want_labels
+
+
+@pytest.mark.parametrize("decode_voxels", [1, 7, 29, 60, 1 << 15])
+def test_labels_are_the_same_for_any_decode_chunk(tmp_path, rng, monkeypatch,
+                                                  decode_voxels):
+    # Slabs of two 6 x 5 planes: chunks of 7 or 29 voxels divide neither a
+    # plane nor a slab; 60 is one chunk per slab and 1 << 15 is capped to it.
+    monkeypatch.setattr(pipeline, "SLAB_VOXELS", 6 * 5 * 2)
+    monkeypatch.setattr(pipeline, "DECODE_VOXELS", decode_voxels)
+    _assert_streamed_equals_whole(_folds(tmp_path, rng, CHECK_SHAPE, 3))
 
 
 def test_fold_with_extra_planes_is_a_geometry_mismatch(tmp_path, rng):
@@ -341,10 +441,30 @@ def test_fold_decoding_holds_one_slab_of_each_fold(tmp_path, rng, monkeypatch):
     assert peak < fold_bytes, f"peak {peak / 2**20:.1f} MB"
 
 
-# Three folds of 6 x 5 x 8 voxels, two planes per slab: the voxel patched
-# into the second fold sits in the third of four slabs.
-CHECK_SHAPE = (6, 5, 8)
-CHECK_VOXEL = 4 + 6 * (3 + 5 * 5)  # (4, 3, 5), x-fastest
+def test_fold_decoding_memory_grows_with_the_chunk_not_the_slab(tmp_path, rng,
+                                                               monkeypatch):
+    plane = 64 * 64
+    manifests = _folds(tmp_path, rng, (64, 64, 48), 3)
+
+    def peak(slab_voxels, decode_voxels):
+        monkeypatch.setattr(pipeline, "SLAB_VOXELS", slab_voxels)
+        monkeypatch.setattr(pipeline, "DECODE_VOXELS", decode_voxels)
+        tracemalloc.start()
+        try:
+            _fused_labels(manifests)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    base = peak(4 * plane, 1024)
+    # Twelve times the slab costs under 4 bytes per added slab voxel (its
+    # uint8 labels and output); decoding whole slabs would cost 84 (float32
+    # raw, float64 probs, mean, sums and best).
+    assert peak(48 * plane, 1024) - base < 4 * 44 * plane
+    # Eight times the chunk costs at least its float64 probs and mean.
+    assert peak(4 * plane, 8192) - base > 2 * 4 * 8 * (8192 - 1024)
+
+
 
 
 def _patch_channels(manifest, values, voxel=CHECK_VOXEL):
@@ -388,10 +508,24 @@ def test_every_voxel_of_every_fold_is_checked(tmp_path, rng, monkeypatch, bad):
     assert json.loads((tmp_path / "fused" / "errors.json").read_text()) == errors
 
 
-def test_the_average_of_the_folds_is_checked(tmp_path, rng, monkeypatch):
+@pytest.mark.parametrize("bad", sorted(BAD_VOXELS))
+def test_a_bad_voxel_in_a_later_decode_chunk_names_its_fold(tmp_path, rng, monkeypatch,
+                                                            bad):
+    # Chunks of 7 voxels: CHECK_VOXEL (172) is in the chunk 169:176, the
+    # eighth of the slab 120:180.
+    monkeypatch.setattr(pipeline, "SLAB_VOXELS", 6 * 5 * 2)
+    monkeypatch.setattr(pipeline, "DECODE_VOXELS", 7)
+    values, match = BAD_VOXELS[bad]
+    folds = _folds(tmp_path, rng, CHECK_SHAPE, 3)
+    _patch_channels(folds[2], values)
+    with pytest.raises(BadData, match=match) as info:
+        _fused_labels(folds)
+    assert str(info.value).startswith(f"{folds[2]}: ")
+
+
+def _assert_the_average_is_checked(tmp_path, rng):
     # Each fold's renormalised, clipped channels sum to 1 + 0.99999999992e-6
     # (accepted); their average rounds to a sum of 1 + 1.00000000014e-6.
-    monkeypatch.setattr(pipeline, "SLAB_VOXELS", 6 * 5 * 2)
     folds = _folds(tmp_path, rng, CHECK_SHAPE, 2)
     _patch_channels(folds[0], (0.5900927186012268, -9.999999974752427e-07,
                                0.0006509264931082726, 0.40925735235214233))
@@ -402,6 +536,17 @@ def test_the_average_of_the_folds_is_checked(tmp_path, rng, monkeypatch):
     with pytest.raises(BadData, match="channel sums deviate from 1 by 1e-06") as info:
         _fused_labels(folds)
     assert str(info.value).startswith(f"average of {folds[0]}, {folds[1]}: ")
+
+
+def test_the_average_of_the_folds_is_checked(tmp_path, rng, monkeypatch):
+    monkeypatch.setattr(pipeline, "SLAB_VOXELS", 6 * 5 * 2)
+    _assert_the_average_is_checked(tmp_path, rng)
+
+
+def test_the_average_is_checked_in_a_later_decode_chunk(tmp_path, rng, monkeypatch):
+    monkeypatch.setattr(pipeline, "SLAB_VOXELS", 6 * 5 * 2)
+    monkeypatch.setattr(pipeline, "DECODE_VOXELS", 7)
+    _assert_the_average_is_checked(tmp_path, rng)
 
 
 def _break_manifest(manifest, how):
@@ -801,20 +946,21 @@ def test_a_failed_write_leaves_no_output_and_no_temporary_file(tmp_path, monkeyp
     assert json.loads((out / "errors.json").read_text()) == errors
 
 
-def test_fusing_holds_one_code_per_voxel(tmp_path):
+def _fuse_peak(tmp_path, shifts):
+    """Fuse one 160 x 160 x 128 case of a rater per shift of a nested
+    phantom; returns the case's voxel count and the tracemalloc peak."""
     shape = (160, 160, 128)
     gt = np.zeros(shape, np.uint8)
     gt[30:130, 30:130, 20:110] = 2
     gt[50:110, 50:110, 40:90] = 1
     gt[65:95, 65:95, 55:75] = 4
     models = []
-    for k, shift in enumerate(((0, 0, 0), (2, -1, 1), (-2, 1, -1))):
+    for k, shift in enumerate(shifts):
         path = save_nifti(tmp_path / f"r{k}.nii",
                           LabelMap(np.roll(gt, shift, axis=(0, 1, 2))))
         models.append(ModelInput(f"r{k}", labelmap=path))
     cfg = PipelineConfig(cases=(CaseInput("c0", tuple(models)),),
                          output_dir=tmp_path / "fused")
-    volume_bytes = gt.nbytes  # one uint8 volume
     tracemalloc.start()
     try:
         diags, errors = run_fuse(cfg)
@@ -822,4 +968,18 @@ def test_fusing_holds_one_code_per_voxel(tmp_path):
     finally:
         tracemalloc.stop()
     assert errors == [] and diags[0]["et_voxels_before"] > 0
-    assert peak < 2 * volume_bytes, f"peak {peak / 2**20:.1f} MB"
+    return gt.size, peak
+
+
+def test_fusing_holds_one_code_per_voxel(tmp_path):
+    voxels, peak = _fuse_peak(tmp_path, ((0, 0, 0), (2, -1, 1), (-2, 1, -1)))
+    assert peak < 2 * voxels, f"peak {peak / 2**20:.1f} MB"  # one uint8 code each
+
+
+def test_fusing_nine_raters_holds_no_index_per_voxel(tmp_path):
+    # Nine raters' codes are uint32 and their rows are sorted: one sorted
+    # copy of the codes, and no int64 row index per voxel beside them.
+    shifts = [(dx, dy, (dx + dy) % 3 - 1) for dx in (-2, 0, 2) for dy in (-1, 0, 1)]
+    voxels, peak = _fuse_peak(tmp_path, shifts)
+    assert joint_codes(len(shifts), 1).dtype == np.uint32
+    assert peak < 3 * 4 * voxels, f"peak {peak / 2**20:.1f} MB"
