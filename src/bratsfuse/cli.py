@@ -26,6 +26,7 @@ from .metrics import EMPTY_PENALTY_MM
 from .nifti import load_labelmap, load_volume, save_nifti, save_probmap
 from .pipeline import (
     PipelineConfig,
+    _write_text,
     read_cases_csv,
     run_eval,
     run_fuse,
@@ -144,7 +145,7 @@ def rank_cmd(summary_csv, out_dir):
 @click.option("--shape", type=SHAPE, default=(48, 48, 48), show_default=True,
               help="Grid size in voxels. The tumour radii scale with it per axis "
                    "(WT 16x14x15 voxels at 48^3).")
-@click.option("--raters", default=3, show_default=True,
+@click.option("--raters", type=click.IntRange(min=0), default=3, show_default=True,
               help="Number of corrupted rater label maps.")
 @click.option("--rate", type=click.FloatRange(0.0, 1.0), default=0.1, show_default=True,
               help="Per-voxel corruption probability for the raters.")
@@ -152,6 +153,9 @@ def rank_cmd(summary_csv, out_dir):
               help="Also emit a soft model (two fold probability manifests).")
 def synth_cmd(out_dir, seed, shape, raters, rate, probmaps):
     """Generate a phantom, noisy raters, and a ready-to-run fuse config."""
+    if raters == 0 and not probmaps:
+        raise click.UsageError("--raters 0 with --no-probmaps would write a config "
+                               "with no model")
     try:
         gt, intensity = make_phantom(PhantomSpec(shape=tuple(shape), seed=seed))
     except (BratsFuseError, ValueError) as e:
@@ -181,7 +185,7 @@ def synth_cmd(out_dir, seed, shape, raters, rate, probmaps):
         "et_threshold": DEFAULT_ET_THRESHOLD,
         "staple": {"tol": 1e-6, "max_iters": 100},
     }
-    (out / "fuse_config.json").write_text(json.dumps(config, indent=2, sort_keys=True) + "\n")
+    _write_text(out / "fuse_config.json", json.dumps(config, indent=2, sort_keys=True) + "\n")
     click.echo(f"phantom fixture written to {out} (config: fuse_config.json)")
 
 
@@ -199,7 +203,7 @@ def preprocess_cmd(input_nii, output_nii, do_znorm, crop_nonzero):
             box = nonzero_bbox(v)
             v = crop(v, box)
             bbox_path = Path(output_nii).with_suffix(".bbox.json")
-            bbox_path.write_text(json.dumps(
+            _write_text(bbox_path, json.dumps(
                 {"lo": list(box.lo), "hi": list(box.hi)}, sort_keys=True) + "\n")
         if do_znorm:
             v = znorm(v)
@@ -241,7 +245,7 @@ def tiling_plan_cmd(shape, patch, stride, out_path):
         raise click.ClickException(str(e)) from e
     text = plan.to_json()
     if out_path:
-        Path(out_path).write_text(text + "\n")
+        _write_text(Path(out_path), text + "\n")
         click.echo(f"{len(plan.windows)} window(s); plan written to {out_path}")
     else:
         click.echo(text)

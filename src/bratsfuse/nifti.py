@@ -11,7 +11,10 @@ Writing uses float32 for :class:`~bratsfuse.volume.Volume` and uint8 for
 x-fastest order, so ``read(write(v))`` reproduces shape, spacing, and data
 bit-exactly for the supported dtypes. :func:`header_bytes` builds the 352
 bytes before the voxels, so a writer can stream a label body after it
-slab by slab and get the bytes :func:`write_nifti` would.
+slab by slab and get the bytes :func:`write_nifti` would. Every file this
+package writes goes through :func:`_write_atomic`: a temporary file in the
+same directory, moved onto its name with ``os.replace``, so a failed or
+interrupted write leaves the earlier file, if any, under that name.
 
 The body of a file is x-fastest, so any range of voxels ``start:stop`` in
 that order is one contiguous byte range, and the voxels of planes
@@ -24,11 +27,16 @@ reuses; :func:`read_label_planes` checks such a range with the rules
 Probability maps do not fit in a 3-D file; they serialize as one NIfTI per
 channel plus a JSON manifest ``{"channels": [0, 1, 2, 4], "files": [...]}``.
 :class:`ProbmapFiles` is a map's four channel readers, whose grids it
-checks to agree; its ``decode`` reads a voxel range of every channel into
-its float64 row of an output buffer, renormalises the rows and checks the
-result, so a map can be read a chunk at a time without a header parse or a
-fresh array per chunk. :func:`load_probmap` decodes a whole map in one
-call; a map's header alone is ``ProbmapFiles(m).header``.
+checks to agree. Decoding a voxel range is two steps: ``read`` gives every
+channel's stored values as a view, in its file's dtype, over a caller's
+buffer, and ``renormalise`` casts such channels into float64 rows, divides
+them by their sums, clips and checks them; ``decode`` is the one after the
+other. So a map can be read a chunk at a time without a header parse or a
+fresh array per chunk, and a caller can look at the stored values before
+any arithmetic: a fold model renormalises only the voxels that some fold
+does not store as certain background, exactly (1, 0, 0, 0) (see
+``pipeline``). :func:`load_probmap` decodes a whole map in one call; a
+map's header alone is ``ProbmapFiles(m).header``.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 from typing import NamedTuple
 
@@ -226,12 +234,29 @@ def load_labelmap(path) -> LabelMap:
     return read_labelmap(Path(path).read_bytes())
 
 
+@contextmanager
+def _write_atomic(path: Path):
+    """A binary file that becomes ``path`` when the block ends.
+
+    It is written as a temporary file in the same directory and moved onto
+    ``path`` with ``os.replace``; if the block raises, it is removed and
+    ``path`` is left as it was.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_nifti(path, v: Volume | LabelMap) -> Path:
     """Write ``v`` as :func:`write_nifti` encodes it, without building the
     whole file in memory."""
     path = Path(path)
     payload = _payload(v)
-    with open(path, "wb") as fh:
+    with _write_atomic(path) as fh:
         fh.write(header_bytes(v.shape, v.spacing, v.origin, payload.dtype))
         fh.write(payload.ravel(order="F"))
     return path
@@ -247,9 +272,9 @@ def save_probmap(pm: ProbMap, directory, stem: str) -> Path:
         save_nifti(directory / name, Volume(pm.data[i], pm.spacing, pm.origin))
         files.append(name)
     manifest = directory / f"{stem}.json"
-    manifest.write_text(
-        json.dumps({"channels": list(pm.channels), "files": files}, sort_keys=True)
-    )
+    with _write_atomic(manifest) as fh:
+        fh.write(json.dumps({"channels": list(pm.channels), "files": files},
+                            sort_keys=True).encode())
     return manifest
 
 
@@ -311,12 +336,14 @@ class PlaneReader:
         """The stored voxels ``start:stop`` of the x-fastest body, as a 1-D
         array of the file's dtype over the first bytes of ``buf``.
 
-        ``buf`` is any C-contiguous array of at least that many bytes; the
-        result is a view of it. A file that has shrunk since it was opened
-        is ``TruncatedFile``.
+        ``buf`` is any C-contiguous array of at least that many bytes
+        (``ValueError`` if it is smaller); the result is a view of it. A
+        file that has shrunk since it was opened is ``TruncatedFile``.
         """
         dtype = self.header.dtype
         data = buf.reshape(-1).view(np.uint8)[: (stop - start) * dtype.itemsize].view(dtype)
+        if data.size != stop - start:
+            raise ValueError(f"a buffer of {buf.nbytes} bytes cannot hold voxels {start}:{stop}")
         self._fh.seek(self.header.offset + start * dtype.itemsize)
         if self._fh.readinto(data) != data.nbytes:
             raise TruncatedFile(f"{self.path}: ends inside voxels {start}:{stop}")
@@ -374,25 +401,31 @@ class ProbmapFiles:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def decode(self, start: int, stop: int, raw: np.ndarray, out: np.ndarray,
-               sums: np.ndarray) -> np.ndarray:
-        """Voxels ``start:stop`` (x-fastest) renormalised into ``out``, which
-        is returned.
+    def read(self, start: int, stop: int, buf: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The stored values of voxels ``start:stop`` (x-fastest) of each
+        channel, in channel order, unchecked.
 
-        ``out`` is float64 ``(4, n)`` for those ``n`` voxels, one row per
-        channel. ``raw`` (at least ``n`` float32) receives each channel's
-        stored values in turn and ``sums`` (float64, ``(n,)``) the channel
-        sums; both are scratch. Each channel is cast into its row of
-        ``out`` (exact: every supported dtype is a subset of float64), the
-        rows are summed in channel order, divided by the sums and clipped
-        to [0, 1]. A non-finite channel, a voxel whose channels sum to 0,
-        and renormalised channels outside [0, 1] or whose sum is off 1 by
-        more than 1e-6 are ``BadData`` naming the manifest.
+        ``buf`` has one C-contiguous row per channel, each of at least
+        ``stop - start`` 4-byte values: every supported dtype is at most 4
+        bytes wide. Channel ``c`` is the view of ``buf[c]`` in its file's
+        dtype that :meth:`PlaneReader.read` returns.
         """
-        # Every supported dtype is at most 4 bytes wide, so ``raw`` holds the
-        # voxels in any of them.
-        for f, row in zip(self._files, out):
-            np.copyto(row, f.read(start, stop, raw))
+        return tuple(f.read(start, stop, row) for f, row in zip(self._files, buf))
+
+    def renormalise(self, channels, out: np.ndarray, sums: np.ndarray) -> np.ndarray:
+        """The stored ``channels`` of ``n`` voxels (as :meth:`read` returns
+        them) renormalised into ``out``, which is returned.
+
+        ``out`` is float64 ``(4, n)``, one row per channel, and ``sums``
+        (float64, ``(n,)``) receives the channel sums. Each channel is cast
+        into its row of ``out`` (exact: every supported dtype is a subset of
+        float64), the rows are summed in channel order, divided by the sums
+        and clipped to [0, 1]. A non-finite channel, a voxel whose channels
+        sum to 0, and renormalised channels outside [0, 1] or whose sum is
+        off 1 by more than 1e-6 are ``BadData`` naming the manifest.
+        """
+        for channel, row in zip(channels, out):
+            np.copyto(row, channel)
         np.add(out[0], out[1], out=sums)
         sums += out[2]
         sums += out[3]
@@ -404,13 +437,23 @@ class ProbmapFiles:
         if not sums.all():
             raise BadData(f"{self.manifest}: a voxel's four channels sum to 0")
         out /= sums
-        # float32 storage can nudge channel sums off 1 by a few ulp.
+        # The clip bounds each channel to [0, 1] (only a negative stored
+        # channel, or one its voxel's negative channels push above 1, can be
+        # out of it); it does not move channel sums back to 1, and the check
+        # below refuses a voxel whose clipped channels sum off 1.
         np.clip(out, 0.0, 1.0, out=out)
         try:
             _check_probs(out, sums)
         except ValueError as e:
             raise BadData(f"{self.manifest}: {e}") from e
         return out
+
+    def decode(self, start: int, stop: int, raw: np.ndarray, out: np.ndarray,
+               sums: np.ndarray) -> np.ndarray:
+        """Voxels ``start:stop`` read into ``raw`` (see :meth:`read`) and
+        renormalised into ``out`` with ``sums`` (see :meth:`renormalise`);
+        returns ``out``."""
+        return self.renormalise(self.read(start, stop, raw), out, sums)
 
 
 def load_probmap(manifest_path) -> ProbMap:
@@ -422,7 +465,8 @@ def load_probmap(manifest_path) -> ProbMap:
     with ProbmapFiles(manifest_path) as files:
         nx, ny, nz = files.header.shape
         n = nx * ny * nz
-        data = files.decode(0, n, np.empty(n, np.float32), np.empty((4, n)), np.empty(n))
+        data = files.decode(0, n, np.empty((4, n), np.float32), np.empty((4, n)),
+                            np.empty(n))
     # Each channel row is x-fastest: view it as (nx, ny, nz) without a copy.
     return ProbMap(data.reshape(4, nz, ny, nx).transpose(0, 3, 2, 1),
                    files.header.spacing, files.header.origin)

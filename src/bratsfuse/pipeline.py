@@ -14,10 +14,20 @@ Every input file is opened and its header parsed and checked once, and the
 models' grids are checked to agree, before the first slab. Per slab, each
 model gives its labels: a label map's voxels are read and checked as
 ``load_labelmap`` checks a whole file. Fold maps are decoded in chunks of
-``DECODE_VOXELS`` voxels, small enough that a chunk's float64 buffers stay
-in cache through every pass over them: per chunk, every fold in config
-order is read, renormalised and checked, the folds are averaged, and the
-mean is checked again and argmaxed, in buffers allocated once per model.
+``DECODE_VOXELS`` voxels, small enough that a chunk's buffers stay in
+cache through every pass over them. Per chunk, every fold's four stored
+channels are read, and the chunk's uncertain range is found: the smallest
+voxel range outside which every fold stores exactly (1, 0, 0, 0), the
+certain background that models which infer on the brain's bounding box
+store in the rest of the grid. The first fold's first and last voxels are
+tested before the other folds are read; if both are uncertain, the range
+is the whole chunk, found with no compare pass. On that range only,
+every fold in config order is renormalised and checked, the folds are
+averaged, and the mean is checked again and argmaxed, in buffers
+allocated once per model; the voxels outside it are label 0. That is
+exact: such a voxel passes every check, its mean is (1, 0, 0, 0) and its
+argmax label 0, while a NaN or infinite channel differs from (1, 0, 0, 0)
+and so stays inside the range and is refused.
 Each model's labels go into its two bits of the case's joint code array
 (``fusion.joint_codes``), which is the only whole-volume array: one code
 per voxel, in the smallest unsigned type holding two bits per model
@@ -35,9 +45,10 @@ Every output file (``fuse``'s ``<case>.nii``, ``<case>_staple.json``,
 ``fuse_manifest.json`` and ``errors.json``; ``eval``'s ``cases.csv``,
 ``cases.json`` and ``errors.json``; the ``summary.json`` and
 ``summary.txt`` of ``eval`` and ``report``; ``rank``'s ``ranking.json``,
-``ranking.csv`` and ``ranking.txt``) is written to a temporary file in the
-same directory and moved onto its name with ``os.replace``, so an
-interrupted or failed write never leaves a partial file under that name.
+``ranking.csv`` and ``ranking.txt``) is written through
+``nifti._write_atomic``: to a temporary file in the same directory, moved
+onto its name with ``os.replace``, so an interrupted or failed write never
+leaves a partial file under that name.
 A case that raises a :class:`~bratsfuse.errors.BratsFuseError` is
 recorded in ``errors.json`` and skipped, and any ``<case>.nii`` or
 ``<case>_staple.json`` an earlier run left in the output directory is
@@ -52,10 +63,11 @@ aggregate files are written in sorted case order, so reruns and different
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -80,7 +92,14 @@ from .metrics import (
     metrics_csv_header,
     metrics_csv_row,
 )
-from .nifti import PlaneReader, ProbmapFiles, header_bytes, load_labelmap, read_label_planes
+from .nifti import (
+    PlaneReader,
+    ProbmapFiles,
+    _write_atomic,
+    header_bytes,
+    load_labelmap,
+    read_label_planes,
+)
 from .postprocess import DEFAULT_ET_THRESHOLD, relabels_et
 from .report import (
     ModelSummary,
@@ -252,9 +271,9 @@ class PipelineConfig:
 
 # Voxels per slab when a case is read; a slab is whole z-planes.
 SLAB_VOXELS = 1 << 17
-# Voxels per chunk when fold maps are decoded: a chunk's float64 buffers
-# (about 3 MB in all) stay in a core's cache through every pass over them.
-DECODE_VOXELS = 1 << 15
+# Voxels per chunk when fold maps are decoded: a chunk's buffers (about
+# 2.6 MB for five folds) stay in a core's cache through every pass over them.
+DECODE_VOXELS = 1 << 14
 _LABELS = np.array(BRATS_LABELS, dtype=np.uint8)
 
 
@@ -290,6 +309,17 @@ class _LabelModel:
         return data.astype(np.uint8, copy=False)
 
 
+# A fold's stored channels (0, 1, 2, 4) at a voxel of certain background.
+_BACKGROUND = (1, 0, 0, 0)
+
+
+def _is_background(channels, i: int) -> bool:
+    """Whether a fold's stored ``channels`` (as ``ProbmapFiles.read``
+    returns them) are exactly ``_BACKGROUND`` at voxel ``i``; NaN equals
+    nothing, so a NaN channel is not background."""
+    return all(c[i] == v for c, v in zip(channels, _BACKGROUND))
+
+
 class _FoldModel:
     """A model given as fold probability maps, decoded ``DECODE_VOXELS``
     voxels at a time."""
@@ -301,55 +331,91 @@ class _FoldModel:
         self.header = self._folds[0].header
         _, size = _slab_voxels(self.header.shape)
         self._chunk = chunk = min(DECODE_VOXELS, size)
-        # One set of buffers for every chunk of every fold.
-        self._raw = np.empty(chunk, np.float32)
+        # One set of buffers for every chunk: every fold's four stored
+        # channels (at most 4 bytes a value), and float64 buffers for the
+        # voxels that are not certain background.
+        self._stored = np.empty((len(manifests), 4, chunk), np.float32)
         self._probs, self._mean = np.empty((2, 4, chunk))
         self._sums, self._best = np.empty((2, chunk))
+        self._uncertain, self._differs = np.empty((2, chunk), bool)
         self._labels = np.empty(size, np.uint8)
 
     def labels(self, z0: int, z1: int) -> np.ndarray:
-        """The labels of planes ``z0:z1``, x-fastest. Chunk by chunk, every
-        fold's voxels are decoded in config order, renormalised and
-        checked, then their mean is checked and argmaxed."""
+        """The labels of planes ``z0:z1``, x-fastest, one chunk at a time."""
         start, stop = _voxels(self.header.shape, z0, z1)
         labels = self._labels[: stop - start]
         for lo in range(start, stop, self._chunk):
             hi = min(lo + self._chunk, stop)
-            n = hi - lo
-            mean, sums = self._mean[:, :n], self._sums[:n]
-            decoded = (f.decode(lo, hi, self._raw, self._probs[:, :n], sums)
-                       for f in self._folds)
-            average_probs_into(decoded, mean)
-            try:
-                _check_probs(mean, sums)
-            except ValueError as e:
-                names = ", ".join(str(p) for p in self._manifests)
-                raise BadData(f"average of {names}: {e}") from e
-            argmax_labels_into(mean, labels[lo - start : hi - start], self._best[:n])
+            self._chunk_labels(lo, hi, labels[lo - start : hi - start])
         return labels
+
+    def _chunk_labels(self, lo: int, hi: int, out: np.ndarray) -> None:
+        """The labels of voxels ``lo:hi`` into ``out``.
+
+        Every fold's stored channels are read; on the smallest range of the
+        chunk outside which every fold stores ``_BACKGROUND``, every fold in
+        config order is renormalised and checked, then their mean is checked
+        and argmaxed. The voxels outside that range are label 0: each of
+        them passes every check and its mean is exactly ``_BACKGROUND``.
+        """
+        n = hi - lo
+        first = self._folds[0].read(lo, hi, self._stored[0])
+        if not (_is_background(first, 0) or _is_background(first, n - 1)):
+            # Both ends are uncertain in the first fold, so the range is the
+            # whole chunk and needs no compare pass. Each fold is read when
+            # the one before it has been averaged in, into the same buffer,
+            # which keeps the chunk's buffers in a core's cache.
+            reads = (f.read(lo, hi, self._stored[0]) for f in self._folds[1:])
+            self._decode(itertools.chain([first], reads), out)
+            return
+        stored = [first] + [f.read(lo, hi, buf)
+                            for f, buf in zip(self._folds[1:], self._stored[1:])]
+        a, b = self._uncertain_range(stored, n)
+        out[:a] = 0
+        out[b:] = 0
+        if a < b:
+            self._decode(([c[a:b] for c in channels] for channels in stored), out[a:b])
+
+    def _uncertain_range(self, stored, n: int) -> tuple[int, int]:
+        """The smallest range ``[a, b)`` of a chunk's ``n`` voxels outside
+        which every fold of ``stored`` holds ``_BACKGROUND`` (``a == b ==
+        0`` if all do).
+
+        NaN and infinite channels differ from it, so they stay inside the
+        range and are checked.
+        """
+        uncertain, differs = self._uncertain[:n], self._differs[:n]
+        uncertain[...] = False
+        for channels in stored:
+            for c, v in zip(channels, _BACKGROUND):
+                np.not_equal(c, v, out=differs)
+                uncertain |= differs
+        a = int(uncertain.argmax())
+        if not uncertain[a]:
+            return 0, 0
+        return a, n - int(uncertain[::-1].argmax())
+
+    def _decode(self, stored, out: np.ndarray) -> None:
+        """The labels of the voxels of ``stored`` (per fold, in config order,
+        the channels ``ProbmapFiles.read`` returns, or a range of them) into
+        ``out``."""
+        n = out.size
+        mean, sums = self._mean[:, :n], self._sums[:n]
+        decoded = (f.renormalise(channels, self._probs[:, :n], sums)
+                   for f, channels in zip(self._folds, stored))
+        average_probs_into(decoded, mean)
+        try:
+            _check_probs(mean, sums)
+        except ValueError as e:
+            names = ", ".join(str(p) for p in self._manifests)
+            raise BadData(f"average of {names}: {e}") from e
+        argmax_labels_into(mean, out, self._best[:n])
 
 
 def _open_model(m: ModelInput, stack: ExitStack) -> _LabelModel | _FoldModel:
     if m.labelmap is not None:
         return _LabelModel(m.labelmap, stack)
     return _FoldModel(m.prob_manifests, stack)
-
-
-@contextmanager
-def _write_atomic(path: Path):
-    """A binary file that becomes ``path`` when the block ends.
-
-    It is written as a temporary file in the same directory and moved onto
-    ``path`` with ``os.replace``; if the block raises, it is removed and
-    ``path`` is left as it was.
-    """
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            yield fh
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -534,18 +600,27 @@ def _region_values(row: dict) -> tuple[dict[str, float], dict[str, float]]:
             {r: float(row[f"HD95_{r}"]) for r in REGION_ORDER})
 
 
+def _csv_rows(path) -> list[dict]:
+    """The rows of a CSV file with a header line, read as UTF-8 text; a
+    file that is not UTF-8 is a ConfigError."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return list(csv.DictReader(fh))
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path} is not UTF-8 text: {e}") from e
+
+
 def read_cases_csv(path) -> list[CaseMetrics]:
     """Parse a per-case metrics CSV as ``run_eval`` writes it (``cases.csv``).
 
     Columns: case_id,DSC_ET,DSC_TC,DSC_WT,HD95_ET,HD95_TC,HD95_WT.
     """
     cases = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            try:
-                cases.append(CaseMetrics(row["case_id"], *_region_values(row)))
-            except (KeyError, TypeError, ValueError) as e:
-                raise ConfigError(f"bad metrics row {row}: {e}") from e
+    for row in _csv_rows(path):
+        try:
+            cases.append(CaseMetrics(row["case_id"], *_region_values(row)))
+        except (KeyError, TypeError, ValueError) as e:
+            raise ConfigError(f"bad metrics row {row}: {e}") from e
     if not cases:
         raise ConfigError(f"no case rows in {path}")
     return cases
@@ -557,14 +632,13 @@ def read_model_summaries_csv(path) -> list[ModelSummary]:
     Columns: model,DSC_ET,DSC_TC,DSC_WT,HD95_ET,HD95_TC,HD95_WT.
     """
     summaries = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            try:
-                name = row["model"]
-                dsc, hd = _region_values(row)
-            except (KeyError, TypeError, ValueError) as e:
-                raise ConfigError(f"bad model summary row {row}: {e}") from e
-            summaries.append(model_summary(name, dsc, hd))
+    for row in _csv_rows(path):
+        try:
+            name = row["model"]
+            dsc, hd = _region_values(row)
+        except (KeyError, TypeError, ValueError) as e:
+            raise ConfigError(f"bad model summary row {row}: {e}") from e
+        summaries.append(model_summary(name, dsc, hd))
     if not summaries:
         raise ConfigError(f"no model rows found in {path}")
     return summaries
@@ -572,9 +646,9 @@ def read_model_summaries_csv(path) -> list[ModelSummary]:
 
 def run_rank(summary_csv, output_dir) -> str:
     """Rank models from a summary CSV; writes JSON/CSV and a text table."""
+    summaries = read_model_summaries_csv(summary_csv)
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
-    summaries = read_model_summaries_csv(summary_csv)
     ranking = rank_models(summaries)
     _write_text(output_dir / "ranking.json", ranking.to_json() + "\n")
     rows = ["model,rank"] + [f"{n},{r}" for n, r in ranking.ranking]

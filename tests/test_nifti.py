@@ -295,7 +295,7 @@ def _decode(manifest, start, stop):
     ``ProbmapFiles.decode``, one row per channel."""
     with ProbmapFiles(manifest) as files:
         n = stop - start
-        return files.decode(start, stop, np.empty(n, np.float32), np.empty((4, n)),
+        return files.decode(start, stop, np.empty((4, n), np.float32), np.empty((4, n)),
                             np.empty(n))
 
 
@@ -562,6 +562,14 @@ def test_a_file_that_shrinks_after_opening_is_truncated(tmp_path):
             f.read(120, 140, buf)
         with pytest.raises(TruncatedFile, match="ends inside voxels 121:122"):
             f.read(121, 122, buf)
+
+
+def test_a_buffer_too_small_for_the_voxels_is_refused(tmp_path):
+    path = _plane_file(tmp_path, 16, np.zeros(int(np.prod(PLANE_SHAPE))))
+    with PlaneReader(path) as f:
+        with pytest.raises(ValueError, match="76 bytes cannot hold voxels 0:20"):
+            f.read(0, 20, np.empty(19, np.float32))
+        assert f.read(0, 20, np.empty(80, np.uint8)).size == 20
 
 
 @pytest.mark.parametrize("make", [

@@ -13,7 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 import bratsfuse
-from bratsfuse import pipeline
+from bratsfuse import nifti, pipeline
 from bratsfuse.cli import main
 from bratsfuse.errors import (
     BadData,
@@ -31,6 +31,7 @@ from bratsfuse.fusion import (
 )
 from bratsfuse.nifti import (
     ProbmapFiles,
+    header_bytes,
     load_labelmap,
     load_probmap,
     save_nifti,
@@ -47,7 +48,7 @@ from bratsfuse.pipeline import (
     run_rank,
 )
 from bratsfuse.synth import PhantomSpec, corrupt_labels, make_phantom, noisy_probmap
-from bratsfuse.volume import LabelMap, ProbMap, Volume
+from bratsfuse.volume import BRATS_LABELS, LabelMap, ProbMap, Volume
 
 from .test_fusion import boundary_raters
 
@@ -243,6 +244,43 @@ def test_report_cli_refuses_a_bad_cases_csv(tmp_path, text, message):
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("command", ["report", "rank"])
+def test_a_csv_that_is_not_utf8_is_a_one_line_error(tmp_path, command):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"\xff\xfecase_id,DSC_ET\n\xffc0,0.5\n")
+    result = CliRunner().invoke(main, [command, str(path), "--out", str(tmp_path / "r")])
+    assert result.exit_code == 1, result.output
+    assert result.output.startswith(f"Error: {path} is not UTF-8 text: ")
+    assert len(result.output.splitlines()) == 1
+    assert not (tmp_path / "r").exists()
+
+
+def test_a_failed_postprocess_write_keeps_the_earlier_file(tmp_path, monkeypatch):
+    save_nifti(tmp_path / "in.nii", _labels())
+    out = tmp_path / "out" / "post.nii"
+    out.parent.mkdir()
+    earlier = b"an earlier run's file\n"
+    out.write_bytes(earlier)
+    real = nifti._write_atomic
+
+    @contextmanager
+    def failing(path):
+        with real(path) as fh:
+            yield fh  # the whole file is written, then closing it fails
+            raise OSError("No space left on device")
+
+    monkeypatch.setattr(nifti, "_write_atomic", failing)
+    args = ["postprocess", str(tmp_path / "in.nii"), str(out)]
+    result = CliRunner().invoke(main, args)
+    assert isinstance(result.exception, OSError)
+    assert out.read_bytes() == earlier
+    assert [p.name for p in out.parent.iterdir()] == ["post.nii"]  # no temporary file
+    monkeypatch.setattr(nifti, "_write_atomic", real)
+    assert CliRunner().invoke(main, args).exit_code == 0
+    assert out.read_bytes() == write_nifti(
+        et_threshold_relabel(load_labelmap(tmp_path / "in.nii"), DEFAULT_ET_THRESHOLD))
+
+
 def test_cli_import_loads_neither_scipy_nor_numba():
     # scipy.ndimage would about double the start-up time of every command.
     code = ("import sys, bratsfuse.cli; "
@@ -355,14 +393,14 @@ def test_streamed_labels_equal_whole_volume_labels(tmp_path, rng, monkeypatch,
     monkeypatch.setattr(pipeline, "DECODE_VOXELS", 40)  # less than a plane of 48
     manifests = _folds(tmp_path, rng, (8, 6, 11), 3)
     calls = []
-    real = ProbmapFiles.decode
+    real = ProbmapFiles.read
 
-    def decode(files, start, stop, *buffers):
+    def read(files, start, stop, buf):
         calls.append((files.manifest, start, stop))
-        return real(files, start, stop, *buffers)
+        return real(files, start, stop, buf)
 
     with monkeypatch.context() as patch:
-        patch.setattr(ProbmapFiles, "decode", decode)
+        patch.setattr(ProbmapFiles, "read", read)
         got = _fused_labels(manifests)
     assert got.data.tobytes(order="F") == _whole_volume_labels(manifests).data.tobytes(order="F")
     # Each slab of planes_per_slab planes (the last one shorter) is the
@@ -547,6 +585,135 @@ def test_the_average_is_checked_in_a_later_decode_chunk(tmp_path, rng, monkeypat
     monkeypatch.setattr(pipeline, "SLAB_VOXELS", 6 * 5 * 2)
     monkeypatch.setattr(pipeline, "DECODE_VOXELS", 7)
     _assert_the_average_is_checked(tmp_path, rng)
+
+
+# -- voxels every fold stores as certain background --------------------------------
+
+_DATATYPES = {"<u1": (2, 8), "<i2": (4, 16), "<f4": (16, 32)}
+
+
+def _save_stored(directory, stem, channels, dtype="<f4"):
+    """A fold manifest over channel files storing ``channels`` (``(4, nx,
+    ny, nz)``, not renormalised) as ``dtype``."""
+    directory.mkdir(exist_ok=True)
+    files = []
+    for label, channel in zip(ProbMap.channels, channels):
+        header = bytearray(header_bytes(channel.shape, SPACING, ORIGIN, np.uint8))
+        struct.pack_into("<2h", header, 70, *_DATATYPES[dtype])
+        name = f"{stem}_ch{label}.nii"
+        (directory / name).write_bytes(bytes(header) + channel.astype(dtype).tobytes(order="F"))
+        files.append(name)
+    manifest = directory / f"{stem}.json"
+    manifest.write_text(json.dumps({"channels": list(ProbMap.channels), "files": files}))
+    return manifest
+
+
+def _background_folds(tmp_path, n_folds, zeros=(0.0,)):
+    """``n_folds`` maps of ``CHECK_SHAPE`` storing (1, z, z, z) at every
+    voxel, ``z`` taken from ``zeros`` in turn."""
+    manifests = []
+    for f in range(n_folds):
+        stored = np.full((4,) + CHECK_SHAPE, zeros[f % len(zeros)], np.float32)
+        stored[0] = 1.0
+        manifests.append(_save_stored(tmp_path / "probs", f"case_f{f}", stored))
+    return manifests
+
+
+def _fused_as_whole(manifests, monkeypatch):
+    """The fused labels of ``manifests``, checked byte for byte against the
+    whole-volume labels, and the ``(manifest, voxels)`` of every
+    ``ProbmapFiles.renormalise`` call fusing made."""
+    want = _whole_volume_labels(manifests)
+    calls = []
+    real = ProbmapFiles.renormalise
+
+    def renormalise(files, channels, out, sums):
+        calls.append((files.manifest, out.shape[1]))
+        return real(files, channels, out, sums)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ProbmapFiles, "renormalise", renormalise)
+        got = _fused_labels(manifests)
+    assert got.data.tobytes(order="F") == want.data.tobytes(order="F")
+    return got, calls
+
+
+@pytest.mark.parametrize("dtype", sorted(_DATATYPES))
+def test_one_hot_folds_fuse_as_the_whole_volume_in_any_stored_dtype(tmp_path, rng,
+                                                                    monkeypatch, dtype):
+    # Chunks of 13 voxels: some all background, some all tumour, some both.
+    monkeypatch.setattr(pipeline, "SLAB_VOXELS", 9 * 7 * 2)
+    monkeypatch.setattr(pipeline, "DECODE_VOXELS", 13)
+    shape = (9, 7, 10)
+    manifests = []
+    for f in range(3):
+        labels = np.zeros(shape, np.uint8)
+        labels[2:7, 2:5, 3:7] = rng.choice(BRATS_LABELS, size=(5, 3, 4))
+        one_hot = np.stack([labels == label for label in BRATS_LABELS])
+        manifests.append(_save_stored(tmp_path / "probs", f"case_f{f}", one_hot, dtype))
+    got, calls = _fused_as_whole(manifests, monkeypatch)
+    assert set(np.unique(got.data)) == set(BRATS_LABELS)
+    decoded = sum(n for _, n in calls)
+    assert 0 < decoded < 3 * got.data.size
+
+
+@pytest.mark.parametrize("voxel", [169, CHECK_VOXEL, 175], ids=["first", "middle", "last"])
+def test_a_chunk_s_one_uncertain_voxel_is_decoded_alone(tmp_path, monkeypatch, voxel):
+    # Chunks of 7 voxels: 169:176 is the eighth chunk of the slab 120:180.
+    monkeypatch.setattr(pipeline, "SLAB_VOXELS", 6 * 5 * 2)
+    monkeypatch.setattr(pipeline, "DECODE_VOXELS", 7)
+    folds = _background_folds(tmp_path, 3)
+    for fold in folds:
+        _patch_channels(fold, (0.125, 0.25, 0.25, 0.375), voxel)
+    got, calls = _fused_as_whole(folds, monkeypatch)
+    assert got.data.reshape(-1, order="F")[voxel] == 4
+    assert calls == [(fold, 1) for fold in folds]
+
+
+@pytest.mark.parametrize("odd", [0, 2, 4])
+def test_a_voxel_uncertain_in_one_fold_is_decoded_in_every_fold(tmp_path, monkeypatch,
+                                                                odd):
+    monkeypatch.setattr(pipeline, "SLAB_VOXELS", 6 * 5 * 2)
+    monkeypatch.setattr(pipeline, "DECODE_VOXELS", 7)
+    folds = _background_folds(tmp_path, 5)
+    _patch_channels(folds[odd], (0.0, 0.5, 0.25, 0.25))
+    _, calls = _fused_as_whole(folds, monkeypatch)
+    assert calls == [(fold, 1) for fold in folds]
+
+
+@pytest.mark.parametrize("zeros", [(0.0,), (-0.0,), (0.0, -0.0)],
+                         ids=["zero", "minus_zero", "both"])
+def test_all_background_folds_make_no_renormalise_call(tmp_path, monkeypatch, zeros):
+    monkeypatch.setattr(pipeline, "SLAB_VOXELS", 6 * 5 * 2)
+    monkeypatch.setattr(pipeline, "DECODE_VOXELS", 7)
+    folds = _background_folds(tmp_path, 3, zeros)
+    stored = np.frombuffer((tmp_path / "probs" / "case_f0_ch1.nii").read_bytes()[352:], "<f4")
+    assert np.signbit(stored).all() == np.signbit(zeros[0])  # -0.0 is stored
+    got, calls = _fused_as_whole(folds, monkeypatch)
+    assert not got.data.any()
+    assert calls == []
+
+
+# Bad voxels that differ from background in one channel only.
+BAD_BACKGROUND = {
+    "nan": ((1.0, float("nan"), 0.0, 0.0), "NaN or Inf"),
+    "nan_first": ((float("nan"), 0.0, 0.0, 0.0), "NaN or Inf"),
+    "inf": ((1.0, 0.0, 0.0, float("inf")), "NaN or Inf"),
+    "minus_inf": ((1.0, 0.0, float("-inf"), 0.0), "NaN or Inf"),
+    "zero": ((0.0, 0.0, 0.0, 0.0), "sum to 0"),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_VOXELS) + [f"{b}_alone" for b in BAD_BACKGROUND])
+def test_a_bad_voxel_among_background_names_its_fold(tmp_path, monkeypatch, bad):
+    monkeypatch.setattr(pipeline, "SLAB_VOXELS", 6 * 5 * 2)
+    monkeypatch.setattr(pipeline, "DECODE_VOXELS", 7)
+    values, match = BAD_VOXELS.get(bad) or BAD_BACKGROUND[bad.removesuffix("_alone")]
+    folds = _background_folds(tmp_path, 3)
+    _patch_channels(folds[1], values)
+    with pytest.raises(BadData, match=match) as info:
+        _fused_labels(folds)
+    assert str(info.value).startswith(f"{folds[1]}: ")
 
 
 def _break_manifest(manifest, how):

@@ -76,3 +76,29 @@ class TestSynthCommand:
         errors = [line for line in result.output.splitlines() if line.startswith("Error: ")]
         assert len(errors) == 1 and "--rate" in errors[0]
         assert not (tmp_path / "out").exists()
+
+    def test_negative_raters_is_a_usage_error(self, tmp_path):
+        result = CliRunner().invoke(main, ["synth", "--out", str(tmp_path / "out"),
+                                           "--raters", "-2", "--no-probmaps"])
+        assert result.exit_code == 2, result.output
+        assert "Invalid value for '--raters': -2 is not in the range x>=0." in result.output
+        assert not (tmp_path / "out").exists()
+
+    def test_a_config_with_no_model_is_a_usage_error(self, tmp_path):
+        result = CliRunner().invoke(main, ["synth", "--out", str(tmp_path / "out"),
+                                           "--raters", "0", "--no-probmaps"])
+        assert result.exit_code == 2, result.output
+        assert "Error: --raters 0 with --no-probmaps would write a config with no model" \
+            in result.output
+        assert not (tmp_path / "out").exists()
+
+    def test_no_raters_with_probmaps_writes_a_config_that_fuses(self, tmp_path):
+        runner = CliRunner()
+        result = runner.invoke(main, ["synth", "--out", str(tmp_path), "--shape", "20", "20", "20",
+                                      "--raters", "0"])
+        assert result.exit_code == 0, result.output
+        config = json.loads((tmp_path / "fuse_config.json").read_text())
+        assert [m["name"] for m in config["cases"][0]["models"]] == ["soft_model"]
+        result = runner.invoke(main, ["fuse", "--config", str(tmp_path / "fuse_config.json")])
+        assert result.exit_code == 0, result.output
+        assert (tmp_path / "fused" / "case_000.nii").is_file()
