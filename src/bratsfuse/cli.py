@@ -23,10 +23,9 @@ import click
 
 from .errors import BratsFuseError, ConfigError
 from .metrics import EMPTY_PENALTY_MM
-from .nifti import load_labelmap, load_volume, save_nifti, save_probmap
+from .nifti import _write_text, load_labelmap, load_volume, save_nifti, save_probmap
 from .pipeline import (
     PipelineConfig,
-    _write_text,
     read_cases_csv,
     run_eval,
     run_fuse,

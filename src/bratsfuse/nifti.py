@@ -251,6 +251,11 @@ def _write_atomic(path: Path):
         tmp.unlink(missing_ok=True)
 
 
+def _write_text(path: Path, text: str) -> None:
+    with _write_atomic(path) as fh:
+        fh.write(text.encode())
+
+
 def save_nifti(path, v: Volume | LabelMap) -> Path:
     """Write ``v`` as :func:`write_nifti` encodes it, without building the
     whole file in memory."""
@@ -272,9 +277,8 @@ def save_probmap(pm: ProbMap, directory, stem: str) -> Path:
         save_nifti(directory / name, Volume(pm.data[i], pm.spacing, pm.origin))
         files.append(name)
     manifest = directory / f"{stem}.json"
-    with _write_atomic(manifest) as fh:
-        fh.write(json.dumps({"channels": list(pm.channels), "files": files},
-                            sort_keys=True).encode())
+    _write_text(manifest, json.dumps({"channels": list(pm.channels), "files": files},
+                                     sort_keys=True))
     return manifest
 
 

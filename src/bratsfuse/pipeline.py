@@ -19,12 +19,11 @@ cache through every pass over them. Per chunk, every fold's four stored
 channels are read, and the chunk's uncertain range is found: the smallest
 voxel range outside which every fold stores exactly (1, 0, 0, 0), the
 certain background that models which infer on the brain's bounding box
-store in the rest of the grid. The first fold's first and last voxels are
-tested before the other folds are read; if both are uncertain, the range
-is the whole chunk, found with no compare pass. On that range only,
-every fold in config order is renormalised and checked, the folds are
-averaged, and the mean is checked again and argmaxed, in buffers
-allocated once per model; the voxels outside it are label 0. That is
+store in the rest of the grid. A chunk whose first and last voxels are
+both uncertain is its own range, found with no compare pass. On that
+range only, every fold in config order is renormalised and checked, the
+folds are averaged, and the mean is checked again and argmaxed, in
+buffers allocated once per model; the voxels outside it are label 0. That is
 exact: such a voxel passes every check, its mean is (1, 0, 0, 0) and its
 argmax label 0, while a NaN or infinite channel differs from (1, 0, 0, 0)
 and so stays inside the range and is refused.
@@ -63,7 +62,6 @@ aggregate files are written in sorted case order, so reruns and different
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import math
 import os
@@ -96,6 +94,7 @@ from .nifti import (
     PlaneReader,
     ProbmapFiles,
     _write_atomic,
+    _write_text,
     header_bytes,
     load_labelmap,
     read_label_planes,
@@ -313,11 +312,11 @@ class _LabelModel:
 _BACKGROUND = (1, 0, 0, 0)
 
 
-def _is_background(channels, i: int) -> bool:
-    """Whether a fold's stored ``channels`` (as ``ProbmapFiles.read``
-    returns them) are exactly ``_BACKGROUND`` at voxel ``i``; NaN equals
-    nothing, so a NaN channel is not background."""
-    return all(c[i] == v for c, v in zip(channels, _BACKGROUND))
+def _uncertain_at(stored, i: int) -> bool:
+    """Whether some fold of ``stored`` (per fold, the channels
+    ``ProbmapFiles.read`` returns) differs from ``_BACKGROUND`` at voxel
+    ``i``; NaN equals nothing, so a NaN channel differs."""
+    return any(c[i] != v for channels in stored for c, v in zip(channels, _BACKGROUND))
 
 
 class _FoldModel:
@@ -358,19 +357,8 @@ class _FoldModel:
         and argmaxed. The voxels outside that range are label 0: each of
         them passes every check and its mean is exactly ``_BACKGROUND``.
         """
-        n = hi - lo
-        first = self._folds[0].read(lo, hi, self._stored[0])
-        if not (_is_background(first, 0) or _is_background(first, n - 1)):
-            # Both ends are uncertain in the first fold, so the range is the
-            # whole chunk and needs no compare pass. Each fold is read when
-            # the one before it has been averaged in, into the same buffer,
-            # which keeps the chunk's buffers in a core's cache.
-            reads = (f.read(lo, hi, self._stored[0]) for f in self._folds[1:])
-            self._decode(itertools.chain([first], reads), out)
-            return
-        stored = [first] + [f.read(lo, hi, buf)
-                            for f, buf in zip(self._folds[1:], self._stored[1:])]
-        a, b = self._uncertain_range(stored, n)
+        stored = [f.read(lo, hi, buf) for f, buf in zip(self._folds, self._stored)]
+        a, b = self._uncertain_range(stored, hi - lo)
         out[:a] = 0
         out[b:] = 0
         if a < b:
@@ -382,8 +370,11 @@ class _FoldModel:
         0`` if all do).
 
         NaN and infinite channels differ from it, so they stay inside the
-        range and are checked.
+        range and are checked. If the first and last voxels are uncertain,
+        the range is the whole chunk and the compare pass is skipped.
         """
+        if _uncertain_at(stored, 0) and _uncertain_at(stored, n - 1):
+            return 0, n
         uncertain, differs = self._uncertain[:n], self._differs[:n]
         uncertain[...] = False
         for channels in stored:
@@ -397,7 +388,7 @@ class _FoldModel:
 
     def _decode(self, stored, out: np.ndarray) -> None:
         """The labels of the voxels of ``stored`` (per fold, in config order,
-        the channels ``ProbmapFiles.read`` returns, or a range of them) into
+        a range of the channels ``ProbmapFiles.read`` returns) into
         ``out``."""
         n = out.size
         mean, sums = self._mean[:, :n], self._sums[:n]
@@ -416,11 +407,6 @@ def _open_model(m: ModelInput, stack: ExitStack) -> _LabelModel | _FoldModel:
     if m.labelmap is not None:
         return _LabelModel(m.labelmap, stack)
     return _FoldModel(m.prob_manifests, stack)
-
-
-def _write_text(path: Path, text: str) -> None:
-    with _write_atomic(path) as fh:
-        fh.write(text.encode())
 
 
 def _write_json(path: Path, value) -> None:

@@ -203,7 +203,7 @@ def test_a_failed_write_keeps_the_earlier_file(tmp_path, monkeypatch, name):
     written = {p.name: p.read_bytes() for p in out.iterdir()}
     earlier = b"an earlier run's file\n"
     (out / name).write_bytes(earlier)
-    real = pipeline._write_atomic
+    real = nifti._write_atomic
 
     @contextmanager
     def failing(path):
@@ -213,12 +213,12 @@ def test_a_failed_write_keeps_the_earlier_file(tmp_path, monkeypatch, name):
                 raise OSError("No space left on device")
             yield fh
 
-    monkeypatch.setattr(pipeline, "_write_atomic", failing)
+    monkeypatch.setattr(nifti, "_write_atomic", failing)
     with pytest.raises(OSError, match="No space left"):
         run()
     assert (out / name).read_bytes() == earlier
     assert sorted(p.name for p in out.iterdir()) == sorted(written)  # no temporary file
-    monkeypatch.setattr(pipeline, "_write_atomic", real)
+    monkeypatch.setattr(nifti, "_write_atomic", real)
     run()
     assert {p.name: p.read_bytes() for p in out.iterdir()} == written
 
