@@ -1,12 +1,12 @@
 """Ensemble fusion and evaluation toolkit for BraTS-style segmentations.
 
 Core pieces: volumetric types with NIfTI-1 I/O, the nested ET/TC/WT region
-semantics, intensity normalization, sliding-window tiling plans, ensemble
-fusion (softmax averaging of fold maps, STAPLE EM across models), ET-size
-post-processing, Dice/HD95 metrics with an exact anisotropic distance
-transform, summary/ranking reports, and synthetic phantoms for testing
-without scanner data. The models' own inference runs outside this package;
-it starts from their label maps and fold probability maps.
+semantics, ensemble fusion (softmax averaging of fold maps, STAPLE EM across
+models), ET-size post-processing, Dice/HD95 metrics with an exact
+anisotropic distance transform, summary/ranking reports, and synthetic
+phantoms for testing without scanner data. The models' own inference,
+with its intensity normalisation and sliding windows, runs outside this
+package; it starts from their label maps and fold probability maps.
 """
 
 from .volume import (
@@ -18,8 +18,6 @@ from .volume import (
     nonzero_bbox,
 )
 from .regions import Region, RegionMask, recompose_labels, region_mask
-from .preprocess import znorm
-from .tiling import TilingPlan, plan_tiling
 from .fusion import (
     StapleParams,
     StapleFit,

@@ -1,11 +1,11 @@
 """Command-line interface.
 
 Subcommands cover the path from model outputs to scores: ``synth`` (phantom
-fixtures), ``fuse``, ``postprocess``, ``eval``, ``report`` and ``rank``,
-plus two helpers around the models' own inference: ``preprocess``
-(z-normalization and nonzero crop) and ``tiling-plan`` (the sliding-window
-layout as JSON). Volumes are NIfTI-1 files; machine outputs are JSON or CSV.
-Exit codes: 0 success, 1 configuration error, 2 partial failure (some cases
+fixtures), ``fuse``, ``postprocess``, ``eval``, ``report`` and ``rank``. The
+models' own inference (normalisation, sliding windows) runs before them,
+outside this package. Volumes are NIfTI-1 files; machine outputs are JSON or
+CSV. Exit codes: 0 success, 1 configuration error or a file that cannot be
+read or written (one ``Error:`` line), 2 partial failure (some cases
 errored).
 
 Nothing imported here loads scipy, which would about double the start-up
@@ -21,9 +21,9 @@ from pathlib import Path
 
 import click
 
-from .errors import BratsFuseError, ConfigError
+from .errors import BratsFuseError
 from .metrics import EMPTY_PENALTY_MM
-from .nifti import _write_text, load_labelmap, load_volume, save_nifti, save_probmap
+from .nifti import _write_text, load_labelmap, save_nifti, save_probmap
 from .pipeline import (
     PipelineConfig,
     read_cases_csv,
@@ -33,16 +33,25 @@ from .pipeline import (
     write_summary_outputs,
 )
 from .postprocess import DEFAULT_ET_THRESHOLD, et_threshold_relabel
-from .preprocess import znorm
 from .report import summarize
 from .synth import PhantomSpec, corrupt_labels, make_phantom, noisy_probmap
-from .tiling import plan_tiling
-from .volume import crop, nonzero_bbox
-
-SHAPE = click.Tuple([int, int, int])
 
 
-@click.group()
+class _Main(click.Group):
+    """Ends a command that raises a BratsFuseError or an ``OSError`` (say, an
+    output path in a missing directory) with one ``Error:`` line."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except BratsFuseError as e:
+            raise click.ClickException(str(e)) from e
+        except OSError as e:
+            text = f"{e.filename}: {e.strerror}" if e.filename else str(e)
+            raise click.ClickException(text) from e
+
+
+@click.group(cls=_Main)
 def main():
     """Ensemble fusion and evaluation for BraTS-style segmentations."""
 
@@ -62,22 +71,19 @@ def main():
               help="Override the config's output directory.")
 def fuse_cmd(config_path, jobs, et_threshold, staple_tol, staple_max_iters, out_dir):
     """Average folds, STAPLE-fuse models, post-process, write fused NIfTIs."""
-    try:
-        cfg = PipelineConfig.from_json(config_path)
-        overrides = {}
-        if et_threshold is not None:
-            overrides["et_threshold"] = et_threshold
-        if staple_tol is not None:
-            overrides["staple_tol"] = staple_tol
-        if staple_max_iters is not None:
-            overrides["staple_max_iters"] = staple_max_iters
-        if out_dir is not None:
-            overrides["output_dir"] = Path(out_dir)
-        if overrides:
-            cfg = replace(cfg, **overrides)
-        diags, errors = run_fuse(cfg, jobs=jobs)
-    except ConfigError as e:
-        raise click.ClickException(str(e)) from e
+    cfg = PipelineConfig.from_json(config_path)
+    overrides = {}
+    if et_threshold is not None:
+        overrides["et_threshold"] = et_threshold
+    if staple_tol is not None:
+        overrides["staple_tol"] = staple_tol
+    if staple_max_iters is not None:
+        overrides["staple_max_iters"] = staple_max_iters
+    if out_dir is not None:
+        overrides["output_dir"] = Path(out_dir)
+    if overrides:
+        cfg = replace(cfg, **overrides)
+    diags, errors = run_fuse(cfg, jobs=jobs)
     click.echo(f"fused {len(diags)} case(s), {len(errors)} error(s) into {cfg.output_dir}")
     for e in errors:
         click.echo(f"  {e['case_id']}: {e['error']} ({e['detail']})", err=True)
@@ -96,10 +102,7 @@ def fuse_cmd(config_path, jobs, et_threshold, staple_tol, staple_max_iters, out_
               help="HD95 for an empty-vs-nonempty region pair (mm).")
 def eval_cmd(pred_dir, gt_dir, out_dir, jobs, hd95_penalty):
     """Evaluate predictions against ground truth paired by filename stem."""
-    try:
-        cases, errors = run_eval(pred_dir, gt_dir, out_dir, jobs=jobs, penalty=hd95_penalty)
-    except ConfigError as e:
-        raise click.ClickException(str(e)) from e
+    cases, errors = run_eval(pred_dir, gt_dir, out_dir, jobs=jobs, penalty=hd95_penalty)
     click.echo(f"evaluated {len(cases)} case(s), {len(errors)} error(s); "
                f"outputs in {out_dir}")
     for e in errors:
@@ -114,10 +117,7 @@ def eval_cmd(pred_dir, gt_dir, out_dir, jobs, hd95_penalty):
               show_default=True)
 def report_cmd(cases_csv, out_dir):
     """Summarize a per-case metrics CSV into the statistics table."""
-    try:
-        cases = read_cases_csv(cases_csv)
-    except ConfigError as e:
-        raise click.ClickException(str(e)) from e
+    cases = read_cases_csv(cases_csv)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_summary_outputs(cases, out)
@@ -131,17 +131,13 @@ def report_cmd(cases_csv, out_dir):
               show_default=True)
 def rank_cmd(summary_csv, out_dir):
     """Rank models from a per-model summary CSV (columns model,DSC_*,HD95_*)."""
-    try:
-        table = run_rank(summary_csv, out_dir)
-    except ConfigError as e:
-        raise click.ClickException(str(e)) from e
-    click.echo(table, nl=False)
+    click.echo(run_rank(summary_csv, out_dir), nl=False)
 
 
 @main.command("synth")
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 @click.option("--seed", default=0, show_default=True)
-@click.option("--shape", type=SHAPE, default=(48, 48, 48), show_default=True,
+@click.option("--shape", type=click.Tuple([int, int, int]), default=(48, 48, 48), show_default=True,
               help="Grid size in voxels. The tumour radii scale with it per axis "
                    "(WT 16x14x15 voxels at 48^3).")
 @click.option("--raters", type=click.IntRange(min=0), default=3, show_default=True,
@@ -151,18 +147,17 @@ def rank_cmd(summary_csv, out_dir):
 @click.option("--probmaps/--no-probmaps", default=True, show_default=True,
               help="Also emit a soft model (two fold probability manifests).")
 def synth_cmd(out_dir, seed, shape, raters, rate, probmaps):
-    """Generate a phantom, noisy raters, and a ready-to-run fuse config."""
+    """Write a phantom's labels, noisy raters, fold maps and a fuse config."""
     if raters == 0 and not probmaps:
         raise click.UsageError("--raters 0 with --no-probmaps would write a config "
                                "with no model")
     try:
-        gt, intensity = make_phantom(PhantomSpec(shape=tuple(shape), seed=seed))
-    except (BratsFuseError, ValueError) as e:
+        gt, _ = make_phantom(PhantomSpec(shape=tuple(shape), seed=seed))
+    except ValueError as e:
         raise click.ClickException(str(e)) from e
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_nifti(out / "gt.nii", gt)
-    save_nifti(out / "intensity.nii", intensity)
     (out / "gt_dir").mkdir(exist_ok=True)
     save_nifti(out / "gt_dir" / "case_000.nii", gt)
     models = []
@@ -188,30 +183,6 @@ def synth_cmd(out_dir, seed, shape, raters, rate, probmaps):
     click.echo(f"phantom fixture written to {out} (config: fuse_config.json)")
 
 
-@main.command("preprocess")
-@click.argument("input_nii", type=click.Path(exists=True, dir_okay=False))
-@click.argument("output_nii", type=click.Path())
-@click.option("--znorm/--no-znorm", "do_znorm", default=True, show_default=True)
-@click.option("--crop-nonzero", is_flag=True, default=False,
-              help="Crop to the nonzero bounding box (writes a bbox JSON).")
-def preprocess_cmd(input_nii, output_nii, do_znorm, crop_nonzero):
-    """Normalize (and optionally crop) an intensity volume."""
-    try:
-        v = load_volume(input_nii)
-        if crop_nonzero:
-            box = nonzero_bbox(v)
-            v = crop(v, box)
-            bbox_path = Path(output_nii).with_suffix(".bbox.json")
-            _write_text(bbox_path, json.dumps(
-                {"lo": list(box.lo), "hi": list(box.hi)}, sort_keys=True) + "\n")
-        if do_znorm:
-            v = znorm(v)
-        save_nifti(output_nii, v)
-    except BratsFuseError as e:
-        raise click.ClickException(str(e)) from e
-    click.echo(f"wrote {output_nii}")
-
-
 @main.command("postprocess")
 @click.argument("input_nii", type=click.Path(exists=True, dir_okay=False))
 @click.argument("output_nii", type=click.Path())
@@ -219,35 +190,12 @@ def preprocess_cmd(input_nii, output_nii, do_znorm, crop_nonzero):
               show_default=True)
 def postprocess_cmd(input_nii, output_nii, et_threshold):
     """Apply the ET size-threshold relabeling to a label map."""
-    try:
-        m = load_labelmap(input_nii)
-        out = et_threshold_relabel(m, et_threshold)
-        save_nifti(output_nii, out)
-    except BratsFuseError as e:
-        raise click.ClickException(str(e)) from e
+    m = load_labelmap(input_nii)
+    out = et_threshold_relabel(m, et_threshold)
+    save_nifti(output_nii, out)
     before = int((m.data == 4).sum())
     after = before if out is m else 0  # a relabel moves every ET voxel
     click.echo(f"wrote {output_nii} (ET voxels {before} -> {after})")
-
-
-@main.command("tiling-plan")
-@click.option("--shape", type=SHAPE, required=True, help="Volume shape nx ny nz.")
-@click.option("--patch", type=SHAPE, default=(128, 128, 128), show_default=True)
-@click.option("--stride", type=SHAPE, default=(64, 64, 64), show_default=True)
-@click.option("--out", "out_path", type=click.Path(), default=None,
-              help="Write the plan JSON here instead of stdout.")
-def tiling_plan_cmd(shape, patch, stride, out_path):
-    """Dry-run the sliding-window plan for a volume shape."""
-    try:
-        plan = plan_tiling(shape, patch, stride)
-    except ValueError as e:
-        raise click.ClickException(str(e)) from e
-    text = plan.to_json()
-    if out_path:
-        _write_text(Path(out_path), text + "\n")
-        click.echo(f"{len(plan.windows)} window(s); plan written to {out_path}")
-    else:
-        click.echo(text)
 
 
 if __name__ == "__main__":

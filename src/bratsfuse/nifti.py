@@ -231,7 +231,12 @@ def load_volume(path) -> Volume:
 
 
 def load_labelmap(path) -> LabelMap:
-    return read_labelmap(Path(path).read_bytes())
+    """The label map in file ``path``; an unreadable path is a ConfigError."""
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as e:
+        raise ConfigError(f"cannot open label map {path}: {e.strerror}") from e
+    return read_labelmap(raw)
 
 
 @contextmanager
@@ -240,13 +245,18 @@ def _write_atomic(path: Path):
 
     It is written as a temporary file in the same directory and moved onto
     ``path`` with ``os.replace``; if the block raises, it is removed and
-    ``path`` is left as it was.
+    ``path`` is left as it was. An ``OSError`` about the temporary file
+    (its directory is missing, ``path`` is a directory, ...) names ``path``.
     """
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
             yield fh
         os.replace(tmp, path)
+    except OSError as e:
+        if e.filename != str(tmp):
+            raise
+        raise OSError(e.errno, e.strerror, str(path)) from e
     finally:
         tmp.unlink(missing_ok=True)
 

@@ -85,6 +85,8 @@ def make_phantom(spec: PhantomSpec) -> tuple[LabelMap, Volume]:
     Labels: 2 on WT∖TC (edema), 1 on TC∖ET (necrosis), 4 on ET. Intensity is
     a label-dependent base plus seeded Gaussian noise, nonzero over a "brain"
     ellipsoid slightly larger than WT, zero outside (skull-stripped look).
+    The ``synth`` command writes only the labels, since fusion and scoring
+    never read an image.
     """
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0]))
     shape = spec.shape

@@ -115,6 +115,33 @@ def test_eval_cli_exits_2_on_a_nan_prediction(tmp_path):
     assert [e["case_id"] for e in json.loads((out / "errors.json").read_text())] == ["bad"]
 
 
+def _directory(path):
+    path.mkdir()
+
+
+def _dangling_link(path):
+    path.symlink_to(path.parent / "missing.nii")
+
+
+@pytest.mark.parametrize("side", ["pred", "gt"])
+@pytest.mark.parametrize("make_bad", [_directory, _dangling_link])
+def test_an_unreadable_eval_input_is_a_per_case_error(tmp_path, side, make_bad):
+    pred, gt = _eval_dirs(tmp_path, lambda p: save_nifti(p, _labels()))
+    bad = (pred if side == "pred" else gt) / "bad.nii"
+    bad.unlink()
+    make_bad(bad)
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["eval", str(pred), str(gt), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "evaluated 1 case(s), 1 error(s)" in result.output
+    assert "Traceback" not in result.output
+    [error] = json.loads((out / "errors.json").read_text())
+    assert (error["case_id"], error["error"]) == ("bad", "ConfigError")
+    assert error["detail"].startswith(f"cannot open label map {bad}: ")
+    rows = (out / "cases.csv").read_text().splitlines()
+    assert [r.split(",")[0] for r in rows[1:]] == ["good"]
+
+
 @pytest.mark.parametrize("penalty", ["nan", "inf", "-5"])
 def test_eval_refuses_a_bad_hd95_penalty_before_any_case(tmp_path, penalty):
     pred, gt = _eval_dirs(tmp_path)
@@ -178,6 +205,48 @@ def test_postprocess_cli_refuses_a_negative_et_threshold(tmp_path):
     assert "Invalid value for '--et-threshold'" in result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name, message", [
+    ("nodir/out.nii", "No such file or directory"), ("somedir", "Is a directory")])
+def test_a_postprocess_output_that_cannot_be_written_is_one_line(tmp_path, name, message):
+    save_nifti(tmp_path / "in.nii", _labels())
+    earlier = tmp_path / "somedir" / "earlier.nii"
+    earlier.parent.mkdir()
+    earlier.write_bytes(b"an earlier run's file\n")
+    out = tmp_path / name
+    result = CliRunner().invoke(main, ["postprocess", str(tmp_path / "in.nii"), str(out)])
+    assert result.exit_code == 1
+    assert result.output == f"Error: {out}: {message}\n"  # not the temporary file's name
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.nii", "somedir"]
+    assert list(earlier.parent.iterdir()) == [earlier]
+    assert earlier.read_bytes() == b"an earlier run's file\n"
+
+
+@pytest.mark.parametrize("command", ["fuse", "eval", "report", "rank", "synth"])
+def test_an_out_that_names_a_file_is_a_one_line_error(tmp_path, command):
+    for d in ("pred", "gt"):
+        (tmp_path / d).mkdir()
+        save_nifti(tmp_path / d / "c0.nii", _labels())
+    (tmp_path / "cfg.json").write_text(json.dumps({"output_dir": "fused", "cases": [
+        {"id": "c0", "models": [{"name": "m", "labelmap": "pred/c0.nii"}]}]}))
+    (tmp_path / "cases.csv").write_text(
+        "case_id,DSC_ET,DSC_TC,DSC_WT,HD95_ET,HD95_TC,HD95_WT\nc0,1,1,1,0,0,0\n")
+    (tmp_path / "models.csv").write_text(
+        "model,DSC_ET,DSC_TC,DSC_WT,HD95_ET,HD95_TC,HD95_WT\na,0.8,0.85,0.9,3,4,5\n")
+    args = {
+        "fuse": ["--config", str(tmp_path / "cfg.json")],
+        "eval": [str(tmp_path / "pred"), str(tmp_path / "gt")],
+        "report": [str(tmp_path / "cases.csv")],
+        "rank": [str(tmp_path / "models.csv")],
+        "synth": ["--shape", "20", "20", "20"],
+    }[command]
+    out = tmp_path / "taken"
+    out.write_bytes(b"an earlier file\n")
+    result = CliRunner().invoke(main, [command, *args, "--out", str(out)])
+    assert result.exit_code == 1
+    assert result.output == f"Error: {out}: File exists\n"
+    assert out.read_bytes() == b"an earlier file\n"
 
 
 EVAL_OUTPUTS = ("cases.csv", "cases.json", "summary.json", "summary.txt")
@@ -272,7 +341,8 @@ def test_a_failed_postprocess_write_keeps_the_earlier_file(tmp_path, monkeypatch
     monkeypatch.setattr(nifti, "_write_atomic", failing)
     args = ["postprocess", str(tmp_path / "in.nii"), str(out)]
     result = CliRunner().invoke(main, args)
-    assert isinstance(result.exception, OSError)
+    assert result.exit_code == 1
+    assert result.output == "Error: No space left on device\n"
     assert out.read_bytes() == earlier
     assert [p.name for p in out.parent.iterdir()] == ["post.nii"]  # no temporary file
     monkeypatch.setattr(nifti, "_write_atomic", real)
