@@ -35,9 +35,11 @@ recomposing once per joint row gives a label lookup table (``staple_lut``),
 and the fused map is the table read at every voxel's code. The result
 equals per-region ``staple_binary`` plus ``recompose_labels`` without a
 per-voxel mask, posterior or recomposition. ``staple_multilabel_detailed``
-does this for label maps in memory; a caller that reads its raters slab by
-slab fills the codes itself (``joint_codes``, ``pack_labels``) and needs
-no other whole-volume array.
+does this for label maps in memory. A caller that reads its raters slab by
+slab fills a slab of codes itself (``joint_codes``, ``pack_labels``), keeps
+only the spans of it outside which every code is 0 (``code_span``) and
+counts those, with every other voxel as code 0 (``joint_histogram``), so it
+holds no whole-volume array.
 
 All of this counting is one operation: each of the J raters gives a row a
 digit of ``width`` bits (1 for a decision, 2 for a label), packed into the
@@ -46,8 +48,9 @@ three raters' labels; beyond 64 bits, several uint64 words). While a row
 has at most ``CODE_BITS`` bits, ``np.bincount`` counts every code and the
 patterns come out in ascending code order; beyond that, the distinct rows
 are sorted out and a row's pattern is found by binary search, so no
-per-voxel index is stored. The passes over all voxels (packing, counting
-and the final gather) run ``CHUNK_VOXELS`` voxels at a time.
+per-voxel index is stored. The passes over all voxels (packing, scanning
+for spans, counting and the final gather) run ``CHUNK_VOXELS`` voxels at a
+time.
 """
 
 from __future__ import annotations
@@ -75,6 +78,7 @@ __all__ = [
     "staple_lut",
     "joint_codes",
     "pack_labels",
+    "code_span",
     "joint_histogram",
     "default_staple_params",
 ]
@@ -86,9 +90,9 @@ DEFAULT_MAX_ITERS = 100
 # np.bincount counts all 2^(width J) codes of rows of J digits of ``width``
 # bits while width * J is at most this; beyond it the rows are sorted.
 CODE_BITS = 16
-# Voxels packed, counted and gathered per step: np.bincount and fancy
-# indexing copy their codes to intp, which bounds that copy (1 MB).
-CHUNK_VOXELS = 1 << 17
+# Voxels packed, scanned, counted and gathered per step: np.bincount copies
+# its codes to intp, which bounds that copy (256 KB).
+CHUNK_VOXELS = 1 << 15
 _WORD_TYPES = tuple(np.dtype(t) for t in (np.uint8, np.uint16, np.uint32, np.uint64))
 
 
@@ -223,60 +227,76 @@ def _pack(words: np.ndarray, col: int, digits: np.ndarray, width: int) -> None:
         digits.astype(words.dtype, copy=False) << (width * (col % per_word))
 
 
-class _Index:
-    """The pattern of each row code, as ``_count`` finds the patterns.
+def _void_rows(words: np.ndarray) -> np.ndarray:
+    """The rows of ``words`` as one void item each, which sort as bytes."""
+    return words.view(np.dtype((np.void, words.itemsize * words.shape[1]))).reshape(-1)
 
-    ``index[codes]`` gives the entry of ``table`` of each of ``codes``.
+
+class _Index:
+    """The pattern of each row of packed words, as ``_count`` finds the
+    patterns.
+
+    ``index[words]`` gives the entry of ``table`` of each row of ``words``.
     While codes are counted, ``keys`` is None and ``table`` has an entry for
     every possible code; when they are sorted, ``keys`` holds the distinct
-    codes in order, ``table`` an entry for each, and a code's entry is
-    found by binary search, so no per-voxel index is ever stored.
+    rows in order, ``table`` an entry for each, and a row's entry is found
+    by binary search, so no per-voxel index is ever stored.
     """
 
     def __init__(self, table: np.ndarray, keys: np.ndarray | None = None):
         self.table, self.keys = table, keys
 
-    def __getitem__(self, codes: np.ndarray) -> np.ndarray:
-        return self.table[codes if self.keys is None else np.searchsorted(self.keys, codes)]
+    def __getitem__(self, words: np.ndarray) -> np.ndarray:
+        if self.keys is None:
+            return self.table[words[:, 0]]
+        return self.table[np.searchsorted(self.keys, _void_rows(words))]
 
     def of(self, values: np.ndarray) -> "_Index":
-        """The same lookup giving ``values[pattern]`` for each code."""
+        """The same lookup giving ``values[pattern]`` for each row."""
         return _Index(values[self.table], self.keys)
 
 
-def _count(words: np.ndarray, width: int, n_cols: int, weights: np.ndarray | None = None):
-    """The distinct rows of ``words`` (packed by ``_pack``) and how often
-    each occurs; returns what ``_patterns`` does."""
+def _count(pieces: list[np.ndarray], width: int, n_cols: int, zeros: int = 0,
+           weights: list[np.ndarray] | None = None):
+    """The distinct rows of the ``pieces`` (rows of words, packed by
+    ``_pack``) and ``zeros`` more all-zero rows, and how often each occurs
+    (the sum of ``weights``, one array per piece, if given).
+
+    Returns ``(pats, counts, index)`` as ``_patterns`` does. The all-zero
+    row, if it occurs, is the first: the lowest code, and the first row in
+    byte order. Each piece is counted ``CHUNK_VOXELS`` rows at a time, and
+    pieces are never joined.
+    """
     bits = width * n_cols
+    zero = _words(n_cols, width, 1)
     if bits <= CODE_BITS:
-        codes = words[:, 0]
-        counts = np.zeros(1 << bits, np.int64 if weights is None else np.float64)
-        for start in range(0, codes.size, CHUNK_VOXELS):
+        index, size = None, 1 << bits
+    else:
+        # Too many codes to count directly: sort out the distinct rows.
+        found = [np.unique(_void_rows(words)) for words in pieces]
+        keys = np.unique(np.concatenate(found + [_void_rows(zero)] * (zeros > 0)))
+        index, size = _Index(np.arange(keys.size), keys), keys.size
+    counts = np.zeros(size, np.int64 if weights is None else np.float64)
+    for k, words in enumerate(pieces):
+        for start in range(0, len(words), CHUNK_VOXELS):
             chunk = slice(start, start + CHUNK_VOXELS)
-            w = None if weights is None else weights[chunk]
-            counts += np.bincount(codes[chunk], w, minlength=counts.size)
+            codes = words[chunk, 0] if index is None else index[words[chunk]]
+            w = None if weights is None else weights[k][chunk]
+            counts += np.bincount(codes, w, minlength=size)
+    counts[0] += zeros
+    if index is None:
         present = np.flatnonzero(counts)
-        table = np.zeros(counts.size, dtype=np.uint16)
+        table = np.zeros(size, dtype=np.uint16)
         table[present] = np.arange(present.size)
         index = _Index(table)
         keys, counts = present[:, None], counts[present]
     else:
-        # Too many codes to count directly: sort the rows of packed words.
-        codes = words.view(np.dtype((np.void, words.itemsize * words.shape[1]))).reshape(-1)
-        uniq, counts = np.unique(codes, return_counts=True)
-        index = _Index(np.arange(uniq.size), uniq)
-        if weights is not None:
-            counts = np.zeros(uniq.size)
-            for start in range(0, codes.size, CHUNK_VOXELS):
-                chunk = slice(start, start + CHUNK_VOXELS)
-                counts += np.bincount(index[codes[chunk]], weights[chunk],
-                                      minlength=uniq.size)
-        keys = uniq.view(words.dtype).reshape(uniq.size, -1)
-    per_word = 8 * words.itemsize // width
+        keys = keys.view(zero.dtype).reshape(keys.size, -1)
+    per_word = 8 * zero.itemsize // width
     r = np.arange(n_cols)
     shifts = (width * (r % per_word)).astype(keys.dtype)
     pats = (keys.T[r // per_word] >> shifts[:, None]) & ((1 << width) - 1)
-    return pats, counts, index, codes
+    return pats, counts, index
 
 
 def _patterns(cols: list[np.ndarray], width: int, weights: np.ndarray | None = None):
@@ -284,11 +304,12 @@ def _patterns(cols: list[np.ndarray], width: int, weights: np.ndarray | None = N
 
     ``cols`` holds one 1-D array of M digits per rater: 0/1 decisions for
     ``width`` 1, BraTS labels (counted as their position in BRATS_LABELS)
-    for ``width`` 2. Returns ``(pats, counts, index, codes)``: the K rows
+    for ``width`` 2. Returns ``(pats, counts, index, words)``: the K rows
     that occur as a (J, K) matrix of digits, the number of rows equal to
     each (the sum of their ``weights`` if given, which must be positive),
-    and every row's code with the ``_Index`` from codes to patterns, so
-    that ``pats[:, index[codes]]`` is the (J, M) matrix of ``cols``.
+    and the packed rows ``words`` with the ``_Index`` from rows to
+    patterns, so that ``pats[:, index[words]]`` is the (J, M) matrix of
+    ``cols``.
     """
     m = cols[0].size
     words = _words(len(cols), width, m)
@@ -297,42 +318,66 @@ def _patterns(cols: list[np.ndarray], width: int, weights: np.ndarray | None = N
         for r, col in enumerate(cols):
             digits = _label_index(col[chunk]) if width == 2 else col[chunk]
             _pack(words[chunk], r, digits, width)
-    return _count(words, width, len(cols), weights)
+    pats, counts, index = _count([words], width, len(cols),
+                                 weights=None if weights is None else [weights])
+    return pats, counts, index, words
 
 
 def joint_codes(n_raters: int, n_voxels: int) -> np.ndarray:
     """Zeroed joint label codes of ``n_voxels`` voxels and ``n_raters``
-    raters, to be filled by :func:`pack_labels` and counted by
-    :func:`joint_histogram`: one uint8 per voxel for up to four raters."""
+    raters, to be filled by :func:`pack_labels`: one uint8 per voxel for up
+    to four raters. Code 0 is every rater saying background."""
     return _words(n_raters, 2, n_voxels)
 
 
 def pack_labels(codes: np.ndarray, rater: int, labels: np.ndarray) -> None:
     """Store rater ``rater``'s BraTS ``labels`` in its two bits of ``codes``
-    (the rows of :func:`joint_codes` for the same voxels)."""
-    _pack(codes, rater, _label_index(labels), 2)
-
-
-def joint_histogram(codes: np.ndarray, n_raters: int):
-    """The joint rater-label rows of filled :func:`joint_codes`.
-
-    Returns ``(rows, counts, index, voxel_codes)``: the K rows that occur as
-    a (J, K) matrix of label positions in BRATS_LABELS, the number of
-    voxels holding each, and the row of each voxel ``v`` as
-    ``index[voxel_codes[v]]``, where ``voxel_codes`` is a view of
-    ``codes``. Up to eight raters ``index`` is a table over all ``4^J``
-    codes; beyond that the rows are sorted and ``index`` searches them.
-    ``index.of(values)`` looks up ``values[row]`` the same way.
-    """
-    return _count(codes, 2, n_raters)
-
-
-def _gather(table: _Index, codes: np.ndarray) -> np.ndarray:
-    """``table[codes]``, read ``CHUNK_VOXELS`` codes at a time."""
-    out = np.empty(codes.size, dtype=table.table.dtype)
-    for start in range(0, codes.size, CHUNK_VOXELS):
+    (the rows of :func:`joint_codes` for the same voxels), ``CHUNK_VOXELS``
+    at a time."""
+    for start in range(0, len(codes), CHUNK_VOXELS):
         chunk = slice(start, start + CHUNK_VOXELS)
-        out[chunk] = table[codes[chunk]]
+        _pack(codes[chunk], rater, _label_index(labels[chunk]), 2)
+
+
+def code_span(codes: np.ndarray) -> tuple[int, int]:
+    """The smallest range ``[a, b)`` of filled :func:`joint_codes` outside
+    which every code is 0 (``a == b == 0`` if all are), scanned
+    ``CHUNK_VOXELS`` codes at a time.
+    """
+    a = b = 0
+    for start in range(0, len(codes), CHUNK_VOXELS):
+        nonzero = codes[start : start + CHUNK_VOXELS].any(axis=1)
+        if nonzero.any():
+            if not b:
+                a = start + int(nonzero.argmax())
+            b = start + nonzero.size - int(nonzero[::-1].argmax())
+    return a, b
+
+
+def joint_histogram(pieces: list[np.ndarray], n_raters: int, n_voxels: int):
+    """The joint rater-label rows of ``n_voxels`` voxels whose nonzero codes
+    all lie in ``pieces`` (ranges of filled :func:`joint_codes`); every
+    other voxel has code 0.
+
+    Returns ``(rows, counts, index)``: the K rows that occur as a (J, K)
+    matrix of label positions in BRATS_LABELS, the number of voxels holding
+    each, and ``index``, which gives the row of each of some codes as
+    ``index[codes]``. Code 0, if any voxel has it, is row 0. The pieces are
+    counted one at a time and never joined. Up to eight raters ``index`` is
+    a table over all ``4^J`` codes; beyond that the rows are sorted and
+    ``index`` searches them. ``index.of(values)`` looks up ``values[row]``
+    the same way.
+    """
+    zeros = n_voxels - sum(len(codes) for codes in pieces)
+    return _count(pieces, 2, n_raters, zeros)
+
+
+def _gather(table: _Index, words: np.ndarray) -> np.ndarray:
+    """``table[words]``, read ``CHUNK_VOXELS`` rows at a time."""
+    out = np.empty(len(words), dtype=table.table.dtype)
+    for start in range(0, len(words), CHUNK_VOXELS):
+        chunk = slice(start, start + CHUNK_VOXELS)
+        out[chunk] = table[words[chunk]]
     return out
 
 
@@ -421,9 +466,9 @@ def staple_binary(
         if m.region is not region:
             raise GeometryMismatch("rater masks disagree on the region tag")
     bits = [m.data.reshape(-1).view(np.uint8) for m in masks]
-    pats, counts, index, codes = _patterns(bits, 1)
-    w, fit = _staple_em(pats, counts, codes.size, init, tol, max_iters)
-    posterior = _gather(index.of(w), codes).reshape(masks[0].shape)
+    pats, counts, index, words = _patterns(bits, 1)
+    w, fit = _staple_em(pats, counts, len(words), init, tol, max_iters)
+    posterior = _gather(index.of(w), words).reshape(masks[0].shape)
     mask = RegionMask(region, posterior >= 0.5, masks[0].spacing, masks[0].origin)
     return StapleResult(fit.final_params, fit.iterations, fit.converged, mask, posterior)
 
@@ -483,9 +528,9 @@ def staple_multilabel_detailed(
     require_same_geometry(*maps)
     first = maps[0].data
     order = "F" if first.flags.f_contiguous and not first.flags.c_contiguous else "C"
-    rows, counts, index, codes = _patterns([m.data.ravel(order) for m in maps], 2)
-    lut, fits = staple_lut(rows, counts, codes.size, init, tol, max_iters)
-    labels = _gather(index.of(lut), codes).reshape(first.shape, order=order)
+    rows, counts, index, words = _patterns([m.data.ravel(order) for m in maps], 2)
+    lut, fits = staple_lut(rows, counts, len(words), init, tol, max_iters)
+    labels = _gather(index.of(lut), words).reshape(first.shape, order=order)
     return LabelMap(labels, maps[0].spacing, maps[0].origin), fits
 
 

@@ -27,18 +27,23 @@ buffers allocated once per model; the voxels outside it are label 0. That is
 exact: such a voxel passes every check, its mean is (1, 0, 0, 0) and its
 argmax label 0, while a NaN or infinite channel differs from (1, 0, 0, 0)
 and so stays inside the range and is refused.
-Each model's labels go into its two bits of the case's joint code array
-(``fusion.joint_codes``), which is the only whole-volume array: one code
-per voxel, in the smallest unsigned type holding two bits per model
-(uint8 for up to four models).
+Each model's labels go into its two bits of one reused slab of joint
+codes (``fusion.joint_codes``: one code per voxel, in the smallest unsigned
+type holding two bits per model, uint8 for up to four models); code 0 is
+every model saying background. Per z-plane of the slab, only a copy of the
+span outside which every code is 0 (``fusion.code_span``) is kept. What a
+case holds is therefore the slab buffers plus the kept spans, which grow
+with the tumour, not with the grid.
 
-The codes' histogram (``fusion.joint_histogram``) gives each joint label
-row and its voxel count, and a lookup table gives each row's fused label:
-STAPLE's (``fusion.staple_lut``), or the model's own label for a single
-model. ET voxels are counted from the histogram, so the ET threshold is
-decided before any output voxel is written: a relabel is the table edit
-ET -> 1. The output body is then the table read at the codes, written
-slab by slab after the header ``nifti.header_bytes`` builds.
+The histogram of the kept spans, with every other voxel counted as code 0
+(``fusion.joint_histogram``), gives each joint label row and its voxel
+count, and a lookup table gives each row's fused label: STAPLE's
+(``fusion.staple_lut``), or the model's own label for a single model. ET
+voxels are counted from the histogram, so the ET threshold is decided
+before any output voxel is written: a relabel is the table edit ET -> 1.
+The output body is then written after the header ``nifti.header_bytes``
+builds: the table's entry for code 0 outside the spans, from one buffer of
+``fusion.CHUNK_VOXELS`` bytes, and the table read at the codes inside them.
 
 Every output file (``fuse``'s ``<case>.nii``, ``<case>_staple.json``,
 ``fuse_manifest.json`` and ``errors.json``; ``eval``'s ``cases.csv``,
@@ -48,10 +53,12 @@ Every output file (``fuse``'s ``<case>.nii``, ``<case>_staple.json``,
 ``nifti._write_atomic``: to a temporary file in the same directory, moved
 onto its name with ``os.replace``, so an interrupted or failed write never
 leaves a partial file under that name.
-A case that raises a :class:`~bratsfuse.errors.BratsFuseError` is
-recorded in ``errors.json`` and skipped, and any ``<case>.nii`` or
+A case that raises a :class:`~bratsfuse.errors.BratsFuseError`, or an
+``OSError`` (say, one of its outputs cannot be written), is recorded in
+``errors.json`` and skipped, and any ``<case>.nii`` or
 ``<case>_staple.json`` an earlier run left in the output directory is
-removed; the other cases still run.
+removed (or, if it cannot be, named in the case's error); the other cases
+still run.
 
 Everything is deterministic: cases are processed independently (optionally
 in parallel), per-case outputs depend only on that case's inputs, and all
@@ -73,10 +80,12 @@ import numpy as np
 
 from .errors import BadData, BratsFuseError, ConfigError, UnpairedCase
 from .fusion import (
+    CHUNK_VOXELS,
     DEFAULT_MAX_ITERS,
     DEFAULT_TOL,
     argmax_labels_into,
     average_probs_into,
+    code_span,
     joint_codes,
     joint_histogram,
     pack_labels,
@@ -413,25 +422,46 @@ def _write_json(path: Path, value) -> None:
     _write_text(path, json.dumps(value, sort_keys=True, indent=2) + "\n")
 
 
-def _fuse_one_case(case: CaseInput, cfg: PipelineConfig) -> dict:
+def _read_spans(case: CaseInput):
+    """The grid of ``case``'s models and, per z-plane, the span of its joint
+    codes outside which every model says background, as (first voxel,
+    codes) pairs in voxel order; a plane of background keeps nothing."""
     with ExitStack() as stack:
         models = [_open_model(m, stack) for m in case.models]
         require_same_geometry(*(m.header for m in models))
         grid = models[0].header
         nx, ny, nz = grid.shape
         step, slab = _slab_voxels(grid.shape)
-        codes = joint_codes(len(models), nx * ny * nz)
+        buf = joint_codes(len(models), slab)
+        spans = []
         for z0 in range(0, nz, step):
             z1 = min(z0 + step, nz)
             start, stop = _voxels(grid.shape, z0, z1)
-            voxels = codes[start:stop]
+            codes = buf[: stop - start]
+            codes[...] = 0
             for r, model in enumerate(models):
-                pack_labels(voxels, r, model.labels(z0, z1))
-    rows, counts, index, codes = joint_histogram(codes, len(models))
-    if len(models) == 1:
+                pack_labels(codes, r, model.labels(z0, z1))
+            for p in range(0, stop - start, nx * ny):
+                a, b = code_span(codes[p : p + nx * ny])
+                if a < b:
+                    spans.append((start + p + a, codes[p + a : p + b].copy()))
+    return grid, spans
+
+
+def _write_run(fh, run: np.ndarray, n: int) -> None:
+    """Write ``n`` bytes of the value that fills ``run``."""
+    for start in range(0, n, run.size):
+        fh.write(run[: n - start])
+
+
+def _fuse_one_case(case: CaseInput, cfg: PipelineConfig) -> dict:
+    grid, spans = _read_spans(case)
+    n_models, n_voxels = len(case.models), math.prod(grid.shape)
+    rows, counts, index = joint_histogram([codes for _, codes in spans], n_models, n_voxels)
+    if n_models == 1:
         lut, staple_diag = _LABELS[rows[0]], None
     else:
-        lut, fits = staple_lut(rows, counts, codes.size, tol=cfg.staple_tol,
+        lut, fits = staple_lut(rows, counts, n_voxels, tol=cfg.staple_tol,
                                max_iters=cfg.staple_max_iters)
         staple_diag = {region: fit.to_json_dict() for region, fit in fits.items()}
     et_before = int(counts[lut == 4].sum())
@@ -439,11 +469,19 @@ def _fuse_one_case(case: CaseInput, cfg: PipelineConfig) -> dict:
     if relabel:
         lut = np.where(lut == 4, np.uint8(1), lut)
     table = index.of(lut)  # the fused label of every code
+    # The voxels outside the spans, all of code 0, are written from one
+    # buffer of its fused label.
+    run = np.full(CHUNK_VOXELS, table[joint_codes(n_models, 1)][0], np.uint8)
     out_nii = cfg.output_dir / f"{case.case_id}.nii"
     with _write_atomic(out_nii) as fh:
         fh.write(header_bytes(grid.shape, grid.spacing, grid.origin, np.uint8))
-        for start in range(0, codes.size, slab):
-            fh.write(table[codes[start : start + slab]])
+        end = 0
+        for start, codes in spans:
+            _write_run(fh, run, start - end)
+            for i in range(0, len(codes), CHUNK_VOXELS):
+                fh.write(table[codes[i : i + CHUNK_VOXELS]])
+            end = start + len(codes)
+        _write_run(fh, run, n_voxels - end)
     diag = {
         "case_id": case.case_id,
         "models": [m.name for m in case.models],
@@ -468,8 +506,12 @@ def _run_cases(worker, items, jobs: int):
         return list(pool.map(worker, items))
 
 
-def _case_error(case_id: str, e: BratsFuseError) -> dict:
-    return {"case_id": case_id, "error": type(e).__name__, "detail": str(e)}
+def _case_error(case_id: str, e: BratsFuseError | OSError) -> dict:
+    if isinstance(e, OSError) and e.filename:
+        detail = f"{e.filename}: {e.strerror}"
+    else:
+        detail = str(e)
+    return {"case_id": case_id, "error": type(e).__name__, "detail": detail}
 
 
 def _write_errors(output_dir: Path, errors: list[dict]) -> None:
@@ -488,12 +530,20 @@ class _FuseTask:
     def __call__(self, case: CaseInput):
         try:
             return _fuse_one_case(case, self.cfg), None
-        except BratsFuseError as e:
+        except (BratsFuseError, OSError) as e:
+            error = _case_error(case.case_id, e)
             # An earlier run's outputs for this case would otherwise be
-            # scored as if this run had written them.
+            # scored as if this run had written them. A directory in an
+            # output's place is no such output, and is left; an output that
+            # cannot be removed is named in the case's error.
             for name in (f"{case.case_id}.nii", f"{case.case_id}_staple.json"):
-                (self.cfg.output_dir / name).unlink(missing_ok=True)
-            return None, _case_error(case.case_id, e)
+                path = self.cfg.output_dir / name
+                try:
+                    if not path.is_dir():
+                        path.unlink(missing_ok=True)
+                except OSError as left:
+                    error["detail"] += f"; cannot remove the earlier {path}: {left.strerror}"
+            return None, error
 
 
 def run_fuse(cfg: PipelineConfig, jobs: int = 1) -> tuple[list[dict], list[dict]]:

@@ -123,13 +123,11 @@ def _check_finite(data: np.ndarray) -> None:
 def _check_labels(data: np.ndarray) -> None:
     """Raise InvalidLabel, listing the offending values, unless every value
     of ``data`` is a BraTS label."""
-    # One compare per label: np.isin's sort/table path would allocate
-    # several int64 copies of the data.
-    valid = data == BRATS_LABELS[0]
-    for label in BRATS_LABELS[1:]:
-        valid |= data == label
-    if not valid.all():
-        bad = np.unique(data[~valid])
+    # One compare per label, counted and freed before the next: np.isin's
+    # sort/table path would allocate several int64 copies of the data, and a
+    # mask of valid voxels one more bool per voxel.
+    if sum(np.count_nonzero(data == label) for label in BRATS_LABELS) != data.size:
+        bad = np.unique(data[~np.isin(data, BRATS_LABELS)])
         raise InvalidLabel(f"label values outside {{0,1,2,4}}: {bad.tolist()}")
 
 

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import struct
@@ -13,7 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 import bratsfuse
-from bratsfuse import nifti, pipeline
+from bratsfuse import fusion, nifti, pipeline
 from bratsfuse.cli import main
 from bratsfuse.errors import (
     BadData,
@@ -1170,7 +1171,8 @@ def test_a_failed_write_leaves_no_output_and_no_temporary_file(tmp_path, monkeyp
     @contextmanager
     def failing(path):
         with real(path) as fh:
-            # The header and the first slab are written, then the write fails.
+            # The header and the first piece of the body are written, then
+            # the write fails.
             yield _FailingFile(fh, path, 2, earlier) if path.suffix == ".nii" else fh
 
     monkeypatch.setattr(pipeline, "_write_atomic", failing)
@@ -1183,14 +1185,23 @@ def test_a_failed_write_leaves_no_output_and_no_temporary_file(tmp_path, monkeyp
     assert json.loads((out / "errors.json").read_text()) == errors
 
 
-def _fuse_peak(tmp_path, shifts):
-    """Fuse one 160 x 160 x 128 case of a rater per shift of a nested
-    phantom; returns the case's voxel count and the tracemalloc peak."""
-    shape = (160, 160, 128)
-    gt = np.zeros(shape, np.uint8)
-    gt[30:130, 30:130, 20:110] = 2
-    gt[50:110, 50:110, 40:90] = 1
-    gt[65:95, 65:95, 55:75] = 4
+def _boxes(edema, core, et):
+    """A 160 x 160 x 128 phantom of three nested boxes, each given as a
+    tuple of slices: edema (2) around the core (1) around ET (4)."""
+    gt = np.zeros((160, 160, 128), np.uint8)
+    for label, box in ((2, edema), (1, core), (4, et)):
+        gt[box] = label
+    return gt
+
+
+_LARGE_TUMOUR = (np.s_[30:130, 30:130, 20:110], np.s_[50:110, 50:110, 40:90],
+                 np.s_[65:95, 65:95, 55:75])
+
+
+def _fuse_peak(tmp_path, shifts, boxes=_LARGE_TUMOUR):
+    """Fuse one case of a rater per shift of the phantom of ``boxes``;
+    returns the case's voxel count and the tracemalloc peak."""
+    gt = _boxes(*boxes)
     models = []
     for k, shift in enumerate(shifts):
         path = save_nifti(tmp_path / f"r{k}.nii",
@@ -1220,3 +1231,133 @@ def test_fusing_nine_raters_holds_no_index_per_voxel(tmp_path):
     voxels, peak = _fuse_peak(tmp_path, shifts)
     assert joint_codes(len(shifts), 1).dtype == np.uint32
     assert peak < 3 * 4 * voxels, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_fusing_holds_memory_by_the_tumour_not_the_grid(tmp_path):
+    # A tumour of 16^3 voxels: only a few planes' rows of codes are kept, and
+    # the slab buffers (a read buffer per model and one of codes, 128 KB
+    # each) hold most of the rest. A code per voxel would be 4 times this.
+    boxes = (np.s_[72:88, 72:88, 56:72], np.s_[76:84, 76:84, 60:68],
+             np.s_[78:82, 78:82, 62:66])
+    voxels, peak = _fuse_peak(tmp_path, ((0, 0, 0), (1, -1, 1), (-1, 1, -1)), boxes)
+    assert peak < voxels / 4, f"peak {peak / 2**20:.2f} MB"
+
+
+# -- what the kept spans hold, at the edges ------------------------------------
+
+
+def _rater_case(tmp_path, raters):
+    return CaseInput("c0", tuple(_label_models(tmp_path, raters, "c0")))
+
+
+def _kept(case):
+    """The (first voxel, code count) of every span the case keeps."""
+    return [(start, len(codes)) for start, codes in pipeline._read_spans(case)[1]]
+
+
+@pytest.mark.parametrize("n_raters", [3, 9])
+def test_raters_that_are_all_background_keep_no_span(tmp_path, monkeypatch, n_raters):
+    monkeypatch.setattr(pipeline, "SLAB_VOXELS", STREAM_SLAB)
+    empty = LabelMap(np.zeros(STREAM_SHAPE, np.uint8), SPACING, ORIGIN)
+    case = _rater_case(tmp_path, [empty] * n_raters)
+    assert _kept(case) == []
+    diag = _assert_fuses_as_the_reference(tmp_path, case)
+    assert diag["et_voxels_before"] == 0
+    assert not load_labelmap(tmp_path / "fused" / "c0.nii").data.any()
+
+
+@pytest.mark.parametrize("n_raters", [3, 9])
+def test_spans_that_touch_both_ends_of_the_grid(tmp_path, monkeypatch, n_raters):
+    monkeypatch.setattr(pipeline, "SLAB_VOXELS", STREAM_SLAB)
+    gt, _ = make_phantom(PhantomSpec(shape=STREAM_SHAPE, seed=7))
+    raters = []
+    for k, m in enumerate(boundary_raters(gt, n_raters, 4)):
+        data = m.data.copy()
+        data[0, 0, 0] = (2, 1, 4)[k % 3]  # the first and the last voxel
+        data[-1, -1, -1] = (4, 2, 1)[k % 3]
+        raters.append(LabelMap(data, m.spacing, m.origin))
+    case = _rater_case(tmp_path, raters)
+    kept = _kept(case)
+    assert kept[0][0] == 0
+    assert sum(kept[-1]) == gt.data.size
+    _assert_fuses_as_the_reference(tmp_path, case)
+
+
+def test_voxels_outside_the_spans_take_the_label_of_code_0(tmp_path, monkeypatch):
+    monkeypatch.setattr(pipeline, "SLAB_VOXELS", STREAM_SLAB)
+    real = fusion.staple_lut
+
+    def background_is_edema(rows, counts, *args, **kwargs):
+        lut, fits = real(rows, counts, *args, **kwargs)
+        lut = lut.copy()
+        lut[(rows == 0).all(axis=0)] = 2  # the row of code 0
+        return lut, fits
+
+    # The reference (staple_multilabel_detailed) reads the same table.
+    monkeypatch.setattr(fusion, "staple_lut", background_is_edema)
+    monkeypatch.setattr(pipeline, "staple_lut", background_is_edema)
+    gt, _ = make_phantom(PhantomSpec(shape=STREAM_SHAPE, seed=7))
+    raters = boundary_raters(gt, 3, 4)
+    _assert_fuses_as_the_reference(tmp_path, _rater_case(tmp_path, raters))
+    background = ~np.any([m.data for m in raters], axis=0)
+    assert background.any()
+    fused = load_labelmap(tmp_path / "fused" / "c0.nii").data
+    assert (fused[background] == 2).all()
+
+
+def _taken_case_config(tmp_path):
+    """A config of two cases, ``a_taken`` and ``b_good``, whose output
+    directory has a directory in ``a_taken.nii``'s place and an earlier
+    run's ``a_taken_staple.json``; returns the config and output paths."""
+    gt, _ = make_phantom(PhantomSpec(shape=STREAM_SHAPE, seed=7))
+    raters = boundary_raters(gt, 3, 4)
+    cases = [{"id": cid, "models": [{"name": m.name, "labelmap": m.labelmap.name}
+                                    for m in _label_models(tmp_path, raters, cid)]}
+             for cid in ("a_taken", "b_good")]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"output_dir": "fused", "cases": cases}))
+    out = tmp_path / "fused"
+    (out / "a_taken.nii").mkdir(parents=True)
+    (out / "a_taken_staple.json").write_text("an earlier run's sidecar\n")
+    return cfg_path, out
+
+
+def test_a_case_whose_output_cannot_be_written_is_a_per_case_error(tmp_path):
+    cfg_path, out = _taken_case_config(tmp_path)
+    result = CliRunner().invoke(main, ["fuse", "--config", str(cfg_path)])
+    assert result.exit_code == 2, result.output
+    assert "fused 1 case(s), 1 error(s)" in result.output
+    assert "Traceback" not in result.output
+    errors = json.loads((out / "errors.json").read_text())
+    assert errors == [{"case_id": "a_taken", "error": "IsADirectoryError",
+                       "detail": f"{out / 'a_taken.nii'}: Is a directory"}]
+    assert [d["case_id"] for d in json.loads((out / "fuse_manifest.json").read_text())] \
+        == ["b_good"]
+    assert sorted(p.name for p in out.iterdir()) == [
+        "a_taken.nii", "b_good.nii", "b_good_staple.json", "errors.json",
+        "fuse_manifest.json"]
+    assert list((out / "a_taken.nii").iterdir()) == []
+
+
+def test_an_earlier_output_that_cannot_be_removed_is_named_in_the_error(tmp_path,
+                                                                        monkeypatch):
+    cfg_path, out = _taken_case_config(tmp_path)
+    sidecar = out / "a_taken_staple.json"
+    real = Path.unlink
+
+    def refused(path, missing_ok=False):
+        if path == sidecar:
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+        return real(path, missing_ok=missing_ok)
+
+    monkeypatch.setattr(Path, "unlink", refused)
+    result = CliRunner().invoke(main, ["fuse", "--config", str(cfg_path)])
+    assert result.exit_code == 2, result.output
+    assert "fused 1 case(s), 1 error(s)" in result.output
+    errors = json.loads((out / "errors.json").read_text())
+    assert errors == [{"case_id": "a_taken", "error": "IsADirectoryError",
+                       "detail": f"{out / 'a_taken.nii'}: Is a directory; cannot remove "
+                                 f"the earlier {sidecar}: Permission denied"}]
+    assert [d["case_id"] for d in json.loads((out / "fuse_manifest.json").read_text())] \
+        == ["b_good"]
+    assert sidecar.read_text() == "an earlier run's sidecar\n"
