@@ -22,9 +22,12 @@ digits from the full-grid value.
 
 The distance transform is plain numpy: a separable squared EDT whose 1-D
 passes take an all-pairs minimum along each line, O(n^2) per line, which the
-box crop keeps small. ``edt`` returns the distances as a ``Volume`` on the
-mask's grid. scipy is not imported here because ``scipy.ndimage``
-about doubles the start-up time of every CLI command.
+box crop keeps small. The lines are taken in chunks whose all-pairs
+temporary holds at most ``1 << 18`` float64 values (2 MB), or one line's
+n^2 values where n > 512, so the temporary stays small next to the cropped
+masks. ``edt`` returns the distances as a ``Volume`` on the mask's grid.
+scipy is not imported here because ``scipy.ndimage`` about doubles the
+start-up time of every CLI command.
 ``python3 benchmarks/run.py --workload eval-batch --trace 1`` reports the time
 and voxels spent in the distance transform (``metrics.edt.*``).
 """
@@ -112,7 +115,7 @@ def _edt_sq(source: np.ndarray, spacing) -> np.ndarray:
         moved_shape = moved.shape
         flat = moved.reshape(n, -1)
         out = np.empty_like(flat)
-        chunk = max(1, (1 << 22) // (n * n))
+        chunk = max(1, (1 << 18) // (n * n))
         for lo in range(0, flat.shape[1], chunk):
             hi = min(lo + chunk, flat.shape[1])
             out[:, lo:hi] = (flat[None, :, lo:hi] + cost[:, :, None]).min(axis=1)

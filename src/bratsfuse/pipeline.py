@@ -4,16 +4,18 @@
 label map or fold probability maps, several models are fused with STAPLE
 (a single model passes through), the ET size threshold is applied, and the
 fused NIfTI is written with a JSON diagnostics sidecar. ``run_eval`` pairs
-prediction and ground-truth files by filename stem and emits per-case
-metrics (CSV + JSON) and summary tables.
+prediction and ground-truth files by filename stem, reads each pair as a
+case of two label-map models, and emits per-case metrics (CSV + JSON) and
+summary tables.
 
 A case is read in one loop over slabs of whole z-planes (about
 ``SLAB_VOXELS`` voxels, at least one plane); a slab is the x-fastest voxel
 range of its planes, read from each file as one contiguous byte range.
 Every input file is opened and its header parsed and checked once, and the
 models' grids are checked to agree, before the first slab. Per slab, each
-model gives its labels: a label map's voxels are read and checked as
-``load_labelmap`` checks a whole file. Fold maps are decoded in chunks of
+model gives its labels: a label map's voxels are read, into one read buffer
+that all of the case's label maps share, and checked as ``load_labelmap``
+checks a whole file. Fold maps are decoded in chunks of
 ``DECODE_VOXELS`` voxels, small enough that a chunk's buffers stay in
 cache through every pass over them. Per chunk, every fold's four stored
 channels are read, and the chunk's uncertain range is found: the smallest
@@ -44,6 +46,17 @@ before any output voxel is written: a relabel is the table edit ET -> 1.
 The output body is then written after the header ``nifti.header_bytes``
 builds: the table's entry for code 0 outside the spans, from one buffer of
 ``fusion.CHUNK_VOXELS`` bytes, and the table read at the codes inside them.
+
+``eval`` reads a pair the same way, the prediction as the first model and
+the ground truth as the second, so the two grids are checked to agree
+before any voxel is read. From the kept spans it rebuilds both label maps
+inside the box of the nonzero codes, the only grid-shaped arrays it
+allocates, and scores them with ``metrics.evaluate_case``. The scores are
+those of the whole grid: every voxel outside the box is background in both
+maps, so the Dice counts are unchanged, and ``hd95`` crops each region to
+its own union box, so it measures the same distances from the same corner.
+A pair with no tumour in either map is scored as two 1x1x1 background maps:
+DSC 1 and HD95 0 in every region.
 
 Every output file (``fuse``'s ``<case>.nii``, ``<case>_staple.json``,
 ``fuse_manifest.json`` and ``errors.json``; ``eval``'s ``cases.csv``,
@@ -105,7 +118,6 @@ from .nifti import (
     _write_atomic,
     _write_text,
     header_bytes,
-    load_labelmap,
     read_label_planes,
 )
 from .postprocess import DEFAULT_ET_THRESHOLD, relabels_et
@@ -117,12 +129,12 @@ from .report import (
     rank_models,
     summarize,
 )
-from .volume import BRATS_LABELS, _check_probs, require_same_geometry
+from .volume import BRATS_LABELS, BBox, LabelMap, _check_probs, require_same_geometry
 
-# Not called here (cases are fused slab by slab through the cores above), but
-# benchmarks/tracing.py wraps these names on this module.
+# Not called here (cases are fused and evaluated slab by slab through the cores
+# above), but benchmarks/tracing.py wraps these names on this module.
 from .fusion import argmax_labels, average_probs, staple_multilabel_detailed  # noqa: F401
-from .nifti import load_probmap, save_nifti  # noqa: F401
+from .nifti import load_labelmap, load_probmap, save_nifti  # noqa: F401
 from .postprocess import et_threshold_relabel  # noqa: F401
 
 __all__ = [
@@ -307,13 +319,14 @@ class _LabelModel:
         except OSError as e:
             raise ConfigError(f"cannot open label map {path}: {e.strerror}") from e
         self.header = self._file.header
-        _, size = _slab_voxels(self.header.shape)
-        self._buf = np.empty(size * self.header.dtype.itemsize, np.uint8)
+        # Bytes per voxel this model reads into the case's read buffer.
+        self.read_bytes = self.header.dtype.itemsize
 
-    def labels(self, z0: int, z1: int) -> np.ndarray:
-        """The labels of planes ``z0:z1``, checked, x-fastest."""
+    def labels(self, z0: int, z1: int, buf: np.ndarray) -> np.ndarray:
+        """The labels of planes ``z0:z1``, checked, x-fastest, read into
+        ``buf``."""
         start, stop = _voxels(self.header.shape, z0, z1)
-        data = read_label_planes(self._file, start, stop, self._buf)
+        data = read_label_planes(self._file, start, stop, buf)
         return data.astype(np.uint8, copy=False)
 
 
@@ -332,6 +345,8 @@ class _FoldModel:
     """A model given as fold probability maps, decoded ``DECODE_VOXELS``
     voxels at a time."""
 
+    read_bytes = 0  # it reads into its own chunk buffers
+
     def __init__(self, manifests: tuple[Path, ...], stack: ExitStack):
         self._manifests = manifests
         self._folds = [stack.enter_context(ProbmapFiles(p)) for p in manifests]
@@ -348,8 +363,9 @@ class _FoldModel:
         self._uncertain, self._differs = np.empty((2, chunk), bool)
         self._labels = np.empty(size, np.uint8)
 
-    def labels(self, z0: int, z1: int) -> np.ndarray:
-        """The labels of planes ``z0:z1``, x-fastest, one chunk at a time."""
+    def labels(self, z0: int, z1: int, buf: np.ndarray) -> np.ndarray:
+        """The labels of planes ``z0:z1``, x-fastest, one chunk at a time;
+        ``buf`` is not used."""
         start, stop = _voxels(self.header.shape, z0, z1)
         labels = self._labels[: stop - start]
         for lo in range(start, stop, self._chunk):
@@ -433,6 +449,9 @@ def _read_spans(case: CaseInput):
         nx, ny, nz = grid.shape
         step, slab = _slab_voxels(grid.shape)
         buf = joint_codes(len(models), slab)
+        # One read buffer serves every model: each model's labels are packed
+        # into the codes before the next model reads.
+        read = np.empty(slab * max(m.read_bytes for m in models), np.uint8)
         spans = []
         for z0 in range(0, nz, step):
             z1 = min(z0 + step, nz)
@@ -440,7 +459,7 @@ def _read_spans(case: CaseInput):
             codes = buf[: stop - start]
             codes[...] = 0
             for r, model in enumerate(models):
-                pack_labels(codes, r, model.labels(z0, z1))
+                pack_labels(codes, r, model.labels(z0, z1, read))
             for p in range(0, stop - start, nx * ny):
                 a, b = code_span(codes[p : p + nx * ny])
                 if a < b:
@@ -565,6 +584,44 @@ def run_fuse(cfg: PipelineConfig, jobs: int = 1) -> tuple[list[dict], list[dict]
     return diags, errors
 
 
+# The label of each model at each joint code of two models: row 0 the
+# first model's (bits 0-1), row 1 the second's (bits 2-3).
+_PAIR_LABELS = _LABELS[np.arange(16) >> np.array([[0], [2]]) & 3]
+
+
+def _span_rows(spans, nx: int, ny: int):
+    """Per span: its plane, its first row, and its codes (one byte each, as
+    two models give them) padded with code 0 to whole rows, as a (rows, nx)
+    array."""
+    for start, codes in spans:
+        z, p = divmod(start, nx * ny)
+        y, x = divmod(p, nx)
+        rows = np.zeros(-(-(x + len(codes)) // nx) * nx, np.uint8)
+        rows[x : x + len(codes)] = codes[:, 0]
+        yield z, y, rows.reshape(-1, nx)
+
+
+def _pair_in_box(grid, spans) -> tuple[LabelMap, LabelMap]:
+    """The label maps of the two models of ``spans`` (their joint codes, as
+    :func:`_read_spans` keeps them), cropped to the box of the nonzero
+    codes; a 1x1x1 background map each if there are none."""
+    nx, ny, _ = grid.shape
+    lo, hi = [0, 0, 0], [0, 0, 0]
+    if spans:  # one span per plane, in plane order
+        lo, hi = [nx, ny, spans[0][0] // (nx * ny)], [0, 0, spans[-1][0] // (nx * ny)]
+        for _, y, rows in _span_rows(spans, nx, ny):
+            xs = np.flatnonzero(rows.any(axis=0))
+            lo[0], hi[0] = min(lo[0], xs[0]), max(hi[0], xs[-1])
+            lo[1], hi[1] = min(lo[1], y), max(hi[1], y + len(rows) - 1)
+    box = BBox(lo, hi)
+    codes = np.zeros(box.shape, np.uint8)
+    for z, y, rows in _span_rows(spans, nx, ny):
+        y -= box.lo[1]
+        codes[:, y : y + len(rows), z - box.lo[2]] = rows[:, box.lo[0] : box.hi[0] + 1].T
+    origin = tuple(o + l * s for o, s, l in zip(grid.origin, grid.spacing, box.lo))
+    return tuple(LabelMap(labels[codes], grid.spacing, origin) for labels in _PAIR_LABELS)
+
+
 @dataclass
 class _EvalTask:
     pred_dir: Path
@@ -572,11 +629,13 @@ class _EvalTask:
     penalty: float
 
     def __call__(self, case_id: str):
+        case = CaseInput(case_id, tuple(
+            ModelInput(side, labelmap=d / f"{case_id}.nii")
+            for side, d in (("pred", self.pred_dir), ("gt", self.gt_dir))))
         try:
-            pred = load_labelmap(self.pred_dir / f"{case_id}.nii")
-            gt = load_labelmap(self.gt_dir / f"{case_id}.nii")
+            pred, gt = _pair_in_box(*_read_spans(case))
             return evaluate_case(pred, gt, case_id, self.penalty), None
-        except BratsFuseError as e:
+        except (BratsFuseError, OSError) as e:
             return None, _case_error(case_id, e)
 
 
@@ -589,6 +648,9 @@ def run_eval(
 ) -> tuple[list[CaseMetrics], list[dict]]:
     """Evaluate predictions against ground truth paired by filename stem.
 
+    Each pair is read slab by slab through ``_read_spans`` and scored on its
+    two label maps rebuilt inside the box of their tumour (see the module
+    docstring), so a case holds memory by its tumour, not by its grid.
     Unpaired files and per-case failures are recorded (not fatal) and the
     affected cases skipped; the caller decides the exit status from the
     returned error list. A ``penalty`` that is negative or not finite is a

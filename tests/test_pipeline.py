@@ -30,6 +30,7 @@ from bratsfuse.fusion import (
     joint_codes,
     staple_multilabel_detailed,
 )
+from bratsfuse.metrics import EMPTY_PENALTY_MM, evaluate_case
 from bratsfuse.nifti import (
     ProbmapFiles,
     header_bytes,
@@ -48,9 +49,11 @@ from bratsfuse.pipeline import (
     run_fuse,
     run_rank,
 )
+from bratsfuse.regions import Region
 from bratsfuse.synth import PhantomSpec, corrupt_labels, make_phantom, noisy_probmap
-from bratsfuse.volume import BRATS_LABELS, LabelMap, ProbMap, Volume
+from bratsfuse.volume import BRATS_LABELS, LabelMap, ProbMap, Volume, crop, nonzero_bbox
 
+from .oracles import dice_counts, hd95_all_pairs
 from .test_fusion import boundary_raters
 
 
@@ -1185,10 +1188,10 @@ def test_a_failed_write_leaves_no_output_and_no_temporary_file(tmp_path, monkeyp
     assert json.loads((out / "errors.json").read_text()) == errors
 
 
-def _boxes(edema, core, et):
-    """A 160 x 160 x 128 phantom of three nested boxes, each given as a
-    tuple of slices: edema (2) around the core (1) around ET (4)."""
-    gt = np.zeros((160, 160, 128), np.uint8)
+def _boxes(edema, core, et, shape=(160, 160, 128)):
+    """A phantom (160 x 160 x 128 by default) of three nested boxes, each
+    given as a tuple of slices: edema (2) around the core (1) around ET (4)."""
+    gt = np.zeros(shape, np.uint8)
     for label, box in ((2, edema), (1, core), (4, et)):
         gt[box] = label
     return gt
@@ -1235,8 +1238,8 @@ def test_fusing_nine_raters_holds_no_index_per_voxel(tmp_path):
 
 def test_fusing_holds_memory_by_the_tumour_not_the_grid(tmp_path):
     # A tumour of 16^3 voxels: only a few planes' rows of codes are kept, and
-    # the slab buffers (a read buffer per model and one of codes, 128 KB
-    # each) hold most of the rest. A code per voxel would be 4 times this.
+    # the slab buffers (one read buffer and one of codes, 128 KB each) hold
+    # most of the rest. A code per voxel would be 4 times this.
     boxes = (np.s_[72:88, 72:88, 56:72], np.s_[76:84, 76:84, 60:68],
              np.s_[78:82, 78:82, 62:66])
     voxels, peak = _fuse_peak(tmp_path, ((0, 0, 0), (1, -1, 1), (-1, 1, -1)), boxes)
@@ -1361,3 +1364,243 @@ def test_an_earlier_output_that_cannot_be_removed_is_named_in_the_error(tmp_path
     assert [d["case_id"] for d in json.loads((out / "fuse_manifest.json").read_text())] \
         == ["b_good"]
     assert sidecar.read_text() == "an earlier run's sidecar\n"
+
+
+def test_the_label_maps_of_a_case_share_one_read_buffer(tmp_path, monkeypatch):
+    monkeypatch.setattr(pipeline, "SLAB_VOXELS", STREAM_SLAB)
+    gt, _ = make_phantom(PhantomSpec(shape=STREAM_SHAPE, seed=7))
+    models = _label_models(tmp_path, boundary_raters(gt, 3, 4), "c0")
+    # The widest stored type sets the buffer's size: one rater as float32.
+    float_rater = tmp_path / "c0_float.nii"
+    float_rater.write_bytes(write_nifti(Volume(load_labelmap(models[1].labelmap)
+                                               .data.astype(np.float32))))
+    models[1] = ModelInput("float", labelmap=float_rater)
+    buffers = []
+    real = pipeline.read_label_planes
+
+    def spy(f, start, stop, buf):
+        buffers.append(buf)
+        return real(f, start, stop, buf)
+
+    monkeypatch.setattr(pipeline, "read_label_planes", spy)
+    _assert_fuses_as_the_reference(tmp_path, CaseInput("c0", tuple(models)))
+    assert len(buffers) == 3 * -(-STREAM_SHAPE[2] // 2)  # per rater, per slab
+    assert all(buf is buffers[0] for buf in buffers)
+    assert buffers[0].nbytes == STREAM_SLAB * 4
+
+
+# -- eval: pairs read through the spans, scored inside the tumour box -------------
+
+
+def _write_pairs(tmp_path, pairs):
+    """Write each case's (prediction, ground truth) of the dict ``pairs`` as
+    ``pred/<case>.nii`` and ``gt/<case>.nii``; returns the two directories."""
+    pred, gt = tmp_path / "pred", tmp_path / "gt"
+    for d in (pred, gt):
+        d.mkdir(parents=True, exist_ok=True)
+    for case_id, (p, g) in pairs.items():
+        save_nifti(pred / f"{case_id}.nii", p)
+        save_nifti(gt / f"{case_id}.nii", g)
+    return pred, gt
+
+
+def _phantom_pair(seed=7, shape=STREAM_SHAPE):
+    """A phantom ground truth and the same phantom shifted by one voxel in x
+    as the prediction, on an anisotropic grid."""
+    gt, _ = make_phantom(PhantomSpec(shape=shape, seed=seed))
+    return tuple(LabelMap(m, SPACING, ORIGIN) for m in (np.roll(gt.data, 1, axis=0), gt.data))
+
+
+def _with(m, updates):
+    """``m`` with the labels of ``updates`` ({index: label}) written in."""
+    data = m.data.copy()
+    for index, label in updates.items():
+        data[index] = label
+    return LabelMap(data, m.spacing, m.origin)
+
+
+def _assert_scores_as_the_oracles(tmp_path, pred, gt, penalty=EMPTY_PENALTY_MM):
+    """Evaluate one pair; every region's DSC and HD95 must be those the
+    oracles give on the whole grid. Returns the case's metrics."""
+    cases, errors = run_eval(*_write_pairs(tmp_path, {"c0": (pred, gt)}),
+                             tmp_path / "out", penalty=penalty)
+    assert errors == []
+    [got] = cases
+    for r in Region:
+        a, b = (np.isin(m.data, sorted(r.member_labels)) for m in (pred, gt))
+        assert got.dsc[r.value] == dice_counts(a, b), r
+        assert got.hd95[r.value] == pytest.approx(
+            hd95_all_pairs(a, b, SPACING, penalty), rel=1e-12, abs=0), r
+    return got
+
+
+@pytest.fixture
+def eval_slabs(monkeypatch):
+    """Read eval pairs two planes at a time."""
+    monkeypatch.setattr(pipeline, "SLAB_VOXELS", STREAM_SLAB)
+
+
+def test_eval_scores_a_pair_as_the_oracles(tmp_path, eval_slabs):
+    got = _assert_scores_as_the_oracles(tmp_path, *_phantom_pair())
+    assert all(0 < d < 1 for d in got.dsc.values())
+
+
+def test_eval_of_two_empty_maps_is_perfect(tmp_path, eval_slabs):
+    empty = LabelMap(np.zeros(STREAM_SHAPE, np.uint8), SPACING, ORIGIN)
+    got = _assert_scores_as_the_oracles(tmp_path, empty, empty)
+    assert got.dsc == {"ET": 1.0, "TC": 1.0, "WT": 1.0}
+    assert got.hd95 == {"ET": 0.0, "TC": 0.0, "WT": 0.0}
+
+
+@pytest.mark.parametrize("empty_side", [0, 1])
+def test_eval_of_one_empty_side_is_the_penalty(tmp_path, eval_slabs, empty_side):
+    pair = list(_phantom_pair())
+    pair[empty_side] = LabelMap(np.zeros(STREAM_SHAPE, np.uint8), SPACING, ORIGIN)
+    got = _assert_scores_as_the_oracles(tmp_path, *pair, penalty=50.0)
+    assert got.dsc == {"ET": 0.0, "TC": 0.0, "WT": 0.0}
+    assert got.hd95 == {"ET": 50.0, "TC": 50.0, "WT": 50.0}
+
+
+def test_eval_of_et_only_in_the_ground_truth(tmp_path, eval_slabs):
+    pred, gt = _phantom_pair()
+    pred = LabelMap(np.where(pred.data == 4, np.uint8(1), pred.data), SPACING, ORIGIN)
+    got = _assert_scores_as_the_oracles(tmp_path, pred, gt)
+    assert (got.dsc["ET"], got.hd95["ET"]) == (0.0, EMPTY_PENALTY_MM)
+    assert got.dsc["TC"] > 0
+
+
+def test_eval_of_a_tumour_touching_the_first_and_last_voxel(tmp_path, eval_slabs):
+    pred, gt = _phantom_pair()
+    pred = _with(pred, {(0, 0, 0): 4, (-1, -1, -1): 2})
+    gt = _with(gt, {(0, 0, 0): 2, (-1, -1, -1): 1})
+    _assert_scores_as_the_oracles(tmp_path, pred, gt)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_the_box_holds_the_pair_cropped_to_its_nonzero_voxels(tmp_path, eval_slabs,
+                                                              seed):
+    # Scattered labels: a plane's span may start and end anywhere in a row,
+    # and the rows between may reach further in x than its ends.
+    rng = np.random.default_rng(seed)
+    pair = [LabelMap(np.where(rng.random(STREAM_SHAPE) < 0.02,
+                              rng.choice(BRATS_LABELS, STREAM_SHAPE), 0).astype(np.uint8),
+                     SPACING, ORIGIN) for _ in range(2)]
+    if seed == 0:  # a single voxel, in one map only
+        empty = LabelMap(np.zeros(STREAM_SHAPE, np.uint8), SPACING, ORIGIN)
+        pair = [empty, _with(empty, {(9, 3, 5): 2})]
+    case = CaseInput("c0", tuple(_label_models(tmp_path, pair, "c0")))
+    got = pipeline._pair_in_box(*pipeline._read_spans(case))
+    box = nonzero_bbox(Volume(pair[0].data | pair[1].data))
+    for g, m in zip(got, pair):
+        want = crop(m, box)
+        assert np.array_equal(g.data, want.data)
+        assert (g.spacing, g.origin) == (want.spacing, want.origin)
+
+
+def _eval_peak(tmp_path, shape):
+    """Evaluate one pair of nested 16^3, 8^3 and 4^3 boxes in the middle of a
+    grid of ``shape``, the prediction shifted by a voxel; returns the
+    tracemalloc peak."""
+    c = [n // 2 for n in shape]
+    gt = _boxes(*(tuple(slice(m - h, m + h) for m in c) for h in (8, 4, 2)), shape)
+    pred = np.roll(gt, (1, -1, 1), axis=(0, 1, 2))
+    dirs = _write_pairs(tmp_path, {"c0": (LabelMap(pred), LabelMap(gt))})
+    tracemalloc.start()
+    try:
+        cases, errors = run_eval(*dirs, tmp_path / "out")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert errors == [] and 0 < cases[0].dsc["ET"] < 1
+    return peak
+
+
+def test_eval_holds_memory_by_the_tumour_not_the_grid(tmp_path):
+    _eval_peak(tmp_path / "warm", (80, 80, 64))  # first-use imports
+    small = _eval_peak(tmp_path / "small", (80, 80, 64))
+    large = _eval_peak(tmp_path / "large", (240, 240, 155))
+    # 22 times the voxels, the same peak: two slab buffers of 128 KB and the
+    # EDT's all-pairs temporary over the tumour's box. Both large maps whole
+    # would be 17.9 MB.
+    assert large < small + 2**16, f"{small / 2**20:.2f} MB, then {large / 2**20:.2f} MB"
+    assert large < 2**20, f"peak {large / 2**20:.2f} MB"
+
+
+def _run_eval_cli(pred, gt, out, *options):
+    result = CliRunner().invoke(main, ["eval", str(pred), str(gt), "--out", str(out),
+                                       *options])
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.output
+    return json.loads((out / "errors.json").read_text())
+
+
+def _whole_file_scores(dirs, case_id):
+    """The case evaluated from both of its files loaded whole."""
+    pred, gt = (load_labelmap(d / f"{case_id}.nii") for d in dirs)
+    return evaluate_case(pred, gt, case_id)
+
+
+@pytest.mark.parametrize("change", ["shape", "spacing", "origin"])
+def test_an_eval_geometry_mismatch_is_a_per_case_error(tmp_path, eval_slabs, change):
+    pred, gt = _phantom_pair()
+    if change == "shape":
+        pred = LabelMap(pred.data[:, :, :-1], SPACING, ORIGIN)
+    elif change == "spacing":
+        pred = LabelMap(pred.data, (1.0, 1.0, 2.0), ORIGIN)
+    else:
+        pred = LabelMap(pred.data, SPACING, (0.0, 0.0, 0.0))
+    good = _phantom_pair(seed=8)
+    dirs = _write_pairs(tmp_path, {"a_bad": (pred, gt), "b_good": good})
+    out = tmp_path / "out"
+    [error] = _run_eval_cli(*dirs, out)
+    assert (error["case_id"], error["error"]) == ("a_bad", "GeometryMismatch")
+    with pytest.raises(GeometryMismatch) as want:
+        _whole_file_scores(dirs, "a_bad")
+    assert error["detail"] == str(want.value)
+    rows = (out / "cases.csv").read_text().splitlines()
+    assert [r.split(",")[0] for r in rows[1:]] == ["b_good"]
+
+
+@pytest.mark.parametrize("side", [0, 1])
+@pytest.mark.parametrize("how, error", [("invalid_label", InvalidLabel),
+                                        ("truncated", TruncatedFile)])
+def test_a_bad_last_slab_of_an_eval_pair_is_a_per_case_error(tmp_path, eval_slabs,
+                                                             side, how, error):
+    dirs = _write_pairs(tmp_path, {"a_bad": _phantom_pair(), "b_good": _phantom_pair(8)})
+    bad = dirs[side] / "a_bad.nii"
+    _spoil_last_plane(bad, how)
+    with pytest.raises(error) as want:
+        load_labelmap(bad)
+    out = tmp_path / "out"
+    [got] = _run_eval_cli(*dirs, out)
+    assert (got["case_id"], got["error"]) == ("a_bad", error.__name__)
+    if how == "invalid_label":  # the message of the whole-file check
+        assert got["detail"] == str(want.value)
+    else:  # the whole-file message, after the file's name
+        assert got["detail"] == f"{bad}: {want.value}"
+    rows = (out / "cases.csv").read_text().splitlines()
+    assert [r.split(",")[0] for r in rows[1:]] == ["b_good"]
+
+
+def test_eval_outputs_are_byte_identical_across_jobs(tmp_path):
+    pairs = {f"c{c}": _phantom_pair(seed=20 + c, shape=(16, 14, 12)) for c in range(3)}
+    pred, gt = pairs["c2"]
+    pairs["c2"] = (LabelMap(np.where(pred.data == 4, np.uint8(1), pred.data),
+                            SPACING, ORIGIN), gt)  # no ET predicted
+    pairs["c3"] = (LabelMap(np.zeros((16, 14, 12), np.uint8), SPACING, ORIGIN), gt)
+    pairs["c4"] = pairs["c0"]
+    dirs = _write_pairs(tmp_path, pairs)
+    _spoil_last_plane(dirs[1] / "c4.nii", "invalid_label")
+    save_nifti(dirs[1] / "c5.nii", gt)  # no prediction
+    for jobs in (1, 2):
+        run_eval(*dirs, tmp_path / f"jobs{jobs}", jobs=jobs)
+    names = sorted(p.name for p in (tmp_path / "jobs1").iterdir())
+    assert names == ["cases.csv", "cases.json", "errors.json", "summary.json",
+                     "summary.txt"]
+    assert sorted(p.name for p in (tmp_path / "jobs2").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "jobs1" / name).read_bytes() == \
+            (tmp_path / "jobs2" / name).read_bytes(), name
+    errors = json.loads((tmp_path / "jobs1" / "errors.json").read_text())
+    assert [(e["case_id"], e["error"]) for e in errors] == [
+        ("c4", "InvalidLabel"), ("c5", "UnpairedCase")]
