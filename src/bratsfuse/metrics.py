@@ -20,16 +20,23 @@ the rounding can move: coordinates are measured from the box corner, so at
 spacings that are not dyadic (e.g. 1.2 mm) a distance may differ in its last
 digits from the full-grid value.
 
-The distance transform is plain numpy: a separable squared EDT whose 1-D
-passes take an all-pairs minimum along each line, O(n^2) per line, which the
-box crop keeps small. The lines are taken in chunks whose all-pairs
-temporary holds at most ``1 << 18`` float64 values (2 MB), or one line's
-n^2 values where n > 512, so the temporary stays small next to the cropped
-masks. ``edt`` returns the distances as a ``Volume`` on the mask's grid.
-scipy is not imported here because ``scipy.ndimage`` about doubles the
-start-up time of every CLI command.
-``python3 benchmarks/run.py --workload eval-batch --trace 1`` reports the time
-and voxels spent in the distance transform (``metrics.edt.*``).
+The distance transform is plain numpy: a separable squared EDT taken one
+axis at a time, in the order 0, 1, 2. The first pass reads a binary source,
+so forward and backward index sweeps find each voxel's nearest source on its
+line. The middle pass takes an all-pairs minimum along each line, O(n^2) per
+line, which the box crop keeps small. ``edt`` takes the last pass the same
+way over the whole map and returns the distances as a ``Volume`` on the
+mask's grid; ``hd95`` reads distances only at the other mask's boundary, so
+it evaluates the last pass at those voxels alone. Every pass gives the
+values, bit for bit, of an all-pairs minimum over each line. The passes
+take lines, and the last pass for ``hd95`` takes queries, in chunks, so that
+every temporary holds at most ``1 << 18`` values (2 MB as float64), or one
+line's n^2 values in an all-pairs pass where n > 512: the temporaries stay
+small next to the cropped masks. scipy is not imported here because
+``scipy.ndimage`` about doubles the start-up time of every CLI command.
+``python3 benchmarks/run.py --workload eval-batch --trace 1`` reports the
+time spent in ``hd95`` (``metrics.hd95.*``); its ``metrics.edt.*`` counts
+only calls of ``edt``, which ``hd95`` does not make.
 """
 
 from __future__ import annotations
@@ -48,6 +55,7 @@ __all__ = [
     "dice",
     "boundary",
     "edt",
+    "percentile",
     "hd95",
     "evaluate_case",
     "metrics_csv_header",
@@ -56,6 +64,7 @@ __all__ = [
 
 EMPTY_PENALTY_MM = 373.1287
 REGION_ORDER = ("ET", "TC", "WT")
+_CHUNK = 1 << 18  # values in any one EDT temporary
 
 
 @dataclass(frozen=True)
@@ -98,29 +107,81 @@ def boundary(m: RegionMask) -> RegionMask:
     return RegionMask(m.region, fg & ~interior, m.spacing, m.origin)
 
 
-def _edt_sq(source: np.ndarray, spacing) -> np.ndarray:
-    """Squared EDT of a boolean source mask. Units: mm^2.
+def _nearest_on_lines_sq(source: np.ndarray, step: float) -> np.ndarray:
+    """The first pass: squared distance (mm^2) along axis 0 to the nearest
+    source voxel on the same line; ``inf`` on a line with none.
 
-    Separable decomposition: each 1-D min-convolution is an explicit
-    all-pairs minimum (O(n^2) per line), evaluated in memory-bounded chunks.
+    Forward and backward index sweeps find the nearest source on each side,
+    and ``(x[i] - x[j]) ** 2`` gives the value the all-pairs pass would: on a
+    binary source its minimum is that of the nearest sources.
     """
-    g = np.where(source, 0.0, np.inf)
-    for axis in range(3):
-        n = g.shape[axis]
-        if n == 1:
-            continue
-        x = float(spacing[axis]) * np.arange(n, dtype=np.float64)
-        cost = (x[:, None] - x[None, :]) ** 2
-        moved = np.moveaxis(g, axis, 0)
-        moved_shape = moved.shape
-        flat = moved.reshape(n, -1)
-        out = np.empty_like(flat)
-        chunk = max(1, (1 << 18) // (n * n))
-        for lo in range(0, flat.shape[1], chunk):
-            hi = min(lo + chunk, flat.shape[1])
-            out[:, lo:hi] = (flat[None, :, lo:hi] + cost[:, :, None]).min(axis=1)
-        g = np.moveaxis(out.reshape(moved_shape), 0, axis)
-    return np.ascontiguousarray(g)
+    n = source.shape[0]
+    lines = source.reshape(n, -1)
+    out = np.empty(lines.shape)
+    x = step * np.arange(n, dtype=np.float64)
+    x_or_inf = np.append(x, np.inf)  # index -1 or n: no source on that side
+    i = np.arange(n, dtype=np.int32)[:, None]
+    chunk = max(1, _CHUNK // (4 * n))  # about four block-sized temporaries
+    for lo in range(0, lines.shape[1], chunk):
+        block = lines[:, lo:lo + chunk]
+        before = np.maximum.accumulate(np.where(block, i, np.int32(-1)), axis=0)
+        after = np.minimum.accumulate(np.where(block, i, np.int32(n))[::-1], axis=0)[::-1]
+        np.minimum((x[:, None] - x_or_inf[before]) ** 2,
+                   (x[:, None] - x_or_inf[after]) ** 2, out=out[:, lo:lo + chunk])
+    return out.reshape(source.shape)
+
+
+def _sq_gaps(n: int, step: float) -> np.ndarray:
+    """``(x[i] - x[j]) ** 2`` for voxel coordinates ``x`` (mm) along a line."""
+    x = step * np.arange(n, dtype=np.float64)
+    return (x[:, None] - x[None, :]) ** 2
+
+
+def _all_pairs_pass(g: np.ndarray, axis: int, step: float) -> np.ndarray:
+    """One 1-D min-convolution of ``g`` along ``axis`` with the squared
+    distance, as an explicit all-pairs minimum over each line."""
+    n = g.shape[axis]
+    if n == 1:
+        return g
+    cost = _sq_gaps(n, step)
+    moved = np.moveaxis(g, axis, 0)
+    moved_shape = moved.shape
+    flat = moved.reshape(n, -1)
+    out = np.empty_like(flat)
+    chunk = max(1, _CHUNK // (n * n))
+    for lo in range(0, flat.shape[1], chunk):
+        hi = min(lo + chunk, flat.shape[1])
+        out[:, lo:hi] = (flat[None, :, lo:hi] + cost[:, :, None]).min(axis=1)
+    return np.moveaxis(out.reshape(moved_shape), 0, axis)
+
+
+def _edt_sq_in_planes(source: np.ndarray, spacing) -> np.ndarray:
+    """The first two passes: squared distance (mm^2) to the nearest source
+    voxel in the same axis-2 plane."""
+    g = _nearest_on_lines_sq(source, float(spacing[0]))
+    return _all_pairs_pass(g, 1, float(spacing[1]))
+
+
+def _edt_sq(source: np.ndarray, spacing) -> np.ndarray:
+    """Squared EDT of a boolean source mask. Units: mm^2."""
+    g = _edt_sq_in_planes(source, spacing)
+    return np.ascontiguousarray(_all_pairs_pass(g, 2, float(spacing[2])))
+
+
+def _edt_sq_at(source: RegionMask, queries: RegionMask) -> np.ndarray:
+    """Squared distance (mm^2) from each query voxel, in C order, to the
+    nearest ``source`` voxel: the values of ``_edt_sq`` there, with the last
+    pass evaluated at the queries alone."""
+    g = _edt_sq_in_planes(source.data, source.spacing)
+    n = g.shape[2]
+    cost = _sq_gaps(n, float(source.spacing[2]))
+    i, j, k = np.nonzero(queries.data)
+    out = np.empty(len(k))
+    chunk = max(1, _CHUNK // n)
+    for lo in range(0, len(k), chunk):
+        hi = lo + chunk
+        out[lo:hi] = (g[i[lo:hi], j[lo:hi], :] + cost[k[lo:hi], :]).min(axis=1)
+    return out
 
 
 def edt(m: RegionMask) -> Volume:
@@ -132,13 +193,29 @@ def edt(m: RegionMask) -> Volume:
     return Volume(np.sqrt(sq), m.spacing, m.origin)
 
 
-def _percentile95(values: np.ndarray) -> float:
-    # Linear interpolation between closest ranks (numpy's default).
-    return float(np.percentile(values, 95))
+def percentile(values: np.ndarray, p: float) -> float:
+    """The ``p``-th percentile (0 <= p <= 100) of nonempty ``values`` by
+    linear interpolation between closest ranks: ``np.percentile``'s default
+    method, computed the same way, without the ``numpy.ma`` import (about
+    10 ms and 1 MB) that ``np.percentile`` makes on its first call."""
+    n = values.size
+    index = (n - 1) * (p / 100)
+    lo = int(index)
+    hi = min(lo + 1, n - 1)
+    part = np.partition(values, (lo, hi))
+    a, b = float(part[lo]), float(part[hi])
+    t = index - lo
+    if t >= 0.5:
+        return b - (b - a) * (1 - t)
+    return a + (b - a) * t
 
 
 def hd95(a: RegionMask, b: RegionMask, penalty: float = EMPTY_PENALTY_MM) -> float:
-    """Symmetric 95th-percentile boundary distance in mm."""
+    """Symmetric 95th-percentile boundary distance in mm.
+
+    Each direction takes the distance to one mask's boundary at the other's
+    boundary voxels only, inside the box of the masks' union.
+    """
     require_same_geometry(a, b)
     a_empty = not a.data.any()
     b_empty = not b.data.any()
@@ -147,13 +224,10 @@ def hd95(a: RegionMask, b: RegionMask, penalty: float = EMPTY_PENALTY_MM) -> flo
     if a_empty or b_empty:
         return float(penalty)
     box = nonzero_bbox(replace(a, data=a.data | b.data))
-    a, b = crop(a, box), crop(b, box)
-    ba = boundary(a)
-    bb = boundary(b)
-    dist_to_b = edt(bb).data
-    dist_to_a = edt(ba).data
-    d_ab = _percentile95(dist_to_b[ba.data])
-    d_ba = _percentile95(dist_to_a[bb.data])
+    ba = boundary(crop(a, box))
+    bb = boundary(crop(b, box))
+    d_ab = percentile(np.sqrt(_edt_sq_at(bb, ba)), 95)
+    d_ba = percentile(np.sqrt(_edt_sq_at(ba, bb)), 95)
     return max(d_ab, d_ba)
 
 

@@ -516,6 +516,8 @@ def _fuse_one_case(case: CaseInput, cfg: PipelineConfig) -> dict:
 
 
 def _run_cases(worker, items, jobs: int):
+    # Under fork, the pool starts all its workers at once, however few items.
+    jobs = min(jobs, len(items))
     if jobs <= 1:
         return [worker(i) for i in items]
     # Imported here: loading the process pool costs every command about 20 ms.

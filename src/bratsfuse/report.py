@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyList
-from .metrics import REGION_ORDER, CaseMetrics
+from .metrics import REGION_ORDER, CaseMetrics, percentile
 
 __all__ = [
     "StatRow",
@@ -53,9 +53,9 @@ def _stat_row(values: np.ndarray) -> StatRow:
     return StatRow(
         mean=float(values.mean()),
         stddev=float(values.std()),  # population
-        median=float(np.percentile(values, 50)),
-        q25=float(np.percentile(values, 25)),
-        q75=float(np.percentile(values, 75)),
+        median=percentile(values, 50),
+        q25=percentile(values, 25),
+        q75=percentile(values, 75),
     )
 
 

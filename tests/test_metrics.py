@@ -5,12 +5,26 @@ from hypothesis import strategies as st
 
 from bratsfuse import metrics
 from bratsfuse.errors import EmptyMask, GeometryMismatch
-from bratsfuse.metrics import EMPTY_PENALTY_MM, boundary, dice, edt, evaluate_case, hd95
+from bratsfuse.metrics import (
+    EMPTY_PENALTY_MM,
+    boundary,
+    dice,
+    edt,
+    evaluate_case,
+    hd95,
+    percentile,
+)
 from bratsfuse.regions import Region, RegionMask, region_mask
 from bratsfuse.volume import LabelMap
 
 from .conftest import random_mask
-from .oracles import boundary_reference, brute_force_edt, dice_counts, hd95_all_pairs
+from .oracles import (
+    boundary_reference,
+    brute_force_edt,
+    dice_counts,
+    hd95_all_pairs,
+    percentile_linear,
+)
 
 HD95_TOL_MM = 1e-9
 ANISO = (1.2, 0.7, 2.5)
@@ -95,6 +109,44 @@ class TestEdt:
         with pytest.raises(EmptyMask):
             edt(mask(np.zeros((3, 3, 3))))
 
+    def test_a_line_with_no_source_stays_infinite_after_the_first_pass(self):
+        data = np.zeros((7, 3, 2), dtype=bool)
+        data[2, 0, 0] = data[5, 0, 0] = data[0, 2, 1] = True
+        g = metrics._nearest_on_lines_sq(data, 1.2)
+        x = 1.2 * np.arange(7)
+        np.testing.assert_array_equal(
+            g[:, 0, 0], np.minimum((x - x[2]) ** 2, (x - x[5]) ** 2))
+        np.testing.assert_array_equal(g[:, 2, 1], (x - x[0]) ** 2)
+        others = np.ones((3, 2), dtype=bool)
+        others[0, 0] = others[2, 1] = False
+        assert np.isinf(g[:, others]).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.one_of(
+            st.tuples(*[st.integers(1, 9)] * 3),
+            st.sampled_from([(1, 7, 6), (8, 1, 6), (8, 7, 1), (1, 1, 9), (9, 1, 1)]),
+        ),
+        spacing=st.sampled_from([(1.0, 1.0, 1.0), ANISO, (2.0, 2.0, 2.5)]),
+        density=st.sampled_from([0.02, 0.1, 0.4]),
+    )
+    def test_distances_at_queries_are_the_whole_map_at_them(self, seed, shape, spacing,
+                                                            density):
+        """The last pass at the queries alone gives, bit for bit, the whole
+        map's values there, ``inf`` included where the source is empty."""
+        rng = np.random.default_rng(seed)
+        source = rng.random(shape) < density
+        queries = rng.random(shape) < 0.5
+        whole = metrics._edt_sq(source, spacing)
+        got = metrics._edt_sq_at(mask(source, spacing), mask(queries, spacing))
+        assert np.array_equal(got, whole[queries])
+        if source.any():
+            np.testing.assert_allclose(np.sqrt(whole), brute_force_edt(source, spacing),
+                                       rtol=1e-12, atol=1e-12)
+        else:
+            assert np.isinf(whole).all()
+
 
 class TestHd95:
     def test_both_empty_is_zero(self):
@@ -141,23 +193,24 @@ class TestHd95:
         assert abs(got - want) <= HD95_TOL_MM
 
     def test_distance_transforms_cover_only_the_union_box(self, monkeypatch):
-        """``hd95`` hands box-sized masks, with the box's world origin, to the
-        module's ``edt``."""
+        """``hd95`` hands box-sized sources and queries, with the box's world
+        origin, to the module's squared-distance core."""
         seen = []
-        real_edt = metrics.edt
+        real = metrics._edt_sq_at
 
-        def spy(m):
-            seen.append((m.shape, m.origin))
-            return real_edt(m)
+        def spy(source, queries):
+            seen.append((source.shape, queries.shape, source.origin, queries.origin))
+            return real(source, queries)
 
-        monkeypatch.setattr(metrics, "edt", spy)
+        monkeypatch.setattr(metrics, "_edt_sq_at", spy)
         a = blob((40, 36, 30), (30, 28, 24), (34, 32, 27))
         b = blob((40, 36, 30), (31, 27, 23), (36, 33, 26))
         hd95(mask(a, ANISO, (-90.0, 12.5, 3.0)), mask(b, ANISO, (-90.0, 12.5, 3.0)))
         origin = (-90.0 + 30 * 1.2, 12.5 + 27 * 0.7, 3.0 + 23 * 2.5)
-        assert [s for s, _ in seen] == [(7, 7, 5)] * 2
-        for _, o in seen:
-            np.testing.assert_allclose(o, origin, rtol=0, atol=1e-12)
+        assert [(s, q) for s, q, _, _ in seen] == [((7, 7, 5), (7, 7, 5))] * 2
+        for _, _, *origins in seen:
+            for o in origins:
+                np.testing.assert_allclose(o, origin, rtol=0, atol=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -171,6 +224,22 @@ class TestHd95:
         a = rng.random(shape) < density
         b = rng.random(shape) < density
         assert_hd95_matches_oracle(a, b, spacing)
+
+
+class TestPercentile:
+    def test_equals_numpy_percentile(self, rng):
+        """Bit for bit ``np.percentile``'s default (linear) method, on
+        distances with many ties."""
+        scales = (1.0, 1.2, 2.0, 2.5)
+        for n in range(1, 2001):
+            v = np.sqrt(rng.integers(0, 40, n).astype(np.float64)) * scales[n % 4]
+            for p in (25, 50, 75, 95):
+                assert percentile(v, p) == float(np.percentile(v, p)), (n, p)
+
+    def test_against_the_hand_rolled_oracle(self, rng):
+        v = rng.random(37) * 10
+        for p in (0, 25, 50, 75, 95, 100):
+            assert abs(percentile(v, p) - percentile_linear(v, p)) <= 1e-12
 
 
 def test_evaluate_case_against_oracles():

@@ -379,6 +379,64 @@ def test_cli_import_loads_no_process_pool():
     assert out.stdout.strip() == "[]"
 
 
+def _cli_in_subprocess(*commands):
+    """Run the CLI ``commands`` (argument lists) one after another in a fresh
+    interpreter; returns which of numpy.ma and the process-pool modules it
+    had loaded by the end."""
+    code = ("import sys\n"
+            "from bratsfuse.cli import main\n"
+            f"for args in {commands!r}:\n"
+            "    main(args, standalone_mode=False)\n"
+            "print([m for m in ('numpy.ma', 'concurrent.futures.process', "
+            "'multiprocessing') if m in sys.modules])")
+    src = str(Path(bratsfuse.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": src})
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_eval_of_one_pair_starts_no_process_pool(tmp_path):
+    # Under fork, a pool of 4 would start 4 workers for the one pair.
+    dirs = [str(d) for d in _write_pairs(tmp_path, {"c0": _phantom_pair()})]
+    out4, out1 = tmp_path / "jobs4", tmp_path / "jobs1"
+    assert _cli_in_subprocess(["eval", *dirs, "--out", str(out4), "--jobs", "4"]) == "[]"
+    run_eval(*dirs, out1)
+    names = sorted(p.name for p in out1.iterdir())
+    assert names == ["cases.csv", "cases.json", "summary.json", "summary.txt"]
+    assert sorted(p.name for p in out4.iterdir()) == names
+    for name in names:
+        assert (out4 / name).read_bytes() == (out1 / name).read_bytes(), name
+
+
+def test_the_pool_starts_no_more_workers_than_cases(tmp_path, monkeypatch):
+    import concurrent.futures
+
+    seen = []
+
+    class Spy(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            seen.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+    dirs = _write_pairs(tmp_path, {"c0": _phantom_pair(), "c1": _phantom_pair(8)})
+    cases, errors = run_eval(*dirs, tmp_path / "out", jobs=4)
+    assert seen == [2]
+    assert [c.case_id for c in cases] == ["c0", "c1"] and errors == []
+
+
+def test_eval_and_report_load_no_numpy_ma(tmp_path):
+    # np.percentile would import numpy.ma: about 10 ms and 1 MB per process.
+    pairs = {f"c{c}": _phantom_pair(seed=c) for c in range(3)}
+    dirs = [str(d) for d in _write_pairs(tmp_path, pairs)]
+    out, rep = tmp_path / "eval", tmp_path / "report"
+    assert _cli_in_subprocess(
+        ["eval", *dirs, "--out", str(out)],
+        ["report", str(out / "cases.csv"), "--out", str(rep)]) == "[]"
+    assert (out / "summary.json").read_bytes() == (rep / "summary.json").read_bytes()
+
+
 @pytest.mark.parametrize("command", ["fuse", "eval"])
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_jobs_below_one_is_a_usage_error(tmp_path, command, jobs):
@@ -1516,7 +1574,8 @@ def _eval_peak(tmp_path, shape):
 
 
 def test_eval_holds_memory_by_the_tumour_not_the_grid(tmp_path):
-    _eval_peak(tmp_path / "warm", (80, 80, 64))  # first-use imports
+    # The first eval of a process also fills one-time caches (a few KB).
+    _eval_peak(tmp_path / "warm", (80, 80, 64))
     small = _eval_peak(tmp_path / "small", (80, 80, 64))
     large = _eval_peak(tmp_path / "large", (240, 240, 155))
     # 22 times the voxels, the same peak: two slab buffers of 128 KB and the
