@@ -50,11 +50,8 @@ from .nifti import (
     load_labelmap,
     load_probmap,
     load_volume,
-    read_labelmap,
-    read_nifti,
     save_nifti,
     save_probmap,
-    write_nifti,
 )
 
 __version__ = "0.1.0"

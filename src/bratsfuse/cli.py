@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands cover the path from model outputs to scores: ``synth`` (phantom
-fixtures), ``fuse``, ``postprocess``, ``eval``, ``report`` and ``rank``. The
+fixtures), ``fuse``, ``postprocess`` (``fuse`` of one label map alone, which
+applies the ET size threshold), ``eval``, ``report`` and ``rank``. The
 models' own inference (normalisation, sliding windows) runs before them,
 outside this package. Volumes are NIfTI-1 files; machine outputs are JSON or
 CSV. Exit codes: 0 success, 1 configuration error or a file that cannot be
@@ -23,16 +24,17 @@ import click
 
 from .errors import BratsFuseError
 from .metrics import EMPTY_PENALTY_MM
-from .nifti import _write_text, load_labelmap, save_nifti, save_probmap
+from .nifti import _write_text, save_nifti, save_probmap
 from .pipeline import (
     PipelineConfig,
     read_cases_csv,
     run_eval,
     run_fuse,
+    run_postprocess,
     run_rank,
     write_summary_outputs,
 )
-from .postprocess import DEFAULT_ET_THRESHOLD, et_threshold_relabel
+from .postprocess import DEFAULT_ET_THRESHOLD
 from .report import summarize
 from .synth import PhantomSpec, corrupt_labels, make_phantom, noisy_probmap
 
@@ -190,12 +192,9 @@ def synth_cmd(out_dir, seed, shape, raters, rate, probmaps):
               show_default=True)
 def postprocess_cmd(input_nii, output_nii, et_threshold):
     """Apply the ET size-threshold relabeling to a label map."""
-    m = load_labelmap(input_nii)
-    out = et_threshold_relabel(m, et_threshold)
-    save_nifti(output_nii, out)
-    before = int((m.data == 4).sum())
-    after = before if out is m else 0  # a relabel moves every ET voxel
-    click.echo(f"wrote {output_nii} (ET voxels {before} -> {after})")
+    diag = run_postprocess(input_nii, output_nii, et_threshold)
+    click.echo(f"wrote {output_nii} (ET voxels {diag['et_voxels_before']} -> "
+               f"{diag['et_voxels_after']})")
 
 
 if __name__ == "__main__":

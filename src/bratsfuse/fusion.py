@@ -34,23 +34,22 @@ on them exactly as above. Thresholding each region's posterior and
 recomposing once per joint row gives a label lookup table (``staple_lut``),
 and the fused map is the table read at every voxel's code. The result
 equals per-region ``staple_binary`` plus ``recompose_labels`` without a
-per-voxel mask, posterior or recomposition. ``staple_multilabel_detailed``
-does this for label maps in memory. A caller that reads its raters slab by
-slab fills a slab of codes itself (``joint_codes``, ``pack_labels``), keeps
-only the spans of it outside which every code is 0 (``code_span``) and
-counts those, with every other voxel as code 0 (``joint_histogram``), so it
-holds no whole-volume array.
+per-voxel mask, posterior or recomposition. The codes are filled by
+``joint_codes`` and ``pack_labels`` and counted by ``joint_histogram``,
+whole (``staple_multilabel_detailed``) or slab by slab by a caller that
+keeps only the spans outside which every code is 0 (``code_span``) and
+counts every other voxel as code 0, so it holds no whole-volume array.
 
 All of this counting is one operation: each of the J raters gives a row a
 digit of ``width`` bits (1 for a decision, 2 for a label), packed into the
 smallest unsigned integer type that holds ``width * J`` bits (uint8 for
-three raters' labels; beyond 64 bits, several uint64 words). While a row
-has at most ``CODE_BITS`` bits, ``np.bincount`` counts every code and the
-patterns come out in ascending code order; beyond that, the distinct rows
-are sorted out and a row's pattern is found by binary search, so no
-per-voxel index is stored. The passes over all voxels (packing, scanning
-for spans, counting and the final gather) run ``CHUNK_VOXELS`` voxels at a
-time.
+three raters' labels; beyond 64 bits, several uint64 words). Decisions are
+counted by ``_patterns``, labels by ``joint_histogram``. While a row has at
+most ``CODE_BITS`` bits, ``np.bincount`` counts every code and the patterns
+come out in ascending code order; beyond that, the distinct rows are sorted
+out and a row's pattern is found by binary search, so no per-voxel index is
+stored. The passes over all voxels (packing, scanning for spans, counting
+and the final gather) run ``CHUNK_VOXELS`` voxels at a time.
 """
 
 from __future__ import annotations
@@ -299,26 +298,24 @@ def _count(pieces: list[np.ndarray], width: int, n_cols: int, zeros: int = 0,
     return pats, counts, index
 
 
-def _patterns(cols: list[np.ndarray], width: int, weights: np.ndarray | None = None):
-    """The distinct rows of the J columns ``cols`` and how often each occurs.
+def _patterns(cols: list[np.ndarray], weights: np.ndarray | None = None):
+    """The distinct rows of the J 0/1 decision columns ``cols`` and how
+    often each occurs.
 
-    ``cols`` holds one 1-D array of M digits per rater: 0/1 decisions for
-    ``width`` 1, BraTS labels (counted as their position in BRATS_LABELS)
-    for ``width`` 2. Returns ``(pats, counts, index, words)``: the K rows
-    that occur as a (J, K) matrix of digits, the number of rows equal to
-    each (the sum of their ``weights`` if given, which must be positive),
-    and the packed rows ``words`` with the ``_Index`` from rows to
-    patterns, so that ``pats[:, index[words]]`` is the (J, M) matrix of
-    ``cols``.
+    ``cols`` holds one 1-D array of M decisions per rater. Returns ``(pats,
+    counts, index, words)``: the K rows that occur as a (J, K) matrix of
+    decisions, the number of rows equal to each (the sum of their
+    ``weights`` if given, which must be positive), and the packed rows
+    ``words`` with the ``_Index`` from rows to patterns, so that
+    ``pats[:, index[words]]`` is the (J, M) matrix of ``cols``.
     """
     m = cols[0].size
-    words = _words(len(cols), width, m)
+    words = _words(len(cols), 1, m)
     for start in range(0, m, CHUNK_VOXELS):
         chunk = slice(start, start + CHUNK_VOXELS)
         for r, col in enumerate(cols):
-            digits = _label_index(col[chunk]) if width == 2 else col[chunk]
-            _pack(words[chunk], r, digits, width)
-    pats, counts, index = _count([words], width, len(cols),
+            _pack(words[chunk], r, col[chunk], 1)
+    pats, counts, index = _count([words], 1, len(cols),
                                  weights=None if weights is None else [weights])
     return pats, counts, index, words
 
@@ -466,7 +463,7 @@ def staple_binary(
         if m.region is not region:
             raise GeometryMismatch("rater masks disagree on the region tag")
     bits = [m.data.reshape(-1).view(np.uint8) for m in masks]
-    pats, counts, index, words = _patterns(bits, 1)
+    pats, counts, index, words = _patterns(bits)
     w, fit = _staple_em(pats, counts, len(words), init, tol, max_iters)
     posterior = _gather(index.of(w), words).reshape(masks[0].shape)
     mask = RegionMask(region, posterior >= 0.5, masks[0].spacing, masks[0].origin)
@@ -503,7 +500,7 @@ def staple_lut(
     fused = []
     for r in (Region.ET, Region.TC, Region.WT):
         bits = [_MEMBERSHIP[r][rater_rows] for rater_rows in rows]
-        pats, pat_counts, pat_index, pat_of_row = _patterns(bits, 1, counts)
+        pats, pat_counts, pat_index, pat_of_row = _patterns(bits, counts)
         w, fits[r.value] = _staple_em(pats, pat_counts, n_voxels, init, tol, max_iters)
         row_mask = pat_index.of(w >= 0.5)[pat_of_row].reshape(-1, 1, 1)
         fused.append(RegionMask(r, row_mask))
@@ -519,18 +516,22 @@ def staple_multilabel_detailed(
     """Binary STAPLE per region (ET, TC, WT), recomposed into one label map.
 
     Gives the labels and fits of ``staple_binary`` on every region's rater
-    masks followed by ``recompose_labels``, from one histogram of the
-    voxels' joint rater labels (see the module docstring). Returns the
-    labels, in the first map's memory order, and each region's fit.
+    masks followed by ``recompose_labels``, from the histogram of the
+    voxels' joint rater labels, packed and counted as one piece (see the
+    module docstring). Returns the labels, in the first map's memory order,
+    and each region's fit.
     """
     if not maps:
         raise EmptyList("staple_multilabel needs at least one rater map")
     require_same_geometry(*maps)
     first = maps[0].data
     order = "F" if first.flags.f_contiguous and not first.flags.c_contiguous else "C"
-    rows, counts, index, words = _patterns([m.data.ravel(order) for m in maps], 2)
-    lut, fits = staple_lut(rows, counts, len(words), init, tol, max_iters)
-    labels = _gather(index.of(lut), words).reshape(first.shape, order=order)
+    codes = joint_codes(len(maps), first.size)
+    for r, m in enumerate(maps):
+        pack_labels(codes, r, m.data.ravel(order))
+    rows, counts, index = joint_histogram([codes], len(maps), first.size)
+    lut, fits = staple_lut(rows, counts, first.size, init, tol, max_iters)
+    labels = _gather(index.of(lut), codes).reshape(first.shape, order=order)
     return LabelMap(labels, maps[0].spacing, maps[0].origin), fits
 
 

@@ -6,23 +6,24 @@ Geometry handling is deliberately minimal: spacing comes from ``pixdim``,
 the world offset from ``qoffset_*``, and any rotation encoded in the
 qform/sform is ignored (the data this toolkit targets is co-registered).
 
+Every file is read through :class:`PlaneReader`, which opens it, parses and
+checks its header and its size once, and then reads any voxel range with
+``readinto`` into a buffer the caller owns and reuses. The body of a file is
+x-fastest, so any range of voxels ``start:stop`` in that order is one
+contiguous byte range, and the voxels of planes ``z0:z1`` are the range
+``nx*ny*z0 : nx*ny*z1``. :func:`read_label_planes` checks such a range as
+BraTS labels; :func:`load_volume` and :func:`load_labelmap` read a whole
+file as one range.
+
 Writing uses float32 for :class:`~bratsfuse.volume.Volume` and uint8 for
 :class:`~bratsfuse.volume.LabelMap`, with ``vox_offset`` 352 and data in
-x-fastest order, so ``read(write(v))`` reproduces shape, spacing, and data
-bit-exactly for the supported dtypes. :func:`header_bytes` builds the 352
-bytes before the voxels, so a writer can stream a label body after it
-slab by slab and get the bytes :func:`write_nifti` would. Every file this
+x-fastest order, so loading a saved file reproduces shape, spacing, and
+data bit-exactly for the supported dtypes. :func:`header_bytes` builds the
+352 bytes before the voxels, so a writer can stream a label body after it
+slab by slab and get the bytes :func:`save_nifti` would. Every file this
 package writes goes through :func:`_write_atomic`: a temporary file in the
 same directory, moved onto its name with ``os.replace``, so a failed or
 interrupted write leaves the earlier file, if any, under that name.
-
-The body of a file is x-fastest, so any range of voxels ``start:stop`` in
-that order is one contiguous byte range, and the voxels of planes
-``z0:z1`` are the range ``nx*ny*z0 : nx*ny*z1``. :class:`PlaneReader`
-opens one file, parses and checks its header and its size once, and then
-reads any voxel range with ``readinto`` into a buffer the caller owns and
-reuses; :func:`read_label_planes` checks such a range with the rules
-:func:`read_labelmap` applies to a whole file.
 
 Probability maps do not fit in a 3-D file; they serialize as one NIfTI per
 channel plus a JSON manifest ``{"channels": [0, 1, 2, 4], "files": [...]}``.
@@ -30,18 +31,18 @@ channel plus a JSON manifest ``{"channels": [0, 1, 2, 4], "files": [...]}``.
 checks to agree. Decoding a voxel range is two steps: ``read`` gives every
 channel's stored values as a view, in its file's dtype, over a caller's
 buffer, and ``renormalise`` casts such channels into float64 rows, divides
-them by their sums, clips and checks them; ``decode`` is the one after the
-other. So a map can be read a chunk at a time without a header parse or a
-fresh array per chunk, and a caller can look at the stored values before
-any arithmetic: a fold model renormalises only the voxels that some fold
-does not store as certain background, exactly (1, 0, 0, 0) (see
-``pipeline``). :func:`load_probmap` decodes a whole map in one call; a
-map's header alone is ``ProbmapFiles(m).header``.
+them by their sums, clips and checks them. So a map can be read a chunk at
+a time without a header parse or a fresh array per chunk, and a caller can
+look at the stored values before any arithmetic: a fold model renormalises
+only the voxels that some fold does not store as certain background,
+exactly (1, 0, 0, 0) (see ``pipeline``). :func:`load_probmap` does both
+steps on a whole map; a map's header alone is ``ProbmapFiles(m).header``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from contextlib import ExitStack, contextmanager
@@ -70,9 +71,6 @@ from .volume import (
 )
 
 __all__ = [
-    "read_nifti",
-    "read_labelmap",
-    "write_nifti",
     "load_volume",
     "load_labelmap",
     "save_nifti",
@@ -165,26 +163,6 @@ def _parse_header(raw: bytes) -> Header:
     return Header(shape, spacing, origin, _DTYPES[datatype], offset)
 
 
-def read_nifti(raw: bytes) -> Volume:
-    """Parse an uncompressed single-file NIfTI-1 byte stream into a Volume."""
-    hdr = _parse_header(raw)
-    if len(raw) < hdr.data_end:
-        raise TruncatedFile(f"need {hdr.data_end} bytes of data, got {len(raw)}")
-    data = np.frombuffer(
-        raw, dtype=hdr.dtype, count=int(np.prod(hdr.shape)), offset=hdr.offset
-    )
-    try:
-        return Volume(data.reshape(hdr.shape, order="F"), hdr.spacing, hdr.origin)
-    except ValueError as e:
-        raise BadData(str(e)) from e
-
-
-def read_labelmap(raw: bytes) -> LabelMap:
-    """Like :func:`read_nifti`, validating voxel values as BraTS labels."""
-    v = read_nifti(raw)
-    return LabelMap(v.data, v.spacing, v.origin)
-
-
 def header_bytes(shape, spacing, origin, dtype) -> bytes:
     """The 352 bytes before the voxels of a NIfTI-1 file of ``shape``,
     ``spacing`` and ``origin`` holding ``dtype`` (uint8 or float32) voxels:
@@ -212,31 +190,6 @@ def header_bytes(shape, spacing, origin, dtype) -> bytes:
     struct.pack_into("<4f", hdr, 312, 0.0, 0.0, sz, oz)
     hdr[344:348] = MAGIC
     return bytes(hdr)
-
-
-def _payload(v: Volume | LabelMap) -> np.ndarray:
-    """The voxels as written: uint8 for a LabelMap, float32 otherwise."""
-    return v.data.astype("<u1" if isinstance(v, LabelMap) else "<f4", copy=False)
-
-
-def write_nifti(v: Volume | LabelMap) -> bytes:
-    """Serialize to NIfTI-1: float32 for Volume, uint8 for LabelMap."""
-    payload = _payload(v)
-    return header_bytes(v.shape, v.spacing, v.origin, payload.dtype) + \
-        payload.tobytes(order="F")
-
-
-def load_volume(path) -> Volume:
-    return read_nifti(Path(path).read_bytes())
-
-
-def load_labelmap(path) -> LabelMap:
-    """The label map in file ``path``; an unreadable path is a ConfigError."""
-    try:
-        raw = Path(path).read_bytes()
-    except OSError as e:
-        raise ConfigError(f"cannot open label map {path}: {e.strerror}") from e
-    return read_labelmap(raw)
 
 
 @contextmanager
@@ -267,10 +220,10 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def save_nifti(path, v: Volume | LabelMap) -> Path:
-    """Write ``v`` as :func:`write_nifti` encodes it, without building the
-    whole file in memory."""
+    """Write ``v`` to ``path``: the header :func:`header_bytes` builds, then
+    the voxels x-fastest, uint8 for a LabelMap and float32 otherwise."""
     path = Path(path)
-    payload = _payload(v)
+    payload = v.data.astype("<u1" if isinstance(v, LabelMap) else "<f4", copy=False)
     with _write_atomic(path) as fh:
         fh.write(header_bytes(v.shape, v.spacing, v.origin, payload.dtype))
         fh.write(payload.ravel(order="F"))
@@ -367,10 +320,9 @@ class PlaneReader:
 def read_label_planes(f: PlaneReader, start: int, stop: int,
                       buf: np.ndarray) -> np.ndarray:
     """Voxels ``start:stop`` of a label file read into ``buf`` (see
-    :meth:`PlaneReader.read`), checked as :func:`read_labelmap` checks a
-    whole file: a NaN or infinite voxel is ``BadData``, any other value
-    outside {0, 1, 2, 4} ``InvalidLabel``, which lists the offending values
-    of these voxels."""
+    :meth:`PlaneReader.read`), checked as BraTS labels: a NaN or infinite
+    voxel is ``BadData``, any other value outside {0, 1, 2, 4}
+    ``InvalidLabel``, which lists the offending values of these voxels."""
     data = f.read(start, stop, buf)
     try:
         _check_finite(data)
@@ -380,13 +332,46 @@ def read_label_planes(f: PlaneReader, start: int, stop: int,
     return data
 
 
+def _open_labels(path) -> PlaneReader:
+    """A :class:`PlaneReader` of the label map ``path``; an unreadable path
+    is a ConfigError."""
+    try:
+        return PlaneReader(path)
+    except OSError as e:
+        raise ConfigError(f"cannot open label map {path}: {e.strerror}") from e
+
+
+def _whole(f: PlaneReader, read) -> np.ndarray:
+    """Every voxel of ``f`` by ``read`` (:meth:`PlaneReader.read` or
+    :func:`read_label_planes`), shaped as its grid."""
+    n = math.prod(f.header.shape)
+    return read(f, 0, n, np.empty(n, f.header.dtype)).reshape(f.header.shape, order="F")
+
+
+def load_volume(path) -> Volume:
+    """The volume in file ``path``; a NaN or infinite voxel is BadData."""
+    with PlaneReader(path) as f:
+        data = _whole(f, PlaneReader.read)
+    try:
+        return Volume(data, f.header.spacing, f.header.origin)
+    except ValueError as e:
+        raise BadData(str(e)) from e
+
+
+def load_labelmap(path) -> LabelMap:
+    """The label map in file ``path``, checked by :func:`read_label_planes`;
+    an unreadable path is a ConfigError."""
+    with _open_labels(path) as f:
+        return LabelMap(_whole(f, read_label_planes), f.header.spacing, f.header.origin)
+
+
 class ProbmapFiles:
     """The channel files of a probability map, each a :class:`PlaneReader`.
 
     Opening reads the manifest and opens the four channel readers, which
     check their headers and sizes, and checks that the four grids agree;
-    :meth:`decode` then reads any range of voxels without parsing or
-    checking the headers again. Use it as a context manager (or call
+    :meth:`read` then reads any range of voxels without parsing or checking
+    the headers again. Use it as a context manager (or call
     :meth:`close`).
     """
 
@@ -462,25 +447,19 @@ class ProbmapFiles:
             raise BadData(f"{self.manifest}: {e}") from e
         return out
 
-    def decode(self, start: int, stop: int, raw: np.ndarray, out: np.ndarray,
-               sums: np.ndarray) -> np.ndarray:
-        """Voxels ``start:stop`` read into ``raw`` (see :meth:`read`) and
-        renormalised into ``out`` with ``sums`` (see :meth:`renormalise`);
-        returns ``out``."""
-        return self.renormalise(self.read(start, stop, raw), out, sums)
-
 
 def load_probmap(manifest_path) -> ProbMap:
     """Read a per-channel manifest written by :func:`save_probmap`.
 
-    The whole map is decoded by :meth:`ProbmapFiles.decode`, whose
-    ``BadData`` checks apply.
+    The whole map is one voxel range, read by :meth:`ProbmapFiles.read` and
+    renormalised by :meth:`ProbmapFiles.renormalise`, whose ``BadData``
+    checks apply.
     """
     with ProbmapFiles(manifest_path) as files:
         nx, ny, nz = files.header.shape
         n = nx * ny * nz
-        data = files.decode(0, n, np.empty((4, n), np.float32), np.empty((4, n)),
-                            np.empty(n))
+        stored = files.read(0, n, np.empty((4, n), np.float32))
+        data = files.renormalise(stored, np.empty((4, n)), np.empty(n))
     # Each channel row is x-fastest: view it as (nx, ny, nz) without a copy.
     return ProbMap(data.reshape(4, nz, ny, nx).transpose(0, 3, 2, 1),
                    files.header.spacing, files.header.origin)

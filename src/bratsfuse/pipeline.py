@@ -3,10 +3,10 @@
 ``run_fuse`` fuses each case's models into one label map: a model is a
 label map or fold probability maps, several models are fused with STAPLE
 (a single model passes through), the ET size threshold is applied, and the
-fused NIfTI is written with a JSON diagnostics sidecar. ``run_eval`` pairs
-prediction and ground-truth files by filename stem, reads each pair as a
-case of two label-map models, and emits per-case metrics (CSV + JSON) and
-summary tables.
+fused NIfTI is written with a JSON diagnostics sidecar (``run_postprocess``:
+one label map alone, no sidecar). ``run_eval`` pairs prediction and
+ground-truth files by filename stem, reads each pair as a case of two
+label-map models, and emits per-case metrics (CSV + JSON) and summary tables.
 
 A case is read in one loop over slabs of whole z-planes (about
 ``SLAB_VOXELS`` voxels, at least one plane); a slab is the x-fastest voxel
@@ -14,8 +14,8 @@ range of its planes, read from each file as one contiguous byte range.
 Every input file is opened and its header parsed and checked once, and the
 models' grids are checked to agree, before the first slab. Per slab, each
 model gives its labels: a label map's voxels are read, into one read buffer
-that all of the case's label maps share, and checked as ``load_labelmap``
-checks a whole file. Fold maps are decoded in chunks of
+that all of the case's label maps share, and checked by
+``nifti.read_label_planes``. Fold maps are decoded in chunks of
 ``DECODE_VOXELS`` voxels, small enough that a chunk's buffers stay in
 cache through every pass over them. Per chunk, every fold's four stored
 channels are read, and the chunk's uncertain range is found: the smallest
@@ -113,8 +113,8 @@ from .metrics import (
     metrics_csv_row,
 )
 from .nifti import (
-    PlaneReader,
     ProbmapFiles,
+    _open_labels,
     _write_atomic,
     _write_text,
     header_bytes,
@@ -142,6 +142,7 @@ __all__ = [
     "CaseInput",
     "PipelineConfig",
     "run_fuse",
+    "run_postprocess",
     "run_eval",
     "run_rank",
     "read_cases_csv",
@@ -314,10 +315,7 @@ class _LabelModel:
     """A model given as a label map, read slab by slab."""
 
     def __init__(self, path: Path, stack: ExitStack):
-        try:
-            self._file = stack.enter_context(PlaneReader(path))
-        except OSError as e:
-            raise ConfigError(f"cannot open label map {path}: {e.strerror}") from e
+        self._file = stack.enter_context(_open_labels(path))
         self.header = self._file.header
         # Bytes per voxel this model reads into the case's read buffer.
         self.read_bytes = self.header.dtype.itemsize
@@ -473,7 +471,8 @@ def _write_run(fh, run: np.ndarray, n: int) -> None:
         fh.write(run[: n - start])
 
 
-def _fuse_one_case(case: CaseInput, cfg: PipelineConfig) -> dict:
+def _fuse_into(case: CaseInput, cfg: PipelineConfig, out_nii: Path) -> dict:
+    """Fuse ``case`` into the label file ``out_nii``; returns its diagnostics."""
     grid, spans = _read_spans(case)
     n_models, n_voxels = len(case.models), math.prod(grid.shape)
     rows, counts, index = joint_histogram([codes for _, codes in spans], n_models, n_voxels)
@@ -491,7 +490,6 @@ def _fuse_one_case(case: CaseInput, cfg: PipelineConfig) -> dict:
     # The voxels outside the spans, all of code 0, are written from one
     # buffer of its fused label.
     run = np.full(CHUNK_VOXELS, table[joint_codes(n_models, 1)][0], np.uint8)
-    out_nii = cfg.output_dir / f"{case.case_id}.nii"
     with _write_atomic(out_nii) as fh:
         fh.write(header_bytes(grid.shape, grid.spacing, grid.origin, np.uint8))
         end = 0
@@ -501,7 +499,7 @@ def _fuse_one_case(case: CaseInput, cfg: PipelineConfig) -> dict:
                 fh.write(table[codes[i : i + CHUNK_VOXELS]])
             end = start + len(codes)
         _write_run(fh, run, n_voxels - end)
-    diag = {
+    return {
         "case_id": case.case_id,
         "models": [m.name for m in case.models],
         "staple": staple_diag,
@@ -511,8 +509,15 @@ def _fuse_one_case(case: CaseInput, cfg: PipelineConfig) -> dict:
         "et_relabeled": relabel,
         "output": out_nii.name,
     }
-    _write_json(cfg.output_dir / f"{case.case_id}_staple.json", diag)
-    return diag
+
+
+def run_postprocess(input_nii, output_nii, et_threshold: int = DEFAULT_ET_THRESHOLD) -> dict:
+    """Apply the ET threshold to the label map ``input_nii``, written to
+    ``output_nii`` (which may be the same file): ``fuse`` of it as a
+    one-model case, with no sidecar. Returns the diagnostics."""
+    out = Path(output_nii)
+    case = CaseInput(out.stem, (ModelInput("input", labelmap=Path(input_nii)),))
+    return _fuse_into(case, PipelineConfig((case,), out.parent, et_threshold), out)
 
 
 def _run_cases(worker, items, jobs: int):
@@ -549,8 +554,11 @@ class _FuseTask:
     cfg: PipelineConfig
 
     def __call__(self, case: CaseInput):
+        out = self.cfg.output_dir
         try:
-            return _fuse_one_case(case, self.cfg), None
+            diag = _fuse_into(case, self.cfg, out / f"{case.case_id}.nii")
+            _write_json(out / f"{case.case_id}_staple.json", diag)
+            return diag, None
         except (BratsFuseError, OSError) as e:
             error = _case_error(case.case_id, e)
             # An earlier run's outputs for this case would otherwise be
@@ -558,7 +566,7 @@ class _FuseTask:
             # output's place is no such output, and is left; an output that
             # cannot be removed is named in the case's error.
             for name in (f"{case.case_id}.nii", f"{case.case_id}_staple.json"):
-                path = self.cfg.output_dir / name
+                path = out / name
                 try:
                     if not path.is_dir():
                         path.unlink(missing_ok=True)
@@ -727,18 +735,20 @@ def read_cases_csv(path) -> list[CaseMetrics]:
 
 
 def read_model_summaries_csv(path) -> list[ModelSummary]:
-    """Parse a CSV of per-model region means.
+    """Parse a CSV of per-model region means; a score that is not finite,
+    or a model named by two rows, is a ConfigError.
 
     Columns: model,DSC_ET,DSC_TC,DSC_WT,HD95_ET,HD95_TC,HD95_WT.
     """
     summaries = []
     for row in _csv_rows(path):
         try:
-            name = row["model"]
-            dsc, hd = _region_values(row)
+            summary = model_summary(row["model"], *_region_values(row))
+            if any(s.name == summary.name for s in summaries):
+                raise ValueError(f"model {summary.name!r} is named by an earlier row")
         except (KeyError, TypeError, ValueError) as e:
             raise ConfigError(f"bad model summary row {row}: {e}") from e
-        summaries.append(model_summary(name, dsc, hd))
+        summaries.append(summary)
     if not summaries:
         raise ConfigError(f"no model rows found in {path}")
     return summaries

@@ -82,9 +82,14 @@ class ModelSummary:
 
 
 def model_summary(name: str, dsc: dict[str, float], hd95: dict[str, float]) -> ModelSummary:
-    """Build a summary with region averages as plain arithmetic means."""
+    """Build a summary with region averages as plain arithmetic means.
+
+    Every score must be finite: a NaN compares false with every value, so
+    the ranking would depend on the order of the models."""
     if set(dsc) != set(REGION_ORDER) or set(hd95) != set(REGION_ORDER):
         raise ValueError(f"need one DSC and one HD95 value per region {REGION_ORDER}")
+    if not all(np.isfinite(v) for v in (*dsc.values(), *hd95.values())):
+        raise ValueError("scores must be finite")
     avg_dsc = sum(dsc[r] for r in REGION_ORDER) / len(REGION_ORDER)
     avg_hd95 = sum(hd95[r] for r in REGION_ORDER) / len(REGION_ORDER)
     return ModelSummary(name, dict(dsc), dict(hd95), avg_dsc, avg_hd95)

@@ -13,6 +13,9 @@ from bratsfuse.fusion import (
     argmax_labels,
     average_probs,
     default_staple_params,
+    joint_codes,
+    joint_histogram,
+    pack_labels,
     staple_binary,
     staple_multilabel,
     staple_multilabel_detailed,
@@ -232,7 +235,9 @@ class TestStapleBinary:
 
 
 class TestPatterns:
-    """The row counter behind every STAPLE path, by np.bincount and by sorting."""
+    """The row counters behind every STAPLE path, by np.bincount and by
+    sorting: ``_patterns`` for 0/1 decisions (width 1), ``joint_histogram``
+    for joint rater labels (width 2)."""
 
     @pytest.mark.parametrize("code_bits", [CODE_BITS, 4])
     @pytest.mark.parametrize("width, n_cols", [(1, 5), (2, 3)])
@@ -240,15 +245,26 @@ class TestPatterns:
     def test_rows_and_counts(self, rng, monkeypatch, code_bits, width, n_cols, weighted):
         monkeypatch.setattr(fusion, "CODE_BITS", code_bits)
         monkeypatch.setattr(fusion, "CHUNK_VOXELS", 97)
-        labels = np.array(BRATS_LABELS, dtype=np.uint8)
         digits = rng.integers(0, 1 << width, (n_cols, 500)).astype(np.uint8)
-        cols = list(digits if width == 1 else labels[digits])
-        weights = rng.integers(1, 5, 500) if weighted else None
-        pats, counts, index, codes = fusion._patterns(cols, width, weights)
-        assert np.array_equal(pats[:, index[codes]], digits)
+        weights = rng.integers(1, 5, 500) if weighted else np.ones(500, int)
         want = {}
         for k, row in enumerate(map(tuple, digits.T)):
-            want[row] = want.get(row, 0) + (1 if weights is None else weights[k])
+            want[row] = want.get(row, 0) + weights[k]
+        if width == 1:
+            pats, counts, index, codes = fusion._patterns(list(digits),
+                                                          weights if weighted else None)
+        else:
+            # joint_histogram counts voxels, so a row of weight w is w voxels
+            # of codes. They come in three pieces, and 7 voxels of code 0
+            # lie outside them.
+            digits = np.repeat(digits, weights, axis=1)
+            codes = joint_codes(n_cols, digits.shape[1])
+            for r, col in enumerate(digits):
+                pack_labels(codes, r, np.array(BRATS_LABELS, np.uint8)[col])
+            pats, counts, index = joint_histogram(np.split(codes, [123, 400]), n_cols,
+                                                  len(codes) + 7)
+            want[(0,) * n_cols] = want.get((0,) * n_cols, 0) + 7
+        assert np.array_equal(pats[:, index[codes]], digits)
         assert dict(zip(map(tuple, pats.T), counts.tolist())) == want
         if width * n_cols <= code_bits:  # counted: ascending code order
             row_codes = (pats << (width * np.arange(n_cols))[:, None]).sum(axis=0)

@@ -1,6 +1,8 @@
 import gzip
 import json
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,14 +24,13 @@ from bratsfuse.errors import (
 from bratsfuse.nifti import (
     PlaneReader,
     ProbmapFiles,
+    header_bytes,
     load_labelmap,
     load_probmap,
+    load_volume,
     read_label_planes,
-    read_labelmap,
-    read_nifti,
     save_nifti,
     save_probmap,
-    write_nifti,
 )
 from bratsfuse.volume import BBox, LabelMap, ProbMap, Volume, crop
 
@@ -48,11 +49,24 @@ def build_fixture(shape, spacing, datatype, payload, vox_offset=352.0, magic=b"n
     return bytes(hdr) + body + payload
 
 
+def _load(raw, load=load_volume):
+    """``load`` of a file holding the bytes ``raw``."""
+    with tempfile.TemporaryDirectory() as d:
+        (Path(d) / "v.nii").write_bytes(raw)
+        return load(Path(d) / "v.nii")
+
+
+def _saved(v):
+    """The bytes ``save_nifti`` writes for ``v``."""
+    with tempfile.TemporaryDirectory() as d:
+        return save_nifti(Path(d) / "v.nii", v).read_bytes()
+
+
 class TestRead:
     def test_fixture_parses(self):
         payload = np.arange(8, dtype="<f4").tobytes()
         raw = build_fixture((2, 2, 2), (1.0, 2.0, 3.0), 16, payload)
-        v = read_nifti(raw)
+        v = _load(raw)
         assert v.shape == (2, 2, 2)
         assert v.spacing == (1.0, 2.0, 3.0)
         # x-fastest on disk: linear element 1 is voxel (1, 0, 0)
@@ -60,64 +74,64 @@ class TestRead:
 
     def test_minimal_single_voxel(self):
         raw = build_fixture((1, 1, 1), (1.0, 1.0, 1.0), 16, np.zeros(1, "<f4").tobytes())
-        v = read_nifti(raw)
+        v = _load(raw)
         assert v.shape == (1, 1, 1)
         assert v.data[0, 0, 0] == 0.0
 
     def test_label_3_rejected_for_labelmap(self):
         payload = np.array([3], dtype="u1").tobytes()
         raw = build_fixture((1, 1, 1), (1.0, 1.0, 1.0), 2, payload)
-        read_nifti(raw)  # fine as a plain volume
+        _load(raw)  # fine as a plain volume
         with pytest.raises(InvalidLabel):
-            read_labelmap(raw)
+            _load(raw, load_labelmap)
 
     def test_bad_magic(self):
         raw = build_fixture((1, 1, 1), (1.0, 1.0, 1.0), 2, b"\x00", magic=b"ni1\x00")
         with pytest.raises(BadMagic):
-            read_nifti(raw)
+            _load(raw)
 
     def test_not_nifti_at_all(self):
         with pytest.raises(BadMagic):
-            read_nifti(b"\x00" * 400)
+            _load(b"\x00" * 400)
 
     def test_unsupported_dtype(self):
         raw = build_fixture((1, 1, 1), (1.0, 1.0, 1.0), 2, b"\x00")
         raw = raw[:70] + struct.pack("<h", 64) + raw[72:]  # float64 code
         with pytest.raises(UnsupportedDtype):
-            read_nifti(raw)
+            _load(raw)
 
     def test_truncated_header(self):
         with pytest.raises(TruncatedFile):
-            read_nifti(b"\x00" * 100)
+            _load(b"\x00" * 100)
 
     def test_truncated_data(self):
         raw = build_fixture((2, 2, 2), (1.0, 1.0, 1.0), 16, b"\x00\x00\x00\x00")
         with pytest.raises(TruncatedFile):
-            read_nifti(raw)
+            _load(raw)
 
     def test_gzip_rejected(self):
         raw = build_fixture((1, 1, 1), (1.0, 1.0, 1.0), 2, b"\x00")
         with pytest.raises(UnsupportedEncoding):
-            read_nifti(gzip.compress(raw))
+            _load(gzip.compress(raw))
 
     def test_big_endian_rejected(self):
         raw = bytearray(400)
         struct.pack_into(">i", raw, 0, 348)
         with pytest.raises(UnsupportedEncoding):
-            read_nifti(bytes(raw))
+            _load(bytes(raw))
 
     def test_nifti2_rejected(self):
         raw = bytearray(600)
         struct.pack_into("<i", raw, 0, 540)
         with pytest.raises(UnsupportedEncoding):
-            read_nifti(bytes(raw))
+            _load(bytes(raw))
 
     def test_non_3d_rejected(self):
         payload = np.zeros(1, "<f4").tobytes()
         raw = bytearray(build_fixture((1, 1, 1), (1.0, 1.0, 1.0), 16, payload))
         struct.pack_into("<8h", raw, 40, 4, 1, 1, 1, 1, 1, 1, 1)
         with pytest.raises(BadHeader):
-            read_nifti(bytes(raw))
+            _load(bytes(raw))
 
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -125,7 +139,7 @@ class TestRead:
         payload = np.array([0.0, bad], dtype="<f4").tobytes()
         raw = build_fixture((2, 1, 1), (1.0, 1.0, 1.0), 16, payload)
         with pytest.raises(BadData, match="NaN or Inf") as info:
-            read_labelmap(raw)
+            _load(raw, load_labelmap)
         # Still a ValueError for callers that catch the old type.
         assert isinstance(info.value, ValueError)
 
@@ -133,28 +147,28 @@ class TestRead:
         raw = bytearray(build_fixture((1, 1, 1), (1.0, 1.0, 1.0), 2, b"\x00"))
         struct.pack_into("<3f", raw, 268, 0.0, float("nan"), 0.0)
         with pytest.raises(BadData, match="origin"):
-            read_nifti(bytes(raw))
+            _load(bytes(raw))
 
     @pytest.mark.parametrize("offset", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_vox_offset_is_bad_header(self, offset):
         raw = bytearray(build_fixture((1, 1, 1), (1.0, 1.0, 1.0), 2, b"\x00"))
         struct.pack_into("<f", raw, 108, offset)
         with pytest.raises(BadHeader, match="vox_offset"):
-            read_nifti(bytes(raw))
+            _load(bytes(raw))
 
     @pytest.mark.parametrize("spacing", [(0.0, 1.0, 1.0), (1.0, float("nan"), 1.0),
                                          (1.0, 1.0, float("inf"))])
     def test_bad_spacing_is_a_nifti_error(self, spacing):
         raw = build_fixture((1, 1, 1), spacing, 2, b"\x00")
         with pytest.raises(NiftiError):
-            read_nifti(raw)
+            _load(raw)
 
 
     @pytest.mark.parametrize("slope, inter", [(0.0, 0.0), (0.0, 7.5), (1.0, 0.0)])
     def test_identity_scaling_reads(self, slope, inter):
         raw = bytearray(build_fixture((1, 1, 1), (1.0, 1.0, 1.0), 2, b"\x02"))
         struct.pack_into("<2f", raw, 112, slope, inter)
-        assert read_labelmap(bytes(raw)).data[0, 0, 0] == 2
+        assert _load(bytes(raw), load_labelmap).data[0, 0, 0] == 2
 
     @pytest.mark.parametrize("slope, inter", [(2.0, 0.0), (-1.0, 0.0), (1.0, 1.0),
                                               (0.5, 3.0), (float("nan"), 0.0)])
@@ -163,17 +177,17 @@ class TestRead:
                                       np.zeros(1, "<f4").tobytes()))
         struct.pack_into("<2f", raw, 112, slope, inter)
         with pytest.raises(UnsupportedEncoding, match="scl_slope"):
-            read_nifti(bytes(raw))
+            _load(bytes(raw))
 
     def test_written_files_are_unscaled(self):
-        raw = write_nifti(Volume(np.full((2, 1, 1), 3.5, np.float32)))
+        raw = _saved(Volume(np.full((2, 1, 1), 3.5, np.float32)))
         assert struct.unpack_from("<2f", raw, 112) == (1.0, 0.0)
-        assert read_nifti(raw).data.max() == 3.5
+        assert _load(raw).data.max() == 3.5
 
 
 class TestWrite:
     def test_labelmap_byte_layout(self):
-        raw = write_nifti(LabelMap(np.zeros((2, 2, 2), dtype=np.uint8)))
+        raw = _saved(LabelMap(np.zeros((2, 2, 2), dtype=np.uint8)))
         assert len(raw) == 352 + 8
         assert struct.unpack_from("<i", raw, 0)[0] == 348
         assert raw[344:348] == b"n+1\x00"
@@ -182,24 +196,24 @@ class TestWrite:
         assert raw[352:] == b"\x00" * 8
 
     def test_pixdim_fields(self):
-        raw = write_nifti(Volume(np.zeros((1, 1, 1)), spacing=(1.0, 1.0, 1.0)))
+        raw = _saved(Volume(np.zeros((1, 1, 1)), spacing=(1.0, 1.0, 1.0)))
         pixdim = struct.unpack_from("<8f", raw, 76)
         assert pixdim[1:4] == (1.0, 1.0, 1.0)
 
     def test_volume_written_as_float32(self):
-        raw = write_nifti(Volume(np.zeros((1, 1, 1), dtype=np.float64)))
+        raw = _saved(Volume(np.zeros((1, 1, 1), dtype=np.float64)))
         assert struct.unpack_from("<h", raw, 70)[0] == 16
 
     def test_data_order_x_fastest(self):
         data = np.zeros((2, 1, 1), dtype=np.float32)
         data[1, 0, 0] = 5.0
-        raw = write_nifti(Volume(data))
+        raw = _saved(Volume(data))
         vals = np.frombuffer(raw[352:], dtype="<f4")
         assert vals.tolist() == [0.0, 5.0]
 
     def test_origin_roundtrip(self):
         v = Volume(np.zeros((1, 1, 1)), origin=(1.5, -2.0, 3.25))
-        assert read_nifti(write_nifti(v)).origin == (1.5, -2.0, 3.25)
+        assert _load(_saved(v)).origin == (1.5, -2.0, 3.25)
 
 
 @settings(max_examples=50, deadline=None)
@@ -218,16 +232,16 @@ def test_roundtrip_bit_exact(shape, dtype, seed, spacing):
     else:
         data = rng.random(shape, dtype=np.float32)
     v = Volume(data, spacing=spacing)
-    back = read_nifti(write_nifti(v))
+    back = _load(_saved(v))
     assert back.shape == v.shape
     assert back.spacing == v.spacing
     assert np.array_equal(back.data, v.data)
 
 
 _FUZZ_FILES = (
-    write_nifti(LabelMap(np.array([0, 1, 2, 4, 4, 2], np.uint8).reshape(3, 2, 1),
+    _saved(LabelMap(np.array([0, 1, 2, 4, 4, 2], np.uint8).reshape(3, 2, 1),
                          (1.0, 1.25, 2.0), (-4.0, 0.5, 3.0))),
-    write_nifti(Volume(np.linspace(-1.0, 1.0, 6, dtype=np.float32).reshape(1, 2, 3))),
+    _saved(Volume(np.linspace(-1.0, 1.0, 6, dtype=np.float32).reshape(1, 2, 3))),
 )
 
 
@@ -242,7 +256,7 @@ _FUZZ_FILES = (
 @example(raw=_FUZZ_FILES[1], edit="overwrite", pos=111, value=0xFF)
 def test_corrupted_file_raises_only_nifti_errors(raw, edit, pos, value):
     """One truncation, or one header byte (0-351) overwritten or bit-flipped:
-    whatever ``read_nifti`` refuses, it refuses as a NiftiError."""
+    whatever ``load_volume`` refuses, it refuses as a NiftiError."""
     if edit == "truncate":
         raw = raw[:pos]
     else:
@@ -251,7 +265,7 @@ def test_corrupted_file_raises_only_nifti_errors(raw, edit, pos, value):
         out[pos] = value if edit == "overwrite" else out[pos] ^ (1 << value % 8)
         raw = bytes(out)
     try:
-        read_nifti(raw)
+        _load(raw)
     except NiftiError:
         pass
 
@@ -259,7 +273,7 @@ def test_corrupted_file_raises_only_nifti_errors(raw, edit, pos, value):
 def test_labelmap_roundtrip_bit_exact(rng):
     labels = np.array([0, 1, 2, 4], dtype=np.uint8)[rng.integers(0, 4, size=(5, 4, 3))]
     m = LabelMap(labels, spacing=(0.5, 1.0, 2.0))
-    back = read_labelmap(write_nifti(m))
+    back = _load(_saved(m), load_labelmap)
     assert np.array_equal(back.data, m.data)
     assert back.data.dtype == np.uint8
     assert back.spacing == m.spacing
@@ -292,11 +306,11 @@ def _patch_voxel(path, index, value):
 
 def _decode(manifest, start, stop):
     """Voxels ``start:stop`` (x-fastest) of a map through
-    ``ProbmapFiles.decode``, one row per channel."""
+    ``ProbmapFiles.read`` and ``renormalise``, one row per channel."""
     with ProbmapFiles(manifest) as files:
         n = stop - start
-        return files.decode(start, stop, np.empty((4, n), np.float32), np.empty((4, n)),
-                            np.empty(n))
+        stored = files.read(start, stop, np.empty((4, n), np.float32))
+        return files.renormalise(stored, np.empty((4, n)), np.empty(n))
 
 
 def _rows(data):
@@ -353,9 +367,9 @@ class TestProbmapPlanes:
 
     def test_channel_with_an_extra_plane(self, manifest):
         path = _channel_path(manifest, 1)
-        v = read_nifti(path.read_bytes())
-        path.write_bytes(write_nifti(Volume(np.concatenate([v.data, v.data[:, :, :1]], axis=2),
-                                            v.spacing, v.origin)))
+        v = load_volume(path)
+        save_nifti(path, Volume(np.concatenate([v.data, v.data[:, :, :1]], axis=2),
+                                v.spacing, v.origin))
         for load in (ProbmapFiles, load_probmap, lambda m: _decode(m, 0, self.PLANE)):
             with pytest.raises(GeometryMismatch):
                 load(manifest)
@@ -405,7 +419,7 @@ def _write_channels(directory, stem, channels):
         name = f"{stem}_ch{label}.nii"
         if not isinstance(channel, LabelMap):
             channel = Volume(channel, (1.0, 1.5, 2.5), (-3.0, 2.0, 10.25))
-        (directory / name).write_bytes(write_nifti(channel))
+        save_nifti(directory / name, channel)
         files.append(name)
     manifest = directory / f"{stem}.json"
     manifest.write_text(json.dumps({"channels": list(ProbMap.channels), "files": files}))
@@ -434,8 +448,8 @@ class TestProbmapOracle:
         channels = self.raw(rng) if make == "raw" else _one_hot_channels(rng, self.SHAPE)
         manifest = _write_channels(tmp_path, "case", channels)
         files = json.loads(manifest.read_text())["files"]
-        stored = [read_nifti((tmp_path / f).read_bytes()).data.reshape(-1, order="F")
-                  [start:stop] for f in files]
+        stored = [load_volume(tmp_path / f).data.reshape(-1, order="F")[start:stop]
+                  for f in files]
         want = np.stack(stored, dtype=np.float64)
         want /= want.sum(axis=0, keepdims=True)
         np.clip(want, 0.0, 1.0, out=want)
@@ -580,5 +594,8 @@ def test_a_buffer_too_small_for_the_voxels_is_refused(tmp_path):
     lambda d: Volume(np.asfortranarray(d.astype(np.int16))),
 ], ids=["labels", "labels_f_order", "volume", "volume_f_order"])
 def test_save_nifti_writes_the_write_nifti_bytes(tmp_path, make):
+    # The header, then the voxels x-fastest: uint8 labels, float32 otherwise.
     v = make(np.arange(5 * 4 * 3).reshape(5, 4, 3))
-    assert save_nifti(tmp_path / "v.nii", v).read_bytes() == write_nifti(v)
+    dtype = "<u1" if isinstance(v, LabelMap) else "<f4"
+    assert save_nifti(tmp_path / "v.nii", v).read_bytes() == \
+        header_bytes(v.shape, v.spacing, v.origin, dtype) + v.data.astype(dtype).tobytes("F")

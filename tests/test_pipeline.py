@@ -38,7 +38,6 @@ from bratsfuse.nifti import (
     load_probmap,
     save_nifti,
     save_probmap,
-    write_nifti,
 )
 from bratsfuse.postprocess import DEFAULT_ET_THRESHOLD, et_threshold_relabel
 from bratsfuse.pipeline import (
@@ -47,13 +46,14 @@ from bratsfuse.pipeline import (
     PipelineConfig,
     run_eval,
     run_fuse,
+    run_postprocess,
     run_rank,
 )
 from bratsfuse.regions import Region
 from bratsfuse.synth import PhantomSpec, corrupt_labels, make_phantom, noisy_probmap
 from bratsfuse.volume import BRATS_LABELS, LabelMap, ProbMap, Volume, crop, nonzero_bbox
 
-from .oracles import dice_counts, hd95_all_pairs
+from .oracles import dice_counts, hd95_all_pairs, staple_fuse_reference
 from .test_fusion import boundary_raters
 
 
@@ -64,19 +64,25 @@ def _labels(shape=(6, 6, 4)):
     return LabelMap(data, (1.0, 1.0, 2.0))
 
 
+def _patch(path, fmt, offset, value):
+    """Overwrite the bytes at ``offset`` of a written file with ``value``
+    packed as ``fmt``."""
+    raw = bytearray(path.read_bytes())
+    struct.pack_into(fmt, raw, offset, value)
+    path.write_bytes(bytes(raw))
+
+
 def _nan_prediction(path, shape=(6, 6, 4)):
     """A float32 prediction file with one NaN voxel (Volume refuses NaN, so
     the voxel is patched into the written bytes)."""
-    raw = bytearray(write_nifti(Volume(np.zeros(shape, np.float32), (1.0, 1.0, 2.0))))
-    struct.pack_into("<f", raw, 352 + 4 * 5, float("nan"))
-    path.write_bytes(bytes(raw))
+    save_nifti(path, Volume(np.zeros(shape, np.float32), (1.0, 1.0, 2.0)))
+    _patch(path, "<f", 352 + 4 * 5, float("nan"))
 
 
 def _nan_vox_offset_prediction(path):
     """A label prediction whose header says its voxels start at offset NaN."""
-    raw = bytearray(write_nifti(_labels()))
-    struct.pack_into("<f", raw, 108, float("nan"))
-    path.write_bytes(bytes(raw))
+    save_nifti(path, _labels())
+    _patch(path, "<f", 108, float("nan"))
 
 
 def _eval_dirs(tmp_path, write_bad=_nan_prediction):
@@ -334,7 +340,7 @@ def test_a_failed_postprocess_write_keeps_the_earlier_file(tmp_path, monkeypatch
     out.parent.mkdir()
     earlier = b"an earlier run's file\n"
     out.write_bytes(earlier)
-    real = nifti._write_atomic
+    real = pipeline._write_atomic
 
     @contextmanager
     def failing(path):
@@ -342,17 +348,80 @@ def test_a_failed_postprocess_write_keeps_the_earlier_file(tmp_path, monkeypatch
             yield fh  # the whole file is written, then closing it fails
             raise OSError("No space left on device")
 
-    monkeypatch.setattr(nifti, "_write_atomic", failing)
+    monkeypatch.setattr(pipeline, "_write_atomic", failing)
     args = ["postprocess", str(tmp_path / "in.nii"), str(out)]
     result = CliRunner().invoke(main, args)
     assert result.exit_code == 1
     assert result.output == "Error: No space left on device\n"
     assert out.read_bytes() == earlier
     assert [p.name for p in out.parent.iterdir()] == ["post.nii"]  # no temporary file
-    monkeypatch.setattr(nifti, "_write_atomic", real)
+    monkeypatch.setattr(pipeline, "_write_atomic", real)
     assert CliRunner().invoke(main, args).exit_code == 0
-    assert out.read_bytes() == write_nifti(
-        et_threshold_relabel(load_labelmap(tmp_path / "in.nii"), DEFAULT_ET_THRESHOLD))
+    want = et_threshold_relabel(load_labelmap(tmp_path / "in.nii"), DEFAULT_ET_THRESHOLD)
+    assert out.read_bytes() == save_nifti(tmp_path / "want.nii", want).read_bytes()
+
+
+def _phantom_map(tmp_path):
+    """A phantom label map on an anisotropic grid with a nonzero origin,
+    written as ``m.nii``; returns its path and its ET voxel count."""
+    gt, _ = make_phantom(PhantomSpec(shape=STREAM_SHAPE, seed=7))
+    et = int(np.count_nonzero(gt.data == 4))
+    assert et > 0
+    return save_nifti(tmp_path / "m.nii", LabelMap(gt.data, SPACING, ORIGIN)), et
+
+
+def test_postprocess_writes_the_bytes_fuse_writes_for_the_map_alone(tmp_path, monkeypatch):
+    monkeypatch.setattr(pipeline, "SLAB_VOXELS", STREAM_SLAB)
+    path, et = _phantom_map(tmp_path)
+    for threshold in (0, et, et + 1):  # kept, kept at the threshold, relabeled
+        case = CaseInput("c0", (ModelInput("m", labelmap=path),))
+        [diag], _ = run_fuse(PipelineConfig((case,), tmp_path / "fused", threshold))
+        post = run_postprocess(path, tmp_path / "post.nii", threshold)
+        fused = (tmp_path / "fused" / "c0.nii").read_bytes()
+        assert (tmp_path / "post.nii").read_bytes() == fused
+        want = et_threshold_relabel(load_labelmap(path), threshold)
+        assert fused == save_nifti(tmp_path / "want.nii", want).read_bytes()
+        assert post["et_voxels_before"] == diag["et_voxels_before"] == et
+        assert post["et_voxels_after"] == diag["et_voxels_after"] == (0 if threshold > et else et)
+    assert not (tmp_path / "post_staple.json").exists()
+
+
+def test_postprocess_can_write_over_its_input(tmp_path):
+    path, et = _phantom_map(tmp_path)
+    run_postprocess(path, tmp_path / "want.nii", et + 1)
+    result = CliRunner().invoke(main, ["postprocess", str(path), str(path),
+                                       "--et-threshold", str(et + 1)])
+    assert result.exit_code == 0, result.output
+    assert result.output == f"wrote {path} (ET voxels {et} -> 0)\n"
+    assert path.read_bytes() == (tmp_path / "want.nii").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.nii", "want.nii"]
+
+
+def _postprocess_peak(tmp_path, shape):
+    """Postprocess a map of nested 16^3, 8^3 and 4^3 boxes in the middle of
+    a grid of ``shape``; returns the tracemalloc peak."""
+    tmp_path.mkdir()
+    c = [n // 2 for n in shape]
+    labels = _boxes(*(tuple(slice(m - h, m + h) for m in c) for h in (8, 4, 2)), shape)
+    path = save_nifti(tmp_path / "m.nii", LabelMap(labels))
+    tracemalloc.start()
+    try:
+        diag = run_postprocess(path, tmp_path / "out.nii")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (diag["et_voxels_before"], diag["et_voxels_after"]) == (64, 0)
+    return peak
+
+
+def test_postprocess_holds_memory_by_the_tumour_not_the_grid(tmp_path):
+    _postprocess_peak(tmp_path / "warm", (80, 80, 64))
+    small = _postprocess_peak(tmp_path / "small", (80, 80, 64))
+    large = _postprocess_peak(tmp_path / "large", (240, 240, 155))
+    # 22 times the voxels, the same peak: the slab buffers and the kept
+    # spans. The large map whole would be 8.9 MB.
+    assert large < small + 2**16, f"{small / 2**20:.2f} MB, then {large / 2**20:.2f} MB"
+    assert large < 2**20, f"peak {large / 2**20:.2f} MB"
 
 
 def test_cli_import_loads_neither_scipy_nor_numba():
@@ -497,12 +566,12 @@ def _whole_volume_labels(manifests):
 
 def _fused_labels(manifests):
     """The labels of a one-model case of fold ``manifests``, fused with no ET
-    threshold by ``_fuse_one_case`` (which raises the case's error), read
-    back from the written file."""
+    threshold by ``_fuse_into`` (which raises the case's error), read back
+    from the written file."""
     out = manifests[0].parent / "fused"
     out.mkdir(exist_ok=True)
     case = CaseInput("c", (ModelInput("m", prob_manifests=tuple(manifests)),))
-    pipeline._fuse_one_case(case, PipelineConfig((case,), out, et_threshold=0))
+    pipeline._fuse_into(case, PipelineConfig((case,), out, et_threshold=0), out / "c.nii")
     return load_labelmap(out / "c.nii")
 
 
@@ -640,10 +709,7 @@ def test_fold_decoding_memory_grows_with_the_chunk_not_the_slab(tmp_path, rng,
 def _patch_channels(manifest, values, voxel=CHECK_VOXEL):
     """Store ``values`` (one per channel) at ``voxel`` of a written map."""
     for label, value in zip(ProbMap.channels, values):
-        path = manifest.parent / f"{manifest.stem}_ch{label}.nii"
-        raw = bytearray(path.read_bytes())
-        struct.pack_into("<f", raw, 352 + 4 * voxel, value)
-        path.write_bytes(bytes(raw))
+        _patch(manifest.parent / f"{manifest.stem}_ch{label}.nii", "<f", 352 + 4 * voxel, value)
 
 
 BAD_VOXELS = {
@@ -1098,12 +1164,17 @@ def _mixed_case(tmp_path, case_id, shape=(16, 14, 12)):
                                                     case_id)))
 
 
-def _reference(case, cfg, tmp_path):
-    """The ``.nii`` bytes and ``_staple.json`` text of ``case`` from whole
-    volumes: ``load_labelmap`` (fold maps averaged and argmaxed whole),
-    ``staple_multilabel_detailed``, ``et_threshold_relabel``, ``save_nifti``."""
-    maps = [load_labelmap(m.labelmap) if m.labelmap is not None
+def _model_maps(case):
+    """Each model's labels, loaded whole (fold maps averaged and argmaxed
+    whole)."""
+    return [load_labelmap(m.labelmap) if m.labelmap is not None
             else _whole_volume_labels(m.prob_manifests) for m in case.models]
+
+
+def _reference(maps, case, cfg, tmp_path):
+    """The ``.nii`` bytes and ``_staple.json`` text of ``case``, whose models
+    give ``maps``, from whole volumes: ``staple_multilabel_detailed``,
+    ``et_threshold_relabel``, ``save_nifti``."""
     if len(maps) == 1:
         fused, staple = maps[0], None
     else:
@@ -1120,17 +1191,31 @@ def _reference(case, cfg, tmp_path):
     return path.read_bytes(), json.dumps(diag, sort_keys=True, indent=2) + "\n"
 
 
-def _assert_fuses_as_the_reference(tmp_path, case, **options):
+def _assert_fuses_as_the_reference(tmp_path, case, oracle=True, **options):
+    """Fuse ``case``: the outputs must be the bytes of the whole-volume
+    reference and, unless ``oracle`` is False, the labels and STAPLE fits
+    those of ``oracles.staple_fuse_reference``. Returns the diagnostics."""
     cfg = PipelineConfig(cases=(case,), output_dir=tmp_path / "fused", **options)
     diags, errors = run_fuse(cfg)
     assert errors == []
-    nii, staple = _reference(case, cfg, tmp_path)
+    maps = _model_maps(case)
+    nii, staple = _reference(maps, case, cfg, tmp_path)
     out = cfg.output_dir
     assert sorted(p.name for p in out.iterdir()) == sorted(
         [f"{case.case_id}.nii", f"{case.case_id}_staple.json", "fuse_manifest.json"])
     assert (out / f"{case.case_id}.nii").read_bytes() == nii
     assert (out / f"{case.case_id}_staple.json").read_text() == staple
     assert diags == [json.loads(staple)]
+    if oracle:
+        labels, fits = staple_fuse_reference([m.data for m in maps], cfg.staple_tol,
+                                             cfg.staple_max_iters, cfg.et_threshold)
+        assert np.array_equal(load_labelmap(out / f"{case.case_id}.nii").data, labels)
+        assert (diags[0]["staple"] is None) == (fits is None)
+        for region, (p, q, prior, iterations, converged) in (fits or {}).items():
+            got = diags[0]["staple"][region]
+            assert (got["iterations"], got["converged"]) == (iterations, converged), region
+            assert np.abs(np.array(got["p"] + got["q"]) - np.concatenate([p, q])).max() < 1e-9
+            assert abs(got["prior"] - prior) < 1e-9
     return diags[0]
 
 
@@ -1197,8 +1282,7 @@ def test_a_bad_last_slab_is_a_per_case_error_with_no_outputs(tmp_path, monkeypat
     diags, errors = run_fuse(PipelineConfig(cases=tuple(cases), output_dir=out))
     assert [d["case_id"] for d in diags] == ["b_good"]
     assert [(e["case_id"], e["error"]) for e in errors] == [("a_bad", error.__name__)]
-    if how == "invalid_label":  # the message of the whole-file check
-        assert errors[0]["detail"] == str(want.value)
+    assert errors[0]["detail"] == str(want.value)  # the message of the whole-file read
     assert sorted(p.name for p in out.iterdir()) == [
         "b_good.nii", "b_good_staple.json", "errors.json", "fuse_manifest.json"]
 
@@ -1354,12 +1438,13 @@ def test_voxels_outside_the_spans_take_the_label_of_code_0(tmp_path, monkeypatch
         lut[(rows == 0).all(axis=0)] = 2  # the row of code 0
         return lut, fits
 
-    # The reference (staple_multilabel_detailed) reads the same table.
+    # The reference (staple_multilabel_detailed) reads the same table; the
+    # oracle does not.
     monkeypatch.setattr(fusion, "staple_lut", background_is_edema)
     monkeypatch.setattr(pipeline, "staple_lut", background_is_edema)
     gt, _ = make_phantom(PhantomSpec(shape=STREAM_SHAPE, seed=7))
     raters = boundary_raters(gt, 3, 4)
-    _assert_fuses_as_the_reference(tmp_path, _rater_case(tmp_path, raters))
+    _assert_fuses_as_the_reference(tmp_path, _rater_case(tmp_path, raters), oracle=False)
     background = ~np.any([m.data for m in raters], axis=0)
     assert background.any()
     fused = load_labelmap(tmp_path / "fused" / "c0.nii").data
@@ -1430,8 +1515,7 @@ def test_the_label_maps_of_a_case_share_one_read_buffer(tmp_path, monkeypatch):
     models = _label_models(tmp_path, boundary_raters(gt, 3, 4), "c0")
     # The widest stored type sets the buffer's size: one rater as float32.
     float_rater = tmp_path / "c0_float.nii"
-    float_rater.write_bytes(write_nifti(Volume(load_labelmap(models[1].labelmap)
-                                               .data.astype(np.float32))))
+    save_nifti(float_rater, Volume(load_labelmap(models[1].labelmap).data.astype(np.float32)))
     models[1] = ModelInput("float", labelmap=float_rater)
     buffers = []
     real = pipeline.read_label_planes
@@ -1633,10 +1717,7 @@ def test_a_bad_last_slab_of_an_eval_pair_is_a_per_case_error(tmp_path, eval_slab
     out = tmp_path / "out"
     [got] = _run_eval_cli(*dirs, out)
     assert (got["case_id"], got["error"]) == ("a_bad", error.__name__)
-    if how == "invalid_label":  # the message of the whole-file check
-        assert got["detail"] == str(want.value)
-    else:  # the whole-file message, after the file's name
-        assert got["detail"] == f"{bad}: {want.value}"
+    assert got["detail"] == str(want.value)  # the message of the whole-file read
     rows = (out / "cases.csv").read_text().splitlines()
     assert [r.split(",")[0] for r in rows[1:]] == ["b_good"]
 
