@@ -35,10 +35,12 @@ recomposing once per joint row gives a label lookup table (``staple_lut``),
 and the fused map is the table read at every voxel's code. The result
 equals per-region ``staple_binary`` plus ``recompose_labels`` without a
 per-voxel mask, posterior or recomposition. The codes are filled by
-``joint_codes`` and ``pack_labels`` and counted by ``joint_histogram``,
-whole (``staple_multilabel_detailed``) or slab by slab by a caller that
-keeps only the spans outside which every code is 0 (``code_span``) and
-counts every other voxel as code 0, so it holds no whole-volume array.
+``joint_codes`` and ``pack_labels`` (``unpack_labels`` reads a rater's
+labels back) and counted by ``joint_histogram``, whole
+(``staple_multilabel_detailed``) or slab by slab by a caller that keeps,
+per z-plane, only the rectangle of rows and columns outside which every
+code is 0 and counts every other voxel as code 0, so it holds no
+whole-volume array.
 
 All of this counting is one operation: each of the J raters gives a row a
 digit of ``width`` bits (1 for a decision, 2 for a label), packed into the
@@ -48,8 +50,8 @@ counted by ``_patterns``, labels by ``joint_histogram``. While a row has at
 most ``CODE_BITS`` bits, ``np.bincount`` counts every code and the patterns
 come out in ascending code order; beyond that, the distinct rows are sorted
 out and a row's pattern is found by binary search, so no per-voxel index is
-stored. The passes over all voxels (packing, scanning for spans, counting
-and the final gather) run ``CHUNK_VOXELS`` voxels at a time.
+stored. The passes over all voxels (packing, counting and the final
+gather) run ``CHUNK_VOXELS`` voxels at a time.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ __all__ = [
     "staple_lut",
     "joint_codes",
     "pack_labels",
-    "code_span",
+    "unpack_labels",
     "joint_histogram",
     "default_staple_params",
 ]
@@ -89,7 +91,7 @@ DEFAULT_MAX_ITERS = 100
 # np.bincount counts all 2^(width J) codes of rows of J digits of ``width``
 # bits while width * J is at most this; beyond it the rows are sorted.
 CODE_BITS = 16
-# Voxels packed, scanned, counted and gathered per step: np.bincount copies
+# Voxels packed, counted and gathered per step: np.bincount copies
 # its codes to intp, which bounds that copy (256 KB).
 CHUNK_VOXELS = 1 << 15
 _WORD_TYPES = tuple(np.dtype(t) for t in (np.uint8, np.uint16, np.uint32, np.uint64))
@@ -336,24 +338,18 @@ def pack_labels(codes: np.ndarray, rater: int, labels: np.ndarray) -> None:
         _pack(codes[chunk], rater, _label_index(labels[chunk]), 2)
 
 
-def code_span(codes: np.ndarray) -> tuple[int, int]:
-    """The smallest range ``[a, b)`` of filled :func:`joint_codes` outside
-    which every code is 0 (``a == b == 0`` if all are), scanned
-    ``CHUNK_VOXELS`` codes at a time.
-    """
-    a = b = 0
-    for start in range(0, len(codes), CHUNK_VOXELS):
-        nonzero = codes[start : start + CHUNK_VOXELS].any(axis=1)
-        if nonzero.any():
-            if not b:
-                a = start + int(nonzero.argmax())
-            b = start + nonzero.size - int(nonzero[::-1].argmax())
-    return a, b
+def unpack_labels(codes: np.ndarray, rater: int) -> np.ndarray:
+    """Rater ``rater``'s BraTS labels from its two bits of ``codes`` (rows
+    of :func:`joint_codes`, the words of a code on the last axis), as
+    uint8: the inverse of :func:`pack_labels`."""
+    per_word = 4 * codes.itemsize
+    digits = (codes[..., rater // per_word] >> 2 * (rater % per_word)) & 3
+    return np.array(BRATS_LABELS, np.uint8)[digits]
 
 
 def joint_histogram(pieces: list[np.ndarray], n_raters: int, n_voxels: int):
     """The joint rater-label rows of ``n_voxels`` voxels whose nonzero codes
-    all lie in ``pieces`` (ranges of filled :func:`joint_codes`); every
+    all lie in ``pieces`` (rows of filled :func:`joint_codes`); every
     other voxel has code 0.
 
     Returns ``(rows, counts, index)``: the K rows that occur as a (J, K)

@@ -56,6 +56,7 @@ from .errors import (
     BadHeader,
     BadMagic,
     ConfigError,
+    NiftiError,
     TruncatedFile,
     UnsupportedDtype,
     UnsupportedEncoding,
@@ -274,7 +275,9 @@ class PlaneReader:
     Opening parses the header and checks that the file holds all the
     voxels it declares; :meth:`read` then reads any range of voxels
     without parsing or checking the header again. Use it as a context
-    manager (or call :meth:`close`). Opening can raise ``OSError``.
+    manager (or call :meth:`close`). Opening can raise ``OSError``; a bad
+    header or size is a :class:`~bratsfuse.errors.NiftiError` naming the
+    file.
     """
 
     def __init__(self, path):
@@ -284,8 +287,10 @@ class PlaneReader:
             self.header = _parse_header(self._fh.read(HEADER_SIZE))
             size = os.fstat(self._fh.fileno()).st_size
             if size < self.header.data_end:
-                raise TruncatedFile(
-                    f"{self.path}: need {self.header.data_end} bytes of data, got {size}")
+                raise TruncatedFile(f"need {self.header.data_end} bytes of data, got {size}")
+        except NiftiError as e:
+            self._fh.close()
+            raise type(e)(f"{self.path}: {e}") from e
         except BaseException:
             self._fh.close()
             raise

@@ -33,28 +33,30 @@ Each model's labels go into its two bits of one reused slab of joint
 codes (``fusion.joint_codes``: one code per voxel, in the smallest unsigned
 type holding two bits per model, uint8 for up to four models); code 0 is
 every model saying background. Per z-plane of the slab, only a copy of the
-span outside which every code is 0 (``fusion.code_span``) is kept. What a
-case holds is therefore the slab buffers plus the kept spans, which grow
-with the tumour, not with the grid.
+rectangle of rows and columns outside which every code is 0 is kept. What
+a case holds is therefore the slab buffers plus the kept rectangles, which
+grow with the tumour, not with the grid.
 
-The histogram of the kept spans, with every other voxel counted as code 0
+The histogram of the rectangles, with every other voxel counted as code 0
 (``fusion.joint_histogram``), gives each joint label row and its voxel
 count, and a lookup table gives each row's fused label: STAPLE's
 (``fusion.staple_lut``), or the model's own label for a single model. ET
 voxels are counted from the histogram, so the ET threshold is decided
 before any output voxel is written: a relabel is the table edit ET -> 1.
 The output body is then written after the header ``nifti.header_bytes``
-builds: the table's entry for code 0 outside the spans, from one buffer of
-``fusion.CHUNK_VOXELS`` bytes, and the table read at the codes inside them.
+builds: each rectangle's rows whole, the table read at its codes and its
+entry for code 0 beside them, and that entry in the rows between, from one
+buffer of ``fusion.CHUNK_VOXELS`` bytes.
 
 ``eval`` reads a pair the same way, the prediction as the first model and
 the ground truth as the second, so the two grids are checked to agree
-before any voxel is read. From the kept spans it rebuilds both label maps
-inside the box of the nonzero codes, the only grid-shaped arrays it
-allocates, and scores them with ``metrics.evaluate_case``. The scores are
-those of the whole grid: every voxel outside the box is background in both
-maps, so the Dice counts are unchanged, and ``hd95`` crops each region to
-its own union box, so it measures the same distances from the same corner.
+before any voxel is read. It rebuilds both label maps, the only
+grid-shaped arrays it allocates, inside the union of the rectangles (the
+box of the nonzero codes), and scores them with ``metrics.evaluate_case``.
+The scores are those of the whole grid: every voxel outside the box is
+background in both maps, so the Dice counts are unchanged, and ``hd95``
+crops each region to its own union box, so it measures the same distances
+from the same corner.
 A pair with no tumour in either map is scored as two 1x1x1 background maps:
 DSC 1 and HD95 0 in every region.
 
@@ -98,11 +100,11 @@ from .fusion import (
     DEFAULT_TOL,
     argmax_labels_into,
     average_probs_into,
-    code_span,
     joint_codes,
     joint_histogram,
     pack_labels,
     staple_lut,
+    unpack_labels,
 )
 from .metrics import (
     EMPTY_PENALTY_MM,
@@ -174,15 +176,12 @@ class CaseInput:
     models: tuple[ModelInput, ...]
 
 
-def _json_object(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{what} must be a JSON object, got {type(value).__name__}")
-    return value
-
-
-def _json_list(value, what: str) -> list:
-    if not isinstance(value, list):
-        raise ConfigError(f"{what} must be a JSON list, got {type(value).__name__}")
+def _json_value(value, kind, what: str):
+    """``value`` if it is a JSON ``kind`` (dict, list or str), else a
+    ConfigError naming ``what``."""
+    if not isinstance(value, kind):
+        name = {dict: "object", str: "string"}.get(kind, kind.__name__)
+        raise ConfigError(f"{what} must be a JSON {name}, got {type(value).__name__}")
     return value
 
 
@@ -239,25 +238,26 @@ class PipelineConfig:
             p = Path(p)
             return p if p.is_absolute() else base / p
 
-        raw = _json_object(raw, f"config {path}")
+        raw = _json_value(raw, dict, f"config {path}")
         cases = []
-        for c in _json_list(raw.get("cases", []), "cases"):
-            c = _json_object(c, "a case")
+        for c in _json_value(raw.get("cases", []), list, "cases"):
+            c = _json_value(c, dict, "a case")
             if "id" not in c:
                 raise ConfigError("a case has no 'id'")
-            case_id = str(c["id"])
+            case_id = _json_value(c["id"], str, "a case id")
             models = []
-            for m in _json_list(c.get("models", []), f"case {case_id!r} models"):
-                m = _json_object(m, f"a model of case {case_id!r}")
+            for m in _json_value(c.get("models", []), list, f"case {case_id!r} models"):
+                m = _json_value(m, dict, f"a model of case {case_id!r}")
                 if "name" not in m:
                     raise ConfigError(f"a model of case {case_id!r} has no 'name'")
+                name = _json_value(m["name"], str, f"a model name of case {case_id!r}")
                 models.append(
                     ModelInput(
-                        name=m["name"],
+                        name=name,
                         labelmap=resolve(m["labelmap"]) if "labelmap" in m else None,
                         prob_manifests=tuple(
-                            resolve(p) for p in _json_list(
-                                m.get("prob_manifests", []), f"model {m['name']!r} prob_manifests")
+                            resolve(p) for p in _json_value(
+                                m.get("prob_manifests", []), list, f"model {name!r} prob_manifests")
                         ),
                     )
                 )
@@ -266,7 +266,7 @@ class PipelineConfig:
             cases.append(CaseInput(case_id=case_id, models=tuple(models)))
         if not cases:
             raise ConfigError("config lists no cases")
-        staple = _json_object(raw.get("staple", {}), "staple")
+        staple = _json_value(raw.get("staple", {}), dict, "staple")
         cfg = cls(
             cases=tuple(cases),
             output_dir=resolve(raw.get("output_dir", "fused")),
@@ -436,10 +436,11 @@ def _write_json(path: Path, value) -> None:
     _write_text(path, json.dumps(value, sort_keys=True, indent=2) + "\n")
 
 
-def _read_spans(case: CaseInput):
-    """The grid of ``case``'s models and, per z-plane, the span of its joint
-    codes outside which every model says background, as (first voxel,
-    codes) pairs in voxel order; a plane of background keeps nothing."""
+def _read_blocks(case: CaseInput):
+    """The grid of ``case``'s models and, per z-plane, the ``(rows, columns,
+    words)`` block of its joint codes outside which every model says
+    background, as ``((x, y, z) corner, codes)`` pairs in plane order; a
+    plane of background keeps nothing."""
     with ExitStack() as stack:
         models = [_open_model(m, stack) for m in case.models]
         require_same_geometry(*(m.header for m in models))
@@ -450,19 +451,20 @@ def _read_spans(case: CaseInput):
         # One read buffer serves every model: each model's labels are packed
         # into the codes before the next model reads.
         read = np.empty(slab * max(m.read_bytes for m in models), np.uint8)
-        spans = []
+        blocks = []
         for z0 in range(0, nz, step):
             z1 = min(z0 + step, nz)
-            start, stop = _voxels(grid.shape, z0, z1)
-            codes = buf[: stop - start]
+            codes = buf[: nx * ny * (z1 - z0)]
             codes[...] = 0
             for r, model in enumerate(models):
                 pack_labels(codes, r, model.labels(z0, z1, read))
-            for p in range(0, stop - start, nx * ny):
-                a, b = code_span(codes[p : p + nx * ny])
-                if a < b:
-                    spans.append((start + p + a, codes[p + a : p + b].copy()))
-    return grid, spans
+            for z, plane in enumerate(codes.reshape(z1 - z0, ny, nx, -1), z0):
+                nonzero = plane.any(axis=2)
+                ys, xs = (np.flatnonzero(nonzero.any(axis=a)) for a in (1, 0))
+                if ys.size:
+                    block = plane[ys[0] : ys[-1] + 1, xs[0] : xs[-1] + 1]
+                    blocks.append(((int(xs[0]), int(ys[0]), z), block.copy()))
+    return grid, blocks
 
 
 def _write_run(fh, run: np.ndarray, n: int) -> None:
@@ -473,9 +475,10 @@ def _write_run(fh, run: np.ndarray, n: int) -> None:
 
 def _fuse_into(case: CaseInput, cfg: PipelineConfig, out_nii: Path) -> dict:
     """Fuse ``case`` into the label file ``out_nii``; returns its diagnostics."""
-    grid, spans = _read_spans(case)
+    grid, blocks = _read_blocks(case)
     n_models, n_voxels = len(case.models), math.prod(grid.shape)
-    rows, counts, index = joint_histogram([codes for _, codes in spans], n_models, n_voxels)
+    rows, counts, index = joint_histogram(
+        [codes.reshape(-1, codes.shape[2]) for _, codes in blocks], n_models, n_voxels)
     if n_models == 1:
         lut, staple_diag = _LABELS[rows[0]], None
     else:
@@ -487,17 +490,21 @@ def _fuse_into(case: CaseInput, cfg: PipelineConfig, out_nii: Path) -> dict:
     if relabel:
         lut = np.where(lut == 4, np.uint8(1), lut)
     table = index.of(lut)  # the fused label of every code
-    # The voxels outside the spans, all of code 0, are written from one
+    # The rows no rectangle spans, all of code 0, are written from one
     # buffer of its fused label.
     run = np.full(CHUNK_VOXELS, table[joint_codes(n_models, 1)][0], np.uint8)
+    nx, ny, _ = grid.shape
     with _write_atomic(out_nii) as fh:
         fh.write(header_bytes(grid.shape, grid.spacing, grid.origin, np.uint8))
         end = 0
-        for start, codes in spans:
+        for (x, y, z), codes in blocks:
+            h, w, words = codes.shape
+            start = (z * ny + y) * nx
             _write_run(fh, run, start - end)
-            for i in range(0, len(codes), CHUNK_VOXELS):
-                fh.write(table[codes[i : i + CHUNK_VOXELS]])
-            end = start + len(codes)
+            rows = np.full((h, nx), run[0])
+            rows[:, x : x + w] = table[codes.reshape(-1, words)].reshape(h, w)
+            fh.write(rows)
+            end = start + h * nx
         _write_run(fh, run, n_voxels - end)
     return {
         "case_id": case.case_id,
@@ -594,42 +601,20 @@ def run_fuse(cfg: PipelineConfig, jobs: int = 1) -> tuple[list[dict], list[dict]
     return diags, errors
 
 
-# The label of each model at each joint code of two models: row 0 the
-# first model's (bits 0-1), row 1 the second's (bits 2-3).
-_PAIR_LABELS = _LABELS[np.arange(16) >> np.array([[0], [2]]) & 3]
-
-
-def _span_rows(spans, nx: int, ny: int):
-    """Per span: its plane, its first row, and its codes (one byte each, as
-    two models give them) padded with code 0 to whole rows, as a (rows, nx)
-    array."""
-    for start, codes in spans:
-        z, p = divmod(start, nx * ny)
-        y, x = divmod(p, nx)
-        rows = np.zeros(-(-(x + len(codes)) // nx) * nx, np.uint8)
-        rows[x : x + len(codes)] = codes[:, 0]
-        yield z, y, rows.reshape(-1, nx)
-
-
-def _pair_in_box(grid, spans) -> tuple[LabelMap, LabelMap]:
-    """The label maps of the two models of ``spans`` (their joint codes, as
-    :func:`_read_spans` keeps them), cropped to the box of the nonzero
-    codes; a 1x1x1 background map each if there are none."""
-    nx, ny, _ = grid.shape
-    lo, hi = [0, 0, 0], [0, 0, 0]
-    if spans:  # one span per plane, in plane order
-        lo, hi = [nx, ny, spans[0][0] // (nx * ny)], [0, 0, spans[-1][0] // (nx * ny)]
-        for _, y, rows in _span_rows(spans, nx, ny):
-            xs = np.flatnonzero(rows.any(axis=0))
-            lo[0], hi[0] = min(lo[0], xs[0]), max(hi[0], xs[-1])
-            lo[1], hi[1] = min(lo[1], y), max(hi[1], y + len(rows) - 1)
-    box = BBox(lo, hi)
-    codes = np.zeros(box.shape, np.uint8)
-    for z, y, rows in _span_rows(spans, nx, ny):
-        y -= box.lo[1]
-        codes[:, y : y + len(rows), z - box.lo[2]] = rows[:, box.lo[0] : box.hi[0] + 1].T
+def _pair_in_box(grid, blocks) -> tuple[LabelMap, LabelMap]:
+    """The label maps of the two models of ``blocks`` (their joint codes, as
+    :func:`_read_blocks` keeps them), cropped to the union of the blocks'
+    rectangles, the box of the nonzero codes; a 1x1x1 background map each
+    if there are none."""
+    corners = np.array([corner for corner, _ in blocks] or [(0, 0, 0)])
+    sizes = np.array([(c.shape[1], c.shape[0], 1) for _, c in blocks] or [(1, 1, 1)])
+    box = BBox(corners.min(axis=0), (corners + sizes).max(axis=0) - 1)
+    codes = joint_codes(2, math.prod(box.shape)).reshape(*box.shape, -1)
+    for corner, block in blocks:
+        x, y, z = np.subtract(corner, box.lo)
+        codes[x : x + block.shape[1], y : y + block.shape[0], z] = block.transpose(1, 0, 2)
     origin = tuple(o + l * s for o, s, l in zip(grid.origin, grid.spacing, box.lo))
-    return tuple(LabelMap(labels[codes], grid.spacing, origin) for labels in _PAIR_LABELS)
+    return tuple(LabelMap(unpack_labels(codes, r), grid.spacing, origin) for r in (0, 1))
 
 
 @dataclass
@@ -643,7 +628,7 @@ class _EvalTask:
             ModelInput(side, labelmap=d / f"{case_id}.nii")
             for side, d in (("pred", self.pred_dir), ("gt", self.gt_dir))))
         try:
-            pred, gt = _pair_in_box(*_read_spans(case))
+            pred, gt = _pair_in_box(*_read_blocks(case))
             return evaluate_case(pred, gt, case_id, self.penalty), None
         except (BratsFuseError, OSError) as e:
             return None, _case_error(case_id, e)
@@ -658,7 +643,7 @@ def run_eval(
 ) -> tuple[list[CaseMetrics], list[dict]]:
     """Evaluate predictions against ground truth paired by filename stem.
 
-    Each pair is read slab by slab through ``_read_spans`` and scored on its
+    Each pair is read slab by slab through ``_read_blocks`` and scored on its
     two label maps rebuilt inside the box of their tumour (see the module
     docstring), so a case holds memory by its tumour, not by its grid.
     Unpaired files and per-case failures are recorded (not fatal) and the

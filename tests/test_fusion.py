@@ -19,6 +19,7 @@ from bratsfuse.fusion import (
     staple_binary,
     staple_multilabel,
     staple_multilabel_detailed,
+    unpack_labels,
 )
 from bratsfuse.regions import Region, RegionMask, recompose_labels, region_mask
 from bratsfuse.synth import PhantomSpec, corrupt_labels, make_phantom
@@ -240,7 +241,7 @@ class TestPatterns:
     for joint rater labels (width 2)."""
 
     @pytest.mark.parametrize("code_bits", [CODE_BITS, 4])
-    @pytest.mark.parametrize("width, n_cols", [(1, 5), (2, 3)])
+    @pytest.mark.parametrize("width, n_cols", [(1, 5), (2, 3), (1, 70), (2, 33)])
     @pytest.mark.parametrize("weighted", [False, True])
     def test_rows_and_counts(self, rng, monkeypatch, code_bits, width, n_cols, weighted):
         monkeypatch.setattr(fusion, "CODE_BITS", code_bits)
@@ -269,6 +270,19 @@ class TestPatterns:
         if width * n_cols <= code_bits:  # counted: ascending code order
             row_codes = (pats << (width * np.arange(n_cols))[:, None]).sum(axis=0)
             assert (np.diff(row_codes) > 0).all()
+
+    # Rows of one uint8 (1 and 4 raters), uint16, uint32 or uint64 word, and
+    # of two and three uint64 words.
+    @pytest.mark.parametrize("n_raters", [1, 4, 5, 9, 32, 33, 70])
+    def test_unpack_labels_inverts_pack_labels(self, rng, n_raters):
+        labels = rng.choice(BRATS_LABELS, (n_raters, 300)).astype(np.uint8)
+        codes = joint_codes(n_raters, 300)
+        for r, col in enumerate(labels):
+            pack_labels(codes, r, col)
+        assert codes.shape[1] == -(-n_raters // 32)
+        for r, col in enumerate(labels):
+            got = unpack_labels(codes, r)
+            assert got.dtype == np.uint8 and np.array_equal(got, col), r
 
 
 class TestStapleMultilabel:

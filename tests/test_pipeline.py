@@ -18,10 +18,14 @@ from bratsfuse import fusion, nifti, pipeline
 from bratsfuse.cli import main
 from bratsfuse.errors import (
     BadData,
+    BadHeader,
+    BadMagic,
     ConfigError,
     GeometryMismatch,
     InvalidLabel,
     TruncatedFile,
+    UnsupportedDtype,
+    UnsupportedEncoding,
 )
 from bratsfuse.fusion import (
     CODE_BITS,
@@ -419,7 +423,7 @@ def test_postprocess_holds_memory_by_the_tumour_not_the_grid(tmp_path):
     small = _postprocess_peak(tmp_path / "small", (80, 80, 64))
     large = _postprocess_peak(tmp_path / "large", (240, 240, 155))
     # 22 times the voxels, the same peak: the slab buffers and the kept
-    # spans. The large map whole would be 8.9 MB.
+    # rectangles. The large map whole would be 8.9 MB.
     assert large < small + 2**16, f"{small / 2**20:.2f} MB, then {large / 2**20:.2f} MB"
     assert large < 2**20, f"peak {large / 2**20:.2f} MB"
 
@@ -974,6 +978,12 @@ _GOOD_CASE = {"id": "c0", "models": [{"name": "m", "labelmap": "m.nii"}]}
     ({"cases": [{**_GOOD_CASE, "id": "sub/case"}]}, "case id 'sub/case' is not a file name"),
     *(({"cases": [{**_GOOD_CASE, "id": bad}]}, "is not a file name")
       for bad in ("", ".", "..", "/abs", "a\\b", "a\0b")),
+    ({"cases": [{**_GOOD_CASE, "id": None}]}, "a case id must be a JSON string, got NoneType"),
+    ({"cases": [{**_GOOD_CASE, "id": 7}]}, "a case id must be a JSON string, got int"),
+    ({"cases": [{"id": "c0", "models": [{"name": None, "labelmap": "m.nii"}]}]},
+     "a model name of case 'c0' must be a JSON string, got NoneType"),
+    ({"cases": [{"id": "c0", "models": [{"name": ["x"], "labelmap": "m.nii"}]}]},
+     "a model name of case 'c0' must be a JSON string, got list"),
 ])
 def test_malformed_config_is_a_config_error(tmp_path, cfg, message):
     save_nifti(tmp_path / "m.nii", _labels())
@@ -1388,7 +1398,7 @@ def test_fusing_holds_memory_by_the_tumour_not_the_grid(tmp_path):
     assert peak < voxels / 4, f"peak {peak / 2**20:.2f} MB"
 
 
-# -- what the kept spans hold, at the edges ------------------------------------
+# -- what the kept rectangles hold, at the edges -------------------------------
 
 
 def _rater_case(tmp_path, raters):
@@ -1396,8 +1406,9 @@ def _rater_case(tmp_path, raters):
 
 
 def _kept(case):
-    """The (first voxel, code count) of every span the case keeps."""
-    return [(start, len(codes)) for start, codes in pipeline._read_spans(case)[1]]
+    """The first and last (x, y, z) voxel of every rectangle the case keeps."""
+    return [((x, y, z), (x + codes.shape[1] - 1, y + codes.shape[0] - 1, z))
+            for (x, y, z), codes in pipeline._read_blocks(case)[1]]
 
 
 @pytest.mark.parametrize("n_raters", [3, 9])
@@ -1423,9 +1434,52 @@ def test_spans_that_touch_both_ends_of_the_grid(tmp_path, monkeypatch, n_raters)
         raters.append(LabelMap(data, m.spacing, m.origin))
     case = _rater_case(tmp_path, raters)
     kept = _kept(case)
-    assert kept[0][0] == 0
-    assert sum(kept[-1]) == gt.data.size
+    assert kept[0][0] == (0, 0, 0)
+    assert kept[-1][1] == tuple(n - 1 for n in STREAM_SHAPE)
     _assert_fuses_as_the_reference(tmp_path, case)
+
+
+def _scattered(rng, n_maps, empty_planes):
+    """``n_maps`` label maps of scattered labels (2 % of the voxels) that are
+    all background in the planes ``empty_planes``."""
+    maps = []
+    for _ in range(n_maps):
+        data = np.where(rng.random(STREAM_SHAPE) < 0.02,
+                        rng.choice(BRATS_LABELS, STREAM_SHAPE), 0).astype(np.uint8)
+        data[:, :, empty_planes] = 0
+        maps.append(LabelMap(data, SPACING, ORIGIN))
+    return maps
+
+
+@pytest.mark.parametrize("n_raters", [3, 33])
+@pytest.mark.parametrize("seed", range(4))
+def test_each_plane_keeps_its_codes_cropped_to_its_nonzero_box(tmp_path, monkeypatch,
+                                                               n_raters, seed):
+    # Scattered labels: a plane's nonzero box may start and end anywhere.
+    # Thirty-three raters need two uint64 words a code.
+    monkeypatch.setattr(pipeline, "SLAB_VOXELS", STREAM_SLAB)
+    rng = np.random.default_rng(seed)
+    raters = _scattered(rng, n_raters, [0, 4, 5, 10][seed:])
+    case = _rater_case(tmp_path, raters)
+    # Each voxel's code, packed here: a uint64 word holds 32 raters' label
+    # positions in BRATS_LABELS, two bits each.
+    index = np.searchsorted(BRATS_LABELS, [m.data for m in raters]).astype(np.uint64)
+    words = [sum(index[r] << np.uint64(2 * (r % 32)) for r in range(w, min(w + 32, n_raters)))
+             for w in range(0, n_raters, 32)]
+    planes = []
+    for z in range(STREAM_SHAPE[2]):
+        xs, ys = np.nonzero(np.any([w[:, :, z] for w in words], axis=0))
+        if xs.size:
+            box = np.s_[xs.min() : xs.max() + 1, ys.min() : ys.max() + 1, z]
+            planes.append(((xs.min(), ys.min(), z), np.stack([w[box].T for w in words], -1)))
+    assert len(planes) == STREAM_SHAPE[2] - len([0, 4, 5, 10][seed:])
+    _, blocks = pipeline._read_blocks(case)
+    assert [corner for corner, _ in blocks] == [corner for corner, _ in planes]
+    for (corner, got), (_, want) in zip(blocks, planes):
+        assert got.dtype == joint_codes(n_raters, 1).dtype, corner
+        assert np.array_equal(got, want), corner
+    # The whole rows written from the rectangles give the reference's bytes.
+    _assert_fuses_as_the_reference(tmp_path, case, oracle=False)
 
 
 def test_voxels_outside_the_spans_take_the_label_of_code_0(tmp_path, monkeypatch):
@@ -1531,7 +1585,7 @@ def test_the_label_maps_of_a_case_share_one_read_buffer(tmp_path, monkeypatch):
     assert buffers[0].nbytes == STREAM_SLAB * 4
 
 
-# -- eval: pairs read through the spans, scored inside the tumour box -------------
+# -- eval: pairs read through the rectangles, scored inside the tumour box --------
 
 
 def _write_pairs(tmp_path, pairs):
@@ -1621,17 +1675,14 @@ def test_eval_of_a_tumour_touching_the_first_and_last_voxel(tmp_path, eval_slabs
 @pytest.mark.parametrize("seed", range(6))
 def test_the_box_holds_the_pair_cropped_to_its_nonzero_voxels(tmp_path, eval_slabs,
                                                               seed):
-    # Scattered labels: a plane's span may start and end anywhere in a row,
-    # and the rows between may reach further in x than its ends.
-    rng = np.random.default_rng(seed)
-    pair = [LabelMap(np.where(rng.random(STREAM_SHAPE) < 0.02,
-                              rng.choice(BRATS_LABELS, STREAM_SHAPE), 0).astype(np.uint8),
-                     SPACING, ORIGIN) for _ in range(2)]
+    # Scattered labels: each plane's rectangle starts and ends anywhere, and
+    # the box is the union of rectangles of different corners.
+    pair = _scattered(np.random.default_rng(seed), 2, [])
     if seed == 0:  # a single voxel, in one map only
         empty = LabelMap(np.zeros(STREAM_SHAPE, np.uint8), SPACING, ORIGIN)
         pair = [empty, _with(empty, {(9, 3, 5): 2})]
     case = CaseInput("c0", tuple(_label_models(tmp_path, pair, "c0")))
-    got = pipeline._pair_in_box(*pipeline._read_spans(case))
+    got = pipeline._pair_in_box(*pipeline._read_blocks(case))
     box = nonzero_bbox(Volume(pair[0].data | pair[1].data))
     for g, m in zip(got, pair):
         want = crop(m, box)
@@ -1718,6 +1769,47 @@ def test_a_bad_last_slab_of_an_eval_pair_is_a_per_case_error(tmp_path, eval_slab
     [got] = _run_eval_cli(*dirs, out)
     assert (got["case_id"], got["error"]) == ("a_bad", error.__name__)
     assert got["detail"] == str(want.value)  # the message of the whole-file read
+    rows = (out / "cases.csv").read_text().splitlines()
+    assert [r.split(",")[0] for r in rows[1:]] == ["b_good"]
+
+
+# Ways to spoil a written file's header (see _spoil_header), and the error
+# and message each gives.
+_BAD_HEADERS = {
+    "cut": (TruncatedFile, "need 348 header bytes, got 100"),
+    "magic": (BadMagic, "expected magic"),
+    "dim": (BadHeader, "got dim[0]=4"),
+    "datatype": (UnsupportedDtype, "datatype code 64"),
+    "nifti2": (UnsupportedEncoding, "NIfTI-2 is not supported"),
+}
+
+
+def _spoil_header(path, how):
+    raw = bytearray(path.read_bytes())
+    if how == "cut":
+        del raw[100:]
+    else:
+        offset, value = {"magic": (344, b"ni1\0"), "dim": (40, struct.pack("<h", 4)),
+                         "datatype": (70, struct.pack("<h", 64)),
+                         "nifti2": (0, struct.pack("<i", 540))}[how]
+        raw[offset : offset + len(value)] = value
+    path.write_bytes(bytes(raw))
+
+
+@pytest.mark.parametrize("how", sorted(_BAD_HEADERS))
+@pytest.mark.parametrize("side", [0, 1])
+def test_a_bad_header_of_an_eval_pair_is_an_error_naming_its_file(tmp_path, side, how):
+    dirs = _write_pairs(tmp_path, {"a_bad": _phantom_pair(), "b_good": _phantom_pair(8)})
+    bad = dirs[side] / "a_bad.nii"
+    _spoil_header(bad, how)
+    error, message = _BAD_HEADERS[how]
+    out = tmp_path / "out"
+    [got] = _run_eval_cli(*dirs, out)
+    assert (got["case_id"], got["error"]) == ("a_bad", error.__name__)
+    assert got["detail"].startswith(f"{bad}: ") and message in got["detail"], got["detail"]
+    with pytest.raises(error) as want:
+        load_labelmap(bad)
+    assert got["detail"] == str(want.value)
     rows = (out / "cases.csv").read_text().splitlines()
     assert [r.split(",")[0] for r in rows[1:]] == ["b_good"]
 
