@@ -22,7 +22,7 @@ from pathlib import Path
 
 import click
 
-from .errors import BratsFuseError
+from .errors import BratsFuseError, error_text
 from .metrics import EMPTY_PENALTY_MM
 from .nifti import _write_text, save_nifti, save_probmap
 from .pipeline import (
@@ -46,11 +46,8 @@ class _Main(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except BratsFuseError as e:
-            raise click.ClickException(str(e)) from e
-        except OSError as e:
-            text = f"{e.filename}: {e.strerror}" if e.filename else str(e)
-            raise click.ClickException(text) from e
+        except (BratsFuseError, OSError) as e:
+            raise click.ClickException(error_text(e)) from e
 
 
 @click.group(cls=_Main)

@@ -10,6 +10,14 @@ class BratsFuseError(Exception):
     """Base class for all toolkit errors."""
 
 
+def error_text(e: Exception) -> str:
+    """The one-line message of ``e``: ``<file>: <reason>`` for an ``OSError``
+    that names a file, else ``str(e)``."""
+    if isinstance(e, OSError) and e.filename:
+        return f"{e.filename}: {e.strerror}"
+    return str(e)
+
+
 # -- geometry / data contracts ------------------------------------------------
 
 class GeometryMismatch(BratsFuseError):

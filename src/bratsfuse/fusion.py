@@ -37,10 +37,10 @@ equals per-region ``staple_binary`` plus ``recompose_labels`` without a
 per-voxel mask, posterior or recomposition. The codes are filled by
 ``joint_codes`` and ``pack_labels`` (``unpack_labels`` reads a rater's
 labels back) and counted by ``joint_histogram``, whole
-(``staple_multilabel_detailed``) or slab by slab by a caller that keeps,
-per z-plane, only the rectangle of rows and columns outside which every
-code is 0 and counts every other voxel as code 0, so it holds no
-whole-volume array.
+(``staple_multilabel_detailed``) or plane by plane by a caller that
+keeps, of each z-plane, only the rectangle of rows and columns outside
+which every code is 0 and counts every other voxel as code 0, so it holds
+no whole-volume array.
 
 All of this counting is one operation: each of the J raters gives a row a
 digit of ``width`` bits (1 for a decision, 2 for a label), packed into the

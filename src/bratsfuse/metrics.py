@@ -249,10 +249,10 @@ def evaluate_case(
     return CaseMetrics(case_id, dsc, hd)
 
 
-def metrics_csv_header() -> str:
-    return "case_id,DSC_ET,DSC_TC,DSC_WT,HD95_ET,HD95_TC,HD95_WT"
+def metrics_csv_header() -> list[str]:
+    return ["case_id", "DSC_ET", "DSC_TC", "DSC_WT", "HD95_ET", "HD95_TC", "HD95_WT"]
 
 
-def metrics_csv_row(c: CaseMetrics) -> str:
+def metrics_csv_row(c: CaseMetrics) -> list[str]:
     vals = [c.dsc[r] for r in REGION_ORDER] + [c.hd95[r] for r in REGION_ORDER]
-    return ",".join([c.case_id] + [repr(float(v)) for v in vals])
+    return [c.case_id] + [repr(float(v)) for v in vals]

@@ -20,7 +20,7 @@ Writing uses float32 for :class:`~bratsfuse.volume.Volume` and uint8 for
 x-fastest order, so loading a saved file reproduces shape, spacing, and
 data bit-exactly for the supported dtypes. :func:`header_bytes` builds the
 352 bytes before the voxels, so a writer can stream a label body after it
-slab by slab and get the bytes :func:`save_nifti` would. Every file this
+plane by plane and get the bytes :func:`save_nifti` would. Every file this
 package writes goes through :func:`_write_atomic`: a temporary file in the
 same directory, moved onto its name with ``os.replace``, so a failed or
 interrupted write leaves the earlier file, if any, under that name.

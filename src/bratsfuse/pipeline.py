@@ -8,33 +8,32 @@ one label map alone, no sidecar). ``run_eval`` pairs prediction and
 ground-truth files by filename stem, reads each pair as a case of two
 label-map models, and emits per-case metrics (CSV + JSON) and summary tables.
 
-A case is read in one loop over slabs of whole z-planes (about
-``SLAB_VOXELS`` voxels, at least one plane); a slab is the x-fastest voxel
-range of its planes, read from each file as one contiguous byte range.
-Every input file is opened and its header parsed and checked once, and the
-models' grids are checked to agree, before the first slab. Per slab, each
-model gives its labels: a label map's voxels are read, into one read buffer
-that all of the case's label maps share, and checked by
-``nifti.read_label_planes``. Fold maps are decoded in chunks of
-``DECODE_VOXELS`` voxels, small enough that a chunk's buffers stay in
-cache through every pass over them. Per chunk, every fold's four stored
-channels are read, and the chunk's uncertain range is found: the smallest
-voxel range outside which every fold stores exactly (1, 0, 0, 0), the
-certain background that models which infer on the brain's bounding box
-store in the rest of the grid. A chunk whose first and last voxels are
-both uncertain is its own range, found with no compare pass. On that
-range only, every fold in config order is renormalised and checked, the
-folds are averaged, and the mean is checked again and argmaxed, in
-buffers allocated once per model; the voxels outside it are label 0. That is
-exact: such a voxel passes every check, its mean is (1, 0, 0, 0) and its
-argmax label 0, while a NaN or infinite channel differs from (1, 0, 0, 0)
-and so stays inside the range and is refused.
-Each model's labels go into its two bits of one reused slab of joint
+A case is read in one loop over its z-planes; a plane is the x-fastest
+voxel range ``nx*ny*z : nx*ny*(z + 1)``, read from each file as one
+contiguous byte range. Every input file is opened and its header parsed and
+checked once, and the models' grids are checked to agree, before the first
+plane. Per plane, each model gives its labels: a label map's voxels are
+read, into one read buffer of a plane that all of the case's label maps
+share, and checked by ``nifti.read_label_planes``. Fold maps are decoded in
+chunks of ``DECODE_VOXELS`` voxels (at most a plane), small enough that a
+chunk's buffers stay in cache through every pass over them. Per chunk,
+every fold's four stored channels are read, and the chunk's uncertain
+range is found: the smallest voxel range outside which every fold stores
+exactly (1, 0, 0, 0), the certain background that models which infer on
+the brain's bounding box store in the rest of the grid. A chunk whose first
+and last voxels are both uncertain is its own range, found with no compare
+pass. On that range only, every fold in config order is renormalised and
+checked, the folds are averaged, and the mean is checked again and
+argmaxed, in buffers allocated once per model; the voxels outside it are
+label 0. That is exact: such a voxel passes every check, its mean is
+(1, 0, 0, 0) and its argmax label 0, while a NaN or infinite channel
+differs from (1, 0, 0, 0) and so stays inside the range and is refused.
+Each model's labels go into its two bits of one reused plane of joint
 codes (``fusion.joint_codes``: one code per voxel, in the smallest unsigned
 type holding two bits per model, uint8 for up to four models); code 0 is
-every model saying background. Per z-plane of the slab, only a copy of the
-rectangle of rows and columns outside which every code is 0 is kept. What
-a case holds is therefore the slab buffers plus the kept rectangles, which
+every model saying background. Of each plane, only a copy of the rectangle
+of rows and columns outside which every code is 0 is kept. What a case
+holds is therefore one plane's buffers plus the kept rectangles, which
 grow with the tumour, not with the grid.
 
 The histogram of the rectangles, with every other voxel counted as code 0
@@ -44,9 +43,8 @@ count, and a lookup table gives each row's fused label: STAPLE's
 voxels are counted from the histogram, so the ET threshold is decided
 before any output voxel is written: a relabel is the table edit ET -> 1.
 The output body is then written after the header ``nifti.header_bytes``
-builds: each rectangle's rows whole, the table read at its codes and its
-entry for code 0 beside them, and that entry in the rows between, from one
-buffer of ``fusion.CHUNK_VOXELS`` bytes.
+builds, one z-plane at a time: the plane is filled with the table's entry
+for code 0, and the table is read at the codes of the plane's rectangle.
 
 ``eval`` reads a pair the same way, the prediction as the first model and
 the ground truth as the second, so the two grids are checked to agree
@@ -84,6 +82,7 @@ aggregate files are written in sorted case order, so reruns and different
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -93,9 +92,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadData, BratsFuseError, ConfigError, UnpairedCase
+from .errors import BadData, BratsFuseError, ConfigError, UnpairedCase, error_text
 from .fusion import (
-    CHUNK_VOXELS,
     DEFAULT_MAX_ITERS,
     DEFAULT_TOL,
     argmax_labels_into,
@@ -133,7 +131,7 @@ from .report import (
 )
 from .volume import BRATS_LABELS, BBox, LabelMap, _check_probs, require_same_geometry
 
-# Not called here (cases are fused and evaluated slab by slab through the cores
+# Not called here (cases are fused and evaluated plane by plane through the cores
 # above), but benchmarks/tracing.py wraps these names on this module.
 from .fusion import argmax_labels, average_probs, staple_multilabel_detailed  # noqa: F401
 from .nifti import load_labelmap, load_probmap, save_nifti  # noqa: F401
@@ -290,29 +288,20 @@ class PipelineConfig:
                 m.validate()
 
 
-# Voxels per slab when a case is read; a slab is whole z-planes.
-SLAB_VOXELS = 1 << 17
 # Voxels per chunk when fold maps are decoded: a chunk's buffers (about
 # 2.6 MB for five folds) stay in a core's cache through every pass over them.
 DECODE_VOXELS = 1 << 14
 _LABELS = np.array(BRATS_LABELS, dtype=np.uint8)
 
 
-def _slab_voxels(shape) -> tuple[int, int]:
-    """Planes per slab of a grid, and the voxels of its largest slab."""
-    nx, ny, nz = shape
-    step = max(1, SLAB_VOXELS // (nx * ny))
-    return step, nx * ny * min(step, nz)
-
-
-def _voxels(shape, z0: int, z1: int) -> tuple[int, int]:
-    """The x-fastest voxel range of planes ``z0:z1`` of a grid."""
-    nx, ny, _ = shape
-    return nx * ny * z0, nx * ny * z1
+def _voxels(shape, z: int) -> tuple[int, int]:
+    """The x-fastest voxel range of plane ``z`` of a grid."""
+    plane = shape[0] * shape[1]
+    return plane * z, plane * (z + 1)
 
 
 class _LabelModel:
-    """A model given as a label map, read slab by slab."""
+    """A model given as a label map, read plane by plane."""
 
     def __init__(self, path: Path, stack: ExitStack):
         self._file = stack.enter_context(_open_labels(path))
@@ -320,10 +309,9 @@ class _LabelModel:
         # Bytes per voxel this model reads into the case's read buffer.
         self.read_bytes = self.header.dtype.itemsize
 
-    def labels(self, z0: int, z1: int, buf: np.ndarray) -> np.ndarray:
-        """The labels of planes ``z0:z1``, checked, x-fastest, read into
-        ``buf``."""
-        start, stop = _voxels(self.header.shape, z0, z1)
+    def labels(self, z: int, buf: np.ndarray) -> np.ndarray:
+        """The labels of plane ``z``, checked, x-fastest, read into ``buf``."""
+        start, stop = _voxels(self.header.shape, z)
         data = read_label_planes(self._file, start, stop, buf)
         return data.astype(np.uint8, copy=False)
 
@@ -350,8 +338,8 @@ class _FoldModel:
         self._folds = [stack.enter_context(ProbmapFiles(p)) for p in manifests]
         require_same_geometry(*(f.header for f in self._folds))
         self.header = self._folds[0].header
-        _, size = _slab_voxels(self.header.shape)
-        self._chunk = chunk = min(DECODE_VOXELS, size)
+        nx, ny, _ = self.header.shape
+        self._chunk = chunk = min(DECODE_VOXELS, nx * ny)
         # One set of buffers for every chunk: every fold's four stored
         # channels (at most 4 bytes a value), and float64 buffers for the
         # voxels that are not certain background.
@@ -359,17 +347,16 @@ class _FoldModel:
         self._probs, self._mean = np.empty((2, 4, chunk))
         self._sums, self._best = np.empty((2, chunk))
         self._uncertain, self._differs = np.empty((2, chunk), bool)
-        self._labels = np.empty(size, np.uint8)
+        self._labels = np.empty(nx * ny, np.uint8)
 
-    def labels(self, z0: int, z1: int, buf: np.ndarray) -> np.ndarray:
-        """The labels of planes ``z0:z1``, x-fastest, one chunk at a time;
-        ``buf`` is not used."""
-        start, stop = _voxels(self.header.shape, z0, z1)
-        labels = self._labels[: stop - start]
+    def labels(self, z: int, buf: np.ndarray) -> np.ndarray:
+        """The labels of plane ``z``, x-fastest, one chunk at a time; ``buf``
+        is not used."""
+        start, stop = _voxels(self.header.shape, z)
         for lo in range(start, stop, self._chunk):
             hi = min(lo + self._chunk, stop)
-            self._chunk_labels(lo, hi, labels[lo - start : hi - start])
-        return labels
+            self._chunk_labels(lo, hi, self._labels[lo - start : hi - start])
+        return self._labels
 
     def _chunk_labels(self, lo: int, hi: int, out: np.ndarray) -> None:
         """The labels of voxels ``lo:hi`` into ``out``.
@@ -436,6 +423,14 @@ def _write_json(path: Path, value) -> None:
     _write_text(path, json.dumps(value, sort_keys=True, indent=2) + "\n")
 
 
+def _write_csv(path: Path, rows) -> None:
+    """Write ``rows`` as CSV lines ending in ``\\n``; a field holding a
+    comma or a quote is quoted."""
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    _write_text(path, text.getvalue())
+
+
 def _read_blocks(case: CaseInput):
     """The grid of ``case``'s models and, per z-plane, the ``(rows, columns,
     words)`` block of its joint codes outside which every model says
@@ -446,31 +441,22 @@ def _read_blocks(case: CaseInput):
         require_same_geometry(*(m.header for m in models))
         grid = models[0].header
         nx, ny, nz = grid.shape
-        step, slab = _slab_voxels(grid.shape)
-        buf = joint_codes(len(models), slab)
+        codes = joint_codes(len(models), nx * ny)
+        plane = codes.reshape(ny, nx, -1)
         # One read buffer serves every model: each model's labels are packed
         # into the codes before the next model reads.
-        read = np.empty(slab * max(m.read_bytes for m in models), np.uint8)
+        read = np.empty(nx * ny * max(m.read_bytes for m in models), np.uint8)
         blocks = []
-        for z0 in range(0, nz, step):
-            z1 = min(z0 + step, nz)
-            codes = buf[: nx * ny * (z1 - z0)]
+        for z in range(nz):
             codes[...] = 0
             for r, model in enumerate(models):
-                pack_labels(codes, r, model.labels(z0, z1, read))
-            for z, plane in enumerate(codes.reshape(z1 - z0, ny, nx, -1), z0):
-                nonzero = plane.any(axis=2)
-                ys, xs = (np.flatnonzero(nonzero.any(axis=a)) for a in (1, 0))
-                if ys.size:
-                    block = plane[ys[0] : ys[-1] + 1, xs[0] : xs[-1] + 1]
-                    blocks.append(((int(xs[0]), int(ys[0]), z), block.copy()))
+                pack_labels(codes, r, model.labels(z, read))
+            nonzero = plane.any(axis=2)
+            ys, xs = (np.flatnonzero(nonzero.any(axis=a)) for a in (1, 0))
+            if ys.size:
+                block = plane[ys[0] : ys[-1] + 1, xs[0] : xs[-1] + 1]
+                blocks.append(((int(xs[0]), int(ys[0]), z), block.copy()))
     return grid, blocks
-
-
-def _write_run(fh, run: np.ndarray, n: int) -> None:
-    """Write ``n`` bytes of the value that fills ``run``."""
-    for start in range(0, n, run.size):
-        fh.write(run[: n - start])
 
 
 def _fuse_into(case: CaseInput, cfg: PipelineConfig, out_nii: Path) -> dict:
@@ -490,22 +476,19 @@ def _fuse_into(case: CaseInput, cfg: PipelineConfig, out_nii: Path) -> dict:
     if relabel:
         lut = np.where(lut == 4, np.uint8(1), lut)
     table = index.of(lut)  # the fused label of every code
-    # The rows no rectangle spans, all of code 0, are written from one
-    # buffer of its fused label.
-    run = np.full(CHUNK_VOXELS, table[joint_codes(n_models, 1)][0], np.uint8)
-    nx, ny, _ = grid.shape
+    background = table[joint_codes(n_models, 1)][0]  # that of code 0
+    nx, ny, nz = grid.shape
+    plane = np.empty((ny, nx), np.uint8)
+    kept = {z: (x, y, codes) for (x, y, z), codes in blocks}
     with _write_atomic(out_nii) as fh:
         fh.write(header_bytes(grid.shape, grid.spacing, grid.origin, np.uint8))
-        end = 0
-        for (x, y, z), codes in blocks:
-            h, w, words = codes.shape
-            start = (z * ny + y) * nx
-            _write_run(fh, run, start - end)
-            rows = np.full((h, nx), run[0])
-            rows[:, x : x + w] = table[codes.reshape(-1, words)].reshape(h, w)
-            fh.write(rows)
-            end = start + h * nx
-        _write_run(fh, run, n_voxels - end)
+        for z in range(nz):
+            plane.fill(background)
+            if z in kept:
+                x, y, codes = kept[z]
+                h, w, words = codes.shape
+                plane[y : y + h, x : x + w] = table[codes.reshape(-1, words)].reshape(h, w)
+            fh.write(plane)
     return {
         "case_id": case.case_id,
         "models": [m.name for m in case.models],
@@ -540,11 +523,7 @@ def _run_cases(worker, items, jobs: int):
 
 
 def _case_error(case_id: str, e: BratsFuseError | OSError) -> dict:
-    if isinstance(e, OSError) and e.filename:
-        detail = f"{e.filename}: {e.strerror}"
-    else:
-        detail = str(e)
-    return {"case_id": case_id, "error": type(e).__name__, "detail": detail}
+    return {"case_id": case_id, "error": type(e).__name__, "detail": error_text(e)}
 
 
 def _write_errors(output_dir: Path, errors: list[dict]) -> None:
@@ -643,7 +622,7 @@ def run_eval(
 ) -> tuple[list[CaseMetrics], list[dict]]:
     """Evaluate predictions against ground truth paired by filename stem.
 
-    Each pair is read slab by slab through ``_read_blocks`` and scored on its
+    Each pair is read plane by plane through ``_read_blocks`` and scored on its
     two label maps rebuilt inside the box of their tumour (see the module
     docstring), so a case holds memory by its tumour, not by its grid.
     Unpaired files and per-case failures are recorded (not fatal) and the
@@ -670,8 +649,8 @@ def run_eval(
     errors.extend(e for _, e in results if e is not None)
     errors.sort(key=lambda e: e["case_id"])
 
-    lines = [metrics_csv_header()] + [metrics_csv_row(c) for c in cases]
-    _write_text(output_dir / "cases.csv", "\n".join(lines) + "\n")
+    _write_csv(output_dir / "cases.csv",
+               [metrics_csv_header()] + [metrics_csv_row(c) for c in cases])
     _write_json(output_dir / "cases.json", [asdict(c) for c in cases])
     if cases:
         write_summary_outputs(cases, output_dir)
@@ -746,8 +725,7 @@ def run_rank(summary_csv, output_dir) -> str:
     output_dir.mkdir(parents=True, exist_ok=True)
     ranking = rank_models(summaries)
     _write_text(output_dir / "ranking.json", ranking.to_json() + "\n")
-    rows = ["model,rank"] + [f"{n},{r}" for n, r in ranking.ranking]
-    _write_text(output_dir / "ranking.csv", "\n".join(rows) + "\n")
+    _write_csv(output_dir / "ranking.csv", [("model", "rank"), *ranking.ranking])
     table = format_ranking_table(summaries, ranking)
     _write_text(output_dir / "ranking.txt", table)
     return table

@@ -312,6 +312,22 @@ def test_cases_csv_reads_back_what_eval_wrote(tmp_path):
     assert pipeline.read_cases_csv(tmp_path / "out" / "cases.csv") == cases
 
 
+def test_case_ids_with_a_comma_or_a_quote_survive_eval_and_report(tmp_path):
+    pairs = {"a,b": _phantom_pair(), 'q"x': _phantom_pair(8), "c0": _phantom_pair(9)}
+    out = tmp_path / "out"
+    cases, errors = run_eval(*_write_pairs(tmp_path, pairs), out)
+    assert errors == [] and [c.case_id for c in cases] == ["a,b", "c0", 'q"x']
+    lines = (out / "cases.csv").read_text().splitlines()
+    assert lines[0] == "case_id,DSC_ET,DSC_TC,DSC_WT,HD95_ET,HD95_TC,HD95_WT"
+    assert [line.split(",")[0] for line in lines[1:]] == ['"a', "c0", '"q""x"']
+    result = CliRunner().invoke(main, ["report", str(out / "cases.csv"),
+                                       "--out", str(tmp_path / "report")])
+    assert result.exit_code == 0, result.output
+    assert pipeline.read_cases_csv(out / "cases.csv") == cases
+    assert (tmp_path / "report" / "summary.json").read_bytes() == \
+        (out / "summary.json").read_bytes()
+
+
 @pytest.mark.parametrize("text, message", [
     ("case_id,DSC_ET\nc0,0.5\n", "bad metrics row {'case_id': 'c0', 'DSC_ET': '0.5'}"),
     ("case_id,DSC_ET,DSC_TC,DSC_WT,HD95_ET,HD95_TC,HD95_WT\nc0,1,1,1,nan,0,0\n",
@@ -374,8 +390,7 @@ def _phantom_map(tmp_path):
     return save_nifti(tmp_path / "m.nii", LabelMap(gt.data, SPACING, ORIGIN)), et
 
 
-def test_postprocess_writes_the_bytes_fuse_writes_for_the_map_alone(tmp_path, monkeypatch):
-    monkeypatch.setattr(pipeline, "SLAB_VOXELS", STREAM_SLAB)
+def test_postprocess_writes_the_bytes_fuse_writes_for_the_map_alone(tmp_path):
     path, et = _phantom_map(tmp_path)
     for threshold in (0, et, et + 1):  # kept, kept at the threshold, relabeled
         case = CaseInput("c0", (ModelInput("m", labelmap=path),))
@@ -422,9 +437,12 @@ def test_postprocess_holds_memory_by_the_tumour_not_the_grid(tmp_path):
     _postprocess_peak(tmp_path / "warm", (80, 80, 64))
     small = _postprocess_peak(tmp_path / "small", (80, 80, 64))
     large = _postprocess_peak(tmp_path / "large", (240, 240, 155))
-    # 22 times the voxels, the same peak: the slab buffers and the kept
-    # rectangles. The large map whole would be 8.9 MB.
-    assert large < small + 2**16, f"{small / 2**20:.2f} MB, then {large / 2**20:.2f} MB"
+    # 22 times the voxels, and the peak grows only by one plane's buffers
+    # (the read buffer, the codes, their packing temporaries and the written
+    # plane: about 4 bytes a plane voxel); the kept rectangles stay the
+    # same. The large map whole would be 8.9 MB.
+    added = 6 * (240 * 240 - 80 * 80)  # 6 bytes a plane voxel: 0.29 MB
+    assert large < small + added, f"{small / 2**20:.2f} MB, then {large / 2**20:.2f} MB"
     assert large < 2**20, f"peak {large / 2**20:.2f} MB"
 
 
@@ -547,8 +565,8 @@ def test_config_with_seed_key_still_loads(tmp_path):
 SPACING = (1.0, 1.25, 2.0)
 ORIGIN = (4.0, -2.0, 7.5)
 
-# Three folds of 6 x 5 x 8 voxels, two planes per slab: the voxel patched
-# into the second fold sits in the third of four slabs.
+# Three folds of 6 x 5 x 8 voxels: the voxel patched into the second fold
+# sits in plane 5, the voxels 150:180.
 CHECK_SHAPE = (6, 5, 8)
 CHECK_VOXEL = 4 + 6 * (3 + 5 * 5)  # (4, 3, 5), x-fastest
 
@@ -587,16 +605,16 @@ def _assert_streamed_equals_whole(manifests):
     return got
 
 
-@pytest.mark.parametrize("slab_voxels, planes_per_slab", [
-    (3 * 8 * 6, 3),   # 11 planes: slabs of 3, 3, 3 and 2
-    (10, 1),          # one plane exceeds the budget: still one plane per slab
-    (8 * 6 * 11, 11),  # the whole grid in one slab
-])
-def test_streamed_labels_equal_whole_volume_labels(tmp_path, rng, monkeypatch,
-                                                   slab_voxels, planes_per_slab):
-    monkeypatch.setattr(pipeline, "SLAB_VOXELS", slab_voxels)
+# The edges of the plane loop: one plane, and planes of one voxel.
+EDGE_GRIDS = {"one_plane": (8, 6, 1), "one_voxel_planes": (1, 1, 11)}
+
+
+@pytest.mark.parametrize("shape", [(8, 6, 11), *EDGE_GRIDS.values()],
+                         ids=["planes_of_48", *EDGE_GRIDS])
+def test_streamed_labels_equal_whole_volume_labels(tmp_path, rng, monkeypatch, shape):
     monkeypatch.setattr(pipeline, "DECODE_VOXELS", 40)  # less than a plane of 48
-    manifests = _folds(tmp_path, rng, (8, 6, 11), 3)
+    nx, ny, nz = shape
+    manifests = _folds(tmp_path, rng, shape, 3)
     calls = []
     real = ProbmapFiles.read
 
@@ -608,23 +626,21 @@ def test_streamed_labels_equal_whole_volume_labels(tmp_path, rng, monkeypatch,
         patch.setattr(ProbmapFiles, "read", read)
         got = _fused_labels(manifests)
     assert got.data.tobytes(order="F") == _whole_volume_labels(manifests).data.tobytes(order="F")
-    # Each slab of planes_per_slab planes (the last one shorter) is the
-    # voxel range of its planes; it is read in chunks of 40 voxels (the
-    # last one shorter), and each chunk from every fold, in config order.
-    slabs = [(48 * z0, 48 * min(z0 + planes_per_slab, 11))
-             for z0 in range(0, 11, planes_per_slab)]
-    assert calls == [(m, lo, min(lo + 40, stop)) for start, stop in slabs
-                     for lo in range(start, stop, 40) for m in manifests]
+    # Each plane is the voxel range nx*ny*z : nx*ny*(z + 1); it is read in
+    # chunks of 40 voxels (the last one shorter, and none longer than the
+    # plane), and each chunk from every fold, in config order.
+    plane = nx * ny
+    assert calls == [(m, lo, min(lo + 40, plane * (z + 1))) for z in range(nz)
+                     for lo in range(plane * z, plane * (z + 1), 40) for m in manifests]
 
 
-def test_streamed_labels_at_the_default_slab_size(tmp_path, rng):
-    # 200 x 200 planes: 3 planes per slab, so 5 planes make slabs of 3 and 2.
-    assert pipeline.SLAB_VOXELS // (200 * 200) == 3
-    _assert_streamed_equals_whole(_folds(tmp_path, rng, (200, 200, 5), 2))
+def test_streamed_labels_when_the_default_decode_chunk_splits_planes(tmp_path, rng):
+    # 130 x 130 planes: a chunk of 16384 voxels, then one of 516.
+    assert 130 * 130 - pipeline.DECODE_VOXELS == 516
+    _assert_streamed_equals_whole(_folds(tmp_path, rng, (130, 130, 3), 2))
 
 
-def test_streamed_labels_break_exact_ties_toward_the_later_channel(tmp_path, monkeypatch):
-    monkeypatch.setattr(pipeline, "SLAB_VOXELS", 4 * 3 * 2)
+def test_streamed_labels_break_exact_ties_toward_the_later_channel(tmp_path):
     shape = (4, 3, 5)
     ties = [(0.25, 0.25, 0.25, 0.25), (0.5, 0.5, 0.0, 0.0), (0.5, 0.0, 0.5, 0.0),
             (0.0, 0.5, 0.0, 0.5), (0.125, 0.375, 0.375, 0.125), (0.0, 0.0, 0.5, 0.5)]
@@ -646,9 +662,8 @@ def test_streamed_labels_break_exact_ties_toward_the_later_channel(tmp_path, mon
 @pytest.mark.parametrize("decode_voxels", [1, 7, 29, 60, 1 << 15])
 def test_labels_are_the_same_for_any_decode_chunk(tmp_path, rng, monkeypatch,
                                                   decode_voxels):
-    # Slabs of two 6 x 5 planes: chunks of 7 or 29 voxels divide neither a
-    # plane nor a slab; 60 is one chunk per slab and 1 << 15 is capped to it.
-    monkeypatch.setattr(pipeline, "SLAB_VOXELS", 6 * 5 * 2)
+    # Planes of 6 x 5: chunks of 7 or 29 voxels do not divide a plane; 60
+    # and 1 << 15 are capped to one chunk per plane.
     monkeypatch.setattr(pipeline, "DECODE_VOXELS", decode_voxels)
     _assert_streamed_equals_whole(_folds(tmp_path, rng, CHECK_SHAPE, 3))
 
@@ -668,12 +683,10 @@ def test_channel_truncated_in_its_last_plane(tmp_path, rng):
         _fused_labels(manifests)
 
 
-def test_fold_decoding_holds_one_slab_of_each_fold(tmp_path, rng, monkeypatch):
+def test_fold_decoding_holds_less_than_one_decoded_fold(tmp_path, rng):
     shape = (64, 64, 96)
     manifests = _folds(tmp_path, rng, shape, 5)
     fold_bytes = 4 * int(np.prod(shape)) * 8  # one fold's float64 map
-    # Four planes per slab, so the whole grid takes 24 slabs.
-    monkeypatch.setattr(pipeline, "SLAB_VOXELS", 4 * 64 * 64, raising=False)
     tracemalloc.start()
     try:
         labels = _fused_labels(manifests)
@@ -684,13 +697,14 @@ def test_fold_decoding_holds_one_slab_of_each_fold(tmp_path, rng, monkeypatch):
     assert peak < fold_bytes, f"peak {peak / 2**20:.1f} MB"
 
 
-def test_fold_decoding_memory_grows_with_the_chunk_not_the_slab(tmp_path, rng,
-                                                               monkeypatch):
-    plane = 64 * 64
-    manifests = _folds(tmp_path, rng, (64, 64, 48), 3)
+def test_fold_decoding_memory_grows_with_the_chunk_not_the_plane(tmp_path, rng,
+                                                                monkeypatch):
+    # The same voxels, so the same kept codes, in planes of 64 x 64 and of
+    # 128 x 128.
+    small = _folds(tmp_path, rng, (64, 64, 48), 3, stem="small")
+    large = _folds(tmp_path, rng, (128, 128, 12), 3, stem="large")
 
-    def peak(slab_voxels, decode_voxels):
-        monkeypatch.setattr(pipeline, "SLAB_VOXELS", slab_voxels)
+    def peak(manifests, decode_voxels):
         monkeypatch.setattr(pipeline, "DECODE_VOXELS", decode_voxels)
         tracemalloc.start()
         try:
@@ -699,15 +713,14 @@ def test_fold_decoding_memory_grows_with_the_chunk_not_the_slab(tmp_path, rng,
         finally:
             tracemalloc.stop()
 
-    base = peak(4 * plane, 1024)
-    # Twelve times the slab costs under 4 bytes per added slab voxel (its
-    # uint8 labels and output); decoding whole slabs would cost 84 (float32
-    # raw, float64 probs, mean, sums and best).
-    assert peak(48 * plane, 1024) - base < 4 * 44 * plane
+    base = peak(large, 1024)
+    # Four times the plane costs under 8 bytes per added plane voxel (one
+    # plane's uint8 labels, codes, packing temporaries and output); decoding
+    # whole planes would cost 84 (float32 raw, float64 probs, mean, sums and
+    # best).
+    assert base - peak(small, 1024) < 8 * (128 * 128 - 64 * 64)
     # Eight times the chunk costs at least its float64 probs and mean.
-    assert peak(4 * plane, 8192) - base > 2 * 4 * 8 * (8192 - 1024)
-
-
+    assert peak(large, 8192) - base > 2 * 4 * 8 * (8192 - 1024)
 
 
 def _patch_channels(manifest, values, voxel=CHECK_VOXEL):
@@ -727,8 +740,7 @@ BAD_VOXELS = {
 
 
 @pytest.mark.parametrize("bad", sorted(BAD_VOXELS))
-def test_every_voxel_of_every_fold_is_checked(tmp_path, rng, monkeypatch, bad):
-    monkeypatch.setattr(pipeline, "SLAB_VOXELS", 6 * 5 * 2)
+def test_every_voxel_of_every_fold_is_checked(tmp_path, rng, bad):
     values, match = BAD_VOXELS[bad]
     bad_case = _folds(tmp_path, rng, CHECK_SHAPE, 3, stem="a_bad")
     _patch_channels(bad_case[1], values)
@@ -751,9 +763,8 @@ def test_every_voxel_of_every_fold_is_checked(tmp_path, rng, monkeypatch, bad):
 @pytest.mark.parametrize("bad", sorted(BAD_VOXELS))
 def test_a_bad_voxel_in_a_later_decode_chunk_names_its_fold(tmp_path, rng, monkeypatch,
                                                             bad):
-    # Chunks of 7 voxels: CHECK_VOXEL (172) is in the chunk 169:176, the
-    # eighth of the slab 120:180.
-    monkeypatch.setattr(pipeline, "SLAB_VOXELS", 6 * 5 * 2)
+    # Chunks of 7 voxels: CHECK_VOXEL (172) is in the chunk 171:178, the
+    # fourth of the plane 150:180.
     monkeypatch.setattr(pipeline, "DECODE_VOXELS", 7)
     values, match = BAD_VOXELS[bad]
     folds = _folds(tmp_path, rng, CHECK_SHAPE, 3)
@@ -778,13 +789,11 @@ def _assert_the_average_is_checked(tmp_path, rng):
     assert str(info.value).startswith(f"average of {folds[0]}, {folds[1]}: ")
 
 
-def test_the_average_of_the_folds_is_checked(tmp_path, rng, monkeypatch):
-    monkeypatch.setattr(pipeline, "SLAB_VOXELS", 6 * 5 * 2)
+def test_the_average_of_the_folds_is_checked(tmp_path, rng):
     _assert_the_average_is_checked(tmp_path, rng)
 
 
 def test_the_average_is_checked_in_a_later_decode_chunk(tmp_path, rng, monkeypatch):
-    monkeypatch.setattr(pipeline, "SLAB_VOXELS", 6 * 5 * 2)
     monkeypatch.setattr(pipeline, "DECODE_VOXELS", 7)
     _assert_the_average_is_checked(tmp_path, rng)
 
@@ -844,7 +853,6 @@ def _fused_as_whole(manifests, monkeypatch):
 def test_one_hot_folds_fuse_as_the_whole_volume_in_any_stored_dtype(tmp_path, rng,
                                                                     monkeypatch, dtype):
     # Chunks of 13 voxels: some all background, some all tumour, some both.
-    monkeypatch.setattr(pipeline, "SLAB_VOXELS", 9 * 7 * 2)
     monkeypatch.setattr(pipeline, "DECODE_VOXELS", 13)
     shape = (9, 7, 10)
     manifests = []
@@ -859,10 +867,9 @@ def test_one_hot_folds_fuse_as_the_whole_volume_in_any_stored_dtype(tmp_path, rn
     assert 0 < decoded < 3 * got.data.size
 
 
-@pytest.mark.parametrize("voxel", [169, CHECK_VOXEL, 175], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("voxel", [171, 174, 177], ids=["first", "middle", "last"])
 def test_a_chunk_s_one_uncertain_voxel_is_decoded_alone(tmp_path, monkeypatch, voxel):
-    # Chunks of 7 voxels: 169:176 is the eighth chunk of the slab 120:180.
-    monkeypatch.setattr(pipeline, "SLAB_VOXELS", 6 * 5 * 2)
+    # Chunks of 7 voxels: 171:178 is the fourth chunk of the plane 150:180.
     monkeypatch.setattr(pipeline, "DECODE_VOXELS", 7)
     folds = _background_folds(tmp_path, 3)
     for fold in folds:
@@ -875,7 +882,6 @@ def test_a_chunk_s_one_uncertain_voxel_is_decoded_alone(tmp_path, monkeypatch, v
 @pytest.mark.parametrize("odd", [0, 2, 4])
 def test_a_voxel_uncertain_in_one_fold_is_decoded_in_every_fold(tmp_path, monkeypatch,
                                                                 odd):
-    monkeypatch.setattr(pipeline, "SLAB_VOXELS", 6 * 5 * 2)
     monkeypatch.setattr(pipeline, "DECODE_VOXELS", 7)
     folds = _background_folds(tmp_path, 5)
     _patch_channels(folds[odd], (0.0, 0.5, 0.25, 0.25))
@@ -886,7 +892,6 @@ def test_a_voxel_uncertain_in_one_fold_is_decoded_in_every_fold(tmp_path, monkey
 @pytest.mark.parametrize("zeros", [(0.0,), (-0.0,), (0.0, -0.0)],
                          ids=["zero", "minus_zero", "both"])
 def test_all_background_folds_make_no_renormalise_call(tmp_path, monkeypatch, zeros):
-    monkeypatch.setattr(pipeline, "SLAB_VOXELS", 6 * 5 * 2)
     monkeypatch.setattr(pipeline, "DECODE_VOXELS", 7)
     folds = _background_folds(tmp_path, 3, zeros)
     stored = np.frombuffer((tmp_path / "probs" / "case_f0_ch1.nii").read_bytes()[352:], "<f4")
@@ -908,7 +913,6 @@ BAD_BACKGROUND = {
 
 @pytest.mark.parametrize("bad", sorted(BAD_VOXELS) + [f"{b}_alone" for b in BAD_BACKGROUND])
 def test_a_bad_voxel_among_background_names_its_fold(tmp_path, monkeypatch, bad):
-    monkeypatch.setattr(pipeline, "SLAB_VOXELS", 6 * 5 * 2)
     monkeypatch.setattr(pipeline, "DECODE_VOXELS", 7)
     values, match = BAD_VOXELS.get(bad) or BAD_BACKGROUND[bad.removesuffix("_alone")]
     folds = _background_folds(tmp_path, 3)
@@ -1147,11 +1151,9 @@ def test_fused_outputs_are_byte_identical_across_jobs(tmp_path):
             (tmp_path / "jobs2" / name).read_bytes(), name
 
 
-# -- the slab-by-slab fuse path against the in-memory reference -------------------
+# -- the plane-by-plane fuse path against the in-memory reference -----------------
 
 STREAM_SHAPE = (16, 14, 11)
-# Two planes per slab: slabs 0:2, ..., 8:10 and a last one of one plane.
-STREAM_SLAB = 2 * 16 * 14
 
 
 def _label_models(tmp_path, raters, stem):
@@ -1229,18 +1231,16 @@ def _assert_fuses_as_the_reference(tmp_path, case, oracle=True, **options):
     return diags[0]
 
 
-def test_a_soft_and_two_label_models_fuse_as_the_reference(tmp_path, monkeypatch):
-    monkeypatch.setattr(pipeline, "SLAB_VOXELS", STREAM_SLAB)
+def test_a_soft_and_two_label_models_fuse_as_the_reference(tmp_path):
     diag = _assert_fuses_as_the_reference(tmp_path, _mixed_case(tmp_path, "c0", STREAM_SHAPE))
     assert set(diag["staple"]) == {"ET", "TC", "WT"}
 
 
-def test_one_label_model_below_the_et_threshold_is_relabeled(tmp_path, monkeypatch):
-    monkeypatch.setattr(pipeline, "SLAB_VOXELS", STREAM_SLAB)
+def test_one_label_model_below_the_et_threshold_is_relabeled(tmp_path):
     data = np.zeros(STREAM_SHAPE, np.uint8)
     data[3:12, 3:11, 2:10] = 2
     data[5:10, 5:9, 4:8] = 1
-    data[6:8, 6, 9] = 4  # two ET voxels, in the slab of planes 8:10
+    data[6:8, 6, 9] = 4  # two ET voxels, in plane 9
     path = save_nifti(tmp_path / "m.nii", LabelMap(data, SPACING, ORIGIN))
     case = CaseInput("c0", (ModelInput("m", labelmap=path),))
     diag = _assert_fuses_as_the_reference(tmp_path, case, et_threshold=3)
@@ -1252,16 +1252,27 @@ def test_one_label_model_below_the_et_threshold_is_relabeled(tmp_path, monkeypat
 
 
 @pytest.mark.parametrize("n_raters, code_type", [(5, np.uint16), (9, np.uint32)])
-def test_many_label_models_fuse_as_the_reference(tmp_path, monkeypatch, n_raters,
-                                                 code_type):
+def test_many_label_models_fuse_as_the_reference(tmp_path, n_raters, code_type):
     # Five raters' codes need a uint16; nine need 18 bits, more than
     # np.bincount counts, so their joint rows are sorted.
     assert joint_codes(n_raters, 1).dtype == code_type
     assert (2 * n_raters > CODE_BITS) == (n_raters == 9)
-    monkeypatch.setattr(pipeline, "SLAB_VOXELS", STREAM_SLAB)
     gt, _ = make_phantom(PhantomSpec(shape=STREAM_SHAPE, seed=7))
     models = _label_models(tmp_path, boundary_raters(gt, n_raters, 4), "c0")
     _assert_fuses_as_the_reference(tmp_path, CaseInput("c0", tuple(models)))
+
+
+def _random_labels(rng, shape, n_maps):
+    """``n_maps`` label maps of ``shape`` whose voxels are background or a
+    random BraTS label, half and half."""
+    return [LabelMap(np.where(rng.random(shape) < 0.5, rng.choice(BRATS_LABELS, shape),
+                              0).astype(np.uint8), SPACING, ORIGIN) for _ in range(n_maps)]
+
+
+@pytest.mark.parametrize("grid", sorted(EDGE_GRIDS))
+def test_label_models_fuse_as_the_reference_at_the_plane_loop_edges(tmp_path, grid):
+    raters = _random_labels(np.random.default_rng(3), EDGE_GRIDS[grid], 3)
+    _assert_fuses_as_the_reference(tmp_path, _rater_case(tmp_path, raters))
 
 
 def _spoil_last_plane(path, how):
@@ -1277,9 +1288,7 @@ def _spoil_last_plane(path, how):
 
 @pytest.mark.parametrize("how, error", [("invalid_label", InvalidLabel),
                                         ("truncated", TruncatedFile)])
-def test_a_bad_last_slab_is_a_per_case_error_with_no_outputs(tmp_path, monkeypatch,
-                                                             how, error):
-    monkeypatch.setattr(pipeline, "SLAB_VOXELS", STREAM_SLAB)
+def test_a_bad_last_slab_is_a_per_case_error_with_no_outputs(tmp_path, how, error):
     gt, _ = make_phantom(PhantomSpec(shape=STREAM_SHAPE, seed=7))
     raters = boundary_raters(gt, 3, 4)
     cases = [CaseInput(cid, tuple(_label_models(tmp_path, raters, cid)))
@@ -1310,13 +1319,12 @@ class _FailingFile:
             assert [p.name for p in self._path.parent.glob(f".{self._path.name}.*.tmp")] \
                 == [Path(self._fh.name).name]
             assert self._path.read_bytes() == self._earlier
-            raise BadData("injected after the first slab")
+            raise BadData("injected after the first plane")
         self._left -= 1
         return self._fh.write(data)
 
 
 def test_a_failed_write_leaves_no_output_and_no_temporary_file(tmp_path, monkeypatch):
-    monkeypatch.setattr(pipeline, "SLAB_VOXELS", STREAM_SLAB)
     case = _mixed_case(tmp_path, "c0", STREAM_SHAPE)
     cfg = PipelineConfig(cases=(case,), output_dir=tmp_path / "fused")
     assert run_fuse(cfg)[1] == []  # an earlier run's outputs, to be removed
@@ -1334,7 +1342,7 @@ def test_a_failed_write_leaves_no_output_and_no_temporary_file(tmp_path, monkeyp
     diags, errors = run_fuse(cfg)
     assert diags == []
     assert errors == [{"case_id": "c0", "error": "BadData",
-                       "detail": "injected after the first slab"}]
+                       "detail": "injected after the first plane"}]
     out = cfg.output_dir
     assert sorted(p.name for p in out.iterdir()) == ["errors.json", "fuse_manifest.json"]
     assert json.loads((out / "errors.json").read_text()) == errors
@@ -1390,8 +1398,9 @@ def test_fusing_nine_raters_holds_no_index_per_voxel(tmp_path):
 
 def test_fusing_holds_memory_by_the_tumour_not_the_grid(tmp_path):
     # A tumour of 16^3 voxels: only a few planes' rows of codes are kept, and
-    # the slab buffers (one read buffer and one of codes, 128 KB each) hold
-    # most of the rest. A code per voxel would be 4 times this.
+    # one plane's buffers (25 KB each: the read buffer, the codes, the
+    # written plane) hold most of the rest. A code per voxel would be 4 times
+    # this.
     boxes = (np.s_[72:88, 72:88, 56:72], np.s_[76:84, 76:84, 60:68],
              np.s_[78:82, 78:82, 62:66])
     voxels, peak = _fuse_peak(tmp_path, ((0, 0, 0), (1, -1, 1), (-1, 1, -1)), boxes)
@@ -1412,8 +1421,7 @@ def _kept(case):
 
 
 @pytest.mark.parametrize("n_raters", [3, 9])
-def test_raters_that_are_all_background_keep_no_span(tmp_path, monkeypatch, n_raters):
-    monkeypatch.setattr(pipeline, "SLAB_VOXELS", STREAM_SLAB)
+def test_raters_that_are_all_background_keep_no_rectangle(tmp_path, n_raters):
     empty = LabelMap(np.zeros(STREAM_SHAPE, np.uint8), SPACING, ORIGIN)
     case = _rater_case(tmp_path, [empty] * n_raters)
     assert _kept(case) == []
@@ -1423,8 +1431,7 @@ def test_raters_that_are_all_background_keep_no_span(tmp_path, monkeypatch, n_ra
 
 
 @pytest.mark.parametrize("n_raters", [3, 9])
-def test_spans_that_touch_both_ends_of_the_grid(tmp_path, monkeypatch, n_raters):
-    monkeypatch.setattr(pipeline, "SLAB_VOXELS", STREAM_SLAB)
+def test_rectangles_that_touch_both_ends_of_the_grid(tmp_path, n_raters):
     gt, _ = make_phantom(PhantomSpec(shape=STREAM_SHAPE, seed=7))
     raters = []
     for k, m in enumerate(boundary_raters(gt, n_raters, 4)):
@@ -1453,11 +1460,9 @@ def _scattered(rng, n_maps, empty_planes):
 
 @pytest.mark.parametrize("n_raters", [3, 33])
 @pytest.mark.parametrize("seed", range(4))
-def test_each_plane_keeps_its_codes_cropped_to_its_nonzero_box(tmp_path, monkeypatch,
-                                                               n_raters, seed):
+def test_each_plane_keeps_its_codes_cropped_to_its_nonzero_box(tmp_path, n_raters, seed):
     # Scattered labels: a plane's nonzero box may start and end anywhere.
     # Thirty-three raters need two uint64 words a code.
-    monkeypatch.setattr(pipeline, "SLAB_VOXELS", STREAM_SLAB)
     rng = np.random.default_rng(seed)
     raters = _scattered(rng, n_raters, [0, 4, 5, 10][seed:])
     case = _rater_case(tmp_path, raters)
@@ -1482,8 +1487,7 @@ def test_each_plane_keeps_its_codes_cropped_to_its_nonzero_box(tmp_path, monkeyp
     _assert_fuses_as_the_reference(tmp_path, case, oracle=False)
 
 
-def test_voxels_outside_the_spans_take_the_label_of_code_0(tmp_path, monkeypatch):
-    monkeypatch.setattr(pipeline, "SLAB_VOXELS", STREAM_SLAB)
+def test_voxels_outside_the_rectangles_take_the_label_of_code_0(tmp_path, monkeypatch):
     real = fusion.staple_lut
 
     def background_is_edema(rows, counts, *args, **kwargs):
@@ -1564,7 +1568,6 @@ def test_an_earlier_output_that_cannot_be_removed_is_named_in_the_error(tmp_path
 
 
 def test_the_label_maps_of_a_case_share_one_read_buffer(tmp_path, monkeypatch):
-    monkeypatch.setattr(pipeline, "SLAB_VOXELS", STREAM_SLAB)
     gt, _ = make_phantom(PhantomSpec(shape=STREAM_SHAPE, seed=7))
     models = _label_models(tmp_path, boundary_raters(gt, 3, 4), "c0")
     # The widest stored type sets the buffer's size: one rater as float32.
@@ -1580,9 +1583,9 @@ def test_the_label_maps_of_a_case_share_one_read_buffer(tmp_path, monkeypatch):
 
     monkeypatch.setattr(pipeline, "read_label_planes", spy)
     _assert_fuses_as_the_reference(tmp_path, CaseInput("c0", tuple(models)))
-    assert len(buffers) == 3 * -(-STREAM_SHAPE[2] // 2)  # per rater, per slab
+    assert len(buffers) == 3 * STREAM_SHAPE[2]  # per rater, per plane
     assert all(buf is buffers[0] for buf in buffers)
-    assert buffers[0].nbytes == STREAM_SLAB * 4
+    assert buffers[0].nbytes == 16 * 14 * 4  # one plane of float32
 
 
 # -- eval: pairs read through the rectangles, scored inside the tumour box --------
@@ -1630,18 +1633,12 @@ def _assert_scores_as_the_oracles(tmp_path, pred, gt, penalty=EMPTY_PENALTY_MM):
     return got
 
 
-@pytest.fixture
-def eval_slabs(monkeypatch):
-    """Read eval pairs two planes at a time."""
-    monkeypatch.setattr(pipeline, "SLAB_VOXELS", STREAM_SLAB)
-
-
-def test_eval_scores_a_pair_as_the_oracles(tmp_path, eval_slabs):
+def test_eval_scores_a_pair_as_the_oracles(tmp_path):
     got = _assert_scores_as_the_oracles(tmp_path, *_phantom_pair())
     assert all(0 < d < 1 for d in got.dsc.values())
 
 
-def test_eval_of_two_empty_maps_is_perfect(tmp_path, eval_slabs):
+def test_eval_of_two_empty_maps_is_perfect(tmp_path):
     empty = LabelMap(np.zeros(STREAM_SHAPE, np.uint8), SPACING, ORIGIN)
     got = _assert_scores_as_the_oracles(tmp_path, empty, empty)
     assert got.dsc == {"ET": 1.0, "TC": 1.0, "WT": 1.0}
@@ -1649,7 +1646,7 @@ def test_eval_of_two_empty_maps_is_perfect(tmp_path, eval_slabs):
 
 
 @pytest.mark.parametrize("empty_side", [0, 1])
-def test_eval_of_one_empty_side_is_the_penalty(tmp_path, eval_slabs, empty_side):
+def test_eval_of_one_empty_side_is_the_penalty(tmp_path, empty_side):
     pair = list(_phantom_pair())
     pair[empty_side] = LabelMap(np.zeros(STREAM_SHAPE, np.uint8), SPACING, ORIGIN)
     got = _assert_scores_as_the_oracles(tmp_path, *pair, penalty=50.0)
@@ -1657,7 +1654,7 @@ def test_eval_of_one_empty_side_is_the_penalty(tmp_path, eval_slabs, empty_side)
     assert got.hd95 == {"ET": 50.0, "TC": 50.0, "WT": 50.0}
 
 
-def test_eval_of_et_only_in_the_ground_truth(tmp_path, eval_slabs):
+def test_eval_of_et_only_in_the_ground_truth(tmp_path):
     pred, gt = _phantom_pair()
     pred = LabelMap(np.where(pred.data == 4, np.uint8(1), pred.data), SPACING, ORIGIN)
     got = _assert_scores_as_the_oracles(tmp_path, pred, gt)
@@ -1665,7 +1662,13 @@ def test_eval_of_et_only_in_the_ground_truth(tmp_path, eval_slabs):
     assert got.dsc["TC"] > 0
 
 
-def test_eval_of_a_tumour_touching_the_first_and_last_voxel(tmp_path, eval_slabs):
+@pytest.mark.parametrize("grid", sorted(EDGE_GRIDS))
+def test_eval_scores_as_the_oracles_at_the_plane_loop_edges(tmp_path, grid):
+    _assert_scores_as_the_oracles(tmp_path, *_random_labels(np.random.default_rng(4),
+                                                            EDGE_GRIDS[grid], 2))
+
+
+def test_eval_of_a_tumour_touching_the_first_and_last_voxel(tmp_path):
     pred, gt = _phantom_pair()
     pred = _with(pred, {(0, 0, 0): 4, (-1, -1, -1): 2})
     gt = _with(gt, {(0, 0, 0): 2, (-1, -1, -1): 1})
@@ -1673,8 +1676,7 @@ def test_eval_of_a_tumour_touching_the_first_and_last_voxel(tmp_path, eval_slabs
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_the_box_holds_the_pair_cropped_to_its_nonzero_voxels(tmp_path, eval_slabs,
-                                                              seed):
+def test_the_box_holds_the_pair_cropped_to_its_nonzero_voxels(tmp_path, seed):
     # Scattered labels: each plane's rectangle starts and ends anywhere, and
     # the box is the union of rectangles of different corners.
     pair = _scattered(np.random.default_rng(seed), 2, [])
@@ -1713,9 +1715,9 @@ def test_eval_holds_memory_by_the_tumour_not_the_grid(tmp_path):
     _eval_peak(tmp_path / "warm", (80, 80, 64))
     small = _eval_peak(tmp_path / "small", (80, 80, 64))
     large = _eval_peak(tmp_path / "large", (240, 240, 155))
-    # 22 times the voxels, the same peak: two slab buffers of 128 KB and the
-    # EDT's all-pairs temporary over the tumour's box. Both large maps whole
-    # would be 17.9 MB.
+    # 22 times the voxels, the same peak: the EDT's all-pairs temporary over
+    # the tumour's box, larger than one plane's buffers. Both large maps
+    # whole would be 17.9 MB.
     assert large < small + 2**16, f"{small / 2**20:.2f} MB, then {large / 2**20:.2f} MB"
     assert large < 2**20, f"peak {large / 2**20:.2f} MB"
 
@@ -1735,7 +1737,7 @@ def _whole_file_scores(dirs, case_id):
 
 
 @pytest.mark.parametrize("change", ["shape", "spacing", "origin"])
-def test_an_eval_geometry_mismatch_is_a_per_case_error(tmp_path, eval_slabs, change):
+def test_an_eval_geometry_mismatch_is_a_per_case_error(tmp_path, change):
     pred, gt = _phantom_pair()
     if change == "shape":
         pred = LabelMap(pred.data[:, :, :-1], SPACING, ORIGIN)
@@ -1758,8 +1760,7 @@ def test_an_eval_geometry_mismatch_is_a_per_case_error(tmp_path, eval_slabs, cha
 @pytest.mark.parametrize("side", [0, 1])
 @pytest.mark.parametrize("how, error", [("invalid_label", InvalidLabel),
                                         ("truncated", TruncatedFile)])
-def test_a_bad_last_slab_of_an_eval_pair_is_a_per_case_error(tmp_path, eval_slabs,
-                                                             side, how, error):
+def test_a_bad_last_slab_of_an_eval_pair_is_a_per_case_error(tmp_path, side, how, error):
     dirs = _write_pairs(tmp_path, {"a_bad": _phantom_pair(), "b_good": _phantom_pair(8)})
     bad = dirs[side] / "a_bad.nii"
     _spoil_last_plane(bad, how)

@@ -1,3 +1,4 @@
+import csv
 import itertools
 
 import pytest
@@ -44,6 +45,14 @@ def test_rank_writes_the_hand_worked_ranking(tmp_path):
         b"model,rank\ntop,1\nalpha,2\nbeta,3\ngamma,4\nlow,5\n"
     assert [line.split()[0] for line in table.splitlines()[1:]] == ORDER
     assert (tmp_path / "out" / "ranking.txt").read_text() == table
+
+
+def test_a_model_name_with_a_comma_and_a_quote_reads_back_from_ranking_csv(tmp_path):
+    path = tmp_path / "models.csv"
+    path.write_text(HEADER + '"top, ""v2""",0.85,0.9,0.95,5,6,7\nlow,0.8,0.8,0.8,1,1,1\n')
+    run_rank(path, tmp_path / "out")
+    with open(tmp_path / "out" / "ranking.csv", newline="") as fh:
+        assert list(csv.reader(fh)) == [["model", "rank"], ['top, "v2"', "1"], ["low", "2"]]
 
 
 def _rank_cli(tmp_path, rows):
