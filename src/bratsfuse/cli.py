@@ -35,7 +35,6 @@ from .pipeline import (
     write_summary_outputs,
 )
 from .postprocess import DEFAULT_ET_THRESHOLD
-from .report import summarize
 from .synth import PhantomSpec, corrupt_labels, make_phantom, noisy_probmap
 
 
@@ -121,7 +120,7 @@ def report_cmd(cases_csv, out_dir):
     out.mkdir(parents=True, exist_ok=True)
     write_summary_outputs(cases, out)
     click.echo((out / "summary.txt").read_text(), nl=False)
-    click.echo(f"({summarize(cases).n_cases} cases; outputs in {out})")
+    click.echo(f"({len(cases)} cases; outputs in {out})")
 
 
 @main.command("rank")

@@ -3,7 +3,7 @@
 STAPLE treats each input mask as a rater with unknown sensitivity p and
 specificity q, and alternates:
 
-* E-step (log-space, so products over up to 64 raters cannot underflow to
+* E-step (log-space, so products over many raters cannot underflow to
   0/0): ``a_i = prior * prod_j p_j^D_ij (1-p_j)^(1-D_ij)``,
   ``b_i = (1-prior) * prod_j (1-q_j)^D_ij q_j^(1-D_ij)``,
   ``W_i = a_i / (a_i + b_i)``.
@@ -42,16 +42,18 @@ keeps, of each z-plane, only the rectangle of rows and columns outside
 which every code is 0 and counts every other voxel as code 0, so it holds
 no whole-volume array.
 
-All of this counting is one operation: each of the J raters gives a row a
-digit of ``width`` bits (1 for a decision, 2 for a label), packed into the
-smallest unsigned integer type that holds ``width * J`` bits (uint8 for
-three raters' labels; beyond 64 bits, several uint64 words). Decisions are
-counted by ``_patterns``, labels by ``joint_histogram``. While a row has at
-most ``CODE_BITS`` bits, ``np.bincount`` counts every code and the patterns
-come out in ascending code order; beyond that, the distinct rows are sorted
-out and a row's pattern is found by binary search, so no per-voxel index is
-stored. The passes over all voxels (packing, counting and the final
-gather) run ``CHUNK_VOXELS`` voxels at a time.
+All of this counting is one operation. A row of J raters' digits (a
+label's position in BRATS_LABELS, or a 0/1 decision, which is its own
+position) is one joint code: two bits per rater, in the smallest unsigned
+integer type that holds ``2 * J`` bits (uint8 for three raters' labels,
+uint64 for up to 32 raters, the most a code holds). ``joint_histogram``
+counts the codes, and its rows always come out in ascending code order:
+while ``2 * J`` is at most ``CODE_BITS``, ``np.bincount`` counts every code;
+beyond that, the distinct codes are sorted out and a code's row is found by
+binary search, so no per-voxel index is stored. STAPLE on masks and on a
+region's joint rows packs its decisions the same way. The passes over all
+voxels (packing, counting and the final gather) run ``CHUNK_VOXELS``
+voxels at a time.
 """
 
 from __future__ import annotations
@@ -88,13 +90,13 @@ PARAM_CLAMP = 1e-7
 DEFAULT_INIT_PQ = 0.99999
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITERS = 100
-# np.bincount counts all 2^(width J) codes of rows of J digits of ``width``
-# bits while width * J is at most this; beyond it the rows are sorted.
+# np.bincount counts all 4^J joint codes of J raters while 2 * J is at most
+# this; beyond it the distinct codes are sorted.
 CODE_BITS = 16
 # Voxels packed, counted and gathered per step: np.bincount copies
 # its codes to intp, which bounds that copy (256 KB).
 CHUNK_VOXELS = 1 << 15
-_WORD_TYPES = tuple(np.dtype(t) for t in (np.uint8, np.uint16, np.uint32, np.uint64))
+_CODE_TYPES = tuple(np.dtype(t) for t in (np.uint8, np.uint16, np.uint32, np.uint64))
 
 
 def average_probs_into(maps: Iterable[np.ndarray], out: np.ndarray) -> np.ndarray:
@@ -212,165 +214,108 @@ def _label_index(labels: np.ndarray) -> np.ndarray:
     return labels - (labels >> 2)
 
 
-def _words(n_cols: int, width: int, n: int) -> np.ndarray:
-    """Zeroed rows of ``n_cols`` digits of ``width`` bits for ``n`` voxels:
-    ``(n, W)`` of the smallest unsigned type holding ``width * n_cols``
-    bits, W = 1 up to 64 bits and whole uint64 words beyond."""
-    bits = width * n_cols
-    dtype = next((t for t in _WORD_TYPES if bits <= 8 * t.itemsize), _WORD_TYPES[-1])
-    return np.zeros((n, -(-bits // (8 * dtype.itemsize))), dtype)
-
-
-def _pack(words: np.ndarray, col: int, digits: np.ndarray, width: int) -> None:
-    """OR the digits of column ``col`` into its bits of the rows ``words``."""
-    per_word = 8 * words.itemsize // width
-    words[:, col // per_word] |= \
-        digits.astype(words.dtype, copy=False) << (width * (col % per_word))
-
-
-def _void_rows(words: np.ndarray) -> np.ndarray:
-    """The rows of ``words`` as one void item each, which sort as bytes."""
-    return words.view(np.dtype((np.void, words.itemsize * words.shape[1]))).reshape(-1)
-
-
 class _Index:
-    """The pattern of each row of packed words, as ``_count`` finds the
-    patterns.
+    """The row of each joint code, as :func:`joint_histogram` finds the rows.
 
-    ``index[words]`` gives the entry of ``table`` of each row of ``words``.
+    ``index[codes]`` gives the entry of ``table`` of each of ``codes``.
     While codes are counted, ``keys`` is None and ``table`` has an entry for
     every possible code; when they are sorted, ``keys`` holds the distinct
-    rows in order, ``table`` an entry for each, and a row's entry is found
-    by binary search, so no per-voxel index is ever stored.
+    codes in ascending order, ``table`` an entry for each, and a code's
+    entry is found by binary search, so no per-voxel index is ever stored.
     """
 
     def __init__(self, table: np.ndarray, keys: np.ndarray | None = None):
         self.table, self.keys = table, keys
 
-    def __getitem__(self, words: np.ndarray) -> np.ndarray:
+    def __getitem__(self, codes: np.ndarray) -> np.ndarray:
         if self.keys is None:
-            return self.table[words[:, 0]]
-        return self.table[np.searchsorted(self.keys, _void_rows(words))]
+            return self.table[codes]
+        return self.table[np.searchsorted(self.keys, codes)]
 
     def of(self, values: np.ndarray) -> "_Index":
-        """The same lookup giving ``values[pattern]`` for each row."""
+        """The same lookup giving ``values[row]`` for each code."""
         return _Index(values[self.table], self.keys)
-
-
-def _count(pieces: list[np.ndarray], width: int, n_cols: int, zeros: int = 0,
-           weights: list[np.ndarray] | None = None):
-    """The distinct rows of the ``pieces`` (rows of words, packed by
-    ``_pack``) and ``zeros`` more all-zero rows, and how often each occurs
-    (the sum of ``weights``, one array per piece, if given).
-
-    Returns ``(pats, counts, index)`` as ``_patterns`` does. The all-zero
-    row, if it occurs, is the first: the lowest code, and the first row in
-    byte order. Each piece is counted ``CHUNK_VOXELS`` rows at a time, and
-    pieces are never joined.
-    """
-    bits = width * n_cols
-    zero = _words(n_cols, width, 1)
-    if bits <= CODE_BITS:
-        index, size = None, 1 << bits
-    else:
-        # Too many codes to count directly: sort out the distinct rows.
-        found = [np.unique(_void_rows(words)) for words in pieces]
-        keys = np.unique(np.concatenate(found + [_void_rows(zero)] * (zeros > 0)))
-        index, size = _Index(np.arange(keys.size), keys), keys.size
-    counts = np.zeros(size, np.int64 if weights is None else np.float64)
-    for k, words in enumerate(pieces):
-        for start in range(0, len(words), CHUNK_VOXELS):
-            chunk = slice(start, start + CHUNK_VOXELS)
-            codes = words[chunk, 0] if index is None else index[words[chunk]]
-            w = None if weights is None else weights[k][chunk]
-            counts += np.bincount(codes, w, minlength=size)
-    counts[0] += zeros
-    if index is None:
-        present = np.flatnonzero(counts)
-        table = np.zeros(size, dtype=np.uint16)
-        table[present] = np.arange(present.size)
-        index = _Index(table)
-        keys, counts = present[:, None], counts[present]
-    else:
-        keys = keys.view(zero.dtype).reshape(keys.size, -1)
-    per_word = 8 * zero.itemsize // width
-    r = np.arange(n_cols)
-    shifts = (width * (r % per_word)).astype(keys.dtype)
-    pats = (keys.T[r // per_word] >> shifts[:, None]) & ((1 << width) - 1)
-    return pats, counts, index
-
-
-def _patterns(cols: list[np.ndarray], weights: np.ndarray | None = None):
-    """The distinct rows of the J 0/1 decision columns ``cols`` and how
-    often each occurs.
-
-    ``cols`` holds one 1-D array of M decisions per rater. Returns ``(pats,
-    counts, index, words)``: the K rows that occur as a (J, K) matrix of
-    decisions, the number of rows equal to each (the sum of their
-    ``weights`` if given, which must be positive), and the packed rows
-    ``words`` with the ``_Index`` from rows to patterns, so that
-    ``pats[:, index[words]]`` is the (J, M) matrix of ``cols``.
-    """
-    m = cols[0].size
-    words = _words(len(cols), 1, m)
-    for start in range(0, m, CHUNK_VOXELS):
-        chunk = slice(start, start + CHUNK_VOXELS)
-        for r, col in enumerate(cols):
-            _pack(words[chunk], r, col[chunk], 1)
-    pats, counts, index = _count([words], 1, len(cols),
-                                 weights=None if weights is None else [weights])
-    return pats, counts, index, words
 
 
 def joint_codes(n_raters: int, n_voxels: int) -> np.ndarray:
     """Zeroed joint label codes of ``n_voxels`` voxels and ``n_raters``
-    raters, to be filled by :func:`pack_labels`: one uint8 per voxel for up
-    to four raters. Code 0 is every rater saying background."""
-    return _words(n_raters, 2, n_voxels)
+    raters, to be filled by :func:`pack_labels`: one integer per voxel, of
+    the smallest unsigned type holding two bits per rater (uint8 for up to
+    four raters). Code 0 is every rater saying background. More than 32
+    raters is a ValueError."""
+    dtype = next((t for t in _CODE_TYPES if 2 * n_raters <= 8 * t.itemsize), None)
+    if dtype is None:
+        raise ValueError(f"joint codes hold at most {4 * _CODE_TYPES[-1].itemsize} "
+                         f"raters, got {n_raters}")
+    return np.zeros(n_voxels, dtype)
 
 
 def pack_labels(codes: np.ndarray, rater: int, labels: np.ndarray) -> None:
     """Store rater ``rater``'s BraTS ``labels`` in its two bits of ``codes``
-    (the rows of :func:`joint_codes` for the same voxels), ``CHUNK_VOXELS``
-    at a time."""
+    (filled :func:`joint_codes` of the same voxels), ``CHUNK_VOXELS`` at a
+    time. A 0/1 decision is its own label position, so decisions pack as
+    they are."""
     for start in range(0, len(codes), CHUNK_VOXELS):
         chunk = slice(start, start + CHUNK_VOXELS)
-        _pack(codes[chunk], rater, _label_index(labels[chunk]), 2)
+        codes[chunk] |= \
+            _label_index(labels[chunk]).astype(codes.dtype, copy=False) << 2 * rater
 
 
 def unpack_labels(codes: np.ndarray, rater: int) -> np.ndarray:
-    """Rater ``rater``'s BraTS labels from its two bits of ``codes`` (rows
-    of :func:`joint_codes`, the words of a code on the last axis), as
-    uint8: the inverse of :func:`pack_labels`."""
-    per_word = 4 * codes.itemsize
-    digits = (codes[..., rater // per_word] >> 2 * (rater % per_word)) & 3
-    return np.array(BRATS_LABELS, np.uint8)[digits]
+    """Rater ``rater``'s BraTS labels from its two bits of ``codes`` (of any
+    shape), as uint8: the inverse of :func:`pack_labels`."""
+    return np.array(BRATS_LABELS, np.uint8)[(codes >> 2 * rater) & 3]
 
 
-def joint_histogram(pieces: list[np.ndarray], n_raters: int, n_voxels: int):
+def joint_histogram(pieces: list[np.ndarray], n_raters: int, n_voxels: int,
+                    weights: list[np.ndarray] | None = None):
     """The joint rater-label rows of ``n_voxels`` voxels whose nonzero codes
-    all lie in ``pieces`` (rows of filled :func:`joint_codes`); every
-    other voxel has code 0.
+    all lie in ``pieces`` (filled :func:`joint_codes`); every other voxel
+    has code 0.
 
-    Returns ``(rows, counts, index)``: the K rows that occur as a (J, K)
-    matrix of label positions in BRATS_LABELS, the number of voxels holding
-    each, and ``index``, which gives the row of each of some codes as
-    ``index[codes]``. Code 0, if any voxel has it, is row 0. The pieces are
-    counted one at a time and never joined. Up to eight raters ``index`` is
-    a table over all ``4^J`` codes; beyond that the rows are sorted and
+    Returns ``(rows, counts, index)``: the K rows that occur, in ascending
+    code order, as a (J, K) matrix of label positions in BRATS_LABELS; the
+    number of voxels holding each (the sum of their ``weights``, one array
+    per piece, if given; a voxel outside the pieces weighs 1); and
+    ``index``, which gives the row of each of some codes as ``index[codes]``.
+    Code 0, if any voxel has it, is row 0. Each piece is counted
+    ``CHUNK_VOXELS`` codes at a time, and pieces are never joined. While
+    ``2 * J`` is at most ``CODE_BITS``, ``index`` is a table over all
+    ``4^J`` codes; beyond that the distinct codes are sorted out and
     ``index`` searches them. ``index.of(values)`` looks up ``values[row]``
     the same way.
     """
     zeros = n_voxels - sum(len(codes) for codes in pieces)
-    return _count(pieces, 2, n_raters, zeros)
+    if 2 * n_raters <= CODE_BITS:
+        index, size = None, 1 << 2 * n_raters
+    else:
+        # Too many codes to count directly: sort out the distinct ones.
+        found = [np.unique(codes) for codes in pieces]
+        keys = np.unique(np.concatenate(found + [joint_codes(n_raters, int(zeros > 0))]))
+        index, size = _Index(np.arange(keys.size), keys), keys.size
+    counts = np.zeros(size, np.int64 if weights is None else np.float64)
+    for k, codes in enumerate(pieces):
+        for start in range(0, len(codes), CHUNK_VOXELS):
+            chunk = slice(start, start + CHUNK_VOXELS)
+            w = None if weights is None else weights[k][chunk]
+            counts += np.bincount(codes[chunk] if index is None else index[codes[chunk]],
+                                  w, minlength=size)
+    counts[0] += zeros
+    if index is None:
+        keys = np.flatnonzero(counts)
+        table = np.zeros(size, dtype=np.uint16)
+        table[keys] = np.arange(keys.size)
+        index, counts = _Index(table), counts[keys]
+    shifts = 2 * np.arange(n_raters, dtype=keys.dtype)
+    return (keys >> shifts[:, None]) & 3, counts, index
 
 
-def _gather(table: _Index, words: np.ndarray) -> np.ndarray:
-    """``table[words]``, read ``CHUNK_VOXELS`` rows at a time."""
-    out = np.empty(len(words), dtype=table.table.dtype)
-    for start in range(0, len(words), CHUNK_VOXELS):
+def _gather(table: _Index, codes: np.ndarray) -> np.ndarray:
+    """``table[codes]``, read ``CHUNK_VOXELS`` codes at a time."""
+    out = np.empty(len(codes), dtype=table.table.dtype)
+    for start in range(0, len(codes), CHUNK_VOXELS):
         chunk = slice(start, start + CHUNK_VOXELS)
-        out[chunk] = table[words[chunk]]
+        out[chunk] = table[codes[chunk]]
     return out
 
 
@@ -449,7 +394,8 @@ def staple_binary(
     When ``init`` is None the default parameters are used, with the
     foreground prior set to the global mean foreground rate over all raters
     and voxels (clamped into (0,1)). The output mask thresholds the
-    posterior at W >= 0.5 (ties go to foreground).
+    posterior at W >= 0.5 (ties go to foreground). More than 32 masks is a
+    ValueError (see :func:`joint_codes`).
     """
     if not masks:
         raise EmptyList("staple_binary needs at least one rater mask")
@@ -458,10 +404,12 @@ def staple_binary(
     for m in masks[1:]:
         if m.region is not region:
             raise GeometryMismatch("rater masks disagree on the region tag")
-    bits = [m.data.reshape(-1).view(np.uint8) for m in masks]
-    pats, counts, index, words = _patterns(bits)
-    w, fit = _staple_em(pats, counts, len(words), init, tol, max_iters)
-    posterior = _gather(index.of(w), words).reshape(masks[0].shape)
+    codes = joint_codes(len(masks), masks[0].data.size)
+    for r, m in enumerate(masks):
+        pack_labels(codes, r, m.data.reshape(-1).view(np.uint8))
+    pats, counts, index = joint_histogram([codes], len(masks), len(codes))
+    w, fit = _staple_em(pats, counts, len(codes), init, tol, max_iters)
+    posterior = _gather(index.of(w), codes).reshape(masks[0].shape)
     mask = RegionMask(region, posterior >= 0.5, masks[0].spacing, masks[0].origin)
     return StapleResult(fit.final_params, fit.iterations, fit.converged, mask, posterior)
 
@@ -495,10 +443,14 @@ def staple_lut(
     fits = {}
     fused = []
     for r in (Region.ET, Region.TC, Region.WT):
-        bits = [_MEMBERSHIP[r][rater_rows] for rater_rows in rows]
-        pats, pat_counts, pat_index, pat_of_row = _patterns(bits, counts)
+        # Each row's region decisions, packed and counted as joint codes.
+        codes = joint_codes(len(rows), rows.shape[1])
+        for rater, rater_rows in enumerate(rows):
+            pack_labels(codes, rater, _MEMBERSHIP[r][rater_rows])
+        pats, pat_counts, pat_index = joint_histogram([codes], len(rows), len(codes),
+                                                      weights=[counts])
         w, fits[r.value] = _staple_em(pats, pat_counts, n_voxels, init, tol, max_iters)
-        row_mask = pat_index.of(w >= 0.5)[pat_of_row].reshape(-1, 1, 1)
+        row_mask = pat_index.of(w >= 0.5)[codes].reshape(-1, 1, 1)
         fused.append(RegionMask(r, row_mask))
     return recompose_labels(*fused).data.reshape(-1), fits
 

@@ -1,12 +1,14 @@
 """Case-level pipeline orchestration behind the CLI.
 
 ``run_fuse`` fuses each case's models into one label map: a model is a
-label map or fold probability maps, several models are fused with STAPLE
-(a single model passes through), the ET size threshold is applied, and the
-fused NIfTI is written with a JSON diagnostics sidecar (``run_postprocess``:
-one label map alone, no sidecar). ``run_eval`` pairs prediction and
-ground-truth files by filename stem, reads each pair as a case of two
-label-map models, and emits per-case metrics (CSV + JSON) and summary tables.
+label map or fold probability maps, several models (at most 32, the most a
+joint code holds; a case with more is a ConfigError before any case runs)
+are fused with STAPLE (a single model passes through), the ET size
+threshold is applied, and the fused NIfTI is written with a JSON
+diagnostics sidecar (``run_postprocess``: one label map alone, no sidecar).
+``run_eval`` pairs prediction and ground-truth files by filename stem, reads
+each pair as a case of two label-map models, and emits per-case metrics
+(CSV + JSON) and summary tables.
 
 A case is read in one loop over its z-planes; a plane is the x-fastest
 voxel range ``nx*ny*z : nx*ny*(z + 1)``, read from each file as one
@@ -82,12 +84,12 @@ aggregate files are written in sorted case order, so reruns and different
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import os
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -284,6 +286,10 @@ class PipelineConfig:
             raise ConfigError("staple tol must be > 0 and max_iters >= 1")
         _check_case_ids(self.cases)
         for case in self.cases:
+            try:
+                joint_codes(len(case.models), 0)
+            except ValueError as e:
+                raise ConfigError(f"case {case.case_id!r}: {e}") from e
             for m in case.models:
                 m.validate()
 
@@ -423,26 +429,31 @@ def _write_json(path: Path, value) -> None:
     _write_text(path, json.dumps(value, sort_keys=True, indent=2) + "\n")
 
 
+def _csv_field(value) -> str:
+    """``value`` as a CSV field: quoted, with its quotes doubled, if it holds
+    a comma, a quote or a line break. ``csv.writer`` would leave a ``\\r``
+    bare, which a reader takes for the end of the row."""
+    s = str(value)
+    return '"' + s.replace('"', '""') + '"' if any(c in s for c in ',"\r\n') else s
+
+
 def _write_csv(path: Path, rows) -> None:
-    """Write ``rows`` as CSV lines ending in ``\\n``; a field holding a
-    comma or a quote is quoted."""
-    text = io.StringIO()
-    csv.writer(text, lineterminator="\n").writerows(rows)
-    _write_text(path, text.getvalue())
+    """Write ``rows`` as CSV lines ending in ``\\n``."""
+    _write_text(path, "".join(",".join(map(_csv_field, row)) + "\n" for row in rows))
 
 
 def _read_blocks(case: CaseInput):
-    """The grid of ``case``'s models and, per z-plane, the ``(rows, columns,
-    words)`` block of its joint codes outside which every model says
-    background, as ``((x, y, z) corner, codes)`` pairs in plane order; a
-    plane of background keeps nothing."""
+    """The grid of ``case``'s models and, per z-plane, the ``(rows, columns)``
+    block of its joint codes outside which every model says background, as
+    ``((x, y, z) corner, codes)`` pairs in plane order; a plane of
+    background keeps nothing."""
     with ExitStack() as stack:
         models = [_open_model(m, stack) for m in case.models]
         require_same_geometry(*(m.header for m in models))
         grid = models[0].header
         nx, ny, nz = grid.shape
         codes = joint_codes(len(models), nx * ny)
-        plane = codes.reshape(ny, nx, -1)
+        plane = codes.reshape(ny, nx)
         # One read buffer serves every model: each model's labels are packed
         # into the codes before the next model reads.
         read = np.empty(nx * ny * max(m.read_bytes for m in models), np.uint8)
@@ -451,8 +462,7 @@ def _read_blocks(case: CaseInput):
             codes[...] = 0
             for r, model in enumerate(models):
                 pack_labels(codes, r, model.labels(z, read))
-            nonzero = plane.any(axis=2)
-            ys, xs = (np.flatnonzero(nonzero.any(axis=a)) for a in (1, 0))
+            ys, xs = (np.flatnonzero(plane.any(axis=a)) for a in (1, 0))
             if ys.size:
                 block = plane[ys[0] : ys[-1] + 1, xs[0] : xs[-1] + 1]
                 blocks.append(((int(xs[0]), int(ys[0]), z), block.copy()))
@@ -464,7 +474,7 @@ def _fuse_into(case: CaseInput, cfg: PipelineConfig, out_nii: Path) -> dict:
     grid, blocks = _read_blocks(case)
     n_models, n_voxels = len(case.models), math.prod(grid.shape)
     rows, counts, index = joint_histogram(
-        [codes.reshape(-1, codes.shape[2]) for _, codes in blocks], n_models, n_voxels)
+        [codes.ravel() for _, codes in blocks], n_models, n_voxels)
     if n_models == 1:
         lut, staple_diag = _LABELS[rows[0]], None
     else:
@@ -486,8 +496,7 @@ def _fuse_into(case: CaseInput, cfg: PipelineConfig, out_nii: Path) -> dict:
             plane.fill(background)
             if z in kept:
                 x, y, codes = kept[z]
-                h, w, words = codes.shape
-                plane[y : y + h, x : x + w] = table[codes.reshape(-1, words)].reshape(h, w)
+                plane[y : y + codes.shape[0], x : x + codes.shape[1]] = table[codes]
             fh.write(plane)
     return {
         "case_id": case.case_id,
@@ -535,30 +544,28 @@ def _write_errors(output_dir: Path, errors: list[dict]) -> None:
         path.unlink(missing_ok=True)
 
 
-@dataclass
-class _FuseTask:
-    cfg: PipelineConfig
-
-    def __call__(self, case: CaseInput):
-        out = self.cfg.output_dir
-        try:
-            diag = _fuse_into(case, self.cfg, out / f"{case.case_id}.nii")
-            _write_json(out / f"{case.case_id}_staple.json", diag)
-            return diag, None
-        except (BratsFuseError, OSError) as e:
-            error = _case_error(case.case_id, e)
-            # An earlier run's outputs for this case would otherwise be
-            # scored as if this run had written them. A directory in an
-            # output's place is no such output, and is left; an output that
-            # cannot be removed is named in the case's error.
-            for name in (f"{case.case_id}.nii", f"{case.case_id}_staple.json"):
-                path = out / name
-                try:
-                    if not path.is_dir():
-                        path.unlink(missing_ok=True)
-                except OSError as left:
-                    error["detail"] += f"; cannot remove the earlier {path}: {left.strerror}"
-            return None, error
+def _fuse_case(cfg: PipelineConfig, case: CaseInput):
+    """Fuse one case of ``cfg``: ``(diagnostics, None)``, or ``(None,
+    error)`` with the case's earlier outputs removed."""
+    out = cfg.output_dir
+    try:
+        diag = _fuse_into(case, cfg, out / f"{case.case_id}.nii")
+        _write_json(out / f"{case.case_id}_staple.json", diag)
+        return diag, None
+    except (BratsFuseError, OSError) as e:
+        error = _case_error(case.case_id, e)
+        # An earlier run's outputs for this case would otherwise be scored
+        # as if this run had written them. A directory in an output's place
+        # is no such output, and is left; an output that cannot be removed
+        # is named in the case's error.
+        for name in (f"{case.case_id}.nii", f"{case.case_id}_staple.json"):
+            path = out / name
+            try:
+                if not path.is_dir():
+                    path.unlink(missing_ok=True)
+            except OSError as left:
+                error["detail"] += f"; cannot remove the earlier {path}: {left.strerror}"
+        return None, error
 
 
 def run_fuse(cfg: PipelineConfig, jobs: int = 1) -> tuple[list[dict], list[dict]]:
@@ -572,7 +579,7 @@ def run_fuse(cfg: PipelineConfig, jobs: int = 1) -> tuple[list[dict], list[dict]
     cfg.validate()
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     cases = sorted(cfg.cases, key=lambda c: c.case_id)
-    results = _run_cases(_FuseTask(cfg), cases, jobs)
+    results = _run_cases(partial(_fuse_case, cfg), cases, jobs)
     diags = [d for d, _ in results if d is not None]
     errors = [e for _, e in results if e is not None]
     _write_json(cfg.output_dir / "fuse_manifest.json", diags)
@@ -588,29 +595,24 @@ def _pair_in_box(grid, blocks) -> tuple[LabelMap, LabelMap]:
     corners = np.array([corner for corner, _ in blocks] or [(0, 0, 0)])
     sizes = np.array([(c.shape[1], c.shape[0], 1) for _, c in blocks] or [(1, 1, 1)])
     box = BBox(corners.min(axis=0), (corners + sizes).max(axis=0) - 1)
-    codes = joint_codes(2, math.prod(box.shape)).reshape(*box.shape, -1)
+    codes = joint_codes(2, math.prod(box.shape)).reshape(box.shape)
     for corner, block in blocks:
         x, y, z = np.subtract(corner, box.lo)
-        codes[x : x + block.shape[1], y : y + block.shape[0], z] = block.transpose(1, 0, 2)
+        codes[x : x + block.shape[1], y : y + block.shape[0], z] = block.T
     origin = tuple(o + l * s for o, s, l in zip(grid.origin, grid.spacing, box.lo))
     return tuple(LabelMap(unpack_labels(codes, r), grid.spacing, origin) for r in (0, 1))
 
 
-@dataclass
-class _EvalTask:
-    pred_dir: Path
-    gt_dir: Path
-    penalty: float
-
-    def __call__(self, case_id: str):
-        case = CaseInput(case_id, tuple(
-            ModelInput(side, labelmap=d / f"{case_id}.nii")
-            for side, d in (("pred", self.pred_dir), ("gt", self.gt_dir))))
-        try:
-            pred, gt = _pair_in_box(*_read_blocks(case))
-            return evaluate_case(pred, gt, case_id, self.penalty), None
-        except (BratsFuseError, OSError) as e:
-            return None, _case_error(case_id, e)
+def _eval_case(pred_dir: Path, gt_dir: Path, penalty: float, case_id: str):
+    """Score one pair: ``(metrics, None)`` or ``(None, error)``."""
+    case = CaseInput(case_id, tuple(
+        ModelInput(side, labelmap=d / f"{case_id}.nii")
+        for side, d in (("pred", pred_dir), ("gt", gt_dir))))
+    try:
+        pred, gt = _pair_in_box(*_read_blocks(case))
+        return evaluate_case(pred, gt, case_id, penalty), None
+    except (BratsFuseError, OSError) as e:
+        return None, _case_error(case_id, e)
 
 
 def run_eval(
@@ -644,7 +646,7 @@ def run_eval(
         _case_error(s, UnpairedCase(f"no prediction for ground truth {s}.nii"))
         for s in sorted(gt_stems - pred_stems)
     ]
-    results = _run_cases(_EvalTask(pred_dir, gt_dir, penalty), paired, jobs)
+    results = _run_cases(partial(_eval_case, pred_dir, gt_dir, penalty), paired, jobs)
     cases = [m for m, _ in results if m is not None]
     errors.extend(e for _, e in results if e is not None)
     errors.sort(key=lambda e: e["case_id"])

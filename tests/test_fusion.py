@@ -206,11 +206,19 @@ class TestStapleBinary:
         assert not res.mask.data[all_bg].any()
 
     def test_no_underflow_with_64_raters(self, rng):
-        mask = random_mask(rng, (3, 3, 3), density=0.5)
+        # The EM has no rater limit. Sixty-four raters that agree on 27
+        # voxels: with p = q = 0.99999 the all-background pattern has
+        # exp(log_b - log_a) = exp(737), which overflows unless the E-step
+        # stays in log space.
+        mask = random_mask(rng, (3, 3, 3), density=0.5).data.reshape(-1)
+        pats = np.repeat([[0, 1]], 64, axis=0)
+        counts = np.bincount(mask, minlength=2)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            res = staple_binary([mask] * 64)
-        assert np.isfinite(res.posterior).all()
+            w, fit = fusion._staple_em(pats, counts, mask.size, None, DEFAULT_TOL,
+                                       DEFAULT_MAX_ITERS)
+        assert np.isfinite(w).all() and fit.converged
+        assert (w >= 0.5).tolist() == [False, True]
 
     def test_param_validation(self, rng):
         with pytest.raises(ValueError):
@@ -236,53 +244,58 @@ class TestStapleBinary:
 
 
 class TestPatterns:
-    """The row counters behind every STAPLE path, by np.bincount and by
-    sorting: ``_patterns`` for 0/1 decisions (width 1), ``joint_histogram``
-    for joint rater labels (width 2)."""
+    """``joint_histogram``, the row counter behind every STAPLE path, by
+    np.bincount and by sorting."""
 
     @pytest.mark.parametrize("code_bits", [CODE_BITS, 4])
-    @pytest.mark.parametrize("width, n_cols", [(1, 5), (2, 3), (1, 70), (2, 33)])
+    # Digits of one bit (0/1 decisions, as STAPLE packs them) or of two
+    # (label positions), packed two bits per rater either way: 3 and 5
+    # raters are counted, 9, 17 and 32 sorted.
+    @pytest.mark.parametrize("digit_bits, n_raters",
+                             [(1, 5), (2, 3), (2, 5), (2, 9), (1, 17), (2, 17), (2, 32)])
     @pytest.mark.parametrize("weighted", [False, True])
-    def test_rows_and_counts(self, rng, monkeypatch, code_bits, width, n_cols, weighted):
+    def test_rows_and_counts(self, rng, monkeypatch, code_bits, digit_bits, n_raters,
+                             weighted):
         monkeypatch.setattr(fusion, "CODE_BITS", code_bits)
         monkeypatch.setattr(fusion, "CHUNK_VOXELS", 97)
-        digits = rng.integers(0, 1 << width, (n_cols, 500)).astype(np.uint8)
+        digits = rng.integers(0, 1 << digit_bits, (n_raters, 500)).astype(np.uint8)
         weights = rng.integers(1, 5, 500) if weighted else np.ones(500, int)
-        want = {}
+        codes = joint_codes(n_raters, 500)
+        for r, col in enumerate(digits):
+            pack_labels(codes, r, np.array(BRATS_LABELS, np.uint8)[col])
+        # Three pieces, and 7 voxels of code 0 outside them, each of weight 1.
+        rows, counts, index = joint_histogram(
+            np.split(codes, [123, 400]), n_raters, len(codes) + 7,
+            np.split(weights, [123, 400]) if weighted else None)
+        want = {(0,) * n_raters: 7}
         for k, row in enumerate(map(tuple, digits.T)):
             want[row] = want.get(row, 0) + weights[k]
-        if width == 1:
-            pats, counts, index, codes = fusion._patterns(list(digits),
-                                                          weights if weighted else None)
-        else:
-            # joint_histogram counts voxels, so a row of weight w is w voxels
-            # of codes. They come in three pieces, and 7 voxels of code 0
-            # lie outside them.
-            digits = np.repeat(digits, weights, axis=1)
-            codes = joint_codes(n_cols, digits.shape[1])
-            for r, col in enumerate(digits):
-                pack_labels(codes, r, np.array(BRATS_LABELS, np.uint8)[col])
-            pats, counts, index = joint_histogram(np.split(codes, [123, 400]), n_cols,
-                                                  len(codes) + 7)
-            want[(0,) * n_cols] = want.get((0,) * n_cols, 0) + 7
-        assert np.array_equal(pats[:, index[codes]], digits)
-        assert dict(zip(map(tuple, pats.T), counts.tolist())) == want
-        if width * n_cols <= code_bits:  # counted: ascending code order
-            row_codes = (pats << (width * np.arange(n_cols))[:, None]).sum(axis=0)
-            assert (np.diff(row_codes) > 0).all()
+        assert np.array_equal(rows[:, index[codes]], digits)
+        assert dict(zip(map(tuple, rows.T), counts.tolist())) == want
+        assert counts.dtype == (np.float64 if weighted else np.int64)
+        # Ascending code order, whether counted or sorted.
+        row_codes = [sum(int(d) << 2 * r for r, d in enumerate(row)) for row in rows.T]
+        assert row_codes == sorted(set(row_codes))
 
-    # Rows of one uint8 (1 and 4 raters), uint16, uint32 or uint64 word, and
-    # of two and three uint64 words.
-    @pytest.mark.parametrize("n_raters", [1, 4, 5, 9, 32, 33, 70])
+    # Codes of one uint8 (1 and 4 raters), uint16, uint32 or uint64.
+    @pytest.mark.parametrize("n_raters", [1, 4, 5, 9, 32])
     def test_unpack_labels_inverts_pack_labels(self, rng, n_raters):
         labels = rng.choice(BRATS_LABELS, (n_raters, 300)).astype(np.uint8)
         codes = joint_codes(n_raters, 300)
         for r, col in enumerate(labels):
             pack_labels(codes, r, col)
-        assert codes.shape[1] == -(-n_raters // 32)
+        want = {1: np.uint8, 4: np.uint8, 5: np.uint16, 9: np.uint32, 32: np.uint64}
+        assert codes.shape == (300,) and codes.dtype == want[n_raters]
         for r, col in enumerate(labels):
             got = unpack_labels(codes, r)
             assert got.dtype == np.uint8 and np.array_equal(got, col), r
+
+    def test_a_code_holds_at_most_32_raters(self, rng):
+        assert joint_codes(32, 5).dtype == np.uint64
+        with pytest.raises(ValueError, match="at most 32 raters, got 33"):
+            joint_codes(33, 5)
+        with pytest.raises(ValueError, match="at most 32 raters, got 33"):
+            staple_binary([random_mask(rng, (3, 3, 3))] * 33)
 
 
 class TestStapleMultilabel:
@@ -385,8 +398,9 @@ class TestJointLabelStaple:
         assert (et_outside_tc and tc_outside_wt) if init is None else tc_outside_wt
 
     def test_region_patterns_found_by_sorting(self):
-        # 17 raters: both the joint rows and each region's patterns are sorted.
-        assert 17 > CODE_BITS
+        # 17 raters: both the joint rows and each region's patterns are
+        # sorted, and their codes fill more than one uint32.
+        assert 2 * 17 > max(CODE_BITS, 32)
         gt, _ = make_phantom(PhantomSpec(shape=(20, 20, 20), seed=7))
         self.assert_equals_per_region(boundary_raters(gt, 17, 4), None)
 
