@@ -134,7 +134,7 @@ def rank_cmd(summary_csv, out_dir):
 
 @main.command("synth")
 @click.option("--out", "out_dir", type=click.Path(), required=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--shape", type=click.Tuple([int, int, int]), default=(48, 48, 48), show_default=True,
               help="Grid size in voxels. The tumour radii scale with it per axis "
                    "(WT 16x14x15 voxels at 48^3).")

@@ -30,13 +30,15 @@ channel plus a JSON manifest ``{"channels": [0, 1, 2, 4], "files": [...]}``.
 :class:`ProbmapFiles` is a map's four channel readers, whose grids it
 checks to agree. Decoding a voxel range is two steps: ``read`` gives every
 channel's stored values as a view, in its file's dtype, over a caller's
-buffer, and ``renormalise`` casts such channels into float64 rows, divides
-them by their sums, clips and checks them. So a map can be read a chunk at
-a time without a header parse or a fresh array per chunk, and a caller can
-look at the stored values before any arithmetic: a fold model renormalises
-only the voxels that some fold does not store as certain background,
-exactly (1, 0, 0, 0) (see ``pipeline``). :func:`load_probmap` does both
-steps on a whole map; a map's header alone is ``ProbmapFiles(m).header``.
+buffer, and ``renormalise`` casts such channels, or any same-shaped views
+of them, into float64 rows, divides them by their sums, clips and checks
+them. So a map can be read a range at a time without a header parse or a
+fresh array per range, and a caller can look at the stored values before
+any arithmetic: a fold model renormalises only the columns, within whole
+rows it read, of the rectangle outside which every fold stores certain
+background, exactly (1, 0, 0, 0) (see ``pipeline``). :func:`load_probmap`
+does both steps on a whole map; a map's header alone is
+``ProbmapFiles(m).header``.
 """
 
 from __future__ import annotations
@@ -418,18 +420,21 @@ class ProbmapFiles:
 
     def renormalise(self, channels, out: np.ndarray, sums: np.ndarray) -> np.ndarray:
         """The stored ``channels`` of ``n`` voxels (as :meth:`read` returns
-        them) renormalised into ``out``, which is returned.
+        them, or views of them of any one shape with ``n`` elements, such as
+        some columns of whole rows) renormalised into ``out``, which is
+        returned.
 
         ``out`` is float64 ``(4, n)``, one row per channel, and ``sums``
         (float64, ``(n,)``) receives the channel sums. Each channel is cast
-        into its row of ``out`` (exact: every supported dtype is a subset of
-        float64), the rows are summed in channel order, divided by the sums
-        and clipped to [0, 1]. A non-finite channel, a voxel whose channels
-        sum to 0, and renormalised channels outside [0, 1] or whose sum is
-        off 1 by more than 1e-6 are ``BadData`` naming the manifest.
+        into its row of ``out`` in C order (exact: every supported dtype is
+        a subset of float64), the rows are summed in channel order, divided
+        by the sums and clipped to [0, 1]. A non-finite channel, a voxel
+        whose channels sum to 0, and renormalised channels outside [0, 1] or
+        whose sum is off 1 by more than 1e-6 are ``BadData`` naming the
+        manifest.
         """
         for channel, row in zip(channels, out):
-            np.copyto(row, channel)
+            np.copyto(row.reshape(channel.shape), channel)
         np.add(out[0], out[1], out=sums)
         sums += out[2]
         sums += out[3]

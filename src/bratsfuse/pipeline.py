@@ -17,19 +17,23 @@ checked once, and the models' grids are checked to agree, before the first
 plane. Per plane, each model gives its labels: a label map's voxels are
 read, into one read buffer of a plane that all of the case's label maps
 share, and checked by ``nifti.read_label_planes``. Fold maps are decoded in
-chunks of ``DECODE_VOXELS`` voxels (at most a plane), small enough that a
-chunk's buffers stay in cache through every pass over them. Per chunk,
-every fold's four stored channels are read, and the chunk's uncertain
-range is found: the smallest voxel range outside which every fold stores
-exactly (1, 0, 0, 0), the certain background that models which infer on
-the brain's bounding box store in the rest of the grid. A chunk whose first
-and last voxels are both uncertain is its own range, found with no compare
-pass. On that range only, every fold in config order is renormalised and
-checked, the folds are averaged, and the mean is checked again and
-argmaxed, in buffers allocated once per model; the voxels outside it are
-label 0. That is exact: such a voxel passes every check, its mean is
-(1, 0, 0, 0) and its argmax label 0, while a NaN or infinite channel
-differs from (1, 0, 0, 0) and so stays inside the range and is refused.
+two steps per plane. The scan reads each fold in config order, one fold at a
+time over whole rows (for five folds of 240 x 240, one read per channel
+covers the plane), and compares its four stored channels with exactly
+(1, 0, 0, 0), the certain background that models which infer on the
+brain's bounding box store in the rest of the grid. The rows and columns of
+the voxels where some fold differs are the plane's rectangle; once the
+plane's first and last voxels differ, the rectangle is the whole plane and
+the scan stops. The rectangle is then decoded in bands of ``DECODE_VOXELS``
+voxels' worth of rows (at least one row), small enough that a band's
+buffers stay in cache through every pass over them: per band, each fold's
+rows are read again, one range per channel, and on the rectangle's columns
+only every fold in config order is renormalised and checked, the folds are
+averaged, and the mean is checked again and argmaxed, in buffers allocated
+once per model; the voxels outside the rectangle are label 0. That is
+exact: such a voxel passes every check, its mean is (1, 0, 0, 0) and its
+argmax label 0, while a NaN or infinite channel differs from (1, 0, 0, 0)
+and so lies inside the rectangle and is refused.
 Each model's labels go into its two bits of one reused plane of joint
 codes (``fusion.joint_codes``: one code per voxel, in the smallest unsigned
 type holding two bits per model, uint8 for up to four models); code 0 is
@@ -294,8 +298,9 @@ class PipelineConfig:
                 m.validate()
 
 
-# Voxels per chunk when fold maps are decoded: a chunk's buffers (about
-# 2.6 MB for five folds) stay in a core's cache through every pass over them.
+# Voxels per band of rows when fold maps are decoded (at least one row): a
+# band's buffers (about 2.6 MB for five folds) stay in a core's cache through
+# every pass over them.
 DECODE_VOXELS = 1 << 14
 _LABELS = np.array(BRATS_LABELS, dtype=np.uint8)
 
@@ -304,6 +309,15 @@ def _voxels(shape, z: int) -> tuple[int, int]:
     """The x-fastest voxel range of plane ``z`` of a grid."""
     plane = shape[0] * shape[1]
     return plane * z, plane * (z + 1)
+
+
+def _box(plane: np.ndarray):
+    """The rows ``(y0, y1)`` and columns ``(x0, x1)`` of the 2-D ``plane``
+    outside which it is all zero, or None if it is all zero."""
+    ys, xs = (np.flatnonzero(plane.any(axis=a)) for a in (1, 0))
+    if not ys.size:
+        return None
+    return (int(ys[0]), int(ys[-1]) + 1), (int(xs[0]), int(xs[-1]) + 1)
 
 
 class _LabelModel:
@@ -326,18 +340,11 @@ class _LabelModel:
 _BACKGROUND = (1, 0, 0, 0)
 
 
-def _uncertain_at(stored, i: int) -> bool:
-    """Whether some fold of ``stored`` (per fold, the channels
-    ``ProbmapFiles.read`` returns) differs from ``_BACKGROUND`` at voxel
-    ``i``; NaN equals nothing, so a NaN channel differs."""
-    return any(c[i] != v for channels in stored for c, v in zip(channels, _BACKGROUND))
-
-
 class _FoldModel:
-    """A model given as fold probability maps, decoded ``DECODE_VOXELS``
-    voxels at a time."""
+    """A model given as fold probability maps, decoded a plane at a time
+    inside the rectangle of the plane's uncertain voxels."""
 
-    read_bytes = 0  # it reads into its own chunk buffers
+    read_bytes = 0  # it reads into its own buffers
 
     def __init__(self, manifests: tuple[Path, ...], stack: ExitStack):
         self._manifests = manifests
@@ -345,78 +352,87 @@ class _FoldModel:
         require_same_geometry(*(f.header for f in self._folds))
         self.header = self._folds[0].header
         nx, ny, _ = self.header.shape
-        self._chunk = chunk = min(DECODE_VOXELS, nx * ny)
-        # One set of buffers for every chunk: every fold's four stored
+        # Rows per decode band: at most DECODE_VOXELS voxels, at least a row.
+        self._band = band = min(max(1, DECODE_VOXELS // nx), ny)
+        # One set of buffers for every band: every fold's four stored
         # channels (at most 4 bytes a value), and float64 buffers for the
-        # voxels that are not certain background.
-        self._stored = np.empty((len(manifests), 4, chunk), np.float32)
-        self._probs, self._mean = np.empty((2, 4, chunk))
-        self._sums, self._best = np.empty((2, chunk))
-        self._uncertain, self._differs = np.empty((2, chunk), bool)
-        self._labels = np.empty(nx * ny, np.uint8)
+        # band's voxels inside the rectangle. The scan reads one fold at a
+        # time into all the folds' stored channels, as many whole rows as
+        # they hold; ``_differs`` is one such read's compare.
+        self._stored = np.empty((len(manifests), 4, band * nx), np.float32)
+        self._scan = self._stored.reshape(4, -1)
+        self._differs = np.empty(min(len(manifests) * band, ny) * nx, bool)
+        self._probs, self._mean = np.empty((2, 4, band * nx))
+        self._sums, self._best = np.empty((2, band * nx))
+        self._uncertain = np.empty((ny, nx), bool)
+        self._labels = np.empty((ny, nx), np.uint8)
 
     def labels(self, z: int, buf: np.ndarray) -> np.ndarray:
-        """The labels of plane ``z``, x-fastest, one chunk at a time; ``buf``
-        is not used."""
-        start, stop = _voxels(self.header.shape, z)
-        for lo in range(start, stop, self._chunk):
-            hi = min(lo + self._chunk, stop)
-            self._chunk_labels(lo, hi, self._labels[lo - start : hi - start])
-        return self._labels
+        """The labels of plane ``z``, x-fastest; ``buf`` is not used.
 
-    def _chunk_labels(self, lo: int, hi: int, out: np.ndarray) -> None:
-        """The labels of voxels ``lo:hi`` into ``out``.
-
-        Every fold's stored channels are read; on the smallest range of the
-        chunk outside which every fold stores ``_BACKGROUND``, every fold in
-        config order is renormalised and checked, then their mean is checked
-        and argmaxed. The voxels outside that range are label 0: each of
-        them passes every check and its mean is exactly ``_BACKGROUND``.
+        Inside the plane's rectangle (``_rectangle``), every fold in config
+        order is renormalised and checked, then their mean is checked and
+        argmaxed. The voxels outside it are label 0: each of them passes
+        every check and its mean is exactly ``_BACKGROUND``.
         """
-        stored = [f.read(lo, hi, buf) for f, buf in zip(self._folds, self._stored)]
-        a, b = self._uncertain_range(stored, hi - lo)
-        out[:a] = 0
-        out[b:] = 0
-        if a < b:
-            self._decode(([c[a:b] for c in channels] for channels in stored), out[a:b])
+        start, _ = _voxels(self.header.shape, z)
+        self._labels.fill(0)
+        box = self._rectangle(start)
+        if box is not None:
+            self._decode(start, *box)
+        return self._labels.reshape(-1)
 
-    def _uncertain_range(self, stored, n: int) -> tuple[int, int]:
-        """The smallest range ``[a, b)`` of a chunk's ``n`` voxels outside
-        which every fold of ``stored`` holds ``_BACKGROUND`` (``a == b ==
-        0`` if all do).
+    def _rectangle(self, start: int):
+        """The rows ``(y0, y1)`` and columns ``(x0, x1)`` of the plane from
+        voxel ``start`` outside which every fold stores ``_BACKGROUND``, or
+        None if every fold does everywhere.
 
-        NaN and infinite channels differ from it, so they stay inside the
-        range and are checked. If the first and last voxels are uncertain,
-        the range is the whole chunk and the compare pass is skipped.
+        Every fold in config order is read, ``_differs.size`` voxels (whole
+        rows) at a time, and compared with ``_BACKGROUND``; NaN and infinite
+        channels differ from it, so they lie inside the rectangle and are
+        checked. Once the plane's first and last voxels are uncertain, the
+        rectangle is the whole plane and the scan stops.
         """
-        if _uncertain_at(stored, 0) and _uncertain_at(stored, n - 1):
-            return 0, n
-        uncertain, differs = self._uncertain[:n], self._differs[:n]
+        ny, nx = self._uncertain.shape
+        uncertain = self._uncertain.reshape(-1)
         uncertain[...] = False
-        for channels in stored:
-            for c, v in zip(channels, _BACKGROUND):
-                np.not_equal(c, v, out=differs)
-                uncertain |= differs
-        a = int(uncertain.argmax())
-        if not uncertain[a]:
-            return 0, 0
-        return a, n - int(uncertain[::-1].argmax())
+        step = self._differs.size
+        for fold in self._folds:
+            for lo in range(0, nx * ny, step):
+                hi = min(lo + step, nx * ny)
+                part, differs = uncertain[lo:hi], self._differs[: hi - lo]
+                for c, v in zip(fold.read(start + lo, start + hi, self._scan), _BACKGROUND):
+                    np.not_equal(c, v, out=differs)
+                    part |= differs
+            if uncertain[0] and uncertain[-1]:
+                return (0, ny), (0, nx)
+        return _box(self._uncertain)
 
-    def _decode(self, stored, out: np.ndarray) -> None:
-        """The labels of the voxels of ``stored`` (per fold, in config order,
-        a range of the channels ``ProbmapFiles.read`` returns) into
-        ``out``."""
-        n = out.size
-        mean, sums = self._mean[:, :n], self._sums[:n]
-        decoded = (f.renormalise(channels, self._probs[:, :n], sums)
-                   for f, channels in zip(self._folds, stored))
-        average_probs_into(decoded, mean)
-        try:
-            _check_probs(mean, sums)
-        except ValueError as e:
-            names = ", ".join(str(p) for p in self._manifests)
-            raise BadData(f"average of {names}: {e}") from e
-        argmax_labels_into(mean, out, self._best[:n])
+    def _decode(self, start: int, rows: tuple[int, int], cols: tuple[int, int]) -> None:
+        """The labels of the rectangle ``rows`` x ``cols`` of the plane from
+        voxel ``start``, in bands of ``_band`` rows: per band, each fold's
+        whole rows are read, one range per channel, and their columns
+        ``cols`` are decoded."""
+        nx = self.header.shape[0]
+        (y0, y1), (x0, x1) = rows, cols
+        for ya in range(y0, y1, self._band):
+            yb = min(ya + self._band, y1)
+            out = self._labels[ya:yb, x0:x1]
+            n = out.size
+            mean, sums = self._mean[:, :n], self._sums[:n]
+            stored = (f.read(start + ya * nx, start + yb * nx, buf)
+                      for f, buf in zip(self._folds, self._stored))
+            decoded = (f.renormalise([c.reshape(-1, nx)[:, x0:x1] for c in channels],
+                                     self._probs[:, :n], sums)
+                       for f, channels in zip(self._folds, stored))
+            average_probs_into(decoded, mean)
+            try:
+                _check_probs(mean, sums)
+            except ValueError as e:
+                names = ", ".join(str(p) for p in self._manifests)
+                raise BadData(f"average of {names}: {e}") from e
+            argmax_labels_into(mean.reshape(4, *out.shape), out,
+                               self._best[:n].reshape(out.shape))
 
 
 def _open_model(m: ModelInput, stack: ExitStack) -> _LabelModel | _FoldModel:
@@ -462,10 +478,10 @@ def _read_blocks(case: CaseInput):
             codes[...] = 0
             for r, model in enumerate(models):
                 pack_labels(codes, r, model.labels(z, read))
-            ys, xs = (np.flatnonzero(plane.any(axis=a)) for a in (1, 0))
-            if ys.size:
-                block = plane[ys[0] : ys[-1] + 1, xs[0] : xs[-1] + 1]
-                blocks.append(((int(xs[0]), int(ys[0]), z), block.copy()))
+            box = _box(plane)
+            if box is not None:
+                (y0, y1), (x0, x1) = box
+                blocks.append(((x0, y0, z), plane[y0:y1, x0:x1].copy()))
     return grid, blocks
 
 

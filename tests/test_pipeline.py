@@ -562,7 +562,7 @@ def test_config_with_seed_key_still_loads(tmp_path):
     assert not hasattr(cfg, "seed")
 
 
-# -- fold probability maps, decoded chunk by chunk -------------------------------
+# -- fold probability maps, decoded plane by plane -------------------------------
 
 SPACING = (1.0, 1.25, 2.0)
 ORIGIN = (4.0, -2.0, 7.5)
@@ -611,12 +611,10 @@ def _assert_streamed_equals_whole(manifests):
 EDGE_GRIDS = {"one_plane": (8, 6, 1), "one_voxel_planes": (1, 1, 11)}
 
 
-@pytest.mark.parametrize("shape", [(8, 6, 11), *EDGE_GRIDS.values()],
-                         ids=["planes_of_48", *EDGE_GRIDS])
-def test_streamed_labels_equal_whole_volume_labels(tmp_path, rng, monkeypatch, shape):
-    monkeypatch.setattr(pipeline, "DECODE_VOXELS", 40)  # less than a plane of 48
-    nx, ny, nz = shape
-    manifests = _folds(tmp_path, rng, shape, 3)
+def _fused_reads(manifests, monkeypatch):
+    """The ``(manifest, start, stop)`` of every ``ProbmapFiles.read`` that
+    fusing ``manifests`` made, its labels checked byte for byte against the
+    whole-volume labels."""
     calls = []
     real = ProbmapFiles.read
 
@@ -628,18 +626,53 @@ def test_streamed_labels_equal_whole_volume_labels(tmp_path, rng, monkeypatch, s
         patch.setattr(ProbmapFiles, "read", read)
         got = _fused_labels(manifests)
     assert got.data.tobytes(order="F") == _whole_volume_labels(manifests).data.tobytes(order="F")
-    # Each plane is the voxel range nx*ny*z : nx*ny*(z + 1); it is read in
-    # chunks of 40 voxels (the last one shorter, and none longer than the
-    # plane), and each chunk from every fold, in config order.
-    plane = nx * ny
-    assert calls == [(m, lo, min(lo + 40, plane * (z + 1))) for z in range(nz)
-                     for lo in range(plane * z, plane * (z + 1), 40) for m in manifests]
+    return calls
 
 
-def test_streamed_labels_when_the_default_decode_chunk_splits_planes(tmp_path, rng):
-    # 130 x 130 planes: a chunk of 16384 voxels, then one of 516.
-    assert 130 * 130 - pipeline.DECODE_VOXELS == 516
-    _assert_streamed_equals_whole(_folds(tmp_path, rng, (130, 130, 3), 2))
+def _dense_plane_reads(manifests, shape, band, scan_rows=None):
+    """The reads of fold maps with no certain background, decoded in bands
+    of ``band`` rows. Per plane (the voxel range nx*ny*z : nx*ny*(z + 1)),
+    the scan reads the first fold's plane, ``scan_rows`` rows at a time (by
+    default all), and stops: its first and last voxels are uncertain. Then
+    each band is read from every fold in config order."""
+    nx, ny, nz = shape
+
+    def rows(z, step):
+        return [(nx * (ny * z + y), nx * (ny * z + min(y + step, ny)))
+                for y in range(0, ny, step)]
+
+    return [call for z in range(nz) for call in
+            [(manifests[0], *r) for r in rows(z, scan_rows or ny)]
+            + [(m, *r) for r in rows(z, band) for m in manifests]]
+
+
+@pytest.mark.parametrize("shape", [(8, 6, 11), *EDGE_GRIDS.values()],
+                         ids=["planes_of_48", *EDGE_GRIDS])
+def test_streamed_labels_equal_whole_volume_labels(tmp_path, rng, monkeypatch, shape):
+    monkeypatch.setattr(pipeline, "DECODE_VOXELS", 40)  # less than a plane of 48
+    manifests = _folds(tmp_path, rng, shape, 3)
+    # Bands of the rows that 40 voxels hold: 5 of 8, or the one row of 1.
+    band = min(40 // shape[0], shape[1])
+    assert _fused_reads(manifests, monkeypatch) == _dense_plane_reads(manifests, shape, band)
+
+
+def test_streamed_labels_when_the_default_decode_chunk_splits_planes(tmp_path, rng,
+                                                                     monkeypatch):
+    # 130 x 130 planes of dense maps: the rectangle is the whole plane,
+    # decoded in two bands of rows, 126 (16380 voxels) and then 4.
+    assert pipeline.DECODE_VOXELS // 130 == 126
+    shape = (130, 130, 3)
+    manifests = _folds(tmp_path, rng, shape, 2)
+    assert _fused_reads(manifests, monkeypatch) == _dense_plane_reads(manifests, shape, 126)
+
+
+def test_a_dense_plane_s_scan_reads_one_fold(tmp_path, rng, monkeypatch):
+    # Planes of 6 x 5 in bands of one row: the scan reads the first fold in
+    # rows of three (a band per fold), then stops.
+    monkeypatch.setattr(pipeline, "DECODE_VOXELS", 7)
+    manifests = _folds(tmp_path, rng, CHECK_SHAPE, 3)
+    assert _fused_reads(manifests, monkeypatch) \
+        == _dense_plane_reads(manifests, CHECK_SHAPE, 1, scan_rows=3)
 
 
 def test_streamed_labels_break_exact_ties_toward_the_later_channel(tmp_path):
@@ -664,8 +697,9 @@ def test_streamed_labels_break_exact_ties_toward_the_later_channel(tmp_path):
 @pytest.mark.parametrize("decode_voxels", [1, 7, 29, 60, 1 << 15])
 def test_labels_are_the_same_for_any_decode_chunk(tmp_path, rng, monkeypatch,
                                                   decode_voxels):
-    # Planes of 6 x 5: chunks of 7 or 29 voxels do not divide a plane; 60
-    # and 1 << 15 are capped to one chunk per plane.
+    # Planes of 6 x 5: 1 and 7 voxels make bands of one row, 29 bands of
+    # four rows (the plane in two bands), and 60 and 1 << 15 one band of the
+    # plane's five rows.
     monkeypatch.setattr(pipeline, "DECODE_VOXELS", decode_voxels)
     _assert_streamed_equals_whole(_folds(tmp_path, rng, CHECK_SHAPE, 3))
 
@@ -717,11 +751,12 @@ def test_fold_decoding_memory_grows_with_the_chunk_not_the_plane(tmp_path, rng,
 
     base = peak(large, 1024)
     # Four times the plane costs under 8 bytes per added plane voxel (one
-    # plane's uint8 labels, codes, packing temporaries and output); decoding
-    # whole planes would cost 84 (float32 raw, float64 probs, mean, sums and
-    # best).
+    # plane's uint8 labels, uncertain mask, codes, packing temporaries and
+    # output); decoding whole planes would cost 84 (float32 raw, float64
+    # probs, mean, sums and best).
     assert base - peak(small, 1024) < 8 * (128 * 128 - 64 * 64)
-    # Eight times the chunk costs at least its float64 probs and mean.
+    # Eight times the band (64 rows, not 8) costs at least its float64 probs
+    # and mean.
     assert peak(large, 8192) - base > 2 * 4 * 8 * (8192 - 1024)
 
 
@@ -765,8 +800,8 @@ def test_every_voxel_of_every_fold_is_checked(tmp_path, rng, bad):
 @pytest.mark.parametrize("bad", sorted(BAD_VOXELS))
 def test_a_bad_voxel_in_a_later_decode_chunk_names_its_fold(tmp_path, rng, monkeypatch,
                                                             bad):
-    # Chunks of 7 voxels: CHECK_VOXEL (172) is in the chunk 171:178, the
-    # fourth of the plane 150:180.
+    # Bands of one row (7 voxels hold one row of 6): CHECK_VOXEL (172), in
+    # row 3 of the plane 150:180, is in its fourth band.
     monkeypatch.setattr(pipeline, "DECODE_VOXELS", 7)
     values, match = BAD_VOXELS[bad]
     folds = _folds(tmp_path, rng, CHECK_SHAPE, 3)
@@ -854,7 +889,8 @@ def _fused_as_whole(manifests, monkeypatch):
 @pytest.mark.parametrize("dtype", sorted(_DATATYPES))
 def test_one_hot_folds_fuse_as_the_whole_volume_in_any_stored_dtype(tmp_path, rng,
                                                                     monkeypatch, dtype):
-    # Chunks of 13 voxels: some all background, some all tumour, some both.
+    # Bands of one row (13 voxels hold one row of 9): the tumour's rows are
+    # decoded, in its columns only.
     monkeypatch.setattr(pipeline, "DECODE_VOXELS", 13)
     shape = (9, 7, 10)
     manifests = []
@@ -871,7 +907,7 @@ def test_one_hot_folds_fuse_as_the_whole_volume_in_any_stored_dtype(tmp_path, rn
 
 @pytest.mark.parametrize("voxel", [171, 174, 177], ids=["first", "middle", "last"])
 def test_a_chunk_s_one_uncertain_voxel_is_decoded_alone(tmp_path, monkeypatch, voxel):
-    # Chunks of 7 voxels: 171:178 is the fourth chunk of the plane 150:180.
+    # Each voxel of the plane 150:180 is alone its plane's rectangle.
     monkeypatch.setattr(pipeline, "DECODE_VOXELS", 7)
     folds = _background_folds(tmp_path, 3)
     for fold in folds:
@@ -919,6 +955,55 @@ def test_a_bad_voxel_among_background_names_its_fold(tmp_path, monkeypatch, bad)
     values, match = BAD_VOXELS.get(bad) or BAD_BACKGROUND[bad.removesuffix("_alone")]
     folds = _background_folds(tmp_path, 3)
     _patch_channels(folds[1], values)
+    with pytest.raises(BadData, match=match) as info:
+        _fused_labels(folds)
+    assert str(info.value).startswith(f"{folds[1]}: ")
+
+
+# Three folds of 40 x 12 x 3 voxels that store certain background but in
+# one box each: fold 0 in columns 10:20 and rows 3:6 of plane 1, fold 1 in
+# columns 15:26 and rows 5:8 of plane 1, fold 2 in the last voxel of plane 2.
+# Plane 1's rectangle is rows 3:8 by columns 10:26, 80 voxels; plane 2's is
+# its one voxel.
+WIDE_SHAPE = (40, 12, 3)
+WIDE_BOXES = [np.s_[10:20, 3:6, 1], np.s_[15:26, 5:8, 1], np.s_[39:40, 11:12, 2]]
+
+
+def _tumour_folds(tmp_path, rng):
+    """Fold maps of ``WIDE_SHAPE``: certain background, and random
+    probabilities that differ from it in each fold's ``WIDE_BOXES`` box."""
+    manifests = []
+    for f, box in enumerate(WIDE_BOXES):
+        stored = np.zeros((4,) + WIDE_SHAPE, np.float32)
+        stored[0] = 1.0
+        inside = stored[(slice(None),) + box]
+        inside[...] = 0.01 + rng.random(inside.shape)
+        manifests.append(_save_stored(tmp_path / "probs", f"case_f{f}", stored))
+    return manifests
+
+
+@pytest.mark.parametrize("decode_voxels", [7, 1 << 14, 1 << 15])
+def test_only_the_rectangle_of_the_uncertain_voxels_is_decoded(tmp_path, rng, monkeypatch,
+                                                               decode_voxels):
+    monkeypatch.setattr(pipeline, "DECODE_VOXELS", decode_voxels)
+    folds = _tumour_folds(tmp_path, rng)
+    _, calls = _fused_as_whole(folds, monkeypatch)
+    # Bands of the rows decode_voxels holds (at least one, at most the plane's
+    # 12), each of 16 columns, from every fold; then plane 2's one voxel.
+    band = min(max(1, decode_voxels // 40), 12)
+    assert calls == [(f, 16 * (min(y + band, 8) - y)) for y in range(3, 8, band)
+                     for f in folds] + [(f, 1) for f in folds]
+    assert sum(n for _, n in calls) == len(folds) * (80 + 1)
+
+
+@pytest.mark.parametrize("voxel", [(35, 4, 1), (2, 10, 1)], ids=["beside", "off_corner"])
+@pytest.mark.parametrize("bad", sorted(BAD_BACKGROUND))
+def test_a_bad_voxel_outside_the_tumour_columns_names_its_fold(tmp_path, rng, bad, voxel):
+    values, match = BAD_BACKGROUND[bad]
+    folds = _tumour_folds(tmp_path, rng)
+    x, y, z = voxel
+    nx, ny, _ = WIDE_SHAPE
+    _patch_channels(folds[1], values, x + nx * (y + ny * z))
     with pytest.raises(BadData, match=match) as info:
         _fused_labels(folds)
     assert str(info.value).startswith(f"{folds[1]}: ")

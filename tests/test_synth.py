@@ -77,6 +77,14 @@ class TestSynthCommand:
         assert len(errors) == 1 and "--rate" in errors[0]
         assert not (tmp_path / "out").exists()
 
+    def test_negative_seed_is_a_usage_error_naming_the_option(self, tmp_path):
+        result = CliRunner().invoke(main, ["synth", "--out", str(tmp_path / "out"),
+                                           "--seed", "-1"])
+        assert result.exit_code == 2, result.output
+        assert "Invalid value for '--seed': -1 is not in the range x>=0." in result.output
+        assert "Traceback" not in result.output
+        assert not (tmp_path / "out").exists()
+
     def test_negative_raters_is_a_usage_error(self, tmp_path):
         result = CliRunner().invoke(main, ["synth", "--out", str(tmp_path / "out"),
                                            "--raters", "-2", "--no-probmaps"])
