@@ -23,6 +23,7 @@ from pathlib import Path
 import click
 
 from .errors import BratsFuseError, error_text
+from .fusion import MAX_RATERS
 from .metrics import EMPTY_PENALTY_MM
 from .nifti import _write_text, save_nifti, save_probmap
 from .pipeline import (
@@ -149,6 +150,10 @@ def synth_cmd(out_dir, seed, shape, raters, rate, probmaps):
     if raters == 0 and not probmaps:
         raise click.UsageError("--raters 0 with --no-probmaps would write a config "
                                "with no model")
+    if raters + probmaps > MAX_RATERS:
+        soft = " and the soft model" if probmaps else ""
+        raise click.UsageError(f"--raters {raters}{soft} would write a config of "
+                               f"{raters + probmaps} models; fuse takes at most {MAX_RATERS}")
     try:
         gt, _ = make_phantom(PhantomSpec(shape=tuple(shape), seed=seed))
     except ValueError as e:

@@ -80,6 +80,7 @@ __all__ = [
     "staple_multilabel_detailed",
     "staple_lut",
     "joint_codes",
+    "MAX_RATERS",
     "pack_labels",
     "unpack_labels",
     "joint_histogram",
@@ -97,6 +98,8 @@ CODE_BITS = 16
 # its codes to intp, which bounds that copy (256 KB).
 CHUNK_VOXELS = 1 << 15
 _CODE_TYPES = tuple(np.dtype(t) for t in (np.uint8, np.uint16, np.uint32, np.uint64))
+# The most raters a joint code holds: two bits each in the widest type.
+MAX_RATERS = 4 * _CODE_TYPES[-1].itemsize
 
 
 def average_probs_into(maps: Iterable[np.ndarray], out: np.ndarray) -> np.ndarray:
@@ -245,8 +248,7 @@ def joint_codes(n_raters: int, n_voxels: int) -> np.ndarray:
     raters is a ValueError."""
     dtype = next((t for t in _CODE_TYPES if 2 * n_raters <= 8 * t.itemsize), None)
     if dtype is None:
-        raise ValueError(f"joint codes hold at most {4 * _CODE_TYPES[-1].itemsize} "
-                         f"raters, got {n_raters}")
+        raise ValueError(f"joint codes hold at most {MAX_RATERS} raters, got {n_raters}")
     return np.zeros(n_voxels, dtype)
 
 

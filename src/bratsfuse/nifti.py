@@ -34,10 +34,12 @@ buffer, and ``renormalise`` casts such channels, or any same-shaped views
 of them, into float64 rows, divides them by their sums, clips and checks
 them. So a map can be read a range at a time without a header parse or a
 fresh array per range, and a caller can look at the stored values before
-any arithmetic: a fold model renormalises only the columns, within whole
-rows it read, of the rectangle outside which every fold stores certain
-background, exactly (1, 0, 0, 0) (see ``pipeline``). :func:`load_probmap`
-does both steps on a whole map; a map's header alone is
+any arithmetic: ``read_channel`` gives one channel's stored values alone,
+so a fold model compares each channel with certain background, exactly
+(1, 0, 0, 0), before it reads the next, and then renormalises only the
+columns, within whole rows it read, of the rectangle outside which every
+fold stores that background (see ``pipeline``). :func:`load_probmap` does
+both steps on a whole map; a map's header alone is
 ``ProbmapFiles(m).header``.
 """
 
@@ -377,9 +379,9 @@ class ProbmapFiles:
 
     Opening reads the manifest and opens the four channel readers, which
     check their headers and sizes, and checks that the four grids agree;
-    :meth:`read` then reads any range of voxels without parsing or checking
-    the headers again. Use it as a context manager (or call
-    :meth:`close`).
+    :meth:`read` (every channel) and :meth:`read_channel` (one) then read
+    any range of voxels without parsing or checking the headers again. Use
+    it as a context manager (or call :meth:`close`).
     """
 
     def __init__(self, manifest_path):
@@ -406,6 +408,12 @@ class ProbmapFiles:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+    def read_channel(self, c: int, start: int, stop: int, buf: np.ndarray) -> np.ndarray:
+        """The stored values of voxels ``start:stop`` (x-fastest) of channel
+        ``c`` alone (0 to 3, in channel order), unchecked: the view of
+        ``buf`` in its file's dtype that :meth:`PlaneReader.read` returns."""
+        return self._files[c].read(start, stop, buf)
 
     def read(self, start: int, stop: int, buf: np.ndarray) -> tuple[np.ndarray, ...]:
         """The stored values of voxels ``start:stop`` (x-fastest) of each

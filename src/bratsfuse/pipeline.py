@@ -14,26 +14,29 @@ A case is read in one loop over its z-planes; a plane is the x-fastest
 voxel range ``nx*ny*z : nx*ny*(z + 1)``, read from each file as one
 contiguous byte range. Every input file is opened and its header parsed and
 checked once, and the models' grids are checked to agree, before the first
-plane. Per plane, each model gives its labels: a label map's voxels are
-read, into one read buffer of a plane that all of the case's label maps
-share, and checked by ``nifti.read_label_planes``. Fold maps are decoded in
-two steps per plane. The scan reads each fold in config order, one fold at a
-time over whole rows (for five folds of 240 x 240, one read per channel
-covers the plane), and compares its four stored channels with exactly
-(1, 0, 0, 0), the certain background that models which infer on the
-brain's bounding box store in the rest of the grid. The rows and columns of
-the voxels where some fold differs are the plane's rectangle; once the
-plane's first and last voxels differ, the rectangle is the whole plane and
-the scan stops. The rectangle is then decoded in bands of ``DECODE_VOXELS``
-voxels' worth of rows (at least one row), small enough that a band's
-buffers stay in cache through every pass over them: per band, each fold's
-rows are read again, one range per channel, and on the rectangle's columns
-only every fold in config order is renormalised and checked, the folds are
-averaged, and the mean is checked again and argmaxed, in buffers allocated
-once per model; the voxels outside the rectangle are label 0. That is
-exact: such a voxel passes every check, its mean is (1, 0, 0, 0) and its
-argmax label 0, while a NaN or infinite channel differs from (1, 0, 0, 0)
-and so lies inside the rectangle and is refused.
+plane. Per plane, each model gives its labels, read into one read buffer
+that all of the case's models share, of the most bytes any of them reads: a
+label map reads one plane in its stored dtype, checked by
+``nifti.read_label_planes``, and a fold model one fold's four channels of
+one decode band, whatever its number of folds. Fold maps are decoded in two
+steps per plane. The scan reads each fold in config order, one channel at a
+time in as many whole rows as the buffer holds (for 240 x 240, one read per
+channel covers the plane), and compares the channel with its value in
+exactly (1, 0, 0, 0), the certain background that models which infer on
+the brain's bounding box store in the rest of the grid. The rows and
+columns of the voxels where some fold differs are the plane's rectangle;
+once the plane's first and last voxels differ, the rectangle is the whole
+plane and the scan stops, so a dense plane costs one channel of one fold.
+The rectangle is then decoded in bands of ``DECODE_VOXELS`` voxels' worth
+of rows (at least one row), small enough that a band's buffers stay in
+cache through every pass over them: per band, each fold in config order is
+read again, one range per channel into the read buffer, and renormalised
+and checked on the rectangle's columns only before the next fold is read;
+the folds are averaged, and the mean is checked again and argmaxed, in
+buffers allocated once per model. The voxels outside the rectangle are
+label 0. That is exact: such a voxel passes every check, its mean is
+(1, 0, 0, 0) and its argmax label 0, while a NaN or infinite channel
+differs from (1, 0, 0, 0) and so lies inside the rectangle and is refused.
 Each model's labels go into its two bits of one reused plane of joint
 codes (``fusion.joint_codes``: one code per voxel, in the smallest unsigned
 type holding two bits per model, uint8 for up to four models); code 0 is
@@ -299,8 +302,8 @@ class PipelineConfig:
 
 
 # Voxels per band of rows when fold maps are decoded (at least one row): a
-# band's buffers (about 2.6 MB for five folds) stay in a core's cache through
-# every pass over them.
+# band's buffers (about 1.6 MB, for any number of folds) stay in a core's
+# cache through every pass over them.
 DECODE_VOXELS = 1 << 14
 _LABELS = np.array(BRATS_LABELS, dtype=np.uint8)
 
@@ -326,8 +329,9 @@ class _LabelModel:
     def __init__(self, path: Path, stack: ExitStack):
         self._file = stack.enter_context(_open_labels(path))
         self.header = self._file.header
-        # Bytes per voxel this model reads into the case's read buffer.
-        self.read_bytes = self.header.dtype.itemsize
+        # Bytes this model reads into the case's read buffer: one plane.
+        nx, ny, _ = self.header.shape
+        self.read_bytes = nx * ny * self.header.dtype.itemsize
 
     def labels(self, z: int, buf: np.ndarray) -> np.ndarray:
         """The labels of plane ``z``, checked, x-fastest, read into ``buf``."""
@@ -342,9 +346,8 @@ _BACKGROUND = (1, 0, 0, 0)
 
 class _FoldModel:
     """A model given as fold probability maps, decoded a plane at a time
-    inside the rectangle of the plane's uncertain voxels."""
-
-    read_bytes = 0  # it reads into its own buffers
+    inside the rectangle of the plane's uncertain voxels, each fold read in
+    turn into the case's read buffer."""
 
     def __init__(self, manifests: tuple[Path, ...], stack: ExitStack):
         self._manifests = manifests
@@ -354,21 +357,21 @@ class _FoldModel:
         nx, ny, _ = self.header.shape
         # Rows per decode band: at most DECODE_VOXELS voxels, at least a row.
         self._band = band = min(max(1, DECODE_VOXELS // nx), ny)
-        # One set of buffers for every band: every fold's four stored
-        # channels (at most 4 bytes a value), and float64 buffers for the
-        # band's voxels inside the rectangle. The scan reads one fold at a
-        # time into all the folds' stored channels, as many whole rows as
-        # they hold; ``_differs`` is one such read's compare.
-        self._stored = np.empty((len(manifests), 4, band * nx), np.float32)
-        self._scan = self._stored.reshape(4, -1)
-        self._differs = np.empty(min(len(manifests) * band, ny) * nx, bool)
+        # Bytes this model reads into the case's read buffer, for any number
+        # of folds: one fold's four stored channels (at most 4 bytes a value)
+        # of one band. The scan reads one channel at a time into it, as many
+        # whole rows as it holds; ``_differs`` is one such read's compare.
+        self.read_bytes = 4 * 4 * band * nx
+        self._differs = np.empty(min(4 * band, ny) * nx, bool)
+        # float64 buffers for the band's voxels inside the rectangle.
         self._probs, self._mean = np.empty((2, 4, band * nx))
         self._sums, self._best = np.empty((2, band * nx))
         self._uncertain = np.empty((ny, nx), bool)
         self._labels = np.empty((ny, nx), np.uint8)
 
     def labels(self, z: int, buf: np.ndarray) -> np.ndarray:
-        """The labels of plane ``z``, x-fastest; ``buf`` is not used.
+        """The labels of plane ``z``, x-fastest; the folds are read into
+        ``buf``, which holds at least ``read_bytes``.
 
         Inside the plane's rectangle (``_rectangle``), every fold in config
         order is renormalised and checked, then their mean is checked and
@@ -377,19 +380,20 @@ class _FoldModel:
         """
         start, _ = _voxels(self.header.shape, z)
         self._labels.fill(0)
-        box = self._rectangle(start)
+        box = self._rectangle(start, buf)
         if box is not None:
-            self._decode(start, *box)
+            self._decode(start, *box, buf)
         return self._labels.reshape(-1)
 
-    def _rectangle(self, start: int):
+    def _rectangle(self, start: int, buf: np.ndarray):
         """The rows ``(y0, y1)`` and columns ``(x0, x1)`` of the plane from
         voxel ``start`` outside which every fold stores ``_BACKGROUND``, or
         None if every fold does everywhere.
 
-        Every fold in config order is read, ``_differs.size`` voxels (whole
-        rows) at a time, and compared with ``_BACKGROUND``; NaN and infinite
-        channels differ from it, so they lie inside the rectangle and are
+        Per fold in config order, per channel, the plane is read into
+        ``buf``, ``_differs.size`` voxels (whole rows) at a time, and
+        compared with the channel's ``_BACKGROUND`` value; NaN and infinite
+        values differ from it, so they lie inside the rectangle and are
         checked. Once the plane's first and last voxels are uncertain, the
         rectangle is the whole plane and the scan stops.
         """
@@ -398,33 +402,37 @@ class _FoldModel:
         uncertain[...] = False
         step = self._differs.size
         for fold in self._folds:
-            for lo in range(0, nx * ny, step):
-                hi = min(lo + step, nx * ny)
-                part, differs = uncertain[lo:hi], self._differs[: hi - lo]
-                for c, v in zip(fold.read(start + lo, start + hi, self._scan), _BACKGROUND):
-                    np.not_equal(c, v, out=differs)
-                    part |= differs
-            if uncertain[0] and uncertain[-1]:
-                return (0, ny), (0, nx)
+            for c, value in enumerate(_BACKGROUND):
+                for lo in range(0, nx * ny, step):
+                    hi = min(lo + step, nx * ny)
+                    differs = self._differs[: hi - lo]
+                    np.not_equal(fold.read_channel(c, start + lo, start + hi, buf), value,
+                                 out=differs)
+                    uncertain[lo:hi] |= differs
+                if uncertain[0] and uncertain[-1]:
+                    return (0, ny), (0, nx)
         return _box(self._uncertain)
 
-    def _decode(self, start: int, rows: tuple[int, int], cols: tuple[int, int]) -> None:
+    def _decode(self, start: int, rows: tuple[int, int], cols: tuple[int, int],
+                buf: np.ndarray) -> None:
         """The labels of the rectangle ``rows`` x ``cols`` of the plane from
         voxel ``start``, in bands of ``_band`` rows: per band, each fold's
-        whole rows are read, one range per channel, and their columns
-        ``cols`` are decoded."""
+        whole rows are read into ``buf``, a quarter of ``read_bytes`` per
+        channel, just before their columns ``cols`` are renormalised."""
         nx = self.header.shape[0]
+        block = buf[: self.read_bytes].reshape(4, -1)
         (y0, y1), (x0, x1) = rows, cols
         for ya in range(y0, y1, self._band):
             yb = min(ya + self._band, y1)
             out = self._labels[ya:yb, x0:x1]
             n = out.size
             mean, sums = self._mean[:, :n], self._sums[:n]
-            stored = (f.read(start + ya * nx, start + yb * nx, buf)
-                      for f, buf in zip(self._folds, self._stored))
-            decoded = (f.renormalise([c.reshape(-1, nx)[:, x0:x1] for c in channels],
+            # A generator: average_probs_into renormalises one fold into
+            # ``_probs`` and adds it to the mean before the next is read.
+            decoded = (f.renormalise([c.reshape(-1, nx)[:, x0:x1]
+                                      for c in f.read(start + ya * nx, start + yb * nx, block)],
                                      self._probs[:, :n], sums)
-                       for f, channels in zip(self._folds, stored))
+                       for f in self._folds)
             average_probs_into(decoded, mean)
             try:
                 _check_probs(mean, sums)
@@ -470,9 +478,10 @@ def _read_blocks(case: CaseInput):
         nx, ny, nz = grid.shape
         codes = joint_codes(len(models), nx * ny)
         plane = codes.reshape(ny, nx)
-        # One read buffer serves every model: each model's labels are packed
-        # into the codes before the next model reads.
-        read = np.empty(nx * ny * max(m.read_bytes for m in models), np.uint8)
+        # One read buffer, of the most bytes any model reads, serves every
+        # model: each model's labels are packed into the codes before the
+        # next model reads.
+        read = np.empty(max(m.read_bytes for m in models), np.uint8)
         blocks = []
         for z in range(nz):
             codes[...] = 0
@@ -691,10 +700,11 @@ def _region_values(row: dict) -> tuple[dict[str, float], dict[str, float]]:
 
 
 def _csv_rows(path) -> list[dict]:
-    """The rows of a CSV file with a header line, read as UTF-8 text; a
-    file that is not UTF-8 is a ConfigError."""
+    """The rows of a CSV file with a header line, read as UTF-8 text after a
+    byte-order mark, if any (spreadsheets save one); a file that is not
+    UTF-8 is a ConfigError."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             return list(csv.DictReader(fh))
     except UnicodeDecodeError as e:
         raise ConfigError(f"{path} is not UTF-8 text: {e}") from e

@@ -612,38 +612,47 @@ EDGE_GRIDS = {"one_plane": (8, 6, 1), "one_voxel_planes": (1, 1, 11)}
 
 
 def _fused_reads(manifests, monkeypatch):
-    """The ``(manifest, start, stop)`` of every ``ProbmapFiles.read`` that
-    fusing ``manifests`` made, its labels checked byte for byte against the
-    whole-volume labels."""
+    """Every read that fusing ``manifests`` made, in order: ``(manifest,
+    channel, start, stop)`` for a ``ProbmapFiles.read_channel`` of the scan
+    and ``(manifest, start, stop)`` for a ``ProbmapFiles.read`` of all four
+    channels; the labels are checked byte for byte against the whole-volume
+    labels."""
     calls = []
-    real = ProbmapFiles.read
+    real_read, real_channel = ProbmapFiles.read, ProbmapFiles.read_channel
 
     def read(files, start, stop, buf):
         calls.append((files.manifest, start, stop))
-        return real(files, start, stop, buf)
+        return real_read(files, start, stop, buf)
+
+    def read_channel(files, c, start, stop, buf):
+        calls.append((files.manifest, c, start, stop))
+        return real_channel(files, c, start, stop, buf)
 
     with monkeypatch.context() as patch:
         patch.setattr(ProbmapFiles, "read", read)
+        patch.setattr(ProbmapFiles, "read_channel", read_channel)
         got = _fused_labels(manifests)
     assert got.data.tobytes(order="F") == _whole_volume_labels(manifests).data.tobytes(order="F")
     return calls
 
 
+def _rows(shape, z, step):
+    """The voxel ranges of plane ``z`` of a grid of ``shape`` in pieces of
+    ``step`` whole rows."""
+    nx, ny, _ = shape
+    return [(nx * (ny * z + y), nx * (ny * z + min(y + step, ny))) for y in range(0, ny, step)]
+
+
 def _dense_plane_reads(manifests, shape, band, scan_rows=None):
     """The reads of fold maps with no certain background, decoded in bands
     of ``band`` rows. Per plane (the voxel range nx*ny*z : nx*ny*(z + 1)),
-    the scan reads the first fold's plane, ``scan_rows`` rows at a time (by
-    default all), and stops: its first and last voxels are uncertain. Then
-    each band is read from every fold in config order."""
-    nx, ny, nz = shape
-
-    def rows(z, step):
-        return [(nx * (ny * z + y), nx * (ny * z + min(y + step, ny)))
-                for y in range(0, ny, step)]
-
+    the scan reads the first channel of the first fold, ``scan_rows`` rows
+    at a time (by default all), and stops: the plane's first and last voxels
+    are uncertain. Then each band is read from every fold in config order."""
+    _, ny, nz = shape
     return [call for z in range(nz) for call in
-            [(manifests[0], *r) for r in rows(z, scan_rows or ny)]
-            + [(m, *r) for r in rows(z, band) for m in manifests]]
+            [(manifests[0], 0, *r) for r in _rows(shape, z, scan_rows or ny)]
+            + [(m, *r) for r in _rows(shape, z, band) for m in manifests]]
 
 
 @pytest.mark.parametrize("shape", [(8, 6, 11), *EDGE_GRIDS.values()],
@@ -651,15 +660,19 @@ def _dense_plane_reads(manifests, shape, band, scan_rows=None):
 def test_streamed_labels_equal_whole_volume_labels(tmp_path, rng, monkeypatch, shape):
     monkeypatch.setattr(pipeline, "DECODE_VOXELS", 40)  # less than a plane of 48
     manifests = _folds(tmp_path, rng, shape, 3)
-    # Bands of the rows that 40 voxels hold: 5 of 8, or the one row of 1.
+    # Bands of the rows that 40 voxels hold: 5 of 8, or the one row of 1. A
+    # scan read holds four bands' rows, so the whole plane.
     band = min(40 // shape[0], shape[1])
+    assert 4 * band >= shape[1]
     assert _fused_reads(manifests, monkeypatch) == _dense_plane_reads(manifests, shape, band)
 
 
 def test_streamed_labels_when_the_default_decode_chunk_splits_planes(tmp_path, rng,
                                                                      monkeypatch):
-    # 130 x 130 planes of dense maps: the rectangle is the whole plane,
-    # decoded in two bands of rows, 126 (16380 voxels) and then 4.
+    # 130 x 130 planes of dense maps: the scan reads the first fold's first
+    # channel in one read of the plane (four bands hold 504 rows), and the
+    # rectangle is the whole plane, decoded in two bands of rows, 126 (16380
+    # voxels) and then 4.
     assert pipeline.DECODE_VOXELS // 130 == 126
     shape = (130, 130, 3)
     manifests = _folds(tmp_path, rng, shape, 2)
@@ -667,12 +680,77 @@ def test_streamed_labels_when_the_default_decode_chunk_splits_planes(tmp_path, r
 
 
 def test_a_dense_plane_s_scan_reads_one_fold(tmp_path, rng, monkeypatch):
-    # Planes of 6 x 5 in bands of one row: the scan reads the first fold in
-    # rows of three (a band per fold), then stops.
+    # Planes of 6 x 5 in bands of one row: the scan reads the first fold's
+    # first channel in pieces of four rows (four bands), rows 0:4 and 4:5,
+    # then stops.
     monkeypatch.setattr(pipeline, "DECODE_VOXELS", 7)
     manifests = _folds(tmp_path, rng, CHECK_SHAPE, 3)
-    assert _fused_reads(manifests, monkeypatch) \
-        == _dense_plane_reads(manifests, CHECK_SHAPE, 1, scan_rows=3)
+    reads = _fused_reads(manifests, monkeypatch)
+    assert reads == _dense_plane_reads(manifests, CHECK_SHAPE, 1, scan_rows=4)
+    scans = [r for r in reads if len(r) == 4]
+    assert {(m, c) for m, c, _, _ in scans} == {(manifests[0], 0)}
+    assert len(scans) == 2 * CHECK_SHAPE[2]
+
+
+def test_a_fold_model_s_read_block_does_not_grow_with_its_fold_count(tmp_path, rng):
+    # 128 x 128 planes: a decode band is the plane's 128 rows, and the
+    # model's read block, one fold's four float32 channels of a band, is
+    # 16 * 128 * 128 bytes for any number of folds. Holding a block per fold
+    # would add a whole block per added fold.
+    assert pipeline.DECODE_VOXELS // 128 >= 128
+    shape, block = (128, 128, 2), 16 * 128 * 128
+
+    def peak(n_folds):
+        manifests = _folds(tmp_path, rng, shape, n_folds, stem=f"folds{n_folds}")
+        tracemalloc.start()
+        try:
+            _fused_labels(manifests)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    per_fold = (peak(8) - peak(2)) / 6
+    assert per_fold < block / 4, f"{per_fold:.0f} bytes per added fold"
+
+
+@pytest.mark.parametrize("decode_voxels, larger", [(16, "labels"), (1 << 14, "folds")])
+def test_a_label_map_and_a_fold_model_share_one_read_buffer(tmp_path, rng, monkeypatch,
+                                                            decode_voxels, larger):
+    # Planes of 16 x 12: the float32 label map reads 768 bytes a plane; the
+    # fold model's block, four float32 channels of a band, is 256 bytes in
+    # bands of one row and 3,072 in one band of the plane's 12 rows.
+    monkeypatch.setattr(pipeline, "DECODE_VOXELS", decode_voxels)
+    shape = (16, 12, 3)
+    labels = rng.choice(BRATS_LABELS, size=shape).astype(np.float32)
+    save_nifti(tmp_path / "labels.nii", Volume(labels, SPACING, ORIGIN))
+    folds = _folds(tmp_path, rng, shape, 2)
+    case = CaseInput("c", (ModelInput("labels", labelmap=tmp_path / "labels.nii"),
+                           ModelInput("folds", prob_manifests=tuple(folds))))
+    # The same case with the folds decoded beforehand into a label map.
+    save_nifti(tmp_path / "decoded.nii", _whole_volume_labels(folds))
+    _, errors = run_fuse(PipelineConfig((replace(case, models=(
+        case.models[0], ModelInput("folds", labelmap=tmp_path / "decoded.nii"))),),
+        tmp_path / "want"))
+    assert errors == []
+    bufs = []
+    real = nifti.PlaneReader.read
+
+    def read(f, start, stop, buf):
+        root = buf
+        while isinstance(root.base, np.ndarray):
+            root = root.base
+        bufs.append((f.path.name, root))
+        return real(f, start, stop, buf)
+
+    monkeypatch.setattr(nifti.PlaneReader, "read", read)
+    _, errors = run_fuse(PipelineConfig((case,), tmp_path / "fused"))
+    assert errors == []
+    assert (tmp_path / "fused" / "c.nii").read_bytes() == (tmp_path / "want" / "c.nii").read_bytes()
+    assert {"labels.nii", "case_f0_ch0.nii", "case_f1_ch4.nii"} <= {name for name, _ in bufs}
+    assert len({id(buf) for _, buf in bufs}) == 1
+    band = min(decode_voxels // 16, 12)
+    wanted = {"labels": 16 * 12 * 4, "folds": 4 * 4 * band * 16}
+    assert bufs[0][1].nbytes == max(wanted.values()) == wanted[larger]
 
 
 def test_streamed_labels_break_exact_ties_toward_the_later_channel(tmp_path):
@@ -994,6 +1072,22 @@ def test_only_the_rectangle_of_the_uncertain_voxels_is_decoded(tmp_path, rng, mo
     assert calls == [(f, 16 * (min(y + band, 8) - y)) for y in range(3, 8, band)
                      for f in folds] + [(f, 1) for f in folds]
     assert sum(n for _, n in calls) == len(folds) * (80 + 1)
+
+
+def test_the_scan_reads_every_fold_channel_by_channel_in_whole_rows(tmp_path, rng,
+                                                                 monkeypatch):
+    # Bands of one row of 40, so a scan read holds four rows: each plane is
+    # read per fold, per channel, in rows 0:4, 4:8 and 8:12, since no plane's
+    # first voxel is uncertain. Then plane 1's rectangle is read in bands of
+    # its rows 3:8 and plane 2's in its row 11, each from every fold.
+    monkeypatch.setattr(pipeline, "DECODE_VOXELS", 40)
+    folds = _tumour_folds(tmp_path, rng)
+    scan = [[(f, c, *r) for f in folds for c in range(4) for r in _rows(WIDE_SHAPE, z, 4)]
+            for z in range(3)]
+    bands = [[], [(f, *r) for r in _rows(WIDE_SHAPE, 1, 1)[3:8] for f in folds],
+             [(f, *_rows(WIDE_SHAPE, 2, 1)[11]) for f in folds]]
+    assert _fused_reads(folds, monkeypatch) == [call for z in range(3)
+                                                for call in scan[z] + bands[z]]
 
 
 @pytest.mark.parametrize("voxel", [(35, 4, 1), (2, 10, 1)], ids=["beside", "off_corner"])

@@ -85,3 +85,25 @@ def test_a_model_named_by_two_rows_is_refused(tmp_path):
     assert output == ("Error: bad model summary row {'model': 'a', 'DSC_ET': '0.7', "
                       "'DSC_TC': '0.8', 'DSC_WT': '0.88', 'HD95_ET': '4', 'HD95_TC': '5', "
                       "'HD95_WT': '6'}: model 'a' is named by an earlier row\n")
+
+
+CASES_CSV = ("case_id,DSC_ET,DSC_TC,DSC_WT,HD95_ET,HD95_TC,HD95_WT\n"
+             "c0,0.8,0.85,0.9,3,4,5\nc1,0.6,0.75,0.95,7,2.5,1\n")
+MODELS_CSV = HEADER + "".join(f"{n},{','.join(map(str, v))}\n" for n, v in ROWS.items())
+
+
+@pytest.mark.parametrize("command, text", [("report", CASES_CSV), ("rank", MODELS_CSV)],
+                         ids=["report", "rank"])
+def test_a_csv_with_a_byte_order_mark_reads_as_the_plain_file(tmp_path, command, text):
+    # Spreadsheets save UTF-8 CSV with a byte-order mark before the header.
+    outputs = []
+    for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(prefix + text.encode())
+        out = tmp_path / name
+        result = CliRunner().invoke(main, [command, str(path), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        outputs.append((result.output.replace(str(out), "<out>"),
+                        {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0][1]) == {"report": 2, "rank": 3}[command]

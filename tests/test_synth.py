@@ -100,6 +100,27 @@ class TestSynthCommand:
             in result.output
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("probmaps, most, soft", [("--probmaps", 31, " and the soft model"),
+                                                      ("--no-probmaps", 32, "")])
+    def test_raters_beyond_32_models_is_a_usage_error(self, tmp_path, probmaps, most, soft):
+        # fuse takes at most 32 models, the most a joint code holds: the
+        # raters, and the soft model with --probmaps.
+        runner = CliRunner()
+        result = runner.invoke(main, ["synth", "--out", str(tmp_path / "most"), "--shape",
+                                      "8", "8", "8", "--raters", str(most), probmaps])
+        assert result.exit_code == 0, result.output
+        config = tmp_path / "most" / "fuse_config.json"
+        assert len(json.loads(config.read_text())["cases"][0]["models"]) == 32
+        result = runner.invoke(main, ["fuse", "--config", str(config)])
+        assert result.exit_code == 0, result.output
+
+        result = runner.invoke(main, ["synth", "--out", str(tmp_path / "more"),
+                                      "--raters", str(most + 1), probmaps])
+        assert result.exit_code == 2, result.output
+        assert f"Error: --raters {most + 1}{soft} would write a config of 33 models; " \
+            "fuse takes at most 32" in result.output
+        assert not (tmp_path / "more").exists()
+
     def test_no_raters_with_probmaps_writes_a_config_that_fuses(self, tmp_path):
         runner = CliRunner()
         result = runner.invoke(main, ["synth", "--out", str(tmp_path), "--shape", "20", "20", "20",
