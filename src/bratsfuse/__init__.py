@@ -7,51 +7,11 @@ anisotropic distance transform, summary/ranking reports, and synthetic
 phantoms for testing without scanner data. The models' own inference,
 with its intensity normalisation and sliding windows, runs outside this
 package; it starts from their label maps and fold probability maps.
-"""
 
-from .volume import (
-    BBox,
-    LabelMap,
-    ProbMap,
-    Volume,
-    crop,
-    nonzero_bbox,
-)
-from .regions import Region, RegionMask, recompose_labels, region_mask
-from .fusion import (
-    StapleParams,
-    StapleFit,
-    StapleResult,
-    argmax_labels,
-    average_probs,
-    staple_binary,
-    staple_multilabel,
-)
-from .postprocess import et_threshold_relabel
-from .metrics import (
-    EMPTY_PENALTY_MM,
-    CaseMetrics,
-    boundary,
-    dice,
-    edt,
-    evaluate_case,
-    hd95,
-)
-from .report import (
-    ModelRanking,
-    ModelSummary,
-    SummaryStats,
-    model_summary,
-    rank_models,
-    summarize,
-)
-from .synth import PhantomSpec, corrupt_labels, make_phantom, noisy_probmap
-from .nifti import (
-    load_labelmap,
-    load_probmap,
-    load_volume,
-    save_nifti,
-    save_probmap,
-)
+The modules are the API: import names from them (``bratsfuse.fusion``,
+``bratsfuse.nifti``, ``bratsfuse.pipeline``, ...). Importing the package
+itself loads nothing, not even numpy, so ``bratsfuse.cli`` can limit the
+BLAS thread pool before numpy starts it.
+"""
 
 __version__ = "0.1.0"

@@ -10,15 +10,23 @@ read or written (one ``Error:`` line), 2 partial failure (some cases
 errored).
 
 Nothing imported here loads scipy, which would about double the start-up
-time of every command.
+time of every command. Before numpy loads, OpenBLAS is kept to one thread:
+its pool would start a worker per extra CPU that spins at start-up, and the
+only BLAS calls here, STAPLE's small rater-by-pattern products, are too
+small to split over threads.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+
+# Before the first import that loads numpy. A value the user set is kept,
+# other BLAS builds ignore the variable, and pool workers inherit it.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import click
 

@@ -352,8 +352,9 @@ def _staple_em(
     the default parameters, with the prior set to the foreground rate over
     all J raters and ``n_voxels`` voxels.
     """
-    if not (tol > 0 and max_iters >= 1):
-        raise ValueError(f"STAPLE needs tol > 0 and max_iters >= 1, got {tol}, {max_iters}")
+    if not (0 < tol < np.inf and max_iters >= 1):
+        raise ValueError(
+            f"STAPLE needs a finite tol > 0 and max_iters >= 1, got {tol}, {max_iters}")
     pats = pats.astype(np.float64)
     j = pats.shape[0]
     if init is None:

@@ -291,6 +291,8 @@ class PipelineConfig:
             raise ConfigError("et_threshold must be nonnegative")
         if not self.staple_tol > 0 or self.staple_max_iters < 1:
             raise ConfigError("staple tol must be > 0 and max_iters >= 1")
+        if self.staple_tol == math.inf:
+            raise ConfigError("staple tol must be finite, got inf")
         _check_case_ids(self.cases)
         for case in self.cases:
             try:
@@ -654,15 +656,18 @@ def run_eval(
     docstring), so a case holds memory by its tumour, not by its grid.
     Unpaired files and per-case failures are recorded (not fatal) and the
     affected cases skipped; the caller decides the exit status from the
-    returned error list. A ``penalty`` that is negative or not finite is a
-    ConfigError, raised before any case runs.
+    returned error list. A ``penalty`` that is negative or not finite, or two
+    directories with no ``*.nii`` file between them, is a ConfigError, raised
+    before the output directory is made.
     """
     if not 0.0 <= penalty < math.inf:
         raise ConfigError(f"hd95 penalty must be finite and nonnegative, got {penalty}")
     pred_dir, gt_dir, output_dir = Path(pred_dir), Path(gt_dir), Path(output_dir)
-    output_dir.mkdir(parents=True, exist_ok=True)
     pred_stems = {p.stem for p in pred_dir.glob("*.nii")}
     gt_stems = {p.stem for p in gt_dir.glob("*.nii")}
+    if not pred_stems | gt_stems:
+        raise ConfigError(f"no .nii file in {pred_dir} or {gt_dir} (only *.nii is read)")
+    output_dir.mkdir(parents=True, exist_ok=True)
     paired = sorted(pred_stems & gt_stems)
     errors = [
         _case_error(s, UnpairedCase(f"no ground truth for prediction {s}.nii"))

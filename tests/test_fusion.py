@@ -227,7 +227,7 @@ class TestStapleBinary:
             StapleParams((0.5,), (0.5, 0.5), prior=0.5)
         masks = [random_mask(rng, (3, 3, 3))]
         maps = [random_labelmap(rng, (3, 3, 3))]
-        for em in ({"max_iters": 0}, {"tol": 0.0}, {"tol": float("nan")}):
+        for em in ({"max_iters": 0}, {"tol": 0.0}, {"tol": float("nan")}, {"tol": float("inf")}):
             with pytest.raises(ValueError, match="tol > 0 and max_iters >= 1"):
                 staple_binary(masks, **em)
             with pytest.raises(ValueError, match="tol > 0 and max_iters >= 1"):

@@ -170,6 +170,24 @@ def test_eval_refuses_a_bad_hd95_penalty_before_any_case(tmp_path, penalty):
     assert not out.exists()
 
 
+def test_eval_refuses_directories_without_a_nii_file(tmp_path):
+    # BraTS ships .nii.gz, which eval does not read: two such directories
+    # are an error before any output, not "evaluated 0 case(s)".
+    pred, gt = _eval_dirs(tmp_path)
+    for d in (pred, gt):
+        for f in d.glob("*.nii"):
+            f.rename(f.with_name(f.name + ".gz"))
+    out = tmp_path / "out"
+    message = f"no .nii file in {pred} or {gt} (only *.nii is read)"
+    with pytest.raises(ConfigError) as e:
+        run_eval(pred, gt, out)
+    assert str(e.value) == message
+    result = CliRunner().invoke(main, ["eval", str(pred), str(gt), "--out", str(out)])
+    assert result.exit_code == 1, result.output
+    assert result.output == f"Error: {message}\n"
+    assert not out.exists()
+
+
 def test_unpaired_cases_are_error_records(tmp_path):
     pred, gt = _eval_dirs(tmp_path)
     save_nifti(pred / "extra.nii", _labels())
@@ -1169,6 +1187,8 @@ _GOOD_CASE = {"id": "c0", "models": [{"name": "m", "labelmap": "m.nii"}]}
      "a model name of case 'c0' must be a JSON string, got NoneType"),
     ({"cases": [{"id": "c0", "models": [{"name": ["x"], "labelmap": "m.nii"}]}]},
      "a model name of case 'c0' must be a JSON string, got list"),
+    ({"cases": [_GOOD_CASE], "staple": {"tol": float("inf")}},
+     "staple tol must be finite, got inf"),
 ])
 def test_malformed_config_is_a_config_error(tmp_path, cfg, message):
     save_nifti(tmp_path / "m.nii", _labels())
@@ -1285,6 +1305,16 @@ def test_fuse_cli_refuses_bad_staple_controls(tmp_path, rng, option):
     result = CliRunner().invoke(main, ["fuse", "--config", str(cfg_path), *option])
     assert result.exit_code == 1, result.output
     assert result.output == "Error: staple tol must be > 0 and max_iters >= 1\n"
+    assert not (tmp_path / "fused").exists()
+
+
+def test_fuse_cli_refuses_an_infinite_staple_tol(tmp_path, rng):
+    # Every change is below an infinite tolerance, so EM would stop after
+    # one step and report it as converged.
+    cfg_path, _ = _fuse_config(tmp_path, rng)
+    result = CliRunner().invoke(main, ["fuse", "--config", str(cfg_path), "--staple-tol", "inf"])
+    assert result.exit_code == 1, result.output
+    assert result.output == "Error: staple tol must be finite, got inf\n"
     assert not (tmp_path / "fused").exists()
 
 
