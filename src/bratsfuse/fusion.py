@@ -27,7 +27,8 @@ Multi-label fusion runs binary STAPLE per nested region (ET, TC, WT) and
 recomposes the label map, with the nesting rules of ``recompose_labels``.
 A voxel enters every region's EM only through its J rater labels, so it
 is reduced to one joint code: each rater's label, as its position in
-BRATS_LABELS (``l - (l >> 2)``), in two bits. The codes are counted once
+BRATS_LABELS (``volume._label_index``; ``volume._LABELS`` maps a position
+back to its label), in two bits. The codes are counted once
 (``joint_histogram``). Each joint row implies one decision pattern per
 region, so a region's pattern counts are sums of joint counts, and EM runs
 on them exactly as above. Thresholding each region's posterior and
@@ -65,7 +66,7 @@ import numpy as np
 
 from .errors import EmptyList, GeometryMismatch
 from .regions import Region, RegionMask, recompose_labels, region_mask
-from .volume import BRATS_LABELS, LabelMap, ProbMap, require_same_geometry
+from .volume import _LABELS, BRATS_LABELS, LabelMap, ProbMap, _label_index, require_same_geometry
 
 __all__ = [
     "StapleParams",
@@ -212,11 +213,6 @@ def default_staple_params(n_raters: int, prior: float) -> StapleParams:
     return StapleParams(pq, pq, float(_clamp(np.asarray(prior))))
 
 
-def _label_index(labels: np.ndarray) -> np.ndarray:
-    """Each label's position in BRATS_LABELS = (0, 1, 2, 4): l - l // 4."""
-    return labels - (labels >> 2)
-
-
 class _Index:
     """The row of each joint code, as :func:`joint_histogram` finds the rows.
 
@@ -266,7 +262,13 @@ def pack_labels(codes: np.ndarray, rater: int, labels: np.ndarray) -> None:
 def unpack_labels(codes: np.ndarray, rater: int) -> np.ndarray:
     """Rater ``rater``'s BraTS labels from its two bits of ``codes`` (of any
     shape), as uint8: the inverse of :func:`pack_labels`."""
-    return np.array(BRATS_LABELS, np.uint8)[(codes >> 2 * rater) & 3]
+    return _LABELS[(codes >> 2 * rater) & 3]
+
+
+def _distinct(codes: np.ndarray) -> np.ndarray:
+    """The distinct ``codes``, ascending: ``np.unique`` without its ``numpy.ma`` import."""
+    s = np.sort(codes)
+    return np.concatenate((s[:1], s[1:][s[1:] != s[:-1]]))
 
 
 def joint_histogram(pieces: list[np.ndarray], n_raters: int, n_voxels: int,
@@ -292,8 +294,8 @@ def joint_histogram(pieces: list[np.ndarray], n_raters: int, n_voxels: int,
         index, size = None, 1 << 2 * n_raters
     else:
         # Too many codes to count directly: sort out the distinct ones.
-        found = [np.unique(codes) for codes in pieces]
-        keys = np.unique(np.concatenate(found + [joint_codes(n_raters, int(zeros > 0))]))
+        found = [_distinct(codes) for codes in pieces]
+        keys = _distinct(np.concatenate(found + [joint_codes(n_raters, int(zeros > 0))]))
         index, size = _Index(np.arange(keys.size), keys), keys.size
     counts = np.zeros(size, np.int64 if weights is None else np.float64)
     for k, codes in enumerate(pieces):
@@ -420,9 +422,7 @@ def staple_binary(
 # Region membership of each label index (the position in BRATS_LABELS), read
 # off region_mask so the region semantics live only in ``regions``.
 _MEMBERSHIP = {
-    r: region_mask(
-        LabelMap(np.array(BRATS_LABELS, dtype=np.uint8).reshape(-1, 1, 1)), r
-    ).data.reshape(-1).view(np.uint8)
+    r: region_mask(LabelMap(_LABELS.reshape(-1, 1, 1)), r).data.reshape(-1).view(np.uint8)
     for r in (Region.ET, Region.TC, Region.WT)
 }
 

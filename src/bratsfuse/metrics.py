@@ -24,14 +24,14 @@ The distance transform is plain numpy: a separable squared EDT taken one
 axis at a time, in the order 0, 1, 2. The first pass reads a binary source,
 so forward and backward index sweeps find each voxel's nearest source on its
 line. The middle pass takes an all-pairs minimum along each line, O(n^2) per
-line, which the box crop keeps small. ``edt`` takes the last pass the same
-way over the whole map and returns the distances as a ``Volume`` on the
-mask's grid; ``hd95`` reads distances only at the other mask's boundary, so
-it evaluates the last pass at those voxels alone. Every pass gives the
-values, bit for bit, of an all-pairs minimum over each line. The passes
-take lines, and the last pass for ``hd95`` takes queries, in chunks, so that
+line, which the box crop keeps small. The last pass runs only at query
+voxels (``_edt_sq_at``): ``hd95`` reads distances only at the other mask's
+boundary, so it queries those voxels alone, and ``edt`` queries every voxel
+and returns the distances as a ``Volume`` on the mask's grid. Every pass
+gives the values, bit for bit, of an all-pairs minimum over each line. The
+passes take lines, and the last pass takes queries, in chunks, so that
 every temporary holds at most ``1 << 18`` values (2 MB as float64), or one
-line's n^2 values in an all-pairs pass where n > 512: the temporaries stay
+line's n^2 values in the middle pass where n > 512: the temporaries stay
 small next to the cropped masks. scipy is not imported here because
 ``scipy.ndimage`` about doubles the start-up time of every CLI command.
 ``python3 benchmarks/run.py --workload eval-batch --trace 1`` reports the
@@ -137,14 +137,14 @@ def _sq_gaps(n: int, step: float) -> np.ndarray:
     return (x[:, None] - x[None, :]) ** 2
 
 
-def _all_pairs_pass(g: np.ndarray, axis: int, step: float) -> np.ndarray:
-    """One 1-D min-convolution of ``g`` along ``axis`` with the squared
-    distance, as an explicit all-pairs minimum over each line."""
-    n = g.shape[axis]
+def _all_pairs_pass(g: np.ndarray, step: float) -> np.ndarray:
+    """The middle pass: one 1-D min-convolution of ``g`` along axis 1 with
+    the squared distance, as an explicit all-pairs minimum over each line."""
+    n = g.shape[1]
     if n == 1:
         return g
     cost = _sq_gaps(n, step)
-    moved = np.moveaxis(g, axis, 0)
+    moved = np.moveaxis(g, 1, 0)
     moved_shape = moved.shape
     flat = moved.reshape(n, -1)
     out = np.empty_like(flat)
@@ -152,29 +152,21 @@ def _all_pairs_pass(g: np.ndarray, axis: int, step: float) -> np.ndarray:
     for lo in range(0, flat.shape[1], chunk):
         hi = min(lo + chunk, flat.shape[1])
         out[:, lo:hi] = (flat[None, :, lo:hi] + cost[:, :, None]).min(axis=1)
-    return np.moveaxis(out.reshape(moved_shape), 0, axis)
-
-
-def _edt_sq_in_planes(source: np.ndarray, spacing) -> np.ndarray:
-    """The first two passes: squared distance (mm^2) to the nearest source
-    voxel in the same axis-2 plane."""
-    g = _nearest_on_lines_sq(source, float(spacing[0]))
-    return _all_pairs_pass(g, 1, float(spacing[1]))
-
-
-def _edt_sq(source: np.ndarray, spacing) -> np.ndarray:
-    """Squared EDT of a boolean source mask. Units: mm^2."""
-    g = _edt_sq_in_planes(source, spacing)
-    return np.ascontiguousarray(_all_pairs_pass(g, 2, float(spacing[2])))
+    return np.moveaxis(out.reshape(moved_shape), 0, 1)
 
 
 def _edt_sq_at(source: RegionMask, queries: RegionMask) -> np.ndarray:
     """Squared distance (mm^2) from each query voxel, in C order, to the
-    nearest ``source`` voxel: the values of ``_edt_sq`` there, with the last
-    pass evaluated at the queries alone."""
-    g = _edt_sq_in_planes(source.data, source.spacing)
+    nearest ``source`` voxel.
+
+    The first two passes give each voxel's distance to the nearest source
+    in its axis-2 plane; the last pass takes, at each query alone, the
+    all-pairs minimum over its axis-2 line.
+    """
+    sx, sy, sz = (float(s) for s in source.spacing)
+    g = _all_pairs_pass(_nearest_on_lines_sq(source.data, sx), sy)
     n = g.shape[2]
-    cost = _sq_gaps(n, float(source.spacing[2]))
+    cost = _sq_gaps(n, sz)
     i, j, k = np.nonzero(queries.data)
     out = np.empty(len(k))
     chunk = max(1, _CHUNK // n)
@@ -186,11 +178,11 @@ def _edt_sq_at(source: RegionMask, queries: RegionMask) -> np.ndarray:
 
 def edt(m: RegionMask) -> Volume:
     """Exact Euclidean distance (mm) to the nearest foreground voxel, on the
-    grid of ``m``."""
+    grid of ``m``: :func:`_edt_sq_at` with every voxel as a query."""
     if not m.data.any():
         raise EmptyMask("distance transform needs a nonempty source mask")
-    sq = _edt_sq(m.data, m.spacing)
-    return Volume(np.sqrt(sq), m.spacing, m.origin)
+    sq = _edt_sq_at(m, replace(m, data=np.ones(m.shape, bool)))
+    return Volume(np.sqrt(sq.reshape(m.shape)), m.spacing, m.origin)
 
 
 def percentile(values: np.ndarray, p: float) -> float:

@@ -28,19 +28,18 @@ interrupted write leaves the earlier file, if any, under that name.
 Probability maps do not fit in a 3-D file; they serialize as one NIfTI per
 channel plus a JSON manifest ``{"channels": [0, 1, 2, 4], "files": [...]}``.
 :class:`ProbmapFiles` is a map's four channel readers, whose grids it
-checks to agree. Decoding a voxel range is two steps: ``read`` gives every
-channel's stored values as a view, in its file's dtype, over a caller's
-buffer, and ``renormalise`` casts such channels, or any same-shaped views
-of them, into float64 rows, divides them by their sums, clips and checks
-them. So a map can be read a range at a time without a header parse or a
-fresh array per range, and a caller can look at the stored values before
-any arithmetic: ``read_channel`` gives one channel's stored values alone,
-so a fold model compares each channel with certain background, exactly
-(1, 0, 0, 0), before it reads the next, and then renormalises only the
-columns, within whole rows it read, of the rectangle outside which every
-fold stores that background (see ``pipeline``). :func:`load_probmap` does
-both steps on a whole map; a map's header alone is
-``ProbmapFiles(m).header``.
+checks to agree. Decoding a voxel range is two steps: ``read_channel``
+gives one channel's stored values as a view, in its file's dtype, over a
+caller's buffer, and ``renormalise`` casts the four channels, or any
+same-shaped views of them, into float64 rows, divides them by their sums,
+clips and checks them. So a map can be read a range at a time without a
+header parse or a fresh array per range, and a caller can look at the
+stored values before any arithmetic: a fold model compares each channel
+with certain background, exactly (1, 0, 0, 0), before it reads the next,
+and then renormalises only the columns, within whole rows it read, of the
+rectangle outside which every fold stores that background (see
+``pipeline``). :func:`load_probmap` does both steps on a whole map; a
+map's header alone is ``ProbmapFiles(m).header``.
 """
 
 from __future__ import annotations
@@ -379,9 +378,9 @@ class ProbmapFiles:
 
     Opening reads the manifest and opens the four channel readers, which
     check their headers and sizes, and checks that the four grids agree;
-    :meth:`read` (every channel) and :meth:`read_channel` (one) then read
-    any range of voxels without parsing or checking the headers again. Use
-    it as a context manager (or call :meth:`close`).
+    :meth:`read_channel` then reads any range of voxels of a channel
+    without parsing or checking the headers again. Use it as a context
+    manager (or call :meth:`close`).
     """
 
     def __init__(self, manifest_path):
@@ -411,26 +410,17 @@ class ProbmapFiles:
 
     def read_channel(self, c: int, start: int, stop: int, buf: np.ndarray) -> np.ndarray:
         """The stored values of voxels ``start:stop`` (x-fastest) of channel
-        ``c`` alone (0 to 3, in channel order), unchecked: the view of
-        ``buf`` in its file's dtype that :meth:`PlaneReader.read` returns."""
+        ``c`` (0 to 3, in channel order), unchecked: the view of ``buf`` in
+        its file's dtype that :meth:`PlaneReader.read` returns. A buffer of
+        ``stop - start`` 4-byte values holds any channel: every supported
+        dtype is at most 4 bytes wide."""
         return self._files[c].read(start, stop, buf)
 
-    def read(self, start: int, stop: int, buf: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The stored values of voxels ``start:stop`` (x-fastest) of each
-        channel, in channel order, unchecked.
-
-        ``buf`` has one C-contiguous row per channel, each of at least
-        ``stop - start`` 4-byte values: every supported dtype is at most 4
-        bytes wide. Channel ``c`` is the view of ``buf[c]`` in its file's
-        dtype that :meth:`PlaneReader.read` returns.
-        """
-        return tuple(f.read(start, stop, row) for f, row in zip(self._files, buf))
-
     def renormalise(self, channels, out: np.ndarray, sums: np.ndarray) -> np.ndarray:
-        """The stored ``channels`` of ``n`` voxels (as :meth:`read` returns
-        them, or views of them of any one shape with ``n`` elements, such as
-        some columns of whole rows) renormalised into ``out``, which is
-        returned.
+        """The four stored ``channels`` of ``n`` voxels, in channel order (as
+        :meth:`read_channel` returns them, or views of them of any one shape
+        with ``n`` elements, such as some columns of whole rows)
+        renormalised into ``out``, which is returned.
 
         ``out`` is float64 ``(4, n)``, one row per channel, and ``sums``
         (float64, ``(n,)``) receives the channel sums. Each channel is cast
@@ -469,14 +459,16 @@ class ProbmapFiles:
 def load_probmap(manifest_path) -> ProbMap:
     """Read a per-channel manifest written by :func:`save_probmap`.
 
-    The whole map is one voxel range, read by :meth:`ProbmapFiles.read` and
+    The whole map is one voxel range, each channel read by
+    :meth:`ProbmapFiles.read_channel` into its row of one block and
     renormalised by :meth:`ProbmapFiles.renormalise`, whose ``BadData``
     checks apply.
     """
     with ProbmapFiles(manifest_path) as files:
         nx, ny, nz = files.header.shape
         n = nx * ny * nz
-        stored = files.read(0, n, np.empty((4, n), np.float32))
+        block = np.empty((4, n), np.float32)
+        stored = [files.read_channel(c, 0, n, row) for c, row in enumerate(block)]
         data = files.renormalise(stored, np.empty((4, n)), np.empty(n))
     # Each channel row is x-fastest: view it as (nx, ny, nz) without a copy.
     return ProbMap(data.reshape(4, nz, ny, nx).transpose(0, 3, 2, 1),

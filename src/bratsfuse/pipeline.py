@@ -138,7 +138,7 @@ from .report import (
     rank_models,
     summarize,
 )
-from .volume import BRATS_LABELS, BBox, LabelMap, _check_probs, require_same_geometry
+from .volume import _LABELS, BBox, LabelMap, _check_probs, require_same_geometry
 
 # Not called here (cases are fused and evaluated plane by plane through the cores
 # above), but benchmarks/tracing.py wraps these names on this module.
@@ -307,7 +307,6 @@ class PipelineConfig:
 # band's buffers (about 1.6 MB, for any number of folds) stay in a core's
 # cache through every pass over them.
 DECODE_VOXELS = 1 << 14
-_LABELS = np.array(BRATS_LABELS, dtype=np.uint8)
 
 
 def _voxels(shape, z: int) -> tuple[int, int]:
@@ -419,20 +418,22 @@ class _FoldModel:
                 buf: np.ndarray) -> None:
         """The labels of the rectangle ``rows`` x ``cols`` of the plane from
         voxel ``start``, in bands of ``_band`` rows: per band, each fold's
-        whole rows are read into ``buf``, a quarter of ``read_bytes`` per
-        channel, just before their columns ``cols`` are renormalised."""
+        whole rows are read into ``buf``, channel ``c`` into the ``c``-th
+        quarter of ``read_bytes``, just before their columns ``cols`` are
+        renormalised."""
         nx = self.header.shape[0]
         block = buf[: self.read_bytes].reshape(4, -1)
         (y0, y1), (x0, x1) = rows, cols
         for ya in range(y0, y1, self._band):
             yb = min(ya + self._band, y1)
+            lo, hi = start + ya * nx, start + yb * nx
             out = self._labels[ya:yb, x0:x1]
             n = out.size
             mean, sums = self._mean[:, :n], self._sums[:n]
             # A generator: average_probs_into renormalises one fold into
             # ``_probs`` and adds it to the mean before the next is read.
-            decoded = (f.renormalise([c.reshape(-1, nx)[:, x0:x1]
-                                      for c in f.read(start + ya * nx, start + yb * nx, block)],
+            decoded = (f.renormalise([f.read_channel(c, lo, hi, row).reshape(-1, nx)[:, x0:x1]
+                                      for c, row in enumerate(block)],
                                      self._probs[:, :n], sums)
                        for f in self._folds)
             average_probs_into(decoded, mean)
@@ -656,7 +657,8 @@ def run_eval(
     docstring), so a case holds memory by its tumour, not by its grid.
     Unpaired files and per-case failures are recorded (not fatal) and the
     affected cases skipped; the caller decides the exit status from the
-    returned error list. A ``penalty`` that is negative or not finite, or two
+    returned error list. With no case scored, an earlier run's summary is
+    removed. A ``penalty`` that is negative or not finite, or two
     directories with no ``*.nii`` file between them, is a ConfigError, raised
     before the output directory is made.
     """
@@ -686,6 +688,9 @@ def run_eval(
     _write_json(output_dir / "cases.json", [asdict(c) for c in cases])
     if cases:
         write_summary_outputs(cases, output_dir)
+    else:
+        for name in ("summary.json", "summary.txt"):
+            (output_dir / name).unlink(missing_ok=True)
     _write_errors(output_dir, errors)
     return cases, errors
 

@@ -13,14 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RadiiDontFit
-from .volume import BRATS_LABELS, LabelMap, ProbMap, Volume
+from .volume import BRATS_LABELS, LabelMap, ProbMap, Volume, _label_index
 
 __all__ = ["PhantomSpec", "make_phantom", "corrupt_labels", "noisy_probmap"]
 
-# label value -> channel index, and per channel the three other labels.
-_LABEL_TO_INDEX = np.zeros(5, dtype=np.int64)
-for _i, _lbl in enumerate(BRATS_LABELS):
-    _LABEL_TO_INDEX[_lbl] = _i
+# Per label position, the three other labels.
 _OTHER_LABELS = np.array(
     [[l for l in BRATS_LABELS if l != lbl] for lbl in BRATS_LABELS], dtype=np.uint8
 )
@@ -131,8 +128,7 @@ def corrupt_labels(gt: LabelMap, rate: float, seed: int) -> LabelMap:
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 1]))
     flip = rng.random(gt.shape) < rate
     pick = rng.integers(0, 3, size=gt.shape)
-    idx = _LABEL_TO_INDEX[gt.data]
-    replacement = _OTHER_LABELS[idx, pick]
+    replacement = _OTHER_LABELS[_label_index(gt.data), pick]
     data = np.where(flip, replacement, gt.data).astype(np.uint8)
     return LabelMap(data, gt.spacing, gt.origin)
 

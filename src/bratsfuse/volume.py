@@ -10,6 +10,10 @@ The four grid types (``Volume``, ``LabelMap``, ``ProbMap`` and
 ``regions.RegionMask``) check their own voxels and then share one
 constructor tail, ``_Grid._init_grid``, which checks and stores the grid's
 data, spacing and origin. ``crop`` keeps the type of any of them.
+
+``_label_index`` gives a label's position in ``BRATS_LABELS`` (its
+``ProbMap`` channel, its two bits in a ``fusion`` joint code), and
+``_LABELS`` the label at a position.
 """
 
 from __future__ import annotations
@@ -41,6 +45,15 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     if arr.flags.writeable:
         arr.flags.writeable = False
     return arr
+
+
+# The label at each position: ``_LABELS[_label_index(l)] == l``.
+_LABELS = _freeze(np.array(BRATS_LABELS, np.uint8))
+
+
+def _label_index(labels: np.ndarray) -> np.ndarray:
+    """Each label's position in BRATS_LABELS = (0, 1, 2, 4): l - l // 4."""
+    return labels - (labels >> 2)
 
 
 def _check_triple(value, name: str, kind=float):

@@ -134,18 +134,21 @@ class TestEdt:
     def test_distances_at_queries_are_the_whole_map_at_them(self, seed, shape, spacing,
                                                             density):
         """The last pass at the queries alone gives, bit for bit, the whole
-        map's values there, ``inf`` included where the source is empty."""
+        map's values there (``edt``, which queries every voxel), and ``inf``
+        everywhere where the source is empty."""
         rng = np.random.default_rng(seed)
         source = rng.random(shape) < density
         queries = rng.random(shape) < 0.5
-        whole = metrics._edt_sq(source, spacing)
         got = metrics._edt_sq_at(mask(source, spacing), mask(queries, spacing))
-        assert np.array_equal(got, whole[queries])
         if source.any():
-            np.testing.assert_allclose(np.sqrt(whole), brute_force_edt(source, spacing),
+            whole = edt(mask(source, spacing)).data
+            assert np.array_equal(np.sqrt(got), whole[queries])
+            np.testing.assert_allclose(whole, brute_force_edt(source, spacing),
                                        rtol=1e-12, atol=1e-12)
         else:
-            assert np.isinf(whole).all()
+            assert np.isinf(got).all()
+            with pytest.raises(EmptyMask):
+                edt(mask(source, spacing))
 
 
 class TestHd95:

@@ -306,10 +306,12 @@ def _patch_voxel(path, index, value):
 
 def _decode(manifest, start, stop):
     """Voxels ``start:stop`` (x-fastest) of a map through
-    ``ProbmapFiles.read`` and ``renormalise``, one row per channel."""
+    ``ProbmapFiles.read_channel``, each channel into its row of one block,
+    and ``renormalise``, one row per channel."""
     with ProbmapFiles(manifest) as files:
         n = stop - start
-        stored = files.read(start, stop, np.empty((4, n), np.float32))
+        block = np.empty((4, n), np.float32)
+        stored = [files.read_channel(c, start, stop, row) for c, row in enumerate(block)]
         return files.renormalise(stored, np.empty((4, n)), np.empty(n))
 
 

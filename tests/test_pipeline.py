@@ -34,7 +34,7 @@ from bratsfuse.fusion import (
     joint_codes,
     staple_multilabel_detailed,
 )
-from bratsfuse.metrics import EMPTY_PENALTY_MM, evaluate_case
+from bratsfuse.metrics import EMPTY_PENALTY_MM, evaluate_case, metrics_csv_header
 from bratsfuse.nifti import (
     ProbmapFiles,
     header_bytes,
@@ -548,6 +548,17 @@ def test_eval_and_report_load_no_numpy_ma(tmp_path):
     assert (out / "summary.json").read_bytes() == (rep / "summary.json").read_bytes()
 
 
+def test_fusing_nine_models_loads_no_numpy_ma(tmp_path):
+    # Nine models' codes need 18 bits, more than np.bincount counts, so their
+    # distinct codes are sorted out; np.unique would import numpy.ma.
+    d = tmp_path / "synth"
+    assert _cli_in_subprocess(
+        ["synth", "--out", str(d), "--shape", "24", "24", "16", "--raters", "8"],
+        ["fuse", "--config", str(d / "fuse_config.json")]) == "[]"
+    assert len(json.loads((d / "fuse_config.json").read_text())["cases"][0]["models"]) == 9
+    assert (d / "fused" / "case_000.nii").is_file()
+
+
 @pytest.mark.parametrize("command", ["fuse", "eval"])
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_jobs_below_one_is_a_usage_error(tmp_path, command, jobs):
@@ -630,24 +641,18 @@ EDGE_GRIDS = {"one_plane": (8, 6, 1), "one_voxel_planes": (1, 1, 11)}
 
 
 def _fused_reads(manifests, monkeypatch):
-    """Every read that fusing ``manifests`` made, in order: ``(manifest,
-    channel, start, stop)`` for a ``ProbmapFiles.read_channel`` of the scan
-    and ``(manifest, start, stop)`` for a ``ProbmapFiles.read`` of all four
-    channels; the labels are checked byte for byte against the whole-volume
-    labels."""
+    """Every ``ProbmapFiles.read_channel`` that fusing ``manifests`` made, in
+    order, as ``(manifest, channel, start, stop)``: a scan reads one channel,
+    a band all four in channel order. The labels are checked byte for byte
+    against the whole-volume labels."""
     calls = []
-    real_read, real_channel = ProbmapFiles.read, ProbmapFiles.read_channel
-
-    def read(files, start, stop, buf):
-        calls.append((files.manifest, start, stop))
-        return real_read(files, start, stop, buf)
+    real_channel = ProbmapFiles.read_channel
 
     def read_channel(files, c, start, stop, buf):
         calls.append((files.manifest, c, start, stop))
         return real_channel(files, c, start, stop, buf)
 
     with monkeypatch.context() as patch:
-        patch.setattr(ProbmapFiles, "read", read)
         patch.setattr(ProbmapFiles, "read_channel", read_channel)
         got = _fused_labels(manifests)
     assert got.data.tobytes(order="F") == _whole_volume_labels(manifests).data.tobytes(order="F")
@@ -666,11 +671,12 @@ def _dense_plane_reads(manifests, shape, band, scan_rows=None):
     of ``band`` rows. Per plane (the voxel range nx*ny*z : nx*ny*(z + 1)),
     the scan reads the first channel of the first fold, ``scan_rows`` rows
     at a time (by default all), and stops: the plane's first and last voxels
-    are uncertain. Then each band is read from every fold in config order."""
+    are uncertain. Then each band is read from every fold in config order,
+    channel by channel."""
     _, ny, nz = shape
     return [call for z in range(nz) for call in
             [(manifests[0], 0, *r) for r in _rows(shape, z, scan_rows or ny)]
-            + [(m, *r) for r in _rows(shape, z, band) for m in manifests]]
+            + [(m, c, *r) for r in _rows(shape, z, band) for m in manifests for c in range(4)]]
 
 
 @pytest.mark.parametrize("shape", [(8, 6, 11), *EDGE_GRIDS.values()],
@@ -705,9 +711,12 @@ def test_a_dense_plane_s_scan_reads_one_fold(tmp_path, rng, monkeypatch):
     manifests = _folds(tmp_path, rng, CHECK_SHAPE, 3)
     reads = _fused_reads(manifests, monkeypatch)
     assert reads == _dense_plane_reads(manifests, CHECK_SHAPE, 1, scan_rows=4)
-    scans = [r for r in reads if len(r) == 4]
+    # Per plane, two scan reads, then four per fold per band of one row.
+    _, ny, nz = CHECK_SHAPE
+    per_plane = 2 + 4 * len(manifests) * ny
+    assert len(reads) == nz * per_plane
+    scans = [r for z in range(nz) for r in reads[z * per_plane:][:2]]
     assert {(m, c) for m, c, _, _ in scans} == {(manifests[0], 0)}
-    assert len(scans) == 2 * CHECK_SHAPE[2]
 
 
 def test_a_fold_model_s_read_block_does_not_grow_with_its_fold_count(tmp_path, rng):
@@ -1097,13 +1106,15 @@ def test_the_scan_reads_every_fold_channel_by_channel_in_whole_rows(tmp_path, rn
     # Bands of one row of 40, so a scan read holds four rows: each plane is
     # read per fold, per channel, in rows 0:4, 4:8 and 8:12, since no plane's
     # first voxel is uncertain. Then plane 1's rectangle is read in bands of
-    # its rows 3:8 and plane 2's in its row 11, each from every fold.
+    # its rows 3:8 and plane 2's in its row 11, each from every fold, channel
+    # by channel.
     monkeypatch.setattr(pipeline, "DECODE_VOXELS", 40)
     folds = _tumour_folds(tmp_path, rng)
     scan = [[(f, c, *r) for f in folds for c in range(4) for r in _rows(WIDE_SHAPE, z, 4)]
             for z in range(3)]
-    bands = [[], [(f, *r) for r in _rows(WIDE_SHAPE, 1, 1)[3:8] for f in folds],
-             [(f, *_rows(WIDE_SHAPE, 2, 1)[11]) for f in folds]]
+    bands = [[], [(f, c, *r) for r in _rows(WIDE_SHAPE, 1, 1)[3:8] for f in folds
+                  for c in range(4)],
+             [(f, c, *_rows(WIDE_SHAPE, 2, 1)[11]) for f in folds for c in range(4)]]
     assert _fused_reads(folds, monkeypatch) == [call for z in range(3)
                                                 for call in scan[z] + bands[z]]
 
@@ -1333,6 +1344,21 @@ def test_a_clean_rerun_removes_errors_json(tmp_path, rng):
     (gt / "bad.nii").unlink()
     assert run_eval(pred, gt, tmp_path / "out")[1] == []
     assert not (tmp_path / "out" / "errors.json").exists()
+
+
+def test_an_eval_rerun_that_scores_no_case_removes_the_earlier_summary(tmp_path):
+    _, gt = _phantom_pair()
+    pred_dir, gt_dir = _write_pairs(tmp_path, {"c0": (gt, gt)})
+    out = tmp_path / "out"
+    assert run_eval(pred_dir, gt_dir, out)[1] == []
+    assert "1.0000" in (out / "summary.txt").read_text()
+    pred = pred_dir / "c0.nii"
+    pred.write_bytes(pred.read_bytes()[:100])
+    result = CliRunner().invoke(main, ["eval", str(pred_dir), str(gt_dir), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "evaluated 0 case(s), 1 error(s)" in result.output
+    assert sorted(p.name for p in out.iterdir()) == ["cases.csv", "cases.json", "errors.json"]
+    assert (out / "cases.csv").read_text() == ",".join(metrics_csv_header()) + "\n"
 
 
 def test_a_failed_rerun_removes_the_earlier_outputs(tmp_path, rng):
@@ -1676,6 +1702,25 @@ def test_rectangles_that_touch_both_ends_of_the_grid(tmp_path, n_raters):
     assert kept[0][0] == (0, 0, 0)
     assert kept[-1][1] == tuple(n - 1 for n in STREAM_SHAPE)
     _assert_fuses_as_the_reference(tmp_path, case)
+
+
+@pytest.mark.parametrize("n_raters", [3, 9])
+def test_a_case_with_no_background_voxel(tmp_path, n_raters):
+    # Every voxel of every model is tumour, so no voxel has code 0 and each
+    # plane keeps all of itself: the writer's fill with code 0's label is
+    # overwritten on every plane.
+    rng = np.random.default_rng(n_raters)
+    raters = [LabelMap(rng.choice([1, 2, 4], STREAM_SHAPE).astype(np.uint8), SPACING, ORIGIN)
+              for _ in range(n_raters)]
+    case = _rater_case(tmp_path, raters)
+    nx, ny, nz = STREAM_SHAPE
+    assert _kept(case) == [((0, 0, z), (nx - 1, ny - 1, z)) for z in range(nz)]
+    _assert_fuses_as_the_reference(tmp_path, case)
+    pred, gt = raters[:2]
+    cases, errors = run_eval(*_write_pairs(tmp_path / "eval", {"c0": (pred, gt)}),
+                             tmp_path / "eval" / "out")
+    assert errors == []
+    assert cases == [evaluate_case(pred, gt, "c0")]
 
 
 def _scattered(rng, n_maps, empty_planes):
