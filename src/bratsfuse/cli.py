@@ -25,7 +25,7 @@ from dataclasses import replace
 from pathlib import Path
 
 # Before the first import that loads numpy. A value the user set is kept,
-# other BLAS builds ignore the variable, and pool workers inherit it.
+# other BLAS builds ignore the variable, and forked case workers inherit it.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import click
@@ -67,7 +67,8 @@ def main():
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True),
               help="Pipeline config JSON.")
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
-              help="Parallel case workers.")
+              help="Parallel case workers: forked processes, each taking every N-th "
+                   "case in case-id order.")
 @click.option("--et-threshold", type=int, default=None,
               help="Override the config's ET relabeling threshold.")
 @click.option("--staple-tol", type=float, default=None,
@@ -104,7 +105,8 @@ def fuse_cmd(config_path, jobs, et_threshold, staple_tol, staple_max_iters, out_
 @click.option("--out", "out_dir", type=click.Path(), default="eval_out",
               show_default=True)
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
-              help="Parallel case workers.")
+              help="Parallel case workers: forked processes, each taking every N-th "
+                   "case in case-id order.")
 @click.option("--hd95-penalty", default=EMPTY_PENALTY_MM, show_default=True,
               help="HD95 for an empty-vs-nonempty region pair (mm).")
 def eval_cmd(pred_dir, gt_dir, out_dir, jobs, hd95_penalty):

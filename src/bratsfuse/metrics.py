@@ -32,8 +32,12 @@ gives the values, bit for bit, of an all-pairs minimum over each line. The
 passes take lines, and the last pass takes queries, in chunks, so that
 every temporary holds at most ``1 << 18`` values (2 MB as float64), or one
 line's n^2 values in the middle pass where n > 512: the temporaries stay
-small next to the cropped masks. scipy is not imported here because
-``scipy.ndimage`` about doubles the start-up time of every CLI command.
+small next to the cropped masks. The last pass finds its queries with
+``np.nonzero`` one slab of axis-0 planes at a time, each of at most
+``1 << 18`` voxels (or one plane, where a plane has more), so the three
+int64 query-index arrays cover one slab, not the grid. scipy is not
+imported here because ``scipy.ndimage`` about doubles the start-up time of
+every CLI command.
 ``python3 benchmarks/run.py --workload eval-batch --trace 1`` reports the
 time spent in ``hd95`` (``metrics.hd95.*``); its ``metrics.edt.*`` counts
 only calls of ``edt``, which ``hd95`` does not make.
@@ -161,18 +165,26 @@ def _edt_sq_at(source: RegionMask, queries: RegionMask) -> np.ndarray:
 
     The first two passes give each voxel's distance to the nearest source
     in its axis-2 plane; the last pass takes, at each query alone, the
-    all-pairs minimum over its axis-2 line.
+    all-pairs minimum over its axis-2 line. The queries are found one slab
+    of axis-0 planes at a time, at most ``_CHUNK`` voxels (or one plane)
+    per ``np.nonzero``.
     """
     sx, sy, sz = (float(s) for s in source.spacing)
     g = _all_pairs_pass(_nearest_on_lines_sq(source.data, sx), sy)
     n = g.shape[2]
     cost = _sq_gaps(n, sz)
-    i, j, k = np.nonzero(queries.data)
-    out = np.empty(len(k))
+    q = queries.data
+    out = np.empty(np.count_nonzero(q))
+    slab = max(1, _CHUNK // (q.shape[1] * n))
     chunk = max(1, _CHUNK // n)
-    for lo in range(0, len(k), chunk):
-        hi = lo + chunk
-        out[lo:hi] = (g[i[lo:hi], j[lo:hi], :] + cost[k[lo:hi], :]).min(axis=1)
+    done = 0
+    for p in range(0, q.shape[0], slab):
+        i, j, k = np.nonzero(q[p:p + slab])
+        i += p
+        part, done = out[done:done + len(k)], done + len(k)
+        for lo in range(0, len(k), chunk):
+            hi = lo + chunk
+            part[lo:hi] = (g[i[lo:hi], j[lo:hi], :] + cost[k[lo:hi], :]).min(axis=1)
     return out
 
 

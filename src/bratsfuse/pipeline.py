@@ -82,10 +82,19 @@ A case that raises a :class:`~bratsfuse.errors.BratsFuseError`, or an
 removed (or, if it cannot be, named in the case's error); the other cases
 still run.
 
-Everything is deterministic: cases are processed independently (optionally
-in parallel), per-case outputs depend only on that case's inputs, and all
-aggregate files are written in sorted case order, so reruns and different
-``jobs`` settings produce byte-identical outputs.
+Everything is deterministic. Cases run in case-id order; with ``jobs`` N
+above 1, min(N, cases) forked worker processes run them, worker k taking
+cases k, k + N, k + 2N, ... of that order, a share fixed before any case
+starts. Each worker sends its share's results to the parent once, pickled
+through its own pipe, and the parent puts them back in case-id order. A
+case's outputs depend only on that case's inputs, and the parent writes
+every aggregate file in case-id order, so reruns and different ``jobs``
+settings produce byte-identical outputs. An exception a worker raises,
+other than a case's recorded error, is raised again in the parent; a worker
+that ends without sending its results (killed, say) is a RuntimeError
+naming its pid and exit status. Either way the workers still running are
+killed, and no worker outlives the run. Without ``os.fork`` (or at
+``jobs`` 1), the cases run one after another in the calling process.
 """
 
 from __future__ import annotations
@@ -548,15 +557,79 @@ def run_postprocess(input_nii, output_nii, et_threshold: int = DEFAULT_ET_THRESH
 
 
 def _run_cases(worker, items, jobs: int):
-    # Under fork, the pool starts all its workers at once, however few items.
+    # Worker k of min(jobs, len(items)) forked children takes items[k::jobs]
+    # and sends its results back pickled, once, through its own pipe; the
+    # parent reads the pipes in worker order and puts each share back in
+    # place, so the results are in item order whatever --jobs is. A worker's
+    # exception is raised again here; a worker that ends without a result is
+    # a RuntimeError. No child outlives this call: on any way out, each one
+    # still running is killed and every one is reaped.
     jobs = min(jobs, len(items))
-    if jobs <= 1:
+    if jobs <= 1 or not hasattr(os, "fork"):
         return [worker(i) for i in items]
-    # Imported here: loading the process pool costs every command about 20 ms.
-    from concurrent.futures import ProcessPoolExecutor
+    import gc
+    import pickle
+    import signal
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, items))
+    results = [None] * len(items)
+    reads, pids, reaped = [], [], 0
+    try:
+        # Frozen objects are never scanned by a child's collector, so the
+        # children do not copy the parent's heap page by page.
+        gc.freeze()
+        try:
+            for k in range(jobs):
+                r, w = os.pipe()
+                reads.append(r)
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        _case_worker(worker, items[k::jobs], w)
+                finally:
+                    os.close(w)
+                pids.append(pid)
+        finally:
+            gc.unfreeze()
+        for k, (r, pid) in enumerate(zip(reads, pids)):
+            with open(r, "rb", closefd=False) as f:
+                data = f.read()
+            status = os.waitpid(pid, 0)[1]
+            reaped += 1
+            try:
+                ok, value = pickle.loads(data)
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError(
+                    f"case worker {pid} ended without a result "
+                    f"(exit status {os.waitstatus_to_exitcode(status)})") from None
+            if not ok:
+                raise value
+            results[k::jobs] = value
+        return results
+    finally:
+        for r in reads:
+            os.close(r)
+        for pid in pids[reaped:]:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _case_worker(worker, items, w: int):
+    """The body of a forked case worker: writes ``(True, results)``, or
+    ``(False, exception)``, pickled to the pipe end ``w``, and leaves the
+    process (status 1 if that write failed) without returning."""
+    import pickle
+
+    status = 1
+    try:
+        try:
+            result = (True, [worker(i) for i in items])
+        except BaseException as e:
+            result = (False, e)
+        with open(w, "wb", closefd=False) as f:
+            f.write(pickle.dumps(result))
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _case_error(case_id: str, e: BratsFuseError | OSError) -> dict:

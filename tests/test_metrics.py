@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -149,6 +151,31 @@ class TestEdt:
             assert np.isinf(got).all()
             with pytest.raises(EmptyMask):
                 edt(mask(source, spacing))
+
+    @pytest.mark.parametrize("chunk", [1, 7, 56, 112, 200])
+    def test_queries_found_in_many_slabs_give_the_same_distances(self, monkeypatch,
+                                                                 rng, chunk):
+        """Slabs of one plane (also where a plane has more voxels than a
+        chunk holds) and of several planes, the last one short."""
+        source = rng.random((9, 8, 7)) < 0.1
+        queries = rng.random((9, 8, 7)) < 0.5
+        want = metrics._edt_sq_at(mask(source, ANISO), mask(queries, ANISO))
+        monkeypatch.setattr(metrics, "_CHUNK", chunk)
+        got = metrics._edt_sq_at(mask(source, ANISO), mask(queries, ANISO))
+        assert np.array_equal(got, want)
+
+    def test_a_whole_grid_holds_no_index_arrays_per_voxel(self):
+        """``edt`` of a 96^3 mask: three int64 query indices per voxel would
+        add 20 MB to the float64 passes' 26 MB."""
+        data = np.zeros((96, 96, 96), dtype=bool)
+        data[33:63, 33:63, 33:63] = np.random.default_rng(0).random((30, 30, 30)) < 0.5
+        tracemalloc.start()
+        try:
+            edt(mask(data))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 class TestHd95:

@@ -1,6 +1,7 @@
 import errno
 import json
 import os
+import signal
 import struct
 import subprocess
 import sys
@@ -479,7 +480,7 @@ def test_cli_import_loads_neither_scipy_nor_numba():
 
 def test_cli_import_loads_no_process_pool():
     # concurrent.futures.process (and multiprocessing) cost about 20 ms to
-    # import; only --jobs above 1 needs them.
+    # import, and the --jobs workers are forked without them.
     code = ("import sys, bratsfuse.cli; "
             "print([m for m in ('concurrent.futures.process', 'multiprocessing') "
             "if m in sys.modules])")
@@ -508,7 +509,7 @@ def _cli_in_subprocess(*commands):
 
 
 def test_eval_of_one_pair_starts_no_process_pool(tmp_path):
-    # Under fork, a pool of 4 would start 4 workers for the one pair.
+    # One pair runs in the calling process, whatever --jobs is.
     dirs = [str(d) for d in _write_pairs(tmp_path, {"c0": _phantom_pair()})]
     out4, out1 = tmp_path / "jobs4", tmp_path / "jobs1"
     assert _cli_in_subprocess(["eval", *dirs, "--out", str(out4), "--jobs", "4"]) == "[]"
@@ -520,21 +521,84 @@ def test_eval_of_one_pair_starts_no_process_pool(tmp_path):
         assert (out4 / name).read_bytes() == (out1 / name).read_bytes(), name
 
 
-def test_the_pool_starts_no_more_workers_than_cases(tmp_path, monkeypatch):
-    import concurrent.futures
+def test_no_more_workers_are_forked_than_cases(tmp_path, monkeypatch):
+    forks = []
+    real_fork = os.fork
 
-    seen = []
+    def counting_fork():
+        forks.append(os.getpid())
+        return real_fork()
 
-    class Spy(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers=None, **kwargs):
-            seen.append(max_workers)
-            super().__init__(max_workers, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+    monkeypatch.setattr(os, "fork", counting_fork)
     dirs = _write_pairs(tmp_path, {"c0": _phantom_pair(), "c1": _phantom_pair(8)})
     cases, errors = run_eval(*dirs, tmp_path / "out", jobs=4)
-    assert seen == [2]
+    assert forks == [os.getpid()] * 2
     assert [c.case_id for c in cases] == ["c0", "c1"] and errors == []
+
+
+def test_eval_with_two_jobs_loads_no_process_pool(tmp_path):
+    # The case workers are forked directly: concurrent.futures.process and
+    # multiprocessing would cost about 15 ms and 1 MB before the forks.
+    dirs = [str(d) for d in _write_pairs(tmp_path, {"c0": _phantom_pair(),
+                                                    "c1": _phantom_pair(8)})]
+    out = tmp_path / "out"
+    assert _cli_in_subprocess(["eval", *dirs, "--out", str(out), "--jobs", "2"]) == "[]"
+    rows = (out / "cases.csv").read_text().splitlines()
+    assert [r.split(",")[0] for r in rows[1:]] == ["c0", "c1"]
+
+
+def _eval_three_pairs_with(tmp_path, monkeypatch, on_case):
+    """``run_eval`` of three pairs at ``jobs=2``, ``on_case(case_id)`` called
+    in the workers before each case is scored; checks, however the run ends,
+    that it left no child process and no open file descriptor behind."""
+    dirs = _write_pairs(tmp_path, {f"c{c}": _phantom_pair(seed=c) for c in range(3)})
+    parent, real = os.getpid(), pipeline._eval_case
+
+    def eval_case(pred_dir, gt_dir, penalty, case_id):
+        assert os.getpid() != parent, "a case ran in the parent"
+        on_case(case_id)
+        return real(pred_dir, gt_dir, penalty, case_id)
+
+    monkeypatch.setattr(pipeline, "_eval_case", eval_case)
+    fds = len(os.listdir("/dev/fd"))
+    try:
+        return run_eval(*dirs, tmp_path / "out", jobs=2)
+    finally:
+        assert len(os.listdir("/dev/fd")) == fds
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("failing", ["c0", "c1"])
+def test_a_worker_error_is_raised_again_in_the_parent(tmp_path, monkeypatch, failing):
+    # Worker 0 takes c0 and c2, worker 1 takes c1: an error in worker 0 is
+    # read while worker 1 may still run, and worker 1 is then killed.
+    def on_case(case_id):
+        if case_id == failing:
+            raise ZeroDivisionError(f"in {case_id}")
+
+    with pytest.raises(ZeroDivisionError, match=f"in {failing}"):
+        _eval_three_pairs_with(tmp_path, monkeypatch, on_case)
+
+
+@pytest.mark.parametrize("how, status", [("exit", 3), ("kill", -signal.SIGKILL)])
+def test_a_worker_that_dies_is_a_runtime_error_naming_its_status(tmp_path, monkeypatch,
+                                                                 how, status):
+    def on_case(case_id):
+        if case_id == "c1":
+            if how == "exit":
+                os._exit(3)
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    with pytest.raises(RuntimeError,
+                       match=rf"^case worker \d+ ended without a result "
+                             rf"\(exit status {status}\)$"):
+        _eval_three_pairs_with(tmp_path, monkeypatch, on_case)
+
+
+def test_workers_that_finish_leave_no_child_process(tmp_path, monkeypatch):
+    cases, errors = _eval_three_pairs_with(tmp_path, monkeypatch, lambda case_id: None)
+    assert [c.case_id for c in cases] == ["c0", "c1", "c2"] and errors == []
 
 
 def test_eval_and_report_load_no_numpy_ma(tmp_path):
@@ -1385,8 +1449,9 @@ def test_a_failed_rerun_removes_the_earlier_outputs(tmp_path, rng):
 
 
 def test_fused_outputs_are_byte_identical_across_jobs(tmp_path):
+    # Five cases: at jobs 2 and 3 the workers' shares are uneven.
     cases = []
-    for c in range(2):
+    for c in range(4):
         gt, _ = make_phantom(PhantomSpec(shape=(16, 14, 12), seed=30 + c))
         models = []
         for k in range(3):
@@ -1395,18 +1460,19 @@ def test_fused_outputs_are_byte_identical_across_jobs(tmp_path):
             models.append(ModelInput(f"rater{k}", labelmap=path))
         cases.append(CaseInput(f"case{c}", tuple(models)))
     # A mixed case: fold probability maps and two label maps.
-    cases.append(_mixed_case(tmp_path, "case2"))
+    cases.append(_mixed_case(tmp_path, "case4"))
     cfg = PipelineConfig(cases=tuple(cases), output_dir=tmp_path / "jobs1")
-    run_fuse(cfg, jobs=1)
-    run_fuse(replace(cfg, output_dir=tmp_path / "jobs2"), jobs=2)
+    for jobs in (1, 2, 3):
+        run_fuse(replace(cfg, output_dir=tmp_path / f"jobs{jobs}"), jobs=jobs)
 
     names = sorted(p.name for p in (tmp_path / "jobs1").iterdir())
-    assert names == ["case0.nii", "case0_staple.json", "case1.nii", "case1_staple.json",
-                     "case2.nii", "case2_staple.json", "fuse_manifest.json"]
-    assert sorted(p.name for p in (tmp_path / "jobs2").iterdir()) == names
-    for name in names:
-        assert (tmp_path / "jobs1" / name).read_bytes() == \
-            (tmp_path / "jobs2" / name).read_bytes(), name
+    assert names == [f"case{c}{end}" for c in range(5) for end in (".nii", "_staple.json")] \
+        + ["fuse_manifest.json"]
+    for jobs in (2, 3):
+        assert sorted(p.name for p in (tmp_path / f"jobs{jobs}").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "jobs1" / name).read_bytes() == \
+                (tmp_path / f"jobs{jobs}" / name).read_bytes(), name
 
 
 # -- the plane-by-plane fuse path against the in-memory reference -----------------
@@ -2101,15 +2167,17 @@ def test_eval_outputs_are_byte_identical_across_jobs(tmp_path):
     dirs = _write_pairs(tmp_path, pairs)
     _spoil_last_plane(dirs[1] / "c4.nii", "invalid_label")
     save_nifti(dirs[1] / "c5.nii", gt)  # no prediction
-    for jobs in (1, 2):
+    # Five pairs: at jobs 2 and 3 the workers' shares are uneven.
+    for jobs in (1, 2, 3):
         run_eval(*dirs, tmp_path / f"jobs{jobs}", jobs=jobs)
     names = sorted(p.name for p in (tmp_path / "jobs1").iterdir())
     assert names == ["cases.csv", "cases.json", "errors.json", "summary.json",
                      "summary.txt"]
-    assert sorted(p.name for p in (tmp_path / "jobs2").iterdir()) == names
-    for name in names:
-        assert (tmp_path / "jobs1" / name).read_bytes() == \
-            (tmp_path / "jobs2" / name).read_bytes(), name
+    for jobs in (2, 3):
+        assert sorted(p.name for p in (tmp_path / f"jobs{jobs}").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "jobs1" / name).read_bytes() == \
+                (tmp_path / f"jobs{jobs}" / name).read_bytes(), name
     errors = json.loads((tmp_path / "jobs1" / "errors.json").read_text())
     assert [(e["case_id"], e["error"]) for e in errors] == [
         ("c4", "InvalidLabel"), ("c5", "UnpairedCase")]
