@@ -1,7 +1,7 @@
 """Exception types shared across the toolkit.
 
 Names follow the error contracts of the public operations, so callers can
-catch by condition (``GeometryMismatch``, ``EmptyVolume``, ...) rather than by
+catch by condition (``GeometryMismatch``, ``InvalidLabel``, ...) rather than by
 message text.
 """
 
@@ -22,14 +22,6 @@ def error_text(e: Exception) -> str:
 
 class GeometryMismatch(BratsFuseError):
     """Inputs that must share shape/spacing/origin do not."""
-
-
-class OutOfBounds(BratsFuseError):
-    """A bounding box extends outside the owning volume."""
-
-
-class EmptyVolume(BratsFuseError):
-    """An operation requires at least one nonzero voxel."""
 
 
 class EmptyMask(BratsFuseError):

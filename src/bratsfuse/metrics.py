@@ -9,16 +9,19 @@ symmetric value is the max of the two directed percentiles.
 Empty-mask conventions: both masks empty scores perfectly (DSC 1, HD95 0);
 exactly one empty scores DSC 0 and the fixed HD95 penalty 373.1287 mm.
 
-``hd95`` crops both masks to the bounding box of their union before it takes
-boundaries and distance transforms, so the EDT covers the tumour, not the
-head. The result is the same as on the full grid: every voxel outside the box
-is background in both masks, so the boundary voxels are unchanged (a box-face
-voxel's outside neighbour is background either way, and ``boundary`` counts
-out-of-volume as background), and every EDT source and query lies inside the
-box, where a Euclidean distance does not depend on the grid around it. Only
-the rounding can move: coordinates are measured from the box corner, so at
-spacings that are not dyadic (e.g. 1.2 mm) a distance may differ in its last
-digits from the full-grid value.
+``hd95`` crops both masks to the bounding box of their union
+(``volume.nonzero_box``) before it takes boundaries and distance transforms,
+so the EDT covers the tumour, not the head. Emptiness is decided from that
+box: no box means both masks are empty (HD95 0), and a cropped mask with no
+voxel means exactly one is (the penalty). The result is the same as on the
+full grid: every voxel outside the box is background in both masks, so the
+boundary voxels are unchanged (a box-face voxel's outside neighbour is
+background either way, and ``boundary`` counts out-of-volume as
+background), and every EDT source and query lies inside the box, where a
+Euclidean distance does not depend on the grid around it. Only the rounding
+can move: coordinates are measured from the box corner, so at spacings that
+are not dyadic (e.g. 1.2 mm) a distance may differ in its last digits from
+the full-grid value.
 
 The distance transform is plain numpy: a separable squared EDT taken one
 axis at a time, in the order 0, 1, 2. The first pass reads a binary source,
@@ -51,7 +54,7 @@ import numpy as np
 
 from .errors import EmptyMask
 from .regions import Region, RegionMask, region_mask
-from .volume import LabelMap, Volume, crop, nonzero_bbox, require_same_geometry
+from .volume import LabelMap, Volume, crop, nonzero_box, require_same_geometry
 
 __all__ = [
     "EMPTY_PENALTY_MM",
@@ -221,15 +224,13 @@ def hd95(a: RegionMask, b: RegionMask, penalty: float = EMPTY_PENALTY_MM) -> flo
     boundary voxels only, inside the box of the masks' union.
     """
     require_same_geometry(a, b)
-    a_empty = not a.data.any()
-    b_empty = not b.data.any()
-    if a_empty and b_empty:
+    box = nonzero_box(a.data | b.data)
+    if box is None:
         return 0.0
-    if a_empty or b_empty:
+    a, b = crop(a, box), crop(b, box)
+    if not (a.data.any() and b.data.any()):
         return float(penalty)
-    box = nonzero_bbox(replace(a, data=a.data | b.data))
-    ba = boundary(crop(a, box))
-    bb = boundary(crop(b, box))
+    ba, bb = boundary(a), boundary(b)
     d_ab = percentile(np.sqrt(_edt_sq_at(bb, ba)), 95)
     d_ba = percentile(np.sqrt(_edt_sq_at(ba, bb)), 95)
     return max(d_ab, d_ba)

@@ -23,10 +23,11 @@ steps per plane. The scan reads each fold in config order, one channel at a
 time in as many whole rows as the buffer holds (for 240 x 240, one read per
 channel covers the plane), and compares the channel with its value in
 exactly (1, 0, 0, 0), the certain background that models which infer on
-the brain's bounding box store in the rest of the grid. The rows and
-columns of the voxels where some fold differs are the plane's rectangle;
-once the plane's first and last voxels differ, the rectangle is the whole
-plane and the scan stops, so a dense plane costs one channel of one fold.
+the brain's bounding box store in the rest of the grid. The plane's
+rectangle is a slice of rows and a slice of columns outside which no fold
+differs (``volume.nonzero_box``); once the plane's first and last voxels
+differ, the rectangle is the whole plane and the scan stops, so a dense
+plane costs one channel of one fold.
 The rectangle is then decoded in bands of ``DECODE_VOXELS`` voxels' worth
 of rows (at least one row), small enough that a band's buffers stay in
 cache through every pass over them: per band, each fold in config order is
@@ -41,9 +42,9 @@ Each model's labels go into its two bits of one reused plane of joint
 codes (``fusion.joint_codes``: one code per voxel, in the smallest unsigned
 type holding two bits per model, uint8 for up to four models); code 0 is
 every model saying background. Of each plane, only a copy of the rectangle
-of rows and columns outside which every code is 0 is kept. What a case
-holds is therefore one plane's buffers plus the kept rectangles, which
-grow with the tumour, not with the grid.
+outside which every code is 0 (again ``nonzero_box``'s two slices) is
+kept. What a case holds is therefore one plane's buffers plus the kept
+rectangles, which grow with the tumour, not with the grid.
 
 The histogram of the rectangles, with every other voxel counted as code 0
 (``fusion.joint_histogram``), gives each joint label row and its voxel
@@ -90,9 +91,10 @@ through its own pipe, and the parent puts them back in case-id order. A
 case's outputs depend only on that case's inputs, and the parent writes
 every aggregate file in case-id order, so reruns and different ``jobs``
 settings produce byte-identical outputs. An exception a worker raises,
-other than a case's recorded error, is raised again in the parent; a worker
-that ends without sending its results (killed, say) is a RuntimeError
-naming its pid and exit status. Either way the workers still running are
+other than a case's recorded error, is raised again in the parent, from a
+RuntimeError that holds the worker's pid and traceback; a worker that ends
+without sending its results (killed, say) is a RuntimeError naming its pid
+and exit status. Either way the workers still running are
 killed, and no worker outlives the run. Without ``os.fork`` (or at
 ``jobs`` 1), the cases run one after another in the calling process.
 """
@@ -147,7 +149,7 @@ from .report import (
     rank_models,
     summarize,
 )
-from .volume import _LABELS, BBox, LabelMap, _check_probs, require_same_geometry
+from .volume import _LABELS, LabelMap, _check_probs, nonzero_box, require_same_geometry
 
 # Not called here (cases are fused and evaluated plane by plane through the cores
 # above), but benchmarks/tracing.py wraps these names on this module.
@@ -324,15 +326,6 @@ def _voxels(shape, z: int) -> tuple[int, int]:
     return plane * z, plane * (z + 1)
 
 
-def _box(plane: np.ndarray):
-    """The rows ``(y0, y1)`` and columns ``(x0, x1)`` of the 2-D ``plane``
-    outside which it is all zero, or None if it is all zero."""
-    ys, xs = (np.flatnonzero(plane.any(axis=a)) for a in (1, 0))
-    if not ys.size:
-        return None
-    return (int(ys[0]), int(ys[-1]) + 1), (int(xs[0]), int(xs[-1]) + 1)
-
-
 class _LabelModel:
     """A model given as a label map, read plane by plane."""
 
@@ -396,9 +389,9 @@ class _FoldModel:
         return self._labels.reshape(-1)
 
     def _rectangle(self, start: int, buf: np.ndarray):
-        """The rows ``(y0, y1)`` and columns ``(x0, x1)`` of the plane from
-        voxel ``start`` outside which every fold stores ``_BACKGROUND``, or
-        None if every fold does everywhere.
+        """The slices of rows and of columns of the plane from voxel
+        ``start`` outside which every fold stores ``_BACKGROUND``, or None
+        if every fold does everywhere.
 
         Per fold in config order, per channel, the plane is read into
         ``buf``, ``_differs.size`` voxels (whole rows) at a time, and
@@ -420,28 +413,26 @@ class _FoldModel:
                                  out=differs)
                     uncertain[lo:hi] |= differs
                 if uncertain[0] and uncertain[-1]:
-                    return (0, ny), (0, nx)
-        return _box(self._uncertain)
+                    return slice(0, ny), slice(0, nx)
+        return nonzero_box(self._uncertain)
 
-    def _decode(self, start: int, rows: tuple[int, int], cols: tuple[int, int],
-                buf: np.ndarray) -> None:
-        """The labels of the rectangle ``rows`` x ``cols`` of the plane from
-        voxel ``start``, in bands of ``_band`` rows: per band, each fold's
-        whole rows are read into ``buf``, channel ``c`` into the ``c``-th
-        quarter of ``read_bytes``, just before their columns ``cols`` are
-        renormalised."""
+    def _decode(self, start: int, rows: slice, cols: slice, buf: np.ndarray) -> None:
+        """The labels of the rectangle of the slices ``rows`` x ``cols`` of
+        the plane from voxel ``start``, in bands of ``_band`` rows: per band,
+        each fold's whole rows are read into ``buf``, channel ``c`` into the
+        ``c``-th quarter of ``read_bytes``, just before their columns
+        ``cols`` are renormalised."""
         nx = self.header.shape[0]
         block = buf[: self.read_bytes].reshape(4, -1)
-        (y0, y1), (x0, x1) = rows, cols
-        for ya in range(y0, y1, self._band):
-            yb = min(ya + self._band, y1)
+        for ya in range(rows.start, rows.stop, self._band):
+            yb = min(ya + self._band, rows.stop)
             lo, hi = start + ya * nx, start + yb * nx
-            out = self._labels[ya:yb, x0:x1]
+            out = self._labels[ya:yb, cols]
             n = out.size
             mean, sums = self._mean[:, :n], self._sums[:n]
             # A generator: average_probs_into renormalises one fold into
             # ``_probs`` and adds it to the mean before the next is read.
-            decoded = (f.renormalise([f.read_channel(c, lo, hi, row).reshape(-1, nx)[:, x0:x1]
+            decoded = (f.renormalise([f.read_channel(c, lo, hi, row).reshape(-1, nx)[:, cols]
                                       for c, row in enumerate(block)],
                                      self._probs[:, :n], sums)
                        for f in self._folds)
@@ -499,10 +490,10 @@ def _read_blocks(case: CaseInput):
             codes[...] = 0
             for r, model in enumerate(models):
                 pack_labels(codes, r, model.labels(z, read))
-            box = _box(plane)
+            box = nonzero_box(plane)
             if box is not None:
-                (y0, y1), (x0, x1) = box
-                blocks.append(((x0, y0, z), plane[y0:y1, x0:x1].copy()))
+                rows, cols = box
+                blocks.append(((cols.start, rows.start, z), plane[box].copy()))
     return grid, blocks
 
 
@@ -561,8 +552,8 @@ def _run_cases(worker, items, jobs: int):
     # and sends its results back pickled, once, through its own pipe; the
     # parent reads the pipes in worker order and puts each share back in
     # place, so the results are in item order whatever --jobs is. A worker's
-    # exception is raised again here; a worker that ends without a result is
-    # a RuntimeError. No child outlives this call: on any way out, each one
+    # exception is raised again here, from a RuntimeError holding the worker's
+    # pid and traceback; a worker that ends without a result is a RuntimeError. No child outlives this call: on any way out, each one
     # still running is killed and every one is reaped.
     jobs = min(jobs, len(items))
     if jobs <= 1 or not hasattr(os, "fork"):
@@ -602,7 +593,8 @@ def _run_cases(worker, items, jobs: int):
                     f"case worker {pid} ended without a result "
                     f"(exit status {os.waitstatus_to_exitcode(status)})") from None
             if not ok:
-                raise value
+                error, text = value
+                raise error from RuntimeError(f"case worker {pid} raised:\n{text}")
             results[k::jobs] = value
         return results
     finally:
@@ -615,16 +607,18 @@ def _run_cases(worker, items, jobs: int):
 
 def _case_worker(worker, items, w: int):
     """The body of a forked case worker: writes ``(True, results)``, or
-    ``(False, exception)``, pickled to the pipe end ``w``, and leaves the
-    process (status 1 if that write failed) without returning."""
+    ``(False, (exception, its formatted traceback))``, pickled to the pipe
+    end ``w``, and leaves the process (status 1 if that write failed)
+    without returning."""
     import pickle
+    import traceback
 
     status = 1
     try:
         try:
             result = (True, [worker(i) for i in items])
         except BaseException as e:
-            result = (False, e)
+            result = (False, (e, traceback.format_exc()))
         with open(w, "wb", closefd=False) as f:
             f.write(pickle.dumps(result))
         status = 0
@@ -695,12 +689,13 @@ def _pair_in_box(grid, blocks) -> tuple[LabelMap, LabelMap]:
     if there are none."""
     corners = np.array([corner for corner, _ in blocks] or [(0, 0, 0)])
     sizes = np.array([(c.shape[1], c.shape[0], 1) for _, c in blocks] or [(1, 1, 1)])
-    box = BBox(corners.min(axis=0), (corners + sizes).max(axis=0) - 1)
-    codes = joint_codes(2, math.prod(box.shape)).reshape(box.shape)
+    lo = corners.min(axis=0)
+    shape = tuple((corners + sizes).max(axis=0) - lo)
+    codes = joint_codes(2, math.prod(shape)).reshape(shape)
     for corner, block in blocks:
-        x, y, z = np.subtract(corner, box.lo)
+        x, y, z = np.subtract(corner, lo)
         codes[x : x + block.shape[1], y : y + block.shape[0], z] = block.T
-    origin = tuple(o + l * s for o, s, l in zip(grid.origin, grid.spacing, box.lo))
+    origin = tuple(o + l * s for o, s, l in zip(grid.origin, grid.spacing, lo.tolist()))
     return tuple(LabelMap(unpack_labels(codes, r), grid.spacing, origin) for r in (0, 1))
 
 
@@ -794,16 +789,21 @@ def _csv_rows(path) -> list[dict]:
 
 
 def read_cases_csv(path) -> list[CaseMetrics]:
-    """Parse a per-case metrics CSV as ``run_eval`` writes it (``cases.csv``).
+    """Parse a per-case metrics CSV as ``run_eval`` writes it (``cases.csv``);
+    a case named by two rows is a ConfigError.
 
     Columns: case_id,DSC_ET,DSC_TC,DSC_WT,HD95_ET,HD95_TC,HD95_WT.
     """
-    cases = []
+    cases, seen = [], set()
     for row in _csv_rows(path):
         try:
-            cases.append(CaseMetrics(row["case_id"], *_region_values(row)))
+            case = CaseMetrics(row["case_id"], *_region_values(row))
+            if case.case_id in seen:
+                raise ValueError(f"case {case.case_id!r} is named by an earlier row")
         except (KeyError, TypeError, ValueError) as e:
             raise ConfigError(f"bad metrics row {row}: {e}") from e
+        cases.append(case)
+        seen.add(case.case_id)
     if not cases:
         raise ConfigError(f"no case rows in {path}")
     return cases

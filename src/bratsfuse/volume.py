@@ -11,6 +11,12 @@ The four grid types (``Volume``, ``LabelMap``, ``ProbMap`` and
 constructor tail, ``_Grid._init_grid``, which checks and stores the grid's
 data, spacing and origin. ``crop`` keeps the type of any of them.
 
+``nonzero_box`` is the one box finder: the slices of an array of any
+dimension outside which it is all zero. ``pipeline`` takes it of each
+plane's uncertain fold voxels (``_FoldModel._rectangle``) and of each
+plane's joint codes (``_read_blocks``), and ``metrics.hd95`` of the union of
+two region masks, which it then ``crop``s to it.
+
 ``_label_index`` gives a label's position in ``BRATS_LABELS`` (its
 ``ProbMap`` channel, its two bits in a ``fusion`` joint code), and
 ``_LABELS`` the label at a position.
@@ -22,16 +28,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import EmptyVolume, GeometryMismatch, InvalidLabel, OutOfBounds
+from .errors import GeometryMismatch, InvalidLabel
 
 __all__ = [
     "BRATS_LABELS",
     "Volume",
     "LabelMap",
     "ProbMap",
-    "BBox",
-    "nonzero_bbox",
-    "crop",
+    "nonzero_box",
     "same_geometry",
     "require_same_geometry",
 ]
@@ -56,8 +60,8 @@ def _label_index(labels: np.ndarray) -> np.ndarray:
     return labels - (labels >> 2)
 
 
-def _check_triple(value, name: str, kind=float):
-    t = tuple(kind(v) for v in value)
+def _check_triple(value, name: str):
+    t = tuple(float(v) for v in value)
     if len(t) != 3:
         raise ValueError(f"{name} must have 3 components, got {len(t)}")
     return t
@@ -187,29 +191,6 @@ class ProbMap(_Grid):
         self._init_grid(data, data[0])
 
 
-@dataclass(frozen=True)
-class BBox:
-    """Axis-aligned voxel box with inclusive corners ``lo`` and ``hi``."""
-
-    lo: tuple[int, int, int]
-    hi: tuple[int, int, int]
-
-    def __post_init__(self):
-        lo = _check_triple(self.lo, "lo", int)
-        hi = _check_triple(self.hi, "hi", int)
-        if any(l < 0 for l in lo) or any(h < l for l, h in zip(lo, hi)):
-            raise ValueError(f"invalid bbox lo={lo} hi={hi}")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return tuple(h - l + 1 for l, h in zip(self.lo, self.hi))
-
-    def slices(self) -> tuple[slice, slice, slice]:
-        return tuple(slice(l, h + 1) for l, h in zip(self.lo, self.hi))
-
-
 def _close(a, b, tol: float) -> bool:
     # np.allclose(a, b, rtol=tol, atol=tol) on finite 3-tuples, without the
     # array round trip that dominates it at this size.
@@ -235,26 +216,23 @@ def require_same_geometry(*objs) -> None:
             )
 
 
-def nonzero_bbox(v) -> BBox:
-    """Tightest box containing all nonzero voxels of a Volume, LabelMap or
-    RegionMask."""
-    nz = np.nonzero(v.data)
-    if nz[0].size == 0:
-        raise EmptyVolume("volume has no nonzero voxels")
-    lo = tuple(int(idx.min()) for idx in nz)
-    hi = tuple(int(idx.max()) for idx in nz)
-    return BBox(lo, hi)
+def nonzero_box(mask: np.ndarray) -> tuple[slice, ...] | None:
+    """One slice per axis of ``mask`` (boolean, or codes), outside which it
+    is all zero, or None if it is all zero; found by projecting ``mask``
+    onto each axis with ``any``."""
+    box, axes = [], tuple(range(mask.ndim))
+    for axis in axes:
+        hits = np.flatnonzero(mask.any(axis=axes[:axis] + axes[axis + 1:]))
+        if not hits.size:
+            return None
+        box.append(slice(int(hits[0]), int(hits[-1]) + 1))
+    return tuple(box)
 
 
-def _check_inside(b: BBox, shape) -> None:
-    if any(h >= n for h, n in zip(b.hi, shape)):
-        raise OutOfBounds(f"bbox {b.lo}..{b.hi} exceeds volume shape {tuple(shape)}")
-
-
-def crop(v, b: BBox):
-    """Copy the voxels inside ``b``; the origin shifts by ``lo * spacing``.
+def crop(v, box: tuple[slice, slice, slice]):
+    """Copy the voxels inside ``box`` (as ``nonzero_box`` gives it); the
+    origin shifts by ``start * spacing``.
 
     Keeps the type of ``v`` (Volume, LabelMap, ProbMap or RegionMask)."""
-    _check_inside(b, v.shape)
-    origin = tuple(o + l * s for o, s, l in zip(v.origin, v.spacing, b.lo))
-    return replace(v, data=v.data[(..., *b.slices())].copy(), origin=origin)
+    origin = tuple(o + b.start * s for o, s, b in zip(v.origin, v.spacing, box))
+    return replace(v, data=v.data[(..., *box)].copy(), origin=origin)

@@ -32,7 +32,7 @@ from bratsfuse.nifti import (
     save_nifti,
     save_probmap,
 )
-from bratsfuse.volume import BBox, LabelMap, ProbMap, Volume, crop
+from bratsfuse.volume import LabelMap, ProbMap, Volume
 
 
 def build_fixture(shape, spacing, datatype, payload, vox_offset=352.0, magic=b"n+1\x00"):
@@ -337,10 +337,9 @@ class TestProbmapPlanes:
     def test_planes_equal_that_crop_of_the_whole_map(self, manifest, planes):
         whole = load_probmap(manifest)
         z0, z1, _ = planes.indices(self.SHAPE[2])
-        want = crop(whole, BBox((0, 0, z0), (self.SHAPE[0] - 1, self.SHAPE[1] - 1, z1 - 1)))
         got = _decode(manifest, self.PLANE * z0, self.PLANE * z1)
         assert got.shape == (4, self.PLANE * (z1 - z0))
-        assert np.array_equal(got, _rows(want.data))
+        assert np.array_equal(got, _rows(whole.data[..., z0:z1]))
 
     @pytest.mark.parametrize("voxels", [slice(0, 1), slice(3, 4), slice(17, 63),
                                         slice(19, 21), slice(101, None), slice(139, 140)])

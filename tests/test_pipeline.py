@@ -56,7 +56,7 @@ from bratsfuse.pipeline import (
 )
 from bratsfuse.regions import Region
 from bratsfuse.synth import PhantomSpec, corrupt_labels, make_phantom, noisy_probmap
-from bratsfuse.volume import BRATS_LABELS, LabelMap, ProbMap, Volume, crop, nonzero_bbox
+from bratsfuse.volume import BRATS_LABELS, LabelMap, ProbMap, Volume
 
 from .oracles import dice_counts, hd95_all_pairs, staple_fuse_reference
 from .test_fusion import boundary_raters
@@ -349,6 +349,33 @@ def test_case_ids_with_a_comma_or_a_quote_survive_eval_and_report(tmp_path):
         (out / "summary.json").read_bytes()
 
 
+def _cases_csv_naming_a_twice(tmp_path) -> Path:
+    """A cases CSV whose case ``a`` (DSC 0.5 everywhere) has two rows and
+    case ``b`` (DSC 1) one: read as three cases, its mean DSC would be 0.6667,
+    not 0.75."""
+    path = tmp_path / "cases.csv"
+    path.write_text("case_id,DSC_ET,DSC_TC,DSC_WT,HD95_ET,HD95_TC,HD95_WT\n"
+                    "a,0.5,0.5,0.5,2,2,2\nb,1,1,1,0,0,0\na,0.5,0.5,0.5,2,2,2\n")
+    return path
+
+
+def test_a_case_named_by_two_rows_is_a_config_error(tmp_path):
+    path = _cases_csv_naming_a_twice(tmp_path)
+    with pytest.raises(ConfigError, match=r"^bad metrics row .*: case 'a' is named by an "
+                                          r"earlier row$"):
+        pipeline.read_cases_csv(path)
+
+
+def test_report_cli_refuses_a_case_named_by_two_rows(tmp_path):
+    path = _cases_csv_naming_a_twice(tmp_path)
+    result = CliRunner().invoke(main, ["report", str(path), "--out", str(tmp_path / "r")])
+    assert result.exit_code == 1, result.output
+    assert result.output.startswith("Error: bad metrics row ")
+    assert result.output.endswith(": case 'a' is named by an earlier row\n")
+    assert len(result.output.splitlines()) == 1
+    assert not (tmp_path / "r").exists()
+
+
 @pytest.mark.parametrize("text, message", [
     ("case_id,DSC_ET\nc0,0.5\n", "bad metrics row {'case_id': 'c0', 'DSC_ET': '0.5'}"),
     ("case_id,DSC_ET,DSC_TC,DSC_WT,HD95_ET,HD95_TC,HD95_WT\nc0,1,1,1,nan,0,0\n",
@@ -572,13 +599,23 @@ def _eval_three_pairs_with(tmp_path, monkeypatch, on_case):
 @pytest.mark.parametrize("failing", ["c0", "c1"])
 def test_a_worker_error_is_raised_again_in_the_parent(tmp_path, monkeypatch, failing):
     # Worker 0 takes c0 and c2, worker 1 takes c1: an error in worker 0 is
-    # read while worker 1 may still run, and worker 1 is then killed.
+    # read while worker 1 may still run, and worker 1 is then killed. The
+    # error is raised from one that holds the worker's pid and traceback.
     def on_case(case_id):
         if case_id == failing:
             raise ZeroDivisionError(f"in {case_id}")
 
-    with pytest.raises(ZeroDivisionError, match=f"in {failing}"):
+    with pytest.raises(ZeroDivisionError, match=f"in {failing}") as raised:
         _eval_three_pairs_with(tmp_path, monkeypatch, on_case)
+    cause = raised.value.__cause__
+    assert type(cause) is RuntimeError
+    pid, text = str(cause).split(" raised:\n", 1)
+    assert pid.startswith("case worker ")
+    assert int(pid.removeprefix("case worker ")) != os.getpid()
+    assert text.startswith("Traceback (most recent call last):\n")
+    line = on_case.__code__.co_firstlineno + 2
+    assert (f'line {line}, in on_case\n    raise ZeroDivisionError(f"in {{case_id}}")\n'
+            in text)
 
 
 @pytest.mark.parametrize("how, status", [("exit", 3), ("kill", -signal.SIGKILL)])
@@ -2027,11 +2064,13 @@ def test_the_box_holds_the_pair_cropped_to_its_nonzero_voxels(tmp_path, seed):
         pair = [empty, _with(empty, {(9, 3, 5): 2})]
     case = CaseInput("c0", tuple(_label_models(tmp_path, pair, "c0")))
     got = pipeline._pair_in_box(*pipeline._read_blocks(case))
-    box = nonzero_bbox(Volume(pair[0].data | pair[1].data))
+    nz = np.nonzero(pair[0].data | pair[1].data)
+    lo = [int(i.min()) for i in nz]
+    box = tuple(slice(l, int(i.max()) + 1) for l, i in zip(lo, nz))
+    origin = tuple(o + l * s for o, s, l in zip(pair[0].origin, pair[0].spacing, lo))
     for g, m in zip(got, pair):
-        want = crop(m, box)
-        assert np.array_equal(g.data, want.data)
-        assert (g.spacing, g.origin) == (want.spacing, want.origin)
+        assert np.array_equal(g.data, m.data[box])
+        assert (g.spacing, g.origin) == (m.spacing, origin)
 
 
 def _eval_peak(tmp_path, shape):

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
-from bratsfuse.errors import EmptyVolume, InvalidLabel, OutOfBounds
+from bratsfuse.errors import InvalidLabel
 from bratsfuse.regions import Region, RegionMask
 from bratsfuse.volume import (
-    BBox,
     LabelMap,
     ProbMap,
     Volume,
     crop,
-    nonzero_bbox,
+    nonzero_box,
     same_geometry,
 )
 
@@ -72,69 +74,70 @@ class TestTypes:
         with pytest.raises(ValueError):
             ProbMap(data)
 
-    def test_bbox_ordering(self):
-        with pytest.raises(ValueError):
-            BBox((2, 0, 0), (1, 0, 0))
-        assert BBox((1, 2, 3), (4, 5, 6)).shape == (4, 4, 4)
 
-
-class TestNonzeroBBox:
+class TestNonzeroBox:
     def test_single_voxel(self):
-        data = np.zeros((6, 6, 6))
-        data[2, 3, 4] = 1.0
-        box = nonzero_bbox(Volume(data))
-        assert box.lo == (2, 3, 4) and box.hi == (2, 3, 4)
+        data = np.zeros((6, 6, 6), bool)
+        data[2, 3, 4] = True
+        assert nonzero_box(data) == (slice(2, 3), slice(3, 4), slice(4, 5))
 
     def test_fully_nonzero(self):
-        box = nonzero_bbox(Volume(np.ones((5, 5, 5))))
-        assert box.lo == (0, 0, 0) and box.hi == (4, 4, 4)
+        assert nonzero_box(np.ones((5, 5, 5), bool)) == (slice(0, 5),) * 3
 
-    def test_all_zero_raises(self):
-        with pytest.raises(EmptyVolume):
-            nonzero_bbox(Volume(np.zeros((3, 3, 3))))
+    def test_all_zero_is_none(self):
+        assert nonzero_box(np.zeros((3, 3, 3), bool)) is None
 
     def test_minimality(self, rng):
-        data = (rng.random((7, 6, 5)) < 0.2).astype(np.float64)
-        data[3, 2, 1] = 1.0  # guarantee nonempty
-        box = nonzero_bbox(Volume(data))
+        data = rng.random((7, 6, 5)) < 0.2
+        data[3, 2, 1] = True  # guarantee nonempty
+        box = nonzero_box(data)
         for axis in range(3):
-            lo_face = [slice(l, h + 1) for l, h in zip(box.lo, box.hi)]
-            lo_face[axis] = slice(box.lo[axis], box.lo[axis] + 1)
-            assert data[tuple(lo_face)].any()
-            hi_face = [slice(l, h + 1) for l, h in zip(box.lo, box.hi)]
-            hi_face[axis] = slice(box.hi[axis], box.hi[axis] + 1)
-            assert data[tuple(hi_face)].any()
+            for end in (box[axis].start, box[axis].stop - 1):
+                face = list(box)
+                face[axis] = slice(end, end + 1)
+                assert data[tuple(face)].any()
+        outside = data.copy()
+        outside[box] = False
+        assert not outside.any()
+
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(st.sampled_from([bool, np.uint8, np.uint64]),
+                  array_shapes(min_dims=1, max_dims=3, max_side=7)))
+    @example(np.zeros(4, bool))
+    @example(np.zeros((3, 1, 2), bool))
+    def test_matches_the_nonzero_index_oracle(self, mask):
+        # Boolean masks, and joint codes as the plane loop passes them.
+        nz = np.nonzero(mask)
+        want = (tuple(slice(int(i.min()), int(i.max()) + 1) for i in nz)
+                if nz[0].size else None)
+        assert nonzero_box(mask) == want
 
 
 class TestCropEmbed:
     def test_crop_full_extent_is_identity(self, rng):
         v = Volume(rng.random((4, 5, 6)), spacing=(1.0, 2.0, 3.0))
-        out = crop(v, BBox((0, 0, 0), (3, 4, 5)))
+        out = crop(v, (slice(0, 4), slice(0, 5), slice(0, 6)))
         assert np.array_equal(out.data, v.data)
         assert out.origin == v.origin
 
     def test_crop_shape_matches_box(self):
         v = Volume(np.ones((240, 240, 155)))
-        out = crop(v, BBox((24, 8, 0), (24 + 191, 8 + 223, 154)))
+        out = crop(v, (slice(24, 24 + 192), slice(8, 8 + 224), slice(0, 155)))
         assert out.shape == (192, 224, 155)
 
     def test_single_voxel_crop(self):
         data = np.arange(27, dtype=np.float64).reshape(3, 3, 3)
-        out = crop(Volume(data), BBox((1, 2, 0), (1, 2, 0)))
+        out = crop(Volume(data), (slice(1, 2), slice(2, 3), slice(0, 1)))
         assert out.shape == (1, 1, 1)
         assert out.data[0, 0, 0] == data[1, 2, 0]
 
-    def test_crop_out_of_bounds(self):
-        with pytest.raises(OutOfBounds):
-            crop(Volume(np.ones((3, 3, 3))), BBox((0, 0, 0), (3, 2, 2)))
-
     def test_crop_shifts_origin(self):
         v = Volume(np.ones((4, 4, 4)), spacing=(1.0, 2.0, 0.5), origin=(10.0, 0.0, 0.0))
-        out = crop(v, BBox((1, 2, 3), (2, 3, 3)))
+        out = crop(v, (slice(1, 3), slice(2, 4), slice(3, 4)))
         assert out.origin == (11.0, 4.0, 1.5)
 
     def test_crop_keeps_the_type(self, rng):
-        box = BBox((1, 0, 2), (2, 3, 3))
+        box = (slice(1, 3), slice(0, 4), slice(2, 4))
         spacing, origin = (1.0, 2.0, 0.5), (10.0, 0.0, 0.0)
         labels = np.array([0, 1, 2, 4], dtype=np.uint8)[rng.integers(0, 4, (4, 4, 4))]
         probs = rng.random((4, 4, 4, 4))
