@@ -24,7 +24,7 @@ M-step of the returned posterior, so they satisfy the fixed-point identities
 exactly.
 
 Multi-label fusion runs binary STAPLE per nested region (ET, TC, WT) and
-recomposes the label map, with the nesting rules of ``recompose_labels``.
+recomposes the label map by the region tables of ``regions``.
 A voxel enters every region's EM only through its J rater labels, so it
 is reduced to one joint code: each rater's label, as its position in
 BRATS_LABELS (``volume._label_index``; ``volume._LABELS`` maps a position
@@ -65,8 +65,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyList, GeometryMismatch
-from .regions import Region, RegionMask, recompose_labels, region_mask
+from .regions import _MEMBERSHIP, Region, RegionMask, compose
 from .volume import _LABELS, BRATS_LABELS, LabelMap, ProbMap, _label_index, require_same_geometry
+
+# Not called here, but benchmarks/tracing.py wraps these names on this module.
+from .regions import recompose_labels, region_mask  # noqa: F401
 
 __all__ = [
     "StapleParams",
@@ -419,14 +422,6 @@ def staple_binary(
     return StapleResult(fit.final_params, fit.iterations, fit.converged, mask, posterior)
 
 
-# Region membership of each label index (the position in BRATS_LABELS), read
-# off region_mask so the region semantics live only in ``regions``.
-_MEMBERSHIP = {
-    r: region_mask(LabelMap(_LABELS.reshape(-1, 1, 1)), r).data.reshape(-1).view(np.uint8)
-    for r in (Region.ET, Region.TC, Region.WT)
-}
-
-
 def staple_lut(
     rows: np.ndarray,
     counts: np.ndarray,
@@ -439,23 +434,22 @@ def staple_lut(
 
     ``rows`` and ``counts`` are what :func:`joint_histogram` returns for
     ``n_voxels`` voxels. Binary STAPLE runs per region (ET, TC, WT) on the
-    region patterns the rows imply, weighted by ``counts``, and each row's
-    region decisions are recomposed into a label. Returns the K labels
-    (uint8, read-only) and the fits keyed by region name.
+    region patterns the rows imply (``regions._MEMBERSHIP``), weighted by
+    ``counts``, and ``regions.compose`` labels each row's three decisions.
+    Returns the K labels (uint8, read-only) and the fits keyed by region name.
     """
     fits = {}
     fused = []
-    for r in (Region.ET, Region.TC, Region.WT):
+    for r in Region:
         # Each row's region decisions, packed and counted as joint codes.
         codes = joint_codes(len(rows), rows.shape[1])
         for rater, rater_rows in enumerate(rows):
-            pack_labels(codes, rater, _MEMBERSHIP[r][rater_rows])
+            pack_labels(codes, rater, _MEMBERSHIP[r][rater_rows].view(np.uint8))
         pats, pat_counts, pat_index = joint_histogram([codes], len(rows), len(codes),
                                                       weights=[counts])
         w, fits[r.value] = _staple_em(pats, pat_counts, n_voxels, init, tol, max_iters)
-        row_mask = pat_index.of(w >= 0.5)[codes].reshape(-1, 1, 1)
-        fused.append(RegionMask(r, row_mask))
-    return recompose_labels(*fused).data.reshape(-1), fits
+        fused.append(pat_index.of(w >= 0.5)[codes])
+    return compose(*fused), fits
 
 
 def staple_multilabel_detailed(

@@ -70,7 +70,7 @@ __all__ = [
 ]
 
 EMPTY_PENALTY_MM = 373.1287
-REGION_ORDER = ("ET", "TC", "WT")
+REGION_ORDER = tuple(r.value for r in Region)
 _CHUNK = 1 << 18  # values in any one EDT temporary
 
 
@@ -244,11 +244,9 @@ def evaluate_case(
 ) -> CaseMetrics:
     """DSC and HD95 over ET/TC/WT via region decomposition."""
     require_same_geometry(pred, gt)
-    dsc = {}
-    hd = {}
-    for r in (Region.ET, Region.TC, Region.WT):
-        pm = region_mask(pred, r)
-        gm = region_mask(gt, r)
+    dsc, hd = {}, {}
+    for r in Region:
+        pm, gm = region_mask(pred, r), region_mask(gt, r)
         dsc[r.value] = dice(pm, gm)
         hd[r.value] = hd95(pm, gm, penalty)
     return CaseMetrics(case_id, dsc, hd)

@@ -771,12 +771,6 @@ def write_summary_outputs(cases: list[CaseMetrics], output_dir) -> None:
     _write_text(output_dir / "summary.txt", format_summary_table(stats))
 
 
-def _region_values(row: dict) -> tuple[dict[str, float], dict[str, float]]:
-    """The DSC_<region> and HD95_<region> columns of one CSV row, as floats."""
-    return ({r: float(row[f"DSC_{r}"]) for r in REGION_ORDER},
-            {r: float(row[f"HD95_{r}"]) for r in REGION_ORDER})
-
-
 def _csv_rows(path) -> list[dict]:
     """The rows of a CSV file with a header line, read as UTF-8 text after a
     byte-order mark, if any (spreadsheets save one); a file that is not
@@ -788,45 +782,51 @@ def _csv_rows(path) -> list[dict]:
         raise ConfigError(f"{path} is not UTF-8 text: {e}") from e
 
 
+def _region_rows(path, id_column: str, what: str, build) -> list:
+    """``build(id, dsc, hd95)`` of each row of the CSV at ``path``: its
+    ``id_column`` and its DSC_<region> and HD95_<region> columns as floats.
+    A row that ``build`` refuses, a DSC outside [0, 1], a negative HD95, an
+    id an earlier row has, or no rows at all is a ConfigError that names the
+    row (a ``what`` row) or the file."""
+    items, seen, noun = [], set(), id_column.removesuffix("_id")
+    for row in _csv_rows(path):
+        try:
+            name = row[id_column]
+            dsc, hd95 = ({r: float(row[f"{m}_{r}"]) for r in REGION_ORDER}
+                         for m in ("DSC", "HD95"))
+            item = build(name, dsc, hd95)
+            for r in REGION_ORDER:
+                if not 0.0 <= dsc[r] <= 1.0:
+                    raise ValueError(f"DSC_{r} {dsc[r]} lies outside [0, 1]")
+                if hd95[r] < 0.0:
+                    raise ValueError(f"HD95_{r} {hd95[r]} is negative")
+            if name in seen:
+                raise ValueError(f"{noun} {name!r} is named by an earlier row")
+        except (KeyError, TypeError, ValueError) as e:
+            raise ConfigError(f"bad {what} row {row}: {e}") from e
+        items.append(item)
+        seen.add(name)
+    if not items:
+        raise ConfigError(f"no {noun} rows in {path}")
+    return items
+
+
 def read_cases_csv(path) -> list[CaseMetrics]:
-    """Parse a per-case metrics CSV as ``run_eval`` writes it (``cases.csv``);
-    a case named by two rows is a ConfigError.
+    """Parse a per-case metrics CSV as ``run_eval`` writes it (``cases.csv``),
+    refusing what :func:`_region_rows` refuses.
 
     Columns: case_id,DSC_ET,DSC_TC,DSC_WT,HD95_ET,HD95_TC,HD95_WT.
     """
-    cases, seen = [], set()
-    for row in _csv_rows(path):
-        try:
-            case = CaseMetrics(row["case_id"], *_region_values(row))
-            if case.case_id in seen:
-                raise ValueError(f"case {case.case_id!r} is named by an earlier row")
-        except (KeyError, TypeError, ValueError) as e:
-            raise ConfigError(f"bad metrics row {row}: {e}") from e
-        cases.append(case)
-        seen.add(case.case_id)
-    if not cases:
-        raise ConfigError(f"no case rows in {path}")
-    return cases
+    return _region_rows(path, "case_id", "metrics", CaseMetrics)
 
 
 def read_model_summaries_csv(path) -> list[ModelSummary]:
-    """Parse a CSV of per-model region means; a score that is not finite,
-    or a model named by two rows, is a ConfigError.
+    """Parse a CSV of per-model region means, refusing what
+    :func:`_region_rows` refuses and a score that is not finite.
 
     Columns: model,DSC_ET,DSC_TC,DSC_WT,HD95_ET,HD95_TC,HD95_WT.
     """
-    summaries = []
-    for row in _csv_rows(path):
-        try:
-            summary = model_summary(row["model"], *_region_values(row))
-            if any(s.name == summary.name for s in summaries):
-                raise ValueError(f"model {summary.name!r} is named by an earlier row")
-        except (KeyError, TypeError, ValueError) as e:
-            raise ConfigError(f"bad model summary row {row}: {e}") from e
-        summaries.append(summary)
-    if not summaries:
-        raise ConfigError(f"no model rows found in {path}")
-    return summaries
+    return _region_rows(path, "model", "model summary", model_summary)
 
 
 def run_rank(summary_csv, output_dir) -> str:

@@ -2,6 +2,12 @@
 
 Label codes: 1 = necrotic core, 2 = edema, 4 = enhancing tumor. The regions
 nest: ET = {4}, TC = {1, 4}, WT = {1, 2, 4}.
+
+This module alone holds that rule, as two read-only tables: ``_MEMBERSHIP``
+(is each label of BRATS_LABELS in each region), read by ``region_mask`` and
+``fusion.staple_lut``; and its inverse ``_COMPOSE`` (the label of each ET,
+TC, WT decision triple), read by ``compose`` for ``recompose_labels``,
+``fusion.staple_lut`` and ``synth.make_phantom``.
 """
 
 from __future__ import annotations
@@ -12,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryMismatch
-from .volume import LabelMap, _Grid, require_same_geometry
+from .volume import BRATS_LABELS, LabelMap, _freeze, _Grid, _label_index, require_same_geometry
 
-__all__ = ["Region", "RegionMask", "region_mask", "recompose_labels"]
+__all__ = ["Region", "RegionMask", "region_mask", "compose", "recompose_labels"]
 
 
 class Region(enum.Enum):
@@ -22,16 +28,16 @@ class Region(enum.Enum):
     TC = "TC"
     WT = "WT"
 
-    @property
-    def member_labels(self) -> frozenset[int]:
-        return _MEMBERS[self]
 
-
-_MEMBERS = {
-    Region.ET: frozenset({4}),
-    Region.TC: frozenset({1, 4}),
-    Region.WT: frozenset({1, 2, 4}),
+# Per region, whether each label of BRATS_LABELS is in it.
+_MEMBERSHIP = {
+    r: _freeze(np.array([label in members for label in BRATS_LABELS]))
+    for r, members in ((Region.ET, {4}), (Region.TC, {1, 4}), (Region.WT, {1, 2, 4}))
 }
+
+# The label of each decision triple, at et + 2 tc + 4 wt: the masks nest by
+# union (TC |= ET, WT |= TC), then 4 on ET, 1 on TC, 2 on WT, 0 elsewhere.
+_COMPOSE = _freeze(np.array([0, 4, 1, 4, 2, 4, 1, 4], np.uint8))
 
 
 @dataclass(frozen=True)
@@ -49,8 +55,13 @@ class RegionMask(_Grid):
 
 def region_mask(m: LabelMap, r: Region) -> RegionMask:
     """Voxel is in the mask iff its label belongs to the region."""
-    mask = np.isin(m.data, sorted(r.member_labels))
-    return RegionMask(r, mask, m.spacing, m.origin)
+    return RegionMask(r, _MEMBERSHIP[r][_label_index(m.data)], m.spacing, m.origin)
+
+
+def compose(et: np.ndarray, tc: np.ndarray, wt: np.ndarray) -> np.ndarray:
+    """The label of each element's ET, TC and WT decisions (boolean arrays of
+    one shape) by the union nesting of ``_COMPOSE``, as read-only uint8."""
+    return _freeze(_COMPOSE[et.view(np.uint8) | tc.view(np.uint8) << 1 | wt.view(np.uint8) << 2])
 
 
 def recompose_labels(et: RegionMask, tc: RegionMask, wt: RegionMask) -> LabelMap:
@@ -61,16 +72,10 @@ def recompose_labels(et: RegionMask, tc: RegionMask, wt: RegionMask) -> LabelMap
     ET taking precedence. Then: label 4 on ET, 1 on TC∖ET, 2 on WT∖TC, 0
     elsewhere.
     """
-    for mask, expected in ((et, Region.ET), (tc, Region.TC), (wt, Region.WT)):
+    for mask, expected in zip((et, tc, wt), Region):
         if mask.region is not expected:
             raise GeometryMismatch(
                 f"mask tagged {mask.region.value} passed in the {expected.value} slot"
             )
     require_same_geometry(et, tc, wt)
-    tc_data = tc.data | et.data
-    wt_data = wt.data | tc_data
-    labels = np.zeros(et.shape, dtype=np.uint8)
-    labels[wt_data] = 2
-    labels[tc_data] = 1
-    labels[et.data] = 4
-    return LabelMap(labels, et.spacing, et.origin)
+    return LabelMap(compose(et.data, tc.data, wt.data), et.spacing, et.origin)

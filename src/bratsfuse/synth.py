@@ -1,9 +1,9 @@
 """Synthetic phantoms and noisy predictor stand-ins for end-to-end testing.
 
-A phantom is a set of nested ellipsoids (WT ⊃ TC ⊃ ET) rendered into a label
-map plus a matching intensity volume, all deterministic per seed so fixtures
-and golden files stay stable. ``corrupt_labels`` and ``noisy_probmap``
-simulate imperfect raters and soft model outputs.
+A phantom is a set of nested ellipsoids (WT ⊃ TC ⊃ ET) labelled by
+``regions.compose``, plus a matching intensity volume, all deterministic per
+seed so fixtures and golden files stay stable. ``corrupt_labels`` and
+``noisy_probmap`` simulate imperfect raters and soft model outputs.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RadiiDontFit
+from .regions import compose
 from .volume import BRATS_LABELS, LabelMap, ProbMap, Volume, _label_index
 
 __all__ = ["PhantomSpec", "make_phantom", "corrupt_labels", "noisy_probmap"]
@@ -79,11 +80,11 @@ def _ellipsoid(shape, center, radii) -> np.ndarray:
 def make_phantom(spec: PhantomSpec) -> tuple[LabelMap, Volume]:
     """Render ground-truth labels and a matching intensity volume.
 
-    Labels: 2 on WT∖TC (edema), 1 on TC∖ET (necrosis), 4 on ET. Intensity is
-    a label-dependent base plus seeded Gaussian noise, nonzero over a "brain"
-    ellipsoid slightly larger than WT, zero outside (skull-stripped look).
-    The ``synth`` command writes only the labels, since fusion and scoring
-    never read an image.
+    Labels: ``regions.compose`` of the ellipsoids: 2 on WT∖TC (edema), 1 on
+    TC∖ET (necrosis), 4 on ET. Intensity is a label-dependent base plus
+    seeded Gaussian noise, nonzero over a "brain" ellipsoid slightly larger
+    than WT, zero outside (skull-stripped look). The ``synth`` command writes
+    only the labels, since fusion and scoring never read an image.
     """
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0]))
     shape = spec.shape
@@ -99,22 +100,15 @@ def make_phantom(spec: PhantomSpec) -> tuple[LabelMap, Volume]:
     wt = _ellipsoid(shape, center, spec.wt_radii)
     tc = _ellipsoid(shape, center, spec.tc_radii)
     et = _ellipsoid(shape, center, spec.et_radii)
-    labels = np.zeros(shape, dtype=np.uint8)
-    labels[wt] = 2
-    labels[tc] = 1
-    labels[et] = 4
-    gt = LabelMap(labels, spec.spacing)
+    gt = LabelMap(compose(et, tc, wt), spec.spacing)
 
     # Brain tissue extends beyond the tumor but is clipped to the volume.
     brain_radii = tuple(
         min(1.5 * r, max(c, n - 1 - c)) for r, c, n in zip(spec.wt_radii, center, shape)
     )
     brain = _ellipsoid(shape, center, brain_radii) | wt
-    base = np.zeros(shape, dtype=np.float64)
-    base[brain] = 1.0
-    base[labels == 2] = 1.4
-    base[labels == 1] = 1.8
-    base[labels == 4] = 2.2
+    # Mean intensity by label position: brain, necrosis, edema, enhancing tumour.
+    base = np.array([1.0, 1.8, 1.4, 2.2])[_label_index(gt.data)]
     noise = rng.normal(0.0, 0.05, size=shape)
     intensity = np.where(brain, base + noise, 0.0)
     return gt, Volume(intensity, spec.spacing)

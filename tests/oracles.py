@@ -65,15 +65,27 @@ def staple_em_reference(d, p0, q0, prior, tol, max_iters):
     return w, p, q, iterations, converged
 
 
+# The BraTS evaluation regions, as the label sets that BraTS defines.
+REGION_LABELS = {"ET": (4,), "TC": (1, 4), "WT": (1, 2, 4)}
+
+
+def compose_reference(et, tc, wt):
+    """The labels of boolean ET, TC and WT masks: nested by union (TC |= ET,
+    WT |= TC), then 4 on ET, 1 on the rest of TC, 2 on the rest of WT, 0
+    elsewhere."""
+    tc = tc | et
+    wt = wt | tc
+    return np.where(et, 4, np.where(tc, 1, np.where(wt, 2, 0))).astype(np.uint8)
+
+
 def staple_fuse_reference(raters, tol, max_iters, et_threshold):
     """Reference BraTS fusion of J label arrays ``raters`` of one shape.
 
     For two or more raters, binary STAPLE by ``staple_em_reference`` per
-    region (ET = {4}, TC = {1, 4}, WT = {1, 2, 4}) on every voxel's J
-    decisions, from p = q = 0.99999 and the mean decision (clamped) as the
-    prior; each posterior thresholded at 0.5; the masks nested by union
-    (TC |= ET, WT |= TC) and labelled 4 on ET, 1 on the rest of TC and 2 on
-    the rest of WT. One rater passes through. Then every ET voxel becomes 1
+    region of ``REGION_LABELS`` on every voxel's J decisions, from
+    p = q = 0.99999 and the mean decision (clamped) as the prior; each
+    posterior thresholded at 0.5; the masks labelled by
+    ``compose_reference``. One rater passes through. Then every ET voxel becomes 1
     if there are some and fewer than ``et_threshold``.
 
     Returns the labels and, per region, ``(p, q, prior, iterations,
@@ -83,16 +95,14 @@ def staple_fuse_reference(raters, tol, max_iters, et_threshold):
     labels, fits = raters[0].astype(np.uint8), None
     if len(raters) > 1:
         fits, masks = {}, {}
-        for region, members in (("ET", (4,)), ("TC", (1, 4)), ("WT", (1, 2, 4))):
+        for region, members in REGION_LABELS.items():
             d = np.array([np.isin(r, members).ravel() for r in raters], dtype=np.float64)
             prior = float(np.clip(d.mean(), 1e-7, 1 - 1e-7))
             init = [0.99999] * len(raters)
             w, p, q, iters, conv = staple_em_reference(d, init, init, prior, tol, max_iters)
             masks[region] = (w >= 0.5).reshape(raters[0].shape)
             fits[region] = (p, q, prior, iters, conv)
-        tc = masks["TC"] | masks["ET"]
-        wt = masks["WT"] | tc
-        labels = np.where(masks["ET"], 4, np.where(tc, 1, np.where(wt, 2, 0))).astype(np.uint8)
+        labels = compose_reference(masks["ET"], masks["TC"], masks["WT"])
     et = labels == 4
     if 0 < np.count_nonzero(et) < et_threshold:
         labels = np.where(et, 1, labels).astype(np.uint8)

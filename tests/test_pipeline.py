@@ -58,7 +58,7 @@ from bratsfuse.regions import Region
 from bratsfuse.synth import PhantomSpec, corrupt_labels, make_phantom, noisy_probmap
 from bratsfuse.volume import BRATS_LABELS, LabelMap, ProbMap, Volume
 
-from .oracles import dice_counts, hd95_all_pairs, staple_fuse_reference
+from .oracles import REGION_LABELS, dice_counts, hd95_all_pairs, staple_fuse_reference
 from .test_fusion import boundary_raters
 
 
@@ -2005,7 +2005,7 @@ def _assert_scores_as_the_oracles(tmp_path, pred, gt, penalty=EMPTY_PENALTY_MM):
     assert errors == []
     [got] = cases
     for r in Region:
-        a, b = (np.isin(m.data, sorted(r.member_labels)) for m in (pred, gt))
+        a, b = (np.isin(m.data, REGION_LABELS[r.value]) for m in (pred, gt))
         assert got.dsc[r.value] == dice_counts(a, b), r
         assert got.hd95[r.value] == pytest.approx(
             hd95_all_pairs(a, b, SPACING, penalty), rel=1e-12, abs=0), r

@@ -1,13 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bratsfuse.errors import GeometryMismatch
-from bratsfuse.regions import Region, RegionMask, recompose_labels, region_mask
-from bratsfuse.volume import LabelMap
+from bratsfuse.regions import _MEMBERSHIP, Region, RegionMask, recompose_labels, region_mask
+from bratsfuse.volume import BRATS_LABELS, LabelMap
 
 from .conftest import random_labelmap
+from .oracles import REGION_LABELS, compose_reference
 
 
 def column_map(values):
@@ -16,7 +19,12 @@ def column_map(values):
 
 class TestRegionMask:
     def test_member_labels_nest(self):
-        assert Region.ET.member_labels < Region.TC.member_labels < Region.WT.member_labels
+        et, tc, wt = (_MEMBERSHIP[r] for r in Region)
+        assert (et <= tc).all() and (tc <= wt).all()
+        assert (et != tc).any() and (tc != wt).any()
+        for r in Region:
+            assert np.array(BRATS_LABELS)[_MEMBERSHIP[r]].tolist() == list(REGION_LABELS[r.value])
+            assert not _MEMBERSHIP[r].flags.writeable
 
     def test_wt_mask(self):
         m = column_map([0, 1, 2, 4])
@@ -89,3 +97,35 @@ def test_roundtrip_and_nesting_properties(seed):
     assert (tc.data <= wt.data).all()
     back = recompose_labels(et, tc, wt)
     assert np.array_equal(back.data, m.data)
+
+
+SHAPES = st.tuples(*(st.integers(1, 5),) * 3)
+
+
+@settings(max_examples=50, deadline=None)
+@given(shape=SHAPES, seed=st.integers(0, 2**32 - 1))
+def test_region_mask_is_membership_of_the_literal_label_set(shape, seed):
+    m = random_labelmap(np.random.default_rng(seed), shape)
+    for r in Region:
+        out = region_mask(m, r)
+        assert out.region is r
+        assert np.array_equal(out.data, np.isin(m.data, REGION_LABELS[r.value]))
+
+
+@pytest.mark.parametrize("et, tc, wt", itertools.product((False, True), repeat=3))
+def test_recompose_of_every_decision_triple_is_the_union_rule(et, tc, wt):
+    masks = [RegionMask(r, np.full((1, 1, 1), d)) for r, d in zip(Region, (et, tc, wt))]
+    want = int(compose_reference(*map(np.array, (et, tc, wt))))
+    assert recompose_labels(*masks).data.reshape(-1).tolist() == [want]
+
+
+@settings(max_examples=50, deadline=None)
+@given(shape=SHAPES, seed=st.integers(0, 2**32 - 1))
+def test_recompose_of_non_nested_masks_is_the_union_rule(shape, seed):
+    # Independent masks, as per-region STAPLE may give: nothing nests.
+    rng = np.random.default_rng(seed)
+    et, tc, wt = (rng.random(shape) < rng.random() for _ in Region)
+    masks = [RegionMask(r, d) for r, d in zip(Region, (et, tc, wt))]
+    out = recompose_labels(*masks)
+    assert out.data.dtype == np.uint8
+    assert np.array_equal(out.data, compose_reference(et, tc, wt))

@@ -5,8 +5,9 @@ import pytest
 from click.testing import CliRunner
 
 from bratsfuse.cli import main
+from bratsfuse.errors import ConfigError
 from bratsfuse.metrics import REGION_ORDER
-from bratsfuse.pipeline import run_rank
+from bratsfuse.pipeline import read_cases_csv, read_model_summaries_csv, run_rank
 from bratsfuse.report import model_summary, rank_models
 
 HEADER = "model,DSC_ET,DSC_TC,DSC_WT,HD95_ET,HD95_TC,HD95_WT\n"
@@ -107,3 +108,37 @@ def test_a_csv_with_a_byte_order_mark_reads_as_the_plain_file(tmp_path, command,
                         {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
     assert outputs[0] == outputs[1]
     assert len(outputs[0][1]) == {"report": 2, "rank": 3}[command]
+
+
+# A score no evaluation gives, in the row of "b": (its column after the id,
+# its text, the reason the error ends with).
+OUT_OF_RANGE = {
+    "dsc_above_1": (0, "1.5", "DSC_ET 1.5 lies outside [0, 1]"),
+    "dsc_below_0": (2, "-0.2", "DSC_WT -0.2 lies outside [0, 1]"),
+    "negative_hd95": (4, "-3", "HD95_TC -3.0 is negative"),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(OUT_OF_RANGE))
+@pytest.mark.parametrize("command, id_column, kind, read", [
+    ("report", "case_id", "metrics", read_cases_csv),
+    ("rank", "model", "model summary", read_model_summaries_csv),
+], ids=["report", "rank"])
+def test_a_score_outside_its_range_is_refused(tmp_path, command, id_column, kind, read, bad):
+    # A mean DSC of 1.5, or an average HD95 pulled down by a negative one,
+    # would be reported and ranked as if an evaluation had given it.
+    column, text, reason = OUT_OF_RANGE[bad]
+    values = ["0.8", "0.85", "0.9", "3", "4", "5"]
+    values[column] = text
+    path = tmp_path / "scores.csv"
+    path.write_text(HEADER.replace("model", id_column) + "a,0,1,1,0,0,0\n"
+                    + ",".join(["b", *values]) + "\n")
+    with pytest.raises(ConfigError) as refused:
+        read(path)
+    message = str(refused.value)
+    assert message.startswith(f"bad {kind} row {{'{id_column}': 'b', ")
+    assert message.endswith(f": {reason}")
+    result = CliRunner().invoke(main, [command, str(path), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1, result.output
+    assert result.output == f"Error: {message}\n"
+    assert not (tmp_path / "out").exists()

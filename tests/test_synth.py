@@ -1,9 +1,13 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from click.testing import CliRunner
 
+from bratsfuse import synth
 from bratsfuse.cli import main
 from bratsfuse.errors import RadiiDontFit
 from bratsfuse.synth import PhantomSpec, make_phantom
@@ -50,6 +54,24 @@ class TestPhantomSpecDefaults:
     def test_non_positive_shape_is_rejected(self):
         with pytest.raises(ValueError):
             PhantomSpec(shape=(0, 20, 20))
+
+
+@settings(max_examples=10, deadline=None)
+@given(shape=st.sampled_from([(20, 20, 20), (24, 31, 17), (48, 40, 12)]),
+       seed=st.integers(0, 2**16))
+def test_phantom_labels_are_its_ellipsoids_assigned_outside_in(shape, seed):
+    # The ellipsoids' center is random; take it from the phantom's own calls
+    # and rebuild each ellipsoid voxel by voxel from it.
+    spec = PhantomSpec(shape=shape, seed=seed)
+    with mock.patch.object(synth, "_ellipsoid", wraps=synth._ellipsoid) as ellipsoid:
+        gt, _ = make_phantom(spec)
+    center = np.array(ellipsoid.call_args_list[0].args[1])
+    xyz = np.indices(shape).reshape(3, -1).T
+    want = np.zeros(len(xyz), np.uint8)
+    for radii, label in ((spec.wt_radii, 2), (spec.tc_radii, 1), (spec.et_radii, 4)):
+        inside = (((xyz - center) / np.array(radii)) ** 2).sum(axis=1) <= 1.0
+        want[inside] = label
+    assert np.array_equal(gt.data, want.reshape(shape))
 
 
 class TestSynthCommand:
