@@ -9,33 +9,35 @@ symmetric value is the max of the two directed percentiles.
 Empty-mask conventions: both masks empty scores perfectly (DSC 1, HD95 0);
 exactly one empty scores DSC 0 and the fixed HD95 penalty 373.1287 mm.
 
-``hd95`` crops both masks to the bounding box of their union
-(``volume.nonzero_box``) before it takes boundaries and distance transforms,
-so the EDT covers the tumour, not the head. Emptiness is decided from that
-box: no box means both masks are empty (HD95 0), and a cropped mask with no
-voxel means exactly one is (the penalty). The result is the same as on the
-full grid: every voxel outside the box is background in both masks, so the
-boundary voxels are unchanged (a box-face voxel's outside neighbour is
-background either way, and ``boundary`` counts out-of-volume as
-background), and every EDT source and query lies inside the box, where a
-Euclidean distance does not depend on the grid around it. Only the rounding
-can move: coordinates are measured from the box corner, so at spacings that
-are not dyadic (e.g. 1.2 mm) a distance may differ in its last digits from
-the full-grid value.
+``hd95`` takes the boundaries of the two masks as given and hands them to
+``_edt_sq_at``, the one place that bounds the distance work. It first slices
+source and queries to the box of their union (``volume.nonzero_box``). The
+extreme voxels of a mask are boundary voxels, so for ``hd95`` this is the box
+of the two masks' union, and every EDT source and query lies inside it,
+where a Euclidean distance does not depend on the grid around it.
+Coordinates are measured from the box corner, so at spacings that are not
+dyadic (e.g. 1.2 mm) a distance may differ in its last digits from the
+full-grid value.
 
 The distance transform is plain numpy: a separable squared EDT taken one
-axis at a time, in the order 0, 1, 2. The first pass reads a binary source,
-so forward and backward index sweeps find each voxel's nearest source on its
-line. The middle pass takes an all-pairs minimum along each line, O(n^2) per
-line, which the box crop keeps small. The last pass runs only at query
-voxels (``_edt_sq_at``): ``hd95`` reads distances only at the other mask's
-boundary, so it queries those voxels alone, and ``edt`` queries every voxel
-and returns the distances as a ``Volume`` on the mask's grid. Every pass
-gives the values, bit for bit, of an all-pairs minimum over each line. The
-passes take lines, and the last pass takes queries, in chunks, so that
-every temporary holds at most ``1 << 18`` values (2 MB as float64), or one
-line's n^2 values in the middle pass where n > 512: the temporaries stay
-small next to the cropped masks. The last pass finds its queries with
+axis at a time, in the order 0, 1, 2, and each pass computes only values
+that can be finite and are read later. The first pass reads a binary
+source, so forward and backward index sweeps find each voxel's nearest
+source on its line; it runs on the axis-0 lines of the rows and planes that
+hold a source, at the columns that hold a query. The middle pass takes an
+all-pairs minimum along each axis-1 line, from the rows that hold a source
+to the rows that hold a query, O(query rows * source rows) per line. The
+last pass runs only at query voxels, over the planes that hold a source:
+``hd95`` reads distances only at the other mask's boundary, so it queries
+those voxels alone, and ``edt`` queries every voxel and returns the
+distances as a ``Volume`` on the mask's grid. A value left out is ``inf``
+(a line with no source) or never read, so every pass gives the values, bit
+for bit, of an all-pairs minimum over each whole line of the box. One stray
+voxel therefore adds a row, a column and a plane to the work, not the grid
+between it and the tumour. The passes take lines, and the last pass takes
+queries, in chunks, so that every temporary holds at most ``1 << 18``
+values (2 MB as float64), or one middle-pass line's query rows * source
+rows values where that is more. The last pass finds its queries with
 ``np.nonzero`` one slab of axis-0 planes at a time, each of at most
 ``1 << 18`` voxels (or one plane, where a plane has more), so the three
 int64 query-index arrays cover one slab, not the grid. scipy is not
@@ -54,7 +56,7 @@ import numpy as np
 
 from .errors import EmptyMask
 from .regions import Region, RegionMask, region_mask
-from .volume import LabelMap, Volume, crop, nonzero_box, require_same_geometry
+from .volume import LabelMap, Volume, nonzero_box, require_same_geometry
 
 __all__ = [
     "EMPTY_PENALTY_MM",
@@ -114,80 +116,78 @@ def boundary(m: RegionMask) -> RegionMask:
     return RegionMask(m.region, fg & ~interior, m.spacing, m.origin)
 
 
-def _nearest_on_lines_sq(source: np.ndarray, step: float) -> np.ndarray:
-    """The first pass: squared distance (mm^2) along axis 0 to the nearest
-    source voxel on the same line; ``inf`` on a line with none.
+def _nearest_on_lines_sq(source: np.ndarray, step: float, at: np.ndarray) -> np.ndarray:
+    """The first pass: squared distance (mm^2) along axis 0, at the positions
+    ``at`` of each line, to the nearest source voxel on the same line;
+    ``inf`` on a line with none.
 
     Forward and backward index sweeps find the nearest source on each side,
-    and ``(x[i] - x[j]) ** 2`` gives the value the all-pairs pass would: on a
-    binary source its minimum is that of the nearest sources.
+    and ``(x[i] - x[j]) ** 2`` gives the value an all-pairs minimum would: on
+    a binary source its minimum is that of the nearest sources.
     """
     n = source.shape[0]
     lines = source.reshape(n, -1)
-    out = np.empty(lines.shape)
+    out = np.empty((len(at), lines.shape[1]))
     x = step * np.arange(n, dtype=np.float64)
     x_or_inf = np.append(x, np.inf)  # index -1 or n: no source on that side
     i = np.arange(n, dtype=np.int32)[:, None]
     chunk = max(1, _CHUNK // (4 * n))  # about four block-sized temporaries
     for lo in range(0, lines.shape[1], chunk):
         block = lines[:, lo:lo + chunk]
-        before = np.maximum.accumulate(np.where(block, i, np.int32(-1)), axis=0)
-        after = np.minimum.accumulate(np.where(block, i, np.int32(n))[::-1], axis=0)[::-1]
-        np.minimum((x[:, None] - x_or_inf[before]) ** 2,
-                   (x[:, None] - x_or_inf[after]) ** 2, out=out[:, lo:lo + chunk])
-    return out.reshape(source.shape)
+        before = np.maximum.accumulate(np.where(block, i, np.int32(-1)), axis=0)[at]
+        after = np.minimum.accumulate(np.where(block, i, np.int32(n))[::-1], axis=0)[::-1][at]
+        np.minimum((x[at, None] - x_or_inf[before]) ** 2,
+                   (x[at, None] - x_or_inf[after]) ** 2, out=out[:, lo:lo + chunk])
+    return out.reshape((len(at),) + source.shape[1:])
 
 
-def _sq_gaps(n: int, step: float) -> np.ndarray:
-    """``(x[i] - x[j]) ** 2`` for voxel coordinates ``x`` (mm) along a line."""
+def _sq_gaps(n: int, step: float, at: np.ndarray, of: np.ndarray) -> np.ndarray:
+    """``(x[i] - x[j]) ** 2`` for ``i`` in ``at`` and ``j`` in ``of``, with
+    voxel coordinates ``x`` (mm) along a line of ``n`` voxels."""
     x = step * np.arange(n, dtype=np.float64)
-    return (x[:, None] - x[None, :]) ** 2
-
-
-def _all_pairs_pass(g: np.ndarray, step: float) -> np.ndarray:
-    """The middle pass: one 1-D min-convolution of ``g`` along axis 1 with
-    the squared distance, as an explicit all-pairs minimum over each line."""
-    n = g.shape[1]
-    if n == 1:
-        return g
-    cost = _sq_gaps(n, step)
-    moved = np.moveaxis(g, 1, 0)
-    moved_shape = moved.shape
-    flat = moved.reshape(n, -1)
-    out = np.empty_like(flat)
-    chunk = max(1, _CHUNK // (n * n))
-    for lo in range(0, flat.shape[1], chunk):
-        hi = min(lo + chunk, flat.shape[1])
-        out[:, lo:hi] = (flat[None, :, lo:hi] + cost[:, :, None]).min(axis=1)
-    return np.moveaxis(out.reshape(moved_shape), 0, 1)
+    return (x[at, None] - x[None, of]) ** 2
 
 
 def _edt_sq_at(source: RegionMask, queries: RegionMask) -> np.ndarray:
     """Squared distance (mm^2) from each query voxel, in C order, to the
-    nearest ``source`` voxel.
-
-    The first two passes give each voxel's distance to the nearest source
-    in its axis-2 plane; the last pass takes, at each query alone, the
-    all-pairs minimum over its axis-2 line. The queries are found one slab
-    of axis-0 planes at a time, at most ``_CHUNK`` voxels (or one plane)
-    per ``np.nonzero``.
+    nearest ``source`` voxel, or ``inf`` at every query with no source; in
+    the box of their union, on the rows, columns and planes that hold a
+    source or a query (see the module docstring). The queries are found
+    one slab of axis-0 planes at a time, at most ``_CHUNK`` voxels (or one
+    plane) per ``np.nonzero``.
     """
-    sx, sy, sz = (float(s) for s in source.spacing)
-    g = _all_pairs_pass(_nearest_on_lines_sq(source.data, sx), sy)
-    n = g.shape[2]
-    cost = _sq_gaps(n, sz)
-    q = queries.data
+    box = nonzero_box(source.data | queries.data)
+    if box is None:
+        return np.empty(0)
+    s, q = source.data[box], queries.data[box]
+    s_plane = s.any(axis=0)
+    rows, planes = np.flatnonzero(s_plane.any(axis=1)), np.flatnonzero(s_plane.any(axis=0))
+    cols, q_rows = np.flatnonzero(q.any(axis=(1, 2))), np.flatnonzero(q.any(axis=0).any(axis=1))
+    if not (rows.size and cols.size):
+        return np.full(np.count_nonzero(q), np.inf)
+    (nx, ny, nz), (sx, sy, sz) = q.shape, (float(v) for v in source.spacing)
+    g = _nearest_on_lines_sq(s[:, rows[:, None], planes], sx, cols)
+    g = g.transpose(1, 0, 2).reshape(len(rows), -1)  # the middle pass's lines
+    cost = _sq_gaps(ny, sy, q_rows, rows)
+    mid = np.empty((len(q_rows), g.shape[1]))
+    chunk = max(1, _CHUNK // cost.size)
+    for lo in range(0, g.shape[1], chunk):
+        np.min(g[None, :, lo:lo + chunk] + cost[:, :, None], axis=1, out=mid[:, lo:lo + chunk])
+    mid = mid.reshape(len(q_rows), len(cols), len(planes))
+    cost = _sq_gaps(nz, sz, np.arange(nz), planes)
+    col_at, row_at = np.empty(nx, np.intp), np.empty(ny, np.intp)
+    col_at[cols], row_at[q_rows] = np.arange(len(cols)), np.arange(len(q_rows))
     out = np.empty(np.count_nonzero(q))
-    slab = max(1, _CHUNK // (q.shape[1] * n))
-    chunk = max(1, _CHUNK // n)
+    slab = max(1, _CHUNK // (ny * nz))
+    chunk = max(1, _CHUNK // len(planes))
     done = 0
-    for p in range(0, q.shape[0], slab):
+    for p in range(0, nx, slab):
         i, j, k = np.nonzero(q[p:p + slab])
-        i += p
+        i, j = col_at[i + p], row_at[j]
         part, done = out[done:done + len(k)], done + len(k)
         for lo in range(0, len(k), chunk):
             hi = lo + chunk
-            part[lo:hi] = (g[i[lo:hi], j[lo:hi], :] + cost[k[lo:hi], :]).min(axis=1)
+            part[lo:hi] = (mid[j[lo:hi], i[lo:hi]] + cost[k[lo:hi]]).min(axis=1)
     return out
 
 
@@ -221,14 +221,13 @@ def hd95(a: RegionMask, b: RegionMask, penalty: float = EMPTY_PENALTY_MM) -> flo
     """Symmetric 95th-percentile boundary distance in mm.
 
     Each direction takes the distance to one mask's boundary at the other's
-    boundary voxels only, inside the box of the masks' union.
+    boundary voxels only; ``_edt_sq_at`` bounds that work.
     """
     require_same_geometry(a, b)
-    box = nonzero_box(a.data | b.data)
-    if box is None:
+    a_any, b_any = a.data.any(), b.data.any()
+    if not (a_any or b_any):
         return 0.0
-    a, b = crop(a, box), crop(b, box)
-    if not (a.data.any() and b.data.any()):
+    if not (a_any and b_any):
         return float(penalty)
     ba, bb = boundary(a), boundary(b)
     d_ab = percentile(np.sqrt(_edt_sq_at(bb, ba)), 95)

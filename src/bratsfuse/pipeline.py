@@ -62,9 +62,9 @@ before any voxel is read. It rebuilds both label maps, the only
 grid-shaped arrays it allocates, inside the union of the rectangles (the
 box of the nonzero codes), and scores them with ``metrics.evaluate_case``.
 The scores are those of the whole grid: every voxel outside the box is
-background in both maps, so the Dice counts are unchanged, and ``hd95``
-crops each region to its own union box, so it measures the same distances
-from the same corner.
+background in both maps, so the Dice counts are unchanged, and
+``metrics._edt_sq_at`` crops each region's boundaries to their own union
+box, so ``hd95`` measures the same distances from the same corner.
 A pair with no tumour in either map is scored as two 1x1x1 background maps:
 DSC 1 and HD95 0 in every region.
 

@@ -24,6 +24,9 @@ _OTHER_LABELS = np.array(
 )
 
 
+# The phantom's centre moves by up to this fraction of each axis's size.
+_CENTER_JITTER_FRAC = 0.02
+
 # Default radii on the 48-voxel reference grid; other grids scale them per axis.
 _REFERENCE_SIZE = 48
 _REFERENCE_RADII = {
@@ -50,7 +53,6 @@ class PhantomSpec:
     wt_radii: tuple[float, float, float] | None = None
     tc_radii: tuple[float, float, float] | None = None
     et_radii: tuple[float, float, float] | None = None
-    center_jitter_frac: float = 0.02
     spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
@@ -65,12 +67,11 @@ class PhantomSpec:
                 raise ValueError("radii must strictly decrease WT > TC > ET")
         if not all(r > 0 for r in self.et_radii):
             raise ValueError("radii must be positive")
-        if not 0.0 <= self.center_jitter_frac < 0.5:
-            raise ValueError("center_jitter_frac must lie in [0, 0.5)")
 
 
 def _ellipsoid(shape, center, radii) -> np.ndarray:
-    grids = np.meshgrid(*(np.arange(n, dtype=np.float64) for n in shape), indexing="ij")
+    grids = np.meshgrid(*(np.arange(n, dtype=np.float64) for n in shape), indexing="ij",
+                        sparse=True)
     acc = np.zeros(shape, dtype=np.float64)
     for g, c, r in zip(grids, center, radii):
         acc += ((g - c) / r) ** 2
@@ -89,7 +90,7 @@ def make_phantom(spec: PhantomSpec) -> tuple[LabelMap, Volume]:
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0]))
     shape = spec.shape
     base_center = tuple((n - 1) / 2.0 for n in shape)
-    jitter = rng.uniform(-spec.center_jitter_frac, spec.center_jitter_frac, size=3)
+    jitter = rng.uniform(-_CENTER_JITTER_FRAC, _CENTER_JITTER_FRAC, size=3)
     center = tuple(c + j * n for c, j, n in zip(base_center, jitter, shape))
     for c, r, n in zip(center, spec.wt_radii, shape):
         if c - r < 0 or c + r > n - 1:

@@ -9,13 +9,13 @@ returns a new object, and nothing in this module mutates shared state.
 The four grid types (``Volume``, ``LabelMap``, ``ProbMap`` and
 ``regions.RegionMask``) check their own voxels and then share one
 constructor tail, ``_Grid._init_grid``, which checks and stores the grid's
-data, spacing and origin. ``crop`` keeps the type of any of them.
+data, spacing and origin.
 
 ``nonzero_box`` is the one box finder: the slices of an array of any
 dimension outside which it is all zero. ``pipeline`` takes it of each
 plane's uncertain fold voxels (``_FoldModel._rectangle``) and of each
-plane's joint codes (``_read_blocks``), and ``metrics.hd95`` of the union of
-two region masks, which it then ``crop``s to it.
+plane's joint codes (``_read_blocks``), and ``metrics._edt_sq_at`` of the
+union of a distance transform's sources and queries, which it slices to it.
 
 ``_label_index`` gives a label's position in ``BRATS_LABELS`` (its
 ``ProbMap`` channel, its two bits in a ``fusion`` joint code), and
@@ -24,7 +24,7 @@ two region masks, which it then ``crop``s to it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -218,21 +218,13 @@ def require_same_geometry(*objs) -> None:
 
 def nonzero_box(mask: np.ndarray) -> tuple[slice, ...] | None:
     """One slice per axis of ``mask`` (boolean, or codes), outside which it
-    is all zero, or None if it is all zero; found by projecting ``mask``
-    onto each axis with ``any``."""
-    box, axes = [], tuple(range(mask.ndim))
-    for axis in axes:
-        hits = np.flatnonzero(mask.any(axis=axes[:axis] + axes[axis + 1:]))
-        if not hits.size:
-            return None
-        box.append(slice(int(hits[0]), int(hits[-1]) + 1))
-    return tuple(box)
-
-
-def crop(v, box: tuple[slice, slice, slice]):
-    """Copy the voxels inside ``box`` (as ``nonzero_box`` gives it); the
-    origin shifts by ``start * spacing``.
-
-    Keeps the type of ``v`` (Volume, LabelMap, ProbMap or RegionMask)."""
-    origin = tuple(o + b.start * s for o, s, b in zip(v.origin, v.spacing, box))
-    return replace(v, data=v.data[(..., *box)].copy(), origin=origin)
+    is all zero, or None if it is all zero. Axis 0's slice comes from
+    ``any`` over the other axes, and the other axes' slices from the box of
+    ``any`` over axis 0 inside that slice."""
+    hits = np.flatnonzero(mask.any(axis=tuple(range(1, mask.ndim))))
+    if not hits.size:
+        return None
+    lo, hi = int(hits[0]), int(hits[-1]) + 1
+    if mask.ndim == 1:
+        return (slice(lo, hi),)
+    return (slice(lo, hi),) + nonzero_box(mask[lo:hi].any(axis=0))

@@ -17,7 +17,7 @@ from bratsfuse.metrics import (
     percentile,
 )
 from bratsfuse.regions import Region, RegionMask, region_mask
-from bratsfuse.volume import LabelMap
+from bratsfuse.volume import LabelMap, nonzero_box
 
 from .conftest import random_mask
 from .oracles import (
@@ -114,7 +114,7 @@ class TestEdt:
     def test_a_line_with_no_source_stays_infinite_after_the_first_pass(self):
         data = np.zeros((7, 3, 2), dtype=bool)
         data[2, 0, 0] = data[5, 0, 0] = data[0, 2, 1] = True
-        g = metrics._nearest_on_lines_sq(data, 1.2)
+        g = metrics._nearest_on_lines_sq(data, 1.2, np.arange(7))
         x = 1.2 * np.arange(7)
         np.testing.assert_array_equal(
             g[:, 0, 0], np.minimum((x - x[2]) ** 2, (x - x[5]) ** 2))
@@ -122,6 +122,8 @@ class TestEdt:
         others = np.ones((3, 2), dtype=bool)
         others[0, 0] = others[2, 1] = False
         assert np.isinf(g[:, others]).all()
+        at = np.array([1, 5, 6])
+        assert np.array_equal(metrics._nearest_on_lines_sq(data, 1.2, at), g[at])
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -135,22 +137,57 @@ class TestEdt:
     )
     def test_distances_at_queries_are_the_whole_map_at_them(self, seed, shape, spacing,
                                                             density):
-        """The last pass at the queries alone gives, bit for bit, the whole
-        map's values there (``edt``, which queries every voxel), and ``inf``
-        everywhere where the source is empty."""
+        """The last pass at the queries alone gives, bit for bit, the values
+        of the map of every voxel of the union box of source and queries
+        (``edt`` of the source cropped to that box, which queries every
+        voxel there), and ``inf`` everywhere where the source is empty.
+        Coordinates are measured from the box corner, so at a spacing that
+        is not dyadic the map of the whole grid may differ in its last
+        digits."""
         rng = np.random.default_rng(seed)
         source = rng.random(shape) < density
         queries = rng.random(shape) < 0.5
         got = metrics._edt_sq_at(mask(source, spacing), mask(queries, spacing))
         if source.any():
+            box = nonzero_box(source | queries)
+            in_box = edt(mask(source[box], spacing)).data
+            assert np.array_equal(np.sqrt(got), in_box[queries[box]])
             whole = edt(mask(source, spacing)).data
-            assert np.array_equal(np.sqrt(got), whole[queries])
             np.testing.assert_allclose(whole, brute_force_edt(source, spacing),
                                        rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(np.sqrt(got), whole[queries], rtol=1e-12, atol=1e-12)
         else:
             assert np.isinf(got).all()
             with pytest.raises(EmptyMask):
                 edt(mask(source, spacing))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.tuples(*[st.integers(2, 9)] * 3),
+        density=st.sampled_from([0.05, 0.3, 0.8]),
+    )
+    def test_sources_and_queries_on_disjoint_lines(self, seed, shape, density):
+        """Sources and queries confined to disjoint rows, planes and
+        columns: the first pass is kept only at columns with no source, the
+        middle pass goes from source rows to other rows, and the last pass
+        reads planes that hold no query. The distances are still the
+        brute-force ones."""
+        rng = np.random.default_rng(seed)
+        source_side = [rng.random(n) < 0.5 for n in shape]
+        on_source = np.ix_(*source_side)
+        on_query = np.ix_(*(~side for side in source_side))
+        source = np.zeros(shape, dtype=bool)
+        queries = np.zeros(shape, dtype=bool)
+        source[on_source] = rng.random(source[on_source].shape) < density
+        queries[on_query] = rng.random(queries[on_query].shape) < density
+        got = np.sqrt(metrics._edt_sq_at(mask(source, ANISO), mask(queries, ANISO)))
+        assert got.shape == (np.count_nonzero(queries),)
+        if source.any():
+            np.testing.assert_allclose(got, brute_force_edt(source, ANISO)[queries],
+                                       rtol=1e-12, atol=1e-12)
+        else:
+            assert np.isinf(got).all()
 
     @pytest.mark.parametrize("chunk", [1, 7, 56, 112, 200])
     def test_queries_found_in_many_slabs_give_the_same_distances(self, monkeypatch,
@@ -222,25 +259,50 @@ class TestHd95:
         want = float(np.sqrt((3 * 1.2) ** 2 + (3 * 0.7) ** 2 + (3 * 2.5) ** 2))
         assert abs(got - want) <= HD95_TOL_MM
 
-    def test_distance_transforms_cover_only_the_union_box(self, monkeypatch):
-        """``hd95`` hands box-sized sources and queries, with the box's world
-        origin, to the module's squared-distance core."""
-        seen = []
-        real = metrics._edt_sq_at
+    def test_passes_run_only_on_rows_and_planes_that_hold_sources(self, monkeypatch):
+        """A blob pair plus one stray voxel far from both: the union box
+        spans the grid, but the first pass gets only the source rows and
+        planes (at the box's full width), and the middle pass's costs go
+        from the source rows to the query rows."""
+        first, gaps = [], []
+        nearest, sq_gaps = metrics._nearest_on_lines_sq, metrics._sq_gaps
 
-        def spy(source, queries):
-            seen.append((source.shape, queries.shape, source.origin, queries.origin))
-            return real(source, queries)
+        def spy_first(source, *args):
+            first.append(source.shape)
+            return nearest(source, *args)
 
-        monkeypatch.setattr(metrics, "_edt_sq_at", spy)
+        def spy_gaps(*args):
+            out = sq_gaps(*args)
+            gaps.append(out.shape)
+            return out
+
+        monkeypatch.setattr(metrics, "_nearest_on_lines_sq", spy_first)
+        monkeypatch.setattr(metrics, "_sq_gaps", spy_gaps)
         a = blob((40, 36, 30), (30, 28, 24), (34, 32, 27))
         b = blob((40, 36, 30), (31, 27, 23), (36, 33, 26))
-        hd95(mask(a, ANISO, (-90.0, 12.5, 3.0)), mask(b, ANISO, (-90.0, 12.5, 3.0)))
-        origin = (-90.0 + 30 * 1.2, 12.5 + 27 * 0.7, 3.0 + 23 * 2.5)
-        assert [(s, q) for s, q, _, _ in seen] == [((7, 7, 5), (7, 7, 5))] * 2
-        for _, _, *origins in seen:
-            for o in origins:
-                np.testing.assert_allclose(o, origin, rtol=0, atol=1e-12)
+        b[2, 3, 4] = True
+        assert_hd95_matches_oracle(a, b, ANISO)
+        # The union box is (2:37, 3:34, 4:28). b's boundary holds rows
+        # 27..33 and 3 (8) and planes 23..26 and 4 (5); a's, rows 28..32 (5)
+        # and planes 24..27 (4).
+        assert first == [(35, 8, 5), (35, 5, 4)]
+        assert gaps[0::2] == [(5, 8), (8, 5)]
+        assert gaps[1::2] == [(24, 5), (24, 4)]
+
+    def test_a_stray_voxel_does_not_spread_the_distance_work(self):
+        """``hd95`` of a 96x96x64 blob pair plus one far stray voxel: the
+        union box spans most of the grid, but the passes' temporaries stay
+        near the blobs' size."""
+        a = blob((96, 96, 64), (50, 52, 30), (79, 81, 55))
+        b = blob((96, 96, 64), (53, 50, 33), (82, 80, 58))
+        b[2, 3, 4] = True
+        tracemalloc.start()
+        try:
+            hd95(mask(a), mask(b))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
     @settings(max_examples=40, deadline=None)
     @given(

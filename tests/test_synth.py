@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -72,6 +73,19 @@ def test_phantom_labels_are_its_ellipsoids_assigned_outside_in(shape, seed):
         inside = (((xyz - center) / np.array(radii)) ** 2).sum(axis=1) <= 1.0
         want[inside] = label
     assert np.array_equal(gt.data, want.reshape(shape))
+
+
+def test_an_ellipsoid_peaks_under_12_bytes_a_voxel():
+    """One float64 sum of open grids and the boolean result: three
+    whole-grid float64 grids would add 24 bytes a voxel."""
+    shape = (96, 96, 96)
+    tracemalloc.start()
+    try:
+        synth._ellipsoid(shape, (47.3, 48.1, 46.9), (30.0, 28.0, 25.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * np.prod(shape), f"{peak / np.prod(shape):.1f} bytes a voxel"
 
 
 class TestSynthCommand:

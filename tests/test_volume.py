@@ -5,12 +5,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from bratsfuse.errors import InvalidLabel
-from bratsfuse.regions import Region, RegionMask
 from bratsfuse.volume import (
     LabelMap,
     ProbMap,
     Volume,
-    crop,
     nonzero_box,
     same_geometry,
 )
@@ -111,50 +109,6 @@ class TestNonzeroBox:
         want = (tuple(slice(int(i.min()), int(i.max()) + 1) for i in nz)
                 if nz[0].size else None)
         assert nonzero_box(mask) == want
-
-
-class TestCropEmbed:
-    def test_crop_full_extent_is_identity(self, rng):
-        v = Volume(rng.random((4, 5, 6)), spacing=(1.0, 2.0, 3.0))
-        out = crop(v, (slice(0, 4), slice(0, 5), slice(0, 6)))
-        assert np.array_equal(out.data, v.data)
-        assert out.origin == v.origin
-
-    def test_crop_shape_matches_box(self):
-        v = Volume(np.ones((240, 240, 155)))
-        out = crop(v, (slice(24, 24 + 192), slice(8, 8 + 224), slice(0, 155)))
-        assert out.shape == (192, 224, 155)
-
-    def test_single_voxel_crop(self):
-        data = np.arange(27, dtype=np.float64).reshape(3, 3, 3)
-        out = crop(Volume(data), (slice(1, 2), slice(2, 3), slice(0, 1)))
-        assert out.shape == (1, 1, 1)
-        assert out.data[0, 0, 0] == data[1, 2, 0]
-
-    def test_crop_shifts_origin(self):
-        v = Volume(np.ones((4, 4, 4)), spacing=(1.0, 2.0, 0.5), origin=(10.0, 0.0, 0.0))
-        out = crop(v, (slice(1, 3), slice(2, 4), slice(3, 4)))
-        assert out.origin == (11.0, 4.0, 1.5)
-
-    def test_crop_keeps_the_type(self, rng):
-        box = (slice(1, 3), slice(0, 4), slice(2, 4))
-        spacing, origin = (1.0, 2.0, 0.5), (10.0, 0.0, 0.0)
-        labels = np.array([0, 1, 2, 4], dtype=np.uint8)[rng.integers(0, 4, (4, 4, 4))]
-        probs = rng.random((4, 4, 4, 4))
-        probs /= probs.sum(axis=0, keepdims=True)
-        for v in (
-            Volume(rng.random((4, 4, 4)), spacing, origin),
-            LabelMap(labels, spacing, origin),
-            ProbMap(probs, spacing, origin),
-            RegionMask(Region.TC, labels == 1, spacing, origin),
-        ):
-            out = crop(v, box)
-            assert type(out) is type(v)
-            assert out.shape == (2, 4, 2)
-            assert out.origin == (11.0, 0.0, 1.0)
-            assert np.array_equal(out.data, v.data[..., 1:3, 0:4, 2:4])
-            assert out.data.dtype == v.data.dtype
-        assert out.region is Region.TC
 
 
 @pytest.mark.parametrize("offset", [0.0, 5e-10, -5e-10, 1.5e-9, -1.5e-9, 1e-3, -1e-3])
