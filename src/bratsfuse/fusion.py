@@ -36,8 +36,8 @@ recomposing once per joint row gives a label lookup table (``staple_lut``),
 and the fused map is the table read at every voxel's code. The result
 equals per-region ``staple_binary`` plus ``recompose_labels`` without a
 per-voxel mask, posterior or recomposition. The codes are filled by
-``joint_codes`` and ``pack_labels`` (``unpack_labels`` reads a rater's
-labels back) and counted by ``joint_histogram``, whole
+``joint_codes`` and ``pack_labels`` (rater ``r``'s label position is
+``(code >> 2 * r) & 3``) and counted by ``joint_histogram``, whole
 (``staple_multilabel_detailed``) or plane by plane by a caller that
 keeps, of each z-plane, only the rectangle of rows and columns outside
 which every code is 0 and counts every other voxel as code 0, so it holds
@@ -66,7 +66,7 @@ import numpy as np
 
 from .errors import EmptyList, GeometryMismatch
 from .regions import _MEMBERSHIP, Region, RegionMask, compose
-from .volume import _LABELS, BRATS_LABELS, LabelMap, ProbMap, _label_index, require_same_geometry
+from .volume import BRATS_LABELS, LabelMap, ProbMap, _label_index, require_same_geometry
 
 # Not called here, but benchmarks/tracing.py wraps these names on this module.
 from .regions import recompose_labels, region_mask  # noqa: F401
@@ -86,7 +86,6 @@ __all__ = [
     "joint_codes",
     "MAX_RATERS",
     "pack_labels",
-    "unpack_labels",
     "joint_histogram",
     "default_staple_params",
 ]
@@ -260,12 +259,6 @@ def pack_labels(codes: np.ndarray, rater: int, labels: np.ndarray) -> None:
         chunk = slice(start, start + CHUNK_VOXELS)
         codes[chunk] |= \
             _label_index(labels[chunk]).astype(codes.dtype, copy=False) << 2 * rater
-
-
-def unpack_labels(codes: np.ndarray, rater: int) -> np.ndarray:
-    """Rater ``rater``'s BraTS labels from its two bits of ``codes`` (of any
-    shape), as uint8: the inverse of :func:`pack_labels`."""
-    return _LABELS[(codes >> 2 * rater) & 3]
 
 
 def _distinct(codes: np.ndarray) -> np.ndarray:

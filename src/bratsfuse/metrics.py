@@ -9,14 +9,23 @@ symmetric value is the max of the two directed percentiles.
 Empty-mask conventions: both masks empty scores perfectly (DSC 1, HD95 0);
 exactly one empty scores DSC 0 and the fixed HD95 penalty 373.1287 mm.
 
-``hd95`` takes the boundaries of the two masks as given and hands them to
-``_edt_sq_at``, the one place that bounds the distance work. It first slices
-source and queries to the box of their union (``volume.nonzero_box``). The
-extreme voxels of a mask are boundary voxels, so for ``hd95`` this is the box
-of the two masks' union, and every EDT source and query lies inside it,
-where a Euclidean distance does not depend on the grid around it.
-Coordinates are measured from the box corner, so at spacings that are not
-dyadic (e.g. 1.2 mm) a distance may differ in its last digits from the
+``score_codes`` scores a pair from its two-model joint codes
+(``fusion.pack_labels``, the prediction as model 0): each region's two
+masks are one gather each from a 16-entry table built from
+``regions._MEMBERSHIP``, and ``dice``, ``boundary`` and ``hd95`` take
+boolean arrays. ``eval`` hands it the codes box it reads plane by plane,
+and ``evaluate_case`` the codes of two label maps cropped to the box of the
+nonzero codes, so the library and the CLI score one way.
+
+``hd95`` takes the box of the two masks' union (``volume.nonzero_box``)
+once per region, crops both masks to it, and takes their boundaries on the
+crop: every voxel just outside the box is background in both, so these are
+the whole grid's boundaries. ``_edt_sq_at`` receives the two boundaries
+already in that box and bounds the rest of the distance work. The extreme
+voxels of a mask are boundary voxels, so the box is also that of the two
+boundaries, and a Euclidean distance does not depend on the grid around
+it. Coordinates are measured from the box corner, so at spacings that are
+not dyadic (e.g. 1.2 mm) a distance may differ in its last digits from the
 full-grid value.
 
 The distance transform is plain numpy: a separable squared EDT taken one
@@ -50,13 +59,17 @@ only calls of ``edt``, which ``hd95`` does not make.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyMask
-from .regions import Region, RegionMask, region_mask
-from .volume import LabelMap, Volume, nonzero_box, require_same_geometry
+from .errors import EmptyMask, GeometryMismatch
+from .fusion import joint_codes, pack_labels
+from .regions import _MEMBERSHIP, Region, RegionMask
+from .volume import LabelMap, Volume, _freeze, nonzero_box, require_same_geometry
+
+# Not called here, but benchmarks/tracing.py wraps this name on this module.
+from .regions import region_mask  # noqa: F401
 
 __all__ = [
     "EMPTY_PENALTY_MM",
@@ -66,6 +79,7 @@ __all__ = [
     "edt",
     "percentile",
     "hd95",
+    "score_codes",
     "evaluate_case",
     "metrics_csv_header",
     "metrics_csv_row",
@@ -74,6 +88,12 @@ __all__ = [
 EMPTY_PENALTY_MM = 373.1287
 REGION_ORDER = tuple(r.value for r in Region)
 _CHUNK = 1 << 18  # values in any one EDT temporary
+# Per region, whether each two-model joint code is in it for the prediction
+# (its label position in bits 0-1) and for the truth (bits 2-3).
+_IN_REGION = {
+    r: (_freeze(m[np.arange(16) & 3]), _freeze(m[np.arange(16) >> 2]))
+    for r, m in _MEMBERSHIP.items()
+}
 
 
 @dataclass(frozen=True)
@@ -92,28 +112,32 @@ class CaseMetrics:
                 raise ValueError("metrics must be finite")
 
 
-def dice(a: RegionMask, b: RegionMask) -> float:
-    """2|A∩B| / (|A|+|B|); both empty scores 1.0, exactly one empty 0.0."""
-    require_same_geometry(a, b)
-    na = int(a.data.sum())
-    nb = int(b.data.sum())
+def _require_same_shape(a: np.ndarray, b: np.ndarray) -> None:
+    """Masks of two shapes would broadcast; they are a GeometryMismatch."""
+    if a.shape != b.shape:
+        raise GeometryMismatch(f"mask shapes differ: {a.shape} vs {b.shape}")
+
+
+def dice(a: np.ndarray, b: np.ndarray) -> float:
+    """2|A∩B| / (|A|+|B|) of two boolean masks of one shape; both empty
+    scores 1.0, exactly one empty 0.0."""
+    _require_same_shape(a, b)
+    na, nb = int(np.count_nonzero(a)), int(np.count_nonzero(b))
     if na == 0 and nb == 0:
         return 1.0
-    inter = int((a.data & b.data).sum())
-    return 2.0 * inter / (na + nb)
+    return 2.0 * int(np.count_nonzero(a & b)) / (na + nb)
 
 
-def boundary(m: RegionMask) -> RegionMask:
-    """Foreground voxels with a six-connected background (or out-of-volume)
-    neighbor."""
-    fg = m.data
-    padded = np.pad(fg, 1, constant_values=False)
+def boundary(mask: np.ndarray) -> np.ndarray:
+    """The voxels of the boolean ``mask`` with a six-connected background
+    (or out-of-volume) neighbor."""
+    padded = np.pad(mask, 1, constant_values=False)
     interior = (
         padded[:-2, 1:-1, 1:-1] & padded[2:, 1:-1, 1:-1]
         & padded[1:-1, :-2, 1:-1] & padded[1:-1, 2:, 1:-1]
         & padded[1:-1, 1:-1, :-2] & padded[1:-1, 1:-1, 2:]
     )
-    return RegionMask(m.region, fg & ~interior, m.spacing, m.origin)
+    return mask & ~interior
 
 
 def _nearest_on_lines_sq(source: np.ndarray, step: float, at: np.ndarray) -> np.ndarray:
@@ -148,24 +172,22 @@ def _sq_gaps(n: int, step: float, at: np.ndarray, of: np.ndarray) -> np.ndarray:
     return (x[at, None] - x[None, of]) ** 2
 
 
-def _edt_sq_at(source: RegionMask, queries: RegionMask) -> np.ndarray:
-    """Squared distance (mm^2) from each query voxel, in C order, to the
-    nearest ``source`` voxel, or ``inf`` at every query with no source; in
-    the box of their union, on the rows, columns and planes that hold a
-    source or a query (see the module docstring). The queries are found
-    one slab of axis-0 planes at a time, at most ``_CHUNK`` voxels (or one
-    plane) per ``np.nonzero``.
+def _edt_sq_at(s: np.ndarray, q: np.ndarray, spacing) -> np.ndarray:
+    """Squared distance (mm^2) from each voxel of the query mask ``q``, in C
+    order, to the nearest voxel of the source mask ``s`` (boolean, of one
+    shape, on a grid of ``spacing``), or ``inf`` at every query with no
+    source; on the rows, columns and planes that hold a source or a query
+    (see the module docstring). The caller crops both masks to the box the
+    coordinates are measured from. The queries are found one slab of axis-0
+    planes at a time, at most ``_CHUNK`` voxels (or one plane) per
+    ``np.nonzero``.
     """
-    box = nonzero_box(source.data | queries.data)
-    if box is None:
-        return np.empty(0)
-    s, q = source.data[box], queries.data[box]
     s_plane = s.any(axis=0)
     rows, planes = np.flatnonzero(s_plane.any(axis=1)), np.flatnonzero(s_plane.any(axis=0))
     cols, q_rows = np.flatnonzero(q.any(axis=(1, 2))), np.flatnonzero(q.any(axis=0).any(axis=1))
     if not (rows.size and cols.size):
         return np.full(np.count_nonzero(q), np.inf)
-    (nx, ny, nz), (sx, sy, sz) = q.shape, (float(v) for v in source.spacing)
+    (nx, ny, nz), (sx, sy, sz) = q.shape, (float(v) for v in spacing)
     g = _nearest_on_lines_sq(s[:, rows[:, None], planes], sx, cols)
     g = g.transpose(1, 0, 2).reshape(len(rows), -1)  # the middle pass's lines
     cost = _sq_gaps(ny, sy, q_rows, rows)
@@ -196,7 +218,7 @@ def edt(m: RegionMask) -> Volume:
     grid of ``m``: :func:`_edt_sq_at` with every voxel as a query."""
     if not m.data.any():
         raise EmptyMask("distance transform needs a nonempty source mask")
-    sq = _edt_sq_at(m, replace(m, data=np.ones(m.shape, bool)))
+    sq = _edt_sq_at(m.data, np.ones(m.shape, bool), m.spacing)
     return Volume(np.sqrt(sq.reshape(m.shape)), m.spacing, m.origin)
 
 
@@ -217,22 +239,40 @@ def percentile(values: np.ndarray, p: float) -> float:
     return a + (b - a) * t
 
 
-def hd95(a: RegionMask, b: RegionMask, penalty: float = EMPTY_PENALTY_MM) -> float:
-    """Symmetric 95th-percentile boundary distance in mm.
+def hd95(a: np.ndarray, b: np.ndarray, spacing, penalty: float = EMPTY_PENALTY_MM) -> float:
+    """Symmetric 95th-percentile boundary distance in mm between the boolean
+    masks ``a`` and ``b`` of one shape on a grid of ``spacing``.
 
-    Each direction takes the distance to one mask's boundary at the other's
-    boundary voxels only; ``_edt_sq_at`` bounds that work.
+    Both masks are cropped to the box of their union, once; each direction
+    takes the distance to one mask's boundary at the other's boundary
+    voxels only, and ``_edt_sq_at`` bounds that work.
     """
-    require_same_geometry(a, b)
-    a_any, b_any = a.data.any(), b.data.any()
-    if not (a_any or b_any):
+    _require_same_shape(a, b)
+    box = nonzero_box(a | b)
+    if box is None:
         return 0.0
-    if not (a_any and b_any):
+    a, b = a[box], b[box]
+    if not (a.any() and b.any()):
         return float(penalty)
     ba, bb = boundary(a), boundary(b)
-    d_ab = percentile(np.sqrt(_edt_sq_at(bb, ba)), 95)
-    d_ba = percentile(np.sqrt(_edt_sq_at(ba, bb)), 95)
+    d_ab = percentile(np.sqrt(_edt_sq_at(bb, ba, spacing)), 95)
+    d_ba = percentile(np.sqrt(_edt_sq_at(ba, bb, spacing)), 95)
     return max(d_ab, d_ba)
+
+
+def score_codes(codes: np.ndarray, spacing, case_id: str,
+                penalty: float = EMPTY_PENALTY_MM) -> CaseMetrics:
+    """DSC and HD95 over ET/TC/WT of a pair's two-model joint codes (the
+    prediction as model 0, ``fusion.pack_labels``), a 3-D array on a grid
+    of ``spacing``: each region's two masks are one gather each from
+    ``_IN_REGION``."""
+    dsc, hd = {}, {}
+    for r in Region:
+        in_pred, in_gt = _IN_REGION[r]
+        pm, gm = in_pred[codes], in_gt[codes]
+        dsc[r.value] = dice(pm, gm)
+        hd[r.value] = hd95(pm, gm, spacing, penalty)
+    return CaseMetrics(case_id, dsc, hd)
 
 
 def evaluate_case(
@@ -241,14 +281,19 @@ def evaluate_case(
     case_id: str,
     penalty: float = EMPTY_PENALTY_MM,
 ) -> CaseMetrics:
-    """DSC and HD95 over ET/TC/WT via region decomposition."""
+    """DSC and HD95 over ET/TC/WT of two label maps of one geometry: their
+    joint codes, cropped to the box of the nonzero codes (one background
+    voxel if there is none), scored by :func:`score_codes`. The codes take
+    the prediction's memory order (a loaded map's is x-fastest), so its
+    labels are packed without a copy."""
     require_same_geometry(pred, gt)
-    dsc, hd = {}, {}
-    for r in Region:
-        pm, gm = region_mask(pred, r), region_mask(gt, r)
-        dsc[r.value] = dice(pm, gm)
-        hd[r.value] = hd95(pm, gm, penalty)
-    return CaseMetrics(case_id, dsc, hd)
+    order = "F" if pred.data.flags.f_contiguous else "C"
+    codes = joint_codes(2, pred.data.size)
+    for rater, m in enumerate((pred, gt)):
+        pack_labels(codes, rater, m.data.ravel(order))
+    codes = codes.reshape(pred.shape, order=order)
+    box = nonzero_box(codes) or (slice(0, 1),) * 3
+    return score_codes(codes[box], pred.spacing, case_id, penalty)
 
 
 def metrics_csv_header() -> list[str]:

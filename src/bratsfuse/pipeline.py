@@ -58,15 +58,15 @@ for code 0, and the table is read at the codes of the plane's rectangle.
 
 ``eval`` reads a pair the same way, the prediction as the first model and
 the ground truth as the second, so the two grids are checked to agree
-before any voxel is read. It rebuilds both label maps, the only
-grid-shaped arrays it allocates, inside the union of the rectangles (the
-box of the nonzero codes), and scores them with ``metrics.evaluate_case``.
-The scores are those of the whole grid: every voxel outside the box is
-background in both maps, so the Dice counts are unchanged, and
-``metrics._edt_sq_at`` crops each region's boundaries to their own union
-box, so ``hd95`` measures the same distances from the same corner.
-A pair with no tumour in either map is scored as two 1x1x1 background maps:
-DSC 1 and HD95 0 in every region.
+before any voxel is read. It copies the kept rectangles into one array of
+two-model joint codes over their union (the box of the nonzero codes), the
+only grid-shaped array it allocates, and scores that codes box with
+``metrics.score_codes``; no label map is rebuilt. The scores are those of
+the whole grid: every voxel outside the box is background in both maps,
+so the Dice counts are unchanged, and ``metrics.hd95`` crops each region's
+masks to their own union box, so it measures the same distances from the
+same corner. A pair with no tumour in either map is scored as one 1x1x1
+box of code 0: DSC 1 and HD95 0 in every region.
 
 Every output file (``fuse``'s ``<case>.nii``, ``<case>_staple.json``,
 ``fuse_manifest.json`` and ``errors.json``; ``eval``'s ``cases.csv``,
@@ -122,15 +122,14 @@ from .fusion import (
     joint_histogram,
     pack_labels,
     staple_lut,
-    unpack_labels,
 )
 from .metrics import (
     EMPTY_PENALTY_MM,
     REGION_ORDER,
     CaseMetrics,
-    evaluate_case,
     metrics_csv_header,
     metrics_csv_row,
+    score_codes,
 )
 from .nifti import (
     ProbmapFiles,
@@ -149,11 +148,12 @@ from .report import (
     rank_models,
     summarize,
 )
-from .volume import _LABELS, LabelMap, _check_probs, nonzero_box, require_same_geometry
+from .volume import _LABELS, _check_probs, nonzero_box, require_same_geometry
 
 # Not called here (cases are fused and evaluated plane by plane through the cores
 # above), but benchmarks/tracing.py wraps these names on this module.
 from .fusion import argmax_labels, average_probs, staple_multilabel_detailed  # noqa: F401
+from .metrics import evaluate_case  # noqa: F401
 from .nifti import load_labelmap, load_probmap, save_nifti  # noqa: F401
 from .postprocess import et_threshold_relabel  # noqa: F401
 
@@ -682,11 +682,10 @@ def run_fuse(cfg: PipelineConfig, jobs: int = 1) -> tuple[list[dict], list[dict]
     return diags, errors
 
 
-def _pair_in_box(grid, blocks) -> tuple[LabelMap, LabelMap]:
-    """The label maps of the two models of ``blocks`` (their joint codes, as
-    :func:`_read_blocks` keeps them), cropped to the union of the blocks'
-    rectangles, the box of the nonzero codes; a 1x1x1 background map each
-    if there are none."""
+def _codes_box(blocks) -> np.ndarray:
+    """The joint codes of ``blocks`` (as :func:`_read_blocks` keeps them) in
+    the union of the blocks' rectangles, the box of the nonzero codes, as an
+    ``[x, y, z]`` array; one code 0 if there are none."""
     corners = np.array([corner for corner, _ in blocks] or [(0, 0, 0)])
     sizes = np.array([(c.shape[1], c.shape[0], 1) for _, c in blocks] or [(1, 1, 1)])
     lo = corners.min(axis=0)
@@ -695,8 +694,7 @@ def _pair_in_box(grid, blocks) -> tuple[LabelMap, LabelMap]:
     for corner, block in blocks:
         x, y, z = np.subtract(corner, lo)
         codes[x : x + block.shape[1], y : y + block.shape[0], z] = block.T
-    origin = tuple(o + l * s for o, s, l in zip(grid.origin, grid.spacing, lo.tolist()))
-    return tuple(LabelMap(unpack_labels(codes, r), grid.spacing, origin) for r in (0, 1))
+    return codes
 
 
 def _eval_case(pred_dir: Path, gt_dir: Path, penalty: float, case_id: str):
@@ -705,8 +703,8 @@ def _eval_case(pred_dir: Path, gt_dir: Path, penalty: float, case_id: str):
         ModelInput(side, labelmap=d / f"{case_id}.nii")
         for side, d in (("pred", pred_dir), ("gt", gt_dir))))
     try:
-        pred, gt = _pair_in_box(*_read_blocks(case))
-        return evaluate_case(pred, gt, case_id, penalty), None
+        grid, blocks = _read_blocks(case)
+        return score_codes(_codes_box(blocks), grid.spacing, case_id, penalty), None
     except (BratsFuseError, OSError) as e:
         return None, _case_error(case_id, e)
 
@@ -720,8 +718,9 @@ def run_eval(
 ) -> tuple[list[CaseMetrics], list[dict]]:
     """Evaluate predictions against ground truth paired by filename stem.
 
-    Each pair is read plane by plane through ``_read_blocks`` and scored on its
-    two label maps rebuilt inside the box of their tumour (see the module
+    Each pair is read plane by plane through ``_read_blocks`` and scored
+    from its joint codes inside the box of their tumour
+    (``metrics.score_codes``; no label map is rebuilt, see the module
     docstring), so a case holds memory by its tumour, not by its grid.
     Unpaired files and per-case failures are recorded (not fatal) and the
     affected cases skipped; the caller decides the exit status from the

@@ -4,8 +4,9 @@ Label codes: 1 = necrotic core, 2 = edema, 4 = enhancing tumor. The regions
 nest: ET = {4}, TC = {1, 4}, WT = {1, 2, 4}.
 
 This module alone holds that rule, as two read-only tables: ``_MEMBERSHIP``
-(is each label of BRATS_LABELS in each region), read by ``region_mask`` and
-``fusion.staple_lut``; and its inverse ``_COMPOSE`` (the label of each ET,
+(is each label of BRATS_LABELS in each region), read by ``region_mask``,
+``fusion.staple_lut`` and ``metrics`` (whose table of two-model joint codes
+gives each region's prediction and truth masks); and its inverse ``_COMPOSE`` (the label of each ET,
 TC, WT decision triple), read by ``compose`` for ``recompose_labels``,
 ``fusion.staple_lut`` and ``synth.make_phantom``.
 """

@@ -14,8 +14,9 @@ data, spacing and origin.
 ``nonzero_box`` is the one box finder: the slices of an array of any
 dimension outside which it is all zero. ``pipeline`` takes it of each
 plane's uncertain fold voxels (``_FoldModel._rectangle``) and of each
-plane's joint codes (``_read_blocks``), and ``metrics._edt_sq_at`` of the
-union of a distance transform's sources and queries, which it slices to it.
+plane's joint codes (``_read_blocks``), and ``metrics`` of a pair's whole
+joint codes (``evaluate_case``) and of the union of a region's two masks
+(``hd95``), which it crops to it.
 
 ``_label_index`` gives a label's position in ``BRATS_LABELS`` (its
 ``ProbMap`` channel, its two bits in a ``fusion`` joint code), and

@@ -19,11 +19,10 @@ from bratsfuse.fusion import (
     staple_binary,
     staple_multilabel,
     staple_multilabel_detailed,
-    unpack_labels,
 )
 from bratsfuse.regions import Region, RegionMask, recompose_labels, region_mask
 from bratsfuse.synth import PhantomSpec, corrupt_labels, make_phantom
-from bratsfuse.volume import BRATS_LABELS, LabelMap, ProbMap
+from bratsfuse.volume import BRATS_LABELS, LabelMap, ProbMap, _label_index
 
 from .conftest import random_labelmap, random_mask, random_probmap
 from .oracles import staple_em_reference
@@ -279,7 +278,7 @@ class TestPatterns:
 
     # Codes of one uint8 (1 and 4 raters), uint16, uint32 or uint64.
     @pytest.mark.parametrize("n_raters", [1, 4, 5, 9, 32])
-    def test_unpack_labels_inverts_pack_labels(self, rng, n_raters):
+    def test_pack_labels_stores_each_rater_in_its_two_bits(self, rng, n_raters):
         labels = rng.choice(BRATS_LABELS, (n_raters, 300)).astype(np.uint8)
         codes = joint_codes(n_raters, 300)
         for r, col in enumerate(labels):
@@ -287,8 +286,9 @@ class TestPatterns:
         want = {1: np.uint8, 4: np.uint8, 5: np.uint16, 9: np.uint32, 32: np.uint64}
         assert codes.shape == (300,) and codes.dtype == want[n_raters]
         for r, col in enumerate(labels):
-            got = unpack_labels(codes, r)
-            assert got.dtype == np.uint8 and np.array_equal(got, col), r
+            position = (codes >> 2 * r) & 3
+            assert np.array_equal(position, _label_index(col)), r
+            assert np.array_equal(np.array(BRATS_LABELS)[position], col), r
 
     def test_a_code_holds_at_most_32_raters(self, rng):
         assert joint_codes(32, 5).dtype == np.uint64

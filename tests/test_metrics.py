@@ -2,11 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bratsfuse import metrics
 from bratsfuse.errors import EmptyMask, GeometryMismatch
+from bratsfuse.fusion import joint_codes, pack_labels
 from bratsfuse.metrics import (
     EMPTY_PENALTY_MM,
     boundary,
@@ -15,12 +16,14 @@ from bratsfuse.metrics import (
     evaluate_case,
     hd95,
     percentile,
+    score_codes,
 )
-from bratsfuse.regions import Region, RegionMask, region_mask
-from bratsfuse.volume import LabelMap, nonzero_box
+from bratsfuse.regions import Region, RegionMask
+from bratsfuse.volume import BRATS_LABELS, LabelMap, nonzero_box
 
 from .conftest import random_mask
 from .oracles import (
+    REGION_LABELS,
     boundary_reference,
     brute_force_edt,
     dice_counts,
@@ -32,8 +35,8 @@ HD95_TOL_MM = 1e-9
 ANISO = (1.2, 0.7, 2.5)
 
 
-def mask(data, spacing=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0)) -> RegionMask:
-    return RegionMask(Region.WT, np.asarray(data, dtype=bool), spacing, origin)
+def mask(data, spacing=(1.0, 1.0, 1.0)) -> RegionMask:
+    return RegionMask(Region.WT, np.asarray(data, dtype=bool), spacing)
 
 
 def blob(shape, lo, hi) -> np.ndarray:
@@ -45,8 +48,8 @@ def blob(shape, lo, hi) -> np.ndarray:
     return data
 
 
-def assert_hd95_matches_oracle(a, b, spacing, origin=(0.0, 0.0, 0.0)):
-    got = hd95(mask(a, spacing, origin), mask(b, spacing, origin))
+def assert_hd95_matches_oracle(a, b, spacing):
+    got = hd95(a, b, spacing)
     want = hd95_all_pairs(a, b, spacing, EMPTY_PENALTY_MM)
     assert abs(got - want) <= HD95_TOL_MM, (got, want)
     return got
@@ -55,40 +58,42 @@ def assert_hd95_matches_oracle(a, b, spacing, origin=(0.0, 0.0, 0.0)):
 class TestDice:
     @pytest.mark.parametrize("density", [0.0, 0.05, 0.5])
     def test_against_counts(self, rng, density):
-        a = random_mask(rng, (9, 7, 5), density)
-        b = random_mask(rng, (9, 7, 5), 0.3)
-        assert dice(a, b) == dice_counts(a.data, b.data)
-        assert dice(b, a) == dice_counts(b.data, a.data)
+        a = random_mask(rng, (9, 7, 5), density).data
+        b = random_mask(rng, (9, 7, 5), 0.3).data
+        assert dice(a, b) == dice_counts(a, b)
+        assert dice(b, a) == dice_counts(b, a)
+        assert type(dice(a, b)) is float
 
     def test_empty_conventions(self):
-        empty = mask(np.zeros((3, 3, 3)))
-        one = mask(blob((3, 3, 3), (1, 1, 1), (1, 1, 1)))
+        empty = np.zeros((3, 3, 3), dtype=bool)
+        one = blob((3, 3, 3), (1, 1, 1), (1, 1, 1))
         assert dice(empty, empty) == 1.0
         assert dice(empty, one) == 0.0
 
     def test_geometry_mismatch(self):
+        # (1, 2, 2) would broadcast against (2, 2, 2).
         with pytest.raises(GeometryMismatch):
-            dice(mask(np.ones((2, 2, 2))), mask(np.ones((2, 2, 2)), spacing=ANISO))
+            dice(np.ones((1, 2, 2), bool), np.ones((2, 2, 2), bool))
 
 
 class TestBoundary:
     @pytest.mark.parametrize("density", [0.2, 0.6, 0.95])
     def test_against_reference(self, rng, density):
-        m = random_mask(rng, (8, 6, 5), density, spacing=ANISO)
+        m = random_mask(rng, (8, 6, 5), density, spacing=ANISO).data
         got = boundary(m)
-        np.testing.assert_array_equal(got.data, boundary_reference(m.data))
-        assert (got.spacing, got.origin, got.region) == (m.spacing, m.origin, m.region)
+        np.testing.assert_array_equal(got, boundary_reference(m))
+        assert got.dtype == bool
 
     def test_volume_faces_count_as_background(self):
         full = np.ones((4, 5, 3), dtype=bool)
-        got = boundary(mask(full)).data
+        got = boundary(full)
         np.testing.assert_array_equal(got, boundary_reference(full))
         assert not got[1:-1, 1:-1, 1:-1].any()
         assert got[0].all() and got[:, :, -1].all()
 
     def test_one_voxel(self):
         data = blob((3, 3, 3), (2, 0, 1), (2, 0, 1))
-        np.testing.assert_array_equal(boundary(mask(data)).data, data)
+        np.testing.assert_array_equal(boundary(data), data)
 
 
 class TestEdt:
@@ -137,19 +142,19 @@ class TestEdt:
     )
     def test_distances_at_queries_are_the_whole_map_at_them(self, seed, shape, spacing,
                                                             density):
-        """The last pass at the queries alone gives, bit for bit, the values
-        of the map of every voxel of the union box of source and queries
-        (``edt`` of the source cropped to that box, which queries every
-        voxel there), and ``inf`` everywhere where the source is empty.
-        Coordinates are measured from the box corner, so at a spacing that
-        is not dyadic the map of the whole grid may differ in its last
-        digits."""
+        """In the union box of source and queries, the last pass at the
+        queries alone gives, bit for bit, the values of the map of every
+        voxel of the box (``edt`` of the source cropped to it, which queries
+        every voxel there), and ``inf`` everywhere where the source is
+        empty. Coordinates are measured from the box corner, so at a
+        spacing that is not dyadic the map of the whole grid may differ in
+        its last digits."""
         rng = np.random.default_rng(seed)
         source = rng.random(shape) < density
         queries = rng.random(shape) < 0.5
-        got = metrics._edt_sq_at(mask(source, spacing), mask(queries, spacing))
         if source.any():
             box = nonzero_box(source | queries)
+            got = metrics._edt_sq_at(source[box], queries[box], spacing)
             in_box = edt(mask(source[box], spacing)).data
             assert np.array_equal(np.sqrt(got), in_box[queries[box]])
             whole = edt(mask(source, spacing)).data
@@ -157,7 +162,8 @@ class TestEdt:
                                        rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(np.sqrt(got), whole[queries], rtol=1e-12, atol=1e-12)
         else:
-            assert np.isinf(got).all()
+            got = metrics._edt_sq_at(source, queries, spacing)
+            assert got.shape == (np.count_nonzero(queries),) and np.isinf(got).all()
             with pytest.raises(EmptyMask):
                 edt(mask(source, spacing))
 
@@ -181,7 +187,7 @@ class TestEdt:
         queries = np.zeros(shape, dtype=bool)
         source[on_source] = rng.random(source[on_source].shape) < density
         queries[on_query] = rng.random(queries[on_query].shape) < density
-        got = np.sqrt(metrics._edt_sq_at(mask(source, ANISO), mask(queries, ANISO)))
+        got = np.sqrt(metrics._edt_sq_at(source, queries, ANISO))
         assert got.shape == (np.count_nonzero(queries),)
         if source.any():
             np.testing.assert_allclose(got, brute_force_edt(source, ANISO)[queries],
@@ -196,9 +202,9 @@ class TestEdt:
         chunk holds) and of several planes, the last one short."""
         source = rng.random((9, 8, 7)) < 0.1
         queries = rng.random((9, 8, 7)) < 0.5
-        want = metrics._edt_sq_at(mask(source, ANISO), mask(queries, ANISO))
+        want = metrics._edt_sq_at(source, queries, ANISO)
         monkeypatch.setattr(metrics, "_CHUNK", chunk)
-        got = metrics._edt_sq_at(mask(source, ANISO), mask(queries, ANISO))
+        got = metrics._edt_sq_at(source, queries, ANISO)
         assert np.array_equal(got, want)
 
     def test_a_whole_grid_holds_no_index_arrays_per_voxel(self):
@@ -217,19 +223,23 @@ class TestEdt:
 
 class TestHd95:
     def test_both_empty_is_zero(self):
-        empty = mask(np.zeros((4, 4, 4)))
-        assert hd95(empty, empty) == 0.0
+        empty = np.zeros((4, 4, 4), dtype=bool)
+        assert hd95(empty, empty, ANISO) == 0.0
 
     def test_exactly_one_empty_is_the_penalty(self):
-        empty = mask(np.zeros((4, 4, 4)))
-        one = mask(blob((4, 4, 4), (1, 1, 1), (2, 2, 2)))
-        assert hd95(empty, one) == EMPTY_PENALTY_MM
-        assert hd95(one, empty) == EMPTY_PENALTY_MM
-        assert hd95(one, empty, penalty=42.0) == 42.0
+        empty = np.zeros((4, 4, 4), dtype=bool)
+        one = blob((4, 4, 4), (1, 1, 1), (2, 2, 2))
+        assert hd95(empty, one, ANISO) == EMPTY_PENALTY_MM
+        assert hd95(one, empty, ANISO) == EMPTY_PENALTY_MM
+        assert hd95(one, empty, ANISO, penalty=42.0) == 42.0
+
+    def test_geometry_mismatch(self):
+        with pytest.raises(GeometryMismatch):
+            hd95(np.ones((2, 2, 1), bool), np.ones((2, 2, 3), bool), ANISO)
 
     def test_identical_masks_are_zero(self, rng):
-        m = random_mask(rng, (8, 8, 8), 0.3, spacing=ANISO)
-        assert hd95(m, m) == 0.0
+        m = random_mask(rng, (8, 8, 8), 0.3, spacing=ANISO).data
+        assert hd95(m, m, ANISO) == 0.0
 
     def test_anisotropic_spacing(self):
         a = blob((14, 12, 9), (3, 2, 2), (9, 8, 6))
@@ -250,7 +260,7 @@ class TestHd95:
     def test_masks_far_from_origin(self):
         a = blob((40, 36, 30), (30, 28, 24), (34, 32, 27))
         b = blob((40, 36, 30), (31, 27, 23), (36, 33, 26))
-        assert_hd95_matches_oracle(a, b, ANISO, origin=(-90.0, 12.5, 3.0))
+        assert_hd95_matches_oracle(a, b, ANISO)
 
     def test_one_voxel_masks(self):
         a = blob((6, 6, 6), (1, 2, 3), (1, 2, 3))
@@ -289,6 +299,21 @@ class TestHd95:
         assert gaps[0::2] == [(5, 8), (8, 5)]
         assert gaps[1::2] == [(24, 5), (24, 4)]
 
+    def test_the_union_box_is_found_once(self, monkeypatch):
+        """One ``nonzero_box`` per call, shared by both directions."""
+        boxes = []
+
+        def spy(m):
+            boxes.append(m.shape)
+            return nonzero_box(m)
+
+        monkeypatch.setattr(metrics, "nonzero_box", spy)
+        a = blob((40, 36, 30), (30, 28, 24), (34, 32, 27))
+        b = blob((40, 36, 30), (31, 27, 23), (36, 33, 26))
+        b[2, 3, 4] = True
+        assert_hd95_matches_oracle(a, b, ANISO)
+        assert boxes == [(40, 36, 30)]
+
     def test_a_stray_voxel_does_not_spread_the_distance_work(self):
         """``hd95`` of a 96x96x64 blob pair plus one far stray voxel: the
         union box spans most of the grid, but the passes' temporaries stay
@@ -298,7 +323,7 @@ class TestHd95:
         b[2, 3, 4] = True
         tracemalloc.start()
         try:
-            hd95(mask(a), mask(b))
+            hd95(a, b, (1.0, 1.0, 1.0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -349,9 +374,67 @@ def test_evaluate_case_against_oracles():
     pm, gm = LabelMap(pred, spacing), LabelMap(gt, spacing)
     got = evaluate_case(pm, gm, "case")
     assert got.case_id == "case"
-    for r in (Region.ET, Region.TC, Region.WT):
-        p = region_mask(pm, r).data
-        g = region_mask(gm, r).data
-        assert got.dsc[r.value] == dice_counts(p, g)
-        want = hd95_all_pairs(p, g, spacing, EMPTY_PENALTY_MM)
-        assert abs(got.hd95[r.value] - want) <= HD95_TOL_MM
+    assert_scores_as_the_oracles(got, pred, gt, spacing, EMPTY_PENALTY_MM)
+
+
+def test_evaluate_case_geometry_mismatch():
+    m = np.ones((2, 2, 2), np.uint8)
+    with pytest.raises(GeometryMismatch):
+        evaluate_case(LabelMap(m), LabelMap(m, spacing=ANISO), "case")
+    with pytest.raises(GeometryMismatch):
+        evaluate_case(LabelMap(m), LabelMap(m[:, :, :1]), "case")
+
+
+def assert_scores_as_the_oracles(got, pred, gt, spacing, penalty):
+    """Every region's DSC of ``got`` is ``dice_counts`` of the label arrays'
+    region masks, and its HD95 is ``hd95_all_pairs`` of them."""
+    for r in Region:
+        p, g = np.isin(pred, REGION_LABELS[r.value]), np.isin(gt, REGION_LABELS[r.value])
+        assert got.dsc[r.value] == dice_counts(p, g), r
+        want = hd95_all_pairs(p, g, spacing, penalty)
+        assert abs(got.hd95[r.value] - want) <= HD95_TOL_MM, (r, got.hd95[r.value], want)
+
+
+def pair_codes(pred, gt):
+    """The two-model joint codes of two label arrays, prediction first."""
+    codes = joint_codes(2, pred.size)
+    for rater, labels in enumerate((pred, gt)):
+        pack_labels(codes, rater, labels.ravel())
+    return codes.reshape(pred.shape)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.tuples(*[st.integers(1, 7)] * 3),
+    spacing=st.sampled_from([(1.0, 1.0, 1.0), ANISO, (2.0, 2.0, 2.5)]),
+    density=st.sampled_from([0.02, 0.2, 0.6]),
+    variant=st.sampled_from(["random", "background", "no_et_predicted", "empty_truth",
+                             "faces"]),
+)
+@example(seed=0, shape=(5, 4, 3), spacing=ANISO, density=0.2, variant="background")
+@example(seed=1, shape=(5, 4, 3), spacing=ANISO, density=0.2, variant="no_et_predicted")
+@example(seed=2, shape=(5, 4, 3), spacing=ANISO, density=0.2, variant="empty_truth")
+@example(seed=3, shape=(5, 4, 3), spacing=ANISO, density=0.2, variant="faces")
+def test_score_codes_against_oracles(seed, shape, spacing, density, variant):
+    """Random small label pairs: all background; ET in the truth but never
+    predicted (ET empty on one side only); an all-background truth (every
+    region empty on one side only); and tumour on faces and corners of the
+    grid."""
+    rng = np.random.default_rng(seed)
+    pred, gt = (np.where(rng.random(shape) < density, rng.choice(BRATS_LABELS, shape),
+                         0).astype(np.uint8) for _ in range(2))
+    if variant == "background":
+        pred[...] = gt[...] = 0
+    elif variant == "no_et_predicted":
+        pred[pred == 4] = 1
+        gt[(0,) * 3] = 4
+    elif variant == "empty_truth":
+        gt[...] = 0
+        pred[(-1,) * 3] = 1
+    elif variant == "faces":
+        pred[0], gt[:, :, -1] = 2, 4
+        pred[(-1,) * 3], gt[(0,) * 3] = 4, 1
+    got = score_codes(pair_codes(pred, gt), spacing, "case", penalty=50.0)
+    assert got.case_id == "case"
+    assert_scores_as_the_oracles(got, pred, gt, spacing, 50.0)

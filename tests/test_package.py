@@ -26,10 +26,11 @@ def test_every_exported_name_exists(name):
 
 
 # The names the benchmark's tracer wraps on each module (benchmarks/tracing.py,
-# ``targets``). Nothing in the package calls nifti.load_volume any more, and
+# ``targets``). Nothing in the package calls nifti.load_volume any more,
 # fusion no longer calls region_mask or recompose_labels (staple_lut reads the
-# tables of ``regions``); they stay for the tracer until the benchmark stops
-# wrapping them.
+# tables of ``regions``), metrics no longer calls region_mask and pipeline no
+# longer calls evaluate_case (both score through metrics.score_codes); they
+# stay for the tracer until the benchmark stops wrapping them.
 TRACED = {
     "cli": ("run_fuse", "run_eval"),
     "fusion": ("staple_binary", "region_mask", "recompose_labels"),

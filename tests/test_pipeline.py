@@ -1,5 +1,6 @@
 import errno
 import json
+import math
 import os
 import signal
 import struct
@@ -35,7 +36,12 @@ from bratsfuse.fusion import (
     joint_codes,
     staple_multilabel_detailed,
 )
-from bratsfuse.metrics import EMPTY_PENALTY_MM, evaluate_case, metrics_csv_header
+from bratsfuse.metrics import (
+    EMPTY_PENALTY_MM,
+    evaluate_case,
+    metrics_csv_header,
+    metrics_csv_row,
+)
 from bratsfuse.nifti import (
     ProbmapFiles,
     header_bytes,
@@ -2048,10 +2054,7 @@ def test_eval_scores_as_the_oracles_at_the_plane_loop_edges(tmp_path, grid):
 
 
 def test_eval_of_a_tumour_touching_the_first_and_last_voxel(tmp_path):
-    pred, gt = _phantom_pair()
-    pred = _with(pred, {(0, 0, 0): 4, (-1, -1, -1): 2})
-    gt = _with(gt, {(0, 0, 0): 2, (-1, -1, -1): 1})
-    _assert_scores_as_the_oracles(tmp_path, pred, gt)
+    _assert_scores_as_the_oracles(tmp_path, *_first_and_last_voxel_pair())
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -2063,14 +2066,44 @@ def test_the_box_holds_the_pair_cropped_to_its_nonzero_voxels(tmp_path, seed):
         empty = LabelMap(np.zeros(STREAM_SHAPE, np.uint8), SPACING, ORIGIN)
         pair = [empty, _with(empty, {(9, 3, 5): 2})]
     case = CaseInput("c0", tuple(_label_models(tmp_path, pair, "c0")))
-    got = pipeline._pair_in_box(*pipeline._read_blocks(case))
+    got = pipeline._codes_box(pipeline._read_blocks(case)[1])
     nz = np.nonzero(pair[0].data | pair[1].data)
-    lo = [int(i.min()) for i in nz]
-    box = tuple(slice(l, int(i.max()) + 1) for l, i in zip(lo, nz))
-    origin = tuple(o + l * s for o, s, l in zip(pair[0].origin, pair[0].spacing, lo))
-    for g, m in zip(got, pair):
-        assert np.array_equal(g.data, m.data[box])
-        assert (g.spacing, g.origin) == (m.spacing, origin)
+    box = tuple(slice(int(i.min()), int(i.max()) + 1) for i in nz)
+    want = joint_codes(2, math.prod(STREAM_SHAPE))
+    for rater, m in enumerate(pair):
+        fusion.pack_labels(want, rater, m.data.ravel())
+    want = want.reshape(STREAM_SHAPE)[box]
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def _cliff_pair():
+    """The phantom pair with one stray edema voxel in the prediction, far
+    from the tumour."""
+    pred, gt = _phantom_pair()
+    return _with(pred, {(2, 3, 4): 2}), gt
+
+
+def _first_and_last_voxel_pair():
+    pred, gt = _phantom_pair()
+    return (_with(pred, {(0, 0, 0): 4, (-1, -1, -1): 2}),
+            _with(gt, {(0, 0, 0): 2, (-1, -1, -1): 1}))
+
+
+def _anisotropic_pair():
+    return tuple(LabelMap(m.data, (1.2, 0.7, 2.5), ORIGIN) for m in _phantom_pair())
+
+
+@pytest.mark.parametrize("make_pair", [_anisotropic_pair, _cliff_pair,
+                                       _first_and_last_voxel_pair])
+def test_the_library_scores_whole_grids_as_eval_scores_the_files(tmp_path, make_pair):
+    """``evaluate_case`` of the two files loaded whole and ``_eval_case`` of
+    the files, which scores their codes box, agree bit for bit."""
+    dirs = _write_pairs(tmp_path, {"c0": make_pair()})
+    got, error = pipeline._eval_case(*dirs, EMPTY_PENALTY_MM, "c0")
+    assert error is None
+    want = _whole_file_scores(dirs, "c0")
+    assert got == want
+    assert metrics_csv_row(got) == metrics_csv_row(want)
 
 
 def _eval_peak(tmp_path, shape):
