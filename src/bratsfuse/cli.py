@@ -4,10 +4,15 @@ Subcommands cover the path from model outputs to scores: ``synth`` (phantom
 fixtures), ``fuse``, ``postprocess`` (``fuse`` of one label map alone, which
 applies the ET size threshold), ``eval``, ``report`` and ``rank``. The
 models' own inference (normalisation, sliding windows) runs before them,
-outside this package. Volumes are NIfTI-1 files; machine outputs are JSON or
-CSV. Exit codes: 0 success, 1 configuration error or a file that cannot be
-read or written (one ``Error:`` line), 2 partial failure (some cases
-errored).
+outside this package. ``fuse`` reads its settings (output directory, ET
+threshold, STAPLE's tolerance and iteration cap) from its config alone, and
+``--out`` is the one it lets the command line override. Its STAPLE sidecar
+gives each region's fit: every model's p and q, the prior, the iterations
+and whether EM converged. EM always starts from near-perfect raters and the
+foreground rate of the grid (see ``fusion``). Volumes are NIfTI-1 files;
+machine outputs are JSON or CSV. Exit codes: 0 success, 1 configuration
+error or a file that cannot be read or written (one ``Error:`` line), 2
+partial failure (some cases errored).
 
 Nothing imported here loads scipy, which would about double the start-up
 time of every command. Before numpy loads, OpenBLAS is kept to one thread:
@@ -69,28 +74,24 @@ def main():
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
               help="Parallel case workers: forked processes, each taking every N-th "
                    "case in case-id order.")
-@click.option("--et-threshold", type=int, default=None,
-              help="Override the config's ET relabeling threshold.")
-@click.option("--staple-tol", type=float, default=None,
-              help="Override the STAPLE convergence tolerance.")
-@click.option("--staple-max-iters", type=int, default=None,
-              help="Override the STAPLE iteration cap.")
 @click.option("--out", "out_dir", type=click.Path(), default=None,
-              help="Override the config's output directory.")
-def fuse_cmd(config_path, jobs, et_threshold, staple_tol, staple_max_iters, out_dir):
-    """Average folds, STAPLE-fuse models, post-process, write fused NIfTIs."""
+              help="Output directory, in place of the config's output_dir.")
+def fuse_cmd(config_path, jobs, out_dir):
+    """Average folds, STAPLE-fuse models, post-process, write fused NIfTIs.
+
+    The config names the cases and their models, and sets output_dir,
+    et_threshold (a fused map with fewer ET voxels than this has them
+    relabeled 1), staple.tol and staple.max_iters; --out overrides
+    output_dir.
+
+    STAPLE counts every voxel of the grid, including those every model calls
+    background (code 0). So the prior, p and q in each <case>_staple.json
+    scale with the grid, and with 5 or more models a cropped or padded grid
+    can change the fused labels.
+    """
     cfg = PipelineConfig.from_json(config_path)
-    overrides = {}
-    if et_threshold is not None:
-        overrides["et_threshold"] = et_threshold
-    if staple_tol is not None:
-        overrides["staple_tol"] = staple_tol
-    if staple_max_iters is not None:
-        overrides["staple_max_iters"] = staple_max_iters
     if out_dir is not None:
-        overrides["output_dir"] = Path(out_dir)
-    if overrides:
-        cfg = replace(cfg, **overrides)
+        cfg = replace(cfg, output_dir=Path(out_dir))
     diags, errors = run_fuse(cfg, jobs=jobs)
     click.echo(f"fused {len(diags)} case(s), {len(errors)} error(s) into {cfg.output_dir}")
     for e in errors:

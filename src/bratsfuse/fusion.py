@@ -17,11 +17,21 @@ by its voxel count in the M-step sums, and the posterior is read back at the
 voxels at the end. Memory is O(N) small integers (each voxel's pattern code)
 instead of a J x N float matrix, and an iteration costs O(J K).
 
-Iteration stops when the posterior changes by less than ``tol`` in max-norm
-(over the present patterns, which is the max over voxels) or after
-``max_iters`` update cycles. The returned parameters are the (clamped)
-M-step of the returned posterior, so they satisfy the fixed-point identities
-exactly.
+EM always starts the standard way (Warfield, Zou & Wells, IEEE TMI 23(7),
+2004): near-perfect raters, p = q = ``DEFAULT_INIT_PQ`` for every rater, and
+the prior at the foreground rate over all J raters and N voxels, clamped
+like p and q; the prior stays fixed. Iteration stops when the posterior
+changes by less than ``tol`` in max-norm (over the present patterns, which
+is the max over voxels) or after ``max_iters`` update cycles. The returned
+``StapleFit`` holds that prior and each rater's p and q, the (clamped)
+M-step of the returned posterior, so they satisfy the fixed-point
+identities exactly.
+
+STAPLE's domain is every voxel of the grid, code 0 included: N is the
+grid's voxel count, and each voxel every model calls background counts
+toward every rater's specificity. So the prior, p and q that ``fuse``
+writes to ``*_staple.json`` scale with the grid, and with 5 or more models
+a cropped or padded grid can change the fused labels.
 
 Multi-label fusion runs binary STAPLE per nested region (ET, TC, WT) and
 recomposes the label map by the region tables of ``regions``.
@@ -72,7 +82,6 @@ from .volume import BRATS_LABELS, LabelMap, ProbMap, _label_index, require_same_
 from .regions import recompose_labels, region_mask  # noqa: F401
 
 __all__ = [
-    "StapleParams",
     "StapleFit",
     "StapleResult",
     "average_probs",
@@ -87,7 +96,6 @@ __all__ = [
     "MAX_RATERS",
     "pack_labels",
     "joint_histogram",
-    "default_staple_params",
 ]
 
 PARAM_CLAMP = 1e-7
@@ -159,42 +167,21 @@ def argmax_labels(p: ProbMap) -> LabelMap:
 
 
 @dataclass(frozen=True)
-class StapleParams:
-    """Per-rater sensitivity p and specificity q, and the foreground prior."""
-
-    p: tuple[float, ...]
-    q: tuple[float, ...]
-    prior: float
-
-    def __post_init__(self):
-        if len(self.p) != len(self.q):
-            raise ValueError("p and q must have one entry per rater")
-        for val in (*self.p, *self.q, self.prior):
-            if not 0.0 < val < 1.0:
-                raise ValueError(f"probabilities must lie strictly in (0,1), got {val}")
-
-
-@dataclass(frozen=True)
 class StapleFit:
-    """The outcome of one EM run: final parameters, iterations, convergence.
+    """The outcome of one EM run: each rater's sensitivity ``p`` and
+    specificity ``q``, the foreground ``prior``, the iterations run and
+    whether the posterior converged.
 
     ``staple_multilabel_detailed`` returns one per region; it builds no
     per-voxel posterior or mask, since its label map is decided per joint
     rater-label code.
     """
 
-    final_params: StapleParams
+    p: tuple[float, ...]
+    q: tuple[float, ...]
+    prior: float
     iterations: int
     converged: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "p": list(self.final_params.p),
-            "q": list(self.final_params.q),
-            "prior": self.final_params.prior,
-            "iterations": self.iterations,
-            "converged": self.converged,
-        }
 
 
 @dataclass(frozen=True)
@@ -207,12 +194,6 @@ class StapleResult(StapleFit):
 
 def _clamp(x: np.ndarray) -> np.ndarray:
     return np.clip(x, PARAM_CLAMP, 1.0 - PARAM_CLAMP)
-
-
-def default_staple_params(n_raters: int, prior: float) -> StapleParams:
-    """Near-perfect rater prior: p = q = 0.99999 for every rater."""
-    pq = (DEFAULT_INIT_PQ,) * n_raters
-    return StapleParams(pq, pq, float(_clamp(np.asarray(prior))))
 
 
 class _Index:
@@ -340,30 +321,24 @@ def _staple_em(
     pats: np.ndarray,
     counts: np.ndarray,
     n_voxels: int,
-    init: StapleParams | None,
     tol: float,
     max_iters: int,
 ) -> tuple[np.ndarray, StapleFit]:
     """EM over the (J, K) decision patterns ``pats`` seen ``counts`` times.
 
-    Returns the posterior of every pattern and the fit. ``init`` None means
-    the default parameters, with the prior set to the foreground rate over
-    all J raters and ``n_voxels`` voxels.
+    Returns the posterior of every pattern and the fit. EM starts from
+    p = q = ``DEFAULT_INIT_PQ`` and the prior set to the foreground rate over
+    all J raters and ``n_voxels`` voxels (clamped).
     """
     if not (0 < tol < np.inf and max_iters >= 1):
         raise ValueError(
             f"STAPLE needs a finite tol > 0 and max_iters >= 1, got {tol}, {max_iters}")
     pats = pats.astype(np.float64)
     j = pats.shape[0]
-    if init is None:
-        # An integer count over J * N: exactly the mean of the 0/1 decisions.
-        foreground = int((pats @ counts).sum())
-        init = default_staple_params(j, prior=foreground / (j * n_voxels))
-    elif len(init.p) != j:
-        raise ValueError(f"init has {len(init.p)} raters, got {j}")
-    p = np.asarray(init.p, dtype=np.float64)
-    q = np.asarray(init.q, dtype=np.float64)
-    prior = float(init.prior)
+    p = q = np.full(j, DEFAULT_INIT_PQ)
+    # An integer count over J * N: exactly the mean of the 0/1 decisions.
+    foreground = int((pats @ counts).sum())
+    prior = float(_clamp(foreground / (j * n_voxels)))
 
     w = _e_step(pats, p, q, prior)
     iterations = 0
@@ -380,23 +355,22 @@ def _staple_em(
     # Re-estimate from the final posterior so the returned parameters are the
     # exact M-step fixed point of the returned W.
     p, q = _m_step(pats, counts, w, p, q)
-    final = StapleParams(tuple(float(x) for x in p), tuple(float(x) for x in q), prior)
-    return w, StapleFit(final, iterations, converged)
+    return w, StapleFit(tuple(map(float, p)), tuple(map(float, q)), prior, iterations,
+                        converged)
 
 
 def staple_binary(
     masks: list[RegionMask],
-    init: StapleParams | None = None,
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
 ) -> StapleResult:
     """Fuse binary rater masks by expectation-maximization.
 
-    When ``init`` is None the default parameters are used, with the
-    foreground prior set to the global mean foreground rate over all raters
-    and voxels (clamped into (0,1)). The output mask thresholds the
-    posterior at W >= 0.5 (ties go to foreground). More than 32 masks is a
-    ValueError (see :func:`joint_codes`).
+    EM starts from near-perfect raters and the foreground prior set to the
+    mean foreground rate over all raters and voxels (see the module
+    docstring). The output mask thresholds the posterior at W >= 0.5 (ties
+    go to foreground). More than 32 masks is a ValueError (see
+    :func:`joint_codes`).
     """
     if not masks:
         raise EmptyList("staple_binary needs at least one rater mask")
@@ -409,17 +383,16 @@ def staple_binary(
     for r, m in enumerate(masks):
         pack_labels(codes, r, m.data.reshape(-1).view(np.uint8))
     pats, counts, index = joint_histogram([codes], len(masks), len(codes))
-    w, fit = _staple_em(pats, counts, len(codes), init, tol, max_iters)
+    w, fit = _staple_em(pats, counts, len(codes), tol, max_iters)
     posterior = _gather(index.of(w), codes).reshape(masks[0].shape)
     mask = RegionMask(region, posterior >= 0.5, masks[0].spacing, masks[0].origin)
-    return StapleResult(fit.final_params, fit.iterations, fit.converged, mask, posterior)
+    return StapleResult(**vars(fit), mask=mask, posterior=posterior)
 
 
 def staple_lut(
     rows: np.ndarray,
     counts: np.ndarray,
     n_voxels: int,
-    init: StapleParams | None = None,
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
 ) -> tuple[np.ndarray, dict[str, StapleFit]]:
@@ -440,14 +413,13 @@ def staple_lut(
             pack_labels(codes, rater, _MEMBERSHIP[r][rater_rows].view(np.uint8))
         pats, pat_counts, pat_index = joint_histogram([codes], len(rows), len(codes),
                                                       weights=[counts])
-        w, fits[r.value] = _staple_em(pats, pat_counts, n_voxels, init, tol, max_iters)
+        w, fits[r.value] = _staple_em(pats, pat_counts, n_voxels, tol, max_iters)
         fused.append(pat_index.of(w >= 0.5)[codes])
     return compose(*fused), fits
 
 
 def staple_multilabel_detailed(
     maps: list[LabelMap],
-    init: StapleParams | None = None,
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
 ) -> tuple[LabelMap, dict[str, StapleFit]]:
@@ -468,17 +440,16 @@ def staple_multilabel_detailed(
     for r, m in enumerate(maps):
         pack_labels(codes, r, m.data.ravel(order))
     rows, counts, index = joint_histogram([codes], len(maps), first.size)
-    lut, fits = staple_lut(rows, counts, first.size, init, tol, max_iters)
+    lut, fits = staple_lut(rows, counts, first.size, tol, max_iters)
     labels = _gather(index.of(lut), codes).reshape(first.shape, order=order)
     return LabelMap(labels, maps[0].spacing, maps[0].origin), fits
 
 
 def staple_multilabel(
     maps: list[LabelMap],
-    init: StapleParams | None = None,
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
 ) -> LabelMap:
     """Fuse rater label maps region by region (ET, TC, WT) with STAPLE."""
-    labels, _ = staple_multilabel_detailed(maps, init, tol=tol, max_iters=max_iters)
+    labels, _ = staple_multilabel_detailed(maps, tol, max_iters)
     return labels

@@ -508,7 +508,9 @@ def _fuse_into(case: CaseInput, cfg: PipelineConfig, out_nii: Path) -> dict:
     else:
         lut, fits = staple_lut(rows, counts, n_voxels, tol=cfg.staple_tol,
                                max_iters=cfg.staple_max_iters)
-        staple_diag = {region: fit.to_json_dict() for region, fit in fits.items()}
+        # p and q as lists, so the diagnostics equal the JSON they are written as.
+        staple_diag = {region: dict(asdict(fit), p=list(fit.p), q=list(fit.q))
+                       for region, fit in fits.items()}
     et_before = int(counts[lut == 4].sum())
     relabel = relabels_et(et_before, cfg.et_threshold)
     if relabel:

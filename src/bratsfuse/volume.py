@@ -192,19 +192,16 @@ class ProbMap(_Grid):
         self._init_grid(data, data[0])
 
 
-def _close(a, b, tol: float) -> bool:
-    # np.allclose(a, b, rtol=tol, atol=tol) on finite 3-tuples, without the
+def _close(a, b) -> bool:
+    # np.allclose(a, b, rtol=1e-9, atol=1e-9) on finite 3-tuples, without the
     # array round trip that dominates it at this size.
-    return all(abs(x - y) <= tol + tol * abs(y) for x, y in zip(a, b))
+    return all(abs(x - y) <= 1e-9 + 1e-9 * abs(y) for x, y in zip(a, b))
 
 
-def same_geometry(a, b, *, tol: float = 1e-9) -> bool:
-    """True when two spatial objects share shape, spacing, and origin."""
-    return (
-        a.shape == b.shape
-        and _close(a.spacing, b.spacing, tol)
-        and _close(a.origin, b.origin, tol)
-    )
+def same_geometry(a, b) -> bool:
+    """True when two spatial objects share shape, and spacing and origin to
+    within 1e-9 (relative and absolute)."""
+    return a.shape == b.shape and _close(a.spacing, b.spacing) and _close(a.origin, b.origin)
 
 
 def require_same_geometry(*objs) -> None:

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -7,12 +8,12 @@ from bratsfuse import fusion
 from bratsfuse.errors import EmptyList, GeometryMismatch
 from bratsfuse.fusion import (
     CODE_BITS,
+    DEFAULT_INIT_PQ,
     DEFAULT_MAX_ITERS,
     DEFAULT_TOL,
-    StapleParams,
+    StapleFit,
     argmax_labels,
     average_probs,
-    default_staple_params,
     joint_codes,
     joint_histogram,
     pack_labels,
@@ -122,8 +123,8 @@ class TestStapleBinary:
         masks = [RegionMask(Region.WT, data) for _ in range(3)]
         res = staple_binary(masks)
         assert np.array_equal(res.mask.data, data)
-        assert all(p >= 1 - 1e-6 for p in res.final_params.p)
-        assert all(q >= 1 - 1e-6 for q in res.final_params.q)
+        assert all(p >= 1 - 1e-6 for p in res.p)
+        assert all(q >= 1 - 1e-6 for q in res.q)
 
     def test_single_rater_near_one_init(self, rng):
         mask = random_mask(rng, (4, 4, 4), density=0.3)
@@ -135,16 +136,20 @@ class TestStapleBinary:
         d = np.array([[1, 1, 1, 0], [1, 0, 1, 0], [0, 0, 1, 0]], dtype=np.float64)
         masks = rater_masks(d.astype(bool).reshape(3, 4))
         res = staple_binary(masks)
-        self.assert_matches_reference(res, d, default_staple_params(3, prior=float(d.mean())))
+        self.assert_matches_reference(res, d)
 
     @staticmethod
-    def assert_matches_reference(res, d, init, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS):
+    def assert_matches_reference(res, d, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS):
+        """``res`` is the reference EM on the (J, N) decisions ``d``, started
+        from p = q = DEFAULT_INIT_PQ and the mean decision as the prior."""
+        pq = [DEFAULT_INIT_PQ] * d.shape[0]
         w_ref, p_ref, q_ref, iters_ref, conv_ref = staple_em_reference(
-            d, init.p, init.q, init.prior, tol, max_iters
+            d, pq, pq, float(d.mean()), tol, max_iters
         )
+        assert res.prior == float(d.mean())
         assert np.abs(res.posterior.reshape(-1) - w_ref).max() < 1e-6
-        assert np.abs(np.array(res.final_params.p) - p_ref).max() < 1e-6
-        assert np.abs(np.array(res.final_params.q) - q_ref).max() < 1e-6
+        assert np.abs(np.array(res.p) - p_ref).max() < 1e-6
+        assert np.abs(np.array(res.q) - q_ref).max() < 1e-6
         assert res.iterations == iters_ref
         assert res.converged == conv_ref
 
@@ -160,13 +165,11 @@ class TestStapleBinary:
         d = np.stack([m.data.reshape(-1) for m in masks]).astype(np.float64)
         assert np.unique(d, axis=1).shape[1] > 8  # many patterns, not a handful
         res = staple_binary(masks)
-        assert res.final_params.prior == float(np.stack([m.data for m in masks]).mean())
-        self.assert_matches_reference(res, d, default_staple_params(n_raters, float(d.mean())))
+        assert res.prior == float(np.stack([m.data for m in masks]).mean())
+        self.assert_matches_reference(res, d)
 
-        init = StapleParams((0.8,) * n_raters, (0.9,) * n_raters, prior=0.3)
-        res = staple_binary(masks, init, tol=1e-12, max_iters=7)
-        assert res.final_params.prior == 0.3
-        self.assert_matches_reference(res, d, init, tol=1e-12, max_iters=7)
+        res = staple_binary(masks, tol=1e-12, max_iters=7)
+        self.assert_matches_reference(res, d, tol=1e-12, max_iters=7)
 
     def test_mask_matches_thresholded_posterior(self, rng):
         masks = [random_mask(rng, (4, 4, 4), density=0.4) for _ in range(3)]
@@ -181,8 +184,8 @@ class TestStapleBinary:
         w = res.posterior.reshape(-1)
         p_expected = np.clip((d @ w) / w.sum(), 1e-7, 1 - 1e-7)
         q_expected = np.clip(((1 - d) @ (1 - w)) / (1 - w).sum(), 1e-7, 1 - 1e-7)
-        assert np.abs(np.array(res.final_params.p) - p_expected).max() < 1e-8
-        assert np.abs(np.array(res.final_params.q) - q_expected).max() < 1e-8
+        assert np.abs(np.array(res.p) - p_expected).max() < 1e-8
+        assert np.abs(np.array(res.q) - q_expected).max() < 1e-8
 
     def test_rater_permutation_invariance(self, rng):
         masks = [random_mask(rng, (4, 4, 4), density=0.4) for _ in range(4)]
@@ -190,7 +193,7 @@ class TestStapleBinary:
         b = staple_binary(masks[::-1])
         assert np.array_equal(a.mask.data, b.mask.data)
         assert np.abs(a.posterior - b.posterior).max() < 1e-12
-        assert np.abs(np.array(a.final_params.p) - np.array(b.final_params.p[::-1])).max() < 1e-12
+        assert np.abs(np.array(a.p) - np.array(b.p[::-1])).max() < 1e-12
 
     def test_unanimity_preserved_on_realistic_raters(self):
         gt, _ = make_phantom(PhantomSpec(shape=(20, 20, 20), seed=11))
@@ -214,16 +217,11 @@ class TestStapleBinary:
         counts = np.bincount(mask, minlength=2)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            w, fit = fusion._staple_em(pats, counts, mask.size, None, DEFAULT_TOL,
-                                       DEFAULT_MAX_ITERS)
+            w, fit = fusion._staple_em(pats, counts, mask.size, DEFAULT_TOL, DEFAULT_MAX_ITERS)
         assert np.isfinite(w).all() and fit.converged
         assert (w >= 0.5).tolist() == [False, True]
 
     def test_param_validation(self, rng):
-        with pytest.raises(ValueError):
-            StapleParams((0.5,), (0.5,), prior=1.0)
-        with pytest.raises(ValueError):
-            StapleParams((0.5,), (0.5, 0.5), prior=0.5)
         masks = [random_mask(rng, (3, 3, 3))]
         maps = [random_labelmap(rng, (3, 3, 3))]
         for em in ({"max_iters": 0}, {"tol": 0.0}, {"tol": float("nan")}, {"tol": float("inf")}):
@@ -233,12 +231,12 @@ class TestStapleBinary:
                 staple_multilabel_detailed(maps, **em)
 
     def test_em_controls_apply_with_an_init(self, rng):
+        # From the standard init, on raters that EM needs several steps for.
         masks = [random_mask(rng, (6, 5, 4), density=0.4) for _ in range(3)]
-        init = StapleParams((0.9,) * 3, (0.9,) * 3, 0.3)
-        assert staple_binary(masks, init).iterations > 1
-        res = staple_binary(masks, init, max_iters=1)
+        assert staple_binary(masks).iterations > 1
+        res = staple_binary(masks, max_iters=1)
         assert (res.iterations, res.converged) == (1, False)
-        res = staple_binary(masks, init, tol=1.0)
+        res = staple_binary(masks, tol=1.0)
         assert (res.iterations, res.converged) == (1, True)
 
 
@@ -317,7 +315,7 @@ class TestStapleMultilabel:
         for r in (Region.ET, Region.TC, Region.WT):
             res = staple_binary([region_mask(m, r) for m in raters])
             per_region[r] = res.mask
-            assert details[r.value].to_json_dict() == res.to_json_dict()
+            assert astuple(details[r.value]) == _fit_fields(res)
         recomposed = recompose_labels(
             per_region[Region.ET], per_region[Region.TC], per_region[Region.WT]
         )
@@ -329,6 +327,11 @@ class TestStapleMultilabel:
 
 
 REGIONS = (Region.ET, Region.TC, Region.WT)
+
+
+def _fit_fields(res):
+    """The :class:`StapleFit` fields of a :class:`StapleResult`, as ``astuple`` gives them."""
+    return astuple(StapleFit(res.p, res.q, res.prior, res.iterations, res.converged))
 
 
 def boundary_raters(gt, n_raters, seed):
@@ -351,10 +354,10 @@ class TestJointLabelStaple:
     recompose_labels, the path it replaces."""
 
     @staticmethod
-    def assert_equals_per_region(raters, init, **em):
+    def assert_equals_per_region(raters, **em):
         """Checks labels and fits; returns the per-region STAPLE masks."""
-        fused, details = staple_multilabel_detailed(raters, init, **em)
-        per_region = {r: staple_binary([region_mask(m, r) for m in raters], init, **em)
+        fused, details = staple_multilabel_detailed(raters, **em)
+        per_region = {r: staple_binary([region_mask(m, r) for m in raters], **em)
                       for r in REGIONS}
         want = recompose_labels(*(per_region[r].mask for r in REGIONS))
         assert np.array_equal(fused.data, want.data)
@@ -365,22 +368,18 @@ class TestJointLabelStaple:
         # Same pattern counts in the same order: the EM arithmetic is identical.
         assert set(details) == {r.value for r in REGIONS}
         for r in REGIONS:
-            assert details[r.value].to_json_dict() == per_region[r].to_json_dict()
+            assert astuple(details[r.value]) == _fit_fields(per_region[r])
         return {r: res.mask.data for r, res in per_region.items()}
 
-    @pytest.mark.parametrize("n_raters, seed, init", [
-        (2, 1, StapleParams((0.95, 0.7), (0.8, 0.99), prior=0.1)),
+    # ``em``: EM controls other than the defaults, or None.
+    @pytest.mark.parametrize("n_raters, seed, em", [
         (3, 10, None),
-        # An init with its own EM controls: (init, {"max_iters": .., "tol": ..}).
-        (3, 10, (StapleParams((0.9, 0.8, 0.95), (0.97, 0.9, 0.99), prior=0.2),
-                 {"max_iters": 5, "tol": 1e-9})),
+        (3, 10, {"max_iters": 5, "tol": 1e-9}),
         (8, 4, None),   # the most raters whose joint codes fit a uint16
         (9, 4, None),   # joint rows found by sorting
     ])
     @pytest.mark.parametrize("first_order", ["C", "F"])
-    def test_equals_the_per_region_path(self, monkeypatch, n_raters, seed, init,
-                                        first_order):
-        init, em = init if isinstance(init, tuple) else (init, {})
+    def test_equals_the_per_region_path(self, monkeypatch, n_raters, seed, em, first_order):
         assert CODE_BITS // 2 == 8  # the 8- and 9-rater cases straddle it
         # 8000 voxels: eight full chunks and a short one.
         monkeypatch.setattr(fusion, "CHUNK_VOXELS", 999)
@@ -390,24 +389,18 @@ class TestJointLabelStaple:
         orders = ["C", "F"] if first_order == "C" else ["F", "C"]
         raters = [LabelMap(np.asarray(m.data, order=orders[k % 2]), m.spacing, m.origin)
                   for k, m in enumerate(raters)]
-        masks = self.assert_equals_per_region(raters, init, **em)
+        masks = self.assert_equals_per_region(raters, **(em or {}))
         # The per-region masks are not nested, so the recomposition's union
-        # rules decide some voxels: with the default init both of them.
-        et_outside_tc = (masks[Region.ET] & ~masks[Region.TC]).any()
-        tc_outside_wt = (masks[Region.TC] & ~masks[Region.WT]).any()
-        assert (et_outside_tc and tc_outside_wt) if init is None else tc_outside_wt
+        # rules decide some voxels: both of them.
+        assert (masks[Region.ET] & ~masks[Region.TC]).any()
+        assert (masks[Region.TC] & ~masks[Region.WT]).any()
 
     def test_region_patterns_found_by_sorting(self):
         # 17 raters: both the joint rows and each region's patterns are
         # sorted, and their codes fill more than one uint32.
         assert 2 * 17 > max(CODE_BITS, 32)
         gt, _ = make_phantom(PhantomSpec(shape=(20, 20, 20), seed=7))
-        self.assert_equals_per_region(boundary_raters(gt, 17, 4), None)
-
-    def test_init_needs_one_entry_per_rater(self, rng):
-        maps = [random_labelmap(rng, (4, 4, 4)) for _ in range(3)]
-        with pytest.raises(ValueError, match="init has 2 raters, got 3"):
-            staple_multilabel_detailed(maps, StapleParams((0.9, 0.9), (0.9, 0.9), 0.5))
+        self.assert_equals_per_region(boundary_raters(gt, 17, 4))
 
     def test_rejects_no_maps_and_mismatched_grids(self, rng):
         with pytest.raises(EmptyList):

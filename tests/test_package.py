@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -58,6 +59,26 @@ def test_the_cli_has_only_the_fusion_and_scoring_commands():
         result = CliRunner().invoke(main, [gone])
         assert result.exit_code == 2
         assert f"No such command '{gone}'" in result.output
+
+
+# Each command's options, by their long names, in the order its help lists
+# them. A setting has one home: fuse reads its ET threshold and STAPLE
+# controls from the config alone, and a new option is a deliberate edit here.
+OPTIONS = {
+    "eval": ["out", "jobs", "hd95-penalty"],
+    "fuse": ["config", "jobs", "out"],
+    "postprocess": ["et-threshold"],
+    "rank": ["out"],
+    "report": ["out"],
+    "synth": ["out", "seed", "shape", "raters", "rate", "probmaps", "no-probmaps"],
+}
+
+
+def test_each_command_has_only_its_options():
+    got = {name: [opt.removeprefix("--") for p in command.params if isinstance(p, click.Option)
+                  for opt in (*p.opts, *p.secondary_opts)]
+           for name, command in main.commands.items()}
+    assert got == OPTIONS
 
 
 def _fresh_python(args, env=None):

@@ -8,7 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -60,7 +60,7 @@ from bratsfuse.pipeline import (
     run_postprocess,
     run_rank,
 )
-from bratsfuse.regions import Region
+from bratsfuse.regions import Region, region_mask
 from bratsfuse.synth import PhantomSpec, corrupt_labels, make_phantom, noisy_probmap
 from bratsfuse.volume import BRATS_LABELS, LabelMap, ProbMap, Volume
 
@@ -1305,8 +1305,14 @@ _GOOD_CASE = {"id": "c0", "models": [{"name": "m", "labelmap": "m.nii"}]}
      "a model name of case 'c0' must be a JSON string, got NoneType"),
     ({"cases": [{"id": "c0", "models": [{"name": ["x"], "labelmap": "m.nii"}]}]},
      "a model name of case 'c0' must be a JSON string, got list"),
+    # Every change is below an infinite tolerance, so EM would stop after
+    # one step and report it as converged.
     ({"cases": [_GOOD_CASE], "staple": {"tol": float("inf")}},
      "staple tol must be finite, got inf"),
+    ({"cases": [_GOOD_CASE], "staple": {"tol": float("nan")}},
+     "staple tol must be > 0 and max_iters >= 1"),
+    ({"cases": [_GOOD_CASE], "staple": {"max_iters": 0}},
+     "staple tol must be > 0 and max_iters >= 1"),
 ])
 def test_malformed_config_is_a_config_error(tmp_path, cfg, message):
     save_nifti(tmp_path / "m.nii", _labels())
@@ -1317,6 +1323,7 @@ def test_malformed_config_is_a_config_error(tmp_path, cfg, message):
     result = CliRunner().invoke(main, ["fuse", "--config", str(cfg_path)])
     assert result.exit_code == 1, result.output
     assert result.output.startswith("Error: ") and result.output.count("\n") == 1
+    assert not (tmp_path / "fused").exists()
 
 
 def test_a_case_of_33_models_is_refused_before_any_output(tmp_path):
@@ -1415,25 +1422,6 @@ def test_fuse_cli_exits_2_and_writes_the_good_case(tmp_path, rng):
     assert "  a_zero: BadData (" in result.output
     assert "  c_planes: GeometryMismatch (" in result.output
     assert "Traceback" not in result.output
-
-
-@pytest.mark.parametrize("option", [["--staple-tol", "nan"], ["--staple-max-iters", "0"]])
-def test_fuse_cli_refuses_bad_staple_controls(tmp_path, rng, option):
-    cfg_path, _ = _fuse_config(tmp_path, rng)
-    result = CliRunner().invoke(main, ["fuse", "--config", str(cfg_path), *option])
-    assert result.exit_code == 1, result.output
-    assert result.output == "Error: staple tol must be > 0 and max_iters >= 1\n"
-    assert not (tmp_path / "fused").exists()
-
-
-def test_fuse_cli_refuses_an_infinite_staple_tol(tmp_path, rng):
-    # Every change is below an infinite tolerance, so EM would stop after
-    # one step and report it as converged.
-    cfg_path, _ = _fuse_config(tmp_path, rng)
-    result = CliRunner().invoke(main, ["fuse", "--config", str(cfg_path), "--staple-tol", "inf"])
-    assert result.exit_code == 1, result.output
-    assert result.output == "Error: staple tol must be finite, got inf\n"
-    assert not (tmp_path / "fused").exists()
 
 
 def test_a_clean_rerun_removes_errors_json(tmp_path, rng):
@@ -1559,7 +1547,7 @@ def _reference(maps, case, cfg, tmp_path):
     else:
         fused, fits = staple_multilabel_detailed(maps, tol=cfg.staple_tol,
                                                  max_iters=cfg.staple_max_iters)
-        staple = {region: fit.to_json_dict() for region, fit in fits.items()}
+        staple = {region: asdict(fit) for region, fit in fits.items()}
     out = et_threshold_relabel(fused, cfg.et_threshold)
     before, after = (int(np.count_nonzero(m.data == 4)) for m in (fused, out))
     diag = {"case_id": case.case_id, "models": [m.name for m in case.models],
@@ -1627,6 +1615,25 @@ def test_many_label_models_fuse_as_the_reference(tmp_path, n_raters, code_type):
     gt, _ = make_phantom(PhantomSpec(shape=STREAM_SHAPE, seed=7))
     models = _label_models(tmp_path, boundary_raters(gt, n_raters, 4), "c0")
     _assert_fuses_as_the_reference(tmp_path, CaseInput("c0", tuple(models)))
+
+
+def test_staple_counts_every_voxel_of_the_grid(tmp_path):
+    # STAPLE's domain is the whole grid, code 0 included: background planes
+    # added to a case keep each region's foreground count and lower its
+    # prior, foreground / (3 x the grid's voxels).
+    gt, _ = make_phantom(PhantomSpec(shape=STREAM_SHAPE, seed=7))
+    raters = boundary_raters(gt, 3, 4)
+    padded = [LabelMap(np.pad(m.data, ((0, 0), (0, 0), (2, 3))), m.spacing, m.origin)
+              for m in raters]
+    for stem, maps in (("whole", raters), ("padded", padded)):
+        out = tmp_path / stem
+        case = CaseInput("c0", tuple(_label_models(tmp_path, maps, stem)))
+        assert run_fuse(PipelineConfig((case,), out))[1] == []
+        fits = json.loads((out / "c0_staple.json").read_text())["staple"]
+        n_voxels = math.prod(maps[0].shape)
+        for r in Region:
+            foreground = sum(int(region_mask(m, r).data.sum()) for m in raters)
+            assert fits[r.value]["prior"] == foreground / (3 * n_voxels)
 
 
 def _random_labels(rng, shape, n_maps):
