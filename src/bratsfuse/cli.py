@@ -87,7 +87,8 @@ def fuse_cmd(config_path, jobs, out_dir):
     STAPLE counts every voxel of the grid, including those every model calls
     background (code 0). So the prior, p and q in each <case>_staple.json
     scale with the grid, and with 5 or more models a cropped or padded grid
-    can change the fused labels.
+    can change the fused labels. Each <case>_staple.json records the two
+    counts: grid_voxels and background_voxels.
     """
     cfg = PipelineConfig.from_json(config_path)
     if out_dir is not None:

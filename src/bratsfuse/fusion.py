@@ -58,12 +58,13 @@ label's position in BRATS_LABELS, or a 0/1 decision, which is its own
 position) is one joint code: two bits per rater, in the smallest unsigned
 integer type that holds ``2 * J`` bits (uint8 for three raters' labels,
 uint64 for up to 32 raters, the most a code holds). ``joint_histogram``
-counts the codes, and its rows always come out in ascending code order:
-while ``2 * J`` is at most ``CODE_BITS``, ``np.bincount`` counts every code;
-beyond that, the distinct codes are sorted out and a code's row is found by
-binary search, so no per-voxel index is stored. STAPLE on masks and on a
-region's joint rows packs its decisions the same way. The passes over all
-voxels (packing, counting and the final gather) run ``CHUNK_VOXELS``
+counts the codes one way for every J: it sorts out the distinct codes, which
+are its keys, and counts each code at its key's position, found by binary
+search, so its rows come out in ascending code order, row 0 is code 0
+whenever any voxel has code 0, and no per-voxel index is stored. A code's
+row is found by the same binary search (``_lookup``). STAPLE on masks and
+on a region's joint rows packs its decisions the same way. The passes over
+all voxels (packing, counting and the final lookup) run ``CHUNK_VOXELS``
 voxels at a time.
 """
 
@@ -102,11 +103,8 @@ PARAM_CLAMP = 1e-7
 DEFAULT_INIT_PQ = 0.99999
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITERS = 100
-# np.bincount counts all 4^J joint codes of J raters while 2 * J is at most
-# this; beyond it the distinct codes are sorted.
-CODE_BITS = 16
-# Voxels packed, counted and gathered per step: np.bincount copies
-# its codes to intp, which bounds that copy (256 KB).
+# Voxels packed, counted and looked up per step: np.searchsorted gives
+# each chunk's rows as intp, which bounds that array (256 KB).
 CHUNK_VOXELS = 1 << 15
 _CODE_TYPES = tuple(np.dtype(t) for t in (np.uint8, np.uint16, np.uint32, np.uint64))
 # The most raters a joint code holds: two bits each in the widest type.
@@ -196,29 +194,6 @@ def _clamp(x: np.ndarray) -> np.ndarray:
     return np.clip(x, PARAM_CLAMP, 1.0 - PARAM_CLAMP)
 
 
-class _Index:
-    """The row of each joint code, as :func:`joint_histogram` finds the rows.
-
-    ``index[codes]`` gives the entry of ``table`` of each of ``codes``.
-    While codes are counted, ``keys`` is None and ``table`` has an entry for
-    every possible code; when they are sorted, ``keys`` holds the distinct
-    codes in ascending order, ``table`` an entry for each, and a code's
-    entry is found by binary search, so no per-voxel index is ever stored.
-    """
-
-    def __init__(self, table: np.ndarray, keys: np.ndarray | None = None):
-        self.table, self.keys = table, keys
-
-    def __getitem__(self, codes: np.ndarray) -> np.ndarray:
-        if self.keys is None:
-            return self.table[codes]
-        return self.table[np.searchsorted(self.keys, codes)]
-
-    def of(self, values: np.ndarray) -> "_Index":
-        """The same lookup giving ``values[row]`` for each code."""
-        return _Index(values[self.table], self.keys)
-
-
 def joint_codes(n_raters: int, n_voxels: int) -> np.ndarray:
     """Zeroed joint label codes of ``n_voxels`` voxels and ``n_raters``
     raters, to be filled by :func:`pack_labels`: one integer per voxel, of
@@ -244,7 +219,8 @@ def pack_labels(codes: np.ndarray, rater: int, labels: np.ndarray) -> None:
 
 def _distinct(codes: np.ndarray) -> np.ndarray:
     """The distinct ``codes``, ascending: ``np.unique`` without its ``numpy.ma`` import."""
-    s = np.sort(codes)
+    # Stable: a radix sort on the one-byte codes of up to four raters.
+    s = np.sort(codes, kind="stable")
     return np.concatenate((s[:1], s[1:][s[1:] != s[:-1]]))
 
 
@@ -254,50 +230,38 @@ def joint_histogram(pieces: list[np.ndarray], n_raters: int, n_voxels: int,
     all lie in ``pieces`` (filled :func:`joint_codes`); every other voxel
     has code 0.
 
-    Returns ``(rows, counts, index)``: the K rows that occur, in ascending
+    Returns ``(rows, counts, keys)``: the K rows that occur, in ascending
     code order, as a (J, K) matrix of label positions in BRATS_LABELS; the
     number of voxels holding each (the sum of their ``weights``, one array
-    per piece, if given; a voxel outside the pieces weighs 1); and
-    ``index``, which gives the row of each of some codes as ``index[codes]``.
-    Code 0, if any voxel has it, is row 0. Each piece is counted
-    ``CHUNK_VOXELS`` codes at a time, and pieces are never joined. While
-    ``2 * J`` is at most ``CODE_BITS``, ``index`` is a table over all
-    ``4^J`` codes; beyond that the distinct codes are sorted out and
-    ``index`` searches them. ``index.of(values)`` looks up ``values[row]``
-    the same way.
+    per piece, if given; a voxel outside the pieces weighs 1); and their K
+    codes, ascending. Row 0 is code 0 whenever any voxel has code 0. Each
+    piece is counted ``CHUNK_VOXELS`` codes at a time, at its codes'
+    positions in ``keys``, and pieces are never joined.
     """
     zeros = n_voxels - sum(len(codes) for codes in pieces)
-    if 2 * n_raters <= CODE_BITS:
-        index, size = None, 1 << 2 * n_raters
-    else:
-        # Too many codes to count directly: sort out the distinct ones.
-        found = [_distinct(codes) for codes in pieces]
-        keys = _distinct(np.concatenate(found + [joint_codes(n_raters, int(zeros > 0))]))
-        index, size = _Index(np.arange(keys.size), keys), keys.size
-    counts = np.zeros(size, np.int64 if weights is None else np.float64)
+    found = [_distinct(codes) for codes in pieces]
+    keys = _distinct(np.concatenate(found + [joint_codes(n_raters, int(zeros > 0))]))
+    counts = np.zeros(keys.size, np.int64 if weights is None else np.float64)
     for k, codes in enumerate(pieces):
         for start in range(0, len(codes), CHUNK_VOXELS):
             chunk = slice(start, start + CHUNK_VOXELS)
             w = None if weights is None else weights[k][chunk]
-            counts += np.bincount(codes[chunk] if index is None else index[codes[chunk]],
-                                  w, minlength=size)
+            counts += np.bincount(np.searchsorted(keys, codes[chunk]), w, minlength=keys.size)
     counts[0] += zeros
-    if index is None:
-        keys = np.flatnonzero(counts)
-        table = np.zeros(size, dtype=np.uint16)
-        table[keys] = np.arange(keys.size)
-        index, counts = _Index(table), counts[keys]
     shifts = 2 * np.arange(n_raters, dtype=keys.dtype)
-    return (keys >> shifts[:, None]) & 3, counts, index
+    return (keys >> shifts[:, None]) & 3, counts, keys
 
 
-def _gather(table: _Index, codes: np.ndarray) -> np.ndarray:
-    """``table[codes]``, read ``CHUNK_VOXELS`` codes at a time."""
-    out = np.empty(len(codes), dtype=table.table.dtype)
-    for start in range(0, len(codes), CHUNK_VOXELS):
+def _lookup(keys: np.ndarray, values: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """``values[np.searchsorted(keys, codes)]``: the value of each code's row
+    of :func:`joint_histogram`, shaped like ``codes`` and read
+    ``CHUNK_VOXELS`` codes at a time."""
+    flat = codes.reshape(-1)
+    out = np.empty(flat.size, values.dtype)
+    for start in range(0, flat.size, CHUNK_VOXELS):
         chunk = slice(start, start + CHUNK_VOXELS)
-        out[chunk] = table[codes[chunk]]
-    return out
+        out[chunk] = values[np.searchsorted(keys, flat[chunk])]
+    return out.reshape(codes.shape)
 
 
 def _e_step(pats: np.ndarray, p: np.ndarray, q: np.ndarray, prior: float) -> np.ndarray:
@@ -382,9 +346,9 @@ def staple_binary(
     codes = joint_codes(len(masks), masks[0].data.size)
     for r, m in enumerate(masks):
         pack_labels(codes, r, m.data.reshape(-1).view(np.uint8))
-    pats, counts, index = joint_histogram([codes], len(masks), len(codes))
+    pats, counts, keys = joint_histogram([codes], len(masks), len(codes))
     w, fit = _staple_em(pats, counts, len(codes), tol, max_iters)
-    posterior = _gather(index.of(w), codes).reshape(masks[0].shape)
+    posterior = _lookup(keys, w, codes).reshape(masks[0].shape)
     mask = RegionMask(region, posterior >= 0.5, masks[0].spacing, masks[0].origin)
     return StapleResult(**vars(fit), mask=mask, posterior=posterior)
 
@@ -411,10 +375,10 @@ def staple_lut(
         codes = joint_codes(len(rows), rows.shape[1])
         for rater, rater_rows in enumerate(rows):
             pack_labels(codes, rater, _MEMBERSHIP[r][rater_rows].view(np.uint8))
-        pats, pat_counts, pat_index = joint_histogram([codes], len(rows), len(codes),
-                                                      weights=[counts])
+        pats, pat_counts, keys = joint_histogram([codes], len(rows), len(codes),
+                                                 weights=[counts])
         w, fits[r.value] = _staple_em(pats, pat_counts, n_voxels, tol, max_iters)
-        fused.append(pat_index.of(w >= 0.5)[codes])
+        fused.append(_lookup(keys, w >= 0.5, codes))
     return compose(*fused), fits
 
 
@@ -439,9 +403,9 @@ def staple_multilabel_detailed(
     codes = joint_codes(len(maps), first.size)
     for r, m in enumerate(maps):
         pack_labels(codes, r, m.data.ravel(order))
-    rows, counts, index = joint_histogram([codes], len(maps), first.size)
+    rows, counts, keys = joint_histogram([codes], len(maps), first.size)
     lut, fits = staple_lut(rows, counts, first.size, tol, max_iters)
-    labels = _gather(index.of(lut), codes).reshape(first.shape, order=order)
+    labels = _lookup(keys, lut, codes).reshape(first.shape, order=order)
     return LabelMap(labels, maps[0].spacing, maps[0].origin), fits
 
 

@@ -53,8 +53,9 @@ count, and a lookup table gives each row's fused label: STAPLE's
 voxels are counted from the histogram, so the ET threshold is decided
 before any output voxel is written: a relabel is the table edit ET -> 1.
 The output body is then written after the header ``nifti.header_bytes``
-builds, one z-plane at a time: the plane is filled with the table's entry
-for code 0, and the table is read at the codes of the plane's rectangle.
+builds, one z-plane at a time: the plane is filled with the label of row 0
+(code 0's, whenever code 0 occurs), and the rectangle's codes are looked
+up among the histogram's ascending codes and given their rows' labels.
 
 ``eval`` reads a pair the same way, the prediction as the first model and
 the ground truth as the second, so the two grids are checked to agree
@@ -116,6 +117,7 @@ from .errors import BadData, BratsFuseError, ConfigError, UnpairedCase, error_te
 from .fusion import (
     DEFAULT_MAX_ITERS,
     DEFAULT_TOL,
+    _lookup,
     argmax_labels_into,
     average_probs_into,
     joint_codes,
@@ -501,7 +503,7 @@ def _fuse_into(case: CaseInput, cfg: PipelineConfig, out_nii: Path) -> dict:
     """Fuse ``case`` into the label file ``out_nii``; returns its diagnostics."""
     grid, blocks = _read_blocks(case)
     n_models, n_voxels = len(case.models), math.prod(grid.shape)
-    rows, counts, index = joint_histogram(
+    rows, counts, keys = joint_histogram(
         [codes.ravel() for _, codes in blocks], n_models, n_voxels)
     if n_models == 1:
         lut, staple_diag = _LABELS[rows[0]], None
@@ -515,23 +517,29 @@ def _fuse_into(case: CaseInput, cfg: PipelineConfig, out_nii: Path) -> dict:
     relabel = relabels_et(et_before, cfg.et_threshold)
     if relabel:
         lut = np.where(lut == 4, np.uint8(1), lut)
-    table = index.of(lut)  # the fused label of every code
-    background = table[joint_codes(n_models, 1)][0]  # that of code 0
     nx, ny, nz = grid.shape
     plane = np.empty((ny, nx), np.uint8)
     kept = {z: (x, y, codes) for (x, y, z), codes in blocks}
     with _write_atomic(out_nii) as fh:
         fh.write(header_bytes(grid.shape, grid.spacing, grid.origin, np.uint8))
         for z in range(nz):
-            plane.fill(background)
+            # Row 0 is code 0 whenever code 0 occurs, so lut[0] is its label;
+            # when code 0 does not occur, every plane's rectangle is the whole
+            # plane, which overwrites the fill.
+            plane.fill(lut[0])
             if z in kept:
                 x, y, codes = kept[z]
-                plane[y : y + codes.shape[0], x : x + codes.shape[1]] = table[codes]
+                plane[y : y + codes.shape[0], x : x + codes.shape[1]] = \
+                    _lookup(keys, lut, codes)
             fh.write(plane)
     return {
         "case_id": case.case_id,
         "models": [m.name for m in case.models],
         "staple": staple_diag,
+        # STAPLE's domain: the grid's voxels, and those every model calls
+        # background (code 0).
+        "grid_voxels": n_voxels,
+        "background_voxels": int(counts[0]) if keys[0] == 0 else 0,
         "et_threshold": cfg.et_threshold,
         "et_voxels_before": et_before,
         "et_voxels_after": 0 if relabel else et_before,
@@ -555,7 +563,8 @@ def _run_cases(worker, items, jobs: int):
     # parent reads the pipes in worker order and puts each share back in
     # place, so the results are in item order whatever --jobs is. A worker's
     # exception is raised again here, from a RuntimeError holding the worker's
-    # pid and traceback; a worker that ends without a result is a RuntimeError. No child outlives this call: on any way out, each one
+    # pid and traceback; a worker that ends without a result is a
+    # RuntimeError. No child outlives this call: on any way out, each one
     # still running is killed and every one is reaped.
     jobs = min(jobs, len(items))
     if jobs <= 1 or not hasattr(os, "fork"):

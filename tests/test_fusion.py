@@ -7,7 +7,6 @@ import pytest
 from bratsfuse import fusion
 from bratsfuse.errors import EmptyList, GeometryMismatch
 from bratsfuse.fusion import (
-    CODE_BITS,
     DEFAULT_INIT_PQ,
     DEFAULT_MAX_ITERS,
     DEFAULT_TOL,
@@ -153,10 +152,9 @@ class TestStapleBinary:
         assert res.iterations == iters_ref
         assert res.converged == conv_ref
 
-    # 5 raters are counted by np.bincount, 20 by sorting packed decision rows.
+    # 5 raters' decisions pack into uint16 codes, 20 raters' into uint64.
     @pytest.mark.parametrize("n_raters", [5, 20])
     def test_against_reference_on_disagreeing_raters(self, rng, n_raters):
-        assert 5 <= CODE_BITS < 20
         truth = rng.random((6, 5, 4)) < 0.4
         masks = [
             RegionMask(Region.WT, truth ^ (rng.random(truth.shape) < 0.15))
@@ -241,38 +239,50 @@ class TestStapleBinary:
 
 
 class TestPatterns:
-    """``joint_histogram``, the row counter behind every STAPLE path, by
-    np.bincount and by sorting."""
+    """``joint_histogram``, the row counter behind every STAPLE path."""
 
-    @pytest.mark.parametrize("code_bits", [CODE_BITS, 4])
+    # Codes counted and looked up 16 or 4 at a time, so the chunks end inside
+    # the pieces.
+    @pytest.mark.parametrize("chunk_voxels", [16, 4])
     # Digits of one bit (0/1 decisions, as STAPLE packs them) or of two
-    # (label positions), packed two bits per rater either way: 3 and 5
-    # raters are counted, 9, 17 and 32 sorted.
+    # (label positions), packed two bits per rater either way, in uint8 (3
+    # raters), uint16 (5), uint32 (9) or uint64 (17 and 32) codes.
     @pytest.mark.parametrize("digit_bits, n_raters",
                              [(1, 5), (2, 3), (2, 5), (2, 9), (1, 17), (2, 17), (2, 32)])
     @pytest.mark.parametrize("weighted", [False, True])
-    def test_rows_and_counts(self, rng, monkeypatch, code_bits, digit_bits, n_raters,
+    def test_rows_and_counts(self, rng, monkeypatch, chunk_voxels, digit_bits, n_raters,
                              weighted):
-        monkeypatch.setattr(fusion, "CODE_BITS", code_bits)
-        monkeypatch.setattr(fusion, "CHUNK_VOXELS", 97)
-        digits = rng.integers(0, 1 << digit_bits, (n_raters, 500)).astype(np.uint8)
-        weights = rng.integers(1, 5, 500) if weighted else np.ones(500, int)
-        codes = joint_codes(n_raters, 500)
-        for r, col in enumerate(digits):
-            pack_labels(codes, r, np.array(BRATS_LABELS, np.uint8)[col])
-        # Three pieces, and 7 voxels of code 0 outside them, each of weight 1.
-        rows, counts, index = joint_histogram(
-            np.split(codes, [123, 400]), n_raters, len(codes) + 7,
-            np.split(weights, [123, 400]) if weighted else None)
-        want = {(0,) * n_raters: 7}
-        for k, row in enumerate(map(tuple, digits.T)):
-            want[row] = want.get(row, 0) + weights[k]
-        assert np.array_equal(rows[:, index[codes]], digits)
-        assert dict(zip(map(tuple, rows.T), counts.tolist())) == want
-        assert counts.dtype == (np.float64 if weighted else np.int64)
-        # Ascending code order, whether counted or sorted.
-        row_codes = [sum(int(d) << 2 * r for r, d in enumerate(row)) for row in rows.T]
-        assert row_codes == sorted(set(row_codes))
+        monkeypatch.setattr(fusion, "CHUNK_VOXELS", chunk_voxels)
+        # The voxels of code 0 outside the pieces: 7; none, and no piece
+        # voxel of code 0 either, so row 0 is not code 0; or every voxel
+        # (None), with no piece at all.
+        for outside in (7, 0, None):
+            n, zeros = (0, 500) if outside is None else (500, outside)
+            digits = rng.integers(0, 1 << digit_bits, (n_raters, n)).astype(np.uint8)
+            if outside == 0:
+                digits[0, ~digits.any(axis=0)] = 1  # no all-background row
+            weights = rng.integers(1, 5, n) if weighted else np.ones(n, int)
+            codes = joint_codes(n_raters, n)
+            for r, col in enumerate(digits):
+                pack_labels(codes, r, np.array(BRATS_LABELS, np.uint8)[col])
+
+            def split(a):  # three pieces, or none
+                return np.split(a, [123, 400]) if n else []
+
+            # Each voxel outside the pieces weighs 1.
+            rows, counts, keys = joint_histogram(split(codes), n_raters, n + zeros,
+                                                 split(weights) if weighted else None)
+            want = {(0,) * n_raters: zeros} if zeros else {}
+            for k, row in enumerate(map(tuple, digits.T)):
+                want[row] = want.get(row, 0) + weights[k]
+            assert np.array_equal(rows[:, np.searchsorted(keys, codes)], digits), outside
+            assert dict(zip(map(tuple, rows.T), counts.tolist())) == want, outside
+            assert counts.dtype == (np.float64 if weighted else np.int64)
+            # Ascending code order, and the keys are the rows' codes.
+            row_codes = [sum(int(d) << 2 * r for r, d in enumerate(row)) for row in rows.T]
+            assert row_codes == sorted(set(row_codes)) == keys.tolist(), outside
+            assert keys.dtype == codes.dtype
+            assert (keys[0] == 0) == (zeros > 0), outside
 
     # Codes of one uint8 (1 and 4 raters), uint16, uint32 or uint64.
     @pytest.mark.parametrize("n_raters", [1, 4, 5, 9, 32])
@@ -376,11 +386,10 @@ class TestJointLabelStaple:
         (3, 10, None),
         (3, 10, {"max_iters": 5, "tol": 1e-9}),
         (8, 4, None),   # the most raters whose joint codes fit a uint16
-        (9, 4, None),   # joint rows found by sorting
+        (9, 4, None),   # uint32 joint codes
     ])
     @pytest.mark.parametrize("first_order", ["C", "F"])
     def test_equals_the_per_region_path(self, monkeypatch, n_raters, seed, em, first_order):
-        assert CODE_BITS // 2 == 8  # the 8- and 9-rater cases straddle it
         # 8000 voxels: eight full chunks and a short one.
         monkeypatch.setattr(fusion, "CHUNK_VOXELS", 999)
         gt, _ = make_phantom(PhantomSpec(shape=(20, 20, 20), seed=7))
@@ -396,9 +405,9 @@ class TestJointLabelStaple:
         assert (masks[Region.TC] & ~masks[Region.WT]).any()
 
     def test_region_patterns_found_by_sorting(self):
-        # 17 raters: both the joint rows and each region's patterns are
-        # sorted, and their codes fill more than one uint32.
-        assert 2 * 17 > max(CODE_BITS, 32)
+        # 17 raters: the codes of both the joint rows and each region's
+        # patterns fill more than one uint32.
+        assert joint_codes(17, 1).dtype == np.uint64
         gt, _ = make_phantom(PhantomSpec(shape=(20, 20, 20), seed=7))
         self.assert_equals_per_region(boundary_raters(gt, 17, 4))
 

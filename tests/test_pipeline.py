@@ -30,7 +30,6 @@ from bratsfuse.errors import (
     UnsupportedEncoding,
 )
 from bratsfuse.fusion import (
-    CODE_BITS,
     argmax_labels,
     average_probs,
     joint_codes,
@@ -1550,8 +1549,10 @@ def _reference(maps, case, cfg, tmp_path):
         staple = {region: asdict(fit) for region, fit in fits.items()}
     out = et_threshold_relabel(fused, cfg.et_threshold)
     before, after = (int(np.count_nonzero(m.data == 4)) for m in (fused, out))
+    background = int(np.logical_and.reduce([m.data == 0 for m in maps]).sum())
     diag = {"case_id": case.case_id, "models": [m.name for m in case.models],
-            "staple": staple, "et_threshold": cfg.et_threshold,
+            "staple": staple, "grid_voxels": out.data.size,
+            "background_voxels": background, "et_threshold": cfg.et_threshold,
             "et_voxels_before": before, "et_voxels_after": after,
             "et_relabeled": after == 0 and before > 0, "output": f"{case.case_id}.nii"}
     path = save_nifti(tmp_path / f"reference_{case.case_id}.nii", out)
@@ -1608,10 +1609,8 @@ def test_one_label_model_below_the_et_threshold_is_relabeled(tmp_path):
 
 @pytest.mark.parametrize("n_raters, code_type", [(5, np.uint16), (9, np.uint32)])
 def test_many_label_models_fuse_as_the_reference(tmp_path, n_raters, code_type):
-    # Five raters' codes need a uint16; nine need 18 bits, more than
-    # np.bincount counts, so their joint rows are sorted.
+    # Five raters' codes need a uint16; nine need 18 bits, a uint32.
     assert joint_codes(n_raters, 1).dtype == code_type
-    assert (2 * n_raters > CODE_BITS) == (n_raters == 9)
     gt, _ = make_phantom(PhantomSpec(shape=STREAM_SHAPE, seed=7))
     models = _label_models(tmp_path, boundary_raters(gt, n_raters, 4), "c0")
     _assert_fuses_as_the_reference(tmp_path, CaseInput("c0", tuple(models)))
@@ -1620,20 +1619,26 @@ def test_many_label_models_fuse_as_the_reference(tmp_path, n_raters, code_type):
 def test_staple_counts_every_voxel_of_the_grid(tmp_path):
     # STAPLE's domain is the whole grid, code 0 included: background planes
     # added to a case keep each region's foreground count and lower its
-    # prior, foreground / (3 x the grid's voxels).
+    # prior, foreground / (3 x the grid's voxels). The sidecar records the
+    # grid's voxels, and the padded voxels all add to the code-0 count.
     gt, _ = make_phantom(PhantomSpec(shape=STREAM_SHAPE, seed=7))
     raters = boundary_raters(gt, 3, 4)
     padded = [LabelMap(np.pad(m.data, ((0, 0), (0, 0), (2, 3))), m.spacing, m.origin)
               for m in raters]
+    background = []
     for stem, maps in (("whole", raters), ("padded", padded)):
         out = tmp_path / stem
         case = CaseInput("c0", tuple(_label_models(tmp_path, maps, stem)))
         assert run_fuse(PipelineConfig((case,), out))[1] == []
-        fits = json.loads((out / "c0_staple.json").read_text())["staple"]
+        diag = json.loads((out / "c0_staple.json").read_text())
         n_voxels = math.prod(maps[0].shape)
+        assert diag["grid_voxels"] == n_voxels
+        background.append(diag["background_voxels"])
         for r in Region:
             foreground = sum(int(region_mask(m, r).data.sum()) for m in raters)
-            assert fits[r.value]["prior"] == foreground / (3 * n_voxels)
+            assert diag["staple"][r.value]["prior"] == foreground / (3 * n_voxels)
+    nx, ny, _ = STREAM_SHAPE
+    assert 0 < background[0] and background[1] - background[0] == nx * ny * 5
 
 
 def _random_labels(rng, shape, n_maps):
@@ -1823,8 +1828,8 @@ def test_rectangles_that_touch_both_ends_of_the_grid(tmp_path, n_raters):
 @pytest.mark.parametrize("n_raters", [3, 9])
 def test_a_case_with_no_background_voxel(tmp_path, n_raters):
     # Every voxel of every model is tumour, so no voxel has code 0 and each
-    # plane keeps all of itself: the writer's fill with code 0's label is
-    # overwritten on every plane.
+    # plane keeps all of itself: the writer's fill with row 0's label, here
+    # not code 0's, is overwritten on every plane.
     rng = np.random.default_rng(n_raters)
     raters = [LabelMap(rng.choice([1, 2, 4], STREAM_SHAPE).astype(np.uint8), SPACING, ORIGIN)
               for _ in range(n_raters)]
