@@ -34,12 +34,9 @@ caller's buffer, and ``renormalise`` casts the four channels, or any
 same-shaped views of them, into float64 rows, divides them by their sums,
 clips and checks them. So a map can be read a range at a time without a
 header parse or a fresh array per range, and a caller can look at the
-stored values before any arithmetic: a fold model compares each channel
-with certain background, exactly (1, 0, 0, 0), before it reads the next,
-and then renormalises only the columns, within whole rows it read, of the
-rectangle outside which every fold stores that background (see
-``pipeline``). :func:`load_probmap` does both steps on a whole map; a
-map's header alone is ``ProbmapFiles(m).header``.
+stored values before any arithmetic, as a fold model of ``pipeline`` does.
+:func:`load_probmap` does both steps on a whole map; a map's header alone
+is ``ProbmapFiles(m).header``.
 """
 
 from __future__ import annotations
@@ -59,6 +56,7 @@ from .errors import (
     BadHeader,
     BadMagic,
     ConfigError,
+    InvalidLabel,
     NiftiError,
     TruncatedFile,
     UnsupportedDtype,
@@ -330,13 +328,15 @@ def read_label_planes(f: PlaneReader, start: int, stop: int,
     """Voxels ``start:stop`` of a label file read into ``buf`` (see
     :meth:`PlaneReader.read`), checked as BraTS labels: a NaN or infinite
     voxel is ``BadData``, any other value outside {0, 1, 2, 4}
-    ``InvalidLabel``, which lists the offending values of these voxels."""
+    ``InvalidLabel`` listing the offending values, both naming the file."""
     data = f.read(start, stop, buf)
     try:
         _check_finite(data)
+        _check_labels(data)
     except ValueError as e:
-        raise BadData(str(e)) from e
-    _check_labels(data)
+        raise BadData(f"{f.path}: {e}") from e
+    except InvalidLabel as e:
+        raise InvalidLabel(f"{f.path}: {e}") from e
     return data
 
 
@@ -395,7 +395,7 @@ class ProbmapFiles:
                     raise ConfigError(
                         f"{self.manifest}: cannot open channel file {path}: {e.strerror}"
                     ) from e
-            require_same_geometry(*(f.header for f in self._files))
+            require_same_geometry(*(f.header for f in self._files), names=paths)
             self._stack = stack.pop_all()
         self.header = self._files[0].header
 

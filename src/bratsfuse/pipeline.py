@@ -13,21 +13,21 @@ each pair as a case of two label-map models, and emits per-case metrics
 A case is read in one loop over its z-planes; a plane is the x-fastest
 voxel range ``nx*ny*z : nx*ny*(z + 1)``, read from each file as one
 contiguous byte range. Every input file is opened and its header parsed and
-checked once, and the models' grids are checked to agree, before the first
-plane. Per plane, each model gives its labels, read into one read buffer
-that all of the case's models share, of the most bytes any of them reads: a
-label map reads one plane in its stored dtype, checked by
-``nifti.read_label_planes``, and a fold model one fold's four channels of
-one decode band, whatever its number of folds. Fold maps are decoded in two
-steps per plane. The scan reads each fold in config order, one channel at a
-time in as many whole rows as the buffer holds (for 240 x 240, one read per
-channel covers the plane), and compares the channel with its value in
-exactly (1, 0, 0, 0), the certain background that models which infer on
-the brain's bounding box store in the rest of the grid. The plane's
-rectangle is a slice of rows and a slice of columns outside which no fold
-differs (``volume.nonzero_box``); once the plane's first and last voxels
-differ, the rectangle is the whole plane and the scan stops, so a dense
-plane costs one channel of one fold.
+checked once, and the models' grids are checked to agree (a mismatch names
+both files), before the first plane. Per plane, each model gives its
+labels, read into one read buffer that all of the case's models share, of
+the most bytes any of them reads: a label map reads one plane in its stored
+dtype, checked by ``nifti.read_label_planes``, and a fold model one stored
+channel of a plane or one fold's four channels of one decode band, whatever
+its number of folds. Fold maps are decoded in two steps per plane. The scan
+reads each fold in config order, one channel of the whole plane per read,
+and compares the channel with its value in exactly (1, 0, 0, 0), the
+certain background that models which infer on the brain's bounding box
+store in the rest of the grid. The plane's rectangle is a slice of rows
+and a slice of columns outside which no fold differs
+(``volume.nonzero_box``); once the plane's first and last voxels differ,
+the rectangle is the whole plane and the scan stops, so a dense plane
+costs one read of one channel of one fold.
 The rectangle is then decoded in bands of ``DECODE_VOXELS`` voxels' worth
 of rows (at least one row), small enough that a band's buffers stay in
 cache through every pass over them: per band, each fold in config order is
@@ -141,7 +141,7 @@ from .nifti import (
     header_bytes,
     read_label_planes,
 )
-from .postprocess import DEFAULT_ET_THRESHOLD, relabels_et
+from .postprocess import DEFAULT_ET_THRESHOLD, check_et_threshold, relabel_et
 from .report import (
     ModelSummary,
     format_ranking_table,
@@ -300,8 +300,7 @@ class PipelineConfig:
         return cfg
 
     def validate(self) -> None:
-        if self.et_threshold < 0:
-            raise ConfigError("et_threshold must be nonnegative")
+        check_et_threshold(self.et_threshold)
         if not self.staple_tol > 0 or self.staple_max_iters < 1:
             raise ConfigError("staple tol must be > 0 and max_iters >= 1")
         if self.staple_tol == math.inf:
@@ -352,22 +351,19 @@ _BACKGROUND = (1, 0, 0, 0)
 class _FoldModel:
     """A model given as fold probability maps, decoded a plane at a time
     inside the rectangle of the plane's uncertain voxels, each fold read in
-    turn into the case's read buffer."""
+    turn into the case's read buffer: by the scan one channel of the whole
+    plane at a time, and then one fold's four channels of a band at a time."""
 
     def __init__(self, manifests: tuple[Path, ...], stack: ExitStack):
-        self._manifests = manifests
         self._folds = [stack.enter_context(ProbmapFiles(p)) for p in manifests]
-        require_same_geometry(*(f.header for f in self._folds))
+        require_same_geometry(*(f.header for f in self._folds), names=manifests)
         self.header = self._folds[0].header
         nx, ny, _ = self.header.shape
         # Rows per decode band: at most DECODE_VOXELS voxels, at least a row.
         self._band = band = min(max(1, DECODE_VOXELS // nx), ny)
-        # Bytes this model reads into the case's read buffer, for any number
-        # of folds: one fold's four stored channels (at most 4 bytes a value)
-        # of one band. The scan reads one channel at a time into it, as many
-        # whole rows as it holds; ``_differs`` is one such read's compare.
-        self.read_bytes = 4 * 4 * band * nx
-        self._differs = np.empty(min(4 * band, ny) * nx, bool)
+        # Bytes this model reads into the case's read buffer (at most 4 a
+        # value): one channel of a plane, or one fold's four channels of a band.
+        self.read_bytes = 4 * max(ny, 4 * band) * nx
         # float64 buffers for the band's voxels inside the rectangle.
         self._probs, self._mean = np.empty((2, 4, band * nx))
         self._sums, self._best = np.empty((2, band * nx))
@@ -395,25 +391,19 @@ class _FoldModel:
         ``start`` outside which every fold stores ``_BACKGROUND``, or None
         if every fold does everywhere.
 
-        Per fold in config order, per channel, the plane is read into
-        ``buf``, ``_differs.size`` voxels (whole rows) at a time, and
-        compared with the channel's ``_BACKGROUND`` value; NaN and infinite
-        values differ from it, so they lie inside the rectangle and are
-        checked. Once the plane's first and last voxels are uncertain, the
-        rectangle is the whole plane and the scan stops.
+        Per fold in config order, per channel, the whole plane is read into
+        ``buf`` in one read and compared with the channel's ``_BACKGROUND``
+        value; NaN and infinite values differ from it, so they lie inside
+        the rectangle and are checked. Once the plane's first and last
+        voxels are uncertain, the rectangle is the whole plane and the scan
+        stops.
         """
         ny, nx = self._uncertain.shape
         uncertain = self._uncertain.reshape(-1)
         uncertain[...] = False
-        step = self._differs.size
         for fold in self._folds:
             for c, value in enumerate(_BACKGROUND):
-                for lo in range(0, nx * ny, step):
-                    hi = min(lo + step, nx * ny)
-                    differs = self._differs[: hi - lo]
-                    np.not_equal(fold.read_channel(c, start + lo, start + hi, buf), value,
-                                 out=differs)
-                    uncertain[lo:hi] |= differs
+                uncertain |= fold.read_channel(c, start, start + nx * ny, buf) != value
                 if uncertain[0] and uncertain[-1]:
                     return slice(0, ny), slice(0, nx)
         return nonzero_box(self._uncertain)
@@ -442,16 +432,10 @@ class _FoldModel:
             try:
                 _check_probs(mean, sums)
             except ValueError as e:
-                names = ", ".join(str(p) for p in self._manifests)
+                names = ", ".join(str(f.manifest) for f in self._folds)
                 raise BadData(f"average of {names}: {e}") from e
             argmax_labels_into(mean.reshape(4, *out.shape), out,
                                self._best[:n].reshape(out.shape))
-
-
-def _open_model(m: ModelInput, stack: ExitStack) -> _LabelModel | _FoldModel:
-    if m.labelmap is not None:
-        return _LabelModel(m.labelmap, stack)
-    return _FoldModel(m.prob_manifests, stack)
 
 
 def _write_json(path: Path, value) -> None:
@@ -477,8 +461,10 @@ def _read_blocks(case: CaseInput):
     ``((x, y, z) corner, codes)`` pairs in plane order; a plane of
     background keeps nothing."""
     with ExitStack() as stack:
-        models = [_open_model(m, stack) for m in case.models]
-        require_same_geometry(*(m.header for m in models))
+        models = [_LabelModel(m.labelmap, stack) if m.labelmap is not None
+                  else _FoldModel(m.prob_manifests, stack) for m in case.models]
+        require_same_geometry(*(m.header for m in models), names=[
+            m.labelmap or m.prob_manifests[0] for m in case.models])
         grid = models[0].header
         nx, ny, nz = grid.shape
         codes = joint_codes(len(models), nx * ny)
@@ -514,9 +500,8 @@ def _fuse_into(case: CaseInput, cfg: PipelineConfig, out_nii: Path) -> dict:
         staple_diag = {region: dict(asdict(fit), p=list(fit.p), q=list(fit.q))
                        for region, fit in fits.items()}
     et_before = int(counts[lut == 4].sum())
-    relabel = relabels_et(et_before, cfg.et_threshold)
-    if relabel:
-        lut = np.where(lut == 4, np.uint8(1), lut)
+    lut = relabel_et(lut, et_before, cfg.et_threshold)
+    et_after = int(counts[lut == 4].sum())
     nx, ny, nz = grid.shape
     plane = np.empty((ny, nx), np.uint8)
     kept = {z: (x, y, codes) for (x, y, z), codes in blocks}
@@ -542,8 +527,8 @@ def _fuse_into(case: CaseInput, cfg: PipelineConfig, out_nii: Path) -> dict:
         "background_voxels": int(counts[0]) if keys[0] == 0 else 0,
         "et_threshold": cfg.et_threshold,
         "et_voxels_before": et_before,
-        "et_voxels_after": 0 if relabel else et_before,
-        "et_relabeled": relabel,
+        "et_voxels_after": et_after,
+        "et_relabeled": et_after != et_before,
         "output": out_nii.name,
     }
 
@@ -551,7 +536,9 @@ def _fuse_into(case: CaseInput, cfg: PipelineConfig, out_nii: Path) -> dict:
 def run_postprocess(input_nii, output_nii, et_threshold: int = DEFAULT_ET_THRESHOLD) -> dict:
     """Apply the ET threshold to the label map ``input_nii``, written to
     ``output_nii`` (which may be the same file): ``fuse`` of it as a
-    one-model case, with no sidecar. Returns the diagnostics."""
+    one-model case, with no sidecar. Returns the diagnostics. A negative
+    ``et_threshold`` is a ConfigError, raised before any file is opened."""
+    check_et_threshold(et_threshold)
     out = Path(output_nii)
     case = CaseInput(out.stem, (ModelInput("input", labelmap=Path(input_nii)),))
     return _fuse_into(case, PipelineConfig((case,), out.parent, et_threshold), out)

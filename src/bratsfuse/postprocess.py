@@ -3,32 +3,39 @@
 Small predicted ET regions are usually spurious vessel fragments; when the
 total ET voxel count falls below a threshold (default 200, strict), every ET
 voxel is relabeled to necrotic core (label 1). This never changes the TC or
-WT region masks, since label 4 and label 1 belong to both. ``relabels_et``
-is the decision alone, for a caller that counts ET voxels itself.
+WT region masks, since label 4 and label 1 belong to both. ``relabel_et``
+is the rule on any labels, for a caller that counts ET voxels itself; it
+refuses a negative threshold, as ``check_et_threshold`` does.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
+from .errors import ConfigError
 from .volume import LabelMap
 
-__all__ = ["et_threshold_relabel", "relabels_et", "DEFAULT_ET_THRESHOLD"]
+__all__ = ["et_threshold_relabel", "check_et_threshold", "relabel_et", "DEFAULT_ET_THRESHOLD"]
 
 DEFAULT_ET_THRESHOLD = 200
 
 
-def relabels_et(et_voxels: int, threshold: int) -> bool:
-    """Whether a map with ``et_voxels`` ET voxels is relabeled: it has some,
-    and fewer than ``threshold``."""
-    return 0 < et_voxels < threshold
+def check_et_threshold(threshold: int) -> None:
+    """Raise ConfigError if ``threshold`` is negative."""
+    if threshold < 0:
+        raise ConfigError(f"et_threshold must be nonnegative, got {threshold}")
+
+
+def relabel_et(labels: np.ndarray, et_voxels: int, threshold: int) -> np.ndarray:
+    """``labels`` (uint8) with every ET (4) made 1 if their ``et_voxels`` ET
+    voxels are some and fewer than ``threshold`` (checked), else ``labels``."""
+    check_et_threshold(threshold)
+    if not 0 < et_voxels < threshold:
+        return labels
+    return np.where(labels == 4, np.uint8(1), labels)
 
 
 def et_threshold_relabel(m: LabelMap, threshold: int = DEFAULT_ET_THRESHOLD) -> LabelMap:
     """Relabel all ET voxels to label 1 when total ET count < threshold."""
-    if threshold < 0:
-        raise ValueError(f"threshold must be nonnegative, got {threshold}")
-    et = m.data == 4
-    if not relabels_et(int(et.sum()), threshold):
-        return m
-    data = m.data.copy()
-    data[et] = 1
-    return LabelMap(data, m.spacing, m.origin)
+    data = relabel_et(m.data, int(np.count_nonzero(m.data == 4)), threshold)
+    return m if data is m.data else LabelMap(data, m.spacing, m.origin)

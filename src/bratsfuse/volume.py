@@ -204,12 +204,15 @@ def same_geometry(a, b) -> bool:
     return a.shape == b.shape and _close(a.spacing, b.spacing) and _close(a.origin, b.origin)
 
 
-def require_same_geometry(*objs) -> None:
+def require_same_geometry(*objs, names=None) -> None:
+    """Raise GeometryMismatch unless all ``objs`` share the first's geometry;
+    ``names``, one per object, start its message with the two that differ."""
     first = objs[0]
-    for other in objs[1:]:
+    for k, other in enumerate(objs[1:], 1):
         if not same_geometry(first, other):
+            where = f"{names[0]}, {names[k]}: " if names else ""
             raise GeometryMismatch(
-                f"geometry mismatch: {first.shape}/{first.spacing}/{first.origin}"
+                f"{where}geometry mismatch: {first.shape}/{first.spacing}/{first.origin}"
                 f" vs {other.shape}/{other.spacing}/{other.origin}"
             )
 

@@ -1,5 +1,6 @@
 import gzip
 import json
+import re
 import struct
 import tempfile
 from pathlib import Path
@@ -371,8 +372,10 @@ class TestProbmapPlanes:
         v = load_volume(path)
         save_nifti(path, Volume(np.concatenate([v.data, v.data[:, :, :1]], axis=2),
                                 v.spacing, v.origin))
+        # The message names the first channel's file and the one that differs.
+        names = re.escape(f"{_channel_path(manifest, 0)}, {path}: geometry mismatch: ")
         for load in (ProbmapFiles, load_probmap, lambda m: _decode(m, 0, self.PLANE)):
-            with pytest.raises(GeometryMismatch):
+            with pytest.raises(GeometryMismatch, match=f"^{names}"):
                 load(manifest)
 
     @pytest.mark.parametrize("planes", [slice(None), slice(3, 5)])
@@ -547,6 +550,7 @@ def test_planes_are_checked_as_the_whole_file_is(tmp_path, datatype, value, erro
     path = _plane_file(tmp_path, datatype, data)
     with pytest.raises(error, match=match) as want:
         load_labelmap(path)
+    assert str(want.value).startswith(f"{path}: ")
     buf = np.empty(int(np.prod(PLANE_SHAPE)), np.float32)
     with PlaneReader(path) as f:
         read_label_planes(f, 0, 120, buf)  # planes 0:6

@@ -458,6 +458,17 @@ def test_postprocess_writes_the_bytes_fuse_writes_for_the_map_alone(tmp_path):
     assert not (tmp_path / "post_staple.json").exists()
 
 
+def test_postprocess_refuses_a_negative_et_threshold_before_it_opens_a_file(tmp_path,
+                                                                           monkeypatch):
+    path, _ = _phantom_map(tmp_path)
+    opened = []
+    monkeypatch.setattr(pipeline, "_open_labels", lambda p: opened.append(p))
+    with pytest.raises(ConfigError, match="et_threshold must be nonnegative, got -1"):
+        run_postprocess(path, tmp_path / "out.nii", -1)
+    assert opened == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.nii"]
+
+
 def test_postprocess_can_write_over_its_input(tmp_path):
     path, et = _phantom_map(tmp_path)
     run_postprocess(path, tmp_path / "want.nii", et + 1)
@@ -772,16 +783,15 @@ def _rows(shape, z, step):
     return [(nx * (ny * z + y), nx * (ny * z + min(y + step, ny))) for y in range(0, ny, step)]
 
 
-def _dense_plane_reads(manifests, shape, band, scan_rows=None):
+def _dense_plane_reads(manifests, shape, band):
     """The reads of fold maps with no certain background, decoded in bands
     of ``band`` rows. Per plane (the voxel range nx*ny*z : nx*ny*(z + 1)),
-    the scan reads the first channel of the first fold, ``scan_rows`` rows
-    at a time (by default all), and stops: the plane's first and last voxels
-    are uncertain. Then each band is read from every fold in config order,
-    channel by channel."""
+    the scan reads the first channel of the first fold in one read of the
+    plane, and stops: the plane's first and last voxels are uncertain. Then
+    each band is read from every fold in config order, channel by channel."""
     _, ny, nz = shape
     return [call for z in range(nz) for call in
-            [(manifests[0], 0, *r) for r in _rows(shape, z, scan_rows or ny)]
+            [(manifests[0], 0, *_rows(shape, z, ny)[0])]
             + [(m, c, *r) for r in _rows(shape, z, band) for m in manifests for c in range(4)]]
 
 
@@ -790,18 +800,15 @@ def _dense_plane_reads(manifests, shape, band, scan_rows=None):
 def test_streamed_labels_equal_whole_volume_labels(tmp_path, rng, monkeypatch, shape):
     monkeypatch.setattr(pipeline, "DECODE_VOXELS", 40)  # less than a plane of 48
     manifests = _folds(tmp_path, rng, shape, 3)
-    # Bands of the rows that 40 voxels hold: 5 of 8, or the one row of 1. A
-    # scan read holds four bands' rows, so the whole plane.
+    # Bands of the rows that 40 voxels hold: 5 of 8, or the one row of 1.
     band = min(40 // shape[0], shape[1])
-    assert 4 * band >= shape[1]
     assert _fused_reads(manifests, monkeypatch) == _dense_plane_reads(manifests, shape, band)
 
 
 def test_streamed_labels_when_the_default_decode_chunk_splits_planes(tmp_path, rng,
                                                                      monkeypatch):
     # 130 x 130 planes of dense maps: the scan reads the first fold's first
-    # channel in one read of the plane (four bands hold 504 rows), and the
-    # rectangle is the whole plane, decoded in two bands of rows, 126 (16380
+    # channel in one read of the plane, and the rectangle is the whole plane, decoded in two bands of rows, 126 (16380
     # voxels) and then 4.
     assert pipeline.DECODE_VOXELS // 130 == 126
     shape = (130, 130, 3)
@@ -811,18 +818,18 @@ def test_streamed_labels_when_the_default_decode_chunk_splits_planes(tmp_path, r
 
 def test_a_dense_plane_s_scan_reads_one_fold(tmp_path, rng, monkeypatch):
     # Planes of 6 x 5 in bands of one row: the scan reads the first fold's
-    # first channel in pieces of four rows (four bands), rows 0:4 and 4:5,
-    # then stops.
+    # first channel in one read of the plane, though it is taller than four
+    # bands, then stops.
     monkeypatch.setattr(pipeline, "DECODE_VOXELS", 7)
     manifests = _folds(tmp_path, rng, CHECK_SHAPE, 3)
     reads = _fused_reads(manifests, monkeypatch)
-    assert reads == _dense_plane_reads(manifests, CHECK_SHAPE, 1, scan_rows=4)
-    # Per plane, two scan reads, then four per fold per band of one row.
-    _, ny, nz = CHECK_SHAPE
-    per_plane = 2 + 4 * len(manifests) * ny
+    assert reads == _dense_plane_reads(manifests, CHECK_SHAPE, 1)
+    # Per plane, one scan read, then four per fold per band of one row.
+    nx, ny, nz = CHECK_SHAPE
+    per_plane = 1 + 4 * len(manifests) * ny
     assert len(reads) == nz * per_plane
-    scans = [r for z in range(nz) for r in reads[z * per_plane:][:2]]
-    assert {(m, c) for m, c, _, _ in scans} == {(manifests[0], 0)}
+    scans = [reads[z * per_plane] for z in range(nz)]
+    assert scans == [(manifests[0], 0, nx * ny * z, nx * ny * (z + 1)) for z in range(nz)]
 
 
 def test_a_fold_model_s_read_block_does_not_grow_with_its_fold_count(tmp_path, rng):
@@ -850,8 +857,9 @@ def test_a_fold_model_s_read_block_does_not_grow_with_its_fold_count(tmp_path, r
 def test_a_label_map_and_a_fold_model_share_one_read_buffer(tmp_path, rng, monkeypatch,
                                                             decode_voxels, larger):
     # Planes of 16 x 12: the float32 label map reads 768 bytes a plane; the
-    # fold model's block, four float32 channels of a band, is 256 bytes in
-    # bands of one row and 3,072 in one band of the plane's 12 rows.
+    # fold model reads one float32 channel of a plane (768 bytes) or four of
+    # a band (256 bytes in bands of one row, 3,072 in one band of the
+    # plane's 12 rows), whichever is more.
     monkeypatch.setattr(pipeline, "DECODE_VOXELS", decode_voxels)
     shape = (16, 12, 3)
     labels = rng.choice(BRATS_LABELS, size=shape).astype(np.float32)
@@ -882,7 +890,7 @@ def test_a_label_map_and_a_fold_model_share_one_read_buffer(tmp_path, rng, monke
     assert {"labels.nii", "case_f0_ch0.nii", "case_f1_ch4.nii"} <= {name for name, _ in bufs}
     assert len({id(buf) for _, buf in bufs}) == 1
     band = min(decode_voxels // 16, 12)
-    wanted = {"labels": 16 * 12 * 4, "folds": 4 * 4 * band * 16}
+    wanted = {"labels": 16 * 12 * 4, "folds": 4 * max(12, 4 * band) * 16}
     assert bufs[0][1].nbytes == max(wanted.values()) == wanted[larger]
 
 
@@ -918,8 +926,10 @@ def test_labels_are_the_same_for_any_decode_chunk(tmp_path, rng, monkeypatch,
 def test_fold_with_extra_planes_is_a_geometry_mismatch(tmp_path, rng):
     short = _folds(tmp_path, rng, (6, 5, 4), 2, stem="short")
     long_ = _folds(tmp_path, rng, (6, 5, 5), 1, stem="long")
-    with pytest.raises(GeometryMismatch):
+    with pytest.raises(GeometryMismatch) as info:
         _fused_labels(short + long_)
+    # The model's first fold and the fold that differs from it.
+    assert str(info.value).startswith(f"{short[0]}, {long_[0]}: geometry mismatch: ")
 
 
 def test_channel_truncated_in_its_last_plane(tmp_path, rng):
@@ -1180,12 +1190,12 @@ WIDE_SHAPE = (40, 12, 3)
 WIDE_BOXES = [np.s_[10:20, 3:6, 1], np.s_[15:26, 5:8, 1], np.s_[39:40, 11:12, 2]]
 
 
-def _tumour_folds(tmp_path, rng):
-    """Fold maps of ``WIDE_SHAPE``: certain background, and random
-    probabilities that differ from it in each fold's ``WIDE_BOXES`` box."""
+def _tumour_folds(tmp_path, rng, shape=WIDE_SHAPE, boxes=WIDE_BOXES):
+    """Fold maps of ``shape``: certain background, and random probabilities
+    that differ from it in each fold's box of ``boxes``."""
     manifests = []
-    for f, box in enumerate(WIDE_BOXES):
-        stored = np.zeros((4,) + WIDE_SHAPE, np.float32)
+    for f, box in enumerate(boxes):
+        stored = np.zeros((4,) + shape, np.float32)
         stored[0] = 1.0
         inside = stored[(slice(None),) + box]
         inside[...] = 0.01 + rng.random(inside.shape)
@@ -1209,20 +1219,42 @@ def test_only_the_rectangle_of_the_uncertain_voxels_is_decoded(tmp_path, rng, mo
 
 def test_the_scan_reads_every_fold_channel_by_channel_in_whole_rows(tmp_path, rng,
                                                                  monkeypatch):
-    # Bands of one row of 40, so a scan read holds four rows: each plane is
-    # read per fold, per channel, in rows 0:4, 4:8 and 8:12, since no plane's
-    # first voxel is uncertain. Then plane 1's rectangle is read in bands of
-    # its rows 3:8 and plane 2's in its row 11, each from every fold, channel
-    # by channel.
+    # Bands of one row of 40: each plane is read per fold, per channel, in
+    # one read of its 12 rows, since no plane's first voxel is uncertain.
+    # Then plane 1's rectangle is read in bands of its rows 3:8 and plane 2's
+    # in its row 11, each from every fold, channel by channel.
     monkeypatch.setattr(pipeline, "DECODE_VOXELS", 40)
     folds = _tumour_folds(tmp_path, rng)
-    scan = [[(f, c, *r) for f in folds for c in range(4) for r in _rows(WIDE_SHAPE, z, 4)]
+    scan = [[(f, c, *_rows(WIDE_SHAPE, z, 12)[0]) for f in folds for c in range(4)]
             for z in range(3)]
     bands = [[], [(f, c, *r) for r in _rows(WIDE_SHAPE, 1, 1)[3:8] for f in folds
                   for c in range(4)],
              [(f, c, *_rows(WIDE_SHAPE, 2, 1)[11]) for f in folds for c in range(4)]]
     assert _fused_reads(folds, monkeypatch) == [call for z in range(3)
                                                 for call in scan[z] + bands[z]]
+
+
+def test_a_plane_taller_than_four_bands_is_scanned_in_one_read_per_channel(tmp_path, rng,
+                                                                           monkeypatch):
+    # 264 x 264 planes at the default DECODE_VOXELS: bands of 62 rows, four
+    # of which hold 248 of the plane's 264 rows. No plane's first voxel is
+    # uncertain, so each plane is scanned in one read per fold per channel.
+    # Then plane 0's rectangle, rows 100:260, is read in bands 100:162,
+    # 162:224 and 224:260, and plane 1's, its last row, in one band.
+    assert pipeline.DECODE_VOXELS // 264 == 62
+    shape = (264, 264, 2)
+    folds = _tumour_folds(tmp_path, rng, shape, [
+        np.s_[50:120, 100:180, 0], np.s_[100:200, 150:260, 0], np.s_[263:264, 263:264, 1]])
+    nx, ny, _ = shape
+
+    def plane_reads(z, rows):
+        plane = nx * ny * z
+        scan = [(f, c, plane, plane + nx * ny) for f in folds for c in range(4)]
+        return scan + [(f, c, plane + nx * y, plane + nx * min(y + 62, rows.stop))
+                       for y in range(rows.start, rows.stop, 62) for f in folds for c in range(4)]
+
+    assert _fused_reads(folds, monkeypatch) == plane_reads(0, range(100, 260)) \
+        + plane_reads(1, range(263, 264))
 
 
 @pytest.mark.parametrize("voxel", [(35, 4, 1), (2, 10, 1)], ids=["beside", "off_corner"])
@@ -1681,8 +1713,24 @@ def test_a_bad_last_slab_is_a_per_case_error_with_no_outputs(tmp_path, how, erro
     assert [d["case_id"] for d in diags] == ["b_good"]
     assert [(e["case_id"], e["error"]) for e in errors] == [("a_bad", error.__name__)]
     assert errors[0]["detail"] == str(want.value)  # the message of the whole-file read
+    assert errors[0]["detail"].startswith(f"{bad}: ")
     assert sorted(p.name for p in out.iterdir()) == [
         "b_good.nii", "b_good_staple.json", "errors.json", "fuse_manifest.json"]
+
+
+def test_a_fuse_geometry_mismatch_names_both_files(tmp_path):
+    gt, _ = make_phantom(PhantomSpec(shape=STREAM_SHAPE, seed=7))
+    raters = boundary_raters(gt, 3, 4)
+    raters[1] = LabelMap(raters[1].data, (1.0, 1.0, 2.0), raters[1].origin)
+    cases = [CaseInput(cid, tuple(_label_models(tmp_path, raters, cid)))
+             for cid in ("a_bad", "b_good")]
+    cases[1] = replace(cases[1], models=cases[1].models[::2])
+    diags, errors = run_fuse(PipelineConfig(cases=tuple(cases), output_dir=tmp_path / "fused"))
+    assert [d["case_id"] for d in diags] == ["b_good"]
+    first, second = (m.labelmap for m in cases[0].models[:2])
+    assert errors == [{"case_id": "a_bad", "error": "GeometryMismatch", "detail":
+                       f"{first}, {second}: geometry mismatch: (16, 14, 11)/(1.0, 1.0, 1.0)/"
+                       "(0.0, 0.0, 0.0) vs (16, 14, 11)/(1.0, 1.0, 2.0)/(0.0, 0.0, 0.0)"}]
 
 
 class _FailingFile:
@@ -2178,7 +2226,8 @@ def test_an_eval_geometry_mismatch_is_a_per_case_error(tmp_path, change):
     assert (error["case_id"], error["error"]) == ("a_bad", "GeometryMismatch")
     with pytest.raises(GeometryMismatch) as want:
         _whole_file_scores(dirs, "a_bad")
-    assert error["detail"] == str(want.value)
+    # The library's text, after the prediction's and the ground truth's files.
+    assert error["detail"] == f"{dirs[0] / 'a_bad.nii'}, {dirs[1] / 'a_bad.nii'}: {want.value}"
     rows = (out / "cases.csv").read_text().splitlines()
     assert [r.split(",")[0] for r in rows[1:]] == ["b_good"]
 
@@ -2196,6 +2245,7 @@ def test_a_bad_last_slab_of_an_eval_pair_is_a_per_case_error(tmp_path, side, how
     [got] = _run_eval_cli(*dirs, out)
     assert (got["case_id"], got["error"]) == ("a_bad", error.__name__)
     assert got["detail"] == str(want.value)  # the message of the whole-file read
+    assert got["detail"].startswith(f"{bad}: ")  # the side at fault
     rows = (out / "cases.csv").read_text().splitlines()
     assert [r.split(",")[0] for r in rows[1:]] == ["b_good"]
 
