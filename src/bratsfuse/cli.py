@@ -12,7 +12,8 @@ and whether EM converged. EM always starts from near-perfect raters and the
 foreground rate of the grid (see ``fusion``). Volumes are NIfTI-1 files;
 machine outputs are JSON or CSV. Exit codes: 0 success, 1 configuration
 error or a file that cannot be read or written (one ``Error:`` line), 2
-partial failure (some cases errored).
+command-line usage error (click's own status), 3 partial failure (some
+cases errored, the rest were written).
 
 Nothing imported here loads scipy, which would about double the start-up
 time of every command. Before numpy loads, OpenBLAS is kept to one thread:
@@ -98,7 +99,7 @@ def fuse_cmd(config_path, jobs, out_dir):
     for e in errors:
         click.echo(f"  {e['case_id']}: {e['error']} ({e['detail']})", err=True)
     if errors:
-        sys.exit(2)
+        sys.exit(3)
 
 
 @main.command("eval")
@@ -119,7 +120,7 @@ def eval_cmd(pred_dir, gt_dir, out_dir, jobs, hd95_penalty):
     for e in errors:
         click.echo(f"  {e['case_id']}: {e['error']} ({e['detail']})", err=True)
     if errors:
-        sys.exit(2)
+        sys.exit(3)
 
 
 @main.command("report")

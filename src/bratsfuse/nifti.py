@@ -357,13 +357,14 @@ def _whole(f: PlaneReader, read) -> np.ndarray:
 
 
 def load_volume(path) -> Volume:
-    """The volume in file ``path``; a NaN or infinite voxel is BadData."""
+    """The volume in file ``path``; a NaN or infinite voxel is BadData
+    naming the file."""
     with PlaneReader(path) as f:
         data = _whole(f, PlaneReader.read)
     try:
         return Volume(data, f.header.spacing, f.header.origin)
     except ValueError as e:
-        raise BadData(str(e)) from e
+        raise BadData(f"{f.path}: {e}") from e
 
 
 def load_labelmap(path) -> LabelMap:

@@ -1,9 +1,10 @@
 """Synthetic phantoms and noisy predictor stand-ins for end-to-end testing.
 
-A phantom is a set of nested ellipsoids (WT ⊃ TC ⊃ ET) labelled by
-``regions.compose``, plus a matching intensity volume, all deterministic per
-seed so fixtures and golden files stay stable. ``corrupt_labels`` and
-``noisy_probmap`` simulate imperfect raters and soft model outputs.
+A phantom is its label map: nested ellipsoids (WT ⊃ TC ⊃ ET) labelled by
+``regions.compose``, deterministic per seed so fixtures and golden files
+stay stable. Fusion and scoring read labels and probabilities only, so no
+image is made. ``corrupt_labels`` and ``noisy_probmap`` simulate imperfect
+raters and soft model outputs.
 """
 
 from __future__ import annotations
@@ -14,15 +15,9 @@ import numpy as np
 
 from .errors import RadiiDontFit
 from .regions import compose
-from .volume import BRATS_LABELS, LabelMap, ProbMap, Volume, _label_index
+from .volume import BRATS_LABELS, LabelMap, ProbMap, _LABELS, _label_index
 
 __all__ = ["PhantomSpec", "make_phantom", "corrupt_labels", "noisy_probmap"]
-
-# Per label position, the three other labels.
-_OTHER_LABELS = np.array(
-    [[l for l in BRATS_LABELS if l != lbl] for lbl in BRATS_LABELS], dtype=np.uint8
-)
-
 
 # The phantom's centre moves by up to this fraction of each axis's size.
 _CENTER_JITTER_FRAC = 0.02
@@ -70,22 +65,17 @@ class PhantomSpec:
 
 
 def _ellipsoid(shape, center, radii) -> np.ndarray:
-    grids = np.meshgrid(*(np.arange(n, dtype=np.float64) for n in shape), indexing="ij",
-                        sparse=True)
-    acc = np.zeros(shape, dtype=np.float64)
-    for g, c, r in zip(grids, center, radii):
-        acc += ((g - c) / r) ** 2
-    return acc <= 1.0
+    axes = np.ogrid[tuple(slice(n) for n in shape)]
+    return sum(((g - c) / r) ** 2 for g, c, r in zip(axes, center, radii)) <= 1.0
 
 
-def make_phantom(spec: PhantomSpec) -> tuple[LabelMap, Volume]:
-    """Render ground-truth labels and a matching intensity volume.
+def make_phantom(spec: PhantomSpec) -> tuple[LabelMap, None]:
+    """Render the phantom's ground-truth labels.
 
-    Labels: ``regions.compose`` of the ellipsoids: 2 on WT∖TC (edema), 1 on
-    TC∖ET (necrosis), 4 on ET. Intensity is a label-dependent base plus
-    seeded Gaussian noise, nonzero over a "brain" ellipsoid slightly larger
-    than WT, zero outside (skull-stripped look). The ``synth`` command writes
-    only the labels, since fusion and scoring never read an image.
+    ``regions.compose`` of the ellipsoids: 2 on WT∖TC (edema), 1 on TC∖ET
+    (necrosis), 4 on ET. The phantom is its label map; the second item is
+    always ``None`` and is kept only because the benchmark's input builder
+    still unpacks two values.
     """
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0]))
     shape = spec.shape
@@ -101,18 +91,7 @@ def make_phantom(spec: PhantomSpec) -> tuple[LabelMap, Volume]:
     wt = _ellipsoid(shape, center, spec.wt_radii)
     tc = _ellipsoid(shape, center, spec.tc_radii)
     et = _ellipsoid(shape, center, spec.et_radii)
-    gt = LabelMap(compose(et, tc, wt), spec.spacing)
-
-    # Brain tissue extends beyond the tumor but is clipped to the volume.
-    brain_radii = tuple(
-        min(1.5 * r, max(c, n - 1 - c)) for r, c, n in zip(spec.wt_radii, center, shape)
-    )
-    brain = _ellipsoid(shape, center, brain_radii) | wt
-    # Mean intensity by label position: brain, necrosis, edema, enhancing tumour.
-    base = np.array([1.0, 1.8, 1.4, 2.2])[_label_index(gt.data)]
-    noise = rng.normal(0.0, 0.05, size=shape)
-    intensity = np.where(brain, base + noise, 0.0)
-    return gt, Volume(intensity, spec.spacing)
+    return LabelMap(compose(et, tc, wt), spec.spacing), None
 
 
 def corrupt_labels(gt: LabelMap, rate: float, seed: int) -> LabelMap:
@@ -123,7 +102,8 @@ def corrupt_labels(gt: LabelMap, rate: float, seed: int) -> LabelMap:
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 1]))
     flip = rng.random(gt.shape) < rate
     pick = rng.integers(0, 3, size=gt.shape)
-    replacement = _OTHER_LABELS[_label_index(gt.data), pick]
+    # The pick-th of the three label positions other than the voxel's own.
+    replacement = _LABELS[pick + (pick >= _label_index(gt.data))]
     data = np.where(flip, replacement, gt.data).astype(np.uint8)
     return LabelMap(data, gt.spacing, gt.origin)
 

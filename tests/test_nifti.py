@@ -562,6 +562,16 @@ def test_planes_are_checked_as_the_whole_file_is(tmp_path, datatype, value, erro
             assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_volume_voxel_is_bad_data_naming_the_file(tmp_path, bad):
+    data = np.zeros(int(np.prod(PLANE_SHAPE)))
+    data[-3] = bad
+    path = _plane_file(tmp_path, 16, data)
+    with pytest.raises(BadData, match="NaN or Inf") as info:
+        load_volume(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
 def test_a_file_short_of_its_voxels_is_refused_when_opened(tmp_path):
     path = _plane_file(tmp_path, 2, np.zeros(int(np.prod(PLANE_SHAPE))))
     path.write_bytes(path.read_bytes()[:-1])

@@ -126,11 +126,11 @@ def test_nan_vox_offset_is_a_per_case_bad_header(tmp_path):
     assert json.loads((tmp_path / "out" / "errors.json").read_text()) == errors
 
 
-def test_eval_cli_exits_2_on_a_nan_prediction(tmp_path):
+def test_eval_cli_exits_3_on_a_nan_prediction(tmp_path):
     pred, gt = _eval_dirs(tmp_path)
     out = tmp_path / "out"
     result = CliRunner().invoke(main, ["eval", str(pred), str(gt), "--out", str(out)])
-    assert result.exit_code == 2, result.output
+    assert result.exit_code == 3, result.output
     assert "evaluated 1 case(s), 1 error(s)" in result.output
     assert [e["case_id"] for e in json.loads((out / "errors.json").read_text())] == ["bad"]
 
@@ -152,7 +152,7 @@ def test_an_unreadable_eval_input_is_a_per_case_error(tmp_path, side, make_bad):
     make_bad(bad)
     out = tmp_path / "out"
     result = CliRunner().invoke(main, ["eval", str(pred), str(gt), "--out", str(out)])
-    assert result.exit_code == 2, result.output
+    assert result.exit_code == 3, result.output
     assert "evaluated 1 case(s), 1 error(s)" in result.output
     assert "Traceback" not in result.output
     [error] = json.loads((out / "errors.json").read_text())
@@ -1298,7 +1298,7 @@ def test_a_bad_fold_manifest_is_a_per_case_error(tmp_path, rng, how, error):
     assert (tmp_path / "fused" / "b_good.nii").is_file()
 
     result = CliRunner().invoke(main, ["fuse", "--config", str(cfg_path)])
-    assert result.exit_code == 2, result.output
+    assert result.exit_code == 3, result.output
     assert f"  a_bad: {error} (" in result.output
     assert "Traceback" not in result.output
 
@@ -1444,15 +1444,38 @@ def test_run_fuse_records_per_case_errors(tmp_path, rng):
     assert np.array_equal(load_labelmap(out / "b_good.nii").data, want.data)
 
 
-def test_fuse_cli_exits_2_and_writes_the_good_case(tmp_path, rng):
+def test_fuse_cli_exits_3_and_writes_the_good_case(tmp_path, rng):
     cfg_path, _ = _fuse_config(tmp_path, rng)
     result = CliRunner().invoke(main, ["fuse", "--config", str(cfg_path)])
-    assert result.exit_code == 2, result.output
+    assert result.exit_code == 3, result.output
     assert "fused 1 case(s), 2 error(s)" in result.output
     assert (tmp_path / "fused" / "b_good.nii").is_file()
     assert "  a_zero: BadData (" in result.output
     assert "  c_planes: GeometryMismatch (" in result.output
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("command", ["fuse", "eval"])
+def test_partial_failure_usage_error_and_error_exit_3_2_and_1(tmp_path, rng, command):
+    # A script can tell a run that wrote some cases (3) from one that never
+    # started: a usage error (2) or a one-line Error: (1).
+    if command == "fuse":
+        cfg_path, _ = _fuse_config(tmp_path, rng)
+        (tmp_path / "malformed.json").write_text("{not json")
+        runs = {3: ["fuse", "--config", str(cfg_path)],
+                2: ["fuse", "--config", str(tmp_path / "missing.json")],
+                1: ["fuse", "--config", str(tmp_path / "malformed.json")]}
+    else:
+        pred, gt = _eval_dirs(tmp_path)
+        runs = {3: ["eval", str(pred), str(gt), "--out", str(tmp_path / "out")],
+                2: ["eval", str(tmp_path / "missing"), str(gt), "--out", str(tmp_path / "out")],
+                1: ["eval", str(pred), str(gt), "--out", str(tmp_path / "out"),
+                    "--hd95-penalty", "-1"]}
+    for status, args in runs.items():
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == status, (args, result.output)
+        assert "Traceback" not in result.output
+        assert result.output.startswith("Error: ") == (status == 1), result.output
 
 
 def test_a_clean_rerun_removes_errors_json(tmp_path, rng):
@@ -1481,7 +1504,7 @@ def test_an_eval_rerun_that_scores_no_case_removes_the_earlier_summary(tmp_path)
     pred = pred_dir / "c0.nii"
     pred.write_bytes(pred.read_bytes()[:100])
     result = CliRunner().invoke(main, ["eval", str(pred_dir), str(gt_dir), "--out", str(out)])
-    assert result.exit_code == 2, result.output
+    assert result.exit_code == 3, result.output
     assert "evaluated 0 case(s), 1 error(s)" in result.output
     assert sorted(p.name for p in out.iterdir()) == ["cases.csv", "cases.json", "errors.json"]
     assert (out / "cases.csv").read_text() == ",".join(metrics_csv_header()) + "\n"
@@ -1974,7 +1997,7 @@ def _taken_case_config(tmp_path):
 def test_a_case_whose_output_cannot_be_written_is_a_per_case_error(tmp_path):
     cfg_path, out = _taken_case_config(tmp_path)
     result = CliRunner().invoke(main, ["fuse", "--config", str(cfg_path)])
-    assert result.exit_code == 2, result.output
+    assert result.exit_code == 3, result.output
     assert "fused 1 case(s), 1 error(s)" in result.output
     assert "Traceback" not in result.output
     errors = json.loads((out / "errors.json").read_text())
@@ -2001,7 +2024,7 @@ def test_an_earlier_output_that_cannot_be_removed_is_named_in_the_error(tmp_path
 
     monkeypatch.setattr(Path, "unlink", refused)
     result = CliRunner().invoke(main, ["fuse", "--config", str(cfg_path)])
-    assert result.exit_code == 2, result.output
+    assert result.exit_code == 3, result.output
     assert "fused 1 case(s), 1 error(s)" in result.output
     errors = json.loads((out / "errors.json").read_text())
     assert errors == [{"case_id": "a_taken", "error": "IsADirectoryError",
@@ -2199,7 +2222,7 @@ def test_eval_holds_memory_by_the_tumour_not_the_grid(tmp_path):
 def _run_eval_cli(pred, gt, out, *options):
     result = CliRunner().invoke(main, ["eval", str(pred), str(gt), "--out", str(out),
                                        *options])
-    assert result.exit_code == 2, result.output
+    assert result.exit_code == 3, result.output
     assert "Traceback" not in result.output
     return json.loads((out / "errors.json").read_text())
 

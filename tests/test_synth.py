@@ -29,8 +29,8 @@ class TestPhantomSpecDefaults:
 
     @pytest.mark.parametrize("shape", [(20, 20, 20), (24, 24, 24), (240, 240, 155)])
     def test_default_radii_fit_the_grid(self, shape):
-        gt, intensity = make_phantom(PhantomSpec(shape=shape))
-        assert gt.shape == shape and intensity.shape == shape
+        gt, second = make_phantom(PhantomSpec(shape=shape))
+        assert gt.shape == shape and second is None
         assert set(np.unique(gt.data).tolist()) == {0, 1, 2, 4}
 
     def test_explicit_radii_are_absolute_voxels(self):
@@ -86,6 +86,20 @@ def test_an_ellipsoid_peaks_under_12_bytes_a_voxel():
     finally:
         tracemalloc.stop()
     assert peak < 12 * np.prod(shape), f"{peak / np.prod(shape):.1f} bytes a voxel"
+
+
+def test_a_phantom_peaks_under_16_bytes_a_voxel():
+    """Three boolean ellipsoids, one float64 sum at a time and the labels:
+    no image, whose float64 base, noise and result would add 24 bytes a
+    voxel or more."""
+    shape = (96, 96, 96)
+    tracemalloc.start()
+    try:
+        make_phantom(PhantomSpec(shape=shape))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * np.prod(shape), f"{peak / np.prod(shape):.1f} bytes a voxel"
 
 
 class TestSynthCommand:
