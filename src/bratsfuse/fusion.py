@@ -34,7 +34,7 @@ writes to ``*_staple.json`` scale with the grid, and with 5 or more models
 a cropped or padded grid can change the fused labels.
 
 Multi-label fusion runs binary STAPLE per nested region (ET, TC, WT) and
-recomposes the label map by the region tables of ``regions``.
+composes the label map by the region tables of ``regions``.
 A voxel enters every region's EM only through its J rater labels, so it
 is reduced to one joint code: each rater's label, as its position in
 BRATS_LABELS (``volume._label_index``; ``volume._LABELS`` maps a position
@@ -44,8 +44,8 @@ region, so a region's pattern counts are sums of joint counts, and EM runs
 on them exactly as above. Thresholding each region's posterior and
 recomposing once per joint row gives a label lookup table (``staple_lut``),
 and the fused map is the table read at every voxel's code. The result
-equals per-region ``staple_binary`` plus ``recompose_labels`` without a
-per-voxel mask, posterior or recomposition. The codes are filled by
+equals per-region ``staple_binary`` plus ``compose`` without a per-voxel
+mask, posterior or composition. The codes are filled by
 ``joint_codes`` and ``pack_labels`` (rater ``r``'s label position is
 ``(code >> 2 * r) & 3``) and counted by ``joint_histogram``, whole
 (``staple_multilabel_detailed``) or plane by plane by a caller that
@@ -76,11 +76,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyList, GeometryMismatch
-from .regions import _MEMBERSHIP, Region, RegionMask, compose
+from .regions import _MEMBERSHIP, Region, compose
 from .volume import BRATS_LABELS, LabelMap, ProbMap, _label_index, require_same_geometry
 
 # Not called here, but benchmarks/tracing.py wraps these names on this module.
-from .regions import recompose_labels, region_mask  # noqa: F401
+from .regions import compose as recompose_labels, region_mask  # noqa: F401
 
 __all__ = [
     "StapleFit",
@@ -184,9 +184,9 @@ class StapleFit:
 
 @dataclass(frozen=True)
 class StapleResult(StapleFit):
-    """Binary STAPLE: the fit plus the fused mask and the voxel posterior."""
+    """Binary STAPLE: the fit, the fused boolean mask and the voxel posterior."""
 
-    mask: RegionMask
+    mask: np.ndarray
     posterior: np.ndarray
 
 
@@ -324,33 +324,33 @@ def _staple_em(
 
 
 def staple_binary(
-    masks: list[RegionMask],
+    masks: list[np.ndarray],
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
 ) -> StapleResult:
-    """Fuse binary rater masks by expectation-maximization.
+    """Fuse binary rater masks (arrays of one shape, read as boolean) by
+    expectation-maximization.
 
     EM starts from near-perfect raters and the foreground prior set to the
     mean foreground rate over all raters and voxels (see the module
     docstring). The output mask thresholds the posterior at W >= 0.5 (ties
-    go to foreground). More than 32 masks is a ValueError (see
-    :func:`joint_codes`).
+    go to foreground). Masks of two shapes are a GeometryMismatch, and masks
+    of no voxel or more than 32 masks a ValueError (see :func:`joint_codes`).
     """
     if not masks:
         raise EmptyList("staple_binary needs at least one rater mask")
-    require_same_geometry(*masks)
-    region = masks[0].region
-    for m in masks[1:]:
-        if m.region is not region:
-            raise GeometryMismatch("rater masks disagree on the region tag")
-    codes = joint_codes(len(masks), masks[0].data.size)
+    masks = [np.asarray(m, bool) for m in masks]
+    if any(m.shape != masks[0].shape for m in masks):
+        raise GeometryMismatch(f"rater mask shapes differ: {[m.shape for m in masks]}")
+    if not masks[0].size:
+        raise ValueError(f"rater masks hold no voxel: shape {masks[0].shape}")
+    codes = joint_codes(len(masks), masks[0].size)
     for r, m in enumerate(masks):
-        pack_labels(codes, r, m.data.reshape(-1).view(np.uint8))
+        pack_labels(codes, r, m.reshape(-1).view(np.uint8))
     pats, counts, keys = joint_histogram([codes], len(masks), len(codes))
     w, fit = _staple_em(pats, counts, len(codes), tol, max_iters)
     posterior = _lookup(keys, w, codes).reshape(masks[0].shape)
-    mask = RegionMask(region, posterior >= 0.5, masks[0].spacing, masks[0].origin)
-    return StapleResult(**vars(fit), mask=mask, posterior=posterior)
+    return StapleResult(**vars(fit), mask=posterior >= 0.5, posterior=posterior)
 
 
 def staple_lut(
@@ -390,7 +390,7 @@ def staple_multilabel_detailed(
     """Binary STAPLE per region (ET, TC, WT), recomposed into one label map.
 
     Gives the labels and fits of ``staple_binary`` on every region's rater
-    masks followed by ``recompose_labels``, from the histogram of the
+    masks followed by ``compose``, from the histogram of the
     voxels' joint rater labels, packed and counted as one piece (see the
     module docstring). Returns the labels, in the first map's memory order,
     and each region's fit.

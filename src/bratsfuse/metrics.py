@@ -39,7 +39,7 @@ to the rows that hold a query, O(query rows * source rows) per line. The
 last pass runs only at query voxels, over the planes that hold a source:
 ``hd95`` reads distances only at the other mask's boundary, so it queries
 those voxels alone, and ``edt`` queries every voxel and returns the
-distances as a ``Volume`` on the mask's grid. A value left out is ``inf``
+distances as an array shaped like the mask. A value left out is ``inf``
 (a line with no source) or never read, so every pass gives the values, bit
 for bit, of an all-pairs minimum over each whole line of the box. One stray
 voxel therefore adds a row, a column and a plane to the work, not the grid
@@ -65,8 +65,8 @@ import numpy as np
 
 from .errors import EmptyMask, GeometryMismatch
 from .fusion import joint_codes, pack_labels
-from .regions import _MEMBERSHIP, Region, RegionMask
-from .volume import LabelMap, Volume, _freeze, nonzero_box, require_same_geometry
+from .regions import _MEMBERSHIP, Region
+from .volume import LabelMap, _freeze, nonzero_box, require_same_geometry
 
 # Not called here, but benchmarks/tracing.py wraps this name on this module.
 from .regions import region_mask  # noqa: F401
@@ -213,13 +213,13 @@ def _edt_sq_at(s: np.ndarray, q: np.ndarray, spacing) -> np.ndarray:
     return out
 
 
-def edt(m: RegionMask) -> Volume:
-    """Exact Euclidean distance (mm) to the nearest foreground voxel, on the
-    grid of ``m``: :func:`_edt_sq_at` with every voxel as a query."""
-    if not m.data.any():
+def edt(mask: np.ndarray, spacing) -> np.ndarray:
+    """Exact Euclidean distance (mm) from every voxel of the boolean 3-D
+    ``mask`` on a grid of ``spacing`` to its nearest foreground voxel:
+    :func:`_edt_sq_at` with every voxel as a query."""
+    if not mask.any():
         raise EmptyMask("distance transform needs a nonempty source mask")
-    sq = _edt_sq_at(m.data, np.ones(m.shape, bool), m.spacing)
-    return Volume(np.sqrt(sq.reshape(m.shape)), m.spacing, m.origin)
+    return np.sqrt(_edt_sq_at(mask, np.ones(mask.shape, bool), spacing).reshape(mask.shape))
 
 
 def percentile(values: np.ndarray, p: float) -> float:

@@ -113,7 +113,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadData, BratsFuseError, ConfigError, UnpairedCase, error_text
+from .errors import (
+    BadData,
+    BratsFuseError,
+    ConfigError,
+    UnpairedCase,
+    UnsupportedEncoding,
+    error_text,
+)
 from .fusion import (
     DEFAULT_MAX_ITERS,
     DEFAULT_TOL,
@@ -174,7 +181,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModelInput:
-    """One model's prediction for one case: a label map or fold manifests."""
+    """One model's prediction for one case: a label map or fold manifests.
+    Its files are read, and a missing one refused, when its case is fused."""
 
     name: str
     labelmap: Path | None = None
@@ -185,9 +193,6 @@ class ModelInput:
             raise ConfigError(
                 f"model {self.name!r} needs exactly one of labelmap/prob_manifests"
             )
-        for p in ((self.labelmap,) if self.labelmap else self.prob_manifests):
-            if not Path(p).is_file():
-                raise ConfigError(f"missing input file: {p}")
 
 
 @dataclass(frozen=True)
@@ -720,12 +725,13 @@ def run_eval(
     from its joint codes inside the box of their tumour
     (``metrics.score_codes``; no label map is rebuilt, see the module
     docstring), so a case holds memory by its tumour, not by its grid.
-    Unpaired files and per-case failures are recorded (not fatal) and the
-    affected cases skipped; the caller decides the exit status from the
-    returned error list. With no case scored, an earlier run's summary is
-    removed. A ``penalty`` that is negative or not finite, or two
-    directories with no ``*.nii`` file between them, is a ConfigError, raised
-    before the output directory is made.
+    Unpaired files (an UnsupportedEncoding naming the partner where it is
+    stored as ``<stem>.nii.gz``) and per-case failures are recorded (not
+    fatal) and the affected cases skipped; the caller decides the exit
+    status from the returned error list. With no case scored, an earlier
+    run's summary is removed. A ``penalty`` that is negative or not finite,
+    or two directories with no ``*.nii`` file between them, is a
+    ConfigError, raised before the output directory is made.
     """
     if not 0.0 <= penalty < math.inf:
         raise ConfigError(f"hd95 penalty must be finite and nonnegative, got {penalty}")
@@ -736,13 +742,14 @@ def run_eval(
         raise ConfigError(f"no .nii file in {pred_dir} or {gt_dir} (only *.nii is read)")
     output_dir.mkdir(parents=True, exist_ok=True)
     paired = sorted(pred_stems & gt_stems)
-    errors = [
-        _case_error(s, UnpairedCase(f"no ground truth for prediction {s}.nii"))
-        for s in sorted(pred_stems - gt_stems)
-    ] + [
-        _case_error(s, UnpairedCase(f"no prediction for ground truth {s}.nii"))
-        for s in sorted(gt_stems - pred_stems)
-    ]
+    errors = []
+    for s in sorted(pred_stems ^ gt_stems):
+        have, missing, other = (("prediction", "ground truth", gt_dir) if s in pred_stems
+                                else ("ground truth", "prediction", pred_dir))
+        gz = other / f"{s}.nii.gz"  # a partner in the format the reader refuses
+        e = (UnsupportedEncoding(f"{gz}: gzip-compressed input; decompress to a plain .nii first")
+             if gz.is_file() else UnpairedCase(f"no {missing} for {have} {s}.nii"))
+        errors.append(_case_error(s, e))
     results = _run_cases(partial(_eval_case, pred_dir, gt_dir, penalty), paired, jobs)
     cases = [m for m, _ in results if m is not None]
     errors.extend(e for _, e in results if e is not None)

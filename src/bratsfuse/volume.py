@@ -6,10 +6,10 @@ order of the data is x-fastest (the NIfTI on-disk order), i.e. voxel
 after construction: the held arrays are marked read-only, every operation
 returns a new object, and nothing in this module mutates shared state.
 
-The four grid types (``Volume``, ``LabelMap``, ``ProbMap`` and
-``regions.RegionMask``) check their own voxels and then share one
-constructor tail, ``_Grid._init_grid``, which checks and stores the grid's
-data, spacing and origin.
+The three grid types (``Volume``, ``LabelMap``, ``ProbMap``) share the
+fields ``_Grid`` declares once (``data``, ``spacing``, ``origin``): each
+checks its own voxels, then calls ``_Grid._init_grid``, the one constructor
+tail, which checks and stores them. A region mask is a boolean array.
 
 ``nonzero_box`` is the one box finder: the slices of an array of any
 dimension outside which it is all zero. ``pipeline`` takes it of each
@@ -68,33 +68,30 @@ def _check_triple(value, name: str):
     return t
 
 
-def _check_spatial(data: np.ndarray, spacing, origin):
-    if data.ndim != 3:
-        raise ValueError(f"expected a 3-D array, got ndim={data.ndim}")
-    if any(n <= 0 for n in data.shape):
-        raise ValueError(f"all dimensions must be positive, got shape {data.shape}")
-    spacing = _check_triple(spacing, "spacing")
-    if any(not np.isfinite(s) or s <= 0 for s in spacing):
-        raise ValueError(f"spacing must be positive and finite, got {spacing}")
-    origin = _check_triple(origin, "origin")
-    if any(not np.isfinite(o) for o in origin):
-        raise ValueError(f"origin must be finite, got {origin}")
-    return spacing, origin
-
-
+@dataclass(frozen=True)
 class _Grid:
-    """What the grid types share: the end of their constructors and ``shape``.
+    """What the grid types share: their fields, declared once here, the end
+    of their constructors and ``shape``. The grid is the last three axes of
+    ``data``."""
 
-    It declares no dataclass fields, so each type keeps its own field order
-    (``RegionMask(region, data, ...)``). The grid is the last three axes of
-    ``data``.
-    """
+    data: np.ndarray
+    spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
+    origin: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def _init_grid(self, data: np.ndarray, grid: np.ndarray | None = None) -> None:
         """Check ``grid`` (default ``data``) as a 3-D grid and this object's
         spacing and origin, then store them and ``data``, made read-only."""
-        spacing, origin = _check_spatial(data if grid is None else grid,
-                                         self.spacing, self.origin)
+        grid = data if grid is None else grid
+        if grid.ndim != 3:
+            raise ValueError(f"expected a 3-D array, got ndim={grid.ndim}")
+        if any(n <= 0 for n in grid.shape):
+            raise ValueError(f"all dimensions must be positive, got shape {grid.shape}")
+        spacing = _check_triple(self.spacing, "spacing")
+        if any(not np.isfinite(s) or s <= 0 for s in spacing):
+            raise ValueError(f"spacing must be positive and finite, got {spacing}")
+        origin = _check_triple(self.origin, "origin")
+        if any(not np.isfinite(o) for o in origin):
+            raise ValueError(f"origin must be finite, got {origin}")
         object.__setattr__(self, "data", _freeze(data))
         object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "origin", origin)
@@ -108,10 +105,6 @@ class _Grid:
 class Volume(_Grid):
     """A 3-D scalar grid with voxel spacing (mm) and a world offset (mm)."""
 
-    data: np.ndarray
-    spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    origin: tuple[float, float, float] = (0.0, 0.0, 0.0)
-
     def __post_init__(self):
         data = np.asarray(self.data)
         _check_finite(data)
@@ -121,10 +114,6 @@ class Volume(_Grid):
 @dataclass(frozen=True)
 class LabelMap(_Grid):
     """A 3-D grid of BraTS label codes {0, 1, 2, 4}, stored as uint8."""
-
-    data: np.ndarray
-    spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    origin: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
         data = np.asarray(self.data)
@@ -174,10 +163,6 @@ class ProbMap(_Grid):
     ``data`` has shape ``(4, nx, ny, nz)``; every value lies in [0, 1] and the
     four channels of each voxel sum to 1 within 1e-6.
     """
-
-    data: np.ndarray
-    spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    origin: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     channels = BRATS_LABELS
 

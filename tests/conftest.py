@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from bratsfuse.regions import Region, RegionMask
 from bratsfuse.volume import LabelMap, ProbMap, Volume
 
 
@@ -25,5 +24,5 @@ def random_probmap(rng, shape, spacing=(1.0, 1.0, 1.0)) -> ProbMap:
     return ProbMap(raw, spacing)
 
 
-def random_mask(rng, shape, density=0.5, region=Region.WT, spacing=(1.0, 1.0, 1.0)) -> RegionMask:
-    return RegionMask(region, rng.random(shape) < density, spacing)
+def random_mask(rng, shape, density=0.5) -> np.ndarray:
+    return rng.random(shape) < density

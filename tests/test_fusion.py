@@ -20,7 +20,7 @@ from bratsfuse.fusion import (
     staple_multilabel,
     staple_multilabel_detailed,
 )
-from bratsfuse.regions import Region, RegionMask, recompose_labels, region_mask
+from bratsfuse.regions import Region, compose, region_mask
 from bratsfuse.synth import PhantomSpec, corrupt_labels, make_phantom
 from bratsfuse.volume import BRATS_LABELS, LabelMap, ProbMap, _label_index
 
@@ -112,23 +112,38 @@ class TestArgmax:
 
 def rater_masks(columns):
     arr = np.array(columns, dtype=bool)  # (J, N)
-    return [RegionMask(Region.WT, row.reshape(arr.shape[1], 1, 1)) for row in arr]
+    return [row.reshape(arr.shape[1], 1, 1) for row in arr]
 
 
 class TestStapleBinary:
     def test_unanimous_fixed_point(self):
         data = np.zeros((4, 4, 1), dtype=bool)
         data[1:3, 1:3, 0] = True
-        masks = [RegionMask(Region.WT, data) for _ in range(3)]
+        masks = [data] * 3
         res = staple_binary(masks)
-        assert np.array_equal(res.mask.data, data)
+        assert np.array_equal(res.mask, data)
         assert all(p >= 1 - 1e-6 for p in res.p)
         assert all(q >= 1 - 1e-6 for q in res.q)
 
     def test_single_rater_near_one_init(self, rng):
         mask = random_mask(rng, (4, 4, 4), density=0.3)
         res = staple_binary([mask])
-        assert np.array_equal(res.mask.data, mask.data)
+        assert np.array_equal(res.mask, mask)
+
+    def test_masks_are_boolean_arrays_of_one_shape(self, rng):
+        masks = [random_mask(rng, (4, 3, 2), density=0.4) for _ in range(3)]
+        res = staple_binary(masks)
+        assert res.mask.dtype == bool and res.mask.shape == res.posterior.shape == (4, 3, 2)
+        # Any array is read as boolean, as np.asarray(m, bool) reads it.
+        as_ints = staple_binary([m.astype(np.uint8) * 7 for m in masks])
+        assert np.array_equal(as_ints.mask, res.mask)
+        assert np.array_equal(as_ints.posterior, res.posterior)
+        with pytest.raises(EmptyList):
+            staple_binary([])
+        with pytest.raises(GeometryMismatch, match=r"\(4, 3, 2\), \(4, 3, 3\)\]"):
+            staple_binary(masks + [np.zeros((4, 3, 3), bool)])
+        with pytest.raises(ValueError, match=r"no voxel: shape \(4, 0, 2\)"):
+            staple_binary([np.zeros((4, 0, 2), bool)])
 
     def test_against_reference_on_spec_instance(self):
         # 1x1x4 volume, 3 raters voting per voxel: (1,1,0),(1,0,0),(1,1,1),(0,0,0)
@@ -156,14 +171,11 @@ class TestStapleBinary:
     @pytest.mark.parametrize("n_raters", [5, 20])
     def test_against_reference_on_disagreeing_raters(self, rng, n_raters):
         truth = rng.random((6, 5, 4)) < 0.4
-        masks = [
-            RegionMask(Region.WT, truth ^ (rng.random(truth.shape) < 0.15))
-            for _ in range(n_raters)
-        ]
-        d = np.stack([m.data.reshape(-1) for m in masks]).astype(np.float64)
+        masks = [truth ^ (rng.random(truth.shape) < 0.15) for _ in range(n_raters)]
+        d = np.stack([m.reshape(-1) for m in masks]).astype(np.float64)
         assert np.unique(d, axis=1).shape[1] > 8  # many patterns, not a handful
         res = staple_binary(masks)
-        assert res.prior == float(np.stack([m.data for m in masks]).mean())
+        assert res.prior == float(np.stack(masks).mean())
         self.assert_matches_reference(res, d)
 
         res = staple_binary(masks, tol=1e-12, max_iters=7)
@@ -172,13 +184,13 @@ class TestStapleBinary:
     def test_mask_matches_thresholded_posterior(self, rng):
         masks = [random_mask(rng, (4, 4, 4), density=0.4) for _ in range(3)]
         res = staple_binary(masks)
-        assert np.array_equal(res.mask.data, res.posterior >= 0.5)
+        assert np.array_equal(res.mask, res.posterior >= 0.5)
         assert res.posterior.min() >= 0.0 and res.posterior.max() <= 1.0
 
     def test_mstep_fixed_point_identities(self, rng):
         masks = [random_mask(rng, (5, 4, 3), density=0.5) for _ in range(4)]
         res = staple_binary(masks)
-        d = np.stack([m.data.reshape(-1) for m in masks]).astype(np.float64)
+        d = np.stack([m.reshape(-1) for m in masks]).astype(np.float64)
         w = res.posterior.reshape(-1)
         p_expected = np.clip((d @ w) / w.sum(), 1e-7, 1 - 1e-7)
         q_expected = np.clip(((1 - d) @ (1 - w)) / (1 - w).sum(), 1e-7, 1 - 1e-7)
@@ -189,7 +201,7 @@ class TestStapleBinary:
         masks = [random_mask(rng, (4, 4, 4), density=0.4) for _ in range(4)]
         a = staple_binary(masks)
         b = staple_binary(masks[::-1])
-        assert np.array_equal(a.mask.data, b.mask.data)
+        assert np.array_equal(a.mask, b.mask)
         assert np.abs(a.posterior - b.posterior).max() < 1e-12
         assert np.abs(np.array(a.p) - np.array(b.p[::-1])).max() < 1e-12
 
@@ -198,19 +210,19 @@ class TestStapleBinary:
         raters = [corrupt_labels(gt, 0.15, seed=100 + k) for k in range(4)]
         masks = [region_mask(r, Region.WT) for r in raters]
         res = staple_binary(masks)
-        stacked = np.stack([m.data for m in masks])
+        stacked = np.stack(masks)
         all_fg = stacked.all(axis=0)
         all_bg = ~stacked.any(axis=0)
         assert all_fg.any() and all_bg.any()
-        assert res.mask.data[all_fg].all()
-        assert not res.mask.data[all_bg].any()
+        assert res.mask[all_fg].all()
+        assert not res.mask[all_bg].any()
 
     def test_no_underflow_with_64_raters(self, rng):
         # The EM has no rater limit. Sixty-four raters that agree on 27
         # voxels: with p = q = 0.99999 the all-background pattern has
         # exp(log_b - log_a) = exp(737), which overflows unless the E-step
         # stays in log space.
-        mask = random_mask(rng, (3, 3, 3), density=0.5).data.reshape(-1)
+        mask = random_mask(rng, (3, 3, 3), density=0.5).reshape(-1)
         pats = np.repeat([[0, 1]], 64, axis=0)
         counts = np.bincount(mask, minlength=2)
         with warnings.catch_warnings():
@@ -326,14 +338,12 @@ class TestStapleMultilabel:
             res = staple_binary([region_mask(m, r) for m in raters])
             per_region[r] = res.mask
             assert astuple(details[r.value]) == _fit_fields(res)
-        recomposed = recompose_labels(
-            per_region[Region.ET], per_region[Region.TC], per_region[Region.WT]
-        )
-        assert np.array_equal(fused.data, recomposed.data)
+        composed = compose(per_region[Region.ET], per_region[Region.TC], per_region[Region.WT])
+        assert np.array_equal(fused.data, composed)
         # For this seed the per-region masks are nested, so the fused map
         # decomposes back to exactly the per-region STAPLE outputs.
         for r in (Region.ET, Region.TC, Region.WT):
-            assert np.array_equal(region_mask(fused, r).data, per_region[r].data)
+            assert np.array_equal(region_mask(fused, r), per_region[r])
 
 
 REGIONS = (Region.ET, Region.TC, Region.WT)
@@ -350,18 +360,15 @@ def boundary_raters(gt, n_raters, seed):
     rng = np.random.default_rng(seed)
     raters = []
     for _ in range(n_raters):
-        shifted = [
-            RegionMask(r, np.roll(region_mask(gt, r).data, tuple(rng.integers(-3, 4, 3)),
-                                  axis=(0, 1, 2)))
-            for r in REGIONS
-        ]
-        raters.append(recompose_labels(*shifted))
+        shifted = [np.roll(region_mask(gt, r), tuple(rng.integers(-3, 4, 3)), axis=(0, 1, 2))
+                   for r in REGIONS]
+        raters.append(LabelMap(compose(*shifted)))
     return raters
 
 
 class TestJointLabelStaple:
     """staple_multilabel_detailed against per-region staple_binary and
-    recompose_labels, the path it replaces."""
+    compose, the path it replaces."""
 
     @staticmethod
     def assert_equals_per_region(raters, **em):
@@ -369,8 +376,8 @@ class TestJointLabelStaple:
         fused, details = staple_multilabel_detailed(raters, **em)
         per_region = {r: staple_binary([region_mask(m, r) for m in raters], **em)
                       for r in REGIONS}
-        want = recompose_labels(*(per_region[r].mask for r in REGIONS))
-        assert np.array_equal(fused.data, want.data)
+        want = compose(*(per_region[r].mask for r in REGIONS))
+        assert np.array_equal(fused.data, want)
         assert (fused.spacing, fused.origin) == (raters[0].spacing, raters[0].origin)
         first = raters[0].data
         assert fused.data.flags.f_contiguous == (
@@ -379,7 +386,7 @@ class TestJointLabelStaple:
         assert set(details) == {r.value for r in REGIONS}
         for r in REGIONS:
             assert astuple(details[r.value]) == _fit_fields(per_region[r])
-        return {r: res.mask.data for r, res in per_region.items()}
+        return {r: res.mask for r, res in per_region.items()}
 
     # ``em``: EM controls other than the defaults, or None.
     @pytest.mark.parametrize("n_raters, seed, em", [

@@ -18,7 +18,7 @@ from bratsfuse.metrics import (
     percentile,
     score_codes,
 )
-from bratsfuse.regions import Region, RegionMask
+from bratsfuse.regions import Region
 from bratsfuse.volume import BRATS_LABELS, LabelMap, nonzero_box
 
 from .conftest import random_mask
@@ -33,10 +33,6 @@ from .oracles import (
 
 HD95_TOL_MM = 1e-9
 ANISO = (1.2, 0.7, 2.5)
-
-
-def mask(data, spacing=(1.0, 1.0, 1.0)) -> RegionMask:
-    return RegionMask(Region.WT, np.asarray(data, dtype=bool), spacing)
 
 
 def blob(shape, lo, hi) -> np.ndarray:
@@ -58,8 +54,8 @@ def assert_hd95_matches_oracle(a, b, spacing):
 class TestDice:
     @pytest.mark.parametrize("density", [0.0, 0.05, 0.5])
     def test_against_counts(self, rng, density):
-        a = random_mask(rng, (9, 7, 5), density).data
-        b = random_mask(rng, (9, 7, 5), 0.3).data
+        a = random_mask(rng, (9, 7, 5), density)
+        b = random_mask(rng, (9, 7, 5), 0.3)
         assert dice(a, b) == dice_counts(a, b)
         assert dice(b, a) == dice_counts(b, a)
         assert type(dice(a, b)) is float
@@ -79,7 +75,7 @@ class TestDice:
 class TestBoundary:
     @pytest.mark.parametrize("density", [0.2, 0.6, 0.95])
     def test_against_reference(self, rng, density):
-        m = random_mask(rng, (8, 6, 5), density, spacing=ANISO).data
+        m = random_mask(rng, (8, 6, 5), density)
         got = boundary(m)
         np.testing.assert_array_equal(got, boundary_reference(m))
         assert got.dtype == bool
@@ -99,22 +95,20 @@ class TestBoundary:
 class TestEdt:
     @pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), ANISO, (2.0, 2.0, 2.5)])
     def test_against_brute_force(self, rng, spacing):
-        m = random_mask(rng, (9, 6, 5), 0.04, spacing=spacing)
-        assert m.data.any()
-        got = edt(m)
-        np.testing.assert_allclose(got.data, brute_force_edt(m.data, spacing),
-                                   rtol=1e-12, atol=1e-12)
-        assert got.shape == m.shape
-        assert (got.spacing, got.origin) == (m.spacing, m.origin)
+        m = random_mask(rng, (9, 6, 5), 0.04)
+        assert m.any()
+        got = edt(m, spacing)
+        assert isinstance(got, np.ndarray) and got.shape == m.shape
+        np.testing.assert_allclose(got, brute_force_edt(m, spacing), rtol=1e-12, atol=1e-12)
 
     def test_single_source_in_a_corner(self):
         data = blob((7, 5, 4), (6, 4, 3), (6, 4, 3))
-        np.testing.assert_allclose(edt(mask(data, ANISO)).data,
-                                   brute_force_edt(data, ANISO), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(edt(data, ANISO), brute_force_edt(data, ANISO),
+                                   rtol=1e-12, atol=1e-12)
 
     def test_empty_source_raises(self):
         with pytest.raises(EmptyMask):
-            edt(mask(np.zeros((3, 3, 3))))
+            edt(np.zeros((3, 3, 3), bool), (1.0, 1.0, 1.0))
 
     def test_a_line_with_no_source_stays_infinite_after_the_first_pass(self):
         data = np.zeros((7, 3, 2), dtype=bool)
@@ -155,9 +149,9 @@ class TestEdt:
         if source.any():
             box = nonzero_box(source | queries)
             got = metrics._edt_sq_at(source[box], queries[box], spacing)
-            in_box = edt(mask(source[box], spacing)).data
+            in_box = edt(source[box], spacing)
             assert np.array_equal(np.sqrt(got), in_box[queries[box]])
-            whole = edt(mask(source, spacing)).data
+            whole = edt(source, spacing)
             np.testing.assert_allclose(whole, brute_force_edt(source, spacing),
                                        rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(np.sqrt(got), whole[queries], rtol=1e-12, atol=1e-12)
@@ -165,7 +159,7 @@ class TestEdt:
             got = metrics._edt_sq_at(source, queries, spacing)
             assert got.shape == (np.count_nonzero(queries),) and np.isinf(got).all()
             with pytest.raises(EmptyMask):
-                edt(mask(source, spacing))
+                edt(source, spacing)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -214,7 +208,7 @@ class TestEdt:
         data[33:63, 33:63, 33:63] = np.random.default_rng(0).random((30, 30, 30)) < 0.5
         tracemalloc.start()
         try:
-            edt(mask(data))
+            edt(data, (1.0, 1.0, 1.0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -238,7 +232,7 @@ class TestHd95:
             hd95(np.ones((2, 2, 1), bool), np.ones((2, 2, 3), bool), ANISO)
 
     def test_identical_masks_are_zero(self, rng):
-        m = random_mask(rng, (8, 8, 8), 0.3, spacing=ANISO).data
+        m = random_mask(rng, (8, 8, 8), 0.3)
         assert hd95(m, m, ANISO) == 0.0
 
     def test_anisotropic_spacing(self):

@@ -32,6 +32,8 @@ def test_every_exported_name_exists(name):
 # tables of ``regions``), metrics no longer calls region_mask and pipeline no
 # longer calls evaluate_case (both score through metrics.score_codes); they
 # stay for the tracer until the benchmark stops wrapping them.
+# ``regions.recompose_labels`` is gone: fusion.recompose_labels is
+# ``regions.compose``, bound under the tracer's name.
 TRACED = {
     "cli": ("run_fuse", "run_eval"),
     "fusion": ("staple_binary", "region_mask", "recompose_labels"),

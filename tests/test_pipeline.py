@@ -1,4 +1,5 @@
 import errno
+import gzip
 import json
 import math
 import os
@@ -207,6 +208,26 @@ def test_unpaired_cases_are_error_records(tmp_path):
         {"case_id": "lone", "error": "UnpairedCase",
          "detail": "no prediction for ground truth lone.nii"},
     ]
+
+
+def test_a_gzip_partner_is_named_as_unsupported_encoding(tmp_path):
+    # bad.nii.gz stands in for the prediction, lone.nii.gz for the truth:
+    # each is named as the format the reader refuses, not as absent.
+    pred, gt = _eval_dirs(tmp_path)
+    (pred / "bad.nii").unlink()
+    (pred / "bad.nii.gz").write_bytes(gzip.compress((gt / "bad.nii").read_bytes()))
+    save_nifti(pred / "lone.nii", _labels())
+    (gt / "lone.nii.gz").write_bytes(gzip.compress((pred / "lone.nii").read_bytes()))
+    errors = _run_eval_cli(pred, gt, tmp_path / "out")
+    text = "gzip-compressed input; decompress to a plain .nii first"
+    assert errors == [
+        {"case_id": "bad", "error": "UnsupportedEncoding",
+         "detail": f"{pred / 'bad.nii.gz'}: {text}"},
+        {"case_id": "lone", "error": "UnsupportedEncoding",
+         "detail": f"{gt / 'lone.nii.gz'}: {text}"},
+    ]
+    with pytest.raises(UnsupportedEncoding, match=text):
+        load_labelmap(pred / "bad.nii.gz")
 
 
 @pytest.mark.parametrize("et, threshold, before, after", [
@@ -1455,6 +1476,31 @@ def test_fuse_cli_exits_3_and_writes_the_good_case(tmp_path, rng):
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("kind", ["labelmap", "prob_manifests"])
+def test_a_missing_input_file_fails_its_case_not_the_run(tmp_path, kind):
+    # The config is read without looking at its input files: the case whose
+    # rater file is absent fails alone, naming it, and the other is fused.
+    for k in range(2):
+        save_nifti(tmp_path / f"rater{k}.nii", _labels())
+    missing = tmp_path / ("no_such.nii" if kind == "labelmap" else "no_such.json")
+    second = str(missing) if kind == "labelmap" else [str(missing)]
+    cfg = {"output_dir": str(tmp_path / "fused"), "cases": [
+        {"id": "a", "models": [{"name": f"r{k}", "labelmap": str(tmp_path / f"rater{k}.nii")}
+                               for k in range(2)]},
+        {"id": "b", "models": [{"name": "r0", kind: second},
+                               {"name": "r1", "labelmap": str(tmp_path / "rater1.nii")}]},
+    ]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    result = CliRunner().invoke(main, ["fuse", "--config", str(path)])
+    assert result.exit_code == 3, result.output
+    assert "fused 1 case(s), 1 error(s)" in result.output
+    assert sorted(p.name for p in (tmp_path / "fused").glob("*.nii")) == ["a.nii"]
+    errors = json.loads((tmp_path / "fused" / "errors.json").read_text())
+    assert [(e["case_id"], e["error"]) for e in errors] == [("b", "ConfigError")]
+    assert str(missing) in errors[0]["detail"]
+
+
 @pytest.mark.parametrize("command", ["fuse", "eval"])
 def test_partial_failure_usage_error_and_error_exit_3_2_and_1(tmp_path, rng, command):
     # A script can tell a run that wrote some cases (3) from one that never
@@ -1690,7 +1736,7 @@ def test_staple_counts_every_voxel_of_the_grid(tmp_path):
         assert diag["grid_voxels"] == n_voxels
         background.append(diag["background_voxels"])
         for r in Region:
-            foreground = sum(int(region_mask(m, r).data.sum()) for m in raters)
+            foreground = sum(int(region_mask(m, r).sum()) for m in raters)
             assert diag["staple"][r.value]["prior"] == foreground / (3 * n_voxels)
     nx, ny, _ = STREAM_SHAPE
     assert 0 < background[0] and background[1] - background[0] == nx * ny * 5

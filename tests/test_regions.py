@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bratsfuse.errors import GeometryMismatch
-from bratsfuse.regions import _MEMBERSHIP, Region, RegionMask, recompose_labels, region_mask
+from bratsfuse.regions import _MEMBERSHIP, Region, compose, region_mask
 from bratsfuse.volume import BRATS_LABELS, LabelMap
 
 from .conftest import random_labelmap
@@ -29,60 +28,48 @@ class TestRegionMask:
     def test_wt_mask(self):
         m = column_map([0, 1, 2, 4])
         out = region_mask(m, Region.WT)
-        assert out.data.reshape(-1).tolist() == [False, True, True, True]
+        assert out.dtype == bool and out.shape == m.shape
+        assert out.reshape(-1).tolist() == [False, True, True, True]
 
     def test_et_mask(self):
         m = column_map([0, 1, 2, 4])
         out = region_mask(m, Region.ET)
-        assert out.data.reshape(-1).tolist() == [False, False, False, True]
+        assert out.reshape(-1).tolist() == [False, False, False, True]
 
     def test_tc_mask(self):
         m = column_map([0, 1, 2, 4])
         out = region_mask(m, Region.TC)
-        assert out.data.reshape(-1).tolist() == [False, True, False, True]
+        assert out.reshape(-1).tolist() == [False, True, False, True]
 
     def test_all_zero(self):
         m = column_map([0, 0, 0])
         for r in Region:
-            assert not region_mask(m, r).data.any()
+            assert not region_mask(m, r).any()
 
 
 class TestRecompose:
+    """``compose``, which rebuilds labels from per-region masks."""
+
     def masks(self, et, tc, wt):
         shape = (len(et), 1, 1)
-        return (
-            RegionMask(Region.ET, np.array(et, bool).reshape(shape)),
-            RegionMask(Region.TC, np.array(tc, bool).reshape(shape)),
-            RegionMask(Region.WT, np.array(wt, bool).reshape(shape)),
-        )
+        return tuple(np.array(d, bool).reshape(shape) for d in (et, tc, wt))
 
     def test_nested_masks(self):
         # ET 1 voxel, TC 2 voxels, WT 3 voxels -> labels 4, 1, 2
         et, tc, wt = self.masks([1, 0, 0, 0], [1, 1, 0, 0], [1, 1, 1, 0])
-        out = recompose_labels(et, tc, wt)
-        assert out.data.reshape(-1).tolist() == [4, 1, 2, 0]
+        out = compose(et, tc, wt)
+        assert out.reshape(-1).tolist() == [4, 1, 2, 0]
 
     def test_all_empty(self):
         et, tc, wt = self.masks([0, 0], [0, 0], [0, 0])
-        assert not recompose_labels(et, tc, wt).data.any()
+        assert not compose(et, tc, wt).any()
 
     def test_union_repair_et_dominates(self):
         et, tc, wt = self.masks([1], [0], [0])
-        out = recompose_labels(et, tc, wt)
-        assert out.data.reshape(-1).tolist() == [4]
+        out = compose(et, tc, wt)
+        assert out.reshape(-1).tolist() == [4]
         for r in Region:
-            assert region_mask(out, r).data.all()
-
-    def test_geometry_mismatch(self):
-        et, tc, _ = self.masks([1, 0], [1, 0], [1, 0])
-        wt = RegionMask(Region.WT, np.ones((3, 1, 1), bool))
-        with pytest.raises(GeometryMismatch):
-            recompose_labels(et, tc, wt)
-
-    def test_wrong_slot_rejected(self):
-        et, tc, wt = self.masks([1], [1], [1])
-        with pytest.raises(GeometryMismatch):
-            recompose_labels(tc, et, wt)
+            assert region_mask(LabelMap(out), r).all()
 
 
 @settings(max_examples=50, deadline=None)
@@ -93,10 +80,9 @@ def test_roundtrip_and_nesting_properties(seed):
     et = region_mask(m, Region.ET)
     tc = region_mask(m, Region.TC)
     wt = region_mask(m, Region.WT)
-    assert (et.data <= tc.data).all()
-    assert (tc.data <= wt.data).all()
-    back = recompose_labels(et, tc, wt)
-    assert np.array_equal(back.data, m.data)
+    assert (et <= tc).all()
+    assert (tc <= wt).all()
+    assert np.array_equal(compose(et, tc, wt), m.data)
 
 
 SHAPES = st.tuples(*(st.integers(1, 5),) * 3)
@@ -107,16 +93,14 @@ SHAPES = st.tuples(*(st.integers(1, 5),) * 3)
 def test_region_mask_is_membership_of_the_literal_label_set(shape, seed):
     m = random_labelmap(np.random.default_rng(seed), shape)
     for r in Region:
-        out = region_mask(m, r)
-        assert out.region is r
-        assert np.array_equal(out.data, np.isin(m.data, REGION_LABELS[r.value]))
+        assert np.array_equal(region_mask(m, r), np.isin(m.data, REGION_LABELS[r.value]))
 
 
 @pytest.mark.parametrize("et, tc, wt", itertools.product((False, True), repeat=3))
 def test_recompose_of_every_decision_triple_is_the_union_rule(et, tc, wt):
-    masks = [RegionMask(r, np.full((1, 1, 1), d)) for r, d in zip(Region, (et, tc, wt))]
+    masks = [np.full((1, 1, 1), d) for d in (et, tc, wt)]
     want = int(compose_reference(*map(np.array, (et, tc, wt))))
-    assert recompose_labels(*masks).data.reshape(-1).tolist() == [want]
+    assert compose(*masks).reshape(-1).tolist() == [want]
 
 
 @settings(max_examples=50, deadline=None)
@@ -125,7 +109,6 @@ def test_recompose_of_non_nested_masks_is_the_union_rule(shape, seed):
     # Independent masks, as per-region STAPLE may give: nothing nests.
     rng = np.random.default_rng(seed)
     et, tc, wt = (rng.random(shape) < rng.random() for _ in Region)
-    masks = [RegionMask(r, d) for r, d in zip(Region, (et, tc, wt))]
-    out = recompose_labels(*masks)
-    assert out.data.dtype == np.uint8
-    assert np.array_equal(out.data, compose_reference(et, tc, wt))
+    out = compose(et, tc, wt)
+    assert out.dtype == np.uint8 and not out.flags.writeable
+    assert np.array_equal(out, compose_reference(et, tc, wt))
