@@ -6,8 +6,9 @@ Geometry handling is deliberately minimal: spacing comes from ``pixdim``,
 the world offset from ``qoffset_*``, and any rotation encoded in the
 qform/sform is ignored (the data this toolkit targets is co-registered).
 
-Every file is read through :class:`PlaneReader`, which opens it, parses and
-checks its header and its size once, and then reads any voxel range with
+Every file is read through :class:`PlaneReader`, which opens it (one that
+cannot be opened is a ``ConfigError``), parses and checks its header and its
+size once, naming the file in any refusal, and then reads any voxel range with
 ``readinto`` into a buffer the caller owns and reuses. The body of a file is
 x-fastest, so any range of voxels ``start:stop`` in that order is one
 contiguous byte range, and the voxels of planes ``z0:z1`` are the range
@@ -276,14 +277,17 @@ class PlaneReader:
     Opening parses the header and checks that the file holds all the
     voxels it declares; :meth:`read` then reads any range of voxels
     without parsing or checking the header again. Use it as a context
-    manager (or call :meth:`close`). Opening can raise ``OSError``; a bad
-    header or size is a :class:`~bratsfuse.errors.NiftiError` naming the
-    file.
+    manager (or call :meth:`close`). A file that cannot be opened is a
+    ``ConfigError`` naming it, and a bad header (gzip included) or size a
+    :class:`~bratsfuse.errors.NiftiError` naming it.
     """
 
     def __init__(self, path):
         self.path = Path(path)
-        self._fh = open(self.path, "rb")
+        try:
+            self._fh = open(self.path, "rb")
+        except OSError as e:
+            raise ConfigError(f"cannot open {self.path}: {e.strerror}") from e
         try:
             self.header = _parse_header(self._fh.read(HEADER_SIZE))
             size = os.fstat(self._fh.fileno()).st_size
@@ -340,15 +344,6 @@ def read_label_planes(f: PlaneReader, start: int, stop: int,
     return data
 
 
-def _open_labels(path) -> PlaneReader:
-    """A :class:`PlaneReader` of the label map ``path``; an unreadable path
-    is a ConfigError."""
-    try:
-        return PlaneReader(path)
-    except OSError as e:
-        raise ConfigError(f"cannot open label map {path}: {e.strerror}") from e
-
-
 def _whole(f: PlaneReader, read) -> np.ndarray:
     """Every voxel of ``f`` by ``read`` (:meth:`PlaneReader.read` or
     :func:`read_label_planes`), shaped as its grid."""
@@ -368,9 +363,8 @@ def load_volume(path) -> Volume:
 
 
 def load_labelmap(path) -> LabelMap:
-    """The label map in file ``path``, checked by :func:`read_label_planes`;
-    an unreadable path is a ConfigError."""
-    with _open_labels(path) as f:
+    """The label map in file ``path``, checked by :func:`read_label_planes`."""
+    with PlaneReader(path) as f:
         return LabelMap(_whole(f, read_label_planes), f.header.spacing, f.header.origin)
 
 
@@ -388,14 +382,7 @@ class ProbmapFiles:
         self.manifest = Path(manifest_path)
         paths = _channel_files(self.manifest)
         with ExitStack() as stack:
-            self._files = []
-            for path in paths:
-                try:
-                    self._files.append(stack.enter_context(PlaneReader(path)))
-                except OSError as e:
-                    raise ConfigError(
-                        f"{self.manifest}: cannot open channel file {path}: {e.strerror}"
-                    ) from e
+            self._files = [stack.enter_context(PlaneReader(path)) for path in paths]
             require_same_geometry(*(f.header for f in self._files), names=paths)
             self._stack = stack.pop_all()
         self.header = self._files[0].header

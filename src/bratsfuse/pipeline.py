@@ -118,7 +118,6 @@ from .errors import (
     BratsFuseError,
     ConfigError,
     UnpairedCase,
-    UnsupportedEncoding,
     error_text,
 )
 from .fusion import (
@@ -141,8 +140,8 @@ from .metrics import (
     score_codes,
 )
 from .nifti import (
+    PlaneReader,
     ProbmapFiles,
-    _open_labels,
     _write_atomic,
     _write_text,
     header_bytes,
@@ -336,7 +335,7 @@ class _LabelModel:
     """A model given as a label map, read plane by plane."""
 
     def __init__(self, path: Path, stack: ExitStack):
-        self._file = stack.enter_context(_open_labels(path))
+        self._file = stack.enter_context(PlaneReader(path))
         self.header = self._file.header
         # Bytes this model reads into the case's read buffer: one plane.
         nx, ny, _ = self.header.shape
@@ -700,16 +699,22 @@ def _codes_box(blocks) -> np.ndarray:
     return codes
 
 
-def _eval_case(pred_dir: Path, gt_dir: Path, penalty: float, case_id: str):
-    """Score one pair: ``(metrics, None)`` or ``(None, error)``."""
-    case = CaseInput(case_id, tuple(
-        ModelInput(side, labelmap=d / f"{case_id}.nii")
-        for side, d in (("pred", pred_dir), ("gt", gt_dir))))
+def _eval_case(penalty: float, case: CaseInput):
+    """Score one pair, the prediction and ground-truth models of ``case``:
+    ``(metrics, None)`` or ``(None, error)``."""
     try:
         grid, blocks = _read_blocks(case)
-        return score_codes(_codes_box(blocks), grid.spacing, case_id, penalty), None
+        return score_codes(_codes_box(blocks), grid.spacing, case.case_id, penalty), None
     except (BratsFuseError, OSError) as e:
-        return None, _case_error(case_id, e)
+        return None, _case_error(case.case_id, e)
+
+
+def _case_files(directory: Path) -> dict[str, Path]:
+    """Each stem in ``directory`` and its file: ``<stem>.nii``, or, if there
+    is none, ``<stem>.nii.gz``."""
+    files = {p.name.removesuffix(".nii.gz"): p for p in directory.glob("*.nii.gz")}
+    files.update((p.stem, p) for p in directory.glob("*.nii"))
+    return files
 
 
 def run_eval(
@@ -719,38 +724,36 @@ def run_eval(
     jobs: int = 1,
     penalty: float = EMPTY_PENALTY_MM,
 ) -> tuple[list[CaseMetrics], list[dict]]:
-    """Evaluate predictions against ground truth paired by filename stem.
+    """Evaluate predictions against ground truth paired by filename stem
+    (each side's ``<stem>.nii``, or, if there is none, ``<stem>.nii.gz``).
 
     Each pair is read plane by plane through ``_read_blocks`` and scored
     from its joint codes inside the box of their tumour
     (``metrics.score_codes``; no label map is rebuilt, see the module
     docstring), so a case holds memory by its tumour, not by its grid.
-    Unpaired files (an UnsupportedEncoding naming the partner where it is
-    stored as ``<stem>.nii.gz``) and per-case failures are recorded (not
-    fatal) and the affected cases skipped; the caller decides the exit
-    status from the returned error list. With no case scored, an earlier
-    run's summary is removed. A ``penalty`` that is negative or not finite,
-    or two directories with no ``*.nii`` file between them, is a
-    ConfigError, raised before the output directory is made.
+    Unpaired files and per-case failures (a gzip file is read, and refused
+    by ``nifti.PlaneReader``) are recorded (not fatal) and the affected
+    cases skipped; the caller decides the exit status from the returned
+    error list. With no case scored, an earlier run's summary is removed. A
+    ``penalty`` that is negative or not finite, or two directories with no
+    ``*.nii`` file between them, is a ConfigError, raised before the output
+    directory is made.
     """
     if not 0.0 <= penalty < math.inf:
         raise ConfigError(f"hd95 penalty must be finite and nonnegative, got {penalty}")
     pred_dir, gt_dir, output_dir = Path(pred_dir), Path(gt_dir), Path(output_dir)
-    pred_stems = {p.stem for p in pred_dir.glob("*.nii")}
-    gt_stems = {p.stem for p in gt_dir.glob("*.nii")}
-    if not pred_stems | gt_stems:
+    pred, gt = _case_files(pred_dir), _case_files(gt_dir)
+    if all(p.suffix == ".gz" for p in (*pred.values(), *gt.values())):
         raise ConfigError(f"no .nii file in {pred_dir} or {gt_dir} (only *.nii is read)")
     output_dir.mkdir(parents=True, exist_ok=True)
-    paired = sorted(pred_stems & gt_stems)
     errors = []
-    for s in sorted(pred_stems ^ gt_stems):
-        have, missing, other = (("prediction", "ground truth", gt_dir) if s in pred_stems
-                                else ("ground truth", "prediction", pred_dir))
-        gz = other / f"{s}.nii.gz"  # a partner in the format the reader refuses
-        e = (UnsupportedEncoding(f"{gz}: gzip-compressed input; decompress to a plain .nii first")
-             if gz.is_file() else UnpairedCase(f"no {missing} for {have} {s}.nii"))
-        errors.append(_case_error(s, e))
-    results = _run_cases(partial(_eval_case, pred_dir, gt_dir, penalty), paired, jobs)
+    for s in sorted(pred.keys() ^ gt.keys()):
+        have, missing, path = (("prediction", "ground truth", pred[s]) if s in pred
+                               else ("ground truth", "prediction", gt[s]))
+        errors.append(_case_error(s, UnpairedCase(f"no {missing} for {have} {path.name}")))
+    paired = [CaseInput(s, (ModelInput("pred", labelmap=pred[s]), ModelInput("gt", labelmap=gt[s])))
+              for s in sorted(pred.keys() & gt.keys())]
+    results = _run_cases(partial(_eval_case, penalty), paired, jobs)
     cases = [m for m, _ in results if m is not None]
     errors.extend(e for _, e in results if e is not None)
     errors.sort(key=lambda e: e["case_id"])
@@ -835,12 +838,13 @@ def read_model_summaries_csv(path) -> list[ModelSummary]:
 
 def run_rank(summary_csv, output_dir) -> str:
     """Rank models from a summary CSV; writes JSON/CSV and a text table."""
-    summaries = read_model_summaries_csv(summary_csv)
+    ranked = rank_models(read_model_summaries_csv(summary_csv))
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
-    ranking = rank_models(summaries)
-    _write_text(output_dir / "ranking.json", ranking.to_json() + "\n")
-    _write_csv(output_dir / "ranking.csv", [("model", "rank"), *ranking.ranking])
-    table = format_ranking_table(summaries, ranking)
+    rows = [(s.name, rank) for rank, s in enumerate(ranked, 1)]
+    _write_text(output_dir / "ranking.json", json.dumps(
+        [{"name": n, "rank": r} for n, r in rows], sort_keys=True) + "\n")
+    _write_csv(output_dir / "ranking.csv", [("model", "rank"), *rows])
+    table = format_ranking_table(ranked)
     _write_text(output_dir / "ranking.txt", table)
     return table

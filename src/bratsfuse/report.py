@@ -8,7 +8,6 @@ resolution) break by region-averaged HD95 ascending, then by name.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,6 @@ __all__ = [
     "StatRow",
     "SummaryStats",
     "ModelSummary",
-    "ModelRanking",
     "summarize",
     "model_summary",
     "rank_models",
@@ -95,20 +93,9 @@ def model_summary(name: str, dsc: dict[str, float], hd95: dict[str, float]) -> M
     return ModelSummary(name, dict(dsc), dict(hd95), avg_dsc, avg_hd95)
 
 
-@dataclass(frozen=True)
-class ModelRanking:
-    """Model names with ranks 1..n, listed best first."""
-
-    ranking: tuple[tuple[str, int], ...]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            [{"name": n, "rank": r} for n, r in self.ranking], sort_keys=True
-        )
-
-
-def rank_models(summaries: list[ModelSummary]) -> ModelRanking:
-    """Order models by avg DSC descending, HD95 (then name) breaking ties.
+def rank_models(summaries: list[ModelSummary]) -> list[ModelSummary]:
+    """The summaries best first, by avg DSC descending, HD95 (then name)
+    breaking ties; a model's rank is its position plus 1.
 
     Models whose avg DSC values differ by at most 5e-5 (chained) are treated
     as tied and reordered by avg HD95 ascending, then by name.
@@ -122,10 +109,7 @@ def rank_models(summaries: list[ModelSummary]) -> ModelRanking:
             groups[-1].append(s)
         else:
             groups.append([s])
-    final: list[ModelSummary] = []
-    for g in groups:
-        final.extend(sorted(g, key=lambda s: (s.avg_hd95, s.name)))
-    return ModelRanking(tuple((s.name, i + 1) for i, s in enumerate(final)))
+    return [s for g in groups for s in sorted(g, key=lambda s: (s.avg_hd95, s.name))]
 
 
 def format_summary_table(stats: SummaryStats) -> str:
@@ -144,10 +128,10 @@ def format_summary_table(stats: SummaryStats) -> str:
     return "\n".join([header1, header2] + rows) + "\n"
 
 
-def format_ranking_table(summaries: list[ModelSummary], ranking: ModelRanking) -> str:
-    """Text table of per-region and average scores with the final rank."""
-    by_name = {s.name: s for s in summaries}
-    width = max(len("Model"), *(len(s.name) for s in summaries)) + 2
+def format_ranking_table(ranked: list[ModelSummary]) -> str:
+    """Text table of per-region and average scores of the models ``ranked``
+    (best first, as :func:`rank_models` orders them) with each one's rank."""
+    width = max(len("Model"), *(len(s.name) for s in ranked)) + 2
     head = (
         f"{'Model':<{width}}"
         + "".join(f"{'DSC_' + r:>10s}" for r in REGION_ORDER)
@@ -156,10 +140,9 @@ def format_ranking_table(summaries: list[ModelSummary], ranking: ModelRanking) -
         + f"{'HD95_Avg':>10s}{'Rank':>6s}"
     )
     lines = [head]
-    for name, rank in ranking.ranking:
-        s = by_name[name]
+    for rank, s in enumerate(ranked, 1):
         lines.append(
-            f"{name:<{width}}"
+            f"{s.name:<{width}}"
             + "".join(f"{s.dsc[r]:10.4f}" for r in REGION_ORDER)
             + f"{s.avg_dsc:10.4f}"
             + "".join(f"{s.hd95[r]:10.2f}" for r in REGION_ORDER)

@@ -158,7 +158,7 @@ def test_an_unreadable_eval_input_is_a_per_case_error(tmp_path, side, make_bad):
     assert "Traceback" not in result.output
     [error] = json.loads((out / "errors.json").read_text())
     assert (error["case_id"], error["error"]) == ("bad", "ConfigError")
-    assert error["detail"].startswith(f"cannot open label map {bad}: ")
+    assert error["detail"].startswith(f"cannot open {bad}: ")
     rows = (out / "cases.csv").read_text().splitlines()
     assert [r.split(",")[0] for r in rows[1:]] == ["good"]
 
@@ -228,6 +228,43 @@ def test_a_gzip_partner_is_named_as_unsupported_encoding(tmp_path):
     ]
     with pytest.raises(UnsupportedEncoding, match=text):
         load_labelmap(pred / "bad.nii.gz")
+
+
+def _gzip_copy(src, dst):
+    dst.write_bytes(gzip.compress(src.read_bytes()))
+
+
+def test_a_case_gzipped_on_both_sides_is_unsupported_encoding(tmp_path):
+    # The prediction is read first, so its file is the one named.
+    pred, gt = _write_pairs(tmp_path, {"good": (_labels(), _labels())})
+    for d in (pred, gt):
+        _gzip_copy(d / "good.nii", d / "b.nii.gz")
+    errors = _run_eval_cli(pred, gt, tmp_path / "out")
+    assert errors == [{"case_id": "b", "error": "UnsupportedEncoding",
+                       "detail": f"{pred / 'b.nii.gz'}: gzip-compressed input; "
+                                 "decompress to a plain .nii first"}]
+
+
+@pytest.mark.parametrize("side", ["pred", "gt"])
+def test_a_lone_nii_gz_is_an_unpaired_case_naming_it(tmp_path, side):
+    pred, gt = _write_pairs(tmp_path, {"good": (_labels(), _labels())})
+    d = pred if side == "pred" else gt
+    _gzip_copy(d / "good.nii", d / "x.nii.gz")
+    have, missing = (("prediction", "ground truth") if side == "pred"
+                     else ("ground truth", "prediction"))
+    errors = _run_eval_cli(pred, gt, tmp_path / "out")
+    assert errors == [{"case_id": "x", "error": "UnpairedCase",
+                       "detail": f"no {missing} for {have} x.nii.gz"}]
+
+
+@pytest.mark.parametrize("side", ["pred", "gt"])
+def test_a_stem_s_nii_is_read_before_its_nii_gz(tmp_path, side):
+    pred, gt = _write_pairs(tmp_path, {"b": (_labels(), _labels())})
+    d = pred if side == "pred" else gt
+    _gzip_copy(d / "b.nii", d / "b.nii.gz")
+    cases, errors = run_eval(pred, gt, tmp_path / "out")
+    assert errors == []
+    assert [(c.case_id, c.dsc) for c in cases] == [("b", {"ET": 1.0, "TC": 1.0, "WT": 1.0})]
 
 
 @pytest.mark.parametrize("et, threshold, before, after", [
@@ -483,7 +520,7 @@ def test_postprocess_refuses_a_negative_et_threshold_before_it_opens_a_file(tmp_
                                                                            monkeypatch):
     path, _ = _phantom_map(tmp_path)
     opened = []
-    monkeypatch.setattr(pipeline, "_open_labels", lambda p: opened.append(p))
+    monkeypatch.setattr(pipeline, "PlaneReader", lambda p: opened.append(p))
     with pytest.raises(ConfigError, match="et_threshold must be nonnegative, got -1"):
         run_postprocess(path, tmp_path / "out.nii", -1)
     assert opened == []
@@ -618,10 +655,10 @@ def _eval_three_pairs_with(tmp_path, monkeypatch, on_case):
     dirs = _write_pairs(tmp_path, {f"c{c}": _phantom_pair(seed=c) for c in range(3)})
     parent, real = os.getpid(), pipeline._eval_case
 
-    def eval_case(pred_dir, gt_dir, penalty, case_id):
+    def eval_case(penalty, case):
         assert os.getpid() != parent, "a case ran in the parent"
-        on_case(case_id)
-        return real(pred_dir, gt_dir, penalty, case_id)
+        on_case(case.case_id)
+        return real(penalty, case)
 
     monkeypatch.setattr(pipeline, "_eval_case", eval_case)
     fds = len(os.listdir("/dev/fd"))
@@ -1501,6 +1538,26 @@ def test_a_missing_input_file_fails_its_case_not_the_run(tmp_path, kind):
     assert str(missing) in errors[0]["detail"]
 
 
+def test_a_missing_fold_channel_file_fails_its_case_as_a_config_error(tmp_path, rng):
+    manifests = _folds(tmp_path, rng, (6, 6, 4), 2, stem="b")
+    channel = tmp_path / "probs" / "b_f1_ch2.nii"
+    channel.unlink()
+    save_nifti(tmp_path / "rater.nii", _labels())
+    cfg = {"output_dir": str(tmp_path / "fused"), "cases": [
+        {"id": "a", "models": [{"name": "r", "labelmap": str(tmp_path / "rater.nii")}]},
+        {"id": "b", "models": [{"name": "soft", "prob_manifests": list(map(str, manifests))}]},
+    ]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    result = CliRunner().invoke(main, ["fuse", "--config", str(path)])
+    assert result.exit_code == 3, result.output
+    assert "fused 1 case(s), 1 error(s)" in result.output
+    assert sorted(p.name for p in (tmp_path / "fused").glob("*.nii")) == ["a.nii"]
+    errors = json.loads((tmp_path / "fused" / "errors.json").read_text())
+    assert errors == [{"case_id": "b", "error": "ConfigError",
+                       "detail": f"cannot open {channel}: No such file or directory"}]
+
+
 @pytest.mark.parametrize("command", ["fuse", "eval"])
 def test_partial_failure_usage_error_and_error_exit_3_2_and_1(tmp_path, rng, command):
     # A script can tell a run that wrote some cases (3) from one that never
@@ -2228,7 +2285,8 @@ def test_the_library_scores_whole_grids_as_eval_scores_the_files(tmp_path, make_
     """``evaluate_case`` of the two files loaded whole and ``_eval_case`` of
     the files, which scores their codes box, agree bit for bit."""
     dirs = _write_pairs(tmp_path, {"c0": make_pair()})
-    got, error = pipeline._eval_case(*dirs, EMPTY_PENALTY_MM, "c0")
+    case = CaseInput("c0", tuple(ModelInput(d.name, labelmap=d / "c0.nii") for d in dirs))
+    got, error = pipeline._eval_case(EMPTY_PENALTY_MM, case)
     assert error is None
     want = _whole_file_scores(dirs, "c0")
     assert got == want
