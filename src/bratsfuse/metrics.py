@@ -98,7 +98,9 @@ _IN_REGION = {
 
 @dataclass(frozen=True)
 class CaseMetrics:
-    """Per-case DSC and HD95 for each of the three evaluation regions."""
+    """Per-case DSC and HD95 for each of the three evaluation regions, the
+    row of every scores table: one finite DSC in [0, 1] and one finite
+    HD95 >= 0 per region, or a ValueError."""
 
     case_id: str
     dsc: dict[str, float]
@@ -110,6 +112,11 @@ class CaseMetrics:
                 raise ValueError(f"metrics must cover regions {REGION_ORDER}")
             if not all(np.isfinite(v) for v in table.values()):
                 raise ValueError("metrics must be finite")
+        for r in REGION_ORDER:
+            if not 0.0 <= self.dsc[r] <= 1.0:
+                raise ValueError(f"DSC_{r} {self.dsc[r]} lies outside [0, 1]")
+            if self.hd95[r] < 0.0:
+                raise ValueError(f"HD95_{r} {self.hd95[r]} is negative")
 
 
 def _require_same_shape(a: np.ndarray, b: np.ndarray) -> None:

@@ -148,14 +148,7 @@ from .nifti import (
     read_label_planes,
 )
 from .postprocess import DEFAULT_ET_THRESHOLD, check_et_threshold, relabel_et
-from .report import (
-    ModelSummary,
-    format_ranking_table,
-    format_summary_table,
-    model_summary,
-    rank_models,
-    summarize,
-)
+from .report import format_ranking_table, format_summary_table, rank_models, summarize
 from .volume import _LABELS, _check_probs, nonzero_box, require_same_geometry
 
 # Not called here (cases are fused and evaluated plane by plane through the cores
@@ -225,6 +218,14 @@ def _convert(kind, value, what: str):
     return kind(value)
 
 
+def _check_keys(keys, known: tuple[str, ...], where: str) -> None:
+    """Refuse a key outside ``known``: a misspelt setting would otherwise
+    be dropped for its default."""
+    for key in keys:
+        if key not in known:
+            raise ConfigError(f"{where} has an unknown key {key!r} (known: {', '.join(known)})")
+
+
 def _check_case_ids(cases) -> None:
     """Refuse a case id that is not a plain file name (it names
     ``<id>.nii``) or that two cases share."""
@@ -263,18 +264,24 @@ class PipelineConfig:
             return p if p.is_absolute() else base / p
 
         raw = _json_value(raw, dict, f"config {path}")
+        # "seed" is accepted and ignored: configs of earlier versions set it.
+        _check_keys([k for k in raw if k != "seed"],
+                    ("cases", "output_dir", "et_threshold", "staple"), f"config {path}")
         cases = []
         for c in _json_value(raw.get("cases", []), list, "cases"):
             c = _json_value(c, dict, "a case")
             if "id" not in c:
                 raise ConfigError("a case has no 'id'")
             case_id = _json_value(c["id"], str, "a case id")
+            _check_keys(c, ("id", "models"), f"case {case_id!r}")
             models = []
             for m in _json_value(c.get("models", []), list, f"case {case_id!r} models"):
                 m = _json_value(m, dict, f"a model of case {case_id!r}")
                 if "name" not in m:
                     raise ConfigError(f"a model of case {case_id!r} has no 'name'")
                 name = _json_value(m["name"], str, f"a model name of case {case_id!r}")
+                _check_keys(m, ("name", "labelmap", "prob_manifests"),
+                            f"model {name!r} of case {case_id!r}")
                 models.append(
                     ModelInput(
                         name=name,
@@ -291,6 +298,7 @@ class PipelineConfig:
         if not cases:
             raise ConfigError("config lists no cases")
         staple = _json_value(raw.get("staple", {}), dict, "staple")
+        _check_keys(staple, ("tol", "max_iters"), "staple")
         cfg = cls(
             cases=tuple(cases),
             output_dir=resolve(raw.get("output_dir", "fused")),
@@ -773,75 +781,53 @@ def run_eval(
 def write_summary_outputs(cases: list[CaseMetrics], output_dir) -> None:
     """Emit summary.json and the text table for a set of case metrics."""
     output_dir = Path(output_dir)
-    stats = summarize(cases)
-    _write_json(output_dir / "summary.json", asdict(stats))
-    _write_text(output_dir / "summary.txt", format_summary_table(stats))
+    summary = summarize(cases)
+    _write_json(output_dir / "summary.json", summary)
+    _write_text(output_dir / "summary.txt", format_summary_table(summary))
 
 
-def _csv_rows(path) -> list[dict]:
-    """The rows of a CSV file with a header line, read as UTF-8 text after a
-    byte-order mark, if any (spreadsheets save one); a file that is not
-    UTF-8 is a ConfigError."""
+def read_cases_csv(path, id_column: str = "case_id", what: str = "metrics") -> list[CaseMetrics]:
+    """The rows of a scores CSV (``<id_column>,DSC_ET,…,HD95_WT``: ``eval``'s
+    ``cases.csv``, or ``rank``'s table, each ``case_id`` a model name), read
+    as UTF-8 text after a byte-order mark, if any (spreadsheets save one).
+    Text that is not UTF-8, a missing column, a row that ``CaseMetrics``
+    refuses, an id an earlier row has, or no rows is a ConfigError."""
+    columns = [id_column, *metrics_csv_header()[1:]]
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            return list(csv.DictReader(fh))
+            reader = csv.DictReader(fh)
+            header = reader.fieldnames or columns  # None: an empty file
+            rows = list(reader)
     except UnicodeDecodeError as e:
         raise ConfigError(f"{path} is not UTF-8 text: {e}") from e
-
-
-def _region_rows(path, id_column: str, what: str, build) -> list:
-    """``build(id, dsc, hd95)`` of each row of the CSV at ``path``: its
-    ``id_column`` and its DSC_<region> and HD95_<region> columns as floats.
-    A row that ``build`` refuses, a DSC outside [0, 1], a negative HD95, an
-    id an earlier row has, or no rows at all is a ConfigError that names the
-    row (a ``what`` row) or the file."""
-    items, seen, noun = [], set(), id_column.removesuffix("_id")
-    for row in _csv_rows(path):
+    for column in columns:
+        if column not in header:
+            raise ConfigError(f"{path}: no column {column!r}")
+    cases, seen, noun = [], set(), id_column.removesuffix("_id")
+    for row in rows:
         try:
             name = row[id_column]
             dsc, hd95 = ({r: float(row[f"{m}_{r}"]) for r in REGION_ORDER}
                          for m in ("DSC", "HD95"))
-            item = build(name, dsc, hd95)
-            for r in REGION_ORDER:
-                if not 0.0 <= dsc[r] <= 1.0:
-                    raise ValueError(f"DSC_{r} {dsc[r]} lies outside [0, 1]")
-                if hd95[r] < 0.0:
-                    raise ValueError(f"HD95_{r} {hd95[r]} is negative")
+            cases.append(CaseMetrics(name, dsc, hd95))
             if name in seen:
                 raise ValueError(f"{noun} {name!r} is named by an earlier row")
-        except (KeyError, TypeError, ValueError) as e:
+        except (TypeError, ValueError) as e:
             raise ConfigError(f"bad {what} row {row}: {e}") from e
-        items.append(item)
         seen.add(name)
-    if not items:
+    if not cases:
         raise ConfigError(f"no {noun} rows in {path}")
-    return items
-
-
-def read_cases_csv(path) -> list[CaseMetrics]:
-    """Parse a per-case metrics CSV as ``run_eval`` writes it (``cases.csv``),
-    refusing what :func:`_region_rows` refuses.
-
-    Columns: case_id,DSC_ET,DSC_TC,DSC_WT,HD95_ET,HD95_TC,HD95_WT.
-    """
-    return _region_rows(path, "case_id", "metrics", CaseMetrics)
-
-
-def read_model_summaries_csv(path) -> list[ModelSummary]:
-    """Parse a CSV of per-model region means, refusing what
-    :func:`_region_rows` refuses and a score that is not finite.
-
-    Columns: model,DSC_ET,DSC_TC,DSC_WT,HD95_ET,HD95_TC,HD95_WT.
-    """
-    return _region_rows(path, "model", "model summary", model_summary)
+    return cases
 
 
 def run_rank(summary_csv, output_dir) -> str:
-    """Rank models from a summary CSV; writes JSON/CSV and a text table."""
-    ranked = rank_models(read_model_summaries_csv(summary_csv))
+    """Rank models from a per-model CSV (columns model,DSC_*,HD95_*, read as
+    ``CaseMetrics`` rows whose ``case_id`` is the model name); writes
+    JSON/CSV and returns the text table it writes."""
+    ranked = rank_models(read_cases_csv(summary_csv, "model", "model summary"))
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
-    rows = [(s.name, rank) for rank, s in enumerate(ranked, 1)]
+    rows = [(m.case_id, rank) for rank, m in enumerate(ranked, 1)]
     _write_text(output_dir / "ranking.json", json.dumps(
         [{"name": n, "rank": r} for n, r in rows], sort_keys=True) + "\n")
     _write_csv(output_dir / "ranking.csv", [("model", "rank"), *rows])

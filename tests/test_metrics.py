@@ -10,6 +10,7 @@ from bratsfuse.errors import EmptyMask, GeometryMismatch
 from bratsfuse.fusion import joint_codes, pack_labels
 from bratsfuse.metrics import (
     EMPTY_PENALTY_MM,
+    CaseMetrics,
     boundary,
     dice,
     edt,
@@ -432,3 +433,25 @@ def test_score_codes_against_oracles(seed, shape, spacing, density, variant):
     got = score_codes(pair_codes(pred, gt), spacing, "case", penalty=50.0)
     assert got.case_id == "case"
     assert_scores_as_the_oracles(got, pred, gt, spacing, 50.0)
+
+
+@pytest.mark.parametrize("dsc_et, hd95_et, reason", [
+    (1.5, 0.0, "DSC_ET 1.5 lies outside [0, 1]"),
+    (-0.25, 0.0, "DSC_ET -0.25 lies outside [0, 1]"),
+    (0.5, -2.0, "HD95_ET -2.0 is negative"),
+], ids=["dsc_above_1", "dsc_below_0", "negative_hd95"])
+def test_case_metrics_refuses_a_score_no_evaluation_gives(dsc_et, hd95_et, reason):
+    with pytest.raises(ValueError) as refused:
+        CaseMetrics("c", {"ET": dsc_et, "TC": 1.0, "WT": 1.0},
+                    {"ET": hd95_et, "TC": 0.0, "WT": 0.0})
+    assert str(refused.value) == reason
+
+
+def test_score_codes_refuses_a_negative_penalty_rather_than_return_it():
+    # ET is predicted at a voxel the truth calls necrosis, so ET is empty on
+    # one side only and its HD95 is the penalty.
+    pred, gt = np.zeros((3, 3, 3), np.uint8), np.zeros((3, 3, 3), np.uint8)
+    pred[1, 1, 1], gt[1, 1, 1] = 4, 1
+    assert score_codes(pair_codes(pred, gt), (1.0,) * 3, "c", penalty=2.0).hd95["ET"] == 2.0
+    with pytest.raises(ValueError, match=r"^HD95_ET -1.0 is negative$"):
+        score_codes(pair_codes(pred, gt), (1.0,) * 3, "c", penalty=-1.0)

@@ -440,17 +440,18 @@ def test_report_cli_refuses_a_case_named_by_two_rows(tmp_path):
 
 
 @pytest.mark.parametrize("text, message", [
-    ("case_id,DSC_ET\nc0,0.5\n", "bad metrics row {'case_id': 'c0', 'DSC_ET': '0.5'}"),
+    ("case_id,DSC_ET\nc0,0.5\n", "{path}: no column 'DSC_TC'\n"),
     ("case_id,DSC_ET,DSC_TC,DSC_WT,HD95_ET,HD95_TC,HD95_WT\nc0,1,1,1,nan,0,0\n",
      "bad metrics row"),
     ("case_id,DSC_ET,DSC_TC,DSC_WT,HD95_ET,HD95_TC,HD95_WT\n", "no case rows in"),
-], ids=["missing-column", "non-finite", "no-rows"])
+    ("", "no case rows in {path}\n"),
+], ids=["missing-column", "non-finite", "no-rows", "empty-file"])
 def test_report_cli_refuses_a_bad_cases_csv(tmp_path, text, message):
     path = tmp_path / "cases.csv"
     path.write_text(text)
     result = CliRunner().invoke(main, ["report", str(path), "--out", str(tmp_path / "r")])
     assert result.exit_code == 1, result.output
-    assert f"Error: {message}" in result.output
+    assert f"Error: {message.format(path=path)}" in result.output
     assert not (tmp_path / "r").exists()
 
 
@@ -1402,6 +1403,18 @@ _GOOD_CASE = {"id": "c0", "models": [{"name": "m", "labelmap": "m.nii"}]}
      "staple tol must be > 0 and max_iters >= 1"),
     ({"cases": [_GOOD_CASE], "staple": {"max_iters": 0}},
      "staple tol must be > 0 and max_iters >= 1"),
+    # A misspelt key would be dropped for its default, one per level.
+    ({"cases": [_GOOD_CASE], "et_treshold": 1000000},
+     r"cfg\.json has an unknown key 'et_treshold' \(known: cases, output_dir, et_threshold, "
+     r"staple\)$"),
+    ({"cases": [_GOOD_CASE], "staple": {"max_iter": 2}},
+     r"^staple has an unknown key 'max_iter' \(known: tol, max_iters\)$"),
+    ({"cases": [{**_GOOD_CASE, "model": []}]},
+     r"^case 'c0' has an unknown key 'model' \(known: id, models\)$"),
+    ({"cases": [{"id": "c0", "models": [{"name": "m", "labelmap": "m.nii",
+                                         "prob_manifest": []}]}]},
+     r"^model 'm' of case 'c0' has an unknown key 'prob_manifest' "
+     r"\(known: name, labelmap, prob_manifests\)$"),
 ])
 def test_malformed_config_is_a_config_error(tmp_path, cfg, message):
     save_nifti(tmp_path / "m.nii", _labels())

@@ -6,9 +6,9 @@ from click.testing import CliRunner
 
 from bratsfuse.cli import main
 from bratsfuse.errors import ConfigError
-from bratsfuse.metrics import REGION_ORDER
-from bratsfuse.pipeline import read_cases_csv, read_model_summaries_csv, run_rank
-from bratsfuse.report import model_summary, rank_models
+from bratsfuse.metrics import REGION_ORDER, CaseMetrics
+from bratsfuse.pipeline import read_cases_csv, run_rank
+from bratsfuse.report import rank_models
 
 HEADER = "model,DSC_ET,DSC_TC,DSC_WT,HD95_ET,HD95_TC,HD95_WT\n"
 
@@ -28,14 +28,14 @@ ORDER = ["top", "alpha", "beta", "gamma", "low"]
 
 def _summary(name):
     values = ROWS[name]
-    return model_summary(name, dict(zip(REGION_ORDER, values[:3])),
-                         dict(zip(REGION_ORDER, values[3:])))
+    return CaseMetrics(name, dict(zip(REGION_ORDER, values[:3])),
+                       dict(zip(REGION_ORDER, values[3:])))
 
 
 def test_rank_models_orders_by_dsc_then_a_chained_tie_by_hd95_then_name():
     for names in itertools.permutations(ROWS):
         ranked = rank_models([_summary(n) for n in names])
-        assert [s.name for s in ranked] == ORDER
+        assert [s.case_id for s in ranked] == ORDER
 
 
 def test_rank_writes_the_hand_worked_ranking(tmp_path):
@@ -76,7 +76,7 @@ def test_a_score_that_is_not_finite_is_refused(tmp_path, bad, first):
     good = "a,0.8,0.85,0.9,3,4,5\n"
     output = _rank_cli(tmp_path, [bad, good] if first else [good, bad])
     assert output.startswith("Error: bad model summary row {'model': 'b', ")
-    assert output.endswith(": scores must be finite\n")
+    assert output.endswith(": metrics must be finite\n")
 
 
 def test_a_model_named_by_two_rows_is_refused(tmp_path):
@@ -120,11 +120,11 @@ OUT_OF_RANGE = {
 
 
 @pytest.mark.parametrize("bad", sorted(OUT_OF_RANGE))
-@pytest.mark.parametrize("command, id_column, kind, read", [
-    ("report", "case_id", "metrics", read_cases_csv),
-    ("rank", "model", "model summary", read_model_summaries_csv),
+@pytest.mark.parametrize("command, id_column, kind", [
+    ("report", "case_id", "metrics"),
+    ("rank", "model", "model summary"),
 ], ids=["report", "rank"])
-def test_a_score_outside_its_range_is_refused(tmp_path, command, id_column, kind, read, bad):
+def test_a_score_outside_its_range_is_refused(tmp_path, command, id_column, kind, bad):
     # A mean DSC of 1.5, or an average HD95 pulled down by a negative one,
     # would be reported and ranked as if an evaluation had given it.
     column, text, reason = OUT_OF_RANGE[bad]
@@ -134,7 +134,7 @@ def test_a_score_outside_its_range_is_refused(tmp_path, command, id_column, kind
     path.write_text(HEADER.replace("model", id_column) + "a,0,1,1,0,0,0\n"
                     + ",".join(["b", *values]) + "\n")
     with pytest.raises(ConfigError) as refused:
-        read(path)
+        read_cases_csv(path, id_column, kind)
     message = str(refused.value)
     assert message.startswith(f"bad {kind} row {{'{id_column}': 'b', ")
     assert message.endswith(f": {reason}")
@@ -142,3 +142,127 @@ def test_a_score_outside_its_range_is_refused(tmp_path, command, id_column, kind
     assert result.exit_code == 1, result.output
     assert result.output == f"Error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, text, column", [
+    ("report", CASES_CSV.replace(",DSC_TC", "", 1), "DSC_TC"),
+    ("rank", MODELS_CSV.replace(",DSC_TC", "", 1), "DSC_TC"),
+    ("rank", MODELS_CSV.replace("model", "Model", 1), "model"),
+], ids=["report", "rank", "rank_id"])
+def test_a_header_without_a_column_is_refused_naming_the_column(tmp_path, command, text,
+                                                                column):
+    # The header is checked before any row, so the rows' extra field does
+    # not matter: the error names the column, not a row.
+    path = tmp_path / "scores.csv"
+    path.write_text(text)
+    result = CliRunner().invoke(main, [command, str(path), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1, result.output
+    assert result.output == f"Error: {path}: no column {column!r}\n"
+    assert not (tmp_path / "out").exists()
+
+
+# Two cases whose scores are dyadic, so every statistic is exact: per column
+# the mean and median are the midpoint, the population stddev half the gap,
+# and the 25/75 quantiles a quarter of the gap from each end.
+HAND_CASES_CSV = ("case_id,DSC_ET,DSC_TC,DSC_WT,HD95_ET,HD95_TC,HD95_WT\n"
+                  "c0,0.5,0.75,1,2,4,8\nc1,0.25,0.5,0.875,1,3,0\n")
+HAND_SUMMARY_TXT = (
+    "            DSC                           HD95                          \n"
+    "                    ET        TC        WT        ET        TC        WT\n"
+    "Mean            0.3750    0.6250    0.9375      1.50      3.50      4.00\n"
+    "StdDev          0.1250    0.1250    0.0625      0.50      0.50      4.00\n"
+    "Median          0.3750    0.6250    0.9375      1.50      3.50      4.00\n"
+    "25quantile      0.3125    0.5625    0.9062      1.25      3.25      2.00\n"
+    "75quantile      0.4375    0.6875    0.9688      1.75      3.75      6.00\n"
+)
+HAND_SUMMARY_JSON = (
+    '{\n'
+    '  "n_cases": 2,\n'
+    '  "stats": {\n'
+    '    "DSC": {\n'
+    '      "ET": {\n'
+    '        "mean": 0.375,\n'
+    '        "median": 0.375,\n'
+    '        "q25": 0.3125,\n'
+    '        "q75": 0.4375,\n'
+    '        "stddev": 0.125\n'
+    '      },\n'
+    '      "TC": {\n'
+    '        "mean": 0.625,\n'
+    '        "median": 0.625,\n'
+    '        "q25": 0.5625,\n'
+    '        "q75": 0.6875,\n'
+    '        "stddev": 0.125\n'
+    '      },\n'
+    '      "WT": {\n'
+    '        "mean": 0.9375,\n'
+    '        "median": 0.9375,\n'
+    '        "q25": 0.90625,\n'
+    '        "q75": 0.96875,\n'
+    '        "stddev": 0.0625\n'
+    '      }\n'
+    '    },\n'
+    '    "HD95": {\n'
+    '      "ET": {\n'
+    '        "mean": 1.5,\n'
+    '        "median": 1.5,\n'
+    '        "q25": 1.25,\n'
+    '        "q75": 1.75,\n'
+    '        "stddev": 0.5\n'
+    '      },\n'
+    '      "TC": {\n'
+    '        "mean": 3.5,\n'
+    '        "median": 3.5,\n'
+    '        "q25": 3.25,\n'
+    '        "q75": 3.75,\n'
+    '        "stddev": 0.5\n'
+    '      },\n'
+    '      "WT": {\n'
+    '        "mean": 4.0,\n'
+    '        "median": 4.0,\n'
+    '        "q25": 2.0,\n'
+    '        "q75": 6.0,\n'
+    '        "stddev": 4.0\n'
+    '      }\n'
+    '    }\n'
+    '  }\n'
+    '}\n'
+)
+
+
+def test_report_writes_the_hand_worked_summary(tmp_path):
+    path = tmp_path / "cases.csv"
+    path.write_text(HAND_CASES_CSV)
+    result = CliRunner().invoke(main, ["report", str(path), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 0, result.output
+    assert (tmp_path / "out" / "summary.txt").read_text() == HAND_SUMMARY_TXT
+    assert (tmp_path / "out" / "summary.json").read_text() == HAND_SUMMARY_JSON
+
+
+def test_rank_writes_the_hand_worked_ranking_json_and_table(tmp_path):
+    # beta's and gamma's averages print as 0.8500 and 0.8501: the table
+    # rounds, the ranking does not.
+    path = tmp_path / "models.csv"
+    path.write_text(MODELS_CSV)
+    result = CliRunner().invoke(main, ["rank", str(path), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 0, result.output
+    assert (tmp_path / "out" / "ranking.json").read_text() == (
+        '[{"name": "top", "rank": 1}, {"name": "alpha", "rank": 2}, '
+        '{"name": "beta", "rank": 3}, {"name": "gamma", "rank": 4}, '
+        '{"name": "low", "rank": 5}]\n')
+    table = (
+        "Model      DSC_ET    DSC_TC    DSC_WT   DSC_Avg   HD95_ET   HD95_TC   HD95_WT"
+        "  HD95_Avg  Rank\n"
+        "top        0.8500    0.9000    0.9500    0.9000      5.00      6.00      7.00"
+        "      6.00     1\n"
+        "alpha      0.8000    0.8500    0.9000    0.8500      4.00      4.00      4.00"
+        "      4.00     2\n"
+        "beta       0.8500    0.8500    0.8500    0.8500      3.00      4.00      5.00"
+        "      4.00     3\n"
+        "gamma      0.8001    0.8501    0.9001    0.8501      5.00      6.00      7.00"
+        "      6.00     4\n"
+        "low        0.8000    0.8000    0.8000    0.8000      1.00      1.00      1.00"
+        "      1.00     5\n"
+    )
+    assert (tmp_path / "out" / "ranking.txt").read_text() == table
+    assert result.output == table
