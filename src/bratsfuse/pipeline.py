@@ -123,6 +123,7 @@ from .errors import (
 from .fusion import (
     DEFAULT_MAX_ITERS,
     DEFAULT_TOL,
+    MAX_RATERS,
     _lookup,
     argmax_labels_into,
     average_probs_into,
@@ -173,14 +174,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModelInput:
-    """One model's prediction for one case: a label map or fold manifests.
-    Its files are read, and a missing one refused, when its case is fused."""
+    """One model's prediction for one case: exactly one of a label map or
+    fold manifests (checked when built). Its files are read, and a missing
+    one refused, when its case is fused."""
 
     name: str
     labelmap: Path | None = None
     prob_manifests: tuple[Path, ...] = ()
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if (self.labelmap is None) == (not self.prob_manifests):
             raise ConfigError(
                 f"model {self.name!r} needs exactly one of labelmap/prob_manifests"
@@ -191,6 +193,14 @@ class ModelInput:
 class CaseInput:
     case_id: str
     models: tuple[ModelInput, ...]
+
+    def __post_init__(self):
+        # The id is the config's to check: eval names its cases by file stems.
+        if not self.models:
+            raise ConfigError(f"case {self.case_id!r} lists no models")
+        if len(self.models) > MAX_RATERS:
+            raise ConfigError(f"case {self.case_id!r}: joint codes hold at most "
+                              f"{MAX_RATERS} raters, got {len(self.models)}")
 
 
 def _json_value(value, kind, what: str):
@@ -226,30 +236,37 @@ def _check_keys(keys, known: tuple[str, ...], where: str) -> None:
             raise ConfigError(f"{where} has an unknown key {key!r} (known: {', '.join(known)})")
 
 
-def _check_case_ids(cases) -> None:
-    """Refuse a case id that is not a plain file name (it names
-    ``<id>.nii``) or that two cases share."""
-    seen = set()
-    for case in cases:
-        cid = case.case_id
-        if cid in ("", ".", "..") or any(c in cid for c in "/\\\0"):
-            raise ConfigError(f"case id {cid!r} is not a file name")
-        if cid in seen:
-            raise ConfigError(f"case id {cid!r} is used by two cases")
-        seen.add(cid)
-
-
 @dataclass(frozen=True)
 class PipelineConfig:
+    """A fuse config; it, its cases and their models are checked when built,
+    from JSON or in code. A case id names ``<id>.nii``."""
+
     cases: tuple[CaseInput, ...]
     output_dir: Path
     et_threshold: int = DEFAULT_ET_THRESHOLD
     staple_tol: float = DEFAULT_TOL
     staple_max_iters: int = DEFAULT_MAX_ITERS
 
+    def __post_init__(self):
+        if not self.cases:
+            raise ConfigError("config lists no cases")
+        check_et_threshold(self.et_threshold)
+        if not self.staple_tol > 0 or self.staple_max_iters < 1:
+            raise ConfigError("staple tol must be > 0 and max_iters >= 1")
+        if self.staple_tol == math.inf:
+            raise ConfigError("staple tol must be finite, got inf")
+        seen = set()
+        for cid in (case.case_id for case in self.cases):
+            if cid in ("", ".", "..") or any(c in cid for c in "/\\\0"):
+                raise ConfigError(f"case id {cid!r} is not a file name")
+            if cid in seen:
+                raise ConfigError(f"case id {cid!r} is used by two cases")
+            seen.add(cid)
+
     @classmethod
     def from_json(cls, path) -> "PipelineConfig":
-        """Read a config file; anything malformed in it is a ConfigError."""
+        """Read a config file's JSON types, keys and paths; anything malformed
+        in it, or refused as the config is built, is a ConfigError."""
         path = Path(path)
         try:
             raw = json.loads(path.read_text())
@@ -292,14 +309,10 @@ class PipelineConfig:
                         ),
                     )
                 )
-            if not models:
-                raise ConfigError(f"case {case_id!r} lists no models")
             cases.append(CaseInput(case_id=case_id, models=tuple(models)))
-        if not cases:
-            raise ConfigError("config lists no cases")
         staple = _json_value(raw.get("staple", {}), dict, "staple")
         _check_keys(staple, ("tol", "max_iters"), "staple")
-        cfg = cls(
+        return cls(
             cases=tuple(cases),
             output_dir=resolve(raw.get("output_dir", "fused")),
             et_threshold=_convert(int, raw.get("et_threshold", DEFAULT_ET_THRESHOLD),
@@ -308,23 +321,6 @@ class PipelineConfig:
             staple_max_iters=_convert(int, staple.get("max_iters", DEFAULT_MAX_ITERS),
                                       "staple max_iters"),
         )
-        cfg.validate()
-        return cfg
-
-    def validate(self) -> None:
-        check_et_threshold(self.et_threshold)
-        if not self.staple_tol > 0 or self.staple_max_iters < 1:
-            raise ConfigError("staple tol must be > 0 and max_iters >= 1")
-        if self.staple_tol == math.inf:
-            raise ConfigError("staple tol must be finite, got inf")
-        _check_case_ids(self.cases)
-        for case in self.cases:
-            try:
-                joint_codes(len(case.models), 0)
-            except ValueError as e:
-                raise ConfigError(f"case {case.case_id!r}: {e}") from e
-            for m in case.models:
-                m.validate()
 
 
 # Voxels per band of rows when fold maps are decoded (at least one row): a
@@ -550,10 +546,11 @@ def run_postprocess(input_nii, output_nii, et_threshold: int = DEFAULT_ET_THRESH
     ``output_nii`` (which may be the same file): ``fuse`` of it as a
     one-model case, with no sidecar. Returns the diagnostics. A negative
     ``et_threshold`` is a ConfigError, raised before any file is opened."""
-    check_et_threshold(et_threshold)
     out = Path(output_nii)
-    case = CaseInput(out.stem, (ModelInput("input", labelmap=Path(input_nii)),))
-    return _fuse_into(case, PipelineConfig((case,), out.parent, et_threshold), out)
+    models = (ModelInput("input", labelmap=Path(input_nii)),)
+    # The config's case is "input": an output stem such as ".." is no case id.
+    cfg = PipelineConfig((CaseInput("input", models),), out.parent, et_threshold)
+    return _fuse_into(CaseInput(out.stem, models), cfg, out)
 
 
 def _run_cases(worker, items, jobs: int):
@@ -677,11 +674,10 @@ def run_fuse(cfg: PipelineConfig, jobs: int = 1) -> tuple[list[dict], list[dict]
     """Fuse every configured case; returns (diagnostics, errors), both sorted
     by case id.
 
-    A case that fails is recorded in ``errors.json`` and left out of
-    ``fuse_manifest.json``; the caller decides the exit status from the
-    returned error list.
+    ``cfg`` was checked when built. A case that fails is recorded in
+    ``errors.json`` and left out of ``fuse_manifest.json``; the caller
+    decides the exit status from the returned error list.
     """
-    cfg.validate()
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     cases = sorted(cfg.cases, key=lambda c: c.case_id)
     results = _run_cases(partial(_fuse_case, cfg), cases, jobs)
@@ -790,8 +786,8 @@ def read_cases_csv(path, id_column: str = "case_id", what: str = "metrics") -> l
     """The rows of a scores CSV (``<id_column>,DSC_ET,…,HD95_WT``: ``eval``'s
     ``cases.csv``, or ``rank``'s table, each ``case_id`` a model name), read
     as UTF-8 text after a byte-order mark, if any (spreadsheets save one).
-    Text that is not UTF-8, a missing column, a row that ``CaseMetrics``
-    refuses, an id an earlier row has, or no rows is a ConfigError."""
+    Text not UTF-8, a missing column, a row longer than the header, an empty
+    or repeated id, a row ``CaseMetrics`` refuses, or no rows: a ConfigError."""
     columns = [id_column, *metrics_csv_header()[1:]]
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -807,6 +803,8 @@ def read_cases_csv(path, id_column: str = "case_id", what: str = "metrics") -> l
     for row in rows:
         try:
             name = row[id_column]
+            if None in row or not name:  # DictReader files extra fields under None
+                raise ValueError("more fields than the header" if name else f"an empty {noun} id")
             dsc, hd95 = ({r: float(row[f"{m}_{r}"]) for r in REGION_ORDER}
                          for m in ("DSC", "HD95"))
             cases.append(CaseMetrics(name, dsc, hd95))

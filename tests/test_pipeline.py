@@ -445,13 +445,35 @@ def test_report_cli_refuses_a_case_named_by_two_rows(tmp_path):
      "bad metrics row"),
     ("case_id,DSC_ET,DSC_TC,DSC_WT,HD95_ET,HD95_TC,HD95_WT\n", "no case rows in"),
     ("", "no case rows in {path}\n"),
-], ids=["missing-column", "non-finite", "no-rows", "empty-file"])
+    # csv.DictReader files a longer row's extra fields under the key None.
+    ("case_id,DSC_ET,DSC_TC,DSC_WT,HD95_ET,HD95_TC,HD95_WT\nc0,0.5,0.5,0.5,1,1,1,99\n",
+     "bad metrics row {{'case_id': 'c0', 'DSC_ET': '0.5', 'DSC_TC': '0.5', 'DSC_WT': '0.5', "
+     "'HD95_ET': '1', 'HD95_TC': '1', 'HD95_WT': '1', None: ['99']}}: "
+     "more fields than the header\n"),
+    ("case_id,DSC_ET,DSC_TC,DSC_WT,HD95_ET,HD95_TC,HD95_WT\nc0,1,1,1,0,0,0\n,1,1,1,0,0,0\n",
+     "bad metrics row {{'case_id': '', 'DSC_ET': '1', 'DSC_TC': '1', 'DSC_WT': '1', "
+     "'HD95_ET': '0', 'HD95_TC': '0', 'HD95_WT': '0'}}: an empty case id\n"),
+], ids=["missing-column", "non-finite", "no-rows", "empty-file", "longer-row", "empty-id"])
 def test_report_cli_refuses_a_bad_cases_csv(tmp_path, text, message):
     path = tmp_path / "cases.csv"
     path.write_text(text)
     result = CliRunner().invoke(main, ["report", str(path), "--out", str(tmp_path / "r")])
     assert result.exit_code == 1, result.output
     assert f"Error: {message.format(path=path)}" in result.output
+    assert not (tmp_path / "r").exists()
+
+
+def test_rank_cli_refuses_an_empty_model_name(tmp_path):
+    # An empty name would be ranked, and written to ranking.json as "".
+    path = tmp_path / "models.csv"
+    path.write_text("model,DSC_ET,DSC_TC,DSC_WT,HD95_ET,HD95_TC,HD95_WT\n"
+                    ",0.8,0.85,0.9,5,4,3\nunet,0.7,0.8,0.88,6,5,4\n")
+    result = CliRunner().invoke(main, ["rank", str(path), "--out", str(tmp_path / "r")])
+    assert result.exit_code == 1, result.output
+    assert result.output == (
+        "Error: bad model summary row {'model': '', 'DSC_ET': '0.8', 'DSC_TC': '0.85', "
+        "'DSC_WT': '0.9', 'HD95_ET': '5', 'HD95_TC': '4', 'HD95_WT': '3'}: "
+        "an empty model id\n")
     assert not (tmp_path / "r").exists()
 
 
@@ -526,6 +548,17 @@ def test_postprocess_refuses_a_negative_et_threshold_before_it_opens_a_file(tmp_
         run_postprocess(path, tmp_path / "out.nii", -1)
     assert opened == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m.nii"]
+
+
+@pytest.mark.parametrize("name", ["..nii", "...nii", "a\\b.nii"])
+def test_postprocess_writes_an_output_whose_stem_is_no_case_id(tmp_path, name):
+    # fuse refuses such a case id, but postprocess names no case after its
+    # output: every output name it can write is accepted.
+    path, et = _phantom_map(tmp_path)
+    run_postprocess(path, tmp_path / "want.nii", et + 1)
+    post = run_postprocess(path, tmp_path / name, et + 1)
+    assert (post["case_id"], post["et_voxels_after"]) == (Path(name).stem, 0)
+    assert (tmp_path / name).read_bytes() == (tmp_path / "want.nii").read_bytes()
 
 
 def test_postprocess_can_write_over_its_input(tmp_path):
@@ -1415,6 +1448,15 @@ _GOOD_CASE = {"id": "c0", "models": [{"name": "m", "labelmap": "m.nii"}]}
                                          "prob_manifest": []}]}]},
      r"^model 'm' of case 'c0' has an unknown key 'prob_manifest' "
      r"\(known: name, labelmap, prob_manifests\)$"),
+    ({"cases": [{"id": "c0", "models": [{"name": "m"}]}]},
+     r"^model 'm' needs exactly one of labelmap/prob_manifests$"),
+    ({"cases": [{"id": "c0", "models": [{"name": "m", "labelmap": "m.nii",
+                                         "prob_manifests": ["m.json"]}]}]},
+     r"^model 'm' needs exactly one of labelmap/prob_manifests$"),
+    ({"cases": [{"id": "c0", "models": []}]}, r"^case 'c0' lists no models$"),
+    ({"cases": [{"id": "c0"}]}, r"^case 'c0' lists no models$"),
+    ({"cases": []}, r"^config lists no cases$"),
+    ({"output_dir": "fused"}, r"^config lists no cases$"),
 ])
 def test_malformed_config_is_a_config_error(tmp_path, cfg, message):
     save_nifti(tmp_path / "m.nii", _labels())
@@ -1441,12 +1483,43 @@ def test_a_case_of_33_models_is_refused_before_any_output(tmp_path):
         PipelineConfig.from_json(cfg_path)
     few, many = (tuple(ModelInput(f"m{k}", labelmap=tmp_path / "m.nii") for k in range(n))
                  for n in (32, 33))
-    cfg = PipelineConfig((CaseInput("a_few", few), CaseInput("b_many", many)), tmp_path / "fused")
     with pytest.raises(ConfigError, match=message):
-        run_fuse(cfg)
+        PipelineConfig((CaseInput("a_few", few), CaseInput("b_many", many)), tmp_path / "fused")
     result = CliRunner().invoke(main, ["fuse", "--config", str(cfg_path)])
     assert (result.exit_code, result.output) == (1, f"Error: {message}\n")
     assert not (tmp_path / "fused").exists()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda m: ModelInput("m"), "model 'm' needs exactly one of labelmap/prob_manifests"),
+    (lambda m: ModelInput("m", labelmap=m, prob_manifests=(m,)),
+     "model 'm' needs exactly one of labelmap/prob_manifests"),
+    (lambda m: CaseInput("a", ()), "case 'a' lists no models"),
+    (lambda m: CaseInput("a", (ModelInput("m", labelmap=m),) * 33),
+     "case 'a': joint codes hold at most 32 raters, got 33"),
+    (lambda m: PipelineConfig((), m.parent / "fused"), "config lists no cases"),
+], ids=["model-no-file", "model-two-files", "case-no-models", "case-33-models", "no-cases"])
+def test_a_config_built_in_code_is_checked_when_built(tmp_path, build, message):
+    # The rule from_json applies holds for a config built in code too: no
+    # IndexError from a case with no models, and no run, nor an empty
+    # fuse_manifest.json, for a config with no cases.
+    m = save_nifti(tmp_path / "m.nii", _labels())
+    with pytest.raises(ConfigError) as refused:
+        build(m)
+    assert str(refused.value) == message
+    assert not (tmp_path / "fused").exists()
+
+
+def test_a_case_id_that_is_a_file_stem_builds_a_case_but_not_a_config(tmp_path):
+    # eval names its cases by file stems, so a case takes any id; the config
+    # that lists it is what refuses an id that names no plain file.
+    case = CaseInput("..", (ModelInput("m", labelmap=tmp_path / "m.nii"),))
+    with pytest.raises(ConfigError, match=r"^case id '\.\.' is not a file name$"):
+        PipelineConfig((case,), tmp_path / "fused")
+    # replace, as fuse --out uses it, builds a new config and checks it again.
+    with pytest.raises(ConfigError, match=r"^et_threshold must be nonnegative, got -1$"):
+        replace(PipelineConfig((replace(case, case_id="c0"),), tmp_path / "fused"),
+                et_threshold=-1)
 
 
 def test_integral_config_numbers_load(tmp_path):
