@@ -16,15 +16,16 @@ contiguous byte range, and the voxels of planes ``z0:z1`` are the range
 BraTS labels; :func:`load_volume` and :func:`load_labelmap` read a whole
 file as one range.
 
-Writing uses float32 for :class:`~bratsfuse.volume.Volume` and uint8 for
-:class:`~bratsfuse.volume.LabelMap`, with ``vox_offset`` 352 and data in
-x-fastest order, so loading a saved file reproduces shape, spacing, and
-data bit-exactly for the supported dtypes. :func:`header_bytes` builds the
-352 bytes before the voxels, so a writer can stream a label body after it
-plane by plane and get the bytes :func:`save_nifti` would. Every file this
-package writes goes through :func:`_write_atomic`: a temporary file in the
-same directory, moved onto its name with ``os.replace``, so a failed or
-interrupted write leaves the earlier file, if any, under that name.
+:func:`_write_nifti` writes a uint8 or float32 array (a
+:class:`~bratsfuse.volume.LabelMap`'s labels, or a probability map's
+channel), with ``vox_offset`` 352 and data in x-fastest order, so loading a
+saved file reproduces shape, spacing, and data bit-exactly for the supported
+dtypes. :func:`header_bytes` builds the 352 bytes before the voxels, so a
+writer can stream a label body after it plane by plane and get the bytes
+:func:`save_nifti` would. Every file this package writes goes through
+:func:`_write_atomic`: a temporary file in the same directory, moved onto
+its name with ``os.replace``, so a failed or interrupted write leaves the
+earlier file, if any, under that name.
 
 Probability maps do not fit in a 3-D file; they serialize as one NIfTI per
 channel plus a JSON manifest ``{"channels": [0, 1, 2, 4], "files": [...]}``.
@@ -63,15 +64,7 @@ from .errors import (
     UnsupportedDtype,
     UnsupportedEncoding,
 )
-from .volume import (
-    LabelMap,
-    ProbMap,
-    Volume,
-    _check_finite,
-    _check_labels,
-    _check_probs,
-    require_same_geometry,
-)
+from .volume import LabelMap, ProbMap, _check_labels, _check_probs, require_same_geometry
 
 __all__ = [
     "load_volume",
@@ -222,15 +215,19 @@ def _write_text(path: Path, text: str) -> None:
         fh.write(text.encode())
 
 
-def save_nifti(path, v: Volume | LabelMap) -> Path:
-    """Write ``v`` to ``path``: the header :func:`header_bytes` builds, then
-    the voxels x-fastest, uint8 for a LabelMap and float32 otherwise."""
+def _write_nifti(path, data: np.ndarray, spacing, origin) -> Path:
+    """Write the 3-D uint8 or float32 ``data`` to ``path``: the header
+    :func:`header_bytes` builds, then the voxels x-fastest."""
     path = Path(path)
-    payload = v.data.astype("<u1" if isinstance(v, LabelMap) else "<f4", copy=False)
     with _write_atomic(path) as fh:
-        fh.write(header_bytes(v.shape, v.spacing, v.origin, payload.dtype))
-        fh.write(payload.ravel(order="F"))
+        fh.write(header_bytes(data.shape, spacing, origin, data.dtype))
+        fh.write(data.ravel(order="F"))
     return path
+
+
+def save_nifti(path, m: LabelMap) -> Path:
+    """Write ``m`` to ``path`` as uint8 voxels (:func:`_write_nifti`)."""
+    return _write_nifti(path, m.data, m.spacing, m.origin)
 
 
 def save_probmap(pm: ProbMap, directory, stem: str) -> Path:
@@ -240,7 +237,7 @@ def save_probmap(pm: ProbMap, directory, stem: str) -> Path:
     files = []
     for i, label in enumerate(pm.channels):
         name = f"{stem}_ch{label}.nii"
-        save_nifti(directory / name, Volume(pm.data[i], pm.spacing, pm.origin))
+        _write_nifti(directory / name, pm.data[i].astype("<f4"), pm.spacing, pm.origin)
         files.append(name)
     manifest = directory / f"{stem}.json"
     _write_text(manifest, json.dumps({"channels": list(pm.channels), "files": files},
@@ -327,6 +324,12 @@ class PlaneReader:
         return data
 
 
+def _check_finite(f: PlaneReader, data: np.ndarray) -> None:
+    """Raise BadData naming ``f`` if floating-point ``data`` holds NaN or Inf."""
+    if np.issubdtype(data.dtype, np.floating) and not np.isfinite(data).all():
+        raise BadData(f"{f.path}: volume data contains NaN or Inf")
+
+
 def read_label_planes(f: PlaneReader, start: int, stop: int,
                       buf: np.ndarray) -> np.ndarray:
     """Voxels ``start:stop`` of a label file read into ``buf`` (see
@@ -334,11 +337,9 @@ def read_label_planes(f: PlaneReader, start: int, stop: int,
     voxel is ``BadData``, any other value outside {0, 1, 2, 4}
     ``InvalidLabel`` listing the offending values, both naming the file."""
     data = f.read(start, stop, buf)
+    _check_finite(f, data)
     try:
-        _check_finite(data)
         _check_labels(data)
-    except ValueError as e:
-        raise BadData(f"{f.path}: {e}") from e
     except InvalidLabel as e:
         raise InvalidLabel(f"{f.path}: {e}") from e
     return data
@@ -351,15 +352,13 @@ def _whole(f: PlaneReader, read) -> np.ndarray:
     return read(f, 0, n, np.empty(n, f.header.dtype)).reshape(f.header.shape, order="F")
 
 
-def load_volume(path) -> Volume:
-    """The volume in file ``path``; a NaN or infinite voxel is BadData
-    naming the file."""
+def load_volume(path) -> tuple[np.ndarray, Header]:
+    """The stored voxels of file ``path``, in its dtype and shaped as its
+    grid, and its header; a NaN or infinite voxel is BadData naming the file."""
     with PlaneReader(path) as f:
         data = _whole(f, PlaneReader.read)
-    try:
-        return Volume(data, f.header.spacing, f.header.origin)
-    except ValueError as e:
-        raise BadData(f"{f.path}: {e}") from e
+    _check_finite(f, data)
+    return data, f.header
 
 
 def load_labelmap(path) -> LabelMap:

@@ -150,7 +150,7 @@ from .nifti import (
 )
 from .postprocess import DEFAULT_ET_THRESHOLD, check_et_threshold, relabel_et
 from .report import format_ranking_table, format_summary_table, rank_models, summarize
-from .volume import _LABELS, _check_probs, nonzero_box, require_same_geometry
+from .volume import _LABELS, ET, _check_probs, nonzero_box, require_same_geometry
 
 # Not called here (cases are fused and evaluated plane by plane through the cores
 # above), but benchmarks/tracing.py wraps these names on this module.
@@ -507,9 +507,9 @@ def _fuse_into(case: CaseInput, cfg: PipelineConfig, out_nii: Path) -> dict:
         # p and q as lists, so the diagnostics equal the JSON they are written as.
         staple_diag = {region: dict(asdict(fit), p=list(fit.p), q=list(fit.q))
                        for region, fit in fits.items()}
-    et_before = int(counts[lut == 4].sum())
+    et_before = int(counts[lut == ET].sum())
     lut = relabel_et(lut, et_before, cfg.et_threshold)
-    et_after = int(counts[lut == 4].sum())
+    et_after = int(counts[lut == ET].sum())
     nx, ny, nz = grid.shape
     plane = np.empty((ny, nx), np.uint8)
     kept = {z: (x, y, codes) for (x, y, z), codes in blocks}
@@ -674,10 +674,22 @@ def run_fuse(cfg: PipelineConfig, jobs: int = 1) -> tuple[list[dict], list[dict]
     """Fuse every configured case; returns (diagnostics, errors), both sorted
     by case id.
 
-    ``cfg`` was checked when built. A case that fails is recorded in
-    ``errors.json`` and left out of ``fuse_manifest.json``; the caller
-    decides the exit status from the returned error list.
+    ``cfg`` was checked when built. An output (``<id>.nii``,
+    ``<id>_staple.json``, ``fuse_manifest.json``, ``errors.json``) that is a
+    model's label map or fold manifest is a ConfigError before anything is
+    written. Directory entries are compared, as ``os.replace`` replaces an
+    entry; a manifest's channel files, known only once it is read, are not
+    checked. A case that fails is recorded in ``errors.json`` and left out
+    of ``fuse_manifest.json``; the caller decides the exit status from the
+    returned error list.
     """
+    out = cfg.output_dir.resolve()
+    outputs = {out / "fuse_manifest.json", out / "errors.json"}
+    outputs.update(out / f"{c.case_id}{s}" for c in cfg.cases for s in (".nii", "_staple.json"))
+    for m in (m for case in cfg.cases for m in case.models):
+        for path in map(Path, (m.labelmap,) if m.labelmap else m.prob_manifests):
+            if path.parent.resolve() / path.name in outputs:
+                raise ConfigError(f"{path} is an input of model {m.name!r} and an output")
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     cases = sorted(cfg.cases, key=lambda c: c.case_id)
     results = _run_cases(partial(_fuse_case, cfg), cases, jobs)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .volume import LabelMap
+from .volume import ET, NCR, LabelMap
 
 __all__ = ["et_threshold_relabel", "check_et_threshold", "relabel_et", "DEFAULT_ET_THRESHOLD"]
 
@@ -31,11 +31,11 @@ def relabel_et(labels: np.ndarray, et_voxels: int, threshold: int) -> np.ndarray
     voxels are some and fewer than ``threshold`` (unchecked), else ``labels``."""
     if not 0 < et_voxels < threshold:
         return labels
-    return np.where(labels == 4, np.uint8(1), labels)
+    return np.where(labels == ET, np.uint8(NCR), labels)
 
 
 def et_threshold_relabel(m: LabelMap, threshold: int = DEFAULT_ET_THRESHOLD) -> LabelMap:
     """Relabel all ET voxels to label 1 when total ET count < threshold."""
     check_et_threshold(threshold)
-    data = relabel_et(m.data, int(np.count_nonzero(m.data == 4)), threshold)
+    data = relabel_et(m.data, int(np.count_nonzero(m.data == ET)), threshold)
     return m if data is m.data else LabelMap(data, m.spacing, m.origin)

@@ -16,7 +16,7 @@ import enum
 
 import numpy as np
 
-from .volume import BRATS_LABELS, LabelMap, _freeze, _label_index
+from .volume import BRATS_LABELS, ED, ET, NCR, LabelMap, _freeze, _label_index
 
 __all__ = ["Region", "region_mask", "compose"]
 
@@ -30,12 +30,12 @@ class Region(enum.Enum):
 # Per region, whether each label of BRATS_LABELS is in it.
 _MEMBERSHIP = {
     r: _freeze(np.array([label in members for label in BRATS_LABELS]))
-    for r, members in ((Region.ET, {4}), (Region.TC, {1, 4}), (Region.WT, {1, 2, 4}))
+    for r, members in ((Region.ET, {ET}), (Region.TC, {NCR, ET}), (Region.WT, {NCR, ED, ET}))
 }
 
 # The label of each decision triple, at et + 2 tc + 4 wt: the masks nest by
 # union (TC |= ET, WT |= TC), then 4 on ET, 1 on TC, 2 on WT, 0 elsewhere.
-_COMPOSE = _freeze(np.array([0, 4, 1, 4, 2, 4, 1, 4], np.uint8))
+_COMPOSE = _freeze(np.array([0, ET, NCR, ET, ED, ET, NCR, ET], np.uint8))
 
 
 def region_mask(m: LabelMap, r: Region) -> np.ndarray:

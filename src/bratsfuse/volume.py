@@ -6,10 +6,11 @@ order of the data is x-fastest (the NIfTI on-disk order), i.e. voxel
 after construction: the held arrays are marked read-only, every operation
 returns a new object, and nothing in this module mutates shared state.
 
-The three grid types (``Volume``, ``LabelMap``, ``ProbMap``) share the
-fields ``_Grid`` declares once (``data``, ``spacing``, ``origin``): each
-checks its own voxels, then calls ``_Grid._init_grid``, the one constructor
-tail, which checks and stores them. A region mask is a boolean array.
+The two grid types (``LabelMap``, ``ProbMap``) share the fields ``_Grid``
+declares once (``data``, ``spacing``, ``origin``): each checks its own
+voxels, then calls ``_Grid._init_grid``, the one constructor tail, which
+checks and stores them. A region mask is a boolean array, and a file's
+voxels of any other kind an array and its ``nifti.Header``.
 
 ``nonzero_box`` is the one box finder: the slices of an array of any
 dimension outside which it is all zero. ``pipeline`` takes it of each
@@ -33,7 +34,6 @@ from .errors import GeometryMismatch, InvalidLabel
 
 __all__ = [
     "BRATS_LABELS",
-    "Volume",
     "LabelMap",
     "ProbMap",
     "nonzero_box",
@@ -43,6 +43,7 @@ __all__ = [
 
 # The label codes, and the order of a ProbMap's channels.
 BRATS_LABELS = (0, 1, 2, 4)
+NCR, ED, ET = BRATS_LABELS[1:]  # necrotic core, edema, enhancing tumour
 _CHANNEL_SUM_TOL = 1e-6
 
 
@@ -102,16 +103,6 @@ class _Grid:
 
 
 @dataclass(frozen=True)
-class Volume(_Grid):
-    """A 3-D scalar grid with voxel spacing (mm) and a world offset (mm)."""
-
-    def __post_init__(self):
-        data = np.asarray(self.data)
-        _check_finite(data)
-        self._init_grid(data)
-
-
-@dataclass(frozen=True)
 class LabelMap(_Grid):
     """A 3-D grid of BraTS label codes {0, 1, 2, 4}, stored as uint8."""
 
@@ -119,12 +110,6 @@ class LabelMap(_Grid):
         data = np.asarray(self.data)
         _check_labels(data)
         self._init_grid(data.astype(np.uint8, copy=False))
-
-
-def _check_finite(data: np.ndarray) -> None:
-    """Raise ValueError if floating-point ``data`` holds NaN or Inf."""
-    if np.issubdtype(data.dtype, np.floating) and not np.isfinite(data).all():
-        raise ValueError("volume data contains NaN or Inf")
 
 
 def _check_labels(data: np.ndarray) -> None:
@@ -135,7 +120,8 @@ def _check_labels(data: np.ndarray) -> None:
     # mask of valid voxels one more bool per voxel.
     if sum(np.count_nonzero(data == label) for label in BRATS_LABELS) != data.size:
         bad = np.unique(data[~np.isin(data, BRATS_LABELS)])
-        raise InvalidLabel(f"label values outside {{0,1,2,4}}: {bad.tolist()}")
+        codes = ",".join(map(str, BRATS_LABELS))
+        raise InvalidLabel(f"label values outside {{{codes}}}: {bad.tolist()}")
 
 
 def _check_probs(data: np.ndarray, sums: np.ndarray | None = None) -> None:

@@ -1,16 +1,12 @@
 import numpy as np
 import pytest
 
-from bratsfuse.volume import LabelMap, ProbMap, Volume
+from bratsfuse.volume import LabelMap, ProbMap
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
-
-
-def random_volume(rng, shape, spacing=(1.0, 1.0, 1.0)) -> Volume:
-    return Volume(rng.random(shape), spacing)
 
 
 def random_labelmap(rng, shape, spacing=(1.0, 1.0, 1.0)) -> LabelMap:

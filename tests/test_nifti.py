@@ -25,6 +25,7 @@ from bratsfuse.errors import (
 from bratsfuse.nifti import (
     PlaneReader,
     ProbmapFiles,
+    _write_nifti,
     header_bytes,
     load_labelmap,
     load_probmap,
@@ -33,7 +34,7 @@ from bratsfuse.nifti import (
     save_nifti,
     save_probmap,
 )
-from bratsfuse.volume import LabelMap, ProbMap, Volume
+from bratsfuse.volume import LabelMap, ProbMap
 
 
 def build_fixture(shape, spacing, datatype, payload, vox_offset=352.0, magic=b"n+1\x00"):
@@ -57,27 +58,27 @@ def _load(raw, load=load_volume):
         return load(Path(d) / "v.nii")
 
 
-def _saved(v):
-    """The bytes ``save_nifti`` writes for ``v``."""
+def _saved(data, spacing=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0)):
+    """The bytes ``_write_nifti`` writes for the uint8 or float32 ``data``."""
     with tempfile.TemporaryDirectory() as d:
-        return save_nifti(Path(d) / "v.nii", v).read_bytes()
+        return _write_nifti(Path(d) / "v.nii", data, spacing, origin).read_bytes()
 
 
 class TestRead:
     def test_fixture_parses(self):
         payload = np.arange(8, dtype="<f4").tobytes()
         raw = build_fixture((2, 2, 2), (1.0, 2.0, 3.0), 16, payload)
-        v = _load(raw)
-        assert v.shape == (2, 2, 2)
-        assert v.spacing == (1.0, 2.0, 3.0)
+        data, header = _load(raw)
+        assert data.shape == header.shape == (2, 2, 2)
+        assert header.spacing == (1.0, 2.0, 3.0)
         # x-fastest on disk: linear element 1 is voxel (1, 0, 0)
-        assert v.data[1, 0, 0] == 1.0
+        assert data[1, 0, 0] == 1.0
 
     def test_minimal_single_voxel(self):
         raw = build_fixture((1, 1, 1), (1.0, 1.0, 1.0), 16, np.zeros(1, "<f4").tobytes())
-        v = _load(raw)
-        assert v.shape == (1, 1, 1)
-        assert v.data[0, 0, 0] == 0.0
+        data, _ = _load(raw)
+        assert data.shape == (1, 1, 1)
+        assert data[0, 0, 0] == 0.0
 
     def test_label_3_rejected_for_labelmap(self):
         payload = np.array([3], dtype="u1").tobytes()
@@ -181,14 +182,14 @@ class TestRead:
             _load(bytes(raw))
 
     def test_written_files_are_unscaled(self):
-        raw = _saved(Volume(np.full((2, 1, 1), 3.5, np.float32)))
+        raw = _saved(np.full((2, 1, 1), 3.5, np.float32))
         assert struct.unpack_from("<2f", raw, 112) == (1.0, 0.0)
-        assert _load(raw).data.max() == 3.5
+        assert _load(raw)[0].max() == 3.5
 
 
 class TestWrite:
     def test_labelmap_byte_layout(self):
-        raw = _saved(LabelMap(np.zeros((2, 2, 2), dtype=np.uint8)))
+        raw = _saved(np.zeros((2, 2, 2), dtype=np.uint8))
         assert len(raw) == 352 + 8
         assert struct.unpack_from("<i", raw, 0)[0] == 348
         assert raw[344:348] == b"n+1\x00"
@@ -197,24 +198,27 @@ class TestWrite:
         assert raw[352:] == b"\x00" * 8
 
     def test_pixdim_fields(self):
-        raw = _saved(Volume(np.zeros((1, 1, 1)), spacing=(1.0, 1.0, 1.0)))
+        raw = _saved(np.zeros((1, 1, 1), np.float32), spacing=(1.0, 1.0, 1.0))
         pixdim = struct.unpack_from("<8f", raw, 76)
         assert pixdim[1:4] == (1.0, 1.0, 1.0)
 
-    def test_volume_written_as_float32(self):
-        raw = _saved(Volume(np.zeros((1, 1, 1), dtype=np.float64)))
-        assert struct.unpack_from("<h", raw, 70)[0] == 16
+    def test_volume_written_as_float32(self, tmp_path):
+        # A probability map's float64 channels are written as float32.
+        save_probmap(ProbMap(np.full((4, 1, 1, 1), 0.25)), tmp_path, "p")
+        raw = (tmp_path / "p_ch0.nii").read_bytes()
+        assert struct.unpack_from("<2h", raw, 70) == (16, 32)
+        assert np.frombuffer(raw[352:], "<f4").tolist() == [0.25]
 
     def test_data_order_x_fastest(self):
         data = np.zeros((2, 1, 1), dtype=np.float32)
         data[1, 0, 0] = 5.0
-        raw = _saved(Volume(data))
+        raw = _saved(data)
         vals = np.frombuffer(raw[352:], dtype="<f4")
         assert vals.tolist() == [0.0, 5.0]
 
     def test_origin_roundtrip(self):
-        v = Volume(np.zeros((1, 1, 1)), origin=(1.5, -2.0, 3.25))
-        assert _load(_saved(v)).origin == (1.5, -2.0, 3.25)
+        raw = _saved(np.zeros((1, 1, 1), np.float32), origin=(1.5, -2.0, 3.25))
+        assert _load(raw)[1].origin == (1.5, -2.0, 3.25)
 
 
 @settings(max_examples=50, deadline=None)
@@ -225,24 +229,25 @@ class TestWrite:
     spacing=st.tuples(*(st.floats(0.25, 8.0, width=32),) * 3),
 )
 def test_roundtrip_bit_exact(shape, dtype, seed, spacing):
+    # Each payload as stored: load_volume gives back its dtype and values.
     rng = np.random.default_rng(seed)
     if dtype == "uint8":
-        data = rng.integers(0, 256, size=shape).astype(np.uint8)
+        data, datatype = rng.integers(0, 256, size=shape).astype(np.uint8), 2
     elif dtype == "int16":
-        data = rng.integers(-(2**15), 2**15, size=shape).astype(np.int16)
+        data, datatype = rng.integers(-(2**15), 2**15, size=shape).astype(np.int16), 4
     else:
-        data = rng.random(shape, dtype=np.float32)
-    v = Volume(data, spacing=spacing)
-    back = _load(_saved(v))
-    assert back.shape == v.shape
-    assert back.spacing == v.spacing
-    assert np.array_equal(back.data, v.data)
+        data, datatype = rng.random(shape, dtype=np.float32), 16
+    back, header = _load(build_fixture(shape, spacing, datatype, data.tobytes("F")))
+    assert back.dtype == data.dtype == header.dtype
+    assert header.shape == back.shape == shape
+    assert header.spacing == spacing
+    assert np.array_equal(back, data)
 
 
 _FUZZ_FILES = (
-    _saved(LabelMap(np.array([0, 1, 2, 4, 4, 2], np.uint8).reshape(3, 2, 1),
-                         (1.0, 1.25, 2.0), (-4.0, 0.5, 3.0))),
-    _saved(Volume(np.linspace(-1.0, 1.0, 6, dtype=np.float32).reshape(1, 2, 3))),
+    _saved(np.array([0, 1, 2, 4, 4, 2], np.uint8).reshape(3, 2, 1),
+           (1.0, 1.25, 2.0), (-4.0, 0.5, 3.0)),
+    _saved(np.linspace(-1.0, 1.0, 6, dtype=np.float32).reshape(1, 2, 3)),
 )
 
 
@@ -271,10 +276,10 @@ def test_corrupted_file_raises_only_nifti_errors(raw, edit, pos, value):
         pass
 
 
-def test_labelmap_roundtrip_bit_exact(rng):
+def test_labelmap_roundtrip_bit_exact(tmp_path, rng):
     labels = np.array([0, 1, 2, 4], dtype=np.uint8)[rng.integers(0, 4, size=(5, 4, 3))]
     m = LabelMap(labels, spacing=(0.5, 1.0, 2.0))
-    back = _load(_saved(m), load_labelmap)
+    back = load_labelmap(save_nifti(tmp_path / "m.nii", m))
     assert np.array_equal(back.data, m.data)
     assert back.data.dtype == np.uint8
     assert back.spacing == m.spacing
@@ -369,9 +374,9 @@ class TestProbmapPlanes:
 
     def test_channel_with_an_extra_plane(self, manifest):
         path = _channel_path(manifest, 1)
-        v = load_volume(path)
-        save_nifti(path, Volume(np.concatenate([v.data, v.data[:, :, :1]], axis=2),
-                                v.spacing, v.origin))
+        data, header = load_volume(path)
+        _write_nifti(path, np.concatenate([data, data[:, :, :1]], axis=2),
+                     header.spacing, header.origin)
         # The message names the first channel's file and the one that differs.
         names = re.escape(f"{_channel_path(manifest, 0)}, {path}: geometry mismatch: ")
         for load in (ProbmapFiles, load_probmap, lambda m: _decode(m, 0, self.PLANE)):
@@ -416,14 +421,12 @@ class TestProbmapPlanes:
 
 
 def _write_channels(directory, stem, channels):
-    """A manifest over channel files holding ``channels`` as given (not
-    renormalised): float arrays are written as float32, LabelMaps as uint8."""
+    """A manifest over channel files holding ``channels``, uint8 or float32
+    arrays, as given (not renormalised)."""
     files = []
     for label, channel in zip(ProbMap.channels, channels):
         name = f"{stem}_ch{label}.nii"
-        if not isinstance(channel, LabelMap):
-            channel = Volume(channel, (1.0, 1.5, 2.5), (-3.0, 2.0, 10.25))
-        save_nifti(directory / name, channel)
+        _write_nifti(directory / name, channel, (1.0, 1.5, 2.5), (-3.0, 2.0, 10.25))
         files.append(name)
     manifest = directory / f"{stem}.json"
     manifest.write_text(json.dumps({"channels": list(ProbMap.channels), "files": files}))
@@ -433,8 +436,7 @@ def _write_channels(directory, stem, channels):
 def _one_hot_channels(rng, shape):
     """Channels 0 and 1 as uint8 label files, 2 and 4 as float32, one-hot."""
     hot = rng.integers(0, 4, size=shape)
-    return [LabelMap((hot == c).astype(np.uint8), (1.0, 1.5, 2.5), (-3.0, 2.0, 10.25))
-            if c < 2 else (hot == c).astype(np.float32) for c in range(4)]
+    return [(hot == c).astype(np.uint8 if c < 2 else np.float32) for c in range(4)]
 
 
 class TestProbmapOracle:
@@ -444,7 +446,7 @@ class TestProbmapOracle:
     def raw(self, rng):
         raw = 3 * rng.random((4,) + self.SHAPE)  # channel sums far from 1
         raw[1, 2, 3, :] = -1e-8  # clipped to 0, within the sum tolerance
-        return raw
+        return raw.astype(np.float32)
 
     def assert_oracle(self, tmp_path, rng, make, start, stop):
         """Voxels ``start:stop`` decode to the stored channels stacked in
@@ -452,7 +454,7 @@ class TestProbmapOracle:
         channels = self.raw(rng) if make == "raw" else _one_hot_channels(rng, self.SHAPE)
         manifest = _write_channels(tmp_path, "case", channels)
         files = json.loads(manifest.read_text())["files"]
-        stored = [load_volume(tmp_path / f).data.reshape(-1, order="F")[start:stop]
+        stored = [load_volume(tmp_path / f)[0].reshape(-1, order="F")[start:stop]
                   for f in files]
         want = np.stack(stored, dtype=np.float64)
         want /= want.sum(axis=0, keepdims=True)
@@ -601,16 +603,20 @@ def test_a_buffer_too_small_for_the_voxels_is_refused(tmp_path):
         assert f.read(0, 20, np.empty(80, np.uint8)).size == 20
 
 
-@pytest.mark.parametrize("make", [
-    lambda d: LabelMap(np.array([0, 1, 2, 4], np.uint8)[d % 4]),
-    lambda d: LabelMap(np.asfortranarray(np.array([0, 1, 2, 4], np.uint8)[d % 4]),
-                       (0.5, 1.0, 2.0), (1.0, -2.0, 3.5)),
-    lambda d: Volume(d.astype(np.float64) / 7.0, (1.0, 1.25, 2.0)),
-    lambda d: Volume(np.asfortranarray(d.astype(np.int16))),
-], ids=["labels", "labels_f_order", "volume", "volume_f_order"])
-def test_save_nifti_writes_the_write_nifti_bytes(tmp_path, make):
-    # The header, then the voxels x-fastest: uint8 labels, float32 otherwise.
-    v = make(np.arange(5 * 4 * 3).reshape(5, 4, 3))
-    dtype = "<u1" if isinstance(v, LabelMap) else "<f4"
-    assert save_nifti(tmp_path / "v.nii", v).read_bytes() == \
-        header_bytes(v.shape, v.spacing, v.origin, dtype) + v.data.astype(dtype).tobytes("F")
+_GRID = np.arange(5 * 4 * 3).reshape(5, 4, 3)
+
+
+@pytest.mark.parametrize("data, spacing, origin", [
+    (np.array([0, 1, 2, 4], np.uint8)[_GRID % 4], (1.0, 1.0, 1.0), (0.0, 0.0, 0.0)),
+    (np.asfortranarray(np.array([0, 1, 2, 4], np.uint8)[_GRID % 4]),
+     (0.5, 1.0, 2.0), (1.0, -2.0, 3.5)),
+    ((_GRID / 7.0).astype(np.float32), (1.0, 1.25, 2.0), (0.0, 0.0, 0.0)),
+], ids=["labels", "labels_f_order", "volume"])
+def test_save_nifti_writes_the_write_nifti_bytes(tmp_path, data, spacing, origin):
+    # The header, then the voxels x-fastest: uint8 labels (by save_nifti too)
+    # or float32 voxels.
+    want = header_bytes(data.shape, spacing, origin, data.dtype) + data.tobytes("F")
+    assert _write_nifti(tmp_path / "v.nii", data, spacing, origin).read_bytes() == want
+    if data.dtype == np.uint8:
+        m = LabelMap(data, spacing, origin)
+        assert save_nifti(tmp_path / "m.nii", m).read_bytes() == want

@@ -44,6 +44,7 @@ from bratsfuse.metrics import (
 )
 from bratsfuse.nifti import (
     ProbmapFiles,
+    _write_nifti,
     header_bytes,
     load_labelmap,
     load_probmap,
@@ -62,7 +63,7 @@ from bratsfuse.pipeline import (
 )
 from bratsfuse.regions import Region, region_mask
 from bratsfuse.synth import PhantomSpec, corrupt_labels, make_phantom, noisy_probmap
-from bratsfuse.volume import BRATS_LABELS, LabelMap, ProbMap, Volume
+from bratsfuse.volume import BRATS_LABELS, LabelMap, ProbMap
 
 from .oracles import REGION_LABELS, dice_counts, hd95_all_pairs, staple_fuse_reference
 from .test_fusion import boundary_raters
@@ -84,10 +85,11 @@ def _patch(path, fmt, offset, value):
 
 
 def _nan_prediction(path, shape=(6, 6, 4)):
-    """A float32 prediction file with one NaN voxel (Volume refuses NaN, so
-    the voxel is patched into the written bytes)."""
-    save_nifti(path, Volume(np.zeros(shape, np.float32), (1.0, 1.0, 2.0)))
-    _patch(path, "<f", 352 + 4 * 5, float("nan"))
+    """A float32 prediction file with one NaN voxel, (5, 0, 0), written by
+    the array writer, which does not check its voxels."""
+    data = np.zeros(shape, np.float32)
+    data[5, 0, 0] = np.nan
+    _write_nifti(path, data, (1.0, 1.0, 2.0), (0.0, 0.0, 0.0))
 
 
 def _nan_vox_offset_prediction(path):
@@ -955,7 +957,7 @@ def test_a_label_map_and_a_fold_model_share_one_read_buffer(tmp_path, rng, monke
     monkeypatch.setattr(pipeline, "DECODE_VOXELS", decode_voxels)
     shape = (16, 12, 3)
     labels = rng.choice(BRATS_LABELS, size=shape).astype(np.float32)
-    save_nifti(tmp_path / "labels.nii", Volume(labels, SPACING, ORIGIN))
+    _write_nifti(tmp_path / "labels.nii", labels, SPACING, ORIGIN)
     folds = _folds(tmp_path, rng, shape, 2)
     case = CaseInput("c", (ModelInput("labels", labelmap=tmp_path / "labels.nii"),
                            ModelInput("folds", prob_manifests=tuple(folds))))
@@ -1644,6 +1646,31 @@ def test_a_missing_fold_channel_file_fails_its_case_as_a_config_error(tmp_path, 
                        "detail": f"cannot open {channel}: No such file or directory"}]
 
 
+@pytest.mark.parametrize("where", ["config", "out", "linked_dir", "linked_input"])
+def test_fuse_refuses_an_output_that_is_one_of_its_inputs(tmp_path, where):
+    # Case "rater1" would be written over its own rater1.nii, and case "z"
+    # would then fuse that output as its rater 1.
+    save_nifti(tmp_path / "rater0.nii", _labels())
+    if where == "linked_input":  # rater1.nii is a link to a file elsewhere
+        (tmp_path / "maps").mkdir()
+        os.symlink(save_nifti(tmp_path / "maps" / "r1.nii", _labels()), tmp_path / "rater1.nii")
+    else:
+        save_nifti(tmp_path / "rater1.nii", _labels())
+    if where == "linked_dir":
+        os.symlink(tmp_path, tmp_path / "link")
+    models = [{"name": f"r{k}", "labelmap": f"rater{k}.nii"} for k in range(2)]
+    output_dir = {"config": ".", "out": "fused", "linked_dir": "link"}.get(where, ".")
+    (tmp_path / "cfg.json").write_text(json.dumps({"output_dir": output_dir, "cases": [
+        {"id": case_id, "models": models} for case_id in ("rater1", "z")]}))
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    args = ["fuse", "--config", str(tmp_path / "cfg.json")]
+    result = CliRunner().invoke(main, args + (["--out", str(tmp_path)] if where == "out" else []))
+    assert result.exit_code == 1, result.output
+    assert result.output == (f"Error: {tmp_path / 'rater1.nii'} is an input of model 'r1' "
+                             "and an output\n")
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
 @pytest.mark.parametrize("command", ["fuse", "eval"])
 def test_partial_failure_usage_error_and_error_exit_3_2_and_1(tmp_path, rng, command):
     # A script can tell a run that wrote some cases (3) from one that never
@@ -2229,7 +2256,8 @@ def test_the_label_maps_of_a_case_share_one_read_buffer(tmp_path, monkeypatch):
     models = _label_models(tmp_path, boundary_raters(gt, 3, 4), "c0")
     # The widest stored type sets the buffer's size: one rater as float32.
     float_rater = tmp_path / "c0_float.nii"
-    save_nifti(float_rater, Volume(load_labelmap(models[1].labelmap).data.astype(np.float32)))
+    rater = load_labelmap(models[1].labelmap)
+    _write_nifti(float_rater, rater.data.astype(np.float32), rater.spacing, rater.origin)
     models[1] = ModelInput("float", labelmap=float_rater)
     buffers = []
     real = pipeline.read_label_planes

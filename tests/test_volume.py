@@ -8,29 +8,22 @@ from bratsfuse.errors import InvalidLabel
 from bratsfuse.volume import (
     LabelMap,
     ProbMap,
-    Volume,
     nonzero_box,
     same_geometry,
 )
 
 
 class TestTypes:
-    def test_volume_rejects_nan(self):
-        data = np.ones((2, 2, 2))
-        data[0, 0, 0] = np.nan
+    def test_labelmap_rejects_bad_spacing(self):
         with pytest.raises(ValueError):
-            Volume(data)
+            LabelMap(np.ones((2, 2, 2)), spacing=(0.0, 1.0, 1.0))
+        with pytest.raises(ValueError):
+            LabelMap(np.ones((2, 2, 2)), spacing=(1.0, -1.0, 1.0))
 
-    def test_volume_rejects_bad_spacing(self):
+    def test_labelmap_data_is_read_only(self):
+        m = LabelMap(np.ones((2, 2, 2)))
         with pytest.raises(ValueError):
-            Volume(np.ones((2, 2, 2)), spacing=(0.0, 1.0, 1.0))
-        with pytest.raises(ValueError):
-            Volume(np.ones((2, 2, 2)), spacing=(1.0, -1.0, 1.0))
-
-    def test_volume_data_is_read_only(self):
-        v = Volume(np.ones((2, 2, 2)))
-        with pytest.raises(ValueError):
-            v.data[0, 0, 0] = 2.0
+            m.data[0, 0, 0] = 2
 
     def test_labelmap_rejects_label_3(self):
         data = np.zeros((2, 2, 2), dtype=np.uint8)
@@ -114,11 +107,11 @@ class TestNonzeroBox:
 @pytest.mark.parametrize("offset", [0.0, 5e-10, -5e-10, 1.5e-9, -1.5e-9, 1e-3, -1e-3])
 @pytest.mark.parametrize("axis", [0, 1, 2])
 def test_same_geometry_matches_allclose(offset, axis):
-    base = Volume(np.zeros((2, 2, 2)), spacing=(1.0, 1.2, 2.5), origin=(-90.0, 0.0, 72.5))
+    base = LabelMap(np.zeros((2, 2, 2)), spacing=(1.0, 1.2, 2.5), origin=(-90.0, 0.0, 72.5))
     for field in ("spacing", "origin"):
         moved = list(getattr(base, field))
         moved[axis] += offset
-        other = Volume(base.data, **{"spacing": base.spacing, "origin": base.origin,
-                                     field: tuple(moved)})
+        other = LabelMap(base.data, **{"spacing": base.spacing, "origin": base.origin,
+                                       field: tuple(moved)})
         want = np.allclose(moved, getattr(base, field), rtol=1e-9, atol=1e-9)
         assert same_geometry(other, base) == want
