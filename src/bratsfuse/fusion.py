@@ -112,12 +112,13 @@ MAX_RATERS = 4 * _CODE_TYPES[-1].itemsize
 
 
 def average_probs_into(maps: Iterable[np.ndarray], out: np.ndarray) -> np.ndarray:
-    """Channelwise mean of one or more ``maps`` into ``out``, clipped to
-    [0, 1]; returns ``out``.
+    """Channelwise mean of one or more ``maps`` into ``out``; returns ``out``.
 
     ``out`` is zeroed and each map added in the given order, so the sums are
     deterministic. ``maps`` may be a generator that refills one buffer per
-    map. The mean is not checked to be a probability map.
+    map. The mean is not checked to be a probability map. Of maps in [0, 1]
+    it lies in [0, 1] unclipped: the sum of k of them stays in [0, k], since
+    rounding is monotone and k is exact, and k / k is 1.
     """
     out[...] = 0.0
     count = 0
@@ -125,7 +126,6 @@ def average_probs_into(maps: Iterable[np.ndarray], out: np.ndarray) -> np.ndarra
         out += m
         count += 1
     out /= count
-    np.clip(out, 0.0, 1.0, out=out)
     return out
 
 

@@ -32,11 +32,13 @@ channel plus a JSON manifest ``{"channels": [0, 1, 2, 4], "files": [...]}``.
 :class:`ProbmapFiles` is a map's four channel readers, whose grids it
 checks to agree. Decoding a voxel range is two steps: ``read_channel``
 gives one channel's stored values as a view, in its file's dtype, over a
-caller's buffer, and ``renormalise`` casts the four channels, or any
-same-shaped views of them, into float64 rows, divides them by their sums,
-clips and checks them. So a map can be read a range at a time without a
-header parse or a fresh array per range, and a caller can look at the
-stored values before any arithmetic, as a fold model of ``pipeline`` does.
+caller's buffer, and ``renormalise`` sums the four channels, or any
+same-shaped views of them, in float64 and divides them by their sums into
+float64 rows, clipping and checking the rows only when a stored channel is
+negative, the one case in which either can change or refuse a value. So a
+map can be read a range at a time without a header parse or a fresh array
+per range, and a caller can look at the stored values before any
+arithmetic, as a fold model of ``pipeline`` does.
 :func:`load_probmap` does both steps on a whole map; a map's header alone
 is ``ProbmapFiles(m).header``.
 """
@@ -64,7 +66,7 @@ from .errors import (
     UnsupportedDtype,
     UnsupportedEncoding,
 )
-from .volume import LabelMap, ProbMap, _check_labels, _check_probs, require_same_geometry
+from .volume import LabelMap, ProbMap, _check_labels, _check_sums, require_same_geometry
 
 __all__ = [
     "load_volume",
@@ -410,19 +412,27 @@ class ProbmapFiles:
         renormalised into ``out``, which is returned.
 
         ``out`` is float64 ``(4, n)``, one row per channel, and ``sums``
-        (float64, ``(n,)``) receives the channel sums. Each channel is cast
-        into its row of ``out`` in C order (exact: every supported dtype is
-        a subset of float64), the rows are summed in channel order, divided
-        by the sums and clipped to [0, 1]. A non-finite channel, a voxel
-        whose channels sum to 0, and renormalised channels outside [0, 1] or
-        whose sum is off 1 by more than 1e-6 are ``BadData`` naming the
-        manifest.
+        (float64, ``(n,)``) receives the channel sums. The channels are cast
+        to float64 inside the sum and the divide (exact: every supported
+        dtype is a subset of float64), summed in channel order, divided by
+        the sums into their rows of ``out`` in C order and clipped to
+        [0, 1]. A non-finite channel, a voxel whose channels sum to 0, and
+        renormalised channels outside [0, 1] or whose sum is off 1 by more
+        than 1e-6 are ``BadData`` naming the manifest.
+
+        The clip and the sum check run only when a stored channel is
+        negative. With every stored value >= 0, each channel x is at most
+        its voxel's float64 sum S (rounding is monotone, and S is finite
+        and positive once the checks before the divide pass), so x / S
+        rounds into [0, 1]: the clip would change no value (it keeps -0.0,
+        too). The four quotients then sum to 1 within a few ulp, far inside
+        1e-6, so the check cannot refuse the voxel.
         """
-        for channel, row in zip(channels, out):
-            np.copyto(row.reshape(channel.shape), channel)
-        np.add(out[0], out[1], out=sums)
-        sums += out[2]
-        sums += out[3]
+        shape = channels[0].shape
+        total = sums.reshape(shape)
+        np.add(channels[0], channels[1], out=total, dtype=np.float64)
+        total += channels[2]
+        total += channels[3]
         # Four finite float32 or integer values cannot sum to +-inf in
         # float64, and min and max propagate NaN: this finds every voxel
         # with a NaN or infinite channel.
@@ -430,16 +440,18 @@ class ProbmapFiles:
             raise BadData(f"{self.manifest}: probability data contains NaN or Inf")
         if not sums.all():
             raise BadData(f"{self.manifest}: a voxel's four channels sum to 0")
-        out /= sums
-        # The clip bounds each channel to [0, 1] (only a negative stored
-        # channel, or one its voxel's negative channels push above 1, can be
-        # out of it); it does not move channel sums back to 1, and the check
-        # below refuses a voxel whose clipped channels sum off 1.
-        np.clip(out, 0.0, 1.0, out=out)
-        try:
-            _check_probs(out, sums)
-        except ValueError as e:
-            raise BadData(f"{self.manifest}: {e}") from e
+        for channel, row in zip(channels, out):
+            np.divide(channel, total, out=row.reshape(shape))
+        if min(c.min() for c in channels) < 0:
+            # The clip does not move channel sums back to 1, so the check
+            # refuses a voxel whose clipped channels sum off 1. Only the
+            # sums need checking: the clip bounds every value, and NaN was
+            # refused above.
+            np.clip(out, 0.0, 1.0, out=out)
+            try:
+                _check_sums(out, sums)
+            except ValueError as e:
+                raise BadData(f"{self.manifest}: {e}") from e
         return out
 
 

@@ -29,15 +29,20 @@ and a slice of columns outside which no fold differs
 the rectangle is the whole plane and the scan stops, so a dense plane
 costs one read of one channel of one fold.
 The rectangle is then decoded in bands of ``DECODE_VOXELS`` voxels' worth
-of rows (at least one row), small enough that a band's buffers stay in
-cache through every pass over them: per band, each fold in config order is
-read again, one range per channel into the read buffer, and renormalised
-and checked on the rectangle's columns only before the next fold is read;
-the folds are averaged, and the mean is checked again and argmaxed, in
-buffers allocated once per model. The voxels outside the rectangle are
-label 0. That is exact: such a voxel passes every check, its mean is
-(1, 0, 0, 0) and its argmax label 0, while a NaN or infinite channel
-differs from (1, 0, 0, 0) and so lies inside the rectangle and is refused.
+of rows (at least one row; a BraTS-size rectangle is one band): per band,
+each fold in config order is read again, one range per channel into the
+front of the read buffer, and renormalised and checked on the rectangle's
+columns only before the next fold is read; the folds are averaged, and the
+mean's channel sums are checked and it is argmaxed, in buffers allocated
+once per model. Only the passes a check needs are made: a fold is clipped
+and its channel sums checked only when a stored channel of the band is
+negative (``nifti.ProbmapFiles.renormalise`` says why no other fold can
+fail them), and the mean of folds in [0, 1] lies in [0, 1], so only its
+sums are checked. The voxels outside the rectangle are label 0. That is
+exact: such a voxel passes every check, its mean is (1, 0, 0, 0) and its
+argmax label 0, while a NaN or infinite channel differs from (1, 0, 0, 0)
+and so lies inside the rectangle and is refused. A plane with no such
+rectangle is neither decoded nor packed.
 Each model's labels go into its two bits of one reused plane of joint
 codes (``fusion.joint_codes``: one code per voxel, in the smallest unsigned
 type holding two bits per model, uint8 for up to four models); code 0 is
@@ -143,6 +148,7 @@ from .metrics import (
 from .nifti import (
     PlaneReader,
     ProbmapFiles,
+    _channel_files,
     _write_atomic,
     _write_text,
     header_bytes,
@@ -150,7 +156,7 @@ from .nifti import (
 )
 from .postprocess import DEFAULT_ET_THRESHOLD, check_et_threshold, relabel_et
 from .report import format_ranking_table, format_summary_table, rank_models, summarize
-from .volume import _LABELS, ET, _check_probs, nonzero_box, require_same_geometry
+from .volume import _LABELS, ET, _check_sums, nonzero_box, require_same_geometry
 
 # Not called here (cases are fused and evaluated plane by plane through the cores
 # above), but benchmarks/tracing.py wraps these names on this module.
@@ -323,10 +329,16 @@ class PipelineConfig:
         )
 
 
-# Voxels per band of rows when fold maps are decoded (at least one row): a
-# band's buffers (about 1.6 MB, for any number of folds) stay in a core's
-# cache through every pass over them.
-DECODE_VOXELS = 1 << 14
+# Voxels per band of rows when fold maps are decoded (at least one row). Each
+# band makes the same reads and numpy calls per fold whatever its size, so
+# fewer bands cost less: at 1 << 15 a BraTS-size rectangle (82 rows of 240
+# at the benchmark's seed 0) is one band, not two of 68 and 14 rows, and the
+# fuse-soft case makes 1,680 decode reads instead of 3,360. Its in-process
+# run_fuse took 184 to 213 ms of CPU against 202 to 243 ms at 1 << 14
+# (medians of 7 to 9, three rounds, 2 vCPUs). A band's buffers, about 3 MB
+# for any number of folds, are used from their front, so a smaller band
+# touches fewer pages.
+DECODE_VOXELS = 1 << 15
 
 
 def _voxels(shape, z: int) -> tuple[int, int]:
@@ -378,9 +390,9 @@ class _FoldModel:
         self._uncertain = np.empty((ny, nx), bool)
         self._labels = np.empty((ny, nx), np.uint8)
 
-    def labels(self, z: int, buf: np.ndarray) -> np.ndarray:
-        """The labels of plane ``z``, x-fastest; the folds are read into
-        ``buf``, which holds at least ``read_bytes``.
+    def labels(self, z: int, buf: np.ndarray) -> np.ndarray | None:
+        """The labels of plane ``z``, x-fastest, or None if they are all 0;
+        the folds are read into ``buf``, which holds at least ``read_bytes``.
 
         Inside the plane's rectangle (``_rectangle``), every fold in config
         order is renormalised and checked, then their mean is checked and
@@ -388,10 +400,11 @@ class _FoldModel:
         every check and its mean is exactly ``_BACKGROUND``.
         """
         start, _ = _voxels(self.header.shape, z)
-        self._labels.fill(0)
         box = self._rectangle(start, buf)
-        if box is not None:
-            self._decode(start, *box, buf)
+        if box is None:
+            return None
+        self._labels.fill(0)
+        self._decode(start, *box, buf)
         return self._labels.reshape(-1)
 
     def _rectangle(self, start: int, buf: np.ndarray):
@@ -420,25 +433,29 @@ class _FoldModel:
         """The labels of the rectangle of the slices ``rows`` x ``cols`` of
         the plane from voxel ``start``, in bands of ``_band`` rows: per band,
         each fold's whole rows are read into ``buf``, channel ``c`` into the
-        ``c``-th quarter of ``read_bytes``, just before their columns
-        ``cols`` are renormalised."""
+        ``c``-th quarter of the band's first ``16 * voxels`` bytes, just
+        before their columns ``cols`` are renormalised. The band's float64
+        views are cut from the front of their buffers too, so a band touches
+        only the pages it needs."""
         nx = self.header.shape[0]
-        block = buf[: self.read_bytes].reshape(4, -1)
         for ya in range(rows.start, rows.stop, self._band):
             yb = min(ya + self._band, rows.stop)
             lo, hi = start + ya * nx, start + yb * nx
+            block = buf[: 16 * (hi - lo)].reshape(4, -1)
             out = self._labels[ya:yb, cols]
             n = out.size
-            mean, sums = self._mean[:, :n], self._sums[:n]
+            probs, mean = (a.reshape(-1)[: 4 * n].reshape(4, n) for a in (self._probs, self._mean))
+            sums = self._sums[:n]
             # A generator: average_probs_into renormalises one fold into
-            # ``_probs`` and adds it to the mean before the next is read.
+            # ``probs`` and adds it to the mean before the next is read.
             decoded = (f.renormalise([f.read_channel(c, lo, hi, row).reshape(-1, nx)[:, cols]
-                                      for c, row in enumerate(block)],
-                                     self._probs[:, :n], sums)
+                                      for c, row in enumerate(block)], probs, sums)
                        for f in self._folds)
+            # The mean of folds in [0, 1] is in [0, 1] (average_probs_into),
+            # so only its channel sums can be off.
             average_probs_into(decoded, mean)
             try:
-                _check_probs(mean, sums)
+                _check_sums(mean, sums)
             except ValueError as e:
                 names = ", ".join(str(f.manifest) for f in self._folds)
                 raise BadData(f"average of {names}: {e}") from e
@@ -484,9 +501,13 @@ def _read_blocks(case: CaseInput):
         blocks = []
         for z in range(nz):
             codes[...] = 0
+            packed = False
             for r, model in enumerate(models):
-                pack_labels(codes, r, model.labels(z, read))
-            box = nonzero_box(plane)
+                labels = model.labels(z, read)  # None: all background
+                if labels is not None:
+                    pack_labels(codes, r, labels)
+                    packed = True
+            box = nonzero_box(plane) if packed else None
             if box is not None:
                 rows, cols = box
                 blocks.append(((cols.start, rows.start, z), plane[box].copy()))
@@ -676,18 +697,24 @@ def run_fuse(cfg: PipelineConfig, jobs: int = 1) -> tuple[list[dict], list[dict]
 
     ``cfg`` was checked when built. An output (``<id>.nii``,
     ``<id>_staple.json``, ``fuse_manifest.json``, ``errors.json``) that is a
-    model's label map or fold manifest is a ConfigError before anything is
-    written. Directory entries are compared, as ``os.replace`` replaces an
-    entry; a manifest's channel files, known only once it is read, are not
-    checked. A case that fails is recorded in ``errors.json`` and left out
-    of ``fuse_manifest.json``; the caller decides the exit status from the
-    returned error list.
+    model's label map, fold manifest or one of a manifest's channel files
+    is a ConfigError before anything is written. Directory entries are
+    compared, as ``os.replace`` replaces an entry. A manifest that cannot
+    be read or parsed here is left to fail its own case. A case that fails
+    is recorded in ``errors.json`` and left out of ``fuse_manifest.json``;
+    the caller decides the exit status from the returned error list.
     """
     out = cfg.output_dir.resolve()
     outputs = {out / "fuse_manifest.json", out / "errors.json"}
     outputs.update(out / f"{c.case_id}{s}" for c in cfg.cases for s in (".nii", "_staple.json"))
     for m in (m for case in cfg.cases for m in case.models):
-        for path in map(Path, (m.labelmap,) if m.labelmap else m.prob_manifests):
+        inputs = [m.labelmap] if m.labelmap else list(m.prob_manifests)
+        for manifest in m.prob_manifests:
+            try:
+                inputs += _channel_files(manifest)
+            except BratsFuseError:
+                pass
+        for path in map(Path, inputs):
             if path.parent.resolve() / path.name in outputs:
                 raise ConfigError(f"{path} is an input of model {m.name!r} and an output")
     cfg.output_dir.mkdir(parents=True, exist_ok=True)

@@ -124,18 +124,24 @@ def _check_labels(data: np.ndarray) -> None:
         raise InvalidLabel(f"label values outside {{{codes}}}: {bad.tolist()}")
 
 
-def _check_probs(data: np.ndarray, sums: np.ndarray | None = None) -> None:
+def _check_probs(data: np.ndarray) -> None:
     """Raise ValueError unless every value of ``data`` lies in [0, 1] and the
-    channels (axis 0) of every voxel sum to 1 within 1e-6.
-
-    The channel sums are accumulated in float64 into ``sums`` when it is given
-    (shaped like ``data[0]``), so a caller can reuse one buffer.
-    """
+    channels (axis 0) of every voxel sum to 1 within 1e-6 (:func:`_check_sums`)."""
     # min and max propagate NaN, so this one test also rejects NaN/Inf.
     if not (data.min() >= 0.0 and data.max() <= 1.0):
         if not np.isfinite(data).all():
             raise ValueError("probability data contains NaN or Inf")
         raise ValueError("probabilities must lie in [0, 1]")
+    _check_sums(data)
+
+
+def _check_sums(data: np.ndarray, sums: np.ndarray | None = None) -> None:
+    """Raise ValueError unless the channels (axis 0) of every voxel of
+    ``data`` sum to 1 within 1e-6.
+
+    The channel sums are accumulated in float64 into ``sums`` when it is given
+    (shaped like ``data[0]``), so a caller can reuse one buffer.
+    """
     sums = np.sum(data, axis=0, dtype=np.float64, out=sums)
     err = max(sums.max() - 1.0, 1.0 - sums.min())  # == max |sums - 1|
     if err > _CHANNEL_SUM_TOL:

@@ -3,7 +3,9 @@ import json
 import re
 import struct
 import tempfile
+from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,7 +36,7 @@ from bratsfuse.nifti import (
     save_nifti,
     save_probmap,
 )
-from bratsfuse.volume import LabelMap, ProbMap
+from bratsfuse.volume import LabelMap, ProbMap, _check_probs
 
 
 def build_fixture(shape, spacing, datatype, payload, vox_offset=352.0, magic=b"n+1\x00"):
@@ -476,6 +478,58 @@ class TestProbmapOracle:
     def test_voxel_ranges_inside_planes_are_bit_identical(self, tmp_path, rng, make,
                                                            start, stop):
         self.assert_oracle(tmp_path, rng, make, start, stop)
+
+
+# Stored channel values of each supported dtype: float32 from 0, -0.0 and
+# subnormals up to 1e30, uint8, and int16 with negatives.
+_STORED = {
+    "<f4": st.one_of(st.sampled_from([0.0, -0.0, 1e-45, 1.17e-38, 1.0]),
+                     st.floats(0.0, float(np.float32(1e30)), width=32)),
+    "<u1": st.integers(0, 255),
+    "<i2": st.integers(-32768, 32767),
+}
+
+
+@st.composite
+def _stored_channels(draw):
+    """Four stored channels of one dtype, as columns ``cols`` of whole rows
+    (the views a fold model renormalises)."""
+    dtype = draw(st.sampled_from(sorted(_STORED)))
+    rows, width = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    values = draw(st.lists(_STORED[dtype], min_size=4 * rows * width,
+                           max_size=4 * rows * width))
+    a, b = sorted(draw(st.lists(st.integers(0, width), min_size=2, max_size=2)))
+    assume(a < b)
+    return np.array(values, dtype).reshape(4, rows, width)[:, :, a:b]
+
+
+@settings(max_examples=300, deadline=None)
+@given(channels=_stored_channels())
+@example(channels=np.array([[[1.0]], [[-0.0]], [[0.0]], [[0.0]]], "<f4"))
+@example(channels=np.array([[[3, 2]], [[-1, 0]], [[0, 1]], [[0, 0]]], "<i2"))
+def test_renormalise_is_stack_divide_clip_bit_for_bit(channels):
+    # The oracle casts, sums, divides, clips and checks every voxel;
+    # renormalise clips and checks only when a stored channel is negative.
+    n = channels[0].size
+    want = np.stack([c.reshape(-1) for c in channels], dtype=np.float64)
+    sums = want.sum(axis=0)
+    if not sums.all():  # every draw is finite
+        match = "a voxel's four channels sum to 0"
+    else:
+        want /= sums
+        np.clip(want, 0.0, 1.0, out=want)
+        err = np.abs(want.sum(axis=0) - 1.0).max()
+        match = f"channel sums deviate from 1 by {err:.3g}" if err > 1e-6 else None
+    got = np.full((4, n), np.nan)
+    renormalise = partial(ProbmapFiles.renormalise, SimpleNamespace(manifest="m.json"))
+    if match is not None:
+        with pytest.raises(BadData, match=re.escape(f"m.json: {match}")):
+            renormalise(list(channels), got, np.empty(n))
+        return
+    renormalise(list(channels), got, np.empty(n))
+    assert got.tobytes() == want.tobytes()
+    if channels.min() >= 0:  # the property that skipping the clip rests on
+        _check_probs(got)
 
 
 class TestBadManifest:

@@ -3,6 +3,7 @@ import gzip
 import json
 import math
 import os
+import re
 import signal
 import struct
 import subprocess
@@ -901,13 +902,13 @@ def test_streamed_labels_equal_whole_volume_labels(tmp_path, rng, monkeypatch, s
 
 def test_streamed_labels_when_the_default_decode_chunk_splits_planes(tmp_path, rng,
                                                                      monkeypatch):
-    # 130 x 130 planes of dense maps: the scan reads the first fold's first
-    # channel in one read of the plane, and the rectangle is the whole plane, decoded in two bands of rows, 126 (16380
-    # voxels) and then 4.
-    assert pipeline.DECODE_VOXELS // 130 == 126
-    shape = (130, 130, 3)
+    # 182 x 182 planes of dense maps: the scan reads the first fold's first
+    # channel in one read of the plane, and the rectangle is the whole plane,
+    # decoded in two bands of rows, 180 (32760 voxels) and then 2.
+    assert pipeline.DECODE_VOXELS // 182 == 180
+    shape = (182, 182, 3)
     manifests = _folds(tmp_path, rng, shape, 2)
-    assert _fused_reads(manifests, monkeypatch) == _dense_plane_reads(manifests, shape, 126)
+    assert _fused_reads(manifests, monkeypatch) == _dense_plane_reads(manifests, shape, 180)
 
 
 def test_a_dense_plane_s_scan_reads_one_fold(tmp_path, rng, monkeypatch):
@@ -1141,6 +1142,15 @@ def _assert_the_average_is_checked(tmp_path, rng):
     assert str(info.value).startswith(f"average of {folds[0]}, {folds[1]}: ")
 
 
+def test_a_band_with_one_negative_fold_decodes_as_the_whole_volume(tmp_path, rng):
+    # One band of the plane: only the second fold stores a negative channel,
+    # so only it is clipped and checked there. Its clipped channels sum to
+    # 1 + 1e-7 (accepted).
+    folds = _folds(tmp_path, rng, CHECK_SHAPE, 3)
+    _patch_channels(folds[1], (0.5, -1e-7, 0.25, 0.25))
+    _assert_streamed_equals_whole(folds)
+
+
 def test_the_average_of_the_folds_is_checked(tmp_path, rng):
     _assert_the_average_is_checked(tmp_path, rng)
 
@@ -1330,25 +1340,25 @@ def test_the_scan_reads_every_fold_channel_by_channel_in_whole_rows(tmp_path, rn
 
 def test_a_plane_taller_than_four_bands_is_scanned_in_one_read_per_channel(tmp_path, rng,
                                                                            monkeypatch):
-    # 264 x 264 planes at the default DECODE_VOXELS: bands of 62 rows, four
-    # of which hold 248 of the plane's 264 rows. No plane's first voxel is
+    # 368 x 368 planes at the default DECODE_VOXELS: bands of 89 rows, four
+    # of which hold 356 of the plane's 368 rows. No plane's first voxel is
     # uncertain, so each plane is scanned in one read per fold per channel.
-    # Then plane 0's rectangle, rows 100:260, is read in bands 100:162,
-    # 162:224 and 224:260, and plane 1's, its last row, in one band.
-    assert pipeline.DECODE_VOXELS // 264 == 62
-    shape = (264, 264, 2)
+    # Then plane 0's rectangle, rows 140:360, is read in bands 140:229,
+    # 229:318 and 318:360, and plane 1's, its last row, in one band.
+    assert pipeline.DECODE_VOXELS // 368 == 89
+    shape = (368, 368, 2)
     folds = _tumour_folds(tmp_path, rng, shape, [
-        np.s_[50:120, 100:180, 0], np.s_[100:200, 150:260, 0], np.s_[263:264, 263:264, 1]])
+        np.s_[70:170, 140:250, 0], np.s_[140:280, 210:360, 0], np.s_[367:368, 367:368, 1]])
     nx, ny, _ = shape
 
     def plane_reads(z, rows):
         plane = nx * ny * z
         scan = [(f, c, plane, plane + nx * ny) for f in folds for c in range(4)]
-        return scan + [(f, c, plane + nx * y, plane + nx * min(y + 62, rows.stop))
-                       for y in range(rows.start, rows.stop, 62) for f in folds for c in range(4)]
+        return scan + [(f, c, plane + nx * y, plane + nx * min(y + 89, rows.stop))
+                       for y in range(rows.start, rows.stop, 89) for f in folds for c in range(4)]
 
-    assert _fused_reads(folds, monkeypatch) == plane_reads(0, range(100, 260)) \
-        + plane_reads(1, range(263, 264))
+    assert _fused_reads(folds, monkeypatch) == plane_reads(0, range(140, 360)) \
+        + plane_reads(1, range(367, 368))
 
 
 @pytest.mark.parametrize("voxel", [(35, 4, 1), (2, 10, 1)], ids=["beside", "off_corner"])
@@ -1669,6 +1679,41 @@ def test_fuse_refuses_an_output_that_is_one_of_its_inputs(tmp_path, where):
     assert result.output == (f"Error: {tmp_path / 'rater1.nii'} is an input of model 'r1' "
                              "and an output\n")
     assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
+def test_fuse_refuses_an_output_that_is_a_fold_channel_file(tmp_path):
+    # Case "case_000_f0_ch0" would be written into "probs" over fold 0's
+    # channel 0, which the manifest, not the config, names.
+    d = tmp_path / "synth"
+    result = CliRunner().invoke(
+        main, ["synth", "--out", str(d), "--shape", "40", "40", "32", "--seed", "1"])
+    assert result.exit_code == 0, result.output
+    cfg = json.loads((d / "fuse_config.json").read_text())
+    cfg["cases"][0]["id"], cfg["output_dir"] = "case_000_f0_ch0", "probs"
+    (d / "cfg.json").write_text(json.dumps(cfg))
+    before = {p: p.read_bytes() for p in d.rglob("*") if p.is_file()}
+    channel = d / "probs" / "case_000_f0_ch0.nii"
+    message = f"{channel} is an input of model 'soft_model' and an output"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        run_fuse(PipelineConfig.from_json(d / "cfg.json"))
+    result = CliRunner().invoke(main, ["fuse", "--config", str(d / "cfg.json")])
+    assert result.exit_code == 1, result.output
+    assert result.output == f"Error: {message}\n"
+    assert {p: p.read_bytes() for p in d.rglob("*") if p.is_file()} == before
+
+
+@pytest.mark.parametrize("text", ["{not json", '{"channels": [0, 1, 2, 4], "files": "abcd"}'])
+def test_a_malformed_fold_manifest_fails_only_its_case(tmp_path, rng, text):
+    # The output check cannot read b's channel files, so b's own read refuses it.
+    good = _folds(tmp_path, rng, (6, 6, 4), 2, stem="a")
+    bad = _folds(tmp_path, rng, (6, 6, 4), 2, stem="b")
+    bad[1].write_text(text)
+    cfg = PipelineConfig(tuple(CaseInput(cid, (ModelInput("soft", prob_manifests=tuple(ms)),))
+                               for cid, ms in (("a", good), ("b", bad))), tmp_path / "fused")
+    diags, errors = run_fuse(cfg)
+    assert [d["case_id"] for d in diags] == ["a"]
+    assert [(e["case_id"], e["error"]) for e in errors] == [("b", "BadHeader")]
+    assert str(bad[1]) in errors[0]["detail"]
 
 
 @pytest.mark.parametrize("command", ["fuse", "eval"])
